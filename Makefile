@@ -18,9 +18,12 @@ race:
 	$(GO) test -race ./...
 
 # Fast subset: the heavy concurrent suites (load tests, fan-out churn)
-# where the race detector earns its keep on every edit.
+# where the race detector earns its keep on every edit, plus a -count
+# stress of the trace-before-reply ordering pin (a scheduling race, so one
+# pass proves little).
 race-core:
 	$(GO) test -race ./internal/telemetry ./internal/transport ./internal/docstore ./internal/core
+	$(GO) test -race -count=20 -run TestTraceRetrievableOnceReplyObserved ./internal/transport
 
 vet:
 	$(GO) vet ./...

@@ -251,29 +251,9 @@ func (a *Agora) nextID(prefix string) string {
 
 // Ingest stores a document at the node, updates its advertisement, and
 // publishes it on the feed bus (so standing subscriptions see new content —
-// the information-initiated modality).
+// the information-initiated modality): an IngestBatch of one.
 func (n *Node) Ingest(d *docstore.Document) error {
-	if d.Provenance == "" {
-		d = d.Clone()
-		d.Provenance = n.Name
-	}
-	if err := n.Store.Put(d); err != nil {
-		return err
-	}
-	n.mu.Lock()
-	n.totalDocs++
-	for _, t := range d.Topics {
-		n.topicCounts[t]++
-	}
-	if len(d.Concept) > 0 {
-		n.contentVec.Add(d.Concept)
-	}
-	n.mu.Unlock()
-	n.agora.Feeds.Publish(feedsys.Item{
-		ID: d.ID, FeedID: n.Name, Source: n.Name, Text: d.Title + " " + d.Text,
-		Concept: d.Concept, At: n.agora.now(),
-	})
-	return nil
+	return n.IngestBatch([]*docstore.Document{d})
 }
 
 // IngestBatch stores a batch of documents through one docstore commit

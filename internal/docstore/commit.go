@@ -5,15 +5,13 @@ import (
 	"time"
 )
 
-// Group-commit pipeline. The seed write path serialized every writer under
-// Store.mu through WAL append, per-put fsync, and even full compaction, so
-// ingest throughput was whatever one fsync-at-a-time writer could do. The
-// pipeline inverts the discipline: writers stage marshalled records into a
-// commit queue and a single committer goroutine drains it in windows,
+// Group-commit pipeline, the one write path. Writers stage marshalled records
+// into a commit queue and a single committer goroutine drains it in windows,
 // appending every staged record and amortizing ONE fsync across all writers
 // waiting in the window. Each Put/Delete still returns only after its record
 // is durable per Options.SyncEveryPut — the ack is deferred, never the
-// durability.
+// durability. An in-memory store runs the same window code with no queue, no
+// goroutine and no WAL: each writer commits its own request (see submit).
 //
 // Ordering contract (the repo's determinism contract extended to the write
 // path): WAL record order == master apply order == snapshot publish (epoch)
@@ -59,9 +57,9 @@ const maxCommitWindow = 1024
 const commitQueueDepth = 256
 
 // startCommitter launches the committer goroutine. Only durable stores run
-// one: an in-memory store has no WAL to amortize, so its writers apply
-// inline under Store.mu (see Put). The goroutine is join-tracked by
-// committerWG and joined in Close.
+// one: simulations open hundreds of in-memory stores nobody closes, so those
+// commit in the writer's goroutine instead (see submit). The goroutine is
+// join-tracked by committerWG and joined in Close.
 func (s *Store) startCommitter() {
 	s.commits = make(chan *commitReq, commitQueueDepth)
 	s.committerWG.Add(1)
@@ -71,17 +69,24 @@ func (s *Store) startCommitter() {
 	}()
 }
 
-// submit hands a request to the committer and blocks until its window is
-// durable and published. The closeMu read-lock makes the closed check and
-// the channel send atomic with respect to Close, which takes the write lock
-// before closing the channel — so a send on a closed channel cannot happen.
-func (s *Store) submit(req *commitReq) error {
+// submit is the only write entry: it hands the staged ops to the committer as
+// one request — or, on an in-memory store, commits it here as a window of one
+// — and blocks until its window is durable and published. The closeMu
+// read-lock makes the closed check and the hand-off atomic with respect to
+// Close, which takes the write lock before closing the channel — so a send on
+// a closed channel (or a write landing after Close returned) cannot happen.
+func (s *Store) submit(ops []stagedOp, start time.Time) error {
+	req := &commitReq{ops: ops, at: start, done: make(chan struct{})}
 	s.closeMu.RLock()
 	if s.closed.Load() {
 		s.closeMu.RUnlock()
 		return ErrClosed
 	}
-	s.commits <- req
+	if s.commits == nil {
+		s.commitWindow([]*commitReq{req})
+	} else {
+		s.commits <- req
+	}
 	s.closeMu.RUnlock()
 	<-req.done
 	return req.err
@@ -116,8 +121,12 @@ func (s *Store) commitLoop() {
 // window durable with one flush/fsync, then applies and publishes each op in
 // the same order before acking all waiters. Holding Store.mu across the
 // window keeps the log, the master state, and the published snapshot
-// mutually consistent (compaction pins exactly that consistency point).
+// mutually consistent (compaction pins exactly that consistency point). An
+// in-memory store skips only the WAL steps and their docstore.wal.*
+// instruments. The guard is Options.Dir, not s.log: a durable store that
+// lost its log must keep failing loudly, never start acking unlogged writes.
 func (s *Store) commitWindow(window []*commitReq) {
+	durable := s.opts.Dir != ""
 	s.mu.Lock()
 	var wErr error
 	staged := 0
@@ -139,10 +148,10 @@ func (s *Store) commitWindow(window []*commitReq) {
 					continue
 				}
 			}
-			if wErr != nil {
-				continue
+			if durable && wErr == nil {
+				wErr = s.log.append(op.op, op.payload)
 			}
-			if wErr = s.log.append(op.op, op.payload); wErr != nil {
+			if wErr != nil {
 				continue
 			}
 			staged++
@@ -156,7 +165,7 @@ func (s *Store) commitWindow(window []*commitReq) {
 			}
 		}
 	}
-	if wErr == nil && staged > 0 {
+	if durable && wErr == nil && staged > 0 {
 		if s.opts.SyncEveryPut {
 			if wErr = s.log.sync(); wErr == nil {
 				s.tel.walSyncs.Inc()
@@ -187,20 +196,26 @@ func (s *Store) commitWindow(window []*commitReq) {
 				}
 			}
 		}
-		s.publishWindowLocked(window)
-		s.walBytes.Store(s.log.size)
-		s.maybeCompactLocked()
+		s.publishWindowLocked(window, staged)
+		if durable {
+			s.walBytes.Store(s.log.size)
+			s.maybeCompactLocked()
+		}
 	}
 	s.mu.Unlock()
-	s.tel.walWindows.Inc()
-	s.tel.walGroupSize.Add(uint64(staged))
+	if durable {
+		s.tel.walWindows.Inc()
+		s.tel.walGroupSize.Add(uint64(staged))
+	}
 	now := time.Now()
 	for _, req := range window {
 		if req.err == nil {
 			req.err = wErr
 		}
 		wait := now.Sub(req.at)
-		s.tel.walSyncWaitUs.Add(uint64(wait.Microseconds()))
+		if durable {
+			s.tel.walSyncWaitUs.Add(uint64(wait.Microseconds()))
+		}
 		s.tel.commitLat.Observe(wait)
 		close(req.done)
 	}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -369,8 +370,13 @@ func TestCommitStressWithDeletesAndSearches(t *testing.T) {
 // delete must observe the put sequenced before it inside the same window,
 // and the missing-id delete must come back ErrNotFound without a record.
 func TestWindowPutThenDeleteSameID(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(Options{Dir: dir, ConceptDim: 4, Seed: 1, SyncEveryPut: true})
+	for _, dir := range []string{t.TempDir(), ""} { // durable, in-memory
+		testWindowPutThenDeleteSameID(t, Options{Dir: dir, ConceptDim: 4, Seed: 1, SyncEveryPut: true})
+	}
+}
+
+func testWindowPutThenDeleteSameID(t *testing.T, opts Options) {
+	s, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -562,4 +568,167 @@ func TestCompactConcurrentWithWrites(t *testing.T) {
 			}
 		}
 	}
+}
+
+// commitOps commits ops as one request in a window of its own, the way
+// submit does for a writer — the only way to put a delete inside a batch.
+func commitOps(s *Store, ops ...stagedOp) error {
+	req := &commitReq{ops: ops, at: time.Now(), done: make(chan struct{})}
+	s.commitWindow([]*commitReq{req})
+	return req.err
+}
+
+// TestWritePathEquivalence is the one-write-path contract: the same scripted
+// op sequence against an in-memory and a durable store yields, op for op, the
+// same error and the same epoch (a batch is ONE epoch on both), and the same
+// contents at the end. Dir decides where bytes go, never what a write means.
+func TestWritePathEquivalence(t *testing.T) {
+	type step struct {
+		name string
+		run  func(s *Store) error
+	}
+	mkDoc := func(id string, i int) *Document {
+		v := shadowVocab
+		return doc(id, v[i%len(v)]+" "+v[(i*7+1)%len(v)], v[(i*5+2)%len(v)]+" "+v[(i*3)%len(v)]+" ring", int64(i), nil)
+	}
+	ids := map[string]bool{}
+	put := func(id string, i int) step {
+		ids[id] = true
+		return step{"put " + id, func(s *Store) error { return s.Put(mkDoc(id, i)) }}
+	}
+	del := func(id string) step {
+		return step{"delete " + id, func(s *Store) error { return s.Delete(id) }}
+	}
+	batch := func(i int, batchIDs ...string) step {
+		for _, id := range batchIDs {
+			ids[id] = true
+		}
+		return step{fmt.Sprintf("batch %v", batchIDs), func(s *Store) error {
+			docs := make([]*Document, len(batchIDs))
+			for j, id := range batchIDs {
+				docs[j] = mkDoc(id, i+j)
+			}
+			return s.PutBatch(docs)
+		}}
+	}
+	steps := []step{
+		put("a", 1), put("b", 2), put("c", 3),
+		put("a", 4),             // replace
+		del("b"),                // live
+		del("b"),                // dead: ErrNotFound
+		del("ghost"),            // never existed: ErrNotFound
+		batch(5, "d", "e", "d"), // duplicate id: later wins, one epoch
+		batch(8, "", "f"),       // ErrEmptyID, nothing committed, no epoch
+		{"put x then delete x in one batch", func(s *Store) error {
+			d := mkDoc("x", 9)
+			return commitOps(s,
+				stagedOp{op: opPut, payload: d.marshal(), doc: d, tokens: d.Tokens()},
+				stagedOp{op: opDelete, payload: []byte("x"), id: "x"})
+		}},
+		{"delete ghost inside a batch", func(s *Store) error {
+			d := mkDoc("g", 10)
+			return commitOps(s,
+				stagedOp{op: opDelete, payload: []byte("ghost"), id: "ghost"},
+				stagedOp{op: opPut, payload: d.marshal(), doc: d, tokens: d.Tokens()})
+		}},
+	}
+	ids["x"], ids["g"] = true, true
+	// Enough single and batched ops to cross overlayLimit (64 at this size)
+	// more than twice, with replaces and deletes of live and dead ids mixed in.
+	for i := 0; i < 180; i++ {
+		id := fmt.Sprintf("n%03d", i%120) // wraps: the tail replaces
+		switch {
+		case i%10 == 9:
+			steps = append(steps, batch(100+i, id, id+"-b", id+"-c", id))
+		case i%7 == 3:
+			steps = append(steps, del(fmt.Sprintf("n%03d", (i*3)%120))) // some live, some dead
+		default:
+			steps = append(steps, put(id, 100+i))
+		}
+	}
+
+	mem, err := Open(Options{ConceptDim: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dur, err := Open(Options{Dir: t.TempDir(), ConceptDim: 4, Seed: 1, SyncEveryPut: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dur.Close()
+	for i, st := range steps {
+		me, de := st.run(mem), st.run(dur)
+		if me != de {
+			t.Fatalf("step %d (%s): in-memory err %v, durable err %v", i, st.name, me, de)
+		}
+		if mem.Epoch() != dur.Epoch() {
+			t.Fatalf("step %d (%s): in-memory epoch %d, durable epoch %d", i, st.name, mem.Epoch(), dur.Epoch())
+		}
+	}
+	if ms, ds := mem.Stats(), dur.Stats(); mem.Len() != dur.Len() || ms.Puts != ds.Puts || ms.Deletes != ds.Deletes {
+		t.Fatalf("len/puts/deletes: in-memory %d/%d/%d, durable %d/%d/%d",
+			mem.Len(), ms.Puts, ms.Deletes, dur.Len(), ds.Puts, ds.Deletes)
+	}
+	for id := range ids {
+		md, me := mem.Get(id)
+		dd, de := dur.Get(id)
+		if errors.Is(me, ErrNotFound) != errors.Is(de, ErrNotFound) || (md != nil && md.Title != dd.Title) {
+			t.Fatalf("get %q: in-memory (%v, %v), durable (%v, %v)", id, md, me, dd, de)
+		}
+	}
+	for _, q := range []string{"ring", "gold", "byzantine amber", "jade coin mosaic"} {
+		if mh, dh := mem.SearchTextExhaustive(q, 10), dur.SearchTextExhaustive(q, 10); !hitsEqual(mh, dh) {
+			t.Fatalf("search %q: in-memory %v, durable %v", q, hitIDs(mh), hitIDs(dh))
+		}
+	}
+	if mf, df := docIDs(mem.Freshest(25)), docIDs(dur.Freshest(25)); !strsEqual(mf, df) {
+		t.Fatalf("freshest: in-memory %v, durable %v", mf, df)
+	}
+	if err := mem.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := dur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if me, de := mem.Put(mkDoc("late", 1)), dur.Put(mkDoc("late", 1)); me != ErrClosed || de != ErrClosed {
+		t.Fatalf("put after close: in-memory %v, durable %v, want ErrClosed", me, de)
+	}
+}
+
+// TestInMemoryBatchIsAtomic: a reader racing in-memory PutBatch calls only
+// ever sees whole batches — the batch is one published epoch, as on a
+// durable store, not one epoch per document.
+func TestInMemoryBatchIsAtomic(t *testing.T) {
+	s := memStore(t)
+	const batchSize, batches = 16, 60
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if n := s.Len(); n%batchSize != 0 {
+				t.Errorf("reader saw %d docs: a batch of %d half-applied", n, batchSize)
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	for b := 0; b < batches; b++ {
+		docs := make([]*Document, batchSize)
+		for i := range docs {
+			docs[i] = doc(fmt.Sprintf("b%d-%d", b, i), "t", "body", int64(b), nil)
+		}
+		if err := s.PutBatch(docs); err != nil {
+			t.Fatal(err)
+		}
+		runtime.Gosched()
+	}
+	close(stop)
+	wg.Wait()
 }

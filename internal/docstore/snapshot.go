@@ -18,10 +18,10 @@ import (
 //
 //	snapshot = { base: frozen state, ov: docs written since the freeze }
 //
-// Each write clones the (small) overlay and republishes; once the overlay
-// reaches overlayLimit the master is deep-cloned into a fresh base and the
-// overlay resets — small-batch coalescing that amortizes the O(n) freeze
-// over many writes.
+// Each commit window clones the (small) overlay once and republishes; once
+// the overlay would pass overlayLimit the master is deep-cloned into a fresh
+// base and the overlay resets — small-batch coalescing that amortizes the
+// O(n) freeze over many writes.
 //
 // Exactness contract: every read through (base, ov) must be result-identical
 // to the same read against a monolithic index containing the live documents.
@@ -173,7 +173,7 @@ type overlay struct {
 	docLen   map[string]int
 	// termPost inverts terms (term -> carriers sorted by docID) so per-term
 	// document frequency and overlay scoring are O(carriers), not
-	// O(overlay docs). Slices are copy-on-write: cloneNext shares them, and
+	// O(overlay docs). Slices are copy-on-write: cloneNextN shares them, and
 	// any write replaces the touched term's slice with a fresh copy.
 	termPost map[string][]ovPost
 	extras   []feature.Extra // overlay concept vectors with precomputed signatures
@@ -185,14 +185,10 @@ type ovPost struct {
 	tf int
 }
 
-// cloneNext deep-copies the overlay's own containers for the next write.
-// Inner term maps and documents are immutable after insertion and shared.
-func (ov *overlay) cloneNext() *overlay { return ov.cloneNextN(1) }
-
-// cloneNextN is cloneNext for a commit window of n writes: ONE deep copy
-// absorbs the whole window (the committer folds every windowed op into the
-// clone before publishing), so publish cost is O(overlay + window) rather
-// than O(overlay × window).
+// cloneNextN deep-copies the overlay's own containers for a commit window of
+// n writes: ONE copy absorbs the whole window, so publish cost is
+// O(overlay + window) rather than O(overlay × window). Inner term maps and
+// documents are immutable after insertion and shared.
 func (ov *overlay) cloneNextN(n int) *overlay {
 	nv := &overlay{
 		ops:      ov.ops + n,
@@ -270,23 +266,14 @@ func (nv *overlay) removeTime(key int64, id string) {
 	}
 }
 
-// withPut returns the overlay extended with d. cx is the frozen base's
-// compiled index (for masked-df bookkeeping); sigs are d.Concept's
-// per-table LSH signatures (nil when the doc has no concept vector). inBase
-// says whether the base holds a (now superseded) version of d.ID.
-func (ov *overlay) withPut(d *Document, tokens []string, sigs []uint64, inBase bool, cx *compiledIndex) *overlay {
-	nv := ov.cloneNext()
-	nv.putDoc(d, tokens, sigs, inBase, cx)
-	return nv
-}
-
 // putDoc folds d into a freshly cloned (not yet published) overlay. Callers
-// own nv exclusively; once published the overlay is immutable again.
-func (nv *overlay) putDoc(d *Document, tokens []string, sigs []uint64, inBase bool, cx *compiledIndex) {
+// own nv exclusively; once published the overlay is immutable again. base is
+// the frozen base nv sits on (its version of d.ID, if any, is now
+// superseded); sigs are d.Concept's per-table LSH signatures (nil when the
+// doc has no concept vector).
+func (nv *overlay) putDoc(d *Document, tokens []string, sigs []uint64, base *state) {
 	nv.dropID(d.ID)
-	if inBase {
-		nv.maskBase(d.ID, cx)
-	}
+	nv.maskBase(d.ID, base)
 	nv.byID[d.ID] = d
 	nv.insertTime(d.CreatedAt, d.ID)
 	tf := make(map[string]int, len(tokens))
@@ -303,30 +290,21 @@ func (nv *overlay) putDoc(d *Document, tokens []string, sigs []uint64, inBase bo
 	}
 }
 
-// withDelete returns the overlay with id removed (and masked when the base
-// holds it).
-func (ov *overlay) withDelete(id string, inBase bool, cx *compiledIndex) *overlay {
-	nv := ov.cloneNext()
-	nv.deleteDoc(id, inBase, cx)
-	return nv
-}
-
 // deleteDoc folds a delete into a freshly cloned overlay (see putDoc).
-func (nv *overlay) deleteDoc(id string, inBase bool, cx *compiledIndex) {
+func (nv *overlay) deleteDoc(id string, base *state) {
 	nv.dropID(id)
-	if inBase {
-		nv.maskBase(id, cx)
-	}
+	nv.maskBase(id, base)
 }
 
-// maskBase marks a base id dead and charges its distinct terms to
-// maskedDF via the compiled forward index. Masking is idempotent per
-// overlay lifetime — an id already masked was already charged.
-func (nv *overlay) maskBase(id string, cx *compiledIndex) {
-	if nv.masked[id] {
+// maskBase marks id dead in the base, when the base holds it, and charges
+// its distinct terms to maskedDF via the compiled forward index. Masking is
+// idempotent per overlay lifetime — an id already masked was already charged.
+func (nv *overlay) maskBase(id string, base *state) {
+	if _, inBase := base.docs[id]; !inBase || nv.masked[id] {
 		return
 	}
 	nv.masked[id] = true
+	cx := base.cx
 	if cx == nil {
 		return
 	}

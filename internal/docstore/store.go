@@ -101,15 +101,15 @@ var (
 )
 
 // Store is a durable, indexed document store. All methods are safe for
-// concurrent use. Durable writers (Put/Delete/PutBatch with a Dir) stage
-// marshalled records into the group-commit pipeline (commit.go): a single
-// committer goroutine batches WAL appends and amortizes one fsync across
-// every writer waiting in the window, then applies and publishes each op in
-// arrival order. In-memory writers apply inline under mu. Every read method
-// loads the published epoch snapshot and runs lock-free, so searches never
-// block writers and never take the store lock (a contract enforced by
-// agoralint's lockfree analyzer — see snapshot.go for the epoch/overlay
-// design).
+// concurrent use. Every write (Put/Delete/PutBatch) is staged as a request
+// into the group-commit pipeline (commit.go): with a Dir, a single committer
+// goroutine batches WAL appends and amortizes one fsync across every writer
+// waiting in the window, then applies and publishes the window's ops in
+// arrival order as one epoch; without one, each writer runs the same window
+// code itself, minus the WAL. Every read method loads the published epoch
+// snapshot and runs lock-free, so searches never block writers and never
+// take the store lock (a contract enforced by agoralint's lockfree analyzer
+// — see snapshot.go for the epoch/overlay design).
 type Store struct {
 	mu     sync.Mutex // serializes mutation of master/log/snapshot publish; never taken on the read path
 	opts   Options
@@ -121,9 +121,9 @@ type Store struct {
 	cache  *queryCache
 	tokens *tokenMemo
 
-	// Group-commit pipeline (durable stores only; nil commits means
-	// in-memory inline writes). closeMu makes the closed-check + channel
-	// send in submit atomic against Close closing the channel.
+	// Group-commit pipeline. commits is nil on an in-memory store, whose
+	// writers commit in their own goroutine. closeMu makes the closed-check
+	// + hand-off in submit atomic against Close closing the channel.
 	commits     chan *commitReq
 	closeMu     sync.RWMutex
 	committerWG sync.WaitGroup
@@ -235,46 +235,17 @@ func (s *Store) freezeLocked(epoch uint64) {
 	s.installLocked(&snapshot{epoch: epoch, base: s.master.freeze(), ov: &overlay{}})
 }
 
-// publishPutLocked extends the overlay with d, or freezes when the overlay
-// has reached its coalescing limit.
-func (s *Store) publishPutLocked(d *Document, tokens []string) {
-	cur := s.snap.Load()
-	if cur.ov.ops >= overlayLimit(len(cur.base.docs)) {
-		s.freezeLocked(cur.epoch + 1)
-		return
-	}
-	_, inBase := cur.base.docs[d.ID]
-	var sigs []uint64
-	if len(d.Concept) > 0 {
-		sigs = s.master.vec.Signatures(d.Concept)
-	}
-	s.installLocked(&snapshot{
-		epoch: cur.epoch + 1,
-		base:  cur.base,
-		ov:    cur.ov.withPut(d, tokens, sigs, inBase, cur.base.cx),
-	})
-}
-
-// publishWindowLocked publishes one epoch covering every non-skipped op of a
-// commit window, folded into a single overlay clone in WAL order. This is the
-// group-commit amortization applied to publication: per-op publishing pays an
-// O(overlay) deep copy per write, the window pays it once — O(overlay+window)
-// — exactly as the window pays one fsync. The master must already hold every
-// op (apply precedes publish), so when the window pushes the overlay past its
-// coalescing limit, freezing the master covers the whole window.
-func (s *Store) publishWindowLocked(window []*commitReq) {
-	cur := s.snap.Load()
-	n := 0
-	for _, req := range window {
-		for i := range req.ops {
-			if !req.ops[i].skip {
-				n++
-			}
-		}
-	}
+// publishWindowLocked publishes one epoch covering the n non-skipped ops of a
+// commit window, folded into a single overlay clone in WAL order: the window
+// pays the O(overlay) deep copy once, exactly as it pays one fsync. The
+// master must already hold every op (apply precedes publish), so when the
+// window pushes the overlay past its coalescing limit, freezing the master
+// covers the whole window.
+func (s *Store) publishWindowLocked(window []*commitReq, n int) {
 	if n == 0 {
 		return
 	}
+	cur := s.snap.Load()
 	if cur.ov.ops+n > overlayLimit(len(cur.base.docs)) {
 		s.freezeLocked(cur.epoch + 1)
 		return
@@ -287,74 +258,31 @@ func (s *Store) publishWindowLocked(window []*commitReq) {
 				continue
 			}
 			if op.op == opPut {
-				_, inBase := cur.base.docs[op.doc.ID]
 				var sigs []uint64
 				if len(op.doc.Concept) > 0 {
 					sigs = s.master.vec.Signatures(op.doc.Concept)
 				}
-				nv.putDoc(op.doc, op.tokens, sigs, inBase, cur.base.cx)
+				nv.putDoc(op.doc, op.tokens, sigs, cur.base)
 			} else {
-				_, inBase := cur.base.docs[op.id]
-				nv.deleteDoc(op.id, inBase, cur.base.cx)
+				nv.deleteDoc(op.id, cur.base)
 			}
 		}
 	}
 	s.installLocked(&snapshot{epoch: cur.epoch + 1, base: cur.base, ov: nv})
 }
 
-func (s *Store) publishDeleteLocked(id string) {
-	cur := s.snap.Load()
-	if cur.ov.ops >= overlayLimit(len(cur.base.docs)) {
-		s.freezeLocked(cur.epoch + 1)
-		return
-	}
-	_, inBase := cur.base.docs[id]
-	s.installLocked(&snapshot{
-		epoch: cur.epoch + 1,
-		base:  cur.base,
-		ov:    cur.ov.withDelete(id, inBase, cur.base.cx),
-	})
-}
-
-// Put stores (or replaces) a document durably. On a durable store the write
-// rides the group-commit pipeline: marshalling and tokenizing run here, in
-// the caller's goroutine, and the call returns once the committer has made
-// the record durable (fsynced when Options.SyncEveryPut) and published it.
+// Put stores (or replaces) a document durably: a PutBatch of one.
 func (s *Store) Put(d *Document) error {
-	if d.ID == "" {
-		return ErrEmptyID
-	}
-	start := time.Now()
-	cp := d.Clone()
-	tokens := cp.Tokens()
-	if s.commits == nil { // in-memory: no WAL to amortize, apply inline
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.closed.Load() {
-			return ErrClosed
-		}
-		s.master.applyPut(cp, tokens)
-		s.publishPutLocked(cp, tokens)
-		s.puts.Add(1)
-		s.tel.puts.Inc()
-		s.tel.putLat.Observe(time.Since(start))
-		return nil
-	}
-	err := s.submit(&commitReq{
-		ops:  []stagedOp{{op: opPut, payload: cp.marshal(), doc: cp, tokens: tokens}},
-		at:   start,
-		done: make(chan struct{}),
-	})
-	s.tel.putLat.Observe(time.Since(start))
-	return err
+	return s.PutBatch([]*Document{d})
 }
 
-// PutBatch stores a batch of documents durably. The whole batch is staged as
-// one commit request, so it rides a single commit window end-to-end: one WAL
-// append run, one fsync (per Options), and in-order publication — later
-// documents in the batch supersede earlier ones with the same id, exactly as
-// sequential Puts would. An empty-id document fails the batch up front,
-// before anything is staged.
+// PutBatch stores a batch of documents durably. Cloning, marshalling and
+// tokenizing run here, in the caller's goroutine; the batch is then staged
+// as one commit request, so it rides a single commit window end-to-end: one
+// WAL append run, one fsync (per Options), and in-order publication as one
+// epoch — later documents in the batch supersede earlier ones with the same
+// id, exactly as sequential Puts would. An empty-id document fails the batch
+// up front, before anything is staged.
 func (s *Store) PutBatch(docs []*Document) error {
 	for _, d := range docs {
 		if d.ID == "" {
@@ -370,54 +298,17 @@ func (s *Store) PutBatch(docs []*Document) error {
 		cp := d.Clone()
 		ops[i] = stagedOp{op: opPut, payload: cp.marshal(), doc: cp, tokens: cp.Tokens()}
 	}
-	if s.commits == nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.closed.Load() {
-			return ErrClosed
-		}
-		for i := range ops {
-			s.master.applyPut(ops[i].doc, ops[i].tokens)
-			s.publishPutLocked(ops[i].doc, ops[i].tokens)
-			s.puts.Add(1)
-			s.tel.puts.Inc()
-		}
-		s.tel.putLat.Observe(time.Since(start))
-		return nil
-	}
-	err := s.submit(&commitReq{ops: ops, at: start, done: make(chan struct{})})
+	err := s.submit(ops, start)
 	s.tel.putLat.Observe(time.Since(start))
 	return err
 }
 
 // Delete removes a document durably. Deleting a missing id is a no-op
 // returning ErrNotFound. Durability matches Put exactly: the delete record
-// rides the same commit window and is fsynced under Options.SyncEveryPut
-// (the seed flushed but never synced deletes, so an acknowledged delete
-// could resurrect after a crash).
+// rides the same commit window and is fsynced under Options.SyncEveryPut.
 func (s *Store) Delete(id string) error {
 	start := time.Now()
-	if s.commits == nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.closed.Load() {
-			return ErrClosed
-		}
-		if _, ok := s.master.docs[id]; !ok {
-			return ErrNotFound
-		}
-		s.master.applyDelete(id)
-		s.publishDeleteLocked(id)
-		s.deletes.Add(1)
-		s.tel.deletes.Inc()
-		s.tel.deleteLat.Observe(time.Since(start))
-		return nil
-	}
-	err := s.submit(&commitReq{
-		ops:  []stagedOp{{op: opDelete, payload: []byte(id), id: id}},
-		at:   start,
-		done: make(chan struct{}),
-	})
+	err := s.submit([]stagedOp{{op: opDelete, payload: []byte(id), id: id}}, start)
 	s.tel.deleteLat.Observe(time.Since(start))
 	return err
 }
@@ -439,9 +330,11 @@ func (s *Store) Len() int {
 	return s.snap.Load().docCount
 }
 
-// Epoch returns the current snapshot generation; every Put/Delete bumps it.
-// Callers use it to tag derived results that stay valid until the next
-// write (the query cache here, the execute memo in internal/core).
+// Epoch returns the current snapshot generation. Each commit window bumps it
+// once: a Put, a Delete or a whole PutBatch is one bump (less when
+// concurrent durable writers share a window). Callers use it to tag derived
+// results that stay valid until the next write (the query cache here, the
+// execute memo in internal/core).
 func (s *Store) Epoch() uint64 {
 	return s.snap.Load().epoch
 }

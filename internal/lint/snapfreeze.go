@@ -23,9 +23,8 @@ var snapfreezeFrozen = map[string]map[string][]string{
 		"snapshot":      {"installLocked"},
 		"compiledIndex": {"compileIndex"},
 		"overlay": {
-			"cloneNext", "cloneNextN", "dropID", "insertTime", "removeTime",
-			"withPut", "putDoc", "withDelete", "deleteDoc",
-			"maskBase", "setTermPost", "delTermPost",
+			"cloneNextN", "dropID", "insertTime", "removeTime",
+			"putDoc", "deleteDoc", "maskBase", "setTermPost", "delTermPost",
 		},
 	},
 }

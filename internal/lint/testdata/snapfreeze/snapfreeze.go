@@ -49,8 +49,8 @@ func (s *Store) installLocked(next state) {
 	s.current = sn // Store is not frozen: republishing the pointer is the design
 }
 
-// cloneNext is overlay's fold-family constructor: legal.
-func (ov *overlay) cloneNext() *overlay {
+// cloneNextN is overlay's fold-family constructor: legal.
+func (ov *overlay) cloneNextN() *overlay {
 	next := &overlay{termPost: map[string][]int{}}
 	next.termPost["x"] = nil
 	return next

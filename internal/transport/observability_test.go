@@ -191,3 +191,40 @@ func TestUntracedQueryStillServed(t *testing.T) {
 		t.Fatalf("fresh trace should have no parent, got %q", snaps[0].ParentSpan)
 	}
 }
+
+// TestTraceRetrievableOnceReplyObserved pins the ordering contract: the
+// server finishes a query's trace before it stages the reply, so the TraceID
+// a reply carries can be looked up the moment the reply is read — even on an
+// idle link, where the staging goroutine writes the socket inline.
+func TestTraceRetrievableOnceReplyObserved(t *testing.T) {
+	srv := NewServer("museum", seededStore(t, "museum"))
+	srv.Logf = t.Logf
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	c, err := Dial(ln.Addr().String(), "plain", 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var reg *telemetry.Registry
+	for i := 0; i < 256; i++ {
+		// The tail sampler keeps every trace only until its slow class (24)
+		// fills; a fresh registry every 16 asks keeps retention certain, so
+		// a miss can only mean the reply overtook Finish.
+		if i%16 == 0 {
+			reg = telemetry.NewRegistrySeeded(uint64(1000 + i))
+			srv.SetTelemetry(reg)
+		}
+		res, err := c.Query("auction drawing", nil, 5, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(reg.TraceByID(telemetry.TraceID(res.TraceID))) == 0 {
+			t.Fatalf("ask %d: reply observed before trace %016x was retained", i, res.TraceID)
+		}
+	}
+}

@@ -369,11 +369,18 @@ func (s *Server) serveQuery(cs *connState, payload []byte) {
 	s.served.Add(1)
 	tel.queries.Inc()
 	tel.queryLat.ObserveExemplar(time.Since(start), tr.ID())
+	// Finish before staging: an idle link writes the reply inline, and a
+	// trace must be retrievable by ID once its reply is observable (the
+	// exemplar → /debug/trace?id= link depends on it).
+	tr.Finish()
 	if err := cs.out.stage(wire.KindQueryResult, &resp); err != nil {
 		s.warnf("transport: send result: %v", err)
-		tr.Fail(err)
+		// The serve trace is already retained, so the lost reply becomes its
+		// own always-retained error snapshot under the same trace ID.
+		lost := tel.reg.StartTraceFrom(tr.Context(), "send-result", wq.Text)
+		lost.Fail(err)
+		lost.Finish()
 	}
-	tr.Finish()
 }
 
 // PublishFeed pushes a new document to matching subscribers (callers invoke
@@ -397,6 +404,8 @@ func (s *Server) PublishFeed(d *docstore.Document, seq uint64) {
 	}
 	s.mu.Unlock()
 	for _, cs := range targets {
+		// Counted after staging, unlike serveQuery's trace: delivered means
+		// "staged without error", and nothing looks a received item up by it.
 		if err := cs.out.stage(wire.KindFeedItem, &item); err == nil {
 			s.delivered.Add(1)
 			s.tel().feedDelivered.Inc()
