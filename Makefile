@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-core vet lint check fuzz-codec bench bench-check bench-docstore bench-docstore-check bench-wal bench-wal-check bench-shard bench-shard-check bench-wire bench-wire-check bench-suite clean
+.PHONY: build test race race-core vet lint check fuzz fuzz-codec bench bench-check bench-docstore bench-docstore-check bench-wal bench-wal-check bench-shard bench-shard-check bench-wire bench-wire-check bench-suite clean
 
 build:
 	$(GO) build ./...
@@ -41,13 +41,19 @@ lint: vet
 
 check: build lint test race
 
-# Decoder robustness: a short fixed-iteration fuzz of the postings codec
-# (cheap enough for every CI run — the seed corpus in codec_test.go already
-# pins the tricky edges, so even 0 new execs still exercises them all).
-# For a real expedition run `go test -fuzz FuzzPostingsCodec ./internal/docstore`
-# with a time budget instead.
-fuzz-codec:
+# Decoder robustness: a short fixed-iteration fuzz of the two decoders that
+# read bytes this process did not just write — the postings codec and the
+# wire Query as the shard server serves it (cheap enough for every CI run —
+# the seed corpora in codec_test.go and badquery_test.go already pin the
+# tricky edges, so even 0 new execs still exercises them all). `go test
+# -fuzz` takes one target per run, hence two commands. For a real expedition
+# run e.g. `go test -fuzz FuzzPostingsCodec ./internal/docstore` with a time
+# budget instead. fuzz-codec is the target's old name.
+fuzz:
 	$(GO) test -run XXX -fuzz FuzzPostingsCodec -fuzztime 2000x ./internal/docstore
+	$(GO) test -run XXX -fuzz FuzzUnmarshalQuery -fuzztime 2000x ./internal/transport
+
+fuzz-codec: fuzz
 
 # Ask-pipeline perf baseline: the sequential/parallel BenchmarkAsk pair,
 # archived as JSON so future PRs have a trajectory to diff against.

@@ -15,7 +15,8 @@ import (
 // zero.
 const defaultQueryCacheSize = 128
 
-// queryCache is a generation-tagged LRU fronting SearchText/SearchHybrid.
+// queryCache is a generation-tagged LRU fronting SearchText,
+// SearchTextGlobal and SearchHybrid.
 // Entries are tagged with the epoch they were computed against; any write
 // bumps the store epoch, so a stale entry is detected (and evicted) on its
 // next lookup rather than by scanning the cache on every write. Cached hits
@@ -129,11 +130,31 @@ func (c *queryCache) len() int {
 // raw IEEE-754 bits. Keys are appended into a pooled scratch buffer so the
 // steady-state lookup allocates nothing.
 
-func appendTextKey(dst []byte, query string, k int) []byte {
-	dst = append(dst, 't', 0)
+// appendTextKey encodes a text ask. The local key (gs == nil) is the
+// query, a NUL and k in decimal, unchanged since the cache was added. A
+// global ask scores under figures the router supplied, so its key carries
+// every one of them — document total, then each term with its frequency —
+// with a length before every string: {"ab"},{1} and {"a","b"},{1,…} can
+// never encode alike. The first byte keeps the two families apart.
+func appendTextKey(dst []byte, query string, k int, gs *GlobalStats) []byte {
+	if gs == nil {
+		dst = append(dst, 't', 0)
+		dst = append(dst, query...)
+		dst = append(dst, 0)
+		return strconv.AppendInt(dst, int64(k), 10)
+	}
+	dst = append(dst, 'g')
+	dst = binary.AppendUvarint(dst, uint64(len(query)))
 	dst = append(dst, query...)
-	dst = append(dst, 0)
-	return strconv.AppendInt(dst, int64(k), 10)
+	dst = binary.AppendVarint(dst, int64(k))
+	dst = binary.AppendUvarint(dst, gs.TotalDocs)
+	dst = binary.AppendUvarint(dst, uint64(len(gs.Terms)))
+	for i, t := range gs.Terms {
+		dst = binary.AppendUvarint(dst, uint64(len(t)))
+		dst = append(dst, t...)
+		dst = binary.AppendUvarint(dst, gs.dfAt(i))
+	}
+	return dst
 }
 
 func appendHybridKey(dst []byte, query string, concept feature.Vector, alpha float64, k int) []byte {

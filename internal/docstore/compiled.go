@@ -10,7 +10,8 @@ import (
 // compiledIndex is the frozen, read-optimized form of the text index. It is
 // built once per epoch freeze (and once at snapshot load) from the mutable
 // map-based invIndex, and is immutable afterwards: live documents get dense
-// ordinals in ascending-ID order, every term's postings become
+// ordinals in ascending-ID order (whatever document numbers the write side
+// filed them under), every term's postings become
 // delta+varint-compressed blocks (codec.go), and each block carries the
 // maximum (1+ln tf)/norm ratio of its postings so the block-max search can
 // skip it wholesale when even that optimistic bound cannot reach the
@@ -58,7 +59,7 @@ type blockMeta struct {
 // compiledIndex. Documents are ordered by ID so that equal scores tie-break
 // identically whether a doc is identified by ordinal or by ID.
 func compileIndex(inv *invIndex, docs map[string]*Document) *compiledIndex {
-	n := len(inv.docLen)
+	n := len(inv.num)
 	cx := &compiledIndex{
 		ids:     make([]string, 0, n),
 		docs:    make([]*Document, n),
@@ -68,14 +69,19 @@ func compileIndex(inv *invIndex, docs map[string]*Document) *compiledIndex {
 		terms:   make(map[string]termPostings, len(inv.postings)),
 		fwd:     make([][]uint32, n),
 	}
-	for id := range inv.docLen {
+	for id := range inv.num {
 		cx.ids = append(cx.ids, id)
 	}
 	sort.Strings(cx.ids)
+	// ordOf translates the write side's document numbers (stable across a
+	// document's life, reused after it) into this compile's ordinals.
+	ordOf := make([]uint32, len(inv.docLen))
 	for i, id := range cx.ids {
+		num := inv.num[id]
+		ordOf[num] = uint32(i)
 		cx.ords[id] = uint32(i)
-		cx.docLens[i] = uint32(inv.docLen[id])
-		cx.norms[i] = math.Sqrt(float64(inv.docLen[id]) + 1)
+		cx.docLens[i] = inv.docLen[num]
+		cx.norms[i] = math.Sqrt(float64(inv.docLen[num]) + 1)
 		cx.docs[i] = docs[id]
 	}
 
@@ -89,8 +95,8 @@ func compileIndex(inv *invIndex, docs map[string]*Document) *compiledIndex {
 	for ti, t := range cx.termList {
 		p := inv.postings[t]
 		entries = entries[:0]
-		for id, tf := range p {
-			entries = append(entries, postEntry{ord: cx.ords[id], tf: uint32(tf)})
+		for num, tf := range p {
+			entries = append(entries, postEntry{ord: ordOf[num], tf: tf})
 		}
 		slices.SortFunc(entries, func(a, b postEntry) int {
 			return int(int64(a.ord) - int64(b.ord))

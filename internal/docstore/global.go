@@ -1,9 +1,6 @@
 package docstore
 
-import (
-	"math"
-	"time"
-)
+import "math"
 
 // Distributed-scoring support. A sharded deployment partitions the corpus
 // across stores; TF-IDF scores computed against shard-local document
@@ -30,8 +27,18 @@ type GlobalStats struct {
 func (gs *GlobalStats) dfOf(t string) uint64 {
 	for i := range gs.Terms {
 		if gs.Terms[i] == t {
-			return gs.DF[i]
+			return gs.dfAt(i)
 		}
+	}
+	return 0
+}
+
+// dfAt is DF[i], or 0 when DF is shorter than Terms: the struct arrives off
+// the wire, and a term without a frequency scores as absent rather than
+// indexing out of range.
+func (gs *GlobalStats) dfAt(i int) uint64 {
+	if i < len(gs.DF) {
+		return gs.DF[i]
 	}
 	return 0
 }
@@ -80,21 +87,19 @@ func (s *Store) TermStats(terms []string) (total uint64, epoch uint64, stats []T
 }
 
 // SearchTextGlobal is SearchText scored under router-supplied global
-// statistics. It bypasses the query cache — cached entries are keyed by
-// (query, k, epoch) only, and the same query under different global stats
-// must not collide. A nil gs degrades to plain SearchText. Returned hits
-// are read-only (see Hit).
+// statistics, through the same body and the same result cache: the
+// statistics are part of the cache key, so one query under two different
+// global views is two entries and a repeated ask at an unchanged epoch is a
+// lookup. A nil gs is plain SearchText. Returned hits are read-only (see
+// Hit).
 func (s *Store) SearchTextGlobal(query string, k int, gs *GlobalStats) []Hit {
-	if gs == nil {
-		return s.SearchText(query, k)
-	}
-	start := time.Now()
-	defer func() { s.tel.textLat.Observe(time.Since(start)) }()
-	sn := s.snap.Load()
-	sc := getScratch()
-	s.countSearch()
-	raw := sn.searchTextGlobal(s.tokens.tokenize(query), k, sc, gs)
-	s.noteSearchStats(&sc.stats)
-	putScratch(sc)
-	return raw
+	hits, _ := s.searchText(query, k, gs)
+	return hits
+}
+
+// SearchTextGlobalAt is SearchTextGlobal that also reports the epoch of the
+// snapshot the hits were computed (or cached) at. A server puts that in its
+// reply: Epoch() read around the call could name a different snapshot.
+func (s *Store) SearchTextGlobalAt(query string, k int, gs *GlobalStats) ([]Hit, uint64) {
+	return s.searchText(query, k, gs)
 }

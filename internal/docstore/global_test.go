@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/feature"
+	"repro/internal/telemetry"
 )
 
 // buildGlobalFromSelf assembles the GlobalStats a scatter router would ship
@@ -137,5 +138,200 @@ func TestSearchTextGlobalNilFallback(t *testing.T) {
 	}
 	if !hitsEqual(s.SearchTextGlobal("gold", 3, nil), s.SearchText("gold", 3)) {
 		t.Fatal("nil stats diverged from SearchText")
+	}
+}
+
+// statsOf is the GlobalStats a router would build from a store that holds
+// the whole corpus: the monolith's own figures for terms.
+func statsOf(mono *Store, terms ...string) *GlobalStats {
+	total, _, stats := mono.TermStats(terms)
+	gs := &GlobalStats{TotalDocs: total, Terms: terms, DF: make([]uint64, len(terms))}
+	for i, st := range stats {
+		gs.DF[i] = st.DF
+	}
+	return gs
+}
+
+// keepIDs filters hits to the documents the shard store holds, preserving
+// order: what a monolith's ranking looks like from one shard.
+func keepIDs(hits []Hit, shard *Store) []Hit {
+	var out []Hit
+	for _, h := range hits {
+		if shard.snap.Load().getDoc(h.Doc.ID) != nil {
+			out = append(out, h)
+		}
+	}
+	return out
+}
+
+// TestGlobalCacheKeyedOnStats is the stats-aware cache contract. One shard
+// store answers the same (query, k) under the statistics of two different
+// corpora: each answer is its own cache entry, bit-identical to the
+// uncached path and to SearchTextExhaustive on the monolith whose figures
+// it was scored under; a repeat is a hit that neither searches nor
+// allocates; any write invalidates; and the local SearchText entry for the
+// same query is a third, separate entry.
+func TestGlobalCacheKeyedOnStats(t *testing.T) {
+	open := func(cacheSize int, reg *telemetry.Registry) *Store {
+		s, err := Open(Options{ConceptDim: 8, Seed: 3, QueryCacheSize: cacheSize, Telemetry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	reg := telemetry.NewRegistry()
+	shard, uncached := open(0, reg), open(-1, nil)
+	monoA, monoB := open(-1, nil), open(-1, nil)
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 120; i++ {
+		d := shadowDoc(r, fmt.Sprintf("d%03d", i), int64(i))
+		stores := []*Store{monoA, monoB}
+		if i%2 == 0 {
+			stores = append(stores, shard, uncached)
+		}
+		for _, s := range stores {
+			if err := s.Put(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Corpus B also holds documents of some other shard, shifting total and
+	// both frequencies.
+	for i := 0; i < 40; i++ {
+		if err := monoB.Put(doc(fmt.Sprintf("x%03d", i), "gold", "gold gold ring", int64(i), nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const q, k = "gold ring gold", 200 // k covers every match, so filtering the monolith's ranking is exact
+	gsA, gsB := statsOf(monoA, "gold", "ring"), statsOf(monoB, "gold", "ring")
+	hits, misses := reg.Counter("docstore.cache.hits"), reg.Counter("docstore.cache.misses")
+
+	gotA := shard.SearchTextGlobal(q, k, gsA)
+	gotB := shard.SearchTextGlobal(q, k, gsB)
+	if len(gotA) == 0 || shard.cache.len() != 2 || misses.Value() != 2 {
+		t.Fatalf("two statistics, one query: %d hits, %d entries, %d misses; want >0, 2, 2", len(gotA), shard.cache.len(), misses.Value())
+	}
+	if gotA[0].Score == gotB[0].Score {
+		t.Fatalf("different statistics scored alike (%v): the test corpora do not separate the keys", gotA[0].Score)
+	}
+	for _, c := range []struct {
+		name string
+		gs   *GlobalStats
+		mono *Store
+		got  []Hit
+	}{{"A", gsA, monoA, gotA}, {"B", gsB, monoB, gotB}} {
+		if want := uncached.SearchTextGlobal(q, k, c.gs); !hitsEqual(c.got, want) {
+			t.Fatalf("stats %s: cached path diverged from uncached:\n got  %v\n want %v", c.name, hitIDs(c.got), hitIDs(want))
+		}
+		if want := keepIDs(c.mono.SearchTextExhaustive(q, k), shard); !hitsEqual(c.got, want) {
+			t.Fatalf("stats %s: diverged from the monolith scored under them:\n got  %v\n want %v", c.name, hitIDs(c.got), hitIDs(want))
+		}
+	}
+
+	// A repeat is a hit: no search, no allocation, the same shared slice.
+	searches := shard.Stats().Searches
+	again := shard.SearchTextGlobal(q, k, gsA)
+	if hits.Value() != 1 || shard.Stats().Searches != searches || &again[0] != &gotA[0] {
+		t.Fatalf("repeat under stats A: hits=%d searches %d -> %d", hits.Value(), searches, shard.Stats().Searches)
+	}
+	if n := testing.AllocsPerRun(100, func() { shard.SearchTextGlobal(q, k, gsB) }); n != 0 && !raceEnabled {
+		t.Fatalf("global cache hit allocates %v times", n)
+	}
+
+	// The local ask for the same query has its own entry and its own scores.
+	local := shard.SearchText(q, k)
+	if shard.cache.len() != 3 || shard.Stats().Searches != searches+1 {
+		t.Fatalf("local ask collided with a global entry: %d entries, searches %d -> %d", shard.cache.len(), searches, shard.Stats().Searches)
+	}
+	if local[0].Score == gotA[0].Score || !hitsEqual(shard.SearchTextGlobal(q, k, gsA), gotA) || !hitsEqual(shard.SearchText(q, k), local) {
+		t.Fatal("local and global entries for one query are not independent")
+	}
+	if shard.Stats().Searches != searches+1 {
+		t.Fatal("repeats after the local ask re-executed")
+	}
+
+	// Any write bumps the epoch: the next global ask misses and sees it.
+	if err := shard.Put(doc("d000", "gold ring", "gold ring", 500, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if post := shard.SearchTextGlobal(q, k, gsA); shard.Stats().Searches != searches+2 || hitsEqual(post, gotA) {
+		t.Fatal("Put did not invalidate the global entry")
+	}
+	if err := shard.Delete("d000"); err != nil {
+		t.Fatal(err)
+	}
+	post := shard.SearchTextGlobal(q, k, gsA)
+	if shard.Stats().Searches != searches+3 || len(keepIDs(post, shard)) != len(post) {
+		t.Fatalf("Delete did not invalidate the global entry: %v", hitIDs(post))
+	}
+}
+
+// TestSearchTextGlobalAtReportsSearchedEpoch: the epoch returned with the
+// hits is the snapshot's own, on the miss and on the hit.
+func TestSearchTextGlobalAtReportsSearchedEpoch(t *testing.T) {
+	s := memStore(t)
+	defer s.Close()
+	if err := s.Put(doc("d1", "gold ring", "gold filigree ring", 1, nil)); err != nil {
+		t.Fatal(err)
+	}
+	gs := statsOf(s, "gold")
+	for _, pass := range []string{"miss", "hit"} {
+		if _, epoch := s.SearchTextGlobalAt("gold", 3, gs); epoch != s.Epoch() {
+			t.Fatalf("%s: reported epoch %d, store at %d", pass, epoch, s.Epoch())
+		}
+	}
+}
+
+// TestGlobalStatsShortDF: statistics whose DF is shorter than Terms arrive
+// off the wire. The missing frequencies read as 0 — in scoring and in the
+// cache key alike — instead of indexing out of range.
+func TestGlobalStatsShortDF(t *testing.T) {
+	s := memStore(t)
+	defer s.Close()
+	for i := 0; i < 6; i++ {
+		if err := s.Put(doc(fmt.Sprintf("d%d", i), "gold ring", "byzantine gold ring", int64(i), nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	short := &GlobalStats{TotalDocs: 10, Terms: []string{"gold", "ring"}, DF: []uint64{1}}
+	padded := &GlobalStats{TotalDocs: 10, Terms: []string{"gold", "ring"}, DF: []uint64{1, 0}}
+	got := s.SearchTextGlobal("gold ring", 5, short)
+	if len(got) == 0 || !hitsEqual(got, s.SearchTextGlobal("gold ring", 5, padded)) {
+		t.Fatalf("short DF scored %v", hitIDs(got))
+	}
+	if s.cache.len() != 1 {
+		t.Fatalf("short and zero-padded DF made %d entries, want the same one", s.cache.len())
+	}
+}
+
+// TestGlobalKeyBoundaries: every string in a global key carries its length,
+// so statistics that concatenate alike still encode apart, and no global
+// key equals the local key of any query.
+func TestGlobalKeyBoundaries(t *testing.T) {
+	key := func(q string, k int, gs *GlobalStats) string { return string(appendTextKey(nil, q, k, gs)) }
+	gs := func(total uint64, terms []string, df ...uint64) *GlobalStats {
+		return &GlobalStats{TotalDocs: total, Terms: terms, DF: df}
+	}
+	keys := map[string]string{}
+	for name, k := range map[string]string{
+		"one term ab":        key("ab", 5, gs(9, []string{"ab"}, 1)),
+		"terms a, b":         key("ab", 5, gs(9, []string{"a", "b"}, 1)),
+		"terms a, b, df 1 0": key("ab", 5, gs(9, []string{"a", "b"}, 1, 1)),
+		"terms a, b, total":  key("ab", 5, gs(10, []string{"a", "b"}, 1)),
+		"term a, df 1":       key("a", 5, gs(9, []string{"a"}, 1)),
+		"term a\\x01, df 0":  key("a", 5, gs(9, []string{"a\x01"})),
+		"query a b, k 5":     key("a b", 5, gs(9, nil)),
+		"query a, k 5 (b)":   key("a", 5, gs(9, []string{"b"})),
+		"k 50":               key("ab", 50, gs(9, []string{"ab"}, 1)),
+		"no terms":           key("ab", 5, gs(9, nil)),
+		"local":              key("ab", 5, nil),
+		"local, g query":     key("g\x02ab", 5, nil),
+	} {
+		if other, dup := keys[k]; dup {
+			t.Fatalf("%q and %q encode to the same key %q", name, other, k)
+		}
+		keys[k] = name
 	}
 }

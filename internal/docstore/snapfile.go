@@ -77,32 +77,35 @@ func mergeLiveSet(sn *snapshot) *compiledIndex {
 	ov := sn.ov
 	inv := newInvIndex()
 	docs := make(map[string]*Document, sn.docCount)
+	// numOf maps a base ordinal to the merged index's document number;
+	// masked ordinals keep the sentinel and drop out.
+	numOf := make([]uint32, len(cx.ids))
 	for i, id := range cx.ids {
 		if ov.masked[id] {
+			numOf[i] = ordSentinel
 			continue
 		}
 		docs[id] = cx.docs[i]
-		inv.docLen[id] = int(cx.docLens[i])
-		inv.docs++
+		numOf[i] = inv.insert(id, int(cx.docLens[i]))
 	}
 	var ords, tfs [blockSize]uint32
 	for _, t := range cx.termList {
 		tm := cx.terms[t]
-		var p map[string]int
+		var p map[uint32]uint32
 		for _, bm := range cx.termBlocks(tm) {
 			cnt := int(bm.count)
 			if _, err := decodePostingsBlock(cx.data[bm.off:], cnt, ords[:cnt], tfs[:cnt]); err != nil {
 				panic(err) // in-memory arena, validated at build/load time
 			}
 			for j := 0; j < cnt; j++ {
-				id := cx.ids[ords[j]]
-				if ov.masked[id] {
+				num := numOf[ords[j]]
+				if num == ordSentinel {
 					continue
 				}
 				if p == nil {
-					p = make(map[string]int, cnt)
+					p = make(map[uint32]uint32, cnt)
 				}
-				p[id] = int(tfs[j])
+				p[num] = tfs[j]
 			}
 		}
 		if p != nil {
@@ -111,15 +114,9 @@ func mergeLiveSet(sn *snapshot) *compiledIndex {
 	}
 	for id, d := range ov.byID {
 		docs[id] = d
-		inv.docLen[id] = ov.docLen[id]
-		inv.docs++
+		num := inv.insert(id, ov.docLen[id])
 		for t, tf := range ov.terms[id] {
-			p, ok := inv.postings[t]
-			if !ok {
-				p = make(map[string]int)
-				inv.postings[t] = p
-			}
-			p[id] = tf
+			inv.postingsOf(t)[num] = uint32(tf)
 		}
 	}
 	return compileIndex(inv, docs)
@@ -214,13 +211,14 @@ func loadSnapshotFile(path string, st *state) (bool, error) {
 			st.visuals++
 		}
 	}
+	// The master is fresh, so insert numbers the documents 0..nDocs-1 in
+	// file order: a posting's ordinal is its document number.
 	for _, id := range ids {
 		dl, err := r.uvarint()
 		if err != nil {
 			return false, err
 		}
-		st.inv.docLen[id] = int(dl)
-		st.inv.docs++
+		st.inv.insert(id, int(dl))
 	}
 	nTerms, err := r.uvarint()
 	if err != nil {
@@ -247,7 +245,7 @@ func loadSnapshotFile(path string, st *state) (bool, error) {
 		if df == 0 || df > nDocs {
 			return false, fmt.Errorf("docstore: corrupt snapshot: term %q df %d of %d docs", term, df, nDocs)
 		}
-		p := make(map[string]int, df)
+		p := make(map[uint32]uint32, df)
 		for left := int(df); left > 0; {
 			cnt := min(left, blockSize)
 			n, err := decodePostingsBlock(payload[r.off:], cnt, ords[:cnt], tfs[:cnt])
@@ -259,7 +257,7 @@ func loadSnapshotFile(path string, st *state) (bool, error) {
 				if uint64(ords[j]) >= nDocs {
 					return false, fmt.Errorf("docstore: corrupt snapshot: term %q ordinal %d of %d", term, ords[j], nDocs)
 				}
-				p[ids[ords[j]]] = int(tfs[j])
+				p[ords[j]] = tfs[j]
 			}
 			left -= cnt
 		}

@@ -403,17 +403,11 @@ func (sn *snapshot) getDoc(id string) *Document {
 }
 
 // searchTextRaw ranks against the merged index (block-max over the
-// compiled base, exact merge with the overlay). Returned hits share
-// snapshot-owned documents — they are read-only for callers.
-func (sn *snapshot) searchTextRaw(tokens []string, k int, sc *searchScratch) []Hit {
-	return sn.assembleHits(sn.searchCompiled(tokens, k, sc, false, nil))
-}
-
-// searchTextGlobal is searchTextRaw scored under router-supplied global
-// statistics (see GlobalStats): same block-max walk, same accumulation
-// order, idf/query weights computed from the corpus-wide document count and
-// frequencies instead of this shard's local ones.
-func (sn *snapshot) searchTextGlobal(tokens []string, k int, sc *searchScratch, gs *GlobalStats) []Hit {
+// compiled base, exact merge with the overlay), under this snapshot's own
+// statistics or, with a non-nil gs, router-supplied ones (see GlobalStats).
+// Returned hits share snapshot-owned documents — they are read-only for
+// callers.
+func (sn *snapshot) searchTextRaw(tokens []string, k int, sc *searchScratch, gs *GlobalStats) []Hit {
 	return sn.assembleHits(sn.searchCompiled(tokens, k, sc, false, gs))
 }
 

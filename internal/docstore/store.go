@@ -354,21 +354,32 @@ type Hit struct {
 // the current epoch; cache hits do not re-execute (and do not count as a
 // search in Stats). Returned hits are read-only (see Hit).
 func (s *Store) SearchText(query string, k int) []Hit {
+	hits, _ := s.searchText(query, k, nil)
+	return hits
+}
+
+// searchText is the one body behind SearchText (gs == nil: this store's own
+// statistics) and SearchTextGlobal (router-supplied ones). The cache key
+// spells out everything the scores depend on — query, k and, for a global
+// ask, the document total and every (term, df) pair — and the entry is
+// tagged with the epoch of the snapshot searched, which is also returned:
+// the answer names the exact state it was computed from.
+func (s *Store) searchText(query string, k int, gs *GlobalStats) ([]Hit, uint64) {
 	start := time.Now()
 	defer func() { s.tel.textLat.Observe(time.Since(start)) }()
 	sn := s.snap.Load()
 	sc := getScratch()
-	sc.keyBuf = appendTextKey(sc.keyBuf[:0], query, k)
+	sc.keyBuf = appendTextKey(sc.keyBuf[:0], query, k, gs)
 	if hits, ok := s.cache.get(sc.keyBuf, sn.epoch); ok {
 		putScratch(sc)
-		return hits
+		return hits, sn.epoch
 	}
 	s.countSearch()
-	raw := sn.searchTextRaw(s.tokens.tokenize(query), k, sc)
+	raw := sn.searchTextRaw(s.tokens.tokenize(query), k, sc, gs)
 	s.noteSearchStats(&sc.stats)
 	s.cache.put(sc.keyBuf, sn.epoch, raw)
 	putScratch(sc)
-	return raw
+	return raw, sn.epoch
 }
 
 // SearchTextExhaustive ranks with early termination disabled: every
@@ -481,7 +492,7 @@ func (s *Store) SearchHybrid(query string, concept feature.Vector, alpha float64
 	if pool < 32 {
 		pool = 32
 	}
-	text := sn.searchTextRaw(s.tokens.tokenize(query), pool, sc)
+	text := sn.searchTextRaw(s.tokens.tokenize(query), pool, sc, nil)
 	vec := sn.searchVectorRaw(concept, pool)
 	norm := func(hits []Hit) map[string]float64 {
 		out := make(map[string]float64, len(hits))

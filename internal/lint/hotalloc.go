@@ -11,12 +11,16 @@ var hotallocPackage = "internal/docstore"
 
 // hotallocRoots are the Store entry points whose steady state is
 // benchmarked at 0 allocs/op (cache hit) and 1 alloc/op (cold): the text
-// search path. The visual/vector/hybrid wrappers assemble fresh result
-// slices by design and are not held to the zero-alloc bar, but their
-// shared text machinery (searchTextRaw and below) is reached from these
-// roots and so stays covered.
+// search path, local and — since the result cache keys on the router's
+// statistics — global, which is the hit path of every scatter ask. The
+// visual/vector/hybrid wrappers assemble fresh result slices by design and
+// are not held to the zero-alloc bar, but their shared text machinery
+// (searchTextRaw and below) is reached from these roots and so stays
+// covered.
 var hotallocRoots = map[string]bool{
 	"SearchText":           true,
+	"SearchTextGlobal":     true,
+	"SearchTextGlobalAt":   true,
 	"SearchTextExhaustive": true,
 }
 

@@ -70,6 +70,28 @@ func (s *Store) SearchTextExhaustive(q string) []Hit {
 	return hits
 }
 
+// SearchTextGlobal is a root too: the scatter hit path builds its cache
+// key from router-supplied statistics, and must do so in the scratch.
+func (s *Store) SearchTextGlobal(q string, terms []string) []Hit {
+	sc := scratchPool.Get().(*searchScratch)
+	sc.keyBuf = appendKey(sc.keyBuf[:0], q)
+	hits := s.cache[string(s.statsKey(sc, terms))]
+	scratchPool.Put(sc)
+	return hits
+}
+
+// statsKey is reachable only from SearchTextGlobal.
+func (s *Store) statsKey(sc *searchScratch, terms []string) []byte {
+	joined := []byte{} // want "allocates a slice literal"
+	for _, t := range terms {
+		joined = append(joined, t...)               // want "appends to a slice"
+		sc.keyBuf = append(sc.keyBuf, byte(len(t))) // pooled scratch: allowed
+		sc.keyBuf = append(sc.keyBuf, t...)
+	}
+	_ = joined
+	return sc.keyBuf
+}
+
 // Writers may allocate freely: Put is not reachable from the Search
 // roots, so none of this fires.
 func (s *Store) Put(h Hit) {

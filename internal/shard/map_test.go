@@ -229,4 +229,12 @@ func TestMergeTopK(t *testing.T) {
 	if got := MergeTopK(nil, 5); len(got) != 0 {
 		t.Fatalf("nil lists = %+v", got)
 	}
+	// A single non-empty list is returned itself, cut to k.
+	one := [][]wire.ResultItem{{}, lists[0], nil}
+	if got := MergeTopK(one, 2); len(got) != 2 || &got[0] != &lists[0][0] || got[1].DocID != "c" {
+		t.Fatalf("single list, k=2 = %+v", got)
+	}
+	if got := MergeTopK(one, 9); len(got) != 3 {
+		t.Fatalf("single list, k=9 len = %d, want 3", len(got))
+	}
 }

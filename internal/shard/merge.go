@@ -22,9 +22,21 @@ func itemBetter(a, b wire.ResultItem) bool {
 // MergeTopK merges per-shard result lists (each sorted best-first) into
 // the global top-k, preserving the docstore's total order. It is a
 // streaming heads merge over a tiny heap of one cursor per non-empty list.
+// When only one list is non-empty the result is that list itself, cut to
+// k: callers must treat the returned items as read-only.
 func MergeTopK(lists [][]wire.ResultItem, k int) []wire.ResultItem {
 	if k <= 0 {
 		return nil
+	}
+	only, nonEmpty := -1, 0
+	for li := range lists {
+		if len(lists[li]) > 0 {
+			only = li
+			nonEmpty++
+		}
+	}
+	if nonEmpty == 1 {
+		return lists[only][:min(k, len(lists[only]))]
 	}
 	// heap of (list, position) cursors ordered by the head item; tiny
 	// (≤ shard count), so sift costs are trivial.

@@ -42,6 +42,7 @@ type Router struct {
 	tel        routerTel
 
 	shards []*routerShard
+	terms  termMemo
 
 	// wg tracks hedge/backup attempt goroutines; Close joins them so no
 	// attempt outlives the router's connections.
@@ -134,6 +135,7 @@ func NewRouter(m *Map, opts Options) (*Router, error) {
 		workers:    opts.Workers,
 		dominance:  opts.Dominance,
 		reg:        opts.Telemetry,
+		terms:      termMemo{m: make(map[string]canonical)},
 	}
 	if reg := opts.Telemetry; reg != nil {
 		r.tel = routerTel{
@@ -235,13 +237,13 @@ func (r *Router) AskTraced(query string, k int, tc telemetry.TraceContext) Resul
 	}()
 	res := Result{TraceID: uint64(tr.ID()), Errors: map[string]error{}}
 
-	terms, qns := canonicalTerms(query)
+	terms, qns := r.terms.canonical(query)
 	if len(terms) == 0 || k <= 0 {
 		return res
 	}
 
 	// Phase 1: per-shard statistics (cached; one RPC per shard on miss).
-	sp := tr.Span("stats", fmt.Sprintf("%d terms", len(terms)))
+	sp := tr.Span("stats", "")
 	r.ensureStats(terms, &res)
 	sp.End()
 
@@ -293,6 +295,43 @@ func canonicalTerms(query string) (terms []string, qns []int) {
 		}
 	}
 	return terms, qns
+}
+
+// termMemoCap bounds the canonical-terms memo.
+const termMemoCap = 256
+
+// termMemo caches canonicalTerms per query string, the router-side twin of
+// the docstore's tokenMemo: a repeated ask skips tokenizing. The slices are
+// shared between asks and read-only — every consumer only reads or encodes
+// them. Eviction drops an arbitrary entry; this is a hot-set cache.
+type termMemo struct {
+	mu sync.Mutex
+	m  map[string]canonical
+}
+
+type canonical struct {
+	terms []string
+	qns   []int
+}
+
+func (tm *termMemo) canonical(query string) ([]string, []int) {
+	tm.mu.Lock()
+	c, ok := tm.m[query]
+	tm.mu.Unlock()
+	if ok {
+		return c.terms, c.qns
+	}
+	c.terms, c.qns = canonicalTerms(query)
+	tm.mu.Lock()
+	if len(tm.m) >= termMemoCap {
+		for k := range tm.m {
+			delete(tm.m, k)
+			break
+		}
+	}
+	tm.m[query] = c
+	tm.mu.Unlock()
+	return c.terms, c.qns
 }
 
 // ensureStats fills every live shard's term-stat cache for terms, issuing
@@ -499,6 +538,12 @@ func (r *Router) dispatch(plan []plannedShard, query string, k int, gs globalQue
 		r.runShard(plan[0], query, k, gs, ms, tr)
 		next = 1
 	}
+	if len(plan)-next == 1 {
+		// One shard left (the usual case after a probe, or a one-shard
+		// plan): ask it on this goroutine, no worker to start and join.
+		r.tryShard(plan[next], query, k, gs, ms, tr)
+		return
+	}
 	var wg sync.WaitGroup
 	var idx sync.Mutex
 	workers := min(r.workers, len(plan)-next)
@@ -515,19 +560,24 @@ func (r *Router) dispatch(plan []plannedShard, query string, k int, gs globalQue
 				ps := plan[next]
 				next++
 				idx.Unlock()
-				if theta, ok := ms.theta(); ok && ps.ub*boundSlack < theta {
-					// Even this shard's most optimistic document loses to
-					// the current k-th best — and θ only grows.
-					ms.mu.Lock()
-					ms.pruned++
-					ms.mu.Unlock()
-					continue
-				}
-				r.runShard(ps, query, k, gs, ms, tr)
+				r.tryShard(ps, query, k, gs, ms, tr)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// tryShard asks ps unless θ already rules it out.
+func (r *Router) tryShard(ps plannedShard, query string, k int, gs globalQuery, ms *mergeState, tr *telemetry.Trace) {
+	if theta, ok := ms.theta(); ok && ps.ub*boundSlack < theta {
+		// Even this shard's most optimistic document loses to the current
+		// k-th best — and θ only grows.
+		ms.mu.Lock()
+		ms.pruned++
+		ms.mu.Unlock()
+		return
+	}
+	r.runShard(ps, query, k, gs, ms, tr)
 }
 
 // runShard performs one shard's (possibly hedged) RPC and folds the

@@ -165,8 +165,24 @@ func TestScatterMatchesMonolithic(t *testing.T) {
 				}
 				assertIdentical(t, fmt.Sprintf("n=%d q=%q", n, q), res.Items, mono.SearchText(q, 10))
 			}
-			if got := reg.Histogram("shard.scatter.ask").Count(); got != uint64(len(queries)) {
-				t.Fatalf("ask histogram count = %d, want %d", got, len(queries))
+			// Second pass, nothing written in between: every shard answers
+			// from its result cache (keyed on the statistics the router
+			// ships), the router from its term memo — same bits, no search.
+			searches := func() (n uint64) {
+				for _, st := range tc.stores {
+					n += st.Stats().Searches
+				}
+				return n
+			}
+			before := searches()
+			for _, q := range queries {
+				assertIdentical(t, fmt.Sprintf("repeat n=%d q=%q", n, q), r.Ask(q, 10).Items, mono.SearchText(q, 10))
+			}
+			if after := searches(); after != before {
+				t.Fatalf("repeated asks re-executed %d shard searches", after-before)
+			}
+			if got := reg.Histogram("shard.scatter.ask").Count(); got != uint64(2*len(queries)) {
+				t.Fatalf("ask histogram count = %d, want %d", got, 2*len(queries))
 			}
 			if n > 1 && reg.Counter("shard.scatter.pruned").Value() == 0 {
 				t.Fatal("topical queries over multiple shards should prune at least once")

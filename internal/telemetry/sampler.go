@@ -50,52 +50,69 @@ func newTailSampler(capacity int, seed uint64) *tailSampler {
 	}
 }
 
-// push offers a finished trace for retention.
+// push offers an already-built snapshot for retention.
 func (ts *tailSampler) push(snap TraceSnapshot) {
+	ts.offer(snap.Err != "", snap.Root.DurNS, func() TraceSnapshot { return snap })
+}
+
+// offer runs the retention decision for one finished trace from the two
+// facts it depends on — did it fail, how long did its root take — and calls
+// build only when the trace is kept. On a busy node nearly every trace loses
+// the reservoir draw, and rendering a snapshot (hex IDs, one SpanSnapshot
+// per span) is most of what finishing a trace costs. build runs under the
+// sampler lock; it must not call back into the sampler.
+func (ts *tailSampler) offer(failed bool, durNS int64, build func() TraceSnapshot) {
 	if ts == nil {
 		return
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	ts.seq++
-	e := retainedTrace{seq: ts.seq, snap: snap}
 
-	if snap.Err != "" {
+	if failed {
 		if len(ts.errs) == ts.errCap {
 			copy(ts.errs, ts.errs[1:])
 			ts.errs = ts.errs[:len(ts.errs)-1]
 		}
-		ts.errs = append(ts.errs, e)
+		ts.errs = append(ts.errs, retainedTrace{seq: ts.seq, snap: build()})
 		return
 	}
 
 	if len(ts.slow) < ts.slowCap {
-		ts.slow = append(ts.slow, e)
+		ts.slow = append(ts.slow, retainedTrace{seq: ts.seq, snap: build()})
 		ts.siftUp(len(ts.slow) - 1)
-	} else if snap.Root.DurNS > ts.slow[0].snap.Root.DurNS {
-		// e joins the slow set; the displaced heap minimum — recently one
-		// of the slowest — falls through to compete for the reservoir.
-		e, ts.slow[0] = ts.slow[0], e
+		return
+	}
+	if durNS > ts.slow[0].snap.Root.DurNS {
+		// The trace joins the slow set; the displaced heap minimum —
+		// recently one of the slowest — falls through to compete for the
+		// reservoir.
+		displaced := ts.slow[0]
+		ts.slow[0] = retainedTrace{seq: ts.seq, snap: build()}
 		ts.siftDown(0)
-		ts.reservoir(e)
+		if slot := ts.reservoirSlot(); slot != nil {
+			*slot = displaced
+		}
 		return
-	} else {
-		ts.reservoir(e)
-		return
+	}
+	if slot := ts.reservoirSlot(); slot != nil {
+		*slot = retainedTrace{seq: ts.seq, snap: build()}
 	}
 }
 
-// reservoir runs one step of Algorithm R over non-error, non-slow traces.
-func (ts *tailSampler) reservoir(e retainedTrace) {
+// reservoirSlot runs one step of Algorithm R over non-error, non-slow
+// traces: it returns where the candidate goes, or nil when it is dropped.
+func (ts *tailSampler) reservoirSlot() *retainedTrace {
 	ts.seen++
 	if len(ts.rest) < ts.restCap {
-		ts.rest = append(ts.rest, e)
-		return
+		ts.rest = append(ts.rest, retainedTrace{})
+		return &ts.rest[len(ts.rest)-1]
 	}
 	ts.rng += 0x9E3779B97F4A7C15
 	if j := mix64(ts.rng) % ts.seen; j < uint64(ts.restCap) {
-		ts.rest[j] = e
+		return &ts.rest[j]
 	}
+	return nil
 }
 
 func (ts *tailSampler) siftUp(i int) {

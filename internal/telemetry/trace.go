@@ -201,7 +201,10 @@ func (t *Trace) Finish() {
 		return
 	}
 	t.root.End()
-	t.reg.traces.push(t.snapshot())
+	t.root.mu.Lock()
+	failed, dur := t.root.err != "", t.root.duration.Nanoseconds()
+	t.root.mu.Unlock()
+	t.reg.traces.offer(failed, dur, t.snapshot)
 }
 
 // SpanSnapshot is the serializable form of a span. Offsets and durations

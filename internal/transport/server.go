@@ -103,6 +103,11 @@ func (s *Server) Delivered() uint64 { return s.delivered.Load() }
 type connState struct {
 	conn net.Conn
 	out  *coalescer
+	// items is the reply scratch serveQuery builds QueryResult.Items in:
+	// one connection serves its queries one at a time, and stage encodes
+	// the reply before it returns, so the backing array is free again by
+	// the next query.
+	items []wire.ResultItem
 }
 
 type subscription struct {
@@ -311,8 +316,14 @@ func (s *Server) serveQuery(cs *connState, payload []byte) {
 		s.warnf("transport: bad query: %v", err)
 		return
 	}
-	start := time.Now()
 	tel := s.tel()
+	if err := checkQuery(&wq); err != nil {
+		// Refused before it reaches the store; the connection stays usable.
+		tel.readErrors.Inc()
+		s.warnf("transport: bad query: %v", err)
+		return
+	}
+	start := time.Now()
 	// Continue the caller's distributed trace (fresh local trace when the
 	// query carried no context). Everything no-ops if telemetry is off.
 	tr := tel.reg.StartTraceFrom(telemetry.TraceContext{
@@ -321,7 +332,7 @@ func (s *Server) serveQuery(cs *connState, payload []byte) {
 	}, "serve", wq.Text)
 	resp := wire.QueryResult{
 		QueryID: wq.ID, From: s.NodeID,
-		TraceID: uint64(tr.ID()), Epoch: s.Store.Epoch(),
+		TraceID: uint64(tr.ID()), Items: cs.items[:0],
 	}
 	if wq.GlobalDocs > 0 {
 		// Scatter path: a shard router supplied corpus-wide statistics, so
@@ -333,9 +344,11 @@ func (s *Server) serveQuery(cs *connState, payload []byte) {
 		}
 		gs := &docstore.GlobalStats{TotalDocs: wq.GlobalDocs, Terms: wq.StatsTerms, DF: wq.StatsDF}
 		sp := tr.Span("search-global", wq.ID)
-		hits := s.Store.SearchTextGlobal(wq.Text, topK, gs)
+		// The epoch is the searched snapshot's own: the router compares it
+		// with the epoch its statistics came from.
+		hits, epoch := s.Store.SearchTextGlobalAt(wq.Text, topK, gs)
 		sp.End()
-		resp.Items = make([]wire.ResultItem, 0, len(hits))
+		resp.Epoch = epoch
 		for _, h := range hits {
 			resp.Items = append(resp.Items, wire.ResultItem{
 				DocID: h.Doc.ID, Source: s.NodeID, Score: h.Score, Snippet: h.Doc.Snippet(80),
@@ -356,9 +369,11 @@ func (s *Server) serveQuery(cs *connState, payload []byte) {
 			}
 		}
 		sp := tr.Span("search", wq.ID)
+		// Execute makes several store calls, each loading its own snapshot;
+		// all of them are at least as new as the epoch read before the first.
+		resp.Epoch = s.Store.Epoch()
 		results := query.Execute(s.Store, q, feature.Vector(wq.Concept), time.Now().UnixNano())
 		sp.End()
-		resp.Items = make([]wire.ResultItem, 0, len(results))
 		for _, r := range results {
 			resp.Items = append(resp.Items, wire.ResultItem{
 				DocID: r.Doc.ID, Source: s.NodeID, Score: r.Score, Snippet: r.Doc.Snippet(80),
@@ -373,7 +388,9 @@ func (s *Server) serveQuery(cs *connState, payload []byte) {
 	// trace must be retrievable by ID once its reply is observable (the
 	// exemplar → /debug/trace?id= link depends on it).
 	tr.Finish()
-	if err := cs.out.stage(wire.KindQueryResult, &resp); err != nil {
+	err = cs.out.stage(wire.KindQueryResult, &resp)
+	cs.items = resp.Items[:0]
+	if err != nil {
 		s.warnf("transport: send result: %v", err)
 		// The serve trace is already retained, so the lost reply becomes its
 		// own always-retained error snapshot under the same trace ID.
@@ -381,6 +398,15 @@ func (s *Server) serveQuery(cs *connState, payload []byte) {
 		lost.Fail(err)
 		lost.Finish()
 	}
+}
+
+// checkQuery refuses a decoded query whose parallel statistics arrays
+// disagree in length: each frequency belongs to the term at its index.
+func checkQuery(wq *wire.Query) error {
+	if len(wq.StatsDF) != len(wq.StatsTerms) {
+		return fmt.Errorf("query %q carries %d stats terms but %d frequencies", wq.ID, len(wq.StatsTerms), len(wq.StatsDF))
+	}
+	return nil
 }
 
 // PublishFeed pushes a new document to matching subscribers (callers invoke
