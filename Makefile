@@ -18,12 +18,14 @@ race:
 	$(GO) test -race ./...
 
 # Fast subset: the heavy concurrent suites (load tests, fan-out churn)
-# where the race detector earns its keep on every edit, plus a -count
-# stress of the trace-before-reply ordering pin (a scheduling race, so one
-# pass proves little).
+# where the race detector earns its keep on every edit, plus -count
+# stresses of the two bookkeeping-before-reply ordering pins — the trace is
+# retrievable, and the coalescer's flush is counted (E27 reads it), once the
+# reply is observable. Both are scheduling races, so one pass proves little.
 race-core:
 	$(GO) test -race ./internal/telemetry ./internal/transport ./internal/docstore ./internal/core
 	$(GO) test -race -count=20 -run TestTraceRetrievableOnceReplyObserved ./internal/transport
+	$(GO) test -race -count=20 -run TestE27Shapes ./internal/bench
 
 vet:
 	$(GO) vet ./...
@@ -41,16 +43,19 @@ lint: vet
 
 check: build lint test race
 
-# Decoder robustness: a short fixed-iteration fuzz of the two decoders that
-# read bytes this process did not just write — the postings codec and the
-# wire Query as the shard server serves it (cheap enough for every CI run —
-# the seed corpora in codec_test.go and badquery_test.go already pin the
-# tricky edges, so even 0 new execs still exercises them all). `go test
-# -fuzz` takes one target per run, hence two commands. For a real expedition
-# run e.g. `go test -fuzz FuzzPostingsCodec ./internal/docstore` with a time
-# budget instead. fuzz-codec is the target's old name.
+# Decoder robustness: a short fixed-iteration fuzz of the three decoders that
+# read bytes this process did not just write — the postings codec, the v2
+# snapshot file (checksum re-stamped, so mutations reach the structure
+# checks) and the wire Query as the shard server serves it (cheap enough for
+# every CI run — the seed corpora in codec_test.go, merge_test.go and
+# badquery_test.go already pin the tricky edges, so even 0 new execs still
+# exercises them all). `go test -fuzz` takes one target per run, hence three
+# commands. For a real expedition run e.g. `go test -fuzz FuzzPostingsCodec
+# ./internal/docstore` with a time budget instead. fuzz-codec is the target's
+# old name.
 fuzz:
 	$(GO) test -run XXX -fuzz FuzzPostingsCodec -fuzztime 2000x ./internal/docstore
+	$(GO) test -run XXX -fuzz FuzzSnapshotV2 -fuzztime 2000x ./internal/docstore
 	$(GO) test -run XXX -fuzz FuzzUnmarshalQuery -fuzztime 2000x ./internal/transport
 
 fuzz-codec: fuzz

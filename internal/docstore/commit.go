@@ -31,7 +31,7 @@ type stagedOp struct {
 	op      uint8
 	payload []byte    // marshalled document (put) or raw id bytes (delete)
 	doc     *Document // put: the already-cloned document to install
-	tokens  []string  // put: precomputed tokens
+	tokens  []string  // put: precomputed tokens; the fold sorts them in place
 	id      string    // delete: target id
 	skip    bool      // set by the committer: delete of a dead id, not logged
 }
@@ -186,7 +186,7 @@ func (s *Store) commitWindow(window []*commitReq) {
 					continue
 				}
 				if op.op == opPut {
-					s.master.applyPut(op.doc, op.tokens)
+					s.master.applyPut(op.doc)
 					s.puts.Add(1)
 					s.tel.puts.Inc()
 				} else {

@@ -3,22 +3,23 @@ package docstore
 import (
 	"math"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 )
 
-// compiledIndex is the frozen, read-optimized form of the text index. It is
-// built once per epoch freeze (and once at snapshot load) from the mutable
-// map-based invIndex, and is immutable afterwards: live documents get dense
-// ordinals in ascending-ID order (whatever document numbers the write side
-// filed them under), every term's postings become
+// compiledIndex is the text index, and the frozen base's document table: the
+// only representation of postings besides the overlay's delta. It is built
+// in order by addDoc/appendTerm — at a freeze or compaction as the merge of
+// the previous index with the overlay (mergeIndex), at Open from the
+// snapshot file's bytes — and is immutable afterwards: live documents get
+// dense ordinals in ascending-ID order, every term's postings become
 // delta+varint-compressed blocks (codec.go), and each block carries the
 // maximum (1+ln tf)/norm ratio of its postings so the block-max search can
 // skip it wholesale when even that optimistic bound cannot reach the
-// current top-k threshold.
+// current top-k threshold. The zero value is a valid empty index.
 type compiledIndex struct {
 	ids     []string    // ordinal -> document ID (ascending, dense)
-	docs    []*Document // ordinal -> document (shared with state.docs)
+	docs    []*Document // ordinal -> document (shared with the master's docs)
 	docLens []uint32    // ordinal -> token count
 	norms   []float64   // ordinal -> sqrt(docLen+1), the score denominator
 	ords    map[string]uint32
@@ -55,78 +56,166 @@ type blockMeta struct {
 	maxRatio float64
 }
 
-// compileIndex freezes inv (and the matching docs map) into a
-// compiledIndex. Documents are ordered by ID so that equal scores tie-break
-// identically whether a doc is identified by ordinal or by ID.
-func compileIndex(inv *invIndex, docs map[string]*Document) *compiledIndex {
-	n := len(inv.num)
-	cx := &compiledIndex{
-		ids:     make([]string, 0, n),
-		docs:    make([]*Document, n),
-		docLens: make([]uint32, n),
-		norms:   make([]float64, n),
-		ords:    make(map[string]uint32, n),
-		terms:   make(map[string]termPostings, len(inv.postings)),
-		fwd:     make([][]uint32, n),
+// newCompiledIndex returns an empty index whose maps and arena have room for
+// nDocs documents and about the terms and postings like holds. Its builders
+// fill it in order — addDoc in ascending document ID, then appendTerm in
+// ascending term — and nothing re-sorts afterwards.
+func newCompiledIndex(nDocs int, like *compiledIndex) *compiledIndex {
+	return &compiledIndex{
+		ords:   make(map[string]uint32, nDocs),
+		terms:  make(map[string]termPostings, len(like.termList)),
+		blocks: make([]blockMeta, 0, len(like.blocks)),
+		data:   make([]byte, 0, len(like.data)),
 	}
-	for id := range inv.num {
-		cx.ids = append(cx.ids, id)
-	}
-	sort.Strings(cx.ids)
-	// ordOf translates the write side's document numbers (stable across a
-	// document's life, reused after it) into this compile's ordinals.
-	ordOf := make([]uint32, len(inv.docLen))
-	for i, id := range cx.ids {
-		num := inv.num[id]
-		ordOf[num] = uint32(i)
-		cx.ords[id] = uint32(i)
-		cx.docLens[i] = inv.docLen[num]
-		cx.norms[i] = math.Sqrt(float64(inv.docLen[num]) + 1)
-		cx.docs[i] = docs[id]
-	}
+}
 
-	cx.termList = make([]string, 0, len(inv.postings))
-	for t := range inv.postings {
-		cx.termList = append(cx.termList, t)
-	}
-	sort.Strings(cx.termList)
+// addDoc gives d, whose ID must sort after every document already added, the
+// next ordinal, with room for nTerms distinct terms in its forward list.
+// Ordinals ascend with IDs so that equal scores tie-break identically
+// whether a doc is identified by ordinal or by ID.
+func (cx *compiledIndex) addDoc(d *Document, docLen uint32, nTerms int) uint32 {
+	ord := uint32(len(cx.ids))
+	cx.ids = append(cx.ids, d.ID)
+	cx.docs = append(cx.docs, d)
+	cx.docLens = append(cx.docLens, docLen)
+	cx.norms = append(cx.norms, math.Sqrt(float64(docLen)+1))
+	cx.fwd = append(cx.fwd, make([]uint32, 0, nTerms))
+	cx.ords[d.ID] = ord
+	return ord
+}
 
-	var entries []postEntry
-	for ti, t := range cx.termList {
-		p := inv.postings[t]
-		entries = entries[:0]
-		for num, tf := range p {
-			entries = append(entries, postEntry{ord: ordOf[num], tf: tf})
+// appendTerm encodes one term's postings — strictly ascending ordinals of
+// documents already added, tf >= 1, term after every term already appended —
+// into blocks, block-max bounds, the directory and the forward index. It is
+// the only encoder of postings into a compiledIndex: mergeIndex (freeze,
+// compactor, Open) and the snapshot loader all end here.
+func (cx *compiledIndex) appendTerm(term string, entries []postEntry) {
+	ti := uint32(len(cx.termList))
+	cx.termList = append(cx.termList, term)
+	tm := termPostings{df: int32(len(entries)), blockOff: int32(len(cx.blocks))}
+	for start := 0; start < len(entries); start += blockSize {
+		blk := entries[start:min(start+blockSize, len(entries))]
+		bm := blockMeta{
+			off:      uint32(len(cx.data)),
+			firstOrd: blk[0].ord,
+			lastOrd:  blk[len(blk)-1].ord,
+			count:    uint16(len(blk)),
 		}
-		slices.SortFunc(entries, func(a, b postEntry) int {
-			return int(int64(a.ord) - int64(b.ord))
-		})
-		tm := termPostings{df: int32(len(entries)), blockOff: int32(len(cx.blocks))}
-		for start := 0; start < len(entries); start += blockSize {
-			end := min(start+blockSize, len(entries))
-			blk := entries[start:end]
-			bm := blockMeta{
-				off:      uint32(len(cx.data)),
-				firstOrd: blk[0].ord,
-				lastOrd:  blk[len(blk)-1].ord,
-				count:    uint16(len(blk)),
+		for _, e := range blk {
+			w := 1.0
+			if e.tf > 1 { // ln 1 is exactly 0, and most postings have tf 1
+				w += math.Log(float64(e.tf))
 			}
-			for _, e := range blk {
-				r := (1 + math.Log(float64(e.tf))) / cx.norms[e.ord]
-				if r > bm.maxRatio {
-					bm.maxRatio = r
+			if r := w / cx.norms[e.ord]; r > bm.maxRatio {
+				bm.maxRatio = r
+			}
+			cx.fwd[e.ord] = append(cx.fwd[e.ord], ti)
+		}
+		cx.data = appendPostingsBlock(cx.data, blk)
+		cx.blocks = append(cx.blocks, bm)
+		if bm.maxRatio > tm.maxRatio {
+			tm.maxRatio = bm.maxRatio
+		}
+	}
+	tm.nBlocks = int32(len(cx.blocks)) - tm.blockOff
+	cx.terms[term] = tm
+}
+
+// mergeIndex builds the next compiled index from the last one and the delta
+// written since: base documents the overlay masks drop out, the overlay's
+// documents join, everything else is carried over renumbered. Every index
+// after the empty one is made this way — by the freeze (delta = overlay plus
+// the overflowing window), the compactor (the pinned snapshot's overlay) and
+// Open (the replayed WAL tail) — so an index is a function of immutable
+// published state, never a second mutable truth beside it. Only ov's masked,
+// byID, terms and docLen are read, which is all stageDoc maintains.
+func mergeIndex(base *compiledIndex, ov *overlay) *compiledIndex {
+	if len(ov.masked) == 0 && len(ov.byID) == 0 {
+		return base // immutable, so an unchanged index is shared
+	}
+	add := make([]string, 0, len(ov.byID))
+	for id := range ov.byID {
+		add = append(add, id)
+	}
+	slices.Sort(add)
+
+	// remap takes a base ordinal to its merged one (monotone over the live
+	// ordinals, so renumbered postings stay ascending) or to ordSentinel.
+	remap := make([]uint32, len(base.ids))
+	for id := range ov.masked {
+		remap[base.ords[id]] = ordSentinel
+	}
+	cx := newCompiledIndex(len(base.ids)-len(ov.masked)+len(add), base)
+
+	// One pass over both ascending ID lists numbers the merged documents and
+	// transposes the delta's per-document term lists into per-term postings,
+	// ascending because the documents are visited in ordinal order.
+	type deltaTerm struct {
+		term string
+		post []postEntry
+	}
+	var delta []deltaTerm
+	slot := make(map[string]int)
+	j := 0
+	for i := 0; i <= len(base.ids); i++ {
+		for ; j < len(add) && (i == len(base.ids) || add[j] <= base.ids[i]); j++ {
+			terms := ov.terms[add[j]]
+			ord := cx.addDoc(ov.byID[add[j]], uint32(ov.docLen[add[j]]), len(terms))
+			for _, tt := range terms {
+				s, ok := slot[tt.term]
+				if !ok {
+					s = len(delta)
+					slot[tt.term] = s
+					delta = append(delta, deltaTerm{term: tt.term})
+				}
+				delta[s].post = append(delta[s].post, postEntry{ord: ord, tf: uint32(tt.tf)})
+			}
+		}
+		if i < len(base.ids) && remap[i] != ordSentinel {
+			remap[i] = cx.addDoc(base.docs[i], base.docLens[i], len(base.fwd[i]))
+		}
+	}
+	slices.SortFunc(delta, func(a, b deltaTerm) int { return strings.Compare(a.term, b.term) })
+
+	// Two-way merge per term, in ascending term order across both sides. A
+	// term left without a carrier is dropped: a fresh build never lists one.
+	var ords, tfs [blockSize]uint32
+	var merged []postEntry
+	bt := base.termList
+	for len(bt) > 0 || len(delta) > 0 {
+		// The smaller head is the next term; on a tie both sides carry it.
+		fromBase := len(delta) == 0 || (len(bt) > 0 && bt[0] <= delta[0].term)
+		var term string
+		var dp []postEntry
+		if fromBase {
+			term, bt = bt[0], bt[1:]
+		} else {
+			term = delta[0].term
+		}
+		if len(delta) > 0 && delta[0].term == term {
+			dp, delta = delta[0].post, delta[1:]
+		}
+		merged = merged[:0]
+		if fromBase {
+			for _, bm := range base.termBlocks(base.terms[term]) {
+				n := int(bm.count)
+				if _, err := decodePostingsBlock(base.data[bm.off:], n, ords[:n], tfs[:n]); err != nil {
+					panic(err) // in-memory arena, validated when it was built
+				}
+				for k, old := range ords[:n] {
+					ord := remap[old]
+					if ord == ordSentinel {
+						continue
+					}
+					for len(dp) > 0 && dp[0].ord < ord {
+						merged, dp = append(merged, dp[0]), dp[1:]
+					}
+					merged = append(merged, postEntry{ord: ord, tf: tfs[k]})
 				}
 			}
-			cx.data = appendPostingsBlock(cx.data, blk)
-			cx.blocks = append(cx.blocks, bm)
-			if bm.maxRatio > tm.maxRatio {
-				tm.maxRatio = bm.maxRatio
-			}
 		}
-		tm.nBlocks = int32(len(cx.blocks)) - tm.blockOff
-		cx.terms[t] = tm
-		for _, e := range entries {
-			cx.fwd[e.ord] = append(cx.fwd[e.ord], uint32(ti))
+		if merged = append(merged, dp...); len(merged) > 0 {
+			cx.appendTerm(term, merged)
 		}
 	}
 	return cx

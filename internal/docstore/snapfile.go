@@ -8,8 +8,9 @@ import (
 	"os"
 )
 
-// Snapshot file, version 2: the compiled form of the store, so cold start
-// decodes postings blocks instead of re-tokenizing every document.
+// Snapshot file, version 2: the compiled form of the store — a compiledIndex
+// written out, so cold start rebuilds the index from its postings blocks
+// (through the one encoder, appendTerm) instead of re-tokenizing documents.
 //
 //	magic "AGORASN2" (8 bytes)
 //	payload:
@@ -23,11 +24,11 @@ import (
 //	    ceil(df/blockSize) postings blocks, back-to-back (codec.go); each
 //	    block holds min(blockSize, remaining) entries, so boundaries are
 //	    implicit and no per-block directory is stored
-//	  }
+//	  }                                              // ascending term order
 //	crc32-IEEE over payload (4 bytes, little-endian)
 //
 // Legacy snapshot files (pre-v2) are WAL-format record streams with no
-// magic; loadSnapshotFile declines them and Open replays them as before.
+// magic; loadSnapshotFile declines them and Open replays them like a WAL.
 // Compaction always writes v2, so old stores upgrade on their first
 // compact.
 
@@ -67,61 +68,6 @@ func writeSnapshotV2(w io.Writer, cx *compiledIndex) error {
 	return err
 }
 
-// mergeLiveSet folds a snapshot's overlay into its compiled base and
-// recompiles: masked base documents drop out, overlay documents join with
-// their precomputed term frequencies. No document is re-tokenized — base
-// postings come from decoding the compiled blocks, overlay postings from
-// the overlay's own term maps.
-func mergeLiveSet(sn *snapshot) *compiledIndex {
-	cx := sn.base.cx
-	ov := sn.ov
-	inv := newInvIndex()
-	docs := make(map[string]*Document, sn.docCount)
-	// numOf maps a base ordinal to the merged index's document number;
-	// masked ordinals keep the sentinel and drop out.
-	numOf := make([]uint32, len(cx.ids))
-	for i, id := range cx.ids {
-		if ov.masked[id] {
-			numOf[i] = ordSentinel
-			continue
-		}
-		docs[id] = cx.docs[i]
-		numOf[i] = inv.insert(id, int(cx.docLens[i]))
-	}
-	var ords, tfs [blockSize]uint32
-	for _, t := range cx.termList {
-		tm := cx.terms[t]
-		var p map[uint32]uint32
-		for _, bm := range cx.termBlocks(tm) {
-			cnt := int(bm.count)
-			if _, err := decodePostingsBlock(cx.data[bm.off:], cnt, ords[:cnt], tfs[:cnt]); err != nil {
-				panic(err) // in-memory arena, validated at build/load time
-			}
-			for j := 0; j < cnt; j++ {
-				num := numOf[ords[j]]
-				if num == ordSentinel {
-					continue
-				}
-				if p == nil {
-					p = make(map[uint32]uint32, cnt)
-				}
-				p[num] = tfs[j]
-			}
-		}
-		if p != nil {
-			inv.postings[t] = p
-		}
-	}
-	for id, d := range ov.byID {
-		docs[id] = d
-		num := inv.insert(id, ov.docLen[id])
-		for t, tf := range ov.terms[id] {
-			inv.postingsOf(t)[num] = uint32(tf)
-		}
-	}
-	return compileIndex(inv, docs)
-}
-
 // snapReader is a bounds-checked cursor over the snapshot payload.
 type snapReader struct {
 	b   []byte
@@ -146,125 +92,118 @@ func (r *snapReader) bytes(n uint64) ([]byte, error) {
 	return out, nil
 }
 
-// loadSnapshotFile loads a v2 snapshot into the (fresh, empty) master
-// state. It returns (false, nil) when the file is missing or is a legacy
-// pre-v2 snapshot — the caller falls back to WAL-style replay — and an
-// error when a v2 file is corrupt, matching the mid-log corruption
-// semantics of the WAL itself.
-func loadSnapshotFile(path string, st *state) (bool, error) {
+// loadSnapshotFile loads a v2 snapshot: every document goes into the (fresh,
+// empty) master state through applyPut, and the file's postings become the
+// returned index. It returns (nil, nil) when the file is missing or is a
+// legacy pre-v2 snapshot — the caller replays that like a WAL — and an error
+// when a v2 file is corrupt, as mid-log corruption of the WAL itself is.
+func loadSnapshotFile(path string, st *state) (*compiledIndex, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return false, nil
+			return nil, nil
 		}
-		return false, fmt.Errorf("docstore: reading snapshot: %w", err)
+		return nil, fmt.Errorf("docstore: reading snapshot: %w", err)
 	}
 	if len(raw) < len(snapMagic)+4 || string(raw[:len(snapMagic)]) != snapMagic {
-		return false, nil
+		return nil, nil
 	}
 	payload := raw[len(snapMagic) : len(raw)-4]
 	want := binary.LittleEndian.Uint32(raw[len(raw)-4:])
 	if crc32.ChecksumIEEE(payload) != want {
-		return false, fmt.Errorf("docstore: corrupt snapshot: checksum mismatch")
+		return nil, fmt.Errorf("docstore: corrupt snapshot: checksum mismatch")
 	}
 	r := &snapReader{b: payload}
 
 	nDocs, err := r.uvarint()
 	if err != nil {
-		return false, err
+		return nil, err
 	}
 	if nDocs > uint64(len(payload)) { // each doc record is at least one byte
-		return false, fmt.Errorf("docstore: corrupt snapshot: %d docs in %d payload bytes", nDocs, len(payload))
+		return nil, fmt.Errorf("docstore: corrupt snapshot: %d docs in %d payload bytes", nDocs, len(payload))
 	}
-	ids := make([]string, nDocs)
-	for i := range ids {
+	// The checksum only proves the bytes are the ones written. Nothing
+	// re-sorts what is read here, so the order the index relies on — ids,
+	// terms and each term's ordinals strictly ascending — is checked too.
+	docs := make([]*Document, nDocs)
+	for i := range docs {
 		dlen, err := r.uvarint()
 		if err != nil {
-			return false, err
+			return nil, err
 		}
 		db, err := r.bytes(dlen)
 		if err != nil {
-			return false, err
+			return nil, err
 		}
 		d, err := unmarshalDocument(db)
 		if err != nil {
-			return false, fmt.Errorf("docstore: corrupt snapshot: %w", err)
+			return nil, fmt.Errorf("docstore: corrupt snapshot: %w", err)
 		}
-		ids[i] = d.ID
-		// Mirror applyPut minus the inverted index (rebuilt from the
-		// compiled postings below, no tokenization) — the master is fresh,
-		// so there is no previous version to displace.
-		st.docs[d.ID] = d
-		for _, t := range d.Topics {
-			set, ok := st.byTopic[t]
-			if !ok {
-				set = make(map[string]bool)
-				st.byTopic[t] = set
-			}
-			set[d.ID] = true
+		if i > 0 && d.ID <= docs[i-1].ID {
+			return nil, fmt.Errorf("docstore: corrupt snapshot: id %q after %q", d.ID, docs[i-1].ID)
 		}
-		if len(d.Concept) > 0 {
-			st.vec.Put(d.ID, d.Concept)
-		}
-		st.byTime.insert(d.CreatedAt, d.ID)
-		if hasVisual(d) {
-			st.visuals++
-		}
+		docs[i] = d
+		st.applyPut(d)
 	}
-	// The master is fresh, so insert numbers the documents 0..nDocs-1 in
-	// file order: a posting's ordinal is its document number.
-	for _, id := range ids {
+	cx := newCompiledIndex(len(docs), &compiledIndex{})
+	for _, d := range docs {
 		dl, err := r.uvarint()
 		if err != nil {
-			return false, err
+			return nil, err
 		}
-		st.inv.insert(id, int(dl))
+		cx.addDoc(d, uint32(dl), 0)
 	}
 	nTerms, err := r.uvarint()
 	if err != nil {
-		return false, err
+		return nil, err
 	}
 	if nTerms > uint64(len(payload)) {
-		return false, fmt.Errorf("docstore: corrupt snapshot: %d terms in %d payload bytes", nTerms, len(payload))
+		return nil, fmt.Errorf("docstore: corrupt snapshot: %d terms in %d payload bytes", nTerms, len(payload))
 	}
 	var ords, tfs [blockSize]uint32
+	var entries []postEntry
 	for ti := uint64(0); ti < nTerms; ti++ {
 		tlen, err := r.uvarint()
 		if err != nil {
-			return false, err
+			return nil, err
 		}
 		tb, err := r.bytes(tlen)
 		if err != nil {
-			return false, err
+			return nil, err
 		}
 		term := string(tb)
+		if ti > 0 && term <= cx.termList[ti-1] {
+			return nil, fmt.Errorf("docstore: corrupt snapshot: term %q after %q", term, cx.termList[ti-1])
+		}
 		df, err := r.uvarint()
 		if err != nil {
-			return false, err
+			return nil, err
 		}
 		if df == 0 || df > nDocs {
-			return false, fmt.Errorf("docstore: corrupt snapshot: term %q df %d of %d docs", term, df, nDocs)
+			return nil, fmt.Errorf("docstore: corrupt snapshot: term %q df %d of %d docs", term, df, nDocs)
 		}
-		p := make(map[uint32]uint32, df)
+		entries = entries[:0]
 		for left := int(df); left > 0; {
 			cnt := min(left, blockSize)
 			n, err := decodePostingsBlock(payload[r.off:], cnt, ords[:cnt], tfs[:cnt])
 			if err != nil {
-				return false, fmt.Errorf("docstore: corrupt snapshot: term %q: %w", term, err)
+				return nil, fmt.Errorf("docstore: corrupt snapshot: term %q: %w", term, err)
 			}
 			r.off += n
+			// The codec checks ordinals ascend within a block, so its ends
+			// bound it: after the previous block, inside the document table.
+			if (len(entries) > 0 && ords[0] <= entries[len(entries)-1].ord) || uint64(ords[cnt-1]) >= nDocs {
+				return nil, fmt.Errorf("docstore: corrupt snapshot: term %q ordinals %d..%d out of order or past %d docs", term, ords[0], ords[cnt-1], nDocs)
+			}
 			for j := 0; j < cnt; j++ {
-				if uint64(ords[j]) >= nDocs {
-					return false, fmt.Errorf("docstore: corrupt snapshot: term %q ordinal %d of %d", term, ords[j], nDocs)
-				}
-				p[ords[j]] = tfs[j]
+				entries = append(entries, postEntry{ord: ords[j], tf: tfs[j]})
 			}
 			left -= cnt
 		}
-		st.inv.postings[term] = p
+		cx.appendTerm(term, entries)
 	}
 	if r.off != len(payload) {
-		return false, fmt.Errorf("docstore: corrupt snapshot: %d trailing bytes", len(payload)-r.off)
+		return nil, fmt.Errorf("docstore: corrupt snapshot: %d trailing bytes", len(payload)-r.off)
 	}
-	return true, nil
+	return cx, nil
 }

@@ -1,6 +1,7 @@
 package docstore
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/feature"
@@ -19,9 +20,11 @@ import (
 //	snapshot = { base: frozen state, ov: docs written since the freeze }
 //
 // Each commit window clones the (small) overlay once and republishes; once
-// the overlay would pass overlayLimit the master is deep-cloned into a fresh
-// base and the overlay resets — small-batch coalescing that amortizes the
-// O(n) freeze over many writes.
+// the overlay would pass overlayLimit a fresh base is published and the
+// overlay resets — small-batch coalescing that amortizes the O(n) freeze over
+// many writes. The new base's text index is the last one's merged with the
+// overlay (mergeIndex): base plus overlay are the whole text index, the master
+// keeps none. Its LSH, skiplist and topics are still cloned from the master.
 //
 // Exactness contract: every read through (base, ov) must be result-identical
 // to the same read against a monolithic index containing the live documents.
@@ -33,13 +36,12 @@ import (
 // feature.Extra). TestSnapshotMatchesMonolithic pins this equivalence
 // across freeze boundaries.
 
-// state bundles the five index structures. The master state is guarded by
-// Store.mu; frozen copies inside snapshots are immutable. The master keeps
-// the mutable map-based inv; frozen bases instead carry cx, the
-// block-compressed compiled form queries run against (inv is nil there).
+// state bundles the index structures. The master state is guarded by
+// Store.mu; frozen copies inside snapshots are immutable. Only the master has
+// docs (the committer's liveness check, the version a put displaces); only a
+// frozen base has cx, which is both its text index and its document table.
 type state struct {
 	docs    map[string]*Document
-	inv     *invIndex
 	cx      *compiledIndex
 	vec     *feature.LSH
 	byTime  *skiplist
@@ -52,7 +54,6 @@ type state struct {
 func newState(opts Options) *state {
 	return &state{
 		docs:    make(map[string]*Document),
-		inv:     newInvIndex(),
 		vec:     feature.NewLSH(opts.Seed, opts.ConceptDim, opts.LSHTables, opts.LSHBits),
 		byTime:  newSkiplist(opts.Seed + 1),
 		byTopic: make(map[string]map[string]bool),
@@ -60,7 +61,7 @@ func newState(opts Options) *state {
 }
 
 // applyPut updates in-memory state only (no WAL, no snapshot publish).
-func (st *state) applyPut(d *Document, tokens []string) {
+func (st *state) applyPut(d *Document) {
 	if old, ok := st.docs[d.ID]; ok {
 		st.byTime.remove(old.CreatedAt, old.ID)
 		st.removeTopics(old)
@@ -77,7 +78,6 @@ func (st *state) applyPut(d *Document, tokens []string) {
 		}
 		set[d.ID] = true
 	}
-	st.inv.add(d.ID, tokens)
 	if len(d.Concept) > 0 {
 		st.vec.Put(d.ID, d.Concept)
 	} else {
@@ -95,7 +95,6 @@ func (st *state) applyDelete(id string) {
 		return
 	}
 	delete(st.docs, id)
-	st.inv.removeDoc(id)
 	st.vec.Delete(id)
 	st.byTime.remove(d.CreatedAt, id)
 	st.removeTopics(d)
@@ -115,17 +114,11 @@ func (st *state) removeTopics(d *Document) {
 	}
 }
 
-// freeze copies the index structures into an immutable base. Documents
+// freeze copies the master's index structures into an immutable base around
+// cx, which must hold exactly the master's live documents. Documents
 // themselves are shared: the write path never mutates a stored *Document in
 // place (Put installs a fresh clone), so pointers are safe across epochs.
-// The text index is not cloned — it is compiled into the immutable
-// block-compressed form the read path wants anyway, so the freeze does the
-// work queries would otherwise repeat.
-func (st *state) freeze() *state {
-	docs := make(map[string]*Document, len(st.docs))
-	for id, d := range st.docs {
-		docs[id] = d
-	}
+func (st *state) freeze(cx *compiledIndex) *state {
 	topics := make(map[string]map[string]bool, len(st.byTopic))
 	for t, set := range st.byTopic {
 		ns := make(map[string]bool, len(set))
@@ -135,8 +128,7 @@ func (st *state) freeze() *state {
 		topics[t] = ns
 	}
 	return &state{
-		docs:    docs,
-		cx:      compileIndex(st.inv, docs),
+		cx:      cx,
 		vec:     st.vec.Clone(),
 		byTime:  st.byTime.clone(),
 		byTopic: topics,
@@ -168,15 +160,46 @@ type overlay struct {
 	// with postings.
 	maskedDF map[string]int
 	byID     map[string]*Document
-	byTime   []timeEntry               // ascending (key, id)
-	terms    map[string]map[string]int // docID -> term -> tf (inner maps immutable)
+	byTime   []timeEntry         // ascending (key, id)
+	terms    map[string][]termTF // docID -> distinct terms, ascending (inner slices immutable)
 	docLen   map[string]int
 	// termPost inverts terms (term -> carriers sorted by docID) so per-term
 	// document frequency and overlay scoring are O(carriers), not
 	// O(overlay docs). Slices are copy-on-write: cloneNextN shares them, and
 	// any write replaces the touched term's slice with a fresh copy.
 	termPost map[string][]ovPost
-	extras   []feature.Extra // overlay concept vectors with precomputed signatures
+	// termDelta is the live term count minus the base's: overlay-only terms,
+	// less base terms whose every carrier is masked and that no overlay
+	// document carries. Kept by setTermPost/delTermPost/maskBase.
+	termDelta int
+	extras    []feature.Extra // overlay concept vectors with precomputed signatures
+}
+
+// termTF is one distinct term of a document and its frequency there.
+type termTF struct {
+	term string
+	tf   int
+}
+
+// termFreqs sorts tokens in place and returns the distinct terms, ascending,
+// with their counts, in one exactly sized slice: a bulk window holds one per
+// document until its merge.
+func termFreqs(tokens []string) []termTF {
+	slices.Sort(tokens)
+	n := 0
+	for i, t := range tokens {
+		if i == 0 || t != tokens[i-1] {
+			n++
+		}
+	}
+	out := make([]termTF, 0, n)
+	for i, t := range tokens {
+		if i == 0 || t != tokens[i-1] {
+			out = append(out, termTF{term: t})
+		}
+		out[len(out)-1].tf++
+	}
+	return out
 }
 
 // ovPost is one overlay posting: a carrier document and its term frequency.
@@ -187,19 +210,20 @@ type ovPost struct {
 
 // cloneNextN deep-copies the overlay's own containers for a commit window of
 // n writes: ONE copy absorbs the whole window, so publish cost is
-// O(overlay + window) rather than O(overlay × window). Inner term maps and
+// O(overlay + window) rather than O(overlay × window). Inner term slices and
 // documents are immutable after insertion and shared.
 func (ov *overlay) cloneNextN(n int) *overlay {
 	nv := &overlay{
-		ops:      ov.ops + n,
-		masked:   make(map[string]bool, len(ov.masked)+1),
-		maskedDF: make(map[string]int, len(ov.maskedDF)+8),
-		byID:     make(map[string]*Document, len(ov.byID)+1),
-		byTime:   append([]timeEntry(nil), ov.byTime...),
-		terms:    make(map[string]map[string]int, len(ov.terms)+1),
-		docLen:   make(map[string]int, len(ov.docLen)+1),
-		termPost: make(map[string][]ovPost, len(ov.termPost)+8),
-		extras:   append([]feature.Extra(nil), ov.extras...),
+		ops:       ov.ops + n,
+		masked:    make(map[string]bool, len(ov.masked)+1),
+		maskedDF:  make(map[string]int, len(ov.maskedDF)+8),
+		byID:      make(map[string]*Document, len(ov.byID)+1),
+		byTime:    append([]timeEntry(nil), ov.byTime...),
+		terms:     make(map[string][]termTF, len(ov.terms)+1),
+		docLen:    make(map[string]int, len(ov.docLen)+1),
+		termPost:  make(map[string][]ovPost, len(ov.termPost)+8),
+		termDelta: ov.termDelta,
+		extras:    append([]feature.Extra(nil), ov.extras...),
 	}
 	for id := range ov.masked {
 		nv.masked[id] = true
@@ -226,14 +250,14 @@ func (ov *overlay) cloneNextN(n int) *overlay {
 // doc written since the freeze). The masked set is left alone: masking
 // records a fact about the base, which does not change within an overlay's
 // lifetime.
-func (nv *overlay) dropID(id string) {
+func (nv *overlay) dropID(id string, cx *compiledIndex) {
 	old, ok := nv.byID[id]
 	if !ok {
 		return
 	}
 	delete(nv.byID, id)
-	for t := range nv.terms[id] {
-		nv.delTermPost(t, id)
+	for _, tt := range nv.terms[id] {
+		nv.delTermPost(tt.term, id, cx)
 	}
 	delete(nv.terms, id)
 	delete(nv.docLen, id)
@@ -266,24 +290,28 @@ func (nv *overlay) removeTime(key int64, id string) {
 	}
 }
 
-// putDoc folds d into a freshly cloned (not yet published) overlay. Callers
-// own nv exclusively; once published the overlay is immutable again. base is
-// the frozen base nv sits on (its version of d.ID, if any, is now
-// superseded); sigs are d.Concept's per-table LSH signatures (nil when the
-// doc has no concept vector).
-func (nv *overlay) putDoc(d *Document, tokens []string, sigs []uint64, base *state) {
-	nv.dropID(d.ID)
-	nv.maskBase(d.ID, base)
+// stageDoc records d, whose tokens it sorts, as mergeIndex reads it: live
+// under its distinct terms, its version in cx (the index nv sits on) masked.
+// A window that overflows the overlay — a bulk load is one window of
+// thousands — is only staged: no per-posting copy-on-write, no sorted
+// insert. Callers own nv; with staged documents it is merged, never published.
+func (nv *overlay) stageDoc(d *Document, tokens []string, cx *compiledIndex) {
+	nv.dropID(d.ID, cx)
+	nv.maskBase(d.ID, cx)
 	nv.byID[d.ID] = d
-	nv.insertTime(d.CreatedAt, d.ID)
-	tf := make(map[string]int, len(tokens))
-	for _, t := range tokens {
-		tf[t]++
-	}
-	nv.terms[d.ID] = tf
 	nv.docLen[d.ID] = len(tokens)
-	for t, n := range tf {
-		nv.setTermPost(t, d.ID, n)
+	nv.terms[d.ID] = termFreqs(tokens)
+}
+
+// putDoc folds d into a freshly cloned (not yet published) overlay that will
+// be searched: stageDoc plus the read-side indexes. Once published the
+// overlay is immutable again. sigs are d.Concept's per-table LSH signatures
+// (nil when the doc has no concept vector).
+func (nv *overlay) putDoc(d *Document, tokens []string, sigs []uint64, cx *compiledIndex) {
+	nv.stageDoc(d, tokens, cx)
+	nv.insertTime(d.CreatedAt, d.ID)
+	for _, tt := range nv.terms[d.ID] {
+		nv.setTermPost(tt.term, d.ID, tt.tf, cx)
 	}
 	if len(d.Concept) > 0 {
 		nv.extras = append(nv.extras, feature.Extra{ID: d.ID, Vec: d.Concept, Sigs: sigs})
@@ -291,36 +319,41 @@ func (nv *overlay) putDoc(d *Document, tokens []string, sigs []uint64, base *sta
 }
 
 // deleteDoc folds a delete into a freshly cloned overlay (see putDoc).
-func (nv *overlay) deleteDoc(id string, base *state) {
-	nv.dropID(id)
-	nv.maskBase(id, base)
+func (nv *overlay) deleteDoc(id string, cx *compiledIndex) {
+	nv.dropID(id, cx)
+	nv.maskBase(id, cx)
 }
 
 // maskBase marks id dead in the base, when the base holds it, and charges
 // its distinct terms to maskedDF via the compiled forward index. Masking is
 // idempotent per overlay lifetime — an id already masked was already charged.
-func (nv *overlay) maskBase(id string, base *state) {
-	if _, inBase := base.docs[id]; !inBase || nv.masked[id] {
+func (nv *overlay) maskBase(id string, cx *compiledIndex) {
+	ord, inBase := cx.ords[id]
+	if !inBase || nv.masked[id] {
 		return
 	}
 	nv.masked[id] = true
-	cx := base.cx
-	if cx == nil {
-		return
-	}
-	ord, ok := cx.ords[id]
-	if !ok {
-		return
-	}
 	for _, ti := range cx.fwd[ord] {
-		nv.maskedDF[cx.termList[ti]]++
+		t := cx.termList[ti]
+		nv.maskedDF[t]++
+		if !nv.baseLive(t, cx) && len(nv.termPost[t]) == 0 {
+			nv.termDelta-- // the term's last live carrier anywhere
+		}
 	}
+}
+
+// baseLive reports whether t still has an unmasked carrier in the base.
+func (nv *overlay) baseLive(t string, cx *compiledIndex) bool {
+	return int(cx.terms[t].df) > nv.maskedDF[t]
 }
 
 // setTermPost records id carrying term with frequency tf, copying the
 // term's posting slice so shared predecessors stay immutable.
-func (nv *overlay) setTermPost(t, id string, tf int) {
+func (nv *overlay) setTermPost(t, id string, tf int, cx *compiledIndex) {
 	p := nv.termPost[t]
+	if len(p) == 0 && !nv.baseLive(t, cx) {
+		nv.termDelta++ // first live carrier: a new term, or one fully masked
+	}
 	i := sort.Search(len(p), func(i int) bool { return p[i].id >= id })
 	np := make([]ovPost, 0, len(p)+1)
 	np = append(np, p[:i]...)
@@ -334,7 +367,7 @@ func (nv *overlay) setTermPost(t, id string, tf int) {
 
 // delTermPost removes id from term's posting slice, same copy-on-write
 // discipline.
-func (nv *overlay) delTermPost(t, id string) {
+func (nv *overlay) delTermPost(t, id string, cx *compiledIndex) {
 	p, ok := nv.termPost[t]
 	if !ok {
 		return
@@ -345,6 +378,9 @@ func (nv *overlay) delTermPost(t, id string) {
 	}
 	if len(p) == 1 {
 		delete(nv.termPost, t)
+		if !nv.baseLive(t, cx) {
+			nv.termDelta--
+		}
 		return
 	}
 	np := make([]ovPost, 0, len(p)-1)
@@ -379,14 +415,14 @@ func overlayLimit(baseDocs int) int {
 }
 
 // snapshot is one published epoch: an immutable view of the store.
-// docCount/termCount/visualCount are copied from the master at publish time
-// so Stats and search normalization need no reconstruction.
+// docCount/visualCount are copied from the master at publish time so Stats
+// and search normalization need no reconstruction; the live term count is
+// len(base.cx.termList) + ov.termDelta.
 type snapshot struct {
 	epoch       uint64
 	base        *state
 	ov          *overlay
 	docCount    int
-	termCount   int
 	visualCount int
 }
 
@@ -396,10 +432,10 @@ func (sn *snapshot) getDoc(id string) *Document {
 	if d, ok := sn.ov.byID[id]; ok {
 		return d
 	}
-	if sn.ov.masked[id] {
-		return nil
+	if ord, ok := sn.base.cx.ords[id]; ok && !sn.ov.masked[id] {
+		return sn.base.cx.docs[ord]
 	}
-	return sn.base.docs[id]
+	return nil
 }
 
 // searchTextRaw ranks against the merged index (block-max over the

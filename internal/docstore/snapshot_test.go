@@ -150,7 +150,7 @@ func TestSnapshotMatchesMonolithic(t *testing.T) {
 			}
 		}
 		b.mu.Lock()
-		b.freezeLocked(b.snap.Load().epoch + 1)
+		b.freezeLocked(b.snap.Load(), b.snap.Load().ov)
 		b.mu.Unlock()
 		if bo := b.snap.Load().ov; bo.ops != 0 || len(bo.byID) != 0 {
 			t.Fatal("reference store still has an overlay after forced freeze")

@@ -44,7 +44,8 @@ type Options struct {
 	QueryCacheSize int
 	// Telemetry receives per-operation latency histograms and counters
 	// (docstore.put, docstore.search.*, docstore.compact, WAL replay,
-	// docstore.epoch, docstore.cache.*, and the group-commit pipeline's
+	// docstore.epoch, docstore.cache.*, docstore.snapshot.freezes with the
+	// docstore.freeze.latency histogram, and the group-commit pipeline's
 	// docstore.wal.{syncs,windows,group_size,sync_wait_us} counters plus
 	// the docstore.commit latency histogram). Nil disables
 	// instrumentation.
@@ -59,7 +60,7 @@ type storeTel struct {
 	compactErrors                                               *telemetry.Counter
 	epoch                                                       *telemetry.Gauge
 	putLat, deleteLat, textLat, vectorLat, visualLat, hybridLat *telemetry.Histogram
-	compactLat, replayLat, commitLat                            *telemetry.Histogram
+	compactLat, replayLat, commitLat, freezeLat                 *telemetry.Histogram
 }
 
 func newStoreTel(reg *telemetry.Registry) storeTel {
@@ -90,6 +91,8 @@ func newStoreTel(reg *telemetry.Registry) storeTel {
 		compactLat:    reg.Histogram("docstore.compact"),
 		replayLat:     reg.Histogram("docstore.wal.replay"),
 		commitLat:     reg.Histogram("docstore.commit"),
+		// The writer stall of one overflow: merge plus master.freeze.
+		freezeLat: reg.Histogram("docstore.freeze.latency"),
 	}
 }
 
@@ -161,13 +164,27 @@ func Open(opts Options) (*Store, error) {
 		tokens: newTokenMemo(opts.Telemetry),
 	}
 	if opts.Dir == "" {
-		s.installLocked(&snapshot{epoch: 1, base: s.master.freeze(), ov: &overlay{}})
+		s.installLocked(&snapshot{epoch: 1, base: s.master.freeze(&compiledIndex{}), ov: &overlay{}})
 		return s, nil
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("docstore: creating dir: %w", err)
 	}
 	snapPath, walPath := snapshotPaths(opts.Dir)
+	replayStart := time.Now()
+	// Snapshot files carry a versioned header. The compiled (v2) format
+	// loads postings blocks directly — no per-document re-tokenization.
+	// The log after it (and all of a legacy snapshot, a WAL-format record
+	// stream) replays into the master and into one delta, merged once below.
+	cx, err := loadSnapshotFile(snapPath, s.master)
+	if err != nil {
+		return nil, err
+	}
+	legacy := cx == nil
+	if legacy {
+		cx = &compiledIndex{}
+	}
+	delta := (&overlay{}).cloneNextN(0)
 	apply := func(op uint8, payload []byte) error {
 		s.tel.walRecords.Inc()
 		switch op {
@@ -176,21 +193,15 @@ func Open(opts Options) (*Store, error) {
 			if err != nil {
 				return err
 			}
-			s.master.applyPut(d, d.Tokens())
+			s.master.applyPut(d)
+			delta.stageDoc(d, d.Tokens(), cx)
 		case opDelete:
 			s.master.applyDelete(string(payload))
+			delta.deleteDoc(string(payload), cx)
 		}
 		return nil
 	}
-	replayStart := time.Now()
-	// Snapshot files carry a versioned header. The compiled (v2) format
-	// loads postings blocks directly — no per-document re-tokenization;
-	// legacy snapshots (WAL-format record streams) replay as before.
-	loaded, err := loadSnapshotFile(snapPath, s.master)
-	if err != nil {
-		return nil, err
-	}
-	if !loaded {
+	if legacy {
 		if _, _, err := replayWAL(snapPath, apply); err != nil {
 			return nil, err
 		}
@@ -212,7 +223,7 @@ func Open(opts Options) (*Store, error) {
 	s.walBytes.Store(s.log.size)
 	// One publish for the whole replay: per-record publishing would make
 	// recovery O(n) snapshot churn for nothing.
-	s.installLocked(&snapshot{epoch: 1, base: s.master.freeze(), ov: &overlay{}})
+	s.installLocked(&snapshot{epoch: 1, base: s.master.freeze(mergeIndex(cx, delta)), ov: &overlay{}})
 	s.startCommitter()
 	return s, nil
 }
@@ -222,51 +233,57 @@ func Open(opts Options) (*Store, error) {
 // escapes).
 func (s *Store) installLocked(sn *snapshot) {
 	sn.docCount = len(s.master.docs)
-	sn.termCount = s.master.inv.termCount()
 	sn.visualCount = s.master.visuals
 	s.snap.Store(sn)
 	s.tel.epoch.Set(float64(sn.epoch))
 }
 
-// freezeLocked publishes a fresh deep-cloned base with an empty overlay —
-// the coalescing point that keeps overlays small.
-func (s *Store) freezeLocked(epoch uint64) {
+// freezeLocked publishes, as cur's successor, a fresh base with an empty
+// overlay — the coalescing point that keeps overlays small. The base's text
+// index is cur's merged with delta, which must hold every write since cur's
+// base was frozen; the master must hold them too.
+func (s *Store) freezeLocked(cur *snapshot, delta *overlay) {
+	start := time.Now()
 	s.tel.freezes.Inc()
-	s.installLocked(&snapshot{epoch: epoch, base: s.master.freeze(), ov: &overlay{}})
+	s.installLocked(&snapshot{epoch: cur.epoch + 1, base: s.master.freeze(mergeIndex(cur.base.cx, delta)), ov: &overlay{}})
+	s.tel.freezeLat.Observe(time.Since(start))
 }
 
 // publishWindowLocked publishes one epoch covering the n non-skipped ops of a
 // commit window, folded into a single overlay clone in WAL order: the window
 // pays the O(overlay) deep copy once, exactly as it pays one fsync. The
-// master must already hold every op (apply precedes publish), so when the
-// window pushes the overlay past its coalescing limit, freezing the master
-// covers the whole window.
+// master must already hold every op (apply precedes publish). When the
+// window pushes the overlay past its coalescing limit the clone is never
+// searched — it is the delta of a freeze — so its documents are only staged.
 func (s *Store) publishWindowLocked(window []*commitReq, n int) {
 	if n == 0 {
 		return
 	}
 	cur := s.snap.Load()
-	if cur.ov.ops+n > overlayLimit(len(cur.base.docs)) {
-		s.freezeLocked(cur.epoch + 1)
-		return
-	}
+	cx := cur.base.cx
+	freeze := cur.ov.ops+n > overlayLimit(len(cx.ids))
 	nv := cur.ov.cloneNextN(n)
 	for _, req := range window {
 		for i := range req.ops {
 			op := &req.ops[i]
-			if op.skip {
-				continue
-			}
-			if op.op == opPut {
+			switch {
+			case op.skip:
+			case op.op == opDelete:
+				nv.deleteDoc(op.id, cx)
+			case freeze:
+				nv.stageDoc(op.doc, op.tokens, cx)
+			default:
 				var sigs []uint64
 				if len(op.doc.Concept) > 0 {
 					sigs = s.master.vec.Signatures(op.doc.Concept)
 				}
-				nv.putDoc(op.doc, op.tokens, sigs, cur.base)
-			} else {
-				nv.deleteDoc(op.id, cur.base)
+				nv.putDoc(op.doc, op.tokens, sigs, cx)
 			}
 		}
+	}
+	if freeze {
+		s.freezeLocked(cur, nv)
+		return
 	}
 	s.installLocked(&snapshot{epoch: cur.epoch + 1, base: cur.base, ov: nv})
 }
@@ -446,11 +463,10 @@ func (s *Store) SearchVisual(query feature.VisualFeatures, colorWeight float64, 
 			ColorHist: d.ColorHist, Texture: d.Texture,
 		}, colorWeight)})
 	}
-	for id, d := range sn.base.docs {
-		if sn.ov.masked[id] {
-			continue
+	for _, d := range sn.base.cx.docs {
+		if !sn.ov.masked[d.ID] {
+			score(d)
 		}
-		score(d)
 	}
 	for _, d := range sn.ov.byID {
 		score(d)
@@ -584,11 +600,12 @@ func (s *Store) Freshest(k int) []*Document {
 	return out
 }
 
-// All visits every document (copies) in unspecified order.
+// All visits every document (copies): the frozen base's in ID order, then
+// those written since in unspecified order.
 func (s *Store) All(visit func(*Document) bool) {
 	sn := s.snap.Load()
-	for id, d := range sn.base.docs {
-		if sn.ov.masked[id] {
+	for _, d := range sn.base.cx.docs {
+		if sn.ov.masked[d.ID] {
 			continue
 		}
 		if !visit(d.Clone()) {
@@ -666,12 +683,12 @@ func (s *Store) compactOnce() error {
 	off := s.log.size
 	s.mu.Unlock()
 
-	// Phase 2 (no lock): merge the overlay into the compiled base — by
-	// decoding postings blocks, never by re-tokenizing documents — compile
-	// the live set, and write it as a v2 snapshot into a temp file.
+	// Phase 2 (no lock): merge the overlay into the compiled base — the
+	// same merge a freeze runs, never re-tokenizing documents — and write
+	// the live set as a v2 snapshot into a temp file.
 	snapPath, walPath := snapshotPaths(s.opts.Dir)
 	tmp := snapPath + ".tmp"
-	merged := mergeLiveSet(sn)
+	merged := mergeIndex(sn.base.cx, sn.ov)
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("docstore: creating snapshot: %w", err)
@@ -793,7 +810,7 @@ func (s *Store) Stats() Stats {
 	sn := s.snap.Load()
 	return Stats{
 		Docs:          sn.docCount,
-		Terms:         sn.termCount,
+		Terms:         len(sn.base.cx.termList) + sn.ov.termDelta,
 		Puts:          s.puts.Load(),
 		Deletes:       s.deletes.Load(),
 		Searches:      s.searches.Load(),

@@ -7,13 +7,12 @@ import (
 
 // postingsAnalyzer enforces the compiled-read-path contract introduced
 // with block-max search: code reachable from a Search* entry point in
-// internal/docstore must never range over the map-based postings
-// structures (`postings` on the mutable invIndex, `termPost` on the
-// overlay). Map iteration order is nondeterministic — ranging over
-// postings while scoring is exactly the bug class that made results
-// depend on accumulation order — and a per-query walk of a whole postings
-// map defeats the block cursors the query path compiles to. Writers and
-// the freeze/compaction path build those maps and may iterate them
+// internal/docstore must never range over the one map-based postings
+// structure left, `termPost` on the overlay. Map iteration order is
+// nondeterministic — ranging over postings while scoring is exactly the
+// bug class that made results depend on accumulation order — and a
+// per-query walk of a whole postings map defeats the block cursors the
+// query path compiles to. Writers build that map and may iterate it
 // freely; queries must go through the compiled cursors or the overlay's
 // sorted COW slices.
 //
@@ -21,21 +20,18 @@ import (
 // resolved through real type information, so the pooled scratch's
 // sync.Pool.Put no longer collides with Store.Put the way the old
 // name-based graph forced it to — the hard-coded Put/Delete/Compact/Close
-// barrier list is gone. The forbidden maps are matched by field object
-// (invIndex.postings, overlay.termPost), not by name, so a local variable
-// that happens to be called "postings" is fine.
+// barrier list is gone. The forbidden map is matched by field object
+// (overlay.termPost), not by name, so a local variable that happens to be
+// called "termPost" is fine.
 var postingsAnalyzer = &Analyzer{
 	Name: "postings",
-	Doc:  "code reachable from docstore Search* must not range over map postings (termPost/postings); use the compiled block cursors",
+	Doc:  "code reachable from docstore Search* must not range over map postings (termPost); use the compiled block cursors",
 	RunModule: func(m *Module, report ReportFunc) {
 		p := m.Lookup(lockfreePackage)
 		if p == nil || p.Info == nil {
 			return
 		}
 		forbidden := map[*types.Var]string{}
-		if f := lookupField(p, "invIndex", "postings"); f != nil {
-			forbidden[f] = "postings"
-		}
 		if f := lookupField(p, "overlay", "termPost"); f != nil {
 			forbidden[f] = "termPost"
 		}

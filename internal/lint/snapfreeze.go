@@ -14,16 +14,18 @@ import (
 // is stored, every byte behind it must stay frozen, or readers race.
 //
 //   - snapshot is assembled and published by installLocked;
-//   - compiledIndex is built only by compileIndex (the load path and
-//     compaction both return through it);
-//   - overlay is copy-on-write: the clone/fold family builds the next
-//     overlay value, and nothing mutates a published one.
+//   - compiledIndex is filled only by addDoc and appendTerm (the freeze
+//     and the compactor's merge, and the snapshot loader, all build
+//     through them);
+//   - overlay is copy-on-write: the clone/fold family (stageDoc for a
+//     window that is merged instead of searched) builds the next overlay
+//     value, and nothing mutates a published one.
 var snapfreezeFrozen = map[string]map[string][]string{
 	"internal/docstore": {
 		"snapshot":      {"installLocked"},
-		"compiledIndex": {"compileIndex"},
+		"compiledIndex": {"addDoc", "appendTerm"},
 		"overlay": {
-			"cloneNextN", "dropID", "insertTime", "removeTime",
+			"cloneNextN", "dropID", "insertTime", "removeTime", "stageDoc",
 			"putDoc", "deleteDoc", "maskBase", "setTermPost", "delTermPost",
 		},
 	},

@@ -29,13 +29,11 @@ type Store struct {
 	current *snapshot
 }
 
-// compileIndex is the compiledIndex constructor: assignments are legal
-// while the value is still private to the builder.
-func compileIndex(terms []string) *compiledIndex {
-	cx := &compiledIndex{}
-	cx.terms = terms
-	cx.norms = make([]float64, len(terms))
-	return cx
+// appendTerm is a compiledIndex builder: assignments are legal while the
+// value is still private to whoever is building it.
+func (cx *compiledIndex) appendTerm(term string) {
+	cx.terms = append(cx.terms, term)
+	cx.norms = append(cx.norms, 0)
 }
 
 // installLocked builds and publishes the next snapshot: legal, including
@@ -43,7 +41,8 @@ func compileIndex(terms []string) *compiledIndex {
 func (s *Store) installLocked(next state) {
 	sn := &snapshot{}
 	sn.base = next
-	sn.cx = compileIndex(nil)
+	sn.cx = &compiledIndex{}
+	sn.cx.appendTerm("t")
 	sn.docCount = len(next.docs)
 	sn.epoch++
 	s.current = sn // Store is not frozen: republishing the pointer is the design

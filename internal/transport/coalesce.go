@@ -117,8 +117,11 @@ func (q *coalescer) flushLocked() error {
 		q.spare = nil
 		q.mu.Unlock()
 
-		_, err := q.w.Write(batch)
+		// Count before writing: once Write returns, the peer may already be
+		// acting on the reply, and whatever it reads next — these counters
+		// included — must account for the flush that carried it.
 		q.flushes.Add(1)
+		_, err := q.w.Write(batch)
 
 		q.mu.Lock()
 		if err != nil && q.err == nil {
