@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-core vet lint check fuzz fuzz-codec bench bench-check bench-docstore bench-docstore-check bench-wal bench-wal-check bench-shard bench-shard-check bench-wire bench-wire-check bench-suite clean
+.PHONY: build test race race-core vet lint check fuzz bench bench-check bench-docstore bench-docstore-check bench-wal bench-wal-check bench-shard bench-shard-check bench-wire bench-wire-check bench-suite clean
 
 build:
 	$(GO) build ./...
@@ -43,22 +43,21 @@ lint: vet
 
 check: build lint test race
 
-# Decoder robustness: a short fixed-iteration fuzz of the three decoders that
+# Decoder robustness: a short fixed-iteration fuzz of the four decoders that
 # read bytes this process did not just write — the postings codec, the v2
 # snapshot file (checksum re-stamped, so mutations reach the structure
-# checks) and the wire Query as the shard server serves it (cheap enough for
-# every CI run — the seed corpora in codec_test.go, merge_test.go and
-# badquery_test.go already pin the tricky edges, so even 0 new execs still
-# exercises them all). `go test -fuzz` takes one target per run, hence three
-# commands. For a real expedition run e.g. `go test -fuzz FuzzPostingsCodec
-# ./internal/docstore` with a time budget instead. fuzz-codec is the target's
-# old name.
+# checks), the wire Query as the shard server serves it and the write-ahead
+# log (cheap enough for every CI run — the seed corpora in codec_test.go,
+# merge_test.go, badquery_test.go and fault_test.go already pin the tricky
+# edges, so even 0 new execs still exercises them all). `go test -fuzz` takes
+# one target per run, hence four commands. For a real expedition run e.g.
+# `go test -fuzz FuzzPostingsCodec ./internal/docstore` with a time budget
+# instead.
 fuzz:
 	$(GO) test -run XXX -fuzz FuzzPostingsCodec -fuzztime 2000x ./internal/docstore
 	$(GO) test -run XXX -fuzz FuzzSnapshotV2 -fuzztime 2000x ./internal/docstore
 	$(GO) test -run XXX -fuzz FuzzUnmarshalQuery -fuzztime 2000x ./internal/transport
-
-fuzz-codec: fuzz
+	$(GO) test -run XXX -fuzz FuzzReplayWAL -fuzztime 2000x ./internal/docstore
 
 # Ask-pipeline perf baseline: the sequential/parallel BenchmarkAsk pair,
 # archived as JSON so future PRs have a trajectory to diff against.

@@ -14,11 +14,11 @@ import (
 // goroutine and no WAL: each writer commits its own request (see submit).
 //
 // Ordering contract (the repo's determinism contract extended to the write
-// path): WAL record order == master apply order == snapshot publish (epoch)
-// order == queue arrival order. A window is processed front to back for both
-// the append pass and the apply/publish pass, so replaying the log is
-// byte-identical to replaying the same operations through a fully serialized
-// writer.
+// path): WAL record order == the order a window's ops are folded into the
+// published snapshot == snapshot publish (epoch) order == queue arrival
+// order. A window is processed front to back for both the append pass and the
+// fold, so replaying the log is byte-identical to replaying the same
+// operations through a fully serialized writer.
 //
 // Natural batching: the committer never waits for a window to fill. While it
 // is fsyncing window N, concurrent writers queue up and become window N+1 —
@@ -113,23 +113,26 @@ func (s *Store) commitLoop() {
 				break fill
 			}
 		}
+		s.tel.queueDepth.Set(float64(len(window) + len(s.commits)))
 		s.commitWindow(window)
 	}
 }
 
 // commitWindow appends every staged record in arrival order, makes the
-// window durable with one flush/fsync, then applies and publishes each op in
-// the same order before acking all waiters. Holding Store.mu across the
-// window keeps the log, the master state, and the published snapshot
-// mutually consistent (compaction pins exactly that consistency point). An
+// window durable with one flush/fsync, then publishes the ops, folded in the
+// same order, before acking all waiters. Holding Store.mu across the window
+// keeps the log and the published snapshot mutually consistent (compaction
+// pins exactly that consistency point), and makes the snapshot loaded here
+// the one the window's successor is built from. An
 // in-memory store skips only the WAL steps and their docstore.wal.*
 // instruments. The guard is Options.Dir, not s.log: a durable store that
 // lost its log must keep failing loudly, never start acking unlogged writes.
 func (s *Store) commitWindow(window []*commitReq) {
 	durable := s.opts.Dir != ""
 	s.mu.Lock()
+	cur := s.snap.Load()
 	var wErr error
-	staged := 0
+	var puts, deletes uint64
 	// winLive tracks liveness of ids touched earlier in this same window,
 	// so a Delete sequenced after a Put of the same id in one window
 	// resolves exactly as it would under a serialized writer.
@@ -140,7 +143,7 @@ func (s *Store) commitWindow(window []*commitReq) {
 			if op.op == opDelete {
 				alive, seen := winLive[op.id]
 				if !seen {
-					_, alive = s.master.docs[op.id]
+					alive = cur.getDoc(op.id) != nil
 				}
 				if !alive {
 					op.skip = true
@@ -154,17 +157,19 @@ func (s *Store) commitWindow(window []*commitReq) {
 			if wErr != nil {
 				continue
 			}
-			staged++
 			if winLive == nil {
 				winLive = make(map[string]bool, 8)
 			}
 			if op.op == opPut {
+				puts++
 				winLive[op.doc.ID] = true
 			} else {
+				deletes++
 				winLive[op.id] = false
 			}
 		}
 	}
+	staged := int(puts + deletes)
 	if durable && wErr == nil && staged > 0 {
 		if s.opts.SyncEveryPut {
 			if wErr = s.log.sync(); wErr == nil {
@@ -175,28 +180,15 @@ func (s *Store) commitWindow(window []*commitReq) {
 		}
 	}
 	if wErr == nil {
-		// Apply every op to the master in WAL order, then publish the whole
-		// window as ONE epoch: the publish amortizes its overlay clone across
-		// the window just as the fsync above amortizes the disk round trip.
-		// The window becomes visible atomically, after it is durable.
-		for _, req := range window {
-			for i := range req.ops {
-				op := &req.ops[i]
-				if op.skip {
-					continue
-				}
-				if op.op == opPut {
-					s.master.applyPut(op.doc)
-					s.puts.Add(1)
-					s.tel.puts.Inc()
-				} else {
-					s.master.applyDelete(op.id)
-					s.deletes.Add(1)
-					s.tel.deletes.Inc()
-				}
-			}
-		}
-		s.publishWindowLocked(window, staged)
+		// Publish the whole window, folded in WAL order, as ONE epoch: the
+		// publish amortizes its overlay clone across the window just as the
+		// fsync above amortizes the disk round trip. The window becomes
+		// visible atomically, after it is durable.
+		s.puts.Add(puts)
+		s.tel.puts.Add(puts)
+		s.deletes.Add(deletes)
+		s.tel.deletes.Add(deletes)
+		s.publishWindowLocked(cur, window, staged)
 		if durable {
 			s.walBytes.Store(s.log.size)
 			s.maybeCompactLocked()

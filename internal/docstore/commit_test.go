@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -731,4 +732,75 @@ func TestInMemoryBatchIsAtomic(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestCommitQueueAndCompactGauges reads the two stall gauges the way an
+// operator does, off the Prometheus exposition. With Store.mu held the
+// committer sits in its first window while three more requests queue behind
+// it and a compaction waits for its pin: in_flight reads 1; once released,
+// the second window starts with all three waiting, and the compaction ends.
+func TestCommitQueueAndCompactGauges(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s, err := Open(Options{Dir: t.TempDir(), ConceptDim: 4, Seed: 1, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	gauge := func(name string) float64 {
+		t.Helper()
+		var sb strings.Builder
+		reg.RenderPrometheus(&sb)
+		fams, err := telemetry.ParsePrometheus(sb.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := fams[name]
+		if f == nil || f.Type != "gauge" || len(f.Samples) != 1 {
+			t.Fatalf("%s: %+v", name, f)
+		}
+		return f.Samples[0].Value
+	}
+	const depth, inFlight = "agora_docstore_commit_queue_depth", "agora_docstore_compact_in_flight"
+	await := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	if gauge(depth) != 0 || gauge(inFlight) != 0 {
+		t.Fatalf("idle store: queue_depth %v, in_flight %v", gauge(depth), gauge(inFlight))
+	}
+
+	s.mu.Lock()
+	var wg sync.WaitGroup
+	put := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := s.Put(doc(fmt.Sprintf("g%d", i), "t", "b", int64(i), nil)); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	put(0)
+	await("the committer to start its first window", func() bool { return gauge(depth) == 1 })
+	for i := 1; i <= 3; i++ {
+		put(i)
+	}
+	await("three requests to queue", func() bool { return len(s.commits) == 3 })
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if err := s.Compact(); err != nil {
+			t.Error(err)
+		}
+	}()
+	await("the compaction to start", func() bool { return gauge(inFlight) == 1 })
+	s.mu.Unlock()
+	wg.Wait()
+	if gauge(depth) != 3 || gauge(inFlight) != 0 {
+		t.Fatalf("after the burst: queue_depth %v (want 3), in_flight %v (want 0)", gauge(depth), gauge(inFlight))
+	}
 }

@@ -19,7 +19,7 @@ import (
 // current top-k threshold. The zero value is a valid empty index.
 type compiledIndex struct {
 	ids     []string    // ordinal -> document ID (ascending, dense)
-	docs    []*Document // ordinal -> document (shared with the master's docs)
+	docs    []*Document // ordinal -> document (shared across epochs, never mutated)
 	docLens []uint32    // ordinal -> token count
 	norms   []float64   // ordinal -> sqrt(docLen+1), the score denominator
 	ords    map[string]uint32
@@ -399,7 +399,7 @@ func putScratch(sc *searchScratch) { scratchPool.Put(sc) }
 func (sn *snapshot) searchCompiled(tokens []string, k int, sc *searchScratch, exhaustive bool, gs *GlobalStats) []scored {
 	cx := sn.base.cx
 	ov := sn.ov
-	total := sn.docCount
+	total := sn.docCount()
 	if gs != nil {
 		total = int(gs.TotalDocs)
 	}

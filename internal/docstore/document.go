@@ -1,8 +1,8 @@
 // Package docstore is the per-node storage engine of an Agora information
 // source: a durable document store with an append-only write-ahead log,
 // snapshots with log compaction, and three in-memory indexes — an inverted
-// text index, an LSH vector index for similarity search, and a skiplist over
-// ingestion time for freshness scans.
+// text index, an LSH vector index for similarity search, and a sorted time
+// index over ingestion time for freshness scans.
 //
 // Every independent information system in the agora (museum repository,
 // auction house, magazine archive, a researcher's personal information base)

@@ -1,10 +1,13 @@
 package docstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -128,6 +131,70 @@ func TestWALTornFinalRecord(t *testing.T) {
 	if err := s2.Put(doc("new", "t", "b", 99, nil)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzReplayWAL drives the log decoder with arbitrary files. Replay may stop
+// at a torn tail or refuse mid-log corruption, but it never panics, never
+// claims a clean prefix longer than the file, and the prefix it calls clean
+// is one: replaying just those bytes yields the same operations, untorn.
+func FuzzReplayWAL(f *testing.F) {
+	dir := f.TempDir()
+	s, err := Open(Options{Dir: dir, ConceptDim: 4, Seed: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		if err := s.Put(doc(fmt.Sprintf("d%02d", i%9), "t", "some body", int64(i), feature.Vector{1, 0, 0, float64(i)})); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := s.Delete("d03"); err != nil {
+		f.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		f.Fatal(err)
+	}
+	_, walPath := snapshotPaths(dir)
+	log, err := os.ReadFile(walPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	flipped := bytes.Clone(log)
+	flipped[len(flipped)/3] ^= 0xFF
+	f.Add(log)
+	f.Add(log[:len(log)-5]) // torn tail
+	f.Add(flipped)          // a bad checksum with log after it
+	f.Add([]byte{})
+
+	type record struct {
+		op      uint8
+		payload string
+	}
+	replay := func(t *testing.T, data []byte) (recs []record, clean int64, torn bool, err error) {
+		path := filepath.Join(t.TempDir(), "wal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		clean, torn, err = replayWAL(path, func(op uint8, payload []byte) error {
+			recs = append(recs, record{op, string(payload)})
+			return nil
+		})
+		return recs, clean, torn, err
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, clean, torn, err := replay(t, data)
+		if err != nil && (!errors.Is(err, ErrCorruptRecord) || torn) {
+			t.Fatalf("replay: torn %v, error %v", torn, err)
+		}
+		if clean < 0 || clean > int64(len(data)) || (err == nil && !torn && clean != int64(len(data))) {
+			t.Fatalf("clean prefix %d of %d bytes (torn %v, error %v)", clean, len(data), torn, err)
+		}
+		again, clean2, torn2, err2 := replay(t, data[:clean])
+		if err2 != nil || torn2 || clean2 != clean || !slices.Equal(again, recs) {
+			t.Fatalf("the clean prefix replays to %d records, %d bytes, torn %v, error %v; the whole file gave %d records, %d bytes",
+				len(again), clean2, torn2, err2, len(recs), clean)
+		}
+	})
 }
 
 // TestStoreConcurrentUse hammers a store from many goroutines; run with

@@ -83,7 +83,7 @@ func (s *Store) TermStats(terms []string) (total uint64, epoch uint64, stats []T
 		}
 		stats[i] = TermStat{DF: uint64(df), MaxRatio: maxRatio}
 	}
-	return uint64(sn.docCount), sn.epoch, stats
+	return uint64(sn.docCount()), sn.epoch, stats
 }
 
 // SearchTextGlobal is SearchText scored under router-supplied global

@@ -66,7 +66,7 @@ func loadSnapshotBytes(t testing.TB, raw []byte) (*compiledIndex, error) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return loadSnapshotFile(path, newState(Options{ConceptDim: 8, LSHTables: 2, LSHBits: 4, Seed: 1}))
+	return loadSnapshotFile(path)
 }
 
 // TestMergeIndexMatchesFreshBuild: a compiled index is the previous one
@@ -283,11 +283,15 @@ func TestSnapshotV2RefusesDisorder(t *testing.T) {
 // TestReopenMergesWALTail: Open loads the snapshot's index and merges the
 // whole WAL tail into it once. The tail here replaces and deletes documents
 // the snapshot holds, and adds new ones; the reopened store must equal a
-// monolithic store of the live set. Both snapshot formats take the same
-// path: a v2 file from Compact, and a legacy WAL-format record stream.
+// monolithic store of the live set — and, for the vector, visual, topic and
+// time reads, the brute-force oracle. Both snapshot formats take the same
+// path: a v2 file from Compact, and a legacy WAL-format record stream; and
+// both are reopened twice, from the closed store's files and from a crash
+// image of them (copied while the store runs, a half-written record appended).
 func TestReopenMergesWALTail(t *testing.T) {
-	for _, format := range []string{"v2", "legacy"} {
-		t.Run(format, func(t *testing.T) {
+	for _, name := range []string{"v2", "legacy", "v2/crash", "legacy/crash"} {
+		format, crash := strings.TrimSuffix(name, "/crash"), strings.HasSuffix(name, "/crash")
+		t.Run(name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(23))
 			dir := t.TempDir()
 			opts := Options{Dir: dir, ConceptDim: 8, Seed: 7, QueryCacheSize: -1}
@@ -336,6 +340,23 @@ func TestReopenMergesWALTail(t *testing.T) {
 				}
 			}
 			write(250, 260, 1000) // the tail: replaces, deletes, new ids
+			if crash {
+				img := t.TempDir()
+				imgSnap, imgWAL := snapshotPaths(img)
+				copyFile(t, snapPath, imgSnap)
+				copyFile(t, walPath, imgWAL)
+				f, err := os.OpenFile(imgWAL, os.O_WRONLY|os.O_APPEND, 0o644)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.Write([]byte{opPut, 200, 0, 0, 0, 1, 2}); err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Close(); err != nil {
+					t.Fatal(err)
+				}
+				opts.Dir, walPath = img, imgWAL
+			}
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -364,6 +385,7 @@ func TestReopenMergesWALTail(t *testing.T) {
 				t.Fatalf("Stats().Terms %d, monolithic %d", got, want)
 			}
 			requireSameIndex(t, "reopened vs fresh", s.snap.Load().base.cx, freshIndex(live))
+			requireReadsMatch(t, "reopened", s, live)
 			for _, q := range []string{"gold ring", "byzantine", "amber jade", "mosaic coin", "rare3", "rare5 silver"} {
 				want := mono.SearchTextExhaustive(q, 8)
 				if got := s.SearchTextExhaustive(q, 8); !hitsEqual(got, want) {
@@ -478,7 +500,7 @@ func FuzzSnapshotV2(f *testing.F) {
 		if cx == nil {
 			t.Fatal("a file with the v2 magic was declined as legacy")
 		}
-		sn := &snapshot{epoch: 1, base: &state{cx: cx}, ov: &overlay{}, docCount: len(cx.ids)}
+		sn := &snapshot{epoch: 1, base: &state{cx: cx}, ov: &overlay{}}
 		for _, q := range []string{"gold ring", "byzantine amber", "xx"} {
 			sc := getScratch()
 			got := sn.searchTextRaw(feature.Tokenize(q), 5, sc, nil)

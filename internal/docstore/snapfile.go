@@ -92,12 +92,12 @@ func (r *snapReader) bytes(n uint64) ([]byte, error) {
 	return out, nil
 }
 
-// loadSnapshotFile loads a v2 snapshot: every document goes into the (fresh,
-// empty) master state through applyPut, and the file's postings become the
-// returned index. It returns (nil, nil) when the file is missing or is a
-// legacy pre-v2 snapshot — the caller replays that like a WAL — and an error
-// when a v2 file is corrupt, as mid-log corruption of the WAL itself is.
-func loadSnapshotFile(path string, st *state) (*compiledIndex, error) {
+// loadSnapshotFile loads a v2 snapshot: the file's documents and postings
+// become the returned index. It returns (nil, nil) when the file is missing
+// or is a legacy pre-v2 snapshot — the caller replays that like a WAL — and
+// an error when a v2 file is corrupt, as mid-log corruption of the WAL itself
+// is.
+func loadSnapshotFile(path string) (*compiledIndex, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -143,7 +143,6 @@ func loadSnapshotFile(path string, st *state) (*compiledIndex, error) {
 			return nil, fmt.Errorf("docstore: corrupt snapshot: id %q after %q", d.ID, docs[i-1].ID)
 		}
 		docs[i] = d
-		st.applyPut(d)
 	}
 	cx := newCompiledIndex(len(docs), &compiledIndex{})
 	for _, d := range docs {

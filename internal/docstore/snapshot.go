@@ -1,18 +1,22 @@
 package docstore
 
 import (
+	"cmp"
+	"maps"
+	"math"
 	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/feature"
 )
 
-// This file implements the lock-free read path. The write path (Put /
-// Delete / Compact, serialized by Store.mu) maintains one mutable "master"
-// state and, after every mutation, publishes an immutable snapshot through
-// an atomic pointer. Readers load the snapshot once and never touch the
-// store lock — a search can run entirely concurrently with writers, and a
-// reader holding an old snapshot simply keeps seeing the old epoch.
+// This file implements the lock-free read path. The published snapshot is the
+// store's only state: the write path (serialized by Store.mu) reads it exactly
+// as readers do, builds its successor and publishes that through an atomic
+// pointer. Readers load the snapshot once and never touch the store lock — a
+// search can run entirely concurrently with writers, and a reader holding an
+// old snapshot simply keeps seeing the old epoch.
 //
 // Publishing a full deep copy per write would make Put O(n). Instead a
 // snapshot is a frozen base plus a small immutable overlay delta:
@@ -22,9 +26,9 @@ import (
 // Each commit window clones the (small) overlay once and republishes; once
 // the overlay would pass overlayLimit a fresh base is published and the
 // overlay resets — small-batch coalescing that amortizes the O(n) freeze over
-// many writes. The new base's text index is the last one's merged with the
-// overlay (mergeIndex): base plus overlay are the whole text index, the master
-// keeps none. Its LSH, skiplist and topics are still cloned from the master.
+// many writes. Every base is the last one merged with the overlay: mergeIndex
+// for the text index and document table, state.next for the vector, time and
+// topic indexes.
 //
 // Exactness contract: every read through (base, ov) must be result-identical
 // to the same read against a monolithic index containing the live documents.
@@ -36,114 +40,122 @@ import (
 // feature.Extra). TestSnapshotMatchesMonolithic pins this equivalence
 // across freeze boundaries.
 
-// state bundles the index structures. The master state is guarded by
-// Store.mu; frozen copies inside snapshots are immutable. Only the master has
-// docs (the committer's liveness check, the version a put displaces); only a
-// frozen base has cx, which is both its text index and its document table.
+// state is a frozen base: the index structures over one fixed document set,
+// immutable once next (or newState, for the empty one) returns it.
 type state struct {
-	docs    map[string]*Document
-	cx      *compiledIndex
-	vec     *feature.LSH
-	byTime  *skiplist
-	byTopic map[string]map[string]bool
+	cx     *compiledIndex // text index and document table
+	vec    *feature.LSH   // concept vectors: the documents' own slices
+	byTime []timeEntry    // ascending (CreatedAt, id)
+	topics map[string]int // topic -> documents carrying it
 	// visuals counts docs carrying visual features, so SearchVisual can
 	// return before building any scratch state when there are none.
 	visuals int
 }
 
+// newState returns the empty base every store starts from; it fixes the LSH
+// hyperplanes every later base shares.
 func newState(opts Options) *state {
 	return &state{
-		docs:    make(map[string]*Document),
-		vec:     feature.NewLSH(opts.Seed, opts.ConceptDim, opts.LSHTables, opts.LSHBits),
-		byTime:  newSkiplist(opts.Seed + 1),
-		byTopic: make(map[string]map[string]bool),
+		cx:     &compiledIndex{},
+		vec:    feature.NewLSH(opts.Seed, opts.ConceptDim, opts.LSHTables, opts.LSHBits),
+		topics: map[string]int{},
 	}
 }
 
-// applyPut updates in-memory state only (no WAL, no snapshot publish).
-func (st *state) applyPut(d *Document) {
-	if old, ok := st.docs[d.ID]; ok {
-		st.byTime.remove(old.CreatedAt, old.ID)
-		st.removeTopics(old)
-		if hasVisual(old) {
-			st.visuals--
-		}
+// next is the one builder of a base: prev without the documents ov masks,
+// plus the documents ov carries, around cx, which must index exactly that
+// set. The freeze, Open (the snapshot file's documents carried over the empty
+// base, then the replayed log) and the tests' forced freeze all come here.
+// Only ov's masked, byID and extras are read — all stageDoc maintains — and
+// extras only to reuse signatures putDoc already computed. Documents are
+// shared, never copied: the write path installs a private clone and nothing
+// mutates a stored *Document. What is still O(base): the LSH clone and the
+// time-index copy.
+func (prev *state) next(cx *compiledIndex, ov *overlay) *state {
+	if len(ov.masked) == 0 && len(ov.byID) == 0 {
+		return prev
 	}
-	st.docs[d.ID] = d
-	for _, t := range d.Topics {
-		set, ok := st.byTopic[t]
-		if !ok {
-			set = make(map[string]bool)
-			st.byTopic[t] = set
-		}
-		set[d.ID] = true
-	}
-	if len(d.Concept) > 0 {
-		st.vec.Put(d.ID, d.Concept)
-	} else {
-		st.vec.Delete(d.ID)
-	}
-	st.byTime.insert(d.CreatedAt, d.ID)
-	if hasVisual(d) {
-		st.visuals++
-	}
-}
-
-func (st *state) applyDelete(id string) {
-	d, ok := st.docs[id]
-	if !ok {
-		return
-	}
-	delete(st.docs, id)
-	st.vec.Delete(id)
-	st.byTime.remove(d.CreatedAt, id)
-	st.removeTopics(d)
-	if hasVisual(d) {
-		st.visuals--
-	}
-}
-
-func (st *state) removeTopics(d *Document) {
-	for _, t := range d.Topics {
-		if set, ok := st.byTopic[t]; ok {
-			delete(set, d.ID)
-			if len(set) == 0 {
-				delete(st.byTopic, t)
+	st := &state{cx: cx, vec: prev.vec.Clone(), topics: maps.Clone(prev.topics), visuals: prev.visuals}
+	tally := func(d *Document, by int) {
+		for i, t := range d.Topics {
+			if slices.Contains(d.Topics[:i], t) {
+				continue // listed twice, carried once
+			}
+			if st.topics[t] += by; st.topics[t] == 0 {
+				delete(st.topics, t)
 			}
 		}
+		if hasVisual(d) {
+			st.visuals += by
+		}
 	}
+	drop := make([]timeEntry, 0, len(ov.masked))
+	for id := range ov.masked {
+		d := prev.cx.docs[prev.cx.ords[id]]
+		st.vec.Delete(id)
+		tally(d, -1)
+		drop = append(drop, timeEntry{key: d.CreatedAt, id: id})
+	}
+	sigs := make(map[string][]uint64, len(ov.extras))
+	for i := range ov.extras {
+		sigs[ov.extras[i].ID] = ov.extras[i].Sigs
+	}
+	add := make([]timeEntry, 0, len(ov.byID))
+	for id, d := range ov.byID {
+		if len(d.Concept) > 0 {
+			sg := sigs[id]
+			if sg == nil {
+				sg = st.vec.Signatures(d.Concept)
+			}
+			st.vec.Insert(id, d.Concept, sg)
+		}
+		tally(d, 1)
+		add = append(add, timeEntry{key: d.CreatedAt, id: id})
+	}
+	slices.SortFunc(drop, timeEntry.compare)
+	slices.SortFunc(add, timeEntry.compare)
+	st.byTime = make([]timeEntry, 0, len(prev.byTime)-len(drop)+len(add))
+	for _, e := range prev.byTime {
+		if len(drop) > 0 && e == drop[0] {
+			drop = drop[1:]
+			continue
+		}
+		for len(add) > 0 && add[0].compare(e) < 0 {
+			st.byTime, add = append(st.byTime, add[0]), add[1:]
+		}
+		st.byTime = append(st.byTime, e)
+	}
+	st.byTime = append(st.byTime, add...)
+	return st
 }
 
-// freeze copies the master's index structures into an immutable base around
-// cx, which must hold exactly the master's live documents. Documents
-// themselves are shared: the write path never mutates a stored *Document in
-// place (Put installs a fresh clone), so pointers are safe across epochs.
-func (st *state) freeze(cx *compiledIndex) *state {
-	topics := make(map[string]map[string]bool, len(st.byTopic))
-	for t, set := range st.byTopic {
-		ns := make(map[string]bool, len(set))
-		for id := range set {
-			ns[id] = true
-		}
-		topics[t] = ns
+// carry returns the delta that masks nothing and carries docs, as next reads
+// it: how a snapshot file's documents join the empty base.
+func carry(docs []*Document) *overlay {
+	ov := &overlay{byID: make(map[string]*Document, len(docs))}
+	for _, d := range docs {
+		ov.byID[d.ID] = d
 	}
-	return &state{
-		cx:      cx,
-		vec:     st.vec.Clone(),
-		byTime:  st.byTime.clone(),
-		byTopic: topics,
-		visuals: st.visuals,
-	}
+	return ov
 }
 
 func hasVisual(d *Document) bool {
 	return len(d.ColorHist) > 0 || len(d.Texture) > 0
 }
 
-// timeEntry mirrors one skiplist pair for the overlay's sorted time slice.
+// timeEntry is one pair of a time index — the base's and the overlay's are
+// both slices sorted by compare, so a scan merges the two.
 type timeEntry struct {
-	key int64
+	key int64 // CreatedAt
 	id  string
+}
+
+// compare orders by key, then id.
+func (a timeEntry) compare(b timeEntry) int {
+	if c := cmp.Compare(a.key, b.key); c != 0 {
+		return c
+	}
+	return strings.Compare(a.id, b.id)
 }
 
 // overlay is the immutable delta on top of a frozen base. Every write to an
@@ -172,7 +184,10 @@ type overlay struct {
 	// less base terms whose every carrier is masked and that no overlay
 	// document carries. Kept by setTermPost/delTermPost/maskBase.
 	termDelta int
-	extras    []feature.Extra // overlay concept vectors with precomputed signatures
+	// visualDelta is the same for documents with visual features: the
+	// overlay's carriers less the masked base ones.
+	visualDelta int
+	extras      []feature.Extra // overlay concept vectors with precomputed signatures
 }
 
 // termTF is one distinct term of a document and its frequency there.
@@ -214,16 +229,17 @@ type ovPost struct {
 // documents are immutable after insertion and shared.
 func (ov *overlay) cloneNextN(n int) *overlay {
 	nv := &overlay{
-		ops:       ov.ops + n,
-		masked:    make(map[string]bool, len(ov.masked)+1),
-		maskedDF:  make(map[string]int, len(ov.maskedDF)+8),
-		byID:      make(map[string]*Document, len(ov.byID)+1),
-		byTime:    append([]timeEntry(nil), ov.byTime...),
-		terms:     make(map[string][]termTF, len(ov.terms)+1),
-		docLen:    make(map[string]int, len(ov.docLen)+1),
-		termPost:  make(map[string][]ovPost, len(ov.termPost)+8),
-		termDelta: ov.termDelta,
-		extras:    append([]feature.Extra(nil), ov.extras...),
+		ops:         ov.ops + n,
+		masked:      make(map[string]bool, len(ov.masked)+1),
+		maskedDF:    make(map[string]int, len(ov.maskedDF)+8),
+		byID:        make(map[string]*Document, len(ov.byID)+1),
+		byTime:      append([]timeEntry(nil), ov.byTime...),
+		terms:       make(map[string][]termTF, len(ov.terms)+1),
+		docLen:      make(map[string]int, len(ov.docLen)+1),
+		termPost:    make(map[string][]ovPost, len(ov.termPost)+8),
+		termDelta:   ov.termDelta,
+		visualDelta: ov.visualDelta,
+		extras:      append([]feature.Extra(nil), ov.extras...),
 	}
 	for id := range ov.masked {
 		nv.masked[id] = true
@@ -261,6 +277,9 @@ func (nv *overlay) dropID(id string, cx *compiledIndex) {
 	}
 	delete(nv.terms, id)
 	delete(nv.docLen, id)
+	if hasVisual(old) {
+		nv.visualDelta--
+	}
 	nv.removeTime(old.CreatedAt, id)
 	for i := range nv.extras {
 		if nv.extras[i].ID == id {
@@ -271,36 +290,32 @@ func (nv *overlay) dropID(id string, cx *compiledIndex) {
 }
 
 func (nv *overlay) insertTime(key int64, id string) {
-	i := sort.Search(len(nv.byTime), func(i int) bool {
-		e := nv.byTime[i]
-		return !skipLess(e.key, e.id, key, id)
-	})
-	nv.byTime = append(nv.byTime, timeEntry{})
-	copy(nv.byTime[i+1:], nv.byTime[i:])
-	nv.byTime[i] = timeEntry{key: key, id: id}
+	e := timeEntry{key: key, id: id}
+	i, _ := slices.BinarySearchFunc(nv.byTime, e, timeEntry.compare)
+	nv.byTime = slices.Insert(nv.byTime, i, e)
 }
 
 func (nv *overlay) removeTime(key int64, id string) {
-	i := sort.Search(len(nv.byTime), func(i int) bool {
-		e := nv.byTime[i]
-		return !skipLess(e.key, e.id, key, id)
-	})
-	if i < len(nv.byTime) && nv.byTime[i].key == key && nv.byTime[i].id == id {
-		nv.byTime = append(nv.byTime[:i], nv.byTime[i+1:]...)
+	if i, ok := slices.BinarySearchFunc(nv.byTime, timeEntry{key: key, id: id}, timeEntry.compare); ok {
+		nv.byTime = slices.Delete(nv.byTime, i, i+1)
 	}
 }
 
-// stageDoc records d, whose tokens it sorts, as mergeIndex reads it: live
-// under its distinct terms, its version in cx (the index nv sits on) masked.
-// A window that overflows the overlay — a bulk load is one window of
-// thousands — is only staged: no per-posting copy-on-write, no sorted
-// insert. Callers own nv; with staged documents it is merged, never published.
+// stageDoc records d, whose tokens it sorts, as mergeIndex and state.next
+// read it: live under its distinct terms, its version in cx (the index nv
+// sits on) masked. A window that overflows the overlay — a bulk load is one
+// window of thousands — is only staged: no per-posting copy-on-write, no
+// sorted insert, no LSH signatures. Callers own nv; with staged documents it
+// is merged, never published.
 func (nv *overlay) stageDoc(d *Document, tokens []string, cx *compiledIndex) {
 	nv.dropID(d.ID, cx)
 	nv.maskBase(d.ID, cx)
 	nv.byID[d.ID] = d
 	nv.docLen[d.ID] = len(tokens)
 	nv.terms[d.ID] = termFreqs(tokens)
+	if hasVisual(d) {
+		nv.visualDelta++
+	}
 }
 
 // putDoc folds d into a freshly cloned (not yet published) overlay that will
@@ -333,6 +348,9 @@ func (nv *overlay) maskBase(id string, cx *compiledIndex) {
 		return
 	}
 	nv.masked[id] = true
+	if hasVisual(cx.docs[ord]) {
+		nv.visualDelta--
+	}
 	for _, ti := range cx.fwd[ord] {
 		t := cx.termList[ti]
 		nv.maskedDF[t]++
@@ -414,17 +432,21 @@ func overlayLimit(baseDocs int) int {
 	return lim
 }
 
-// snapshot is one published epoch: an immutable view of the store.
-// docCount/visualCount are copied from the master at publish time so Stats
-// and search normalization need no reconstruction; the live term count is
+// snapshot is one published epoch: an immutable view of the store, and all
+// the state the store has. Its counts are O(1) sums of a base figure and an
+// overlay delta: docCount, visualCount, and the live term count
 // len(base.cx.termList) + ov.termDelta.
 type snapshot struct {
-	epoch       uint64
-	base        *state
-	ov          *overlay
-	docCount    int
-	visualCount int
+	epoch uint64
+	base  *state
+	ov    *overlay
 }
+
+func (sn *snapshot) docCount() int {
+	return len(sn.base.cx.ids) - len(sn.ov.masked) + len(sn.ov.byID)
+}
+
+func (sn *snapshot) visualCount() int { return sn.base.visuals + sn.ov.visualDelta }
 
 // getDoc returns the live document for id, or nil. The pointer is
 // snapshot-owned and must be cloned before leaving the store.
@@ -483,7 +505,7 @@ func (sn *snapshot) assembleHits(res []scored) []Hit {
 func (sn *snapshot) searchVectorRaw(concept feature.Vector, k int) []Hit {
 	excluded := func(id string) bool { return sn.ov.masked[id] }
 	var cands []feature.Candidate
-	if sn.docCount <= 256 {
+	if sn.docCount() <= 256 {
 		cands = sn.base.vec.ScanWith(concept, k, sn.ov.extras, excluded)
 	} else {
 		cands = sn.base.vec.QueryWith(concept, k, sn.ov.extras, excluded)
@@ -500,98 +522,70 @@ func (sn *snapshot) searchVectorRaw(concept feature.Vector, k int) []Hit {
 	return hits
 }
 
+// timeRange returns the entries of a time index with key in [from, to].
+func timeRange(ents []timeEntry, from, to int64) []timeEntry {
+	lo := sort.Search(len(ents), func(i int) bool { return ents[i].key >= from })
+	hi := sort.Search(len(ents), func(i int) bool { return ents[i].key > to })
+	return ents[lo:max(lo, hi)]
+}
+
 // scanAsc visits live (key, id) pairs with key in [from, to] ascending — an
-// ordered merge of the base skiplist (skipping masked ids) with the
-// overlay's sorted slice, yielding exactly the sequence a monolithic
-// skiplist over the live set would.
+// ordered merge of the base's time index (skipping masked ids) with the
+// overlay's, yielding exactly the sequence one index over the live set would.
 func (sn *snapshot) scanAsc(from, to int64, visit func(key int64, id string) bool) {
-	ents := sn.ov.byTime
-	oi := 0
-	for oi < len(ents) && ents[oi].key < from {
-		oi++
-	}
-	stopped := false
-	sn.base.byTime.scanRange(from, to, func(k int64, id string) bool {
-		for oi < len(ents) && ents[oi].key <= to && skipLess(ents[oi].key, ents[oi].id, k, id) {
-			if !visit(ents[oi].key, ents[oi].id) {
-				stopped = true
-				return false
+	bt, ot := timeRange(sn.base.byTime, from, to), timeRange(sn.ov.byTime, from, to)
+	for len(bt) > 0 || len(ot) > 0 {
+		var e timeEntry
+		if len(ot) == 0 || (len(bt) > 0 && bt[0].compare(ot[0]) < 0) {
+			e, bt = bt[0], bt[1:]
+			if sn.ov.masked[e.id] {
+				continue
 			}
-			oi++
+		} else {
+			e, ot = ot[0], ot[1:]
 		}
-		if sn.ov.masked[id] {
-			return true
-		}
-		if !visit(k, id) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if stopped {
-		return
-	}
-	for oi < len(ents) && ents[oi].key <= to {
-		if !visit(ents[oi].key, ents[oi].id) {
+		if !visit(e.key, e.id) {
 			return
-		}
-		oi++
-	}
-}
-
-// scanDesc visits live pairs with key <= max in descending order,
-// materializing the ascending merge like skiplist.scanDescending. limit < 0
-// means unbounded; like the skiplist, it counts visits.
-func (sn *snapshot) scanDesc(max int64, limit int, visit func(key int64, id string) bool) {
-	var all []timeEntry
-	sn.scanAsc(-1<<63, max, func(k int64, id string) bool {
-		all = append(all, timeEntry{key: k, id: id})
-		return true
-	})
-	for i := len(all) - 1; i >= 0; i-- {
-		if limit == 0 {
-			return
-		}
-		if !visit(all[i].key, all[i].id) {
-			return
-		}
-		if limit > 0 {
-			limit--
 		}
 	}
 }
 
-// topicCount counts live docs carrying topic: base members not masked, plus
-// overlay carriers.
+// scanDesc is scanAsc from the other end: live pairs with key <= to,
+// descending, walked from the tails of the two indexes so a bounded scan
+// costs what it visits. limit < 0 means unbounded; it counts visits.
+func (sn *snapshot) scanDesc(to int64, limit int, visit func(key int64, id string) bool) {
+	bt, ot := timeRange(sn.base.byTime, math.MinInt64, to), timeRange(sn.ov.byTime, math.MinInt64, to)
+	for limit != 0 && (len(bt) > 0 || len(ot) > 0) {
+		var e timeEntry
+		if b, o := len(bt)-1, len(ot)-1; o < 0 || (b >= 0 && bt[b].compare(ot[o]) > 0) {
+			e, bt = bt[b], bt[:b]
+			if sn.ov.masked[e.id] {
+				continue
+			}
+		} else {
+			e, ot = ot[o], ot[:o]
+		}
+		if !visit(e.key, e.id) {
+			return
+		}
+		limit--
+	}
+}
+
+// topicCount counts live docs carrying topic: the base's count, less its
+// masked carriers, plus overlay carriers.
 func (sn *snapshot) topicCount(topic string) int {
-	set := sn.base.byTopic[topic]
-	n := len(set)
+	cx := sn.base.cx
+	n := sn.base.topics[topic]
 	for id := range sn.ov.masked {
-		if set[id] {
+		if slices.Contains(cx.docs[cx.ords[id]].Topics, topic) {
 			n--
 		}
 	}
 	for _, d := range sn.ov.byID {
-		for _, t := range d.Topics {
-			if t == topic {
-				n++
-				break
-			}
+		if slices.Contains(d.Topics, topic) {
+			n++
 		}
 	}
 	return n
-}
-
-// hasTopic reports whether the live doc id carries topic. Callers only pass
-// ids that came out of a live scan, so masked base ids never reach here.
-func (sn *snapshot) hasTopic(id, topic string) bool {
-	if d, ok := sn.ov.byID[id]; ok {
-		for _, t := range d.Topics {
-			if t == topic {
-				return true
-			}
-		}
-		return false
-	}
-	return sn.base.byTopic[topic][id]
 }

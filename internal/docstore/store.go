@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,7 +28,7 @@ type Options struct {
 	// sensible defaults.
 	LSHTables int
 	LSHBits   int
-	// Seed drives index randomness (LSH hyperplanes, skiplist levels).
+	// Seed drives index randomness (the LSH hyperplanes).
 	Seed int64
 	// SyncEveryPut makes every Put/Delete/PutBatch durable before it
 	// returns: the commit pipeline fsyncs each window, so N writers
@@ -45,10 +46,13 @@ type Options struct {
 	// Telemetry receives per-operation latency histograms and counters
 	// (docstore.put, docstore.search.*, docstore.compact, WAL replay,
 	// docstore.epoch, docstore.cache.*, docstore.snapshot.freezes with the
-	// docstore.freeze.latency histogram, and the group-commit pipeline's
+	// docstore.freeze.latency histogram, the group-commit pipeline's
 	// docstore.wal.{syncs,windows,group_size,sync_wait_us} counters plus
-	// the docstore.commit latency histogram). Nil disables
-	// instrumentation.
+	// the docstore.commit latency histogram, and the gauges
+	// docstore.commit.queue_depth — requests waiting when the committer
+	// starts a window, those it takes included; 0 on an in-memory store —
+	// and docstore.compact.in_flight, 1 while a compaction cycle runs).
+	// Nil disables instrumentation.
 	Telemetry *telemetry.Registry
 }
 
@@ -58,7 +62,7 @@ type storeTel struct {
 	puts, deletes, searches, walRecords, freezes                *telemetry.Counter
 	walSyncs, walWindows, walGroupSize, walSyncWaitUs           *telemetry.Counter
 	compactErrors                                               *telemetry.Counter
-	epoch                                                       *telemetry.Gauge
+	epoch, queueDepth, compactActive                            *telemetry.Gauge
 	putLat, deleteLat, textLat, vectorLat, visualLat, hybridLat *telemetry.Histogram
 	compactLat, replayLat, commitLat, freezeLat                 *telemetry.Histogram
 }
@@ -82,6 +86,8 @@ func newStoreTel(reg *telemetry.Registry) storeTel {
 		walSyncWaitUs: reg.Counter("docstore.wal.sync_wait_us"),
 		compactErrors: reg.Counter("docstore.compact.errors"),
 		epoch:         reg.Gauge("docstore.epoch"),
+		queueDepth:    reg.Gauge("docstore.commit.queue_depth"),
+		compactActive: reg.Gauge("docstore.compact.in_flight"),
 		putLat:        reg.Histogram("docstore.put"),
 		deleteLat:     reg.Histogram("docstore.delete"),
 		textLat:       reg.Histogram("docstore.search.text"),
@@ -91,7 +97,7 @@ func newStoreTel(reg *telemetry.Registry) storeTel {
 		compactLat:    reg.Histogram("docstore.compact"),
 		replayLat:     reg.Histogram("docstore.wal.replay"),
 		commitLat:     reg.Histogram("docstore.commit"),
-		// The writer stall of one overflow: merge plus master.freeze.
+		// The writer stall of one overflow: mergeIndex plus state.next.
 		freezeLat: reg.Histogram("docstore.freeze.latency"),
 	}
 }
@@ -114,12 +120,13 @@ var (
 // take the store lock (a contract enforced by agoralint's lockfree analyzer
 // — see snapshot.go for the epoch/overlay design).
 type Store struct {
-	mu     sync.Mutex // serializes mutation of master/log/snapshot publish; never taken on the read path
-	opts   Options
-	master *state // mutable truth, guarded by mu
-	log    *wal   // guarded by mu
-	tel    storeTel
+	mu   sync.Mutex // serializes log appends and snapshot publishes; never taken on the read path
+	opts Options
+	log  *wal // guarded by mu
+	tel  storeTel
 
+	// snap is all the store's state: writers (under mu) read it as readers
+	// do, and replace it.
 	snap   atomic.Pointer[snapshot]
 	cache  *queryCache
 	tokens *tokenMemo
@@ -158,13 +165,13 @@ func Open(opts Options) (*Store, error) {
 	}
 	s := &Store{
 		opts:   opts,
-		master: newState(opts),
 		tel:    newStoreTel(opts.Telemetry),
 		cache:  newQueryCache(opts.QueryCacheSize, opts.Telemetry),
 		tokens: newTokenMemo(opts.Telemetry),
 	}
+	base := newState(opts)
 	if opts.Dir == "" {
-		s.installLocked(&snapshot{epoch: 1, base: s.master.freeze(&compiledIndex{}), ov: &overlay{}})
+		s.installLocked(&snapshot{epoch: 1, base: base, ov: &overlay{}})
 		return s, nil
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
@@ -173,16 +180,17 @@ func Open(opts Options) (*Store, error) {
 	snapPath, walPath := snapshotPaths(opts.Dir)
 	replayStart := time.Now()
 	// Snapshot files carry a versioned header. The compiled (v2) format
-	// loads postings blocks directly — no per-document re-tokenization.
-	// The log after it (and all of a legacy snapshot, a WAL-format record
-	// stream) replays into the master and into one delta, merged once below.
-	cx, err := loadSnapshotFile(snapPath, s.master)
+	// loads postings blocks directly — no per-document re-tokenization — and
+	// its documents are carried onto the empty base. The log after it (and
+	// all of a legacy snapshot, a WAL-format record stream) is staged into
+	// one delta, merged once below.
+	file, err := loadSnapshotFile(snapPath)
 	if err != nil {
 		return nil, err
 	}
-	legacy := cx == nil
-	if legacy {
-		cx = &compiledIndex{}
+	legacy := file == nil
+	if !legacy {
+		base = base.next(file, carry(file.docs))
 	}
 	delta := (&overlay{}).cloneNextN(0)
 	apply := func(op uint8, payload []byte) error {
@@ -193,11 +201,9 @@ func Open(opts Options) (*Store, error) {
 			if err != nil {
 				return err
 			}
-			s.master.applyPut(d)
-			delta.stageDoc(d, d.Tokens(), cx)
+			delta.stageDoc(d, d.Tokens(), base.cx)
 		case opDelete:
-			s.master.applyDelete(string(payload))
-			delta.deleteDoc(string(payload), cx)
+			delta.deleteDoc(string(payload), base.cx)
 		}
 		return nil
 	}
@@ -223,43 +229,38 @@ func Open(opts Options) (*Store, error) {
 	s.walBytes.Store(s.log.size)
 	// One publish for the whole replay: per-record publishing would make
 	// recovery O(n) snapshot churn for nothing.
-	s.installLocked(&snapshot{epoch: 1, base: s.master.freeze(mergeIndex(cx, delta)), ov: &overlay{}})
+	s.installLocked(&snapshot{epoch: 1, base: base.next(mergeIndex(base.cx, delta), delta), ov: &overlay{}})
 	s.startCommitter()
 	return s, nil
 }
 
-// installLocked stamps the snapshot with the master's current counts and
-// publishes it. Callers hold mu (or are inside Open before the store
-// escapes).
+// installLocked publishes sn. Callers hold mu (or are inside Open before the
+// store escapes).
 func (s *Store) installLocked(sn *snapshot) {
-	sn.docCount = len(s.master.docs)
-	sn.visualCount = s.master.visuals
 	s.snap.Store(sn)
 	s.tel.epoch.Set(float64(sn.epoch))
 }
 
 // freezeLocked publishes, as cur's successor, a fresh base with an empty
-// overlay — the coalescing point that keeps overlays small. The base's text
-// index is cur's merged with delta, which must hold every write since cur's
-// base was frozen; the master must hold them too.
+// overlay — the coalescing point that keeps overlays small. The base is cur's
+// merged with delta, which must hold every write since cur's base was frozen.
 func (s *Store) freezeLocked(cur *snapshot, delta *overlay) {
 	start := time.Now()
 	s.tel.freezes.Inc()
-	s.installLocked(&snapshot{epoch: cur.epoch + 1, base: s.master.freeze(mergeIndex(cur.base.cx, delta)), ov: &overlay{}})
+	base := cur.base.next(mergeIndex(cur.base.cx, delta), delta)
+	s.installLocked(&snapshot{epoch: cur.epoch + 1, base: base, ov: &overlay{}})
 	s.tel.freezeLat.Observe(time.Since(start))
 }
 
 // publishWindowLocked publishes one epoch covering the n non-skipped ops of a
 // commit window, folded into a single overlay clone in WAL order: the window
-// pays the O(overlay) deep copy once, exactly as it pays one fsync. The
-// master must already hold every op (apply precedes publish). When the
+// pays the O(overlay) deep copy once, exactly as it pays one fsync. When the
 // window pushes the overlay past its coalescing limit the clone is never
 // searched — it is the delta of a freeze — so its documents are only staged.
-func (s *Store) publishWindowLocked(window []*commitReq, n int) {
+func (s *Store) publishWindowLocked(cur *snapshot, window []*commitReq, n int) {
 	if n == 0 {
 		return
 	}
-	cur := s.snap.Load()
 	cx := cur.base.cx
 	freeze := cur.ov.ops+n > overlayLimit(len(cx.ids))
 	nv := cur.ov.cloneNextN(n)
@@ -275,7 +276,7 @@ func (s *Store) publishWindowLocked(window []*commitReq, n int) {
 			default:
 				var sigs []uint64
 				if len(op.doc.Concept) > 0 {
-					sigs = s.master.vec.Signatures(op.doc.Concept)
+					sigs = cur.base.vec.Signatures(op.doc.Concept)
 				}
 				nv.putDoc(op.doc, op.tokens, sigs, cx)
 			}
@@ -344,7 +345,7 @@ func (s *Store) Get(id string) (*Document, error) {
 
 // Len returns the number of stored documents.
 func (s *Store) Len() int {
-	return s.snap.Load().docCount
+	return s.snap.Load().docCount()
 }
 
 // Epoch returns the current snapshot generation. Each commit window bumps it
@@ -442,7 +443,7 @@ func (s *Store) SearchVisual(query feature.VisualFeatures, colorWeight float64, 
 	defer func() { s.tel.visualLat.Observe(time.Since(start)) }()
 	s.countSearch()
 	sn := s.snap.Load()
-	if sn.visualCount == 0 {
+	if sn.visualCount() == 0 {
 		return nil
 	}
 	type vcand struct {
@@ -558,10 +559,7 @@ func (s *Store) ByTopic(topic string, k int) []*Document {
 	}
 	var out []*Document
 	sn.scanDesc(1<<62, -1, func(_ int64, id string) bool {
-		if !sn.hasTopic(id, topic) {
-			return true
-		}
-		if d := sn.getDoc(id); d != nil {
+		if d := sn.getDoc(id); slices.Contains(d.Topics, topic) {
 			out = append(out, d.Clone())
 		}
 		return k <= 0 || len(out) < k
@@ -671,7 +669,11 @@ func (s *Store) Compact() error {
 // (TestCompactCrashBetweenSwaps pins this).
 func (s *Store) compactOnce() error {
 	start := time.Now()
-	defer func() { s.tel.compactLat.Observe(time.Since(start)) }()
+	s.tel.compactActive.Set(1)
+	defer func() {
+		s.tel.compactActive.Set(0)
+		s.tel.compactLat.Observe(time.Since(start))
+	}()
 
 	// Phase 1 (under mu): pin the snapshot/WAL consistency point.
 	s.mu.Lock()
@@ -809,7 +811,7 @@ type Stats struct {
 func (s *Store) Stats() Stats {
 	sn := s.snap.Load()
 	return Stats{
-		Docs:          sn.docCount,
+		Docs:          sn.docCount(),
 		Terms:         len(sn.base.cx.termList) + sn.ov.termDelta,
 		Puts:          s.puts.Load(),
 		Deletes:       s.deletes.Load(),

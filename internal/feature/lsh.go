@@ -16,8 +16,6 @@ import (
 // across tables; the caller re-scores candidates exactly.
 type LSH struct {
 	mu     sync.RWMutex
-	dim    int
-	bits   int
 	planes [][]Vector // [table][bit] hyperplane
 	tables []map[uint64][]string
 	items  map[string]Vector
@@ -35,8 +33,6 @@ func NewLSH(seed int64, dim, tables, bits int) *LSH {
 	}
 	r := rand.New(rand.NewSource(seed))
 	l := &LSH{
-		dim:    dim,
-		bits:   bits,
 		planes: make([][]Vector, tables),
 		tables: make([]map[uint64][]string, tables),
 		items:  make(map[string]Vector),
@@ -55,9 +51,6 @@ func NewLSH(seed int64, dim, tables, bits int) *LSH {
 	return l
 }
 
-// Dim returns the indexed dimensionality.
-func (l *LSH) Dim() int { return l.dim }
-
 // Len returns the number of indexed items.
 func (l *LSH) Len() int {
 	l.mu.RLock()
@@ -75,17 +68,22 @@ func (l *LSH) signature(t int, v Vector) uint64 {
 	return sig
 }
 
-// Put indexes v under id, replacing any previous vector for id.
+// Put indexes a copy of v under id, replacing any previous vector for id.
 func (l *LSH) Put(id string, v Vector) {
+	cp := v.Clone()
+	l.Insert(id, cp, l.Signatures(cp))
+}
+
+// Insert is Put for a caller that already owns v and its Signatures: the
+// index keeps v itself, which must never change again.
+func (l *LSH) Insert(id string, v Vector, sigs []uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if _, ok := l.items[id]; ok {
 		l.removeLocked(id)
 	}
-	cp := v.Clone()
-	l.items[id] = cp
-	for t := range l.tables {
-		sig := l.signature(t, cp)
+	l.items[id] = v
+	for t, sig := range sigs {
 		l.tables[t][sig] = append(l.tables[t][sig], id)
 	}
 }
@@ -151,8 +149,6 @@ func (l *LSH) Clone() *LSH {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	cp := &LSH{
-		dim:    l.dim,
-		bits:   l.bits,
 		planes: l.planes,
 		tables: make([]map[uint64][]string, len(l.tables)),
 		items:  make(map[string]Vector, len(l.items)),

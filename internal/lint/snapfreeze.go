@@ -13,19 +13,23 @@ import (
 // snapshot hands to lock-free readers is here — once a snapshot pointer
 // is stored, every byte behind it must stay frozen, or readers race.
 //
-//   - snapshot is assembled and published by installLocked;
+//   - snapshot is a literal, whole before installLocked publishes it;
+//   - state, the frozen base, is built only by next: the store keeps no
+//     mutable twin of it, so the one builder is the one writer;
 //   - compiledIndex is filled only by addDoc and appendTerm (the freeze
 //     and the compactor's merge, and the snapshot loader, all build
 //     through them);
 //   - overlay is copy-on-write: the clone/fold family (stageDoc for a
-//     window that is merged instead of searched) builds the next overlay
-//     value, and nothing mutates a published one.
+//     window that is merged instead of searched, carry for a snapshot
+//     file's documents) builds the next overlay value, and nothing
+//     mutates a published one.
 var snapfreezeFrozen = map[string]map[string][]string{
 	"internal/docstore": {
-		"snapshot":      {"installLocked"},
+		"snapshot":      {},
+		"state":         {"next"},
 		"compiledIndex": {"addDoc", "appendTerm"},
 		"overlay": {
-			"cloneNextN", "dropID", "insertTime", "removeTime", "stageDoc",
+			"cloneNextN", "dropID", "insertTime", "removeTime", "stageDoc", "carry",
 			"putDoc", "deleteDoc", "maskBase", "setTermPost", "delTermPost",
 		},
 	},
@@ -35,13 +39,13 @@ var snapfreezeFrozen = map[string]map[string][]string{
 // into a compile gate: any assignment (or ++/--) whose target path
 // passes through a field of a frozen type, outside that type's listed
 // constructors, is reported. The target *path* matters: in
-// `sn.base.docs[id] = d` the spine crosses snapshot.base, so the write
-// is caught even though the assigned field lives on an inner unfrozen
-// type. Selector reads on the right-hand side (and map keys on the
+// `sn.base.byTime[i].key = 0` the spine crosses state.byTime, so the
+// write is caught even though the assigned field lives on an inner
+// unfrozen type. Selector reads on the right-hand side (and map keys on the
 // left) are untouched.
 var snapfreezeAnalyzer = &Analyzer{
 	Name: "snapfreeze",
-	Doc:  "fields of published snapshot/compiledIndex/overlay values may only be assigned in their freeze/compile constructors",
+	Doc:  "fields of published snapshot/state/compiledIndex/overlay values may only be assigned in their freeze/compile constructors",
 	RunModule: func(m *Module, report ReportFunc) {
 		for pkgPath, frozenCfg := range snapfreezeFrozen {
 			p := m.Lookup(pkgPath)

@@ -4,8 +4,13 @@
 // frozen-type table is keyed on them.
 package docstore
 
+type timeEntry struct {
+	key int64
+	id  string
+}
+
 type state struct {
-	docs map[string]int
+	byTime []timeEntry
 }
 
 type compiledIndex struct {
@@ -19,7 +24,7 @@ type overlay struct {
 
 type snapshot struct {
 	epoch    uint64
-	base     state
+	base     *state
 	cx       *compiledIndex
 	ov       *overlay
 	docCount int
@@ -36,16 +41,21 @@ func (cx *compiledIndex) appendTerm(term string) {
 	cx.norms = append(cx.norms, 0)
 }
 
-// installLocked builds and publishes the next snapshot: legal, including
-// writes that land behind its inner state value.
-func (s *Store) installLocked(next state) {
-	sn := &snapshot{}
-	sn.base = next
-	sn.cx = &compiledIndex{}
-	sn.cx.appendTerm("t")
-	sn.docCount = len(next.docs)
-	sn.epoch++
-	s.current = sn // Store is not frozen: republishing the pointer is the design
+// next is the one builder of a base: its assignments are legal, closures
+// included.
+func (prev *state) next(e timeEntry) *state {
+	st := &state{}
+	st.byTime = append(st.byTime, prev.byTime...)
+	func() { st.byTime[0] = e }()
+	return st
+}
+
+// installLocked publishes a snapshot that is whole already: a literal assigns
+// no field. Store is not frozen — republishing the pointer is the design.
+func (s *Store) installLocked(next *state) {
+	cx := &compiledIndex{}
+	cx.appendTerm("t")
+	s.current = &snapshot{epoch: s.current.epoch + 1, base: next, cx: cx, docCount: len(next.byTime)}
 }
 
 // cloneNextN is overlay's fold-family constructor: legal.
@@ -60,7 +70,8 @@ func (ov *overlay) cloneNextN() *overlay {
 // target path.
 func (s *Store) mutateAfterPublish(id string) {
 	s.current.docCount++             // want "snapshot.docCount assigned in mutateAfterPublish"
-	s.current.base.docs[id] = 1      // want "snapshot.base assigned in mutateAfterPublish"
+	s.current.base = nil             // want "snapshot.base assigned in mutateAfterPublish"
+	s.current.base.byTime[0].id = id // want "state.byTime assigned in mutateAfterPublish"
 	s.current.cx.terms = nil         // want "compiledIndex.terms assigned in mutateAfterPublish"
 	s.current.cx.norms[0] = 0        // want "compiledIndex.norms assigned in mutateAfterPublish"
 	s.current.ov.termPost["t"] = nil // want "overlay.termPost assigned in mutateAfterPublish"
@@ -68,7 +79,7 @@ func (s *Store) mutateAfterPublish(id string) {
 
 // Reads are always fine.
 func (s *Store) read(id string) int {
-	return s.current.base.docs[id] + s.current.docCount
+	return len(s.current.base.byTime) + s.current.docCount
 }
 
 // A reasoned allow covers a deliberate exception.
