@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/bench"
 )
@@ -31,22 +30,8 @@ func main() {
 		}
 	}
 	fmt.Printf("# Open Agora experiment suite (seed=%d, scale=%g)\n\n", *seed, *scale)
-	start := time.Now()
-	ran := 0
-	for _, e := range bench.Suite() {
-		if len(want) > 0 && !want[e.ID] {
-			continue
-		}
-		fmt.Printf("## %s — %s\n\n", e.ID, e.Title)
-		t0 := time.Now()
-		r := e.Run(*seed, *scale)
-		r.Render(os.Stdout)
-		fmt.Printf("_(%s in %s)_\n\n", e.ID, time.Since(t0).Round(time.Millisecond))
-		ran++
-	}
-	if ran == 0 {
+	if len(bench.RunAll(os.Stdout, *seed, *scale, want)) == 0 {
 		fmt.Fprintln(os.Stderr, "agora-bench: no experiments matched -only")
 		os.Exit(1)
 	}
-	fmt.Printf("Ran %d experiments in %s.\n", ran, time.Since(start).Round(time.Millisecond))
 }

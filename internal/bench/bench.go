@@ -66,25 +66,30 @@ func Suite() []Experiment {
 		{"E17", "Ablation: LSH vector-index parameters", E17LSHAblation},
 		{"E18", "Integration: registry vs overlay discovery", E18DiscoveryVsRegistry},
 		{"E19", "Personalization: risk-profile recovery & use", E19RiskProfiling},
-		{"E20", "Substrate: telemetry overhead & instrument coherence", E20TelemetryOverhead},
+		{"E20", "Substrate: telemetry instrument coherence", E20TelemetryOverhead},
 		{"E21", "Pipeline: parallel source fan-out & hedged tail latency", E21ParallelFanout},
 		{"E22", "Substrate: lock-free snapshot reads under writer churn", E22LockFreeReads},
-		{"E23", "Substrate: group-commit WAL write throughput", E23GroupCommit},
-		{"E24", "Substrate: distributed tracing overhead & tail-sampled retention", E24DistributedTracing},
+		{"E23", "Substrate: group-commit WAL determinism", E23GroupCommit},
+		{"E24", "Substrate: distributed trace identity & tail-sampled retention", E24DistributedTracing},
 		{"E25", "Substrate: block-max top-k search vs exhaustive scoring", E25BlockMaxSearch},
-		{"E26", "Substrate: sharded corpus scatter-gather ask scaling", E26ShardedScatter},
+		{"E26", "Substrate: sharded corpus scatter-gather identity & pruning", E26ShardedScatter},
 		{"E27", "Substrate: zero-alloc batched wire path", E27WirePath},
 	}
 }
 
-// RunAll executes the full suite at the given scale, rendering each table.
-// Per-experiment wall time is recorded through the telemetry package itself
-// (bench.<ID> histograms) and summarized in a closing runtime-cost table —
-// the harness eats its own observability dog food.
-func RunAll(w io.Writer, seed int64, scale float64) []*Result {
+// RunAll executes the suite at the given scale, rendering each table: the
+// experiments whose IDs are in only, or all of them when only is empty. It
+// returns nil when only matches nothing. Per-experiment wall time is
+// recorded through the telemetry package itself (bench.<ID> histograms) and
+// summarized in a closing runtime-cost table — the harness eats its own
+// observability dog food.
+func RunAll(w io.Writer, seed int64, scale float64, only map[string]bool) []*Result {
 	reg := telemetry.NewRegistry()
 	var out []*Result
 	for _, e := range Suite() {
+		if len(only) > 0 && !only[e.ID] {
+			continue
+		}
 		fmt.Fprintf(w, "## %s — %s\n\n", e.ID, e.Title)
 		start := time.Now()
 		r := e.Run(seed, scale)
@@ -92,7 +97,9 @@ func RunAll(w io.Writer, seed int64, scale float64) []*Result {
 		r.Render(w)
 		out = append(out, r)
 	}
-	renderRuntimes(w, reg.Snapshot(), out)
+	if len(out) > 0 {
+		renderRuntimes(w, reg.Snapshot(), out)
+	}
 	return out
 }
 

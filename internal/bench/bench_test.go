@@ -2,7 +2,6 @@ package bench
 
 import (
 	"io"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -11,6 +10,14 @@ import (
 
 // The tests here assert the qualitative shapes DESIGN.md §3 claims — they
 // are the "does the reproduction hold" checks, run at reduced scale.
+//
+// Exactly two of them read a stopwatch, both with a wide margin: E11 asks
+// that the predicate index is not slower than a linear scan (measured ~2×
+// faster), E21 that a 4-source fan-out at least halves p50 latency
+// (measured ~3.3×, and dominated by the simulated providers' sleeps, not by
+// CPU). Every other assertion, and every substrate experiment (E20,
+// E22–E27), is on counts, ratios of counts and identity flags; timing of
+// the substrate is read from `go run ./benchmark`.
 
 const testScale = 0.5
 
@@ -337,25 +344,13 @@ func TestE22Shapes(t *testing.T) {
 	if h["identical_under_churn"] != 1 {
 		t.Fatal("reads under churn diverged from the quiescent result")
 	}
-	// The writer must have made progress in both disciplines, or the
-	// latency comparison is vacuous.
-	if h["locked_writer_puts_16r"] == 0 || h["snapshot_writer_puts_16r"] == 0 {
-		t.Fatalf("writer starved: locked=%v snapshot=%v",
-			h["locked_writer_puts_16r"], h["snapshot_writer_puts_16r"])
+	// Every put publishes an epoch, and the readers ran beside all of them,
+	// or the identity above is vacuous.
+	if h["epochs_published"] != h["writer_puts"] || h["writer_puts"] == 0 {
+		t.Fatalf("writer published %v epochs over %v puts", h["epochs_published"], h["writer_puts"])
 	}
-	if h["snapshot_p50_ms_16r"] <= 0 {
-		t.Fatalf("snapshot p50 not measured: %v", h["snapshot_p50_ms_16r"])
-	}
-	// Qualitative direction on any host: lock-free reads are not slower
-	// at the median. The quantitative ≥2× claim is asserted only with
-	// real parallelism available — on a single-core CI runner the paced
-	// workload still shows the convoy, but scheduler jitter makes a hard
-	// ratio flaky.
-	if runtime.NumCPU() >= 4 && h["p50_speedup_16r"] < 2 {
-		t.Fatalf("16-reader p50 speedup %.2f < 2", h["p50_speedup_16r"])
-	}
-	if h["p50_speedup_16r"] < 1 {
-		t.Fatalf("snapshot reads slower than locked at p50: %.2f", h["p50_speedup_16r"])
+	if h["reads_checked"] == 0 {
+		t.Fatal("no read was checked")
 	}
 }
 
@@ -363,26 +358,13 @@ func TestE23Shapes(t *testing.T) {
 	r := E23GroupCommit(23, testScale)
 	h := r.Headline
 	// The write-path determinism contract is absolute: batched windows must
-	// leave the byte-identical WAL a serialized writer leaves, and recovery
-	// from either log must rebuild identical stores.
+	// leave the byte-identical WAL one-op windows leave, and recovery from
+	// either log must rebuild identical stores.
 	if h["byte_identical"] != 1 {
-		t.Fatal("group-commit WAL diverged byte-wise from the serialized WAL")
+		t.Fatal("batched-window WAL diverged byte-wise from the one-op-window WAL")
 	}
 	if h["recovered_identical"] != 1 {
 		t.Fatal("recovery from the two WALs produced different stores")
-	}
-	if h["group_puts_per_s_16w"] <= 0 {
-		t.Fatalf("group-commit throughput not measured: %v", h["group_puts_per_s_16w"])
-	}
-	// Qualitative direction on any host: sharing fsyncs is not slower. The
-	// quantitative ≥2× claim is asserted only with real parallelism
-	// available — with one core there is no concurrent window to batch and
-	// scheduler jitter makes a hard ratio flaky.
-	if h["tput_speedup_16w"] < 1 {
-		t.Fatalf("group commit slower than serialized at 16 writers: %.2f", h["tput_speedup_16w"])
-	}
-	if runtime.NumCPU() >= 4 && h["tput_speedup_16w"] < 2 {
-		t.Fatalf("16-writer throughput speedup %.2f < 2", h["tput_speedup_16w"])
 	}
 }
 
@@ -405,13 +387,6 @@ func TestE24Shapes(t *testing.T) {
 	}
 	if h["exemplar_buckets"] <= 0 {
 		t.Fatalf("no exemplars recorded: %v", h["exemplar_buckets"])
-	}
-	// Overhead gate (E24 acceptance): ≤5% vs tracing disabled on a quiet
-	// machine. Scheduler noise can push a single short run past the bar, so
-	// the shape test uses a looser 4× fence; EXPERIMENTS.md records the
-	// measured full-scale figure against the real 5% criterion.
-	if h["overhead_frac"] > 0.20 {
-		t.Fatalf("tracing overhead %.1f%% implausibly high", h["overhead_frac"]*100)
 	}
 }
 
@@ -443,19 +418,12 @@ func TestE25Shapes(t *testing.T) {
 	if h["blocks_skip_ratio"] <= 0 {
 		t.Fatalf("no postings blocks skipped: %+v", h)
 	}
-	// The speedup is hardware-sensitive; gate it only on real parallism
-	// hosts and loosely — EXPERIMENTS.md records the measured figure.
-	if runtime.NumCPU() >= 4 && h["speedup"] < 1 {
-		t.Fatalf("block-max slower than exhaustive: %.2fx", h["speedup"])
-	}
 }
 
 func TestE26Shapes(t *testing.T) {
 	// Quarter scale: E26 seeds four TCP clusters (1+2+4+8 = 15 stores)
-	// from the same corpus and runs three phases per cluster, so it is
-	// the suite's most setup-heavy experiment; the qualitative shapes
-	// below hold from 8k documents up, and the full-scale scaling curve
-	// is gated by make bench-shard-check, not here.
+	// from the same corpus, so it is the suite's most setup-heavy
+	// experiment; the shapes below hold from 8k documents up.
 	r := E26ShardedScatter(26, testScale/4)
 	h := r.Headline
 	// The tentpole contract: at every shard count the merged scatter
@@ -476,33 +444,16 @@ func TestE26Shapes(t *testing.T) {
 	if h["pruned_8"] <= 4 {
 		t.Fatalf("pruning barely engaged at 8 shards: %+v", h)
 	}
-	// The scaling curve itself is hardware- and scale-sensitive; the
-	// full-scale figure is gated by make bench-shard-check and recorded
-	// in EXPERIMENTS.md. At test scale only sanity is asserted.
-	if h["speedup_8x"] <= 0 {
-		t.Fatalf("no throughput figure: %+v", h)
-	}
 }
 
 func TestE27Shapes(t *testing.T) {
-	// Quarter scale: the codec micro loops are cheap, and the round-trip
-	// phases are paced by loopback TCP, not by nAsks.
+	// Quarter scale: every count below is per frame or per ask, and
+	// independent of how many of them ran.
 	r := E27WirePath(27, testScale/4)
 	h := r.Headline
-	// Round-trip must complete on both stacks.
-	if h["rt_asks_per_s_legacy"] <= 0 || h["rt_asks_per_s"] <= 0 {
-		t.Fatalf("round-trip produced no throughput: %+v", h)
-	}
 	// The coalescer never issues more syscalls than frames.
-	for _, k := range []string{"rt_syscalls_per_frame", "sweep_syscalls_per_frame_w8"} {
-		if h[k] <= 0 || h[k] > 1 {
-			t.Fatalf("%s = %v, want in (0, 1]", k, h[k])
-		}
-	}
-	// Backpressure is where leader/follower coalescing engages: a feed
-	// burst into a stalled subscriber must ride out in multi-frame Writes.
-	if h["feed_frames_per_flush"] < 2 {
-		t.Fatalf("feed burst frames/flush = %v, want >= 2 (coalescing never engaged)", h["feed_frames_per_flush"])
+	if h["rt_syscalls_per_frame"] <= 0 || h["rt_syscalls_per_frame"] > 1 {
+		t.Fatalf("rt_syscalls_per_frame = %v, want in (0, 1]", h["rt_syscalls_per_frame"])
 	}
 	// Allocation shapes are deterministic off-race; the race runtime
 	// instruments allocation paths, so gate these like E25 does.
@@ -512,19 +463,14 @@ func TestE27Shapes(t *testing.T) {
 		if h["encode_allocs"] != 0 {
 			t.Fatalf("coalesced encode allocates: %v allocs/frame", h["encode_allocs"])
 		}
-		// The pooled FrameReader amortizes to zero; the legacy DecodeFrame
-		// copy pays at least its payload allocation per frame.
+		// The pooled FrameReader amortizes to zero.
 		if h["decode_allocs"] != 0 {
 			t.Fatalf("pooled decode allocates: %v allocs/frame", h["decode_allocs"])
 		}
-		if h["decode_allocs_legacy"] < 1 {
-			t.Fatalf("legacy decode baseline lost its copy: %v allocs/frame", h["decode_allocs_legacy"])
-		}
-		// The acceptance bar: the TCP round-trip sheds at least half its
-		// allocations against the PR-9 stack (process-wide, both sides).
-		if h["rt_alloc_reduction"] < 0.5 {
-			t.Fatalf("round-trip alloc reduction = %.2f, want >= 0.5 (legacy %.1f -> coalesced %.1f allocs/op)",
-				h["rt_alloc_reduction"], h["rt_allocs_legacy"], h["rt_allocs"])
+		// The acceptance bar: the TCP round-trip (process-wide, both sides)
+		// stays under half the 71.9 allocs/op of the PR-9 stack it replaced.
+		if h["rt_allocs"] > 35 {
+			t.Fatalf("round-trip allocates %v/op, want <= 35", h["rt_allocs"])
 		}
 	}
 }
@@ -550,7 +496,7 @@ func TestRunAllSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in short mode")
 	}
-	results := RunAll(io.Discard, 42, 0.2)
+	results := RunAll(io.Discard, 42, 0.2, nil)
 	if len(results) != 27 {
 		t.Fatalf("results = %d", len(results))
 	}

@@ -2,15 +2,14 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-	"runtime"
-	"time"
 
 	"repro/internal/docstore"
 	"repro/internal/metrics"
 )
 
-// E25BlockMaxSearch measures the block-max top-k read path against the
+// E25BlockMaxSearch checks the block-max top-k read path against the
 // exhaustive scorer it must be bit-identical to. The corpus is shaped so
 // early termination has something to do: a handful of common terms appear
 // in most documents (long postings lists, many 128-entry blocks), rare
@@ -18,33 +17,28 @@ import (
 // grows with insertion order so later blocks carry provably lower score
 // bounds. Queries pair a rare term with a common one — the selective term
 // raises theta, the common term's tail blocks fall under it and are skipped
-// without decoding. Reported per query class: block-max vs exhaustive
-// latency and the speedup; plus the realized blocks-skipped ratio,
-// per-search allocation counts on the uncached and cache-hit paths
-// (runtime.MemStats deltas, not estimates), and the bit-identity check —
-// every query must return the identical hit slice (ids and float-identical
-// scores) under both scorers, including with a live COW overlay merged in.
+// without decoding. Reported per query class: postings blocks decoded and
+// skipped; plus per-search allocation counts on the uncached and cache-hit
+// paths (runtime.MemStats deltas, not estimates), and the bit-identity
+// check — every query must return the identical hit slice (ids and
+// float-identical scores) under both scorers, including with a live COW
+// overlay merged in.
 func E25BlockMaxSearch(seed int64, scale float64) *Result {
 	nDocs := scaleInt(2048, scale, 768)
-	rounds := scaleInt(200, scale, 50)
 	const k = 10
 
 	// Three vocabulary tiers: common terms land in most documents, rare
 	// terms in a fraction of a percent. The i/32 gradient is what makes
 	// per-block max-score bounds vary — an i.i.d. corpus puts a near-best
 	// document in every block and no bound ever drops below theta.
-	common := make([]string, 8)
-	for i := range common {
-		common[i] = fmt.Sprintf("common%02d", i)
+	tier := func(format string, n int) []string {
+		t := make([]string, n)
+		for i := range t {
+			t[i] = fmt.Sprintf(format, i)
+		}
+		return t
 	}
-	mid := make([]string, 64)
-	for i := range mid {
-		mid[i] = fmt.Sprintf("mid%03d", i)
-	}
-	rare := make([]string, 256)
-	for i := range rare {
-		rare[i] = fmt.Sprintf("rare%04d", i)
-	}
+	common, mid, rare := tier("common%02d", 8), tier("mid%03d", 64), tier("rare%04d", 256)
 	word := func(r *rand.Rand) string {
 		switch p := r.Float64(); {
 		case p < 0.50:
@@ -87,24 +81,16 @@ func E25BlockMaxSearch(seed int64, scale float64) *Result {
 	}
 
 	qr := rand.New(rand.NewSource(seed + 1))
+	pick := func(tier []string) string { return tier[qr.Intn(len(tier))] }
 	classes := []struct {
 		name    string
 		queries []string
-	}{
-		{"rare+common", func() []string {
-			qs := make([]string, 16)
-			for i := range qs {
-				qs[i] = rare[qr.Intn(len(rare))] + " " + common[qr.Intn(len(common))]
-			}
-			return qs
-		}()},
-		{"mid+common x3", func() []string {
-			qs := make([]string, 16)
-			for i := range qs {
-				qs[i] = mid[qr.Intn(len(mid))] + " " + common[qr.Intn(len(common))] + " " + common[qr.Intn(len(common))]
-			}
-			return qs
-		}()},
+	}{{name: "rare+common"}, {name: "mid+common x3"}}
+	for i := 0; i < 16; i++ {
+		classes[0].queries = append(classes[0].queries, pick(rare)+" "+pick(common))
+	}
+	for i := 0; i < 16; i++ {
+		classes[1].queries = append(classes[1].queries, pick(mid)+" "+pick(common)+" "+pick(common))
 	}
 
 	// Uncached store: every SearchText call executes the block-max path,
@@ -112,115 +98,46 @@ func E25BlockMaxSearch(seed int64, scale float64) *Result {
 	s := open(-1)
 	defer s.Close()
 
-	table := metrics.NewTable("E25: block-max vs exhaustive top-k search",
-		"query class", "block-max us/op", "exhaustive us/op", "speedup")
+	table := metrics.NewTable("E25: block-max top-k search vs exhaustive scoring",
+		"check", "blocks decoded", "blocks skipped", "value")
 	headline := map[string]float64{}
 
-	var bmTotal, exTotal time.Duration
-	var bmOps int
-	st0 := s.Stats()
+	// Skip accounting covers block-max searches only: the exhaustive scorer
+	// decodes everything by design.
+	var dec, skp uint64
 	for _, cl := range classes {
-		var bm, ex time.Duration
-		t0 := time.Now()
-		for r := 0; r < rounds; r++ {
-			for _, q := range cl.queries {
-				s.SearchText(q, k)
-			}
+		st0 := s.Stats()
+		for _, q := range cl.queries {
+			s.SearchText(q, k)
 		}
-		bm = time.Since(t0)
-		t0 = time.Now()
-		for r := 0; r < rounds; r++ {
-			for _, q := range cl.queries {
-				s.SearchTextExhaustive(q, k)
-			}
-		}
-		ex = time.Since(t0)
-		ops := rounds * len(cl.queries)
-		bmUS := bm.Seconds() * 1e6 / float64(ops)
-		exUS := ex.Seconds() * 1e6 / float64(ops)
-		speed := 0.0
-		if bmUS > 0 {
-			speed = exUS / bmUS
-		}
-		table.AddRow(cl.name, bmUS, exUS, speed)
-		bmTotal += bm
-		exTotal += ex
-		bmOps += ops
+		st1 := s.Stats()
+		d, sk := st1.BlocksDecoded-st0.BlocksDecoded, st1.BlocksSkipped-st0.BlocksSkipped
+		table.AddRow("skip ratio, "+cl.name, d, sk, float64(sk)/float64(max(d+sk, 1)))
+		dec, skp = dec+d, skp+sk
 	}
-	// Skip accounting spans only the block-max halves above — exhaustive
-	// runs decode everything by design and would dilute the ratio. Both
-	// halves note their stats, but only block-max skips; skipped/(skipped+
-	// decoded) therefore understates the block-max ratio by exactly the
-	// exhaustive decodes, so correct for them: the two halves ran the same
-	// queries, so exhaustive decoded (decoded+skipped)/2 of the total.
-	st1 := s.Stats()
-	dec := float64(st1.BlocksDecoded - st0.BlocksDecoded)
-	skp := float64(st1.BlocksSkipped - st0.BlocksSkipped)
-	skipRatio := 0.0
-	if total := dec + skp; total > 0 {
-		exhaustiveDec := total / 2
-		if bmDec := dec - exhaustiveDec; bmDec+skp > 0 {
-			skipRatio = skp / (bmDec + skp)
-		}
-	}
-	if bmTotal > 0 {
-		headline["speedup"] = exTotal.Seconds() / bmTotal.Seconds()
-	}
-	headline["blocks_skip_ratio"] = skipRatio
-	headline["blockmax_us_per_op"] = bmTotal.Seconds() * 1e6 / float64(bmOps)
-	headline["exhaustive_us_per_op"] = exTotal.Seconds() * 1e6 / float64(bmOps)
+	headline["blocks_skip_ratio"] = float64(skp) / float64(max(dec+skp, 1))
 
-	// Allocation counts by malloc delta. Uncached searches retain exactly
-	// the returned hit slice per call; cache hits must retain nothing. The
-	// per-op mean is floored — the same integer division
-	// testing.AllocsPerRun applies — so a stray runtime malloc somewhere in
-	// a 512-op window (GC bookkeeping, a timer) cannot smear a genuinely
-	// zero-alloc path into 0.004.
-	allocsPer := func(run func(), ops int) float64 {
-		run() // warm: pools populated, cache filled
-		runtime.GC()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		run()
-		runtime.ReadMemStats(&m1)
-		return float64((m1.Mallocs - m0.Mallocs) / uint64(ops))
-	}
+	// Uncached searches retain exactly the returned hit slice per call;
+	// cache hits must retain nothing. The mean is floored — the integer
+	// division testing.AllocsPerRun applies — so a stray runtime malloc in
+	// the 512-op window cannot smear a zero-alloc path into 0.004.
 	q0 := classes[0].queries[0]
-	const allocOps = 512
-	headline["allocs_uncached"] = allocsPer(func() {
-		for i := 0; i < allocOps; i++ {
-			s.SearchText(q0, k)
-		}
-	}, allocOps)
+	headline["allocs_uncached"] = math.Floor(allocsPer(512, func() { s.SearchText(q0, k) }))
 	cached := open(0) // default cache size
-	headline["allocs_cache_hit"] = allocsPer(func() {
-		for i := 0; i < allocOps; i++ {
-			cached.SearchText(q0, k)
-		}
-	}, allocOps)
+	headline["allocs_cache_hit"] = math.Floor(allocsPer(512, func() { cached.SearchText(q0, k) }))
 	cached.Close()
-	table.AddRow("allocs/op uncached", headline["allocs_uncached"], 0, 0)
-	table.AddRow("allocs/op cache hit", headline["allocs_cache_hit"], 0, 0)
-	table.AddRow("blocks-skipped ratio", skipRatio, 0, 0)
+	table.AddRow("allocs/op uncached", "-", "-", headline["allocs_uncached"])
+	table.AddRow("allocs/op cache hit", "-", "-", headline["allocs_cache_hit"])
 
 	// Bit-identity: block-max must return exactly the exhaustive result —
 	// same ids, float-identical scores — on the compiled base and again
 	// with a fresh batch of documents pending in the COW overlay.
-	identical := 1.0
+	identical := true
 	check := func() {
 		for _, cl := range classes {
 			for _, q := range cl.queries {
-				got := s.SearchText(q, k)
-				want := s.SearchTextExhaustive(q, k)
-				if len(got) != len(want) {
-					identical = 0
-					return
-				}
-				for i := range want {
-					if got[i].Doc.ID != want[i].Doc.ID || got[i].Score != want[i].Score {
-						identical = 0
-						return
-					}
+				if !sameHits(s.SearchText(q, k), s.SearchTextExhaustive(q, k)) {
+					identical = false
 				}
 			}
 		}
@@ -233,8 +150,8 @@ func E25BlockMaxSearch(seed int64, scale float64) *Result {
 		}
 	}
 	check()
-	headline["identical"] = identical
-	table.AddRow("bit-identical (1=yes)", identical, identical, 1)
+	headline["identical"] = boolAsFloat(identical)
+	table.AddRow("bit-identical to exhaustive", "-", "-", identical)
 
 	return &Result{ID: "E25", Table: table, Headline: headline}
 }

@@ -3,42 +3,38 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/docstore"
 	"repro/internal/feature"
 	"repro/internal/metrics"
 )
 
-// E22LockFreeReads measures the epoch-snapshot read path against the
-// coarse RWMutex discipline the docstore had before it: N paced reader
-// sessions issue SearchText queries while one background writer churns
-// documents into a durable (fsync-on-put) store. The locked baseline is
-// the same engine wrapped in an external RWMutex — readers RLock around
-// every search, the writer Locks around every Put — which reproduces the
-// seed's convoy: a pending writer blocks new readers, so every search
-// queues behind in-flight writes, fsyncs included. Snapshot readers load
-// an atomic pointer and never wait. Reported per reader count: reader
-// p50/p99 latency under both disciplines and the realized writer churn.
-// The experiment also pins the determinism contract under churn: with
-// the document set held constant, a two-term query must return an
-// identical hit slice (ids and float-identical scores) on every read
-// while the writer re-puts the same documents.
+// E22LockFreeReads pins the determinism contract of the epoch-snapshot
+// read path under writer churn: readers load an atomic pointer and never
+// wait, so a writer publishing epoch after epoch must never perturb what
+// they see of an unchanged document set. Several reader goroutines issue
+// the same two-term SearchText query while one writer re-puts the corpus a
+// fixed number of times; every read must return the hit slice the quiescent
+// store returned (ids and float-identical scores). The readers run until
+// the writer has finished, so every read overlaps the churn, and the
+// store's epoch must have advanced once per put. That readers take no lock
+// is the lockfree analyzer's job.
 func E22LockFreeReads(seed int64, scale float64) *Result {
-	nDocs := scaleInt(1024, scale, 128)
-	readsPerReader := scaleInt(40, scale, 10)
+	const nDocs, readers = 64, 8
+	rounds := scaleInt(16, scale, 4)
 
-	vocab := make([]string, 0, 256)
-	for i := 0; i < 256; i++ {
-		vocab = append(vocab, fmt.Sprintf("term%03d", i))
+	r := rand.New(rand.NewSource(seed + 2))
+	w := func() string { return fmt.Sprintf("term%03d", r.Intn(256)) }
+	s, err := docstore.Open(docstore.Options{ConceptDim: 8, Seed: seed, QueryCacheSize: -1})
+	if err != nil {
+		panic(err)
 	}
-	mkDoc := func(r *rand.Rand, i int) *docstore.Document {
-		w := func() string { return vocab[r.Intn(len(vocab))] }
-		d := &docstore.Document{
+	defer s.Close()
+	docs := make([]*docstore.Document, nDocs)
+	for i := range docs {
+		docs[i] = &docstore.Document{
 			ID:         fmt.Sprintf("e22-%04d", i),
 			Kind:       docstore.KindArticle,
 			Title:      w() + " " + w(),
@@ -47,203 +43,58 @@ func E22LockFreeReads(seed int64, scale float64) *Result {
 			CreatedAt:  int64(i),
 			Provenance: "e22",
 		}
-		if i%4 == 0 {
-			v := make(feature.Vector, 8)
-			for j := range v {
-				v[j] = r.Float64()
+		if i%4 == 0 { // every fourth document goes through the overlay's LSH path too
+			docs[i].Concept = make(feature.Vector, 8)
+			for j := range docs[i].Concept {
+				docs[i].Concept[j] = r.Float64()
 			}
-			d.Concept = v
 		}
-		return d
-	}
-	openStore := func(dir string) *docstore.Store {
-		s, err := docstore.Open(docstore.Options{
-			Dir: dir, ConceptDim: 8, Seed: seed,
-			SyncEveryPut: true, QueryCacheSize: -1,
-		})
-		if err != nil {
+		if err := s.Put(docs[i]); err != nil {
 			panic(err)
 		}
-		r := rand.New(rand.NewSource(seed))
-		for i := 0; i < nDocs; i++ {
-			if err := s.Put(mkDoc(r, i)); err != nil {
-				panic(err)
-			}
-		}
-		return s
-	}
-	queries := make([]string, 16)
-	for i := range queries {
-		queries[i] = vocab[(i*37)%len(vocab)] + " " + vocab[(i*53+7)%len(vocab)]
 	}
 
-	pct := func(xs []float64, p float64) float64 {
-		if len(xs) == 0 {
-			return 0
-		}
-		s := append([]float64(nil), xs...)
-		sort.Float64s(s)
-		return s[int(p*float64(len(s)-1))]
-	}
+	// Two-term queries keep float accumulation order-independent, so the
+	// comparison is exact equality, not tolerance.
+	query := docs[0].Title
+	expected := s.SearchText(query, 8)
+	epoch0 := s.Epoch()
 
-	// measure runs one variant: paced readers against a background writer,
-	// returning reader latencies (ms) and the writer's completed puts. A
-	// saturating read loop on a small host would measure CPU queueing
-	// (identical either way); pacing keeps recorded latency = search +
-	// lock wait. GOMAXPROCS is raised so the kernel, not the Go run
-	// queue, interleaves reader and writer threads (same setting for both
-	// variants).
-	measure := func(readers int, locked bool) (lats []float64, writerPuts int64) {
-		if procs := readers + 1; runtime.GOMAXPROCS(0) < procs {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		}
-		dir, err := tempDir()
-		if err != nil {
-			panic(err)
-		}
-		defer cleanup(dir)
-		s := openStore(dir)
-		defer s.Close()
-		var rw sync.RWMutex
-		stop := make(chan struct{})
-		var writes atomic.Int64
-		var writerWG sync.WaitGroup
-		writerWG.Add(1)
-		go func() {
-			defer writerWG.Done()
-			r := rand.New(rand.NewSource(seed + 1))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				d := mkDoc(r, r.Intn(nDocs))
-				if locked {
-					rw.Lock()
-				}
-				if err := s.Put(d); err != nil {
-					panic(err)
-				}
-				if locked {
-					rw.Unlock()
-				}
-				writes.Add(1)
-			}
-		}()
-		const readInterval = 2 * time.Millisecond
-		perReader := make([][]float64, readers)
-		var wg sync.WaitGroup
-		for ri := 0; ri < readers; ri++ {
-			wg.Add(1)
-			go func(ri int) {
-				defer wg.Done()
-				time.Sleep(time.Duration(ri) * readInterval / time.Duration(readers))
-				for i := 0; i < readsPerReader; i++ {
-					q := queries[(ri+i)%len(queries)]
-					t0 := time.Now()
-					if locked {
-						rw.RLock()
-					}
-					s.SearchText(q, 10)
-					if locked {
-						rw.RUnlock()
-					}
-					el := time.Since(t0)
-					perReader[ri] = append(perReader[ri], el.Seconds()*1e3)
-					if el < readInterval {
-						time.Sleep(readInterval - el)
-					}
-				}
-			}(ri)
-		}
-		wg.Wait()
-		close(stop)
-		writerWG.Wait()
-		for _, l := range perReader {
-			lats = append(lats, l...)
-		}
-		return lats, writes.Load()
-	}
-
-	table := metrics.NewTable("E22: locked vs snapshot read path under writer churn",
-		"readers", "locked p50 ms", "snapshot p50 ms", "p50 speedup", "locked p99 ms", "snapshot p99 ms")
-	headline := map[string]float64{}
-	for _, n := range []int{4, 16} {
-		lockedLats, lockedPuts := measure(n, true)
-		snapLats, snapPuts := measure(n, false)
-		lp50, sp50 := pct(lockedLats, 0.5), pct(snapLats, 0.5)
-		speedup := 0.0
-		if sp50 > 0 {
-			speedup = lp50 / sp50
-		}
-		table.AddRow(fmt.Sprint(n), lp50, sp50, speedup, pct(lockedLats, 0.99), pct(snapLats, 0.99))
-		headline[fmt.Sprintf("p50_speedup_%dr", n)] = speedup
-		if n == 16 {
-			headline["locked_p50_ms_16r"] = lp50
-			headline["snapshot_p50_ms_16r"] = sp50
-			headline["locked_writer_puts_16r"] = float64(lockedPuts)
-			headline["snapshot_writer_puts_16r"] = float64(snapPuts)
-		}
-	}
-
-	// Determinism under churn: re-putting identical documents bumps the
-	// epoch but must not perturb a single hit or score. Two-term queries
-	// keep float accumulation order-independent, so the comparison is
-	// exact equality, not tolerance.
-	identical := 1.0
-	func() {
-		s, err := docstore.Open(docstore.Options{ConceptDim: 8, Seed: seed, QueryCacheSize: -1})
-		if err != nil {
-			panic(err)
-		}
-		defer s.Close()
-		r := rand.New(rand.NewSource(seed + 2))
-		docs := make([]*docstore.Document, 64)
-		for i := range docs {
-			docs[i] = mkDoc(r, i)
-			if err := s.Put(docs[i]); err != nil {
-				panic(err)
-			}
-		}
-		query := docs[0].Title // two terms from the corpus
-		expected := s.SearchText(query, 8)
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
+	var done atomic.Bool
+	var reads, diverged atomic.Int64
+	var wg sync.WaitGroup
+	for ri := 0; ri < readers; ri++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
+			for last := false; !last; {
+				last = done.Load() // one more read after the writer's last put
+				if !sameHits(s.SearchText(query, 8), expected) {
+					diverged.Add(1)
 				}
-				if err := s.Put(docs[i%len(docs)].Clone()); err != nil {
-					panic(err)
-				}
+				reads.Add(1)
 			}
 		}()
-		for i := 0; i < 400; i++ {
-			got := s.SearchText(query, 8)
-			if len(got) != len(expected) {
-				identical = 0
-				break
-			}
-			for j := range got {
-				if got[j].Doc.ID != expected[j].Doc.ID || got[j].Score != expected[j].Score {
-					identical = 0
-				}
-			}
-			if identical == 0 {
-				break
-			}
+	}
+	puts := rounds * nDocs
+	for i := 0; i < puts; i++ {
+		if err := s.Put(docs[i%nDocs].Clone()); err != nil {
+			panic(err)
 		}
-		close(stop)
-		wg.Wait()
-	}()
-	headline["identical_under_churn"] = identical
-	table.AddRow("determinism (identical=1)", identical, identical, 1, 0, 0)
+	}
+	done.Store(true)
+	wg.Wait()
 
-	return &Result{ID: "E22", Table: table, Headline: headline}
+	epochs := s.Epoch() - epoch0
+	identical := diverged.Load() == 0 && len(expected) > 0
+	table := metrics.NewTable("E22: snapshot reads under writer churn",
+		"readers", "reads checked", "reads diverged", "writer puts", "epochs published", "identical")
+	table.AddRow(readers, reads.Load(), diverged.Load(), puts, epochs, identical)
+
+	return &Result{ID: "E22", Table: table, Headline: map[string]float64{
+		"identical_under_churn": boolAsFloat(identical),
+		"reads_checked":         float64(reads.Load()),
+		"writer_puts":           float64(puts),
+		"epochs_published":      float64(epochs),
+	}}
 }

@@ -1,97 +1,33 @@
 package bench
 
 import (
-	"fmt"
-	"time"
-
-	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/profile"
 	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
 
-// E20TelemetryOverhead measures the observability tax: the same query
-// workload runs through the full pipeline once with telemetry disabled
-// (nil registry — every instrument is a nil-receiver no-op) and once with
-// the full registry (counters, histograms, trace ring) attached. The
-// experiment also checks the instruments' coherence — the ask counter, the
-// latency-histogram count, and the issued-query count must agree exactly —
-// and reports the measured pipeline quantiles.
+// E20TelemetryOverhead checks that the instruments agree with each other
+// and with the workload: a fixed query load runs through the full pipeline
+// with the whole registry attached (counters, histograms, trace ring), and
+// the ask counter, the latency-histogram count and the issued-query count
+// must match exactly, with monotone histogram quantiles.
 func E20TelemetryOverhead(seed int64, scale float64) *Result {
-	queries := scaleInt(240, scale, 60)
-	nDocs := scaleInt(1200, scale, 300)
-
-	run := func(reg *telemetry.Registry) time.Duration {
-		a := core.New(core.Config{Seed: seed, ConceptDim: 32, Telemetry: reg})
-		g := workload.NewGenerator(seed, 32, 8)
-		docs := g.GenCorpus(nDocs, 1.2, int64(24*time.Hour))
-		for i, list := range g.AssignToSources(docs, 5, 0.7) {
-			node, err := a.AddNode(workload.SourceName(i), core.DefaultEconomics(), core.DefaultBehavior())
-			if err != nil {
-				panic(err)
-			}
-			for _, d := range list {
-				if err := node.Ingest(d.Doc); err != nil {
-					panic(err)
-				}
-			}
-		}
-		users := g.GenUsers(4)
-		sessions := make([]*core.Session, len(users))
-		for i, u := range users {
-			p := profile.New(u.ID, 32)
-			p.Interests = u.Concept.Clone()
-			p.Weights = u.Archetype.Weights()
-			sessions[i] = a.NewSession(p)
-		}
-		start := time.Now()
-		for qi := 0; qi < queries; qi++ {
-			u := users[qi%len(users)]
-			text, concept, topicID := g.QueryFor(u)
-			aql := fmt.Sprintf(`FIND documents WHERE text ~ "%s" AND topic = %q TOP 10`,
-				text, g.Topics[topicID].Name)
-			_, _ = sessions[qi%len(sessions)].Ask(aql, concept)
-		}
-		return time.Since(start)
-	}
-
-	offDur := run(nil)
 	reg := telemetry.NewRegistry()
-	onDur := run(reg)
+	queries := runAskPipeline(seed, scale, reg)
 	snap := reg.Snapshot()
 
 	asks := snap.Counters["core.ask"]
 	askHist := snap.Histograms["core.ask.latency"]
-	coherent := asks == uint64(queries) && askHist.Count == asks &&
-		askHist.P50 <= askHist.P95 && askHist.P95 <= askHist.P99 && askHist.P99 <= askHist.Max
+	monotone := askHist.P50 <= askHist.P95 && askHist.P95 <= askHist.P99 && askHist.P99 <= askHist.Max
+	coherent := asks == uint64(queries) && askHist.Count == asks && monotone
 
-	perQueryOff := offDur.Seconds() / float64(queries)
-	perQueryOn := onDur.Seconds() / float64(queries)
-	overhead := 0.0
-	if perQueryOff > 0 {
-		overhead = perQueryOn/perQueryOff - 1
-	}
+	table := metrics.NewTable("E20: instrument coherence under query load",
+		"queries issued", "ask counter", "latency histogram count", "quantiles monotone", "traces kept")
+	table.AddRow(queries, asks, askHist.Count, monotone, len(snap.Traces))
 
-	table := metrics.NewTable("E20: telemetry overhead under query load",
-		"mode", "queries", "wall ms", "µs/query", "ask p50 ms", "ask p95 ms", "ask p99 ms")
-	table.AddRow("telemetry off", queries, offDur.Seconds()*1e3, perQueryOff*1e6, "-", "-", "-")
-	table.AddRow("telemetry on", queries, onDur.Seconds()*1e3, perQueryOn*1e6,
-		askHist.P50*1e3, askHist.P95*1e3, askHist.P99*1e3)
-
-	boolAsFloat := func(b bool) float64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
 	return &Result{ID: "E20", Table: table, Headline: map[string]float64{
-		"queries":       float64(queries),
-		"ask_count":     float64(asks),
-		"coherent":      boolAsFloat(coherent),
-		"overhead_frac": overhead,
-		"ask_p95_ms":    askHist.P95 * 1e3,
-		"traces_kept":   float64(len(snap.Traces)),
-		"us_per_query":  perQueryOn * 1e6,
+		"queries":     float64(queries),
+		"ask_count":   float64(asks),
+		"coherent":    boolAsFloat(coherent),
+		"traces_kept": float64(len(snap.Traces)),
 	}}
 }

@@ -3,78 +3,23 @@ package bench
 import (
 	"errors"
 	"fmt"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/profile"
 	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
 
-// E24DistributedTracing measures what the distributed-tracing upgrade costs
-// and what it keeps. The E20 methodology reruns the full ask pipeline with
-// telemetry off (nil registry) and on (seeded registry: trace IDs minted
-// per ask, exemplars stored per latency observation, tail sampler deciding
-// retention) and reports the overhead fraction — the acceptance bar is
-// ≤5%. A second phase streams a burst of OK and failed traces through the
-// same registry and checks the tail sampler's contract on the public API:
-// every error trace survives within the fixed retention budget, and the
-// ask-latency histogram carries trace-ID exemplars for the exposition
-// path.
+// E24DistributedTracing checks what distributed tracing keeps. The ask
+// pipeline runs under a seeded registry (trace IDs minted per ask,
+// exemplars stored per latency observation, tail sampler deciding
+// retention): every ask must be counted, every retained trace must carry a
+// nonzero trace ID, and the ask-latency histogram must hold trace-ID
+// exemplars for the exposition path. A second phase streams a burst of OK
+// and failed traces through the same registry and checks the tail
+// sampler's contract on the public API: every error trace survives within
+// the fixed retention budget.
 func E24DistributedTracing(seed int64, scale float64) *Result {
-	queries := scaleInt(240, scale, 60)
-	nDocs := scaleInt(1200, scale, 300)
-
-	run := func(reg *telemetry.Registry) time.Duration {
-		a := core.New(core.Config{Seed: seed, ConceptDim: 32, Telemetry: reg})
-		g := workload.NewGenerator(seed, 32, 8)
-		docs := g.GenCorpus(nDocs, 1.2, int64(24*time.Hour))
-		for i, list := range g.AssignToSources(docs, 5, 0.7) {
-			node, err := a.AddNode(workload.SourceName(i), core.DefaultEconomics(), core.DefaultBehavior())
-			if err != nil {
-				panic(err)
-			}
-			for _, d := range list {
-				if err := node.Ingest(d.Doc); err != nil {
-					panic(err)
-				}
-			}
-		}
-		users := g.GenUsers(4)
-		sessions := make([]*core.Session, len(users))
-		for i, u := range users {
-			p := profile.New(u.ID, 32)
-			p.Interests = u.Concept.Clone()
-			p.Weights = u.Archetype.Weights()
-			sessions[i] = a.NewSession(p)
-		}
-		start := time.Now()
-		for qi := 0; qi < queries; qi++ {
-			u := users[qi%len(users)]
-			text, concept, topicID := g.QueryFor(u)
-			aql := fmt.Sprintf(`FIND documents WHERE text ~ "%s" AND topic = %q TOP 10`,
-				text, g.Topics[topicID].Name)
-			_, _ = sessions[qi%len(sessions)].Ask(aql, concept)
-		}
-		return time.Since(start)
-	}
-
-	// Interleaved repetitions, keeping the best of each mode: a single
-	// off/on pair is at the mercy of scheduler noise (the pipeline sleeps
-	// on simulated provider latency), and min-of-N is the usual antidote.
-	const reps = 3
-	offDur, onDur := time.Duration(1<<62), time.Duration(1<<62)
-	var reg *telemetry.Registry
-	for rep := 0; rep < reps; rep++ {
-		if d := run(nil); d < offDur {
-			offDur = d
-		}
-		reg = telemetry.NewRegistrySeeded(uint64(seed) + 24 + uint64(rep))
-		if d := run(reg); d < onDur {
-			onDur = d
-		}
-	}
+	reg := telemetry.NewRegistrySeeded(uint64(seed) + 24)
+	queries := runAskPipeline(seed, scale, reg)
 	snap := reg.Snapshot()
 
 	asks := snap.Counters["core.ask"]
@@ -116,35 +61,17 @@ func E24DistributedTracing(seed int64, scale float64) *Result {
 		}
 	}
 
-	perQueryOff := offDur.Seconds() / float64(queries)
-	perQueryOn := onDur.Seconds() / float64(queries)
-	overhead := 0.0
-	if perQueryOff > 0 {
-		overhead = perQueryOn/perQueryOff - 1
-	}
+	table := metrics.NewTable("E24: trace identity, exemplars & tail-sampled retention",
+		"phase", "traces started", "traces kept", "with trace ID", "exemplar buckets", "errors kept")
+	table.AddRow("ask pipeline", asks, len(snap.Traces), tracedAsks, exemplarBuckets, "-")
+	table.AddRow("retention burst", burst, "-", "-", "-", fmt.Sprintf("%d of %d", keptErrs, wantErrs))
 
-	table := metrics.NewTable("E24: distributed tracing overhead & tail-sampled retention",
-		"mode", "queries", "wall ms", "µs/query", "traces kept", "exemplar buckets")
-	table.AddRow("tracing off", queries, offDur.Seconds()*1e3, perQueryOff*1e6, "-", "-")
-	table.AddRow("tracing on", queries, onDur.Seconds()*1e3, perQueryOn*1e6,
-		len(snap.Traces), exemplarBuckets)
-	table.AddRow(fmt.Sprintf("retention burst (%d traces, %d errors)", burst, wantErrs),
-		"-", "-", "-", fmt.Sprintf("%d errors kept", keptErrs), "-")
-
-	boolAsFloat := func(b bool) float64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
 	return &Result{ID: "E24", Table: table, Headline: map[string]float64{
 		"queries":          float64(queries),
-		"overhead_frac":    overhead,
 		"coherent":         boolAsFloat(coherent),
 		"traces_kept":      float64(len(snap.Traces)),
 		"exemplar_buckets": float64(exemplarBuckets),
 		"burst_errors":     float64(wantErrs),
 		"errors_retained":  float64(keptErrs),
-		"us_per_query":     perQueryOn * 1e6,
 	}}
 }

@@ -6,162 +6,21 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sort"
-	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/docstore"
 	"repro/internal/metrics"
 )
 
-// E23GroupCommit measures the group-commit write path against the
-// serialized discipline the docstore had before it: N writers ingest a
-// fixed document budget into a durable fsync-on-put store. Under group
-// commit the writers stage records into the commit pipeline and share ONE
-// fsync per window; the serialized baseline wraps the same store in an
-// external mutex so at most one op is ever in flight and every op pays its
-// own fsync — the seed's write path. Reported per writer count: put p50/p99
-// latency and realized throughput under both disciplines.
-//
-// The experiment also pins the determinism contract extended to the write
-// path: the same operation sequence committed one-op-per-window and
-// committed through batched windows must leave BYTE-IDENTICAL WALs, and
-// recovery from either log must reconstruct identical stores.
+// E23GroupCommit pins the determinism contract of the group-commit write
+// path: writers stage records into the commit pipeline and share one fsync
+// per window, and how the windows happen to form must not show in what
+// reaches the disk. The same operation sequence committed one-op-per-window
+// and committed through batched PutBatch windows must leave BYTE-IDENTICAL
+// WALs, and recovery from either log must reconstruct identical stores.
 func E23GroupCommit(seed int64, scale float64) *Result {
-	nOps := scaleInt(512, scale, 96)
+	n := scaleInt(128, scale, 48)
+	const window = 9 // documents per PutBatch on the batched side
 
-	mkDoc := func(r *rand.Rand, i int) *docstore.Document {
-		return &docstore.Document{
-			ID:         fmt.Sprintf("e23-%05d", i),
-			Kind:       docstore.KindArticle,
-			Title:      fmt.Sprintf("term%03d term%03d", r.Intn(256), r.Intn(256)),
-			Text:       fmt.Sprintf("body term%03d term%03d term%03d", r.Intn(256), r.Intn(256), r.Intn(256)),
-			Topics:     []string{"t" + fmt.Sprint(i%4)},
-			CreatedAt:  int64(i),
-			Provenance: "e23",
-		}
-	}
-
-	pct := func(xs []float64, p float64) float64 {
-		if len(xs) == 0 {
-			return 0
-		}
-		s := append([]float64(nil), xs...)
-		sort.Float64s(s)
-		return s[int(p*float64(len(s)-1))]
-	}
-
-	// measure ingests nOps documents from `writers` goroutines, returning
-	// per-put latencies (ms) and realized throughput (puts/s). GOMAXPROCS
-	// is raised so window formation reflects kernel scheduling, not Go
-	// round-robin on a starved runner (same setting for both variants).
-	measure := func(writers int, serialized bool) (lats []float64, opsPerSec float64) {
-		if procs := writers + 1; runtime.GOMAXPROCS(0) < procs {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		}
-		dir, err := tempDir()
-		if err != nil {
-			panic(err)
-		}
-		defer cleanup(dir)
-		s, err := docstore.Open(docstore.Options{
-			Dir: dir, ConceptDim: 8, Seed: seed,
-			SyncEveryPut: true, QueryCacheSize: -1,
-		})
-		if err != nil {
-			panic(err)
-		}
-		defer s.Close()
-		perWriter := nOps / writers
-		docs := make([][]*docstore.Document, writers)
-		for w := range docs {
-			r := rand.New(rand.NewSource(seed + int64(w)))
-			docs[w] = make([]*docstore.Document, perWriter)
-			for i := range docs[w] {
-				docs[w][i] = mkDoc(r, w*perWriter+i)
-			}
-		}
-		var serialize sync.Mutex
-		perW := make([][]float64, writers)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for _, d := range docs[w] {
-					t0 := time.Now()
-					if serialized {
-						serialize.Lock()
-					}
-					err := s.Put(d)
-					if serialized {
-						serialize.Unlock()
-					}
-					if err != nil {
-						panic(err)
-					}
-					perW[w] = append(perW[w], time.Since(t0).Seconds()*1e3)
-				}
-			}(w)
-		}
-		wg.Wait()
-		elapsed := time.Since(start).Seconds()
-		for _, l := range perW {
-			lats = append(lats, l...)
-		}
-		if elapsed > 0 {
-			opsPerSec = float64(len(lats)) / elapsed
-		}
-		return lats, opsPerSec
-	}
-
-	table := metrics.NewTable("E23: serialized vs group-commit write path (durable, fsync-on-put)",
-		"writers", "serialized p50 ms", "group p50 ms", "serialized puts/s", "group puts/s", "throughput speedup")
-	headline := map[string]float64{}
-	for _, n := range []int{1, 4, 16} {
-		serLats, serTput := measure(n, true)
-		grpLats, grpTput := measure(n, false)
-		speedup := 0.0
-		if serTput > 0 {
-			speedup = grpTput / serTput
-		}
-		table.AddRow(fmt.Sprint(n), pct(serLats, 0.5), pct(grpLats, 0.5), serTput, grpTput, speedup)
-		headline[fmt.Sprintf("tput_speedup_%dw", n)] = speedup
-		if n == 16 {
-			headline["group_p99_ms_16w"] = pct(grpLats, 0.99)
-			headline["serialized_p99_ms_16w"] = pct(serLats, 0.99)
-			headline["group_puts_per_s_16w"] = grpTput
-		}
-	}
-
-	// Determinism: the same sequence — one-op windows vs PutBatch windows —
-	// must produce byte-identical WALs and byte-identical recovered stores.
-	byteIdentical, recoveredIdentical := walDeterminism(seed, scaleInt(128, scale, 48), mkDoc)
-	headline["byte_identical"] = byteIdentical
-	headline["recovered_identical"] = recoveredIdentical
-	table.AddRow("wal byte-identity (1=yes)", byteIdentical, byteIdentical, 0, 0, 0)
-	table.AddRow("recovery identity (1=yes)", recoveredIdentical, recoveredIdentical, 0, 0, 0)
-
-	return &Result{ID: "E23", Table: table, Headline: headline}
-}
-
-// walDeterminism commits the same op sequence two ways and compares the
-// logs byte for byte, then reopens both stores and compares the recovered
-// document sets.
-func walDeterminism(seed int64, n int, mkDoc func(*rand.Rand, int) *docstore.Document) (byteIdentical, recoveredIdentical float64) {
-	dirA, err := tempDir()
-	if err != nil {
-		panic(err)
-	}
-	defer cleanup(dirA)
-	dirB, err := tempDir()
-	if err != nil {
-		panic(err)
-	}
-	defer cleanup(dirB)
 	open := func(dir string) *docstore.Store {
 		s, err := docstore.Open(docstore.Options{Dir: dir, ConceptDim: 8, Seed: seed, SyncEveryPut: true})
 		if err != nil {
@@ -169,83 +28,89 @@ func walDeterminism(seed int64, n int, mkDoc func(*rand.Rand, int) *docstore.Doc
 		}
 		return s
 	}
-	gen := func() []*docstore.Document {
+	// commit writes the sequence — n puts and one delete — into a fresh
+	// durable store, batch documents per window (through Put when that is
+	// one, so both write entry points are compared), and returns its directory.
+	commit := func(batch int) string {
+		dir, err := tempDir()
+		if err != nil {
+			panic(err)
+		}
 		r := rand.New(rand.NewSource(seed + 23))
 		docs := make([]*docstore.Document, n)
 		for i := range docs {
-			docs[i] = mkDoc(r, i)
+			docs[i] = &docstore.Document{
+				ID:         fmt.Sprintf("e23-%05d", i),
+				Kind:       docstore.KindArticle,
+				Title:      fmt.Sprintf("term%03d term%03d", r.Intn(256), r.Intn(256)),
+				Text:       fmt.Sprintf("body term%03d term%03d term%03d", r.Intn(256), r.Intn(256), r.Intn(256)),
+				Topics:     []string{"t" + fmt.Sprint(i%4)},
+				CreatedAt:  int64(i),
+				Provenance: "e23",
+			}
 		}
-		return docs
-	}
-
-	a := open(dirA)
-	for _, d := range gen() { // one op per window
-		if err := a.Put(d); err != nil {
+		s := open(dir)
+		for i := 0; i < n; i += batch {
+			var err error
+			if batch == 1 {
+				err = s.Put(docs[i])
+			} else {
+				err = s.PutBatch(docs[i:min(i+batch, n)])
+			}
+			if err != nil {
+				panic(err)
+			}
+		}
+		if err := s.Delete(docs[n/2].ID); err != nil {
 			panic(err)
 		}
-	}
-	if err := a.Delete(fmt.Sprintf("e23-%05d", n/2)); err != nil {
-		panic(err)
-	}
-	if err := a.Close(); err != nil {
-		panic(err)
-	}
-
-	b := open(dirB)
-	docs := gen()
-	for i := 0; i < len(docs); i += 9 { // batched windows
-		end := i + 9
-		if end > len(docs) {
-			end = len(docs)
-		}
-		if err := b.PutBatch(docs[i:end]); err != nil {
+		if err := s.Close(); err != nil {
 			panic(err)
 		}
+		return dir
 	}
-	if err := b.Delete(fmt.Sprintf("e23-%05d", n/2)); err != nil {
-		panic(err)
-	}
-	if err := b.Close(); err != nil {
-		panic(err)
-	}
+	dirA, dirB := commit(1), commit(window)
+	defer cleanup(dirA)
+	defer cleanup(dirB)
 
-	byteIdentical = 1
-	if !bytes.Equal(readWALFile(dirA), readWALFile(dirB)) {
-		byteIdentical = 0
-	}
+	walA, walB := readWALFile(dirA), readWALFile(dirB)
+	byteIdentical := len(walA) > 0 && bytes.Equal(walA, walB)
 
 	ra, rb := open(dirA), open(dirB)
 	defer ra.Close()
 	defer rb.Close()
-	recoveredIdentical = 1
-	if ra.Len() != rb.Len() {
-		recoveredIdentical = 0
-	}
+	recoveredIdentical := ra.Len() == n-1 && ra.Len() == rb.Len()
 	ra.All(func(d *docstore.Document) bool {
 		got, err := rb.Get(d.ID)
 		if err != nil || got.Title != d.Title || got.Text != d.Text || got.CreatedAt != d.CreatedAt {
-			recoveredIdentical = 0
-			return false
+			recoveredIdentical = false
 		}
-		return true
+		return recoveredIdentical
 	})
-	return byteIdentical, recoveredIdentical
+
+	table := metrics.NewTable("E23: group-commit WAL determinism (durable, fsync-on-put)",
+		"documents per window", "ops", "wal bytes", "recovered docs")
+	table.AddRow(1, n+1, len(walA), ra.Len())
+	table.AddRow(window, n+1, len(walB), rb.Len())
+	table.AddRow("identical", "-", byteIdentical, recoveredIdentical)
+
+	return &Result{ID: "E23", Table: table, Headline: map[string]float64{
+		"byte_identical":      boolAsFloat(byteIdentical),
+		"recovered_identical": boolAsFloat(recoveredIdentical),
+		"wal_bytes":           float64(len(walA)),
+		"recovered_docs":      float64(ra.Len()),
+	}}
 }
 
 // readWALFile returns the raw bytes of the store's log inside dir.
 func readWALFile(dir string) []byte {
-	ents, err := os.ReadDir(dir)
+	paths, err := filepath.Glob(filepath.Join(dir, "wal*"))
+	if err != nil || len(paths) == 0 {
+		return nil
+	}
+	raw, err := os.ReadFile(paths[0])
 	if err != nil {
 		panic(err)
 	}
-	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), "wal") {
-			raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
-			if err != nil {
-				panic(err)
-			}
-			return raw
-		}
-	}
-	return nil
+	return raw
 }

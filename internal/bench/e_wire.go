@@ -4,180 +4,66 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"runtime"
-	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/docstore"
-	"repro/internal/feature"
 	"repro/internal/metrics"
-	"repro/internal/query"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// e27Query is a scatter-shaped query message: the text, a routing ID, and
-// the global-statistics tail the shard router attaches — the hot frame the
-// coalesced wire path was built for.
-func e27Query(id string) wire.Query {
-	return wire.Query{
-		ID: id, Text: "byzantine gold filigree ring", TopK: 10,
+// E27WirePath counts what the zero-alloc batched wire path allocates and
+// how many syscalls it issues, in two phases:
+//
+// Codec micro. Single-pass AppendFrame staging of one scatter-shaped Query
+// frame into a reused buffer, and decoding a frame stream through the
+// pooled FrameReader: allocs/frame, both directions, must be zero.
+//
+// TCP round-trip. One warm query round-trip over real loopback TCP through
+// the coalesced transport stack. allocs/op is process-wide, so it counts
+// both sides — client bookkeeping, both codecs and the server's search; the
+// PR-9 stack it replaced read 71.9, and the bar is to stay under half of
+// that. syscalls/frame comes from the coalescer's own Frames/Flushes
+// counters and can never exceed one; multi-frame flushes behind a blocked
+// Write are pinned exactly by transport.TestCoalescerBatchesWhileWriteInFlight.
+func E27WirePath(seed int64, scale float64) *Result {
+	nFrames := scaleInt(131072, scale, 8192)
+	nAsks := scaleInt(2048, scale, 256)
+
+	table := metrics.NewTable("E27: zero-alloc batched wire path (codec micro + TCP round-trip)",
+		"stage", "ops", "allocs/op", "syscalls/frame")
+	headline := map[string]float64{}
+
+	// --- Codec micro ---
+	// A scatter-shaped query message: the text, a routing ID, and the
+	// global-statistics tail the shard router attaches — the hot frame the
+	// coalesced wire path was built for.
+	q := wire.Query{
+		ID: "q1", Text: "byzantine gold filigree ring", TopK: 10,
 		GlobalDocs: 131072,
 		StatsTerms: []string{"byzantine", "gold", "filigree", "ring"},
 		StatsDF:    []uint64{120, 3400, 80, 2100},
 	}
-}
-
-// e27AllocsPer runs f once under a quiesced heap and returns Mallocs per
-// op — the process-wide figure, which on the round-trip phases counts the
-// server's work too (deliberately: that is the number the transport
-// benchmarks gate).
-func e27AllocsPer(f func(), ops int) float64 {
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	f()
-	runtime.ReadMemStats(&m1)
-	return float64(m1.Mallocs-m0.Mallocs) / float64(ops)
-}
-
-// e27LegacyServer serves the pre-coalescer transport loop: one allocating
-// ReadFrame per message, Marshal + WriteFrame (one syscall) per response
-// under a per-connection write mutex. It is the "before" half of every
-// round-trip comparison below.
-func e27LegacyServer(st *docstore.Store) (addr string, stop func()) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		panic(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer conn.Close()
-				var wmu sync.Mutex
-				send := func(kind wire.Kind, payload []byte) error {
-					wmu.Lock()
-					defer wmu.Unlock()
-					return wire.WriteFrame(conn, kind, payload)
-				}
-				r := bufio.NewReader(conn)
-				for {
-					f, err := wire.ReadFrame(r)
-					if err != nil {
-						return
-					}
-					switch f.Kind {
-					case wire.KindHello:
-						ack := wire.Hello{NodeID: "e27-legacy"}
-						if send(wire.KindHelloAck, ack.Marshal()) != nil {
-							return
-						}
-					case wire.KindQuery:
-						wq, err := wire.UnmarshalQuery(f.Payload)
-						if err != nil {
-							return
-						}
-						q := &query.Query{Text: wq.Text, TopK: int(wq.TopK)}
-						if q.TopK <= 0 {
-							q.TopK = 10
-						}
-						resp := wire.QueryResult{QueryID: wq.ID, From: "e27-legacy"}
-						for _, res := range query.Execute(st, q, feature.Vector(wq.Concept), 0) {
-							resp.Items = append(resp.Items, wire.ResultItem{
-								DocID: res.Doc.ID, Source: "e27-legacy", Score: res.Score, Snippet: res.Doc.Snippet(80),
-							})
-						}
-						if send(wire.KindQueryResult, resp.Marshal()) != nil {
-							return
-						}
-					}
-				}
-			}()
+	var stage []byte
+	headline["encode_allocs"] = allocsPer(nFrames, func() {
+		stage = wire.AppendFrame(stage[:0], wire.KindQuery, &q)
+	})
+	fr := wire.NewFrameReader(bufio.NewReader(&e27RepeatReader{frame: stage}))
+	headline["decode_allocs"] = allocsPer(nFrames, func() {
+		if _, err := fr.Next(); err != nil {
+			panic(err)
 		}
-	}()
-	return ln.Addr().String(), func() { ln.Close(); wg.Wait() }
-}
+	})
+	table.AddRow("encode", nFrames, headline["encode_allocs"], "-")
+	table.AddRow("decode", nFrames, headline["decode_allocs"], "-")
 
-// e27LegacyClient is the PR-9 client's per-query cost model, replicated
-// faithfully: a fmt.Sprintf-minted id, a fresh result channel registered
-// in a pending map under a mutex, a time.After timer armed per wait, and
-// the allocating Marshal/WriteFrame/ReadFrame/Unmarshal wire path.
-type e27LegacyClient struct {
-	conn    net.Conn
-	r       *bufio.Reader
-	mu      sync.Mutex
-	nextID  uint64
-	pending map[string]chan wire.QueryResult
-}
-
-func e27LegacyDial(addr string) *e27LegacyClient {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		panic(err)
-	}
-	c := &e27LegacyClient{conn: conn, r: bufio.NewReader(conn), pending: map[string]chan wire.QueryResult{}}
-	hello := wire.Hello{NodeID: "e27-bench"}
-	if err := wire.WriteFrame(conn, wire.KindHello, hello.Marshal()); err != nil {
-		panic(err)
-	}
-	if f, err := wire.ReadFrame(c.r); err != nil || f.Kind != wire.KindHelloAck {
-		panic(fmt.Sprintf("legacy handshake: %v %v", f.Kind, err))
-	}
-	return c
-}
-
-func (c *e27LegacyClient) ask() {
-	c.mu.Lock()
-	c.nextID++
-	id := fmt.Sprintf("q%d", c.nextID)
-	ch := make(chan wire.QueryResult, 1)
-	c.pending[id] = ch
-	c.mu.Unlock()
-	q := e27Query(id)
-	if err := wire.WriteFrame(c.conn, wire.KindQuery, q.Marshal()); err != nil {
-		panic(err)
-	}
-	f, err := wire.ReadFrame(c.r)
-	if err != nil || f.Kind != wire.KindQueryResult {
-		panic(fmt.Sprintf("legacy ask: %v %v", f.Kind, err))
-	}
-	res, err := wire.UnmarshalQueryResult(f.Payload)
-	if err != nil {
-		panic(err)
-	}
-	c.mu.Lock()
-	rch, ok := c.pending[res.QueryID]
-	delete(c.pending, res.QueryID)
-	c.mu.Unlock()
-	if !ok {
-		panic("legacy demux: unknown id " + res.QueryID)
-	}
-	rch <- res
-	timeout := time.After(5 * time.Second)
-	select {
-	case <-rch:
-	case <-timeout:
-		panic("legacy wait timed out")
-	}
-}
-
-// e27Corpus seeds a small store: the round-trip phases measure the wire,
-// not the search, so the corpus stays tiny and identical on both sides.
-func e27Corpus(seed int64) *docstore.Store {
+	// --- TCP round-trip --- over a tiny corpus: the phase counts the wire's
+	// allocations, not the search's.
 	st, err := docstore.Open(docstore.Options{ConceptDim: 8, Seed: seed})
 	if err != nil {
 		panic(err)
 	}
+	defer st.Close()
 	for i := 0; i < 20; i++ {
 		if err := st.Put(&docstore.Document{
 			ID: fmt.Sprintf("d%02d", i), Title: "byzantine gold ring",
@@ -186,152 +72,7 @@ func e27Corpus(seed int64) *docstore.Store {
 			panic(err)
 		}
 	}
-	return st
-}
-
-// E27WirePath measures the zero-alloc batched wire path against the PR-9
-// baseline it replaced, in three phases:
-//
-// Codec micro. Encoding one scatter-shaped Query frame the old way
-// (Marshal to a fresh payload slice, EncodeFrame to a fresh frame slice —
-// what WriteFrame did per message) against single-pass AppendFrame staging
-// into a reused buffer; decoding a frame stream via the allocating
-// DecodeFrame copy against the pooled FrameReader. frames/s and
-// allocs/frame, both directions.
-//
-// TCP round-trip. One warm query round-trip over real loopback TCP:
-// legacy server loop + legacy client bookkeeping (fmt.Sprintf ids, fresh
-// channel and pending-map entry, time.After per wait) against the
-// coalesced transport stack. allocs/op is process-wide, so it counts both
-// sides — the before/after pair the ≥50% reduction claim is made on.
-// syscalls/frame comes from the coalescer's own Frames/Flushes counters
-// (the legacy path is 1.0 by construction: one Write per frame).
-//
-// Batch sweep + backpressure. The same round-trip under w concurrent
-// askers sharing one connection, then a feed burst into a subscriber that
-// has stopped reading its socket. Leader-flush coalescing batches on
-// demand: response-paced askers on an unloaded loopback stay near one
-// syscall per frame because each stager's own Write completes before the
-// next frame exists (the win there is latency — no scheduler handoff),
-// while a blocked write path is exactly when batching engages — frames
-// staged behind the blocked leader ride a handful of Writes once the
-// peer drains, measured as frames/flush on the feed connection.
-func E27WirePath(seed int64, scale float64) *Result {
-	nFrames := scaleInt(131072, scale, 8192)
-	nAsks := scaleInt(2048, scale, 256)
-
-	table := metrics.NewTable("E27: zero-alloc batched wire path (codec micro + TCP round-trip)",
-		"stage", "ops/s", "allocs/op", "syscalls/frame")
-	headline := map[string]float64{}
-
-	// --- Codec micro: encode ---
-	q := e27Query("q1")
-	var sink int
-	legacyEncode := func(n int) {
-		for i := 0; i < n; i++ {
-			payload := q.Marshal()
-			frame := wire.EncodeFrame(nil, wire.KindQuery, payload)
-			sink += len(frame)
-		}
-	}
-	var stage []byte
-	newEncode := func(n int) {
-		for i := 0; i < n; i++ {
-			stage = wire.AppendFrame(stage[:0], wire.KindQuery, &q)
-			sink += len(stage)
-		}
-	}
-	legacyEncode(256) // warm
-	newEncode(256)
-	encLegacyAllocs := e27AllocsPer(func() { legacyEncode(nFrames) }, nFrames)
-	t0 := time.Now()
-	legacyEncode(nFrames)
-	encLegacy := float64(nFrames) / time.Since(t0).Seconds()
-	encNewAllocs := e27AllocsPer(func() { newEncode(nFrames) }, nFrames)
-	t0 = time.Now()
-	newEncode(nFrames)
-	encNew := float64(nFrames) / time.Since(t0).Seconds()
-
-	// --- Codec micro: decode ---
-	frame := wire.EncodeFrame(nil, wire.KindQuery, q.Marshal())
-	legacyDecode := func(n int) {
-		for i := 0; i < n; i++ {
-			f, _, err := wire.DecodeFrame(frame)
-			if err != nil {
-				panic(err)
-			}
-			sink += len(f.Payload)
-		}
-	}
-	fr := wire.NewFrameReader(bufio.NewReader(&e27RepeatReader{frame: frame}))
-	newDecode := func(n int) {
-		for i := 0; i < n; i++ {
-			f, err := fr.Next()
-			if err != nil {
-				panic(err)
-			}
-			sink += len(f.Payload)
-		}
-	}
-	legacyDecode(256)
-	newDecode(256)
-	decLegacyAllocs := e27AllocsPer(func() { legacyDecode(nFrames) }, nFrames)
-	t0 = time.Now()
-	legacyDecode(nFrames)
-	decLegacy := float64(nFrames) / time.Since(t0).Seconds()
-	decNewAllocs := e27AllocsPer(func() { newDecode(nFrames) }, nFrames)
-	t0 = time.Now()
-	newDecode(nFrames)
-	decNew := float64(nFrames) / time.Since(t0).Seconds()
-
-	table.AddRow("encode legacy", encLegacy, encLegacyAllocs, 0)
-	table.AddRow("encode coalesced", encNew, encNewAllocs, 0)
-	table.AddRow("decode legacy", decLegacy, decLegacyAllocs, 0)
-	table.AddRow("decode coalesced", decNew, decNewAllocs, 0)
-	headline["encode_frames_per_s"] = encNew
-	headline["encode_allocs_legacy"] = encLegacyAllocs
-	headline["encode_allocs"] = encNewAllocs
-	headline["decode_frames_per_s"] = decNew
-	headline["decode_allocs_legacy"] = decLegacyAllocs
-	headline["decode_allocs"] = decNewAllocs
-
-	// --- TCP round-trip: legacy ---
-	stLegacy := e27Corpus(seed)
-	defer stLegacy.Close()
-	addr, stopLegacy := e27LegacyServer(stLegacy)
-	lc := e27LegacyDial(addr)
-	lc.ask() // warm
-	rtLegacyAllocs := e27AllocsPer(func() {
-		for i := 0; i < nAsks; i++ {
-			lc.ask()
-		}
-	}, nAsks)
-	t0 = time.Now()
-	for i := 0; i < nAsks; i++ {
-		lc.ask()
-	}
-	rtLegacy := float64(nAsks) / time.Since(t0).Seconds()
-	lc.conn.Close()
-	stopLegacy()
-	table.AddRow("roundtrip legacy", rtLegacy, rtLegacyAllocs, 1)
-	headline["rt_asks_per_s_legacy"] = rtLegacy
-	headline["rt_allocs_legacy"] = rtLegacyAllocs
-
-	// --- TCP round-trip: coalesced, plus the batch sweep ---
-	st := e27Corpus(seed)
-	defer st.Close()
 	srv := transport.NewServer("e27-srv", st)
-	// Pin the kernel send buffer: the backpressure phase needs a stalled
-	// subscriber to actually block the server's Write (autotuned sndbuf
-	// would absorb the whole burst and batching would never engage). The
-	// ask path is response-paced and never holds 16 KiB in flight.
-	srv.TuneConn = func(conn net.Conn) {
-		if tc, ok := conn.(*net.TCPConn); ok {
-			if err := tc.SetWriteBuffer(16 << 10); err != nil {
-				panic(err)
-			}
-		}
-	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		panic(err)
@@ -343,164 +84,21 @@ func E27WirePath(seed int64, scale float64) *Result {
 		panic(err)
 	}
 	defer c.Close()
-	ask := func() {
-		q := e27Query("")
-		if _, err := c.Query(q.Text, nil, int(q.TopK), 5*time.Second); err != nil {
-			panic(err)
-		}
-	}
-	ask() // warm
-	rtNewAllocs := e27AllocsPer(func() {
-		for i := 0; i < nAsks; i++ {
-			ask()
-		}
-	}, nAsks)
-
-	wireFrames := func() (uint64, uint64) {
+	wireFrames := func() (frames, flushes uint64) {
 		s, cl := srv.WireStats(), c.WireStats()
 		return s.Frames + cl.Frames, s.Flushes + cl.Flushes
 	}
-	sweep := func(w int) (asksPerSec, syscallsPerFrame float64) {
-		f0, fl0 := wireFrames()
-		start := time.Now()
-		var wg sync.WaitGroup
-		for g := 0; g < w; g++ {
-			n := nAsks / w
-			if g == 0 {
-				n += nAsks % w
-			}
-			wg.Add(1)
-			go func(n int) {
-				defer wg.Done()
-				for i := 0; i < n; i++ {
-					ask()
-				}
-			}(n)
-		}
-		wg.Wait()
-		f1, fl1 := wireFrames()
-		if f1 == f0 {
-			return 0, 0
-		}
-		return float64(nAsks) / time.Since(start).Seconds(), float64(fl1-fl0) / float64(f1-f0)
-	}
-
-	rtNew, rtNewSys := sweep(1)
-	table.AddRow("roundtrip coalesced", rtNew, rtNewAllocs, rtNewSys)
-	headline["rt_asks_per_s"] = rtNew
-	headline["rt_allocs"] = rtNewAllocs
-	headline["rt_syscalls_per_frame"] = rtNewSys
-	if rtLegacyAllocs > 0 {
-		headline["rt_alloc_reduction"] = 1 - rtNewAllocs/rtLegacyAllocs
-	}
-	for _, w := range []int{2, 4, 8, 16} {
-		asksPerSec, sys := sweep(w)
-		table.AddRow(fmt.Sprintf("sweep w=%d coalesced", w), asksPerSec, 0, sys)
-		headline[fmt.Sprintf("sweep_asks_per_s_w%d", w)] = asksPerSec
-		headline[fmt.Sprintf("sweep_syscalls_per_frame_w%d", w)] = sys
-	}
-
-	// --- Backpressure: demand-driven coalescing ---
-	// A subscriber that has stopped reading fills the socket buffer; the
-	// first publisher to hit it blocks in Write as the coalescer's leader
-	// while the remaining publishers stage their whole burst behind it and
-	// return. When the subscriber drains, the backlog rides out in a
-	// handful of large Writes — frames/flush is the batching factor.
-	const feedPublishers = 8
-	// The burst must exceed the pinned sndbuf plus the subscriber's
-	// (default-size) rcvbuf by a wide margin, or no Write ever blocks.
-	perPub := scaleInt(1024, scale, 512) / feedPublishers
-	nFeed := perPub * feedPublishers
-	slowConn, slowR := e27SlowSubscriber(ln.Addr().String(), srv)
-	defer slowConn.Close()
-	base := srv.WireStats()
-	t0 = time.Now()
-	var pwg sync.WaitGroup
-	feedText := "beacon " + strings.Repeat("glass amphora mosaic tessera ", 64)
-	for p := 0; p < feedPublishers; p++ {
-		pwg.Add(1)
-		go func(p int) {
-			defer pwg.Done()
-			for i := 0; i < perPub; i++ {
-				srv.PublishFeed(&docstore.Document{
-					ID: fmt.Sprintf("f%d-%03d", p, i), Title: "beacon", Text: feedText,
-				}, uint64(i))
-			}
-		}(p)
-	}
-	// Let the burst fill the socket and stage behind the blocked leader,
-	// then drain everything from the subscriber side.
-	time.Sleep(50 * time.Millisecond)
-	for drained := 0; drained < nFeed; {
-		if err := slowConn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+	f0, fl0 := wireFrames()
+	headline["rt_allocs"] = allocsPer(nAsks, func() {
+		if _, err := c.Query(q.Text, nil, int(q.TopK), 5*time.Second); err != nil {
 			panic(err)
 		}
-		f, err := wire.ReadFrame(slowR)
-		if err != nil {
-			panic(err)
-		}
-		if f.Kind == wire.KindFeedItem {
-			drained++
-		}
-	}
-	pwg.Wait()
-	feedRate := float64(nFeed) / time.Since(t0).Seconds()
-	cur := srv.WireStats()
-	framesPerFlush := float64(cur.Frames-base.Frames) / float64(cur.Flushes-base.Flushes)
-	table.AddRow("feed burst, stalled peer", feedRate, 0, 1/framesPerFlush)
-	headline["feed_items_per_s"] = feedRate
-	headline["feed_frames_per_flush"] = framesPerFlush
+	})
+	f1, fl1 := wireFrames()
+	headline["rt_syscalls_per_frame"] = float64(fl1-fl0) / float64(max(f1-f0, 1))
+	table.AddRow("roundtrip", nAsks, headline["rt_allocs"], headline["rt_syscalls_per_frame"])
 
-	_ = sink
 	return &Result{ID: "E27", Table: table, Headline: headline}
-}
-
-// e27SlowSubscriber dials a raw legacy-style connection, subscribes to the
-// "beacon" term, and confirms the registration landed by probing with feed
-// items until one arrives. It returns with the socket idle and no frames
-// in flight; the caller then simply stops reading to apply backpressure.
-func e27SlowSubscriber(addr string, srv *transport.Server) (net.Conn, *bufio.Reader) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		panic(err)
-	}
-	r := bufio.NewReader(conn)
-	hello := wire.Hello{NodeID: "e27-slow"}
-	if err := wire.WriteFrame(conn, wire.KindHello, hello.Marshal()); err != nil {
-		panic(err)
-	}
-	if f, err := wire.ReadFrame(r); err != nil || f.Kind != wire.KindHelloAck {
-		panic(fmt.Sprintf("slow subscriber handshake: %v", err))
-	}
-	sub := wire.Subscribe{SubID: "e27-slow", Terms: []string{"beacon"}}
-	if err := wire.WriteFrame(conn, wire.KindSubscribe, sub.Marshal()); err != nil {
-		panic(err)
-	}
-	// Subscription registration is asynchronous. Publish probe items and
-	// watch the server's delivered counter: it only counts items actually
-	// staged to a subscriber, so the first bump proves registration landed
-	// and the delta says exactly how many probe frames to read back. Timed
-	// reads would risk a deadline firing mid-frame and tearing the stream.
-	before := srv.Delivered()
-	for srv.Delivered() == before {
-		srv.PublishFeed(&docstore.Document{ID: "probe", Title: "beacon", Text: "beacon"}, 0)
-		if srv.Delivered() == before {
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		panic(err)
-	}
-	for n := srv.Delivered() - before; n > 0; n-- {
-		f, err := wire.ReadFrame(r)
-		if err != nil || f.Kind != wire.KindFeedItem {
-			panic(fmt.Sprintf("slow subscriber probe drain: kind=%v err=%v", f.Kind, err))
-		}
-	}
-	if err := conn.SetReadDeadline(time.Time{}); err != nil {
-		panic(err)
-	}
-	return conn, r
 }
 
 // e27RepeatReader serves the same encoded frame forever: the decode micro

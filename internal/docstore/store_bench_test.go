@@ -13,24 +13,12 @@ import (
 	"repro/internal/feature"
 )
 
-// The SearchParallel benchmarks measure the tentpole claim of the epoch
-// snapshot design: reader latency with a writer churning in the
-// background. Each pair runs the same workload two ways —
-//
-//	BenchmarkSearchParallelN       readers call SearchText directly against
-//	                               the published snapshot (lock-free),
-//	BenchmarkSearchParallelLockedN the same store wrapped in an external
-//	                               sync.RWMutex, readers RLock around every
-//	                               search and the writer Locks around every
-//	                               Put — the coarse reader/writer locking
-//	                               the store had before snapshots.
-//
-// The locked baseline reproduces the convoy the old design suffered: a
-// pending writer blocks new RLocks, so every reader behind it pays for
-// the whole Put (including the O(n) index maintenance). Both variants run
-// with the query cache disabled so the comparison isolates locking, and
-// report reader-side p50/p99 per-op latency via ReportMetric; `make
-// bench-docstore` archives them into BENCH_docstore.json.
+// The SearchParallelN benchmarks are the profiling entry point for the
+// epoch-snapshot read path: N readers call SearchText against the published
+// snapshot (lock-free) while one writer churns documents into a durable
+// store. The query cache is off so every read executes, and reader-side
+// p50/p99 per-op latency is reported via ReportMetric. Nothing gates these
+// numbers; a perf claim goes through `go run ./benchmark`.
 
 const benchCorpusSize = 2048
 
@@ -87,9 +75,7 @@ func benchDoc(r *rand.Rand, i int) *Document {
 }
 
 // newBenchStore builds the durable configuration the TCP node runs: a
-// dir-backed WAL fsynced on every Put. That is the configuration where
-// coarse locking hurt most — the seed's Put held the store lock across
-// the fsync, stalling every concurrent search for the disk round trip.
+// dir-backed WAL fsynced on every Put.
 func newBenchStore(b *testing.B) *Store {
 	b.Helper()
 	s, err := Open(Options{
@@ -116,7 +102,7 @@ func quantileNs(sorted []time.Duration, q float64) float64 {
 	return float64(sorted[i].Nanoseconds())
 }
 
-func benchmarkSearchParallel(b *testing.B, readers int, locked bool) {
+func benchmarkSearchParallel(b *testing.B, readers int) {
 	// The store targets multi-core nodes. On a runner with fewer cores
 	// than goroutines, the Go scheduler queues the woken writer behind
 	// CPU-bound readers for a whole 10ms round-robin, which starves the
@@ -124,24 +110,18 @@ func benchmarkSearchParallel(b *testing.B, readers int, locked bool) {
 	// Giving every goroutine its own P hands the interleaving to the
 	// kernel, which schedules the just-woken writer promptly — the same
 	// fine-grained reader/writer overlap an idle multi-core node shows.
-	// Both variants of a pair run with the same setting, so the
-	// comparison stays apples to apples.
 	if procs := readers + 1; runtime.GOMAXPROCS(0) < procs {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	}
 	s := newBenchStore(b)
 	defer s.Close()
-	var rw sync.RWMutex // external wrapper; only the locked variant uses it
 	stop := make(chan struct{})
 	var writes atomic.Int64
 	var writerWG sync.WaitGroup
 	writerWG.Add(1)
-	// The churn writer free-runs: it writes as fast as the system admits
-	// writes. Under the lock that admission is the RWMutex's writer
-	// fairness (a pending writer blocks new readers, so reads queue
-	// behind every Put, fsync included); under snapshots it is the
-	// writer's CPU share, and readers never wait. The reported writes/op
-	// makes the realized churn of each variant visible.
+	// The churn writer free-runs on its CPU share — readers never make it
+	// wait, nor it them. The reported writes/op makes the realized churn
+	// visible.
 	go func() {
 		defer writerWG.Done()
 		r := rand.New(rand.NewSource(99))
@@ -151,15 +131,8 @@ func benchmarkSearchParallel(b *testing.B, readers int, locked bool) {
 				return
 			default:
 			}
-			d := benchDoc(r, r.Intn(benchCorpusSize))
-			if locked {
-				rw.Lock()
-			}
-			if err := s.Put(d); err != nil {
+			if err := s.Put(benchDoc(r, r.Intn(benchCorpusSize))); err != nil {
 				panic(err)
-			}
-			if locked {
-				rw.Unlock()
 			}
 			writes.Add(1)
 		}
@@ -187,13 +160,7 @@ func benchmarkSearchParallel(b *testing.B, readers int, locked bool) {
 			for i := 0; i < perReader; i++ {
 				q := benchQueries[(ri+i)%len(benchQueries)]
 				t0 := time.Now()
-				if locked {
-					rw.RLock()
-				}
 				s.SearchText(q, 10)
-				if locked {
-					rw.RUnlock()
-				}
 				lats[ri] = append(lats[ri], time.Since(t0))
 			}
 		}(ri)
@@ -213,12 +180,9 @@ func benchmarkSearchParallel(b *testing.B, readers int, locked bool) {
 	b.ReportMetric(float64(writes.Load())/float64(b.N), "writes/op")
 }
 
-func BenchmarkSearchParallel1(b *testing.B)        { benchmarkSearchParallel(b, 1, false) }
-func BenchmarkSearchParallel4(b *testing.B)        { benchmarkSearchParallel(b, 4, false) }
-func BenchmarkSearchParallel16(b *testing.B)       { benchmarkSearchParallel(b, 16, false) }
-func BenchmarkSearchParallelLocked1(b *testing.B)  { benchmarkSearchParallel(b, 1, true) }
-func BenchmarkSearchParallelLocked4(b *testing.B)  { benchmarkSearchParallel(b, 4, true) }
-func BenchmarkSearchParallelLocked16(b *testing.B) { benchmarkSearchParallel(b, 16, true) }
+func BenchmarkSearchParallel1(b *testing.B)  { benchmarkSearchParallel(b, 1) }
+func BenchmarkSearchParallel4(b *testing.B)  { benchmarkSearchParallel(b, 4) }
+func BenchmarkSearchParallel16(b *testing.B) { benchmarkSearchParallel(b, 16) }
 
 // BenchmarkSearchTextCacheHit measures the generation-tagged result cache
 // on a quiet store: after the first execution every iteration is a cache
@@ -245,7 +209,7 @@ func BenchmarkSearchTextCacheHit(b *testing.B) {
 }
 
 // BenchmarkSearchTextCold measures a single-threaded uncached search —
-// the raw top-k + snapshot read path without locking effects.
+// the raw top-k + snapshot read path.
 func BenchmarkSearchTextCold(b *testing.B) {
 	s := newBenchStore(b)
 	defer s.Close()

@@ -11,30 +11,19 @@ import (
 	"repro/internal/telemetry"
 )
 
-// The PutParallel benchmarks measure the tentpole claim of the group-commit
-// pipeline: writer throughput and latency when many writers share fsyncs.
-// Each pair runs the same workload two ways —
-//
-//	BenchmarkPutParallelN           writers call Put concurrently; the
-//	                                committer batches every writer waiting in
-//	                                the window behind ONE fsync,
-//	BenchmarkPutParallelNSerialized the same store with an external
-//	                                sync.Mutex around every Put, so at most
-//	                                one op is ever in flight and every op
-//	                                pays its own fsync — the seed's
-//	                                serialized write path.
-//
-// Both run the durable SyncEveryPut configuration (the TCP node's), where
-// the fsync dominates and amortization is the whole effect. Reported
-// metrics: writer-side p50/p99 per-op latency and wal-syncs/op read from
-// the telemetry registry (1.0 for serialized; 1/window-size under group
-// commit). `make bench-wal` archives them into BENCH_wal.json.
+// The PutParallelN benchmarks are the profiling entry point for the
+// group-commit pipeline: N writers call Put concurrently and the committer
+// batches every writer waiting in the window behind ONE fsync. They run the
+// durable SyncEveryPut configuration (the TCP node's), where the fsync
+// dominates and amortization is the whole effect. Reported metrics:
+// writer-side p50/p99 per-op latency and wal-syncs/op read from the
+// telemetry registry (1/window-size). Nothing gates these numbers; a perf
+// claim goes through `go run ./benchmark`.
 
-func benchmarkPutParallel(b *testing.B, writers int, serialized bool) {
+func benchmarkPutParallel(b *testing.B, writers int) {
 	// Same rationale as benchmarkSearchParallel: give every writer plus the
 	// committer its own P so window formation reflects kernel scheduling,
-	// not Go round-robin on a starved runner. Both variants of a pair run
-	// with the same setting.
+	// not Go round-robin on a starved runner.
 	if procs := writers + 1; runtime.GOMAXPROCS(0) < procs {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	}
@@ -62,7 +51,6 @@ func benchmarkPutParallel(b *testing.B, writers int, serialized bool) {
 			docs[w][i] = d
 		}
 	}
-	var serialize sync.Mutex // only the serialized variant takes it
 	syncs := reg.Counter("docstore.wal.syncs")
 	syncsBefore := syncs.Value()
 	lats := make([][]time.Duration, writers)
@@ -75,14 +63,7 @@ func benchmarkPutParallel(b *testing.B, writers int, serialized bool) {
 			defer wg.Done()
 			for _, d := range docs[w] {
 				t0 := time.Now()
-				if serialized {
-					serialize.Lock()
-				}
-				err := s.Put(d)
-				if serialized {
-					serialize.Unlock()
-				}
-				if err != nil {
+				if err := s.Put(d); err != nil {
 					b.Error(err)
 					return
 				}
@@ -105,12 +86,9 @@ func benchmarkPutParallel(b *testing.B, writers int, serialized bool) {
 	b.ReportMetric(float64(syncs.Value()-syncsBefore)/float64(total), "wal-syncs/op")
 }
 
-func BenchmarkPutParallel1(b *testing.B)            { benchmarkPutParallel(b, 1, false) }
-func BenchmarkPutParallel4(b *testing.B)            { benchmarkPutParallel(b, 4, false) }
-func BenchmarkPutParallel16(b *testing.B)           { benchmarkPutParallel(b, 16, false) }
-func BenchmarkPutParallel1Serialized(b *testing.B)  { benchmarkPutParallel(b, 1, true) }
-func BenchmarkPutParallel4Serialized(b *testing.B)  { benchmarkPutParallel(b, 4, true) }
-func BenchmarkPutParallel16Serialized(b *testing.B) { benchmarkPutParallel(b, 16, true) }
+func BenchmarkPutParallel1(b *testing.B)  { benchmarkPutParallel(b, 1) }
+func BenchmarkPutParallel4(b *testing.B)  { benchmarkPutParallel(b, 4) }
+func BenchmarkPutParallel16(b *testing.B) { benchmarkPutParallel(b, 16) }
 
 // BenchmarkWALReplay measures crash recovery: replaying a 2048-record log
 // with the same unmarshal work Open performs. ReportAllocs makes the replay

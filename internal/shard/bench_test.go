@@ -12,15 +12,17 @@ import (
 	"repro/internal/workload"
 )
 
-// The BenchmarkScatterShardsN family drives `make bench-shard`: a fixed
-// 128k-document Zipfian corpus served by 1/2/4/8 shard servers over real
-// TCP, asked under sustained ingest (one 64-document batch per 4 asks —
-// the open agora's operating point, where every overlayLimit writes the
-// written store pays an O(base) freeze, and the base is what sharding
-// divides). ns/op is the per-ask cost with the ingest schedule folded
-// in; p50/p99 ask latency, realized fan-out, and pruned shards land in
-// the extras. BENCH_shard.json archives the 1→8 scaling curve;
-// `make bench-shard-check` gates regressions.
+// The BenchmarkScatterShardsN family is the profiling entry point for the
+// scatter path: a fixed 128k-document Zipfian corpus served by 1/2/4/8
+// shard servers over real TCP, asked under sustained ingest (one
+// 64-document batch per 4 asks — the open agora's operating point, where
+// every overlayLimit writes the written store pays an O(base) freeze, and
+// the base is what sharding divides). ns/op is the per-ask cost with the
+// ingest schedule folded in; p50/p99 ask latency, realized fan-out, and
+// pruned shards land in the extras. Run with a fixed iteration count
+// (-benchtime 256x = the full churn pool) so every shard width measures the
+// identical schedule. Nothing gates these numbers; a perf claim goes
+// through `go run ./benchmark` (scatter_read, scatter_ingest).
 
 const (
 	benchDocs        = 131072
@@ -118,11 +120,11 @@ func BenchmarkScatterShards2(b *testing.B) { benchmarkScatter(b, 2) }
 func BenchmarkScatterShards4(b *testing.B) { benchmarkScatter(b, 4) }
 func BenchmarkScatterShards8(b *testing.B) { benchmarkScatter(b, 8) }
 
-// The BenchmarkQueryRoundtripNShards pair is the wire-gate view of the
-// scatter path (`make bench-wire`): pure warm-cache asks over real TCP
-// with no ingest schedule, so ns/op and allocs/op isolate the framed
-// request/response exchange (stats cached, per-shard Query + merge)
-// rather than the freeze/overlay economics the Scatter family measures.
+// The BenchmarkQueryRoundtripNShards pair is the wire view of the scatter
+// path: pure warm-cache asks over real TCP with no ingest schedule, so
+// ns/op and allocs/op isolate the framed request/response exchange (stats
+// cached, per-shard Query + merge) rather than the freeze/overlay economics
+// the Scatter family measures.
 func benchmarkRoundtrip(b *testing.B, n int) {
 	benchSetup()
 	tc := startCluster(b, n, benchCorpus.docs)

@@ -1,26 +1,15 @@
 package transport
 
 import (
-	"bufio"
-	"errors"
-	"fmt"
-	"io"
-	"net"
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/docstore"
-	"repro/internal/feature"
-	"repro/internal/query"
-	"repro/internal/wire"
 )
 
 // BenchmarkQueryRoundtrip measures one query round-trip over real TCP on
 // the coalesced zero-alloc path (AppendTo staging on both sides,
 // FrameReader pooled reads). allocs/op is process-wide — it counts the
-// server's search and response encode too — which is exactly the number
-// the legacy benchmark below is compared against.
+// server's search and response encode too.
 func BenchmarkQueryRoundtrip(b *testing.B) {
 	_, addr := startServer(b)
 	c, err := Dial(addr, "bench", 2*time.Second)
@@ -37,69 +26,6 @@ func BenchmarkQueryRoundtrip(b *testing.B) {
 		if _, err := c.Query("gold ring", nil, 5, 5*time.Second); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkQueryRoundtripLegacy is the pre-batching wire path end to end:
-// a raw WriteFrame/ReadFrame client against a mini-server replicating the
-// old transport loop (Marshal per response, WriteFrame per frame,
-// allocating reads). The delta against BenchmarkQueryRoundtrip is the
-// tentpole's allocs/op and ns/op win on identical search work.
-func BenchmarkQueryRoundtripLegacy(b *testing.B) {
-	addr := startLegacyServer(b)
-	conn, r, err := legacyDial(addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer conn.Close()
-	// Per-query bookkeeping replicates the PR-9 client faithfully: a
-	// fmt.Sprintf-minted id, a fresh result channel registered in a pending
-	// map, a time.After timer armed per wait, and the allocating
-	// Marshal/WriteFrame/ReadFrame/Unmarshal wire path.
-	var (
-		mu      sync.Mutex
-		nextID  uint64
-		pending = map[string]chan wire.QueryResult{}
-	)
-	roundtrip := func() {
-		mu.Lock()
-		nextID++
-		id := fmt.Sprintf("q%d", nextID)
-		ch := make(chan wire.QueryResult, 1)
-		pending[id] = ch
-		mu.Unlock()
-		q := wire.Query{ID: id, Text: "gold ring", TopK: 5}
-		if err := wire.WriteFrame(conn, wire.KindQuery, q.Marshal()); err != nil {
-			b.Fatal(err)
-		}
-		f, err := wire.ReadFrame(r)
-		if err != nil || f.Kind != wire.KindQueryResult {
-			b.Fatalf("legacy roundtrip: %v %v", f.Kind, err)
-		}
-		res, err := wire.UnmarshalQueryResult(f.Payload)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mu.Lock()
-		rch, ok := pending[res.QueryID]
-		delete(pending, res.QueryID)
-		mu.Unlock()
-		if !ok {
-			b.Fatalf("legacy demux: unknown id %q", res.QueryID)
-		}
-		rch <- res
-		timeout := time.After(5 * time.Second)
-		select {
-		case <-rch:
-		case <-timeout:
-			b.Fatal("legacy wait timed out")
-		}
-	}
-	roundtrip()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		roundtrip()
 	}
 }
 
@@ -145,103 +71,5 @@ func BenchmarkQueryRoundtripBatched(b *testing.B) {
 	}
 	if st := c.WireStats(); st.Flushes > 0 {
 		b.ReportMetric(float64(st.Frames)/float64(st.Flushes), "cli-frames/flush")
-	}
-}
-
-// startLegacyServer serves the pre-coalescer transport loop on a fresh
-// listener: the "before" half of the wire-path before/after comparison.
-func startLegacyServer(b *testing.B) string {
-	b.Helper()
-	st, err := docstore.Open(docstore.Options{ConceptDim: 8, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if err := st.Put(&docstore.Document{
-			ID: "d" + string(rune('a'+i%26)) + string(rune('a'+i/26)), Title: "gold ring",
-			Text: "byzantine filigree ancient jewelry", CreatedAt: int64(i), Provenance: "srv",
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() { //lint:allow goroutine bench legacy accept loop; joined via wg.Wait in Cleanup
-		defer wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			wg.Add(1)
-			go func() { //lint:allow goroutine bench legacy conn loop; joined via wg.Wait in Cleanup
-				defer wg.Done()
-				legacyServe(conn, st, stop)
-			}()
-		}
-	}()
-	b.Cleanup(func() {
-		close(stop)
-		ln.Close()
-		wg.Wait()
-	})
-	return ln.Addr().String()
-}
-
-// legacyServe replicates the old per-connection loop byte for byte: one
-// allocating ReadFrame per message, Marshal + WriteFrame (one syscall)
-// per response, under a per-connection write mutex.
-func legacyServe(conn net.Conn, st *docstore.Store, stop chan struct{}) {
-	defer conn.Close()
-	var wmu sync.Mutex
-	send := func(kind wire.Kind, payload []byte) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		return wire.WriteFrame(conn, kind, payload)
-	}
-	r := bufio.NewReader(conn)
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		f, err := wire.ReadFrame(r)
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				return
-			}
-			return
-		}
-		switch f.Kind {
-		case wire.KindHello:
-			ack := wire.Hello{NodeID: "legacy-srv"}
-			if send(wire.KindHelloAck, ack.Marshal()) != nil {
-				return
-			}
-		case wire.KindQuery:
-			wq, err := wire.UnmarshalQuery(f.Payload)
-			if err != nil {
-				return
-			}
-			q := &query.Query{Text: wq.Text, TopK: int(wq.TopK)}
-			if q.TopK <= 0 {
-				q.TopK = 10
-			}
-			resp := wire.QueryResult{QueryID: wq.ID, From: "legacy-srv"}
-			for _, res := range query.Execute(st, q, feature.Vector(wq.Concept), 0) {
-				resp.Items = append(resp.Items, wire.ResultItem{
-					DocID: res.Doc.ID, Source: "legacy-srv", Score: res.Score, Snippet: res.Doc.Snippet(80),
-				})
-			}
-			if send(wire.KindQueryResult, resp.Marshal()) != nil {
-				return
-			}
-		}
 	}
 }

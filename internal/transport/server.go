@@ -34,11 +34,6 @@ type Server struct {
 	Log *telemetry.Logger
 	// Logf, when set, overrides Log for every message (test hook).
 	Logf func(format string, args ...any)
-	// TuneConn, when set, is applied to every accepted connection before
-	// serving — socket-level tuning (SetNoDelay, SetWriteBuffer, …). Set
-	// it before calling Serve; it is read from the accept loop without
-	// locking.
-	TuneConn func(net.Conn)
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -155,9 +150,6 @@ func (s *Server) Serve(ln net.Listener) error {
 				return nil
 			}
 			return fmt.Errorf("transport: accept: %w", err)
-		}
-		if s.TuneConn != nil {
-			s.TuneConn(conn)
 		}
 		cs := &connState{conn: conn, out: newCoalescer(conn)}
 		s.tel().conns.Inc()

@@ -33,21 +33,6 @@ func BenchmarkFrameEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkFrameEncodeLegacy is the pre-batching baseline the tentpole
-// replaces: a fresh Marshal buffer plus a fresh EncodeFrame buffer per
-// frame, exactly what wire.WriteFrame(conn, kind, m.Marshal()) costs.
-func BenchmarkFrameEncodeLegacy(b *testing.B) {
-	q := benchQuery()
-	payload := q.Marshal()
-	b.SetBytes(int64(headerSize + len(payload)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		payload := q.Marshal()
-		_ = EncodeFrame(make([]byte, 0, headerSize+len(payload)), KindQuery, payload)
-	}
-}
-
 // repeatReader serves the same encoded bytes forever, so decode
 // benchmarks stream frames without per-iteration reader resets.
 type repeatReader struct {
@@ -79,21 +64,6 @@ func BenchmarkFrameDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := fr.Next(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFrameDecodeLegacy is the allocating baseline: ReadFrame's
-// fresh header + payload per frame.
-func BenchmarkFrameDecodeLegacy(b *testing.B) {
-	frame := AppendFrame(nil, KindQuery, benchQuery())
-	r := bufio.NewReaderSize(&repeatReader{data: frame}, 4096)
-	b.SetBytes(int64(len(frame)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadFrame(r); err != nil {
 			b.Fatal(err)
 		}
 	}
