@@ -53,8 +53,6 @@ type pipelineTel struct {
 	hedges            *telemetry.Counter
 	hedgeWins         *telemetry.Counter
 	deadlineTimeouts  *telemetry.Counter
-	execCacheHits     *telemetry.Counter
-	execCacheMisses   *telemetry.Counter
 	askLat            *telemetry.Histogram
 	planLat           *telemetry.Histogram
 	negotiateLat      *telemetry.Histogram
@@ -75,8 +73,6 @@ func newPipelineTel(reg *telemetry.Registry) pipelineTel {
 		hedges:            reg.Counter("core.execute.hedges"),
 		hedgeWins:         reg.Counter("core.execute.hedge_wins"),
 		deadlineTimeouts:  reg.Counter("core.execute.deadline_timeouts"),
-		execCacheHits:     reg.Counter("core.execute.cache.hits"),
-		execCacheMisses:   reg.Counter("core.execute.cache.misses"),
 		askLat:            reg.Histogram("core.ask.latency"),
 		planLat:           reg.Histogram("core.plan.latency"),
 		negotiateLat:      reg.Histogram("core.negotiate.latency"),

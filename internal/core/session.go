@@ -63,10 +63,6 @@ type Session struct {
 	// experiments to isolate the hedging win).
 	DisableHedge bool
 	reranker     *social.Reranker
-	// exec memoizes per-source executions keyed by store epoch, so a
-	// repeated identical subquery against an unchanged store (hedged
-	// replays, re-asked questions) skips the search entirely.
-	exec *execMemo
 }
 
 // NewSession opens a session for the given user profile (stored into the
@@ -87,7 +83,6 @@ func (a *Agora) NewSession(p *profile.Profile) *Session {
 		MaxSources:        4,
 		NegotiationRounds: 16,
 		reranker:          social.NewReranker(a.Graph, a.ACL, a.Profiles),
-		exec:              newExecMemo(),
 	}
 }
 
@@ -725,7 +720,7 @@ func (s *Session) executeTraced(tr *telemetry.Trace, node *Node, q *query.Query,
 
 	sub := *q
 	sub.TopK = q.TopK * 2 // sources over-deliver; fusion trims
-	results := s.executeCached(node, &sub, concept, int64(now0))
+	results := query.Execute(node.Store, &sub, concept, int64(now0))
 	if !out.attempt.honored && len(results) > 1 {
 		// Shirk: deliver only half, late (the fate already priced the
 		// lateness into span).

@@ -340,13 +340,28 @@ func (c *cursor) seek(target uint32, st *searchStats) {
 	c.curTF = c.tfs[c.pos]
 }
 
-// boundSlack pads upper-bound comparisons so IEEE rounding in the bound
-// arithmetic can never make a block look skippable when the exactly-scored
-// document would have entered the heap. The true score and its bound differ
-// by at most a handful of rounded multiply/divide/add steps per term, each
-// contributing a relative error of 2^-53; 1e-9 over-covers that by ~10^6×
-// while costing no measurable skipping power.
-const boundSlack = 1 + 1e-9
+// IDF, QueryWeight and BoundSlack are exported for the scatter router, whose
+// per-shard bounds and global weights must be these floats to the bit.
+
+// IDF is the inverse document frequency of a term that df of total
+// documents carry.
+func IDF(total, df uint64) float64 {
+	return math.Log(1 + float64(total)/float64(1+df))
+}
+
+// QueryWeight is the weight of a term the query repeats qn times.
+func QueryWeight(qn int, idf float64) float64 {
+	return (1 + math.Log(float64(qn))) * idf
+}
+
+// BoundSlack pads upper-bound comparisons so IEEE rounding in the bound
+// arithmetic can never make a block (in the router, a shard) look skippable
+// when the exactly-scored document would have entered the heap. The true
+// score and its bound differ by at most a handful of rounded
+// multiply/divide/add steps per term, each contributing a relative error of
+// 2^-53; 1e-9 over-covers that by ~10^6× while costing no measurable
+// skipping power.
+const BoundSlack = 1 + 1e-9
 
 // searchScratch is the pooled per-query state that makes the steady-state
 // text query allocation-free: every slice below retains its backing array
@@ -440,8 +455,8 @@ tokenLoop:
 			qt.qw = 0
 			continue
 		}
-		qt.idf = math.Log(1 + float64(total)/float64(1+df))
-		qt.qw = (1 + math.Log(float64(qt.qn))) * qt.idf
+		qt.idf = IDF(uint64(total), uint64(df))
+		qt.qw = QueryWeight(qt.qn, qt.idf)
 		if !hasBase {
 			continue
 		}
@@ -535,7 +550,7 @@ func (sn *snapshot) walkBase(h *topK[scored], sc *searchScratch, exhaustive bool
 					break
 				}
 				ub += c.termUB
-				if ub*boundSlack >= theta {
+				if ub*BoundSlack >= theta {
 					pivot = j
 					break
 				}
@@ -571,7 +586,7 @@ func (sn *snapshot) walkBase(h *topK[scored], sc *searchScratch, exhaustive bool
 					blockEnd = bm.lastOrd
 				}
 			}
-			if bub*boundSlack < theta {
+			if bub*BoundSlack < theta {
 				if pivot == 0 && uint64(nextOrd) > uint64(blockEnd) &&
 					(len(sc.order) == 1 || sc.cursors[sc.order[1]].curOrd != pivotOrd) {
 					// Single-member group abandoning its whole block: every
@@ -588,7 +603,7 @@ func (sn *snapshot) walkBase(h *topK[scored], sc *searchScratch, exhaustive bool
 					}
 					bi := c.bi + 1
 					for bi < len(c.blocks) && c.blocks[bi].lastOrd < nextOrd &&
-						c.qw*c.idf*c.blocks[bi].maxRatio*boundSlack < theta {
+						c.qw*c.idf*c.blocks[bi].maxRatio*BoundSlack < theta {
 						bi++
 						sc.stats.blocksSkipped++
 					}

@@ -52,12 +52,15 @@ type state struct {
 	visuals int
 }
 
+// The vector index's shape: hash tables, and hyperplane bits per table.
+const lshTables, lshBits = 6, 10
+
 // newState returns the empty base every store starts from; it fixes the LSH
 // hyperplanes every later base shares.
 func newState(opts Options) *state {
 	return &state{
 		cx:     &compiledIndex{},
-		vec:    feature.NewLSH(opts.Seed, opts.ConceptDim, opts.LSHTables, opts.LSHBits),
+		vec:    feature.NewLSH(opts.Seed, opts.ConceptDim, lshTables, lshBits),
 		topics: map[string]int{},
 	}
 }

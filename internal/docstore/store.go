@@ -24,10 +24,6 @@ type Options struct {
 	// ConceptDim is the dimensionality of document concept vectors; the
 	// LSH index requires it up front.
 	ConceptDim int
-	// LSHTables and LSHBits tune the vector index. Zero values pick
-	// sensible defaults.
-	LSHTables int
-	LSHBits   int
 	// Seed drives index randomness (the LSH hyperplanes).
 	Seed int64
 	// SyncEveryPut makes every Put/Delete/PutBatch durable before it
@@ -156,12 +152,6 @@ type Store struct {
 func Open(opts Options) (*Store, error) {
 	if opts.ConceptDim <= 0 {
 		opts.ConceptDim = 64
-	}
-	if opts.LSHTables <= 0 {
-		opts.LSHTables = 6
-	}
-	if opts.LSHBits <= 0 {
-		opts.LSHBits = 10
 	}
 	s := &Store{
 		opts:   opts,
@@ -352,7 +342,7 @@ func (s *Store) Len() int {
 // once: a Put, a Delete or a whole PutBatch is one bump (less when
 // concurrent durable writers share a window). Callers use it to tag derived
 // results that stay valid until the next write (the query cache here, the
-// execute memo in internal/core).
+// statistics a shard router holds).
 func (s *Store) Epoch() uint64 {
 	return s.snap.Load().epoch
 }

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/feature"
@@ -68,6 +69,10 @@ type Matcher struct {
 	// Stats
 	Published uint64
 	Matched   uint64
+	// Examined counts the subscriptions Match has held against an item: in
+	// Linear mode every one, otherwise only those a term posting or an LSH
+	// bucket of the item names.
+	Examined atomic.Uint64
 }
 
 // NewMatcher returns a matcher for concept vectors of the given dimension.
@@ -179,14 +184,17 @@ func (m *Matcher) Match(it Item) []*Subscription {
 			candidates[id] = true
 		}
 	}
+	examined := len(counts)
 	// Concept-only subscriptions come from the LSH index.
 	if len(m.conceptOnly) > 0 && len(it.Concept) > 0 {
 		for _, cand := range m.conceptIdx.Query(it.Concept, -1) {
 			if m.conceptOnly[cand.ID] {
 				candidates[cand.ID] = true
+				examined++
 			}
 		}
 	}
+	m.Examined.Add(uint64(examined))
 	var out []*Subscription
 	for id := range candidates {
 		s := m.subs[id]
@@ -206,6 +214,7 @@ func (m *Matcher) matchLinear(it Item) []*Subscription {
 	for _, t := range tokens {
 		tokenSet[t] = true
 	}
+	m.Examined.Add(uint64(len(m.subs)))
 	var out []*Subscription
 	for _, s := range m.subs {
 		ok := true

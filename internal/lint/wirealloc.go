@@ -26,11 +26,12 @@ var wireallocFrameFuncs = map[string]bool{
 //
 // The one deliberate allocation — FrameReader's pool-miss growth to the
 // connection's high-water frame size — carries a reasoned
-// //lint:allow wirealloc directive, so the budget stays auditable. The
-// legacy Marshal wrappers allocate their initial buffer by design and
-// are not roots, so they stay out of scope unless a hot root starts
-// calling them (which is exactly the regression this analyzer exists to
-// catch).
+// //lint:allow wirealloc directive, so the budget stays auditable.
+// AppendTo is every message's only marshal, so the root set is the whole
+// encode side; functions that allocate a buffer of their own (NewWriter,
+// WriteFrame, ReadFrame) are not roots and stay out of scope unless a root
+// starts calling them, which is the regression this analyzer exists to
+// catch.
 var wireallocAnalyzer = &Analyzer{
 	Name: "wirealloc",
 	Doc:  "code reachable from the wire AppendTo/frame staging roots and FrameReader.Next must not allocate",

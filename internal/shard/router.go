@@ -2,10 +2,10 @@ package shard
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
+	"repro/internal/docstore"
 	"repro/internal/feature"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
@@ -34,12 +34,9 @@ import (
 // A dead shard yields a partial result (Partial flag + per-shard error),
 // never a failed ask.
 type Router struct {
-	timeout    time.Duration
-	hedgeDelay time.Duration
-	workers    int
-	dominance  float64
-	reg        *telemetry.Registry
-	tel        routerTel
+	timeout time.Duration
+	reg     *telemetry.Registry
+	tel     routerTel
 
 	shards []*routerShard
 	terms  termMemo
@@ -95,13 +92,17 @@ type routerTel struct {
 
 // Options configures a Router. Zero values select the defaults noted.
 type Options struct {
-	ClientID   string        // consumer id for handshakes (default "shard-router")
-	Timeout    time.Duration // per-attempt RPC deadline (default 2s)
-	HedgeDelay time.Duration // wait before hedging to a replica; <0 disables (default 25ms)
-	Workers    int           // concurrent shard dispatches (default 4)
-	Dominance  float64       // probe when best bound ≥ Dominance × runner-up (default 1.25; <0 disables)
-	Telemetry  *telemetry.Registry
+	ClientID  string        // consumer id for handshakes (default "shard-router")
+	Timeout   time.Duration // per-attempt RPC deadline (default 2s)
+	Telemetry *telemetry.Registry
 }
+
+// The dispatch policy.
+const (
+	hedgeDelay     = 25 * time.Millisecond // wait before hedging a slow primary to a replica
+	scatterWorkers = 4                     // concurrent shard dispatches
+	probeDominance = 1.25                  // probe when best bound ≥ probeDominance × runner-up
+)
 
 func (o *Options) withDefaults() Options {
 	out := *o
@@ -110,15 +111,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.Timeout <= 0 {
 		out.Timeout = 2 * time.Second
-	}
-	if out.HedgeDelay == 0 {
-		out.HedgeDelay = 25 * time.Millisecond
-	}
-	if out.Workers <= 0 {
-		out.Workers = 4
-	}
-	if out.Dominance == 0 {
-		out.Dominance = 1.25
 	}
 	return out
 }
@@ -130,12 +122,9 @@ func (o *Options) withDefaults() Options {
 func NewRouter(m *Map, opts Options) (*Router, error) {
 	opts = opts.withDefaults()
 	r := &Router{
-		timeout:    opts.Timeout,
-		hedgeDelay: opts.HedgeDelay,
-		workers:    opts.Workers,
-		dominance:  opts.Dominance,
-		reg:        opts.Telemetry,
-		terms:      termMemo{m: make(map[string]canonical)},
+		timeout: opts.Timeout,
+		reg:     opts.Telemetry,
+		terms:   termMemo{m: make(map[string]canonical)},
 	}
 	if reg := opts.Telemetry; reg != nil {
 		r.tel = routerTel{
@@ -217,12 +206,6 @@ type plannedShard struct {
 	rs *routerShard
 	ub float64
 }
-
-// boundSlack pads θ-comparisons the same way the docstore's block-max walk
-// pads its own (see docstore boundSlack): IEEE rounding in the bound
-// arithmetic must never prune a shard whose exactly-scored document would
-// have entered the merged top-k.
-const boundSlack = 1 + 1e-9
 
 // AskTraced is Ask continuing the caller's trace: the scatter gets one
 // span per shard asked, and each shard server continues the trace in its
@@ -414,18 +397,10 @@ func (r *Router) globalStats(terms []string, errs map[string]error) globalQuery 
 	}
 	for i := range terms {
 		if gq.df[i] > 0 {
-			gq.idf[i] = math.Log(1 + float64(gq.total)/float64(1+gq.df[i]))
+			gq.idf[i] = docstore.IDF(gq.total, gq.df[i])
 		}
 	}
 	return gq
-}
-
-// queryWeight is the docstore's query-side term weight: (1+ln qn)·idf.
-func queryWeight(qn int, idf float64) float64 {
-	if idf == 0 {
-		return 0
-	}
-	return (1 + math.Log(float64(qn))) * idf
 }
 
 // plan computes each live shard's score upper bound and returns the
@@ -445,7 +420,7 @@ func (r *Router) plan(terms []string, qns []int, gs globalQuery, res *Result) []
 			if st.df == 0 {
 				continue
 			}
-			ub += queryWeight(qns[i], gs.idf[i]) * gs.idf[i] * st.maxRatio
+			ub += docstore.QueryWeight(qns[i], gs.idf[i]) * gs.idf[i] * st.maxRatio
 		}
 		s.mu.Unlock()
 		if ub <= 0 {
@@ -530,7 +505,7 @@ func (ms *mergeState) fail(id string, err error) {
 // dispatch runs the probe-then-scatter loop over the planned shards.
 func (r *Router) dispatch(plan []plannedShard, query string, k int, gs globalQuery, ms *mergeState, tr *telemetry.Trace) {
 	next := 0
-	if r.dominance > 0 && len(plan) >= 2 && plan[0].ub >= r.dominance*plan[1].ub {
+	if len(plan) >= 2 && plan[0].ub >= probeDominance*plan[1].ub {
 		// Probe: the best-bounded shard dominates — ask it alone first so
 		// its answers set θ before anything else is dispatched. On the
 		// topical asks the workload skews toward, this one round-trip
@@ -546,7 +521,7 @@ func (r *Router) dispatch(plan []plannedShard, query string, k int, gs globalQue
 	}
 	var wg sync.WaitGroup
 	var idx sync.Mutex
-	workers := min(r.workers, len(plan)-next)
+	workers := min(scatterWorkers, len(plan)-next)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -569,7 +544,7 @@ func (r *Router) dispatch(plan []plannedShard, query string, k int, gs globalQue
 
 // tryShard asks ps unless θ already rules it out.
 func (r *Router) tryShard(ps plannedShard, query string, k int, gs globalQuery, ms *mergeState, tr *telemetry.Trace) {
-	if theta, ok := ms.theta(); ok && ps.ub*boundSlack < theta {
+	if theta, ok := ms.theta(); ok && ps.ub*docstore.BoundSlack < theta {
 		// Even this shard's most optimistic document loses to the current
 		// k-th best — and θ only grows.
 		ms.mu.Lock()
@@ -627,7 +602,7 @@ func (r *Router) attempt(s *routerShard, query string, k int, gs globalQuery, tc
 	ask := func(c *transport.Client) (wire.QueryResult, error) {
 		return c.QueryGlobal(query, k, r.timeout, tc, gs.total, gs.terms, gs.df)
 	}
-	if len(s.clients) < 2 || r.hedgeDelay < 0 {
+	if len(s.clients) < 2 {
 		res, err := ask(s.clients[0])
 		return res, false, err
 	}
@@ -651,7 +626,7 @@ func (r *Router) attempt(s *routerShard, query string, k int, gs globalQuery, tc
 		// primary already answered with an error).
 		res, err := ask(s.clients[1])
 		return res, true, err
-	case <-after(r.hedgeDelay):
+	case <-after(hedgeDelay):
 		r.wg.Add(1)
 		go func() {
 			defer r.wg.Done()

@@ -43,7 +43,7 @@ func (s Snapshot) RenderText(w io.Writer) {
 			limit = 5
 		}
 		for _, t := range s.Traces[:limit] {
-			renderTrace(w, t)
+			renderTrace(w, t, nil, 0)
 		}
 		if len(s.Traces) > limit {
 			fmt.Fprintf(w, "… %d older traces retained\n", len(s.Traces)-limit)
@@ -57,21 +57,6 @@ func (s Snapshot) String() string {
 	var sb strings.Builder
 	s.RenderText(&sb)
 	return sb.String()
-}
-
-func renderTrace(w io.Writer, t TraceSnapshot) {
-	fmt.Fprintf(w, "- %s", t.Op)
-	if t.Query != "" {
-		fmt.Fprintf(w, " %q", t.Query)
-	}
-	fmt.Fprintf(w, " — %s  [trace %s]", fmtDur(t.Root.DurNS), t.TraceID)
-	if t.Err != "" {
-		fmt.Fprintf(w, "  ERR %s", t.Err)
-	}
-	fmt.Fprintln(w)
-	for _, c := range t.Root.Children {
-		renderSpan(w, c, 1)
-	}
 }
 
 // RenderStitched writes same-trace snapshots as one cross-process tree.
@@ -94,7 +79,7 @@ func RenderStitched(w io.Writer, snaps []TraceSnapshot) {
 		if s.ParentSpan != "" && placed[s.ParentSpan] {
 			continue // renders nested under its caller span
 		}
-		renderTrace2(w, s, byParent, 0)
+		renderTrace(w, s, byParent, 0)
 	}
 }
 
@@ -108,7 +93,10 @@ func markPlaced(sp SpanSnapshot, byParent map[string][]TraceSnapshot, placed map
 	}
 }
 
-func renderTrace2(w io.Writer, t TraceSnapshot, byParent map[string][]TraceSnapshot, depth int) {
+// renderTrace writes one snapshot's tree at depth, nesting under each span
+// the snapshots byParent lists as its continuations in other processes (nil
+// when rendering a single process's view).
+func renderTrace(w io.Writer, t TraceSnapshot, byParent map[string][]TraceSnapshot, depth int) {
 	indent := strings.Repeat("  ", depth)
 	marker := "-"
 	if depth > 0 {
@@ -123,10 +111,10 @@ func renderTrace2(w io.Writer, t TraceSnapshot, byParent map[string][]TraceSnaps
 		fmt.Fprintf(w, "  ERR %s", t.Err)
 	}
 	fmt.Fprintln(w)
-	renderStitchedSpan(w, t.Root, byParent, depth+1, true)
+	renderSpan(w, t.Root, byParent, depth+1, true)
 }
 
-func renderStitchedSpan(w io.Writer, sp SpanSnapshot, byParent map[string][]TraceSnapshot, depth int, isRoot bool) {
+func renderSpan(w io.Writer, sp SpanSnapshot, byParent map[string][]TraceSnapshot, depth int, isRoot bool) {
 	if !isRoot {
 		indent := strings.Repeat("  ", depth)
 		name := sp.Name
@@ -144,26 +132,10 @@ func renderStitchedSpan(w io.Writer, sp SpanSnapshot, byParent map[string][]Trac
 		next = depth + 1
 	}
 	for _, c := range sp.Children {
-		renderStitchedSpan(w, c, byParent, next, false)
+		renderSpan(w, c, byParent, next, false)
 	}
 	for _, cont := range byParent[sp.ID] {
-		renderTrace2(w, cont, byParent, next)
-	}
-}
-
-func renderSpan(w io.Writer, sp SpanSnapshot, depth int) {
-	indent := strings.Repeat("  ", depth)
-	name := sp.Name
-	if sp.Detail != "" {
-		name += "(" + sp.Detail + ")"
-	}
-	fmt.Fprintf(w, "%s· %-24s +%-9s %s", indent, name, fmtDur(sp.OffsetNS), fmtDur(sp.DurNS))
-	if sp.Err != "" {
-		fmt.Fprintf(w, "  ERR %s", sp.Err)
-	}
-	fmt.Fprintln(w)
-	for _, c := range sp.Children {
-		renderSpan(w, c, depth+1)
+		renderTrace(w, cont, byParent, next)
 	}
 }
 

@@ -62,17 +62,17 @@ func TestMismatchedStatsRefusedOverTCP(t *testing.T) {
 // without panicking, whatever totals, frequencies and k it carries.
 func FuzzUnmarshalQuery(f *testing.F) {
 	good := wire.Query{ID: "q1", Text: "gold ring", TopK: 5, GlobalDocs: 20, StatsTerms: []string{"gold", "ring"}, StatsDF: []uint64{20, 20}}
-	f.Add(good.Marshal())
+	f.Add(good.AppendTo(nil))
 	short := good
 	short.StatsDF = []uint64{1}
-	f.Add(short.Marshal())
+	f.Add(short.AppendTo(nil))
 	long := good
 	long.StatsDF = []uint64{1, 2, 3}
-	f.Add(long.Marshal())
+	f.Add(long.AppendTo(nil))
 	huge := good
 	huge.GlobalDocs, huge.TopK, huge.StatsDF = 1<<63+5, 1<<32-1, []uint64{1 << 63, 0}
-	f.Add(huge.Marshal())
-	f.Add((&wire.Query{ID: "q2", Text: "gold"}).Marshal()) // no stats tail at all
+	f.Add(huge.AppendTo(nil))
+	f.Add((&wire.Query{ID: "q2", Text: "gold"}).AppendTo(nil)) // no stats tail at all
 	f.Add([]byte{})
 	f.Add([]byte("this is not a query"))
 

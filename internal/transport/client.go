@@ -25,10 +25,9 @@ type Client struct {
 	mu     sync.Mutex
 	nextID uint64
 
-	// pending query results by query id.
-	pending map[string]chan wire.QueryResult
-	// pendingStats demuxes term-stats responses by request id.
-	pendingStats map[string]chan wire.TermStatsResp
+	// queries and stats demux the two request/reply exchanges by request id.
+	queries pending[wire.QueryResult]
+	stats   pending[wire.TermStatsResp]
 	// pongs signals pong arrival; the payload echoes the ping and carries
 	// no information, so only the event crosses (the frame payload aliases
 	// the demux loop's pooled read buffer and must not be retained).
@@ -80,15 +79,15 @@ func DialWithTelemetry(addr, clientID string, timeout time.Duration, reg *teleme
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
 	c := &Client{
-		conn:         conn,
-		r:            bufio.NewReader(conn),
-		out:          newCoalescer(conn),
-		pending:      make(map[string]chan wire.QueryResult),
-		pendingStats: make(map[string]chan wire.TermStatsResp),
-		pongs:        make(chan struct{}, 4),
-		Feed:         make(chan wire.FeedItem, 64),
-		done:         make(chan struct{}),
-		tel:          newClientTel(reg),
+		conn:    conn,
+		r:       bufio.NewReader(conn),
+		out:     newCoalescer(conn),
+		queries: pending[wire.QueryResult]{},
+		stats:   pending[wire.TermStatsResp]{},
+		pongs:   make(chan struct{}, 4),
+		Feed:    make(chan wire.FeedItem, 64),
+		done:    make(chan struct{}),
+		tel:     newClientTel(reg),
 	}
 	// abort tears down a half-built connection; the handshake error being
 	// returned to the caller is the failure, so teardown errors are
@@ -99,7 +98,7 @@ func DialWithTelemetry(addr, clientID string, timeout time.Duration, reg *teleme
 		conn.Close()
 	}
 	hello := wire.Hello{NodeID: clientID}
-	if err := c.out.stageBytes(wire.KindHello, hello.Marshal()); err != nil {
+	if err := c.out.stage(wire.KindHello, &hello); err != nil {
 		abort()
 		return nil, err
 	}
@@ -131,12 +130,6 @@ func DialWithTelemetry(addr, clientID string, timeout time.Duration, reg *teleme
 	return c, nil
 }
 
-// send stages a cold control frame (hello, ping, subscribe) through the
-// coalescer; the hot paths stage Appenders directly via c.out.stage.
-func (c *Client) send(kind wire.Kind, payload []byte) error {
-	return c.out.stageBytes(kind, payload)
-}
-
 // WireStats reports frames staged and Write syscalls issued on this
 // connection's coalesced send path.
 func (c *Client) WireStats() WireStats { return c.out.stats() }
@@ -149,14 +142,8 @@ func (c *Client) readLoop() {
 		if err != nil {
 			c.mu.Lock()
 			c.readErr = err
-			for _, ch := range c.pending {
-				close(ch)
-			}
-			c.pending = make(map[string]chan wire.QueryResult)
-			for _, ch := range c.pendingStats {
-				close(ch)
-			}
-			c.pendingStats = make(map[string]chan wire.TermStatsResp)
+			c.queries.failAll()
+			c.stats.failAll()
 			c.mu.Unlock()
 			close(c.Feed)
 			return
@@ -169,16 +156,7 @@ func (c *Client) readLoop() {
 			if err != nil {
 				continue
 			}
-			c.mu.Lock()
-			ch, ok := c.pending[res.QueryID]
-			if ok {
-				delete(c.pending, res.QueryID)
-			}
-			c.mu.Unlock()
-			if ok {
-				ch <- res
-				close(ch)
-			}
+			resolve(c, c.queries, res.QueryID, res)
 		case wire.KindFeedItem:
 			item, err := wire.UnmarshalFeedItemShared(f.Payload)
 			if err != nil {
@@ -194,16 +172,7 @@ func (c *Client) readLoop() {
 			if err != nil {
 				continue
 			}
-			c.mu.Lock()
-			ch, ok := c.pendingStats[resp.ID]
-			if ok {
-				delete(c.pendingStats, resp.ID)
-			}
-			c.mu.Unlock()
-			if ok {
-				ch <- resp
-				close(ch)
-			}
+			resolve(c, c.stats, resp.ID, resp)
 		case wire.KindPong:
 			select {
 			case c.pongs <- struct{}{}:
@@ -252,7 +221,7 @@ func (c *Client) newID(prefix byte) string {
 // Ping round-trips a ping.
 func (c *Client) Ping(timeout time.Duration) (time.Duration, error) {
 	start := time.Now()
-	if err := c.send(wire.KindPing, []byte("ping")); err != nil {
+	if err := c.out.stageBytes(wire.KindPing, []byte("ping")); err != nil {
 		return 0, err
 	}
 	t := acquireTimer(timeout)
@@ -313,37 +282,17 @@ func (c *Client) QueryGlobal(text string, topK int, timeout time.Duration, tc te
 
 func (c *Client) roundtripQuery(q wire.Query, timeout time.Duration) (wire.QueryResult, error) {
 	start := time.Now()
-	c.mu.Lock()
-	q.ID = c.newID('q')
-	ch := make(chan wire.QueryResult, 1)
-	c.pending[q.ID] = ch
-	c.mu.Unlock()
-	id := q.ID
-	if err := c.out.stage(wire.KindQuery, &q); err != nil {
-		// The query never left, so the demux loop will never resolve this
-		// id: drop the pending entry or it leaks until Close.
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
+	k := begin(c, c.queries, 'q')
+	q.ID = k.id
+	if err := k.send(wire.KindQuery, &q); err != nil {
 		return wire.QueryResult{}, err
 	}
-	t := acquireTimer(timeout)
-	defer releaseTimer(t)
-	select {
-	case res, ok := <-ch:
-		if !ok {
-			return wire.QueryResult{}, c.err()
-		}
+	res, err := k.wait(timeout)
+	if err == nil {
 		c.tel.queries.Inc()
 		c.tel.queryRTT.Observe(time.Since(start))
-		return res, nil
-	case <-t.C:
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		c.tel.timeouts.Inc()
-		return wire.QueryResult{}, ErrTimeout
 	}
+	return res, err
 }
 
 // TermStats asks the server for its live document count, snapshot epoch,
@@ -360,36 +309,91 @@ func (c *Client) TermStats(terms []string, timeout time.Duration) (wire.TermStat
 // only then start waiting, overlapping the round-trips instead of paying
 // them one by one. The wait function must be called exactly once.
 func (c *Client) TermStatsAsync(terms []string, timeout time.Duration) func() (wire.TermStatsResp, error) {
-	c.mu.Lock()
-	id := c.newID('s')
-	ch := make(chan wire.TermStatsResp, 1)
-	c.pendingStats[id] = ch
-	c.mu.Unlock()
-	req := wire.TermStatsReq{ID: id, Terms: terms}
-	if err := c.out.stage(wire.KindTermStats, &req); err != nil {
-		// Same leak hazard as roundtripQuery: an unsent request is never
-		// demuxed, so remove it before reporting the failure.
-		c.mu.Lock()
-		delete(c.pendingStats, id)
-		c.mu.Unlock()
+	k := begin(c, c.stats, 's')
+	req := wire.TermStatsReq{ID: k.id, Terms: terms}
+	if err := k.send(wire.KindTermStats, &req); err != nil {
 		return func() (wire.TermStatsResp, error) { return wire.TermStatsResp{}, err }
 	}
-	return func() (wire.TermStatsResp, error) {
-		t := acquireTimer(timeout)
-		defer releaseTimer(t)
-		select {
-		case resp, ok := <-ch:
-			if !ok {
-				return wire.TermStatsResp{}, c.err()
-			}
-			return resp, nil
-		case <-t.C:
-			c.mu.Lock()
-			delete(c.pendingStats, id)
-			c.mu.Unlock()
-			c.tel.timeouts.Inc()
-			return wire.TermStatsResp{}, ErrTimeout
+	return func() (wire.TermStatsResp, error) { return k.wait(timeout) }
+}
+
+// pending is the demux table of one request/reply exchange: the channel
+// each in-flight request id waits on. The client's mu guards it.
+type pending[T any] map[string]chan T
+
+// failAll wakes every waiter with a closed channel once the read loop has
+// died and no reply can arrive; the caller holds the client's mu.
+func (p pending[T]) failAll() {
+	for _, ch := range p {
+		close(ch)
+	}
+	clear(p)
+}
+
+// resolve hands a decoded reply to the call waiting on id, if one still is.
+func resolve[T any](c *Client, p pending[T], id string, v T) {
+	c.mu.Lock()
+	ch, ok := p[id]
+	delete(p, id)
+	c.mu.Unlock()
+	if ok {
+		ch <- v
+		close(ch)
+	}
+}
+
+// call is one request in flight: an id registered in its pending table and
+// the channel the read loop resolves. Every round trip is begin, send, wait.
+type call[T any] struct {
+	c  *Client
+	p  pending[T]
+	id string
+	ch chan T
+}
+
+// begin mints a request id and registers its reply channel.
+func begin[T any](c *Client, p pending[T], prefix byte) call[T] {
+	c.mu.Lock()
+	k := call[T]{c: c, p: p, id: c.newID(prefix), ch: make(chan T, 1)}
+	p[k.id] = k.ch
+	c.mu.Unlock()
+	return k
+}
+
+// drop forgets the call. The read loop resolves only ids it finds in the
+// table, so a call that will not be waited for — never sent, or timed out —
+// must leave it, or the entry leaks until Close.
+func (k call[T]) drop() {
+	k.c.mu.Lock()
+	delete(k.p, k.id)
+	k.c.mu.Unlock()
+}
+
+// send stages the request, which must carry k.id.
+func (k call[T]) send(kind wire.Kind, req wire.Appender) error {
+	err := k.c.out.stage(kind, req)
+	if err != nil {
+		k.drop()
+	}
+	return err
+}
+
+// wait blocks until the reply arrives, the connection dies or the timeout
+// expires.
+func (k call[T]) wait(timeout time.Duration) (T, error) {
+	t := acquireTimer(timeout)
+	defer releaseTimer(t)
+	select {
+	case v, ok := <-k.ch:
+		if !ok {
+			return v, k.c.err()
 		}
+		return v, nil
+	case <-t.C:
+		k.drop()
+		k.c.tel.timeouts.Inc()
+		var zero T
+		return zero, ErrTimeout
 	}
 }
 
@@ -397,12 +401,12 @@ func (c *Client) TermStatsAsync(terms []string, timeout time.Duration) func() (w
 // on c.Feed.
 func (c *Client) Subscribe(subID string, terms []string, concept feature.Vector, threshold float64) error {
 	s := wire.Subscribe{SubID: subID, Terms: terms, Concept: concept, Threshold: threshold}
-	return c.send(wire.KindSubscribe, s.Marshal())
+	return c.out.stage(wire.KindSubscribe, &s)
 }
 
 // Unsubscribe cancels a subscription.
 func (c *Client) Unsubscribe(subID string) error {
-	return c.send(wire.KindUnsubscribe, []byte(subID))
+	return c.out.stageBytes(wire.KindUnsubscribe, []byte(subID))
 }
 
 // Close drains staged frames to the wire, then tears down the connection.

@@ -77,8 +77,8 @@ func (q *coalescer) stage(kind wire.Kind, m wire.Appender) error {
 	return q.flushLocked()
 }
 
-// stageBytes is stage for the cold messages that still marshal to a
-// standalone payload slice (hello, ping, subscribe control frames).
+// stageBytes is stage for the frames whose payload is raw bytes, not a
+// message (ping, pong, unsubscribe).
 func (q *coalescer) stageBytes(kind wire.Kind, payload []byte) error {
 	q.mu.Lock()
 	if err := q.stageErr(); err != nil {

@@ -367,7 +367,7 @@ func legacyDial(addr string) (net.Conn, *bufio.Reader, error) {
 		return nil, nil, err
 	}
 	hello := wire.Hello{NodeID: "legacy"}
-	if err := wire.WriteFrame(conn, wire.KindHello, hello.Marshal()); err != nil {
+	if err := wire.WriteFrame(conn, wire.KindHello, hello.AppendTo(nil)); err != nil {
 		conn.Close()
 		return nil, nil, err
 	}
@@ -391,7 +391,7 @@ func TestLegacyClientAgainstCoalescedServer(t *testing.T) {
 	}
 	defer conn.Close()
 	q := wire.Query{ID: "legacy1", Text: "gold ring", TopK: 3}
-	if err := wire.WriteFrame(conn, wire.KindQuery, q.Marshal()); err != nil {
+	if err := wire.WriteFrame(conn, wire.KindQuery, q.AppendTo(nil)); err != nil {
 		t.Fatal(err)
 	}
 	for {

@@ -206,12 +206,6 @@ func (s *Server) dropConn(cs *connState) {
 	cs.conn.Close()
 }
 
-// send stages a cold control frame; hot responses stage Appenders through
-// cs.out directly.
-func (s *Server) send(cs *connState, kind wire.Kind, payload []byte) error {
-	return cs.out.stageBytes(kind, payload)
-}
-
 // WireStats aggregates coalescer counters across every connection the
 // server has carried, live and retired.
 func (s *Server) WireStats() WireStats {
@@ -252,12 +246,12 @@ func (s *Server) handle(cs *connState) {
 				NodeID: s.NodeID, Topics: nil, Capacity: int64(s.Store.Len()),
 				ShardStart: s.ShardStart, ShardEnd: s.ShardEnd,
 			}
-			if err := s.send(cs, wire.KindHelloAck, ack.Marshal()); err != nil {
+			if err := cs.out.stage(wire.KindHelloAck, &ack); err != nil {
 				return
 			}
 			_ = hello
 		case wire.KindPing:
-			if err := s.send(cs, wire.KindPong, f.Payload); err != nil {
+			if err := cs.out.stageBytes(wire.KindPong, f.Payload); err != nil {
 				return
 			}
 		case wire.KindQuery:

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -233,4 +235,78 @@ func TestServerSurvivesGarbageBytes(t *testing.T) {
 		t.Fatalf("healthy client starved after garbage: %v", err)
 	}
 	_ = srv
+}
+
+// TestPendingCallsLeaveTheTable drives the three ways a call ends without a
+// reply, against a peer that acknowledges the handshake and then never
+// answers: a timeout and a failed stage each drop their own entry, and the
+// read loop's death wakes the calls still waiting and empties the table.
+func TestPendingCallsLeaveTheTable(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	peer := make(chan net.Conn, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			close(peer)
+			return
+		}
+		ack := wire.Hello{NodeID: "mute"}
+		if _, err := wire.ReadFrame(bufio.NewReader(conn)); err == nil {
+			err = wire.WriteFrame(conn, wire.KindHelloAck, ack.AppendTo(nil))
+		}
+		if err != nil {
+			conn.Close()
+			close(peer)
+			return
+		}
+		peer <- conn
+	}()
+	c, err := Dial(ln.Addr().String(), "iris", 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	conn, ok := <-peer
+	if !ok {
+		t.Fatal("mute peer failed its handshake")
+	}
+	inFlight := func() int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.queries) + len(c.stats)
+	}
+
+	if _, err := c.Query("gold", nil, 3, 20*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("query to a mute peer: %v, want ErrTimeout", err)
+	}
+	if _, err := c.TermStats([]string{"gold"}, 20*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("term stats to a mute peer: %v, want ErrTimeout", err)
+	}
+	if n := inFlight(); n != 0 {
+		t.Fatalf("%d entries left after two timeouts", n)
+	}
+
+	wait := c.TermStatsAsync([]string{"ring"}, 5*time.Second)
+	if n := inFlight(); n != 1 {
+		t.Fatalf("%d entries with one call waiting, want 1", n)
+	}
+	conn.Close() // the read loop dies; the waiter must not sit out its 5 s
+	if _, err := wait(); err == nil || errors.Is(err, ErrTimeout) {
+		t.Fatalf("waiter on a dead connection: %v, want the read error", err)
+	}
+	if n := inFlight(); n != 0 {
+		t.Fatalf("%d entries left after the read loop died", n)
+	}
+
+	c.Close()
+	if _, err := c.Query("gold", nil, 3, time.Second); err == nil || errors.Is(err, ErrTimeout) {
+		t.Fatalf("query on a closed client: %v, want the stage error", err)
+	}
+	if n := inFlight(); n != 0 {
+		t.Fatalf("%d entries left after a failed stage", n)
+	}
 }

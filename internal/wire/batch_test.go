@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"io"
 	"testing"
@@ -104,24 +105,40 @@ func legacyMarshal(m Appender) []byte {
 	return w.Bytes()
 }
 
-// TestAppendToByteIdentical pins the wire format: AppendTo, Marshal, and
-// the legacy Writer encoding all produce the same bytes, so old peers
-// decode new frames and vice versa.
+// TestAppendToByteIdentical pins the wire format: AppendTo and the legacy
+// Writer encoding produce the same bytes, so old peers decode new frames
+// and vice versa.
 func TestAppendToByteIdentical(t *testing.T) {
 	for _, tc := range hotMessages() {
 		want := legacyMarshal(tc.msg)
 		if got := tc.msg.AppendTo(nil); !bytes.Equal(got, want) {
 			t.Errorf("%v: AppendTo != legacy Writer encoding\n got %x\nwant %x", tc.kind, got, want)
 		}
-		type marshaler interface{ Marshal() []byte }
-		if got := tc.msg.(marshaler).Marshal(); !bytes.Equal(got, want) {
-			t.Errorf("%v: Marshal != legacy Writer encoding", tc.kind)
-		}
 		// AppendTo must extend, not clobber, a non-empty dst.
 		prefix := []byte{0xAA, 0xBB}
 		got := tc.msg.AppendTo(append([]byte(nil), prefix...))
 		if !bytes.Equal(got[:2], prefix) || !bytes.Equal(got[2:], want) {
 			t.Errorf("%v: AppendTo does not append after an existing prefix", tc.kind)
+		}
+	}
+}
+
+// TestHandshakeGoldenBytes pins the two messages legacyMarshal has no
+// reference for against the bytes their Writer-built Marshal produced before
+// AppendTo became the only marshal.
+func TestHandshakeGoldenBytes(t *testing.T) {
+	hello := &Hello{NodeID: "n1", Addr: "1.2.3.4:9", Topics: []string{"jewelry", "art"}, Capacity: 42, ShardStart: 0x1000, ShardEnd: 0xffffffffffffffff}
+	sub := &Subscribe{SubID: "s1", From: "iris", Terms: []string{"auction"}, Concept: []float64{0.5, 0, -2}, Threshold: 0.4}
+	for _, tc := range []struct {
+		name string
+		msg  Appender
+		want string
+	}{
+		{"hello", hello, "026e3109312e322e332e343a3902076a6577656c7279036172742a000000000000000010000000000000ffffffffffffffff"},
+		{"subscribe", sub, "0273310469726973010761756374696f6e03000000000000e03f000000000000000000000000000000c09a9999999999d93f"},
+	} {
+		if got := hex.EncodeToString(tc.msg.AppendTo(nil)); got != tc.want {
+			t.Errorf("%s: AppendTo = %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }

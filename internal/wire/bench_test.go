@@ -72,7 +72,7 @@ func BenchmarkFrameDecode(b *testing.B) {
 // BenchmarkQueryUnmarshal isolates message decode on top of a pooled
 // payload: what the demux loop pays after FrameReader.Next.
 func BenchmarkQueryUnmarshal(b *testing.B) {
-	payload := benchQuery().Marshal()
+	payload := benchQuery().AppendTo(nil)
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()
 	b.ResetTimer()

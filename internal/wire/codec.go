@@ -29,7 +29,9 @@ var (
 // prefix from allocating unbounded memory.
 const MaxBlob = 16 << 20
 
-// Writer serializes primitives into a growing buffer.
+// Writer serializes primitives into a growing buffer. It is the package's
+// only primitive encoder: the AppendTo marshals run a stack Writer over the
+// caller's buffer, NewWriter starts one on a fresh buffer.
 type Writer struct {
 	buf []byte
 }
@@ -314,11 +316,4 @@ func (r *Reader) Strings() []string {
 		}
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

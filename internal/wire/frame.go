@@ -79,9 +79,9 @@ type Frame struct {
 }
 
 // Appender is a message that can marshal itself onto the end of a
-// caller-owned buffer without allocating: every hot wire message (Query,
-// QueryResult, FeedItem, TermStatsReq/Resp, Gossip) implements it, and
-// the transport's write coalescer stages frames through it.
+// caller-owned buffer without allocating: every message of this package
+// implements it, and the transport's write coalescer stages frames through
+// it.
 type Appender interface {
 	AppendTo(dst []byte) []byte
 }
@@ -128,6 +128,22 @@ func AppendFrame(dst []byte, kind Kind, m Appender) []byte {
 	return EndFrame(dst, off)
 }
 
+// parseHeader checks a frame header (at least headerSize bytes) and returns
+// the frame's kind, payload length and payload checksum.
+func parseHeader(hdr []byte) (Kind, uint32, uint32, error) {
+	if binary.LittleEndian.Uint16(hdr) != Magic {
+		return 0, 0, 0, ErrBadMagic
+	}
+	if hdr[2] != Version {
+		return 0, 0, 0, fmt.Errorf("%w: %d", ErrVersion, hdr[2])
+	}
+	length := binary.LittleEndian.Uint32(hdr[4:])
+	if length > maxFrameLen {
+		return 0, 0, 0, fmt.Errorf("%w: frame %d", ErrTooLarge, length)
+	}
+	return Kind(hdr[3]), length, binary.LittleEndian.Uint32(hdr[8:]), nil
+}
+
 // DecodeFrame parses one frame from buf, returning the frame and the number
 // of bytes consumed. It returns ErrShortBuffer if buf does not hold a
 // complete frame yet (callers accumulating a stream retry with more data).
@@ -135,18 +151,10 @@ func DecodeFrame(buf []byte) (Frame, int, error) {
 	if len(buf) < headerSize {
 		return Frame{}, 0, ErrShortBuffer
 	}
-	if binary.LittleEndian.Uint16(buf) != Magic {
-		return Frame{}, 0, ErrBadMagic
+	kind, length, want, err := parseHeader(buf)
+	if err != nil {
+		return Frame{}, 0, err
 	}
-	if buf[2] != Version {
-		return Frame{}, 0, fmt.Errorf("%w: %d", ErrVersion, buf[2])
-	}
-	kind := Kind(buf[3])
-	length := binary.LittleEndian.Uint32(buf[4:])
-	if length > maxFrameLen {
-		return Frame{}, 0, fmt.Errorf("%w: frame %d", ErrTooLarge, length)
-	}
-	want := binary.LittleEndian.Uint32(buf[8:])
 	total := headerSize + int(length)
 	if len(buf) < total {
 		return Frame{}, 0, ErrShortBuffer
@@ -193,18 +201,10 @@ func (fr *FrameReader) Next() (Frame, error) {
 	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return Frame{}, err
 	}
-	if binary.LittleEndian.Uint16(fr.hdr[:]) != Magic {
-		return Frame{}, ErrBadMagic
+	kind, length, want, err := parseHeader(fr.hdr[:])
+	if err != nil {
+		return Frame{}, err
 	}
-	if fr.hdr[2] != Version {
-		return Frame{}, fmt.Errorf("%w: %d", ErrVersion, fr.hdr[2])
-	}
-	kind := Kind(fr.hdr[3])
-	length := binary.LittleEndian.Uint32(fr.hdr[4:])
-	if length > maxFrameLen {
-		return Frame{}, fmt.Errorf("%w: frame %d", ErrTooLarge, length)
-	}
-	want := binary.LittleEndian.Uint32(fr.hdr[8:])
 	if uint32(cap(fr.payload)) < length {
 		// Pool miss: the buffer grows to the connection's high-water frame
 		// size once, then every further frame reuses it.
@@ -221,31 +221,9 @@ func (fr *FrameReader) Next() (Frame, error) {
 }
 
 // ReadFrame reads one framed message from a buffered reader. The returned
-// payload is freshly allocated and owned by the caller; the streaming
-// paths use FrameReader instead, which reuses its buffers.
+// payload is freshly allocated and owned by the caller — it is the one frame
+// a FrameReader of its own ever hands out; the streaming paths keep theirs
+// and so reuse its buffers.
 func ReadFrame(r *bufio.Reader) (Frame, error) {
-	header := make([]byte, headerSize)
-	if _, err := io.ReadFull(r, header); err != nil {
-		return Frame{}, err
-	}
-	if binary.LittleEndian.Uint16(header) != Magic {
-		return Frame{}, ErrBadMagic
-	}
-	if header[2] != Version {
-		return Frame{}, fmt.Errorf("%w: %d", ErrVersion, header[2])
-	}
-	kind := Kind(header[3])
-	length := binary.LittleEndian.Uint32(header[4:])
-	if length > maxFrameLen {
-		return Frame{}, fmt.Errorf("%w: frame %d", ErrTooLarge, length)
-	}
-	want := binary.LittleEndian.Uint32(header[8:])
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return Frame{}, fmt.Errorf("wire: reading payload: %w", err)
-	}
-	if crc32.ChecksumIEEE(payload) != want {
-		return Frame{}, ErrChecksum
-	}
-	return Frame{Kind: kind, Payload: payload}, nil
+	return NewFrameReader(r).Next()
 }

@@ -19,16 +19,21 @@ type Hello struct {
 	ShardEnd   uint64
 }
 
-// Marshal encodes the message.
-func (m *Hello) Marshal() []byte {
-	w := NewWriter(64)
+// AppendTo appends the encoded message to dst and returns the extended
+// slice. It is the message's only marshal, as for every message here: the
+// encoder is a Writer over the caller's buffer (typically a pooled
+// per-connection staging buffer), which stays on the stack, so a warm
+// buffer takes the message without a heap allocation (the wirealloc
+// analyzer checks this for every AppendTo).
+func (m *Hello) AppendTo(dst []byte) []byte {
+	w := Writer{buf: dst}
 	w.String(m.NodeID)
 	w.String(m.Addr)
 	w.Strings(m.Topics)
 	w.I64(m.Capacity)
 	w.U64(m.ShardStart)
 	w.U64(m.ShardEnd)
-	return w.Bytes()
+	return w.buf
 }
 
 // UnmarshalHello decodes a Hello.
@@ -53,17 +58,13 @@ type Gossip struct {
 	Peers []string // "id addr" pairs, flattened
 }
 
-// AppendTo appends the encoded message to dst and returns the extended
-// slice — the zero-allocation marshal for the hot wire path. The bytes
-// are identical to Marshal's. Callers own dst (typically a pooled
-// per-connection staging buffer).
+// AppendTo appends the encoded message to dst; see Hello.AppendTo.
 func (m *Gossip) AppendTo(dst []byte) []byte {
-	dst = appendString(dst, m.From)
-	return appendStrings(dst, m.Peers)
+	w := Writer{buf: dst}
+	w.String(m.From)
+	w.Strings(m.Peers)
+	return w.buf
 }
-
-// Marshal encodes the message.
-func (m *Gossip) Marshal() []byte { return m.AppendTo(make([]byte, 0, 64)) }
 
 // UnmarshalGossip decodes a Gossip.
 func UnmarshalGossip(b []byte) (Gossip, error) {
@@ -91,16 +92,6 @@ func (q *QoSTerms) encode(w *Writer) {
 	w.F64(q.Trust)
 	w.F64(q.Premium)
 	w.F64(q.PenaltyRate)
-}
-
-func (q *QoSTerms) appendTo(dst []byte) []byte {
-	dst = appendF64(dst, q.Price)
-	dst = appendF64(dst, q.LatencyMs)
-	dst = appendF64(dst, q.Completeness)
-	dst = appendF64(dst, q.FreshnessSec)
-	dst = appendF64(dst, q.Trust)
-	dst = appendF64(dst, q.Premium)
-	return appendF64(dst, q.PenaltyRate)
 }
 
 func decodeQoSTerms(r *Reader) QoSTerms {
@@ -148,26 +139,23 @@ type Query struct {
 // zero, i.e. untraced) and old peers tolerate new frames. Any future
 // optional field must be appended after these, same trick.
 
-// AppendTo appends the encoded message to dst and returns the extended
-// slice; bytes identical to Marshal's. See Gossip.AppendTo for the
-// ownership contract.
+// AppendTo appends the encoded message to dst; see Hello.AppendTo.
 func (m *Query) AppendTo(dst []byte) []byte {
-	dst = appendString(dst, m.ID)
-	dst = appendString(dst, m.From)
-	dst = appendString(dst, m.Text)
-	dst = appendF64s(dst, m.Concept)
-	dst = appendU32(dst, m.TopK)
-	dst = appendU32(dst, m.TTL)
-	dst = m.Want.appendTo(dst)
-	dst = appendU64(dst, m.TraceID)
-	dst = appendU64(dst, m.SpanID)
-	dst = appendU64(dst, m.GlobalDocs)
-	dst = appendStrings(dst, m.StatsTerms)
-	return appendU64s(dst, m.StatsDF)
+	w := Writer{buf: dst}
+	w.String(m.ID)
+	w.String(m.From)
+	w.String(m.Text)
+	w.F64s(m.Concept)
+	w.U32(m.TopK)
+	w.U32(m.TTL)
+	m.Want.encode(&w)
+	w.U64(m.TraceID)
+	w.U64(m.SpanID)
+	w.U64(m.GlobalDocs)
+	w.Strings(m.StatsTerms)
+	w.U64s(m.StatsDF)
+	return w.buf
 }
-
-// Marshal encodes the message.
-func (m *Query) Marshal() []byte { return m.AppendTo(make([]byte, 0, 128)) }
 
 // UnmarshalQuery decodes a Query.
 func UnmarshalQuery(b []byte) (Query, error) { return decodeQuery(NewReader(b)) }
@@ -220,27 +208,24 @@ type QueryResult struct {
 	Epoch   uint64 // provider snapshot epoch answered from (0 = unreported)
 }
 
-// AppendTo appends the encoded message to dst and returns the extended
-// slice; bytes identical to Marshal's. See Gossip.AppendTo for the
-// ownership contract.
+// AppendTo appends the encoded message to dst; see Hello.AppendTo.
 func (m *QueryResult) AppendTo(dst []byte) []byte {
-	dst = appendString(dst, m.QueryID)
-	dst = appendString(dst, m.From)
-	dst = appendUvarint(dst, uint64(len(m.Items)))
+	w := Writer{buf: dst}
+	w.String(m.QueryID)
+	w.String(m.From)
+	w.Uvarint(uint64(len(m.Items)))
 	for i := range m.Items {
 		it := &m.Items[i]
-		dst = appendString(dst, it.DocID)
-		dst = appendString(dst, it.Source)
-		dst = appendF64(dst, it.Score)
-		dst = appendString(dst, it.Snippet)
+		w.String(it.DocID)
+		w.String(it.Source)
+		w.F64(it.Score)
+		w.String(it.Snippet)
 	}
-	dst = appendF64(dst, m.Elapsed)
-	dst = appendU64(dst, m.TraceID)
-	return appendU64(dst, m.Epoch)
+	w.F64(m.Elapsed)
+	w.U64(m.TraceID)
+	w.U64(m.Epoch)
+	return w.buf
 }
-
-// Marshal encodes the message.
-func (m *QueryResult) Marshal() []byte { return m.AppendTo(make([]byte, 0, 256)) }
 
 // UnmarshalQueryResult decodes a QueryResult.
 func UnmarshalQueryResult(b []byte) (QueryResult, error) {
@@ -282,78 +267,6 @@ func decodeQueryResult(r *Reader) (QueryResult, error) {
 	return m, r.Err()
 }
 
-// Offer is one side's proposal in a negotiation round.
-type Offer struct {
-	NegotiationID string
-	QueryID       string
-	From          string
-	Round         uint32
-	Terms         QoSTerms
-	Expire        int64 // virtual/real nanos after which the offer is void
-}
-
-// Marshal encodes the message.
-func (m *Offer) Marshal() []byte {
-	w := NewWriter(128)
-	w.String(m.NegotiationID)
-	w.String(m.QueryID)
-	w.String(m.From)
-	w.U32(m.Round)
-	m.Terms.encode(w)
-	w.I64(m.Expire)
-	return w.Bytes()
-}
-
-// UnmarshalOffer decodes an Offer.
-func UnmarshalOffer(b []byte) (Offer, error) {
-	r := NewReader(b)
-	m := Offer{
-		NegotiationID: r.String(),
-		QueryID:       r.String(),
-		From:          r.String(),
-		Round:         r.U32(),
-		Terms:         decodeQoSTerms(r),
-		Expire:        r.I64(),
-	}
-	return m, r.Err()
-}
-
-// Contract is a signed SLA between consumer and provider.
-type Contract struct {
-	ID       string
-	QueryID  string
-	Consumer string
-	Provider string
-	Terms    QoSTerms
-	SignedAt int64
-}
-
-// Marshal encodes the message.
-func (m *Contract) Marshal() []byte {
-	w := NewWriter(128)
-	w.String(m.ID)
-	w.String(m.QueryID)
-	w.String(m.Consumer)
-	w.String(m.Provider)
-	m.Terms.encode(w)
-	w.I64(m.SignedAt)
-	return w.Bytes()
-}
-
-// UnmarshalContract decodes a Contract.
-func UnmarshalContract(b []byte) (Contract, error) {
-	r := NewReader(b)
-	m := Contract{
-		ID:       r.String(),
-		QueryID:  r.String(),
-		Consumer: r.String(),
-		Provider: r.String(),
-		Terms:    decodeQoSTerms(r),
-		SignedAt: r.I64(),
-	}
-	return m, r.Err()
-}
-
 // FeedItem is one item pushed on a continuous feed.
 type FeedItem struct {
 	FeedID  string
@@ -364,20 +277,17 @@ type FeedItem struct {
 	Seq     uint64
 }
 
-// AppendTo appends the encoded message to dst and returns the extended
-// slice; bytes identical to Marshal's. See Gossip.AppendTo for the
-// ownership contract.
+// AppendTo appends the encoded message to dst; see Hello.AppendTo.
 func (m *FeedItem) AppendTo(dst []byte) []byte {
-	dst = appendString(dst, m.FeedID)
-	dst = appendString(dst, m.DocID)
-	dst = appendString(dst, m.Source)
-	dst = appendString(dst, m.Text)
-	dst = appendF64s(dst, m.Concept)
-	return appendU64(dst, m.Seq)
+	w := Writer{buf: dst}
+	w.String(m.FeedID)
+	w.String(m.DocID)
+	w.String(m.Source)
+	w.String(m.Text)
+	w.F64s(m.Concept)
+	w.U64(m.Seq)
+	return w.buf
 }
-
-// Marshal encodes the message.
-func (m *FeedItem) Marshal() []byte { return m.AppendTo(make([]byte, 0, 128)) }
 
 // UnmarshalFeedItem decodes a FeedItem.
 func UnmarshalFeedItem(b []byte) (FeedItem, error) { return decodeFeedItem(NewReader(b)) }
@@ -407,15 +317,15 @@ type Subscribe struct {
 	Threshold float64
 }
 
-// Marshal encodes the message.
-func (m *Subscribe) Marshal() []byte {
-	w := NewWriter(96)
+// AppendTo appends the encoded message to dst; see Hello.AppendTo.
+func (m *Subscribe) AppendTo(dst []byte) []byte {
+	w := Writer{buf: dst}
 	w.String(m.SubID)
 	w.String(m.From)
 	w.Strings(m.Terms)
 	w.F64s(m.Concept)
 	w.F64(m.Threshold)
-	return w.Bytes()
+	return w.buf
 }
 
 // UnmarshalSubscribe decodes a Subscribe.
@@ -439,16 +349,13 @@ type TermStatsReq struct {
 	Terms []string
 }
 
-// AppendTo appends the encoded message to dst and returns the extended
-// slice; bytes identical to Marshal's. See Gossip.AppendTo for the
-// ownership contract.
+// AppendTo appends the encoded message to dst; see Hello.AppendTo.
 func (m *TermStatsReq) AppendTo(dst []byte) []byte {
-	dst = appendString(dst, m.ID)
-	return appendStrings(dst, m.Terms)
+	w := Writer{buf: dst}
+	w.String(m.ID)
+	w.Strings(m.Terms)
+	return w.buf
 }
-
-// Marshal encodes the message.
-func (m *TermStatsReq) Marshal() []byte { return m.AppendTo(make([]byte, 0, 64)) }
 
 // UnmarshalTermStatsReq decodes a TermStatsReq.
 func UnmarshalTermStatsReq(b []byte) (TermStatsReq, error) {
@@ -479,19 +386,16 @@ type TermStatsResp struct {
 	MaxRatio []float64
 }
 
-// AppendTo appends the encoded message to dst and returns the extended
-// slice; bytes identical to Marshal's. See Gossip.AppendTo for the
-// ownership contract.
+// AppendTo appends the encoded message to dst; see Hello.AppendTo.
 func (m *TermStatsResp) AppendTo(dst []byte) []byte {
-	dst = appendString(dst, m.ID)
-	dst = appendU64(dst, m.Total)
-	dst = appendU64(dst, m.Epoch)
-	dst = appendU64s(dst, m.DF)
-	return appendF64s(dst, m.MaxRatio)
+	w := Writer{buf: dst}
+	w.String(m.ID)
+	w.U64(m.Total)
+	w.U64(m.Epoch)
+	w.U64s(m.DF)
+	w.F64s(m.MaxRatio)
+	return w.buf
 }
-
-// Marshal encodes the message.
-func (m *TermStatsResp) Marshal() []byte { return m.AppendTo(make([]byte, 0, 128)) }
 
 // UnmarshalTermStatsResp decodes a TermStatsResp.
 func UnmarshalTermStatsResp(b []byte) (TermStatsResp, error) {

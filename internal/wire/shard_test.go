@@ -17,7 +17,7 @@ func TestHelloShardRangeRoundtrip(t *testing.T) {
 		Topics: []string{"porcelain"}, Capacity: 9,
 		ShardStart: 0x6000000000000000, ShardEnd: 0x7FFFFFFFFFFFFFFF,
 	}
-	got, err := UnmarshalHello(m.Marshal())
+	got, err := UnmarshalHello(m.AppendTo(nil))
 	if err != nil || !reflect.DeepEqual(got, m) {
 		t.Fatalf("got %+v err %v", got, err)
 	}
@@ -32,7 +32,7 @@ func TestHelloBackwardCompatible(t *testing.T) {
 		Topics: []string{"maps", "coins"}, Capacity: 4,
 		ShardStart: 1, ShardEnd: 2,
 	}
-	legacy := m.Marshal()
+	legacy := m.AppendTo(nil)
 	legacy = legacy[:len(legacy)-16]
 	got, err := UnmarshalHello(legacy)
 	if err != nil {
@@ -45,7 +45,7 @@ func TestHelloBackwardCompatible(t *testing.T) {
 	}
 
 	// Future direction: trailing bytes after the range are ignored.
-	extended := append(m.Marshal(), 0x01, 0x02)
+	extended := append(m.AppendTo(nil), 0x01, 0x02)
 	gotExt, err := UnmarshalHello(extended)
 	if err != nil || gotExt.ShardEnd != m.ShardEnd {
 		t.Fatalf("future-extended hello rejected: %+v err %v", gotExt, err)
@@ -61,7 +61,7 @@ func TestQueryGlobalStatsRoundtrip(t *testing.T) {
 		StatsTerms: []string{"amphora", "trade", "routes"},
 		StatsDF:    []uint64{312, 48000, 2901},
 	}
-	got, err := UnmarshalQuery(m.Marshal())
+	got, err := UnmarshalQuery(m.AppendTo(nil))
 	if err != nil || !reflect.DeepEqual(got, m) {
 		t.Fatalf("got %+v err %v", got, err)
 	}
@@ -78,7 +78,7 @@ func TestQueryGlobalStatsBackwardCompatible(t *testing.T) {
 	// With no stats set the shard tail is exactly 10 bytes: GlobalDocs (8)
 	// plus two empty-slice uvarint counts (1+1). Truncating it reproduces
 	// the trace-era encoding.
-	legacy := m.Marshal()
+	legacy := m.AppendTo(nil)
 	legacy = legacy[:len(legacy)-10]
 	got, err := UnmarshalQuery(legacy)
 	if err != nil {
@@ -98,13 +98,13 @@ func TestQueryResultEpochRoundtrip(t *testing.T) {
 		Items:   []ResultItem{{DocID: "d1", Source: "shard-3", Score: 1.5, Snippet: "…"}},
 		Elapsed: 0.001, TraceID: 0xAAAA, Epoch: 42,
 	}
-	got, err := UnmarshalQueryResult(m.Marshal())
+	got, err := UnmarshalQueryResult(m.AppendTo(nil))
 	if err != nil || !reflect.DeepEqual(got, m) {
 		t.Fatalf("got %+v err %v", got, err)
 	}
 
 	// Trace-era peer: Epoch absent. Truncate its 8 bytes; TraceID survives.
-	legacy := m.Marshal()
+	legacy := m.AppendTo(nil)
 	legacy = legacy[:len(legacy)-8]
 	gotLegacy, err := UnmarshalQueryResult(legacy)
 	if err != nil || gotLegacy.Epoch != 0 || gotLegacy.TraceID != m.TraceID {
@@ -114,7 +114,7 @@ func TestQueryResultEpochRoundtrip(t *testing.T) {
 
 func TestTermStatsRoundtrip(t *testing.T) {
 	req := TermStatsReq{ID: "s1", Terms: []string{"amphora", "trade"}}
-	gotReq, err := UnmarshalTermStatsReq(req.Marshal())
+	gotReq, err := UnmarshalTermStatsReq(req.AppendTo(nil))
 	if err != nil || !reflect.DeepEqual(gotReq, req) {
 		t.Fatalf("req: got %+v err %v", gotReq, err)
 	}
@@ -124,14 +124,14 @@ func TestTermStatsRoundtrip(t *testing.T) {
 		DF:       []uint64{12, 4400},
 		MaxRatio: []float64{0.61, 0.47},
 	}
-	gotResp, err := UnmarshalTermStatsResp(resp.Marshal())
+	gotResp, err := UnmarshalTermStatsResp(resp.AppendTo(nil))
 	if err != nil || !reflect.DeepEqual(gotResp, resp) {
 		t.Fatalf("resp: got %+v err %v", gotResp, err)
 	}
 
 	// Empty request/response (term unseen everywhere) round-trips too.
 	empty := TermStatsResp{ID: "s2", Total: 0, Epoch: 1}
-	gotEmpty, err := UnmarshalTermStatsResp(empty.Marshal())
+	gotEmpty, err := UnmarshalTermStatsResp(empty.AppendTo(nil))
 	if err != nil || !reflect.DeepEqual(gotEmpty, empty) {
 		t.Fatalf("empty resp: got %+v err %v", gotEmpty, err)
 	}

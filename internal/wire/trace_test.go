@@ -15,7 +15,7 @@ func TestQueryTraceContextRoundtrip(t *testing.T) {
 		Concept: []float64{0.25}, TopK: 5, TTL: 2,
 		TraceID: 0xDEADBEEFCAFEF00D, SpanID: 0x0123456789ABCDEF,
 	}
-	got, err := UnmarshalQuery(m.Marshal())
+	got, err := UnmarshalQuery(m.AppendTo(nil))
 	if err != nil || !reflect.DeepEqual(got, m) {
 		t.Fatalf("got %+v err %v", got, err)
 	}
@@ -24,7 +24,7 @@ func TestQueryTraceContextRoundtrip(t *testing.T) {
 	}
 
 	res := QueryResult{QueryID: "q1", From: "museum-7", Elapsed: 0.02, TraceID: 0xDEADBEEFCAFEF00D}
-	gotRes, err := UnmarshalQueryResult(res.Marshal())
+	gotRes, err := UnmarshalQueryResult(res.AppendTo(nil))
 	if err != nil || gotRes.TraceID != res.TraceID {
 		t.Fatalf("result trace lost: %+v err %v", gotRes, err)
 	}
@@ -32,7 +32,7 @@ func TestQueryTraceContextRoundtrip(t *testing.T) {
 
 func TestQueryZeroTraceContextPassthrough(t *testing.T) {
 	m := Query{ID: "q2", From: "iris", Text: "untraced", TopK: 3}
-	got, err := UnmarshalQuery(m.Marshal())
+	got, err := UnmarshalQuery(m.AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestQueryZeroTraceContextPassthrough(t *testing.T) {
 		t.Fatalf("zero context did not survive: %x/%x", got.TraceID, got.SpanID)
 	}
 	res := QueryResult{QueryID: "q2", From: "p"}
-	gotRes, err := UnmarshalQueryResult(res.Marshal())
+	gotRes, err := UnmarshalQueryResult(res.AppendTo(nil))
 	if err != nil || gotRes.TraceID != 0 {
 		t.Fatalf("zero result trace: %+v err %v", gotRes, err)
 	}
@@ -58,7 +58,7 @@ func TestQueryBackwardCompatible(t *testing.T) {
 	// Strip the shard-stats tail (8-byte GlobalDocs + two empty-slice
 	// counts) and then the 16-byte trace tail to reproduce a pre-trace
 	// peer's encoding exactly.
-	legacy := m.Marshal()
+	legacy := m.AppendTo(nil)
 	legacy = legacy[:len(legacy)-10-16]
 	got, err := UnmarshalQuery(legacy)
 	if err != nil {
@@ -76,7 +76,7 @@ func TestQueryBackwardCompatible(t *testing.T) {
 		Elapsed: 0.5, TraceID: 0x3333,
 	}
 	// Epoch (8) then TraceID (8) off the tail → pre-trace encoding.
-	legacyRes := res.Marshal()
+	legacyRes := res.AppendTo(nil)
 	legacyRes = legacyRes[:len(legacyRes)-16]
 	gotRes, err := UnmarshalQueryResult(legacyRes)
 	if err != nil {
@@ -91,7 +91,7 @@ func TestQueryBackwardCompatible(t *testing.T) {
 	// And the other direction: a frame carrying the new tail decodes on a
 	// decoder that ignores trailing bytes it does not know about — which is
 	// this decoder's behavior for any future field appended after ours.
-	extended := append(res.Marshal(), 0xAA, 0xBB, 0xCC)
+	extended := append(res.AppendTo(nil), 0xAA, 0xBB, 0xCC)
 	gotExt, err := UnmarshalQueryResult(extended)
 	if err != nil || gotExt.TraceID != res.TraceID {
 		t.Fatalf("future-extended result rejected: %+v err %v", gotExt, err)
