@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -155,6 +154,15 @@ func (s *Session) AskQuery(q *query.Query, concept feature.Vector) (*Answer, err
 // query (spans: plan → negotiate(source) → execute(source) → merge), the
 // ask counter, and the end-to-end latency histogram. With telemetry
 // disabled every instrument is a nil no-op.
+//
+// A sequential ask is several hundred microseconds that never block and
+// allocate too little to meet a collection often, and sessions issue asks
+// back to back. On a one-processor runtime nothing else — a ticker, a
+// listener, another session — would run until the runtime's forced
+// preemption some 20 ms later, and then behind a signal. So the ask yields
+// once as it returns: whatever became runnable during it is served at ask
+// granularity. With nothing waiting the yield is one pass through the
+// scheduler.
 func (s *Session) askPipeline(q *query.Query, concept feature.Vector, onPartial func(Partial)) (*Answer, error) {
 	tel := &s.agora.tel
 	elapsed := stopwatch()
@@ -170,6 +178,7 @@ func (s *Session) askPipeline(q *query.Query, concept feature.Vector, onPartial 
 	}
 	tel.askLat.ObserveExemplar(elapsed(), tr.ID())
 	tr.Finish()
+	runtime.Gosched()
 	return ans, err
 }
 
@@ -280,19 +289,15 @@ func (s *Session) runPipeline(tr *telemetry.Trace, q *query.Query, concept featu
 	spMerge := tr.Span("merge", "")
 	mergeElapsed := stopwatch()
 	merged := query.Merge(lists, q.TopK*3)
+	var texts [8]string
 	for i := range merged {
 		base := merged[i].Score
 		p := merged[i].Doc
 		score := s.Profile.PersonalScore(base, p.Concept, s.Gamma)
-		score *= s.Profile.TermBoost(p.Tokens())
+		score *= s.Profile.TermBoost(p.Texts(texts[:0]))
 		merged[i].Score = score
 	}
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].Score != merged[j].Score {
-			return merged[i].Score > merged[j].Score
-		}
-		return merged[i].Doc.ID < merged[j].Doc.ID
-	})
+	query.SortResults(merged)
 
 	// 8. Socialize: blend in the accessible circle's interests.
 	if s.Beta > 0 {

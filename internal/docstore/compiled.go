@@ -22,6 +22,7 @@ type compiledIndex struct {
 	docs    []*Document // ordinal -> document (shared across epochs, never mutated)
 	docLens []uint32    // ordinal -> token count
 	norms   []float64   // ordinal -> sqrt(docLen+1), the score denominator
+	cnorms  []float64   // ordinal -> docs[ord].Concept.Norm(), the cosine denominator
 	ords    map[string]uint32
 
 	terms  map[string]termPostings
@@ -71,14 +72,16 @@ func newCompiledIndex(nDocs int, like *compiledIndex) *compiledIndex {
 
 // addDoc gives d, whose ID must sort after every document already added, the
 // next ordinal, with room for nTerms distinct terms in its forward list.
-// Ordinals ascend with IDs so that equal scores tie-break identically
+// cnorm is d.Concept.Norm(): a carried document brings the one its last index
+// held. Ordinals ascend with IDs so that equal scores tie-break identically
 // whether a doc is identified by ordinal or by ID.
-func (cx *compiledIndex) addDoc(d *Document, docLen uint32, nTerms int) uint32 {
+func (cx *compiledIndex) addDoc(d *Document, docLen uint32, nTerms int, cnorm float64) uint32 {
 	ord := uint32(len(cx.ids))
 	cx.ids = append(cx.ids, d.ID)
 	cx.docs = append(cx.docs, d)
 	cx.docLens = append(cx.docLens, docLen)
 	cx.norms = append(cx.norms, math.Sqrt(float64(docLen)+1))
+	cx.cnorms = append(cx.cnorms, cnorm)
 	cx.fwd = append(cx.fwd, make([]uint32, 0, nTerms))
 	cx.ords[d.ID] = ord
 	return ord
@@ -159,8 +162,8 @@ func mergeIndex(base *compiledIndex, ov *overlay) *compiledIndex {
 	j := 0
 	for i := 0; i <= len(base.ids); i++ {
 		for ; j < len(add) && (i == len(base.ids) || add[j] <= base.ids[i]); j++ {
-			terms := ov.terms[add[j]]
-			ord := cx.addDoc(ov.byID[add[j]], uint32(ov.docLen[add[j]]), len(terms))
+			d, terms := ov.byID[add[j]], ov.terms[add[j]]
+			ord := cx.addDoc(d, uint32(ov.docLen[add[j]]), len(terms), d.Concept.Norm())
 			for _, tt := range terms {
 				s, ok := slot[tt.term]
 				if !ok {
@@ -172,7 +175,7 @@ func mergeIndex(base *compiledIndex, ov *overlay) *compiledIndex {
 			}
 		}
 		if i < len(base.ids) && remap[i] != ordSentinel {
-			remap[i] = cx.addDoc(base.docs[i], base.docLens[i], len(base.fwd[i]))
+			remap[i] = cx.addDoc(base.docs[i], base.docLens[i], len(base.fwd[i]), base.cnorms[i])
 		}
 	}
 	slices.SortFunc(delta, func(a, b deltaTerm) int { return strings.Compare(a.term, b.term) })
@@ -364,22 +367,56 @@ func QueryWeight(qn int, idf float64) float64 {
 const BoundSlack = 1 + 1e-9
 
 // searchScratch is the pooled per-query state that makes the steady-state
-// text query allocation-free: every slice below retains its backing array
-// across queries, and ovAcc is cleared rather than reallocated.
+// text query allocation-free, and a vector or hybrid query allocate only its
+// result: every slice below retains its backing array across queries, and
+// the maps are emptied rather than reallocated.
 type searchScratch struct {
 	keyBuf  []byte
 	terms   []queryTerm
 	cursors []cursor
 	order   []int
-	masked  []uint32
-	heap    []scored
+	ords    []uint32 // base ordinals: the masked ones (walkBase), a probe's candidates
+	heap    []scored // the text top-k
+	vecHeap []scored // the vector top-k
+	outHeap []scored // the hybrid top-k
 	ovAcc   map[string]float64
 	stats   searchStats
+	// slot (by base ordinal) and ovSlot (by overlay id) file a number per
+	// document — a probe marks what it has collected, a blend notes each text
+	// hit's place in its pool — and are zero, and empty, between uses.
+	slot   []int32
+	ovSlot map[string]int32
+}
+
+// growSlots makes slot cover n base ordinals.
+func (sc *searchScratch) growSlots(n int) {
+	for len(sc.slot) < n {
+		sc.slot = append(sc.slot, 0)
+	}
+}
+
+// fileSlot files v under r's document; takeSlot returns what is filed there
+// (zero: nothing) and clears it.
+func (sc *searchScratch) fileSlot(r scored, v int32) {
+	if r.ord >= 0 {
+		sc.slot[r.ord] = v
+	} else {
+		sc.ovSlot[r.id] = v
+	}
+}
+
+func (sc *searchScratch) takeSlot(r scored) (v int32) {
+	if r.ord >= 0 {
+		v, sc.slot[r.ord] = sc.slot[r.ord], 0
+	} else if v = sc.ovSlot[r.id]; v != 0 {
+		delete(sc.ovSlot, r.id)
+	}
+	return v
 }
 
 var scratchPool = sync.Pool{
 	New: func() any {
-		return &searchScratch{ovAcc: make(map[string]float64, 16)}
+		return &searchScratch{ovAcc: make(map[string]float64, 16), ovSlot: make(map[string]int32, 16)}
 	},
 }
 
@@ -400,10 +437,11 @@ func putScratch(sc *searchScratch) { scratchPool.Put(sc) }
 // the exact same accumulation code, so the two modes are bit-identical on
 // the documents they both score — and the skipped ones provably lose.
 //
-// Result ordering and scores match the historical map-walk scorer:
-// contributions accumulate per document in canonical query-term order, and
-// the heap's (score desc, id asc) total order makes the top-k set
-// independent of candidate arrival order.
+// The result is the k best, scratch-backed and not yet ranked (assembleHits
+// ranks). Set and scores match the historical map-walk scorer: contributions
+// accumulate per document in canonical query-term order, and the heap's
+// (score desc, id asc) total order makes the top-k set independent of
+// candidate arrival order.
 //
 // gs, when non-nil, replaces the snapshot's document count and per-term
 // document frequencies with corpus-wide figures supplied by a scatter
@@ -497,9 +535,8 @@ tokenLoop:
 		sn.walkBase(&h, sc, exhaustive)
 	}
 
-	res := h.sorted()
-	sc.heap = res[:0] // retain backing for the next query
-	return res
+	sc.heap = h.items[:0] // retain backing for the next query
+	return h.items
 }
 
 // walkBase runs the document-at-a-time walk over the base cursors,
@@ -510,13 +547,13 @@ func (sn *snapshot) walkBase(h *topK[scored], sc *searchScratch, exhaustive bool
 
 	// Masked base ordinals, ascending. Evaluated ordinals only increase,
 	// so one monotonic pointer replaces per-candidate set lookups.
-	sc.masked = sc.masked[:0]
+	sc.ords = sc.ords[:0]
 	for id := range ov.masked {
 		if ord, ok := cx.ords[id]; ok {
-			sc.masked = append(sc.masked, ord)
+			sc.ords = append(sc.ords, ord)
 		}
 	}
-	slices.Sort(sc.masked)
+	slices.Sort(sc.ords)
 	mi := 0
 
 	sc.order = sc.order[:0]
@@ -624,10 +661,10 @@ func (sn *snapshot) walkBase(h *topK[scored], sc *searchScratch, exhaustive bool
 		}
 
 		d := lead.curOrd
-		for mi < len(sc.masked) && sc.masked[mi] < d {
+		for mi < len(sc.ords) && sc.ords[mi] < d {
 			mi++
 		}
-		if mi == len(sc.masked) || sc.masked[mi] != d {
+		if mi == len(sc.ords) || sc.ords[mi] != d {
 			// Exact score, accumulated in canonical term order: cursors
 			// were appended in that order and are scanned by index here.
 			acc := 0.0

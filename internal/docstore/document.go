@@ -11,6 +11,8 @@ package docstore
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/feature"
@@ -58,6 +60,13 @@ type Document struct {
 	Meta       map[string]string
 }
 
+// Texts appends the document's searchable texts to dst: title, body, then
+// each topic. Tokens is the tokens of these in turn; a reader that only looks
+// tokens up streams them (feature.Tokenizer) instead of building the list.
+func (d *Document) Texts(dst []string) []string {
+	return append(append(dst, d.Title, d.Text), d.Topics...)
+}
+
 // Tokens returns the tokenized searchable text (title + body + topics).
 func (d *Document) Tokens() []string {
 	var sb strings.Builder
@@ -91,12 +100,7 @@ func (d *Document) Clone() *Document {
 	cp.Concept = d.Concept.Clone()
 	cp.ColorHist = d.ColorHist.Clone()
 	cp.Texture = d.Texture.Clone()
-	if d.Meta != nil {
-		cp.Meta = make(map[string]string, len(d.Meta))
-		for k, v := range d.Meta {
-			cp.Meta[k] = v
-		}
-	}
+	cp.Meta = maps.Clone(d.Meta)
 	return &cp
 }
 
@@ -120,7 +124,7 @@ func (d *Document) marshal() []byte {
 	for k := range d.Meta {
 		keys = append(keys, k)
 	}
-	sortStrings(keys)
+	slices.Sort(keys)
 	for _, k := range keys {
 		w.String(k)
 		w.String(d.Meta[k])
@@ -161,13 +165,4 @@ func unmarshalDocument(b []byte) (*Document, error) {
 		return nil, fmt.Errorf("docstore: decoding document: %w", err)
 	}
 	return d, nil
-}
-
-func sortStrings(s []string) {
-	// Tiny insertion sort: meta maps are small and this avoids an import.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -94,6 +94,30 @@ func TestTokensAndSnippet(t *testing.T) {
 	}
 }
 
+// TestTextsStreamToTokens: reading Texts through a feature.Tokenizer — what
+// the personalize step does instead of building Tokens — yields Tokens.
+func TestTextsStreamToTokens(t *testing.T) {
+	for _, d := range []*Document{
+		{},
+		{Title: "Gold Ring", Text: "byzantine filigree", Topics: []string{"jewelry"}},
+		{Title: "ends in a letter", Text: "Starts with one", Topics: []string{"x", "of", "the"}},
+		{Text: "no title", Topics: []string{"", "two words", "ÉCOLE", "a", "b", "c", "d", "e", "f", "nine topics"}},
+		{Title: "the", Text: "and", Topics: []string{"or"}},
+	} {
+		var got []string
+		var tz feature.Tokenizer
+		for _, text := range d.Texts(nil) {
+			tz.Reset(text)
+			for tok, ok := tz.Next(); ok; tok, ok = tz.Next() {
+				got = append(got, string(tok))
+			}
+		}
+		if want := d.Tokens(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v: streamed %q, Tokens %q", d, got, want)
+		}
+	}
+}
+
 func TestKindStringNames(t *testing.T) {
 	if KindCatalogEntry.String() != "catalog" || Kind(99).String() != "kind(99)" {
 		t.Fatal("kind names wrong")

@@ -150,7 +150,7 @@ func loadSnapshotFile(path string) (*compiledIndex, error) {
 		if err != nil {
 			return nil, err
 		}
-		cx.addDoc(d, uint32(dl), 0)
+		cx.addDoc(d, uint32(dl), 0, d.Concept.Norm())
 	}
 	nTerms, err := r.uvarint()
 	if err != nil {

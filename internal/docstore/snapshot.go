@@ -36,9 +36,9 @@ import (
 // minus superseded ids plus overlay carriers, with the float expression
 // order fixed by searchCompiled's canonical term order) and LSH bucket
 // membership (overlay vectors carry precomputed per-table signatures so
-// they join exactly the buckets an indexed vector would — see
-// feature.Extra). TestSnapshotMatchesMonolithic pins this equivalence
-// across freeze boundaries.
+// they join exactly the buckets an indexed vector would — see feature.Extra).
+// TestSnapshotMatchesMonolithic pins this equivalence across freeze
+// boundaries.
 
 // state is a frozen base: the index structures over one fixed document set,
 // immutable once next (or newState, for the empty one) returns it.
@@ -190,7 +190,7 @@ type overlay struct {
 	// visualDelta is the same for documents with visual features: the
 	// overlay's carriers less the masked base ones.
 	visualDelta int
-	extras      []feature.Extra // overlay concept vectors with precomputed signatures
+	extras      []feature.Extra // byID's concept vectors, with norm and LSH signatures
 }
 
 // termTF is one distinct term of a document and its frequency there.
@@ -332,7 +332,7 @@ func (nv *overlay) putDoc(d *Document, tokens []string, sigs []uint64, cx *compi
 		nv.setTermPost(tt.term, d.ID, tt.tf, cx)
 	}
 	if len(d.Concept) > 0 {
-		nv.extras = append(nv.extras, feature.Extra{ID: d.ID, Vec: d.Concept, Sigs: sigs})
+		nv.extras = append(nv.extras, feature.Extra{ID: d.ID, Vec: d.Concept, Norm: d.Concept.Norm(), Sigs: sigs})
 	}
 }
 
@@ -425,14 +425,7 @@ func (ov *overlay) df(term string) int {
 // amortize the O(n) deep clone, small enough to keep the per-query overlay
 // adjustments cheap.
 func overlayLimit(baseDocs int) int {
-	lim := baseDocs / 8
-	if lim < 64 {
-		lim = 64
-	}
-	if lim > 512 {
-		lim = 512
-	}
-	return lim
+	return min(max(baseDocs/8, 64), 512)
 }
 
 // snapshot is one published epoch: an immutable view of the store, and all
@@ -479,15 +472,16 @@ func (sn *snapshot) searchTextExhaustive(tokens []string, k int, sc *searchScrat
 	return sn.assembleHits(sn.searchCompiled(tokens, k, sc, true, nil))
 }
 
-// assembleHits resolves ranked ordinals/ids into hit documents. The scored
-// slice is scratch-backed, so hits must be built before the scratch is
-// reused.
-func (sn *snapshot) assembleHits(res []scored) []Hit {
-	if len(res) == 0 {
+// assembleHits ranks a search's kept set, in place, and resolves its
+// ordinals/ids into hit documents. The scored slice is scratch-backed, so
+// hits must be built before the scratch is reused.
+func (sn *snapshot) assembleHits(kept []scored) []Hit {
+	if len(kept) == 0 {
 		return nil
 	}
-	hits := make([]Hit, 0, len(res)) //lint:allow hotalloc the one documented cold-query allocation: the returned []Hit
-	for _, r := range res {
+	h := topK[scored]{better: scoredBetter, items: kept}
+	hits := make([]Hit, 0, len(kept)) //lint:allow hotalloc the one documented cold-query allocation: the returned []Hit
+	for _, r := range h.sorted() {
 		var d *Document
 		if r.ord >= 0 {
 			d = sn.base.cx.docs[r.ord]
@@ -501,28 +495,114 @@ func (sn *snapshot) assembleHits(res []scored) []Hit {
 	return hits
 }
 
-// searchVectorRaw mirrors the monolithic searchVector: exact scan for small
-// stores, LSH with scan fallback otherwise. Masked base ids are excluded
-// before top-k selection and overlay vectors join via their precomputed
-// signatures, so the candidate set matches a monolithic index exactly.
-func (sn *snapshot) searchVectorRaw(concept feature.Vector, k int) []Hit {
-	excluded := func(id string) bool { return sn.ov.masked[id] }
-	var cands []feature.Candidate
-	if sn.docCount() <= 256 {
-		cands = sn.base.vec.ScanWith(concept, k, sn.ov.extras, excluded)
-	} else {
-		cands = sn.base.vec.QueryWith(concept, k, sn.ov.extras, excluded)
-		if len(cands) < k {
-			cands = sn.base.vec.ScanWith(concept, k, sn.ov.extras, excluded)
+// searchVectorRaw selects the k live documents most cosine-similar to q:
+// what an LSH probe finds when that is at least k of them, otherwise — and
+// always for a store of at most 256 — what the exact scan over the ordinals
+// does. A candidate is an unmasked base document with a concept vector, or an
+// overlay vector, scored from the norm kept beside it (a score has
+// feature.Cosine's bits). The probe collects its distinct candidates before
+// scoring any, and reads no bucket when their sizes already sum to fewer than
+// k. The result is scratch-backed and unranked, like searchCompiled's.
+func (sn *snapshot) searchVectorRaw(q feature.Vector, k int, sc *searchScratch) []scored {
+	cx, ov, lsh := sn.base.cx, sn.ov, sn.base.vec
+	h := topK[scored]{k: k, better: scoredBetter, items: sc.vecHeap[:0]}
+	qn := q.Norm()
+	base := func(ord uint32) {
+		h.push(scored{id: cx.ids[ord], ord: int32(ord), score: feature.CosineNorms(q, cx.docs[ord].Concept, qn, cx.cnorms[ord])})
+	}
+	var sigs []uint64
+	probed := false
+	if sn.docCount() > 256 {
+		var buf [lshTables]uint64
+		sigs = lsh.AppendSignatures(buf[:0], q)
+		near := 0 // overlay vectors in one of q's buckets
+		for i := range ov.extras {
+			if ov.extras[i].Shares(sigs) {
+				near++
+			}
+		}
+		sc.ords = sc.ords[:0]
+		if k <= near+lsh.BucketSizes(sigs) {
+			sc.growSlots(len(cx.ids))
+			for t, sig := range sigs {
+				for _, id := range lsh.Bucket(t, sig) {
+					ord := cx.ords[id] // the LSH indexes exactly cx's documents with a vector
+					if sc.slot[ord] == 0 && !ov.masked[id] {
+						sc.slot[ord] = 1
+						sc.ords = append(sc.ords, ord)
+					}
+				}
+			}
+			probed = k <= near+len(sc.ords)
+		}
+		for _, ord := range sc.ords {
+			if sc.slot[ord] = 0; probed {
+				base(ord)
+			}
 		}
 	}
-	hits := make([]Hit, 0, len(cands))
-	for _, c := range cands {
-		if d := sn.getDoc(c.ID); d != nil {
-			hits = append(hits, Hit{Doc: d, Score: c.Score})
+	if !probed {
+		for ord, d := range cx.docs {
+			if len(d.Concept) > 0 && !ov.masked[d.ID] {
+				base(uint32(ord))
+			}
 		}
 	}
-	return hits
+	for i := range ov.extras {
+		if e := &ov.extras[i]; !probed || e.Shares(sigs) {
+			h.push(scored{id: e.ID, ord: -1, score: feature.CosineNorms(q, e.Vec, qn, e.Norm)})
+		}
+	}
+	sc.vecHeap = h.items[:0]
+	return h.items
+}
+
+// searchHybridRaw ranks by (1-alpha)*text + alpha*vector over the union of
+// two pools — the max(4k, 32) best text hits and as many vector hits — each
+// score first divided by its pool's best (a pool whose best is not positive
+// contributes zeros; a document outside a pool scores zero there). The text
+// pool is filed by ordinal, each vector hit takes its text score from there,
+// the text hits left follow, and a k-heap keeps the answer: neither pool is
+// ranked or keyed by id, nothing is sorted but the k kept.
+func (sn *snapshot) searchHybridRaw(tokens []string, concept feature.Vector, alpha float64, k int, sc *searchScratch) []Hit {
+	pool := max(k*4, 32)
+	text := sn.searchCompiled(tokens, pool, sc, false, nil)
+	vec := sn.searchVectorRaw(concept, pool, sc)
+	var tmax, vmax float64
+	for _, r := range text {
+		tmax = max(tmax, r.score)
+	}
+	for _, r := range vec {
+		vmax = max(vmax, r.score)
+	}
+	share := func(score, of float64) float64 {
+		if of == 0 {
+			return 0
+		}
+		return score / of
+	}
+	blend := func(ts, vs float64) float64 { return (1-alpha)*ts + alpha*vs }
+	sc.growSlots(len(sn.base.cx.ids))
+	for i, r := range text {
+		sc.fileSlot(r, int32(i+1))
+	}
+	h := topK[scored]{k: k, better: scoredBetter, items: sc.outHeap[:0]}
+	for _, r := range vec {
+		ts := 0.0
+		if at := sc.takeSlot(r); at != 0 {
+			ts = share(text[at-1].score, tmax)
+		}
+		r.score = blend(ts, share(r.score, vmax))
+		h.push(r)
+	}
+	for _, r := range text {
+		if sc.takeSlot(r) != 0 {
+			r.score = blend(share(r.score, tmax), 0)
+			h.push(r)
+		}
+	}
+	sc.outHeap = h.items[:0]
+	return sn.assembleHits(h.items)
 }
 
 // timeRange returns the entries of a time index with key in [from, to].

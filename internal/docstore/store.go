@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -416,7 +415,10 @@ func (s *Store) SearchVector(concept feature.Vector, k int) []Hit {
 	defer func() { s.tel.vectorLat.Observe(time.Since(start)) }()
 	s.countSearch()
 	sn := s.snap.Load()
-	return sn.searchVectorRaw(concept, k)
+	sc := getScratch()
+	hits := sn.assembleHits(sn.searchVectorRaw(concept, k, sc))
+	putScratch(sc)
+	return hits
 }
 
 // SearchVisual ranks image-bearing documents by low-level visual
@@ -436,37 +438,26 @@ func (s *Store) SearchVisual(query feature.VisualFeatures, colorWeight float64, 
 	if sn.visualCount() == 0 {
 		return nil
 	}
-	type vcand struct {
-		d     *Document
-		score float64
-	}
-	h := newTopK(k, func(a, b vcand) bool {
-		if a.score != b.score {
-			return a.score > b.score
+	sc := getScratch()
+	h := topK[scored]{k: k, better: scoredBetter, items: sc.heap[:0]}
+	score := func(d *Document, ord int32) {
+		if hasVisual(d) {
+			h.push(scored{id: d.ID, ord: ord, score: feature.VisualSimilarity(query, feature.VisualFeatures{
+				ColorHist: d.ColorHist, Texture: d.Texture,
+			}, colorWeight)})
 		}
-		return a.d.ID < b.d.ID
-	})
-	score := func(d *Document) {
-		if !hasVisual(d) {
-			return
-		}
-		h.push(vcand{d: d, score: feature.VisualSimilarity(query, feature.VisualFeatures{
-			ColorHist: d.ColorHist, Texture: d.Texture,
-		}, colorWeight)})
 	}
-	for _, d := range sn.base.cx.docs {
+	for ord, d := range sn.base.cx.docs {
 		if !sn.ov.masked[d.ID] {
-			score(d)
+			score(d, int32(ord))
 		}
 	}
 	for _, d := range sn.ov.byID {
-		score(d)
+		score(d, -1)
 	}
-	cands := h.sorted()
-	hits := make([]Hit, len(cands))
-	for i, c := range cands {
-		hits[i] = Hit{Doc: c.d, Score: c.score}
-	}
+	sc.heap = h.items[:0]
+	hits := sn.assembleHits(h.items)
+	putScratch(sc)
 	return hits
 }
 
@@ -494,45 +485,7 @@ func (s *Store) SearchHybrid(query string, concept feature.Vector, alpha float64
 	}
 	// One hybrid query is one search, even though it consults two indexes.
 	s.countSearch()
-	// Over-fetch both pools, then blend.
-	pool := k * 4
-	if pool < 32 {
-		pool = 32
-	}
-	text := sn.searchTextRaw(s.tokens.tokenize(query), pool, sc, nil)
-	vec := sn.searchVectorRaw(concept, pool)
-	norm := func(hits []Hit) map[string]float64 {
-		out := make(map[string]float64, len(hits))
-		var max float64
-		for _, h := range hits {
-			if h.Score > max {
-				max = h.Score
-			}
-		}
-		if max == 0 {
-			return out
-		}
-		for _, h := range hits {
-			out[h.Doc.ID] = h.Score / max
-		}
-		return out
-	}
-	ts, vs := norm(text), norm(vec)
-	byID := make(map[string]*Document, len(text)+len(vec))
-	for _, h := range text {
-		byID[h.Doc.ID] = h.Doc
-	}
-	for _, h := range vec {
-		byID[h.Doc.ID] = h.Doc
-	}
-	hits := make([]Hit, 0, len(byID))
-	for id, d := range byID {
-		hits = append(hits, Hit{Doc: d, Score: (1-alpha)*ts[id] + alpha*vs[id]})
-	}
-	sortHits(hits)
-	if len(hits) > k {
-		hits = hits[:k]
-	}
+	hits := sn.searchHybridRaw(s.tokens.tokenize(query), concept, alpha, k, sc)
 	s.cache.put(sc.keyBuf, sn.epoch, hits)
 	s.noteSearchStats(&sc.stats)
 	putScratch(sc)
@@ -810,13 +763,4 @@ func (s *Store) Stats() Stats {
 		BlocksDecoded: s.blocksDecoded.Load(),
 		BlocksSkipped: s.blocksSkipped.Load(),
 	}
-}
-
-func sortHits(hits []Hit) {
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
-		}
-		return hits[i].Doc.ID < hits[j].Doc.ID
-	})
 }

@@ -13,14 +13,6 @@ type topK[T any] struct {
 	items  []T
 }
 
-func newTopK[T any](k int, better func(a, b T) bool) *topK[T] {
-	h := &topK[T]{k: k, better: better}
-	if k > 0 {
-		h.items = make([]T, 0, k)
-	}
-	return h
-}
-
 func (h *topK[T]) push(x T) {
 	if h.k == 0 {
 		return

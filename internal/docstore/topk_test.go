@@ -7,6 +7,10 @@ import (
 	"testing"
 )
 
+func newTopK[T any](k int, better func(a, b T) bool) *topK[T] {
+	return &topK[T]{k: k, better: better}
+}
+
 // topkPush feeds items through a fresh topK and drains it.
 func topkDrain(k int, items []scored) []scored {
 	h := newTopK(k, scoredBetter)

@@ -1,8 +1,10 @@
 package feature
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -118,27 +120,65 @@ func (l *LSH) removeLocked(id string) {
 	}
 }
 
-// Signatures returns q's per-table bucket signatures. Hyperplanes are
+// Signatures returns v's per-table bucket signatures. Hyperplanes are
 // immutable after construction, so this takes no lock; callers use it to
-// precompute signatures for vectors held outside the index (see Extra).
+// precompute signatures for vectors held outside the index.
 func (l *LSH) Signatures(v Vector) []uint64 {
-	sigs := make([]uint64, len(l.planes))
-	for t := range l.planes {
-		sigs[t] = l.signature(t, v)
-	}
-	return sigs
+	return l.AppendSignatures(make([]uint64, 0, len(l.planes)), v)
 }
 
-// Extra is a vector considered alongside the index without being inserted:
-// it joins a table's candidate set exactly when its precomputed signature
-// (from Signatures, against the same hyperplanes) matches the query bucket —
-// the same membership rule an indexed vector would obey. The docstore's
-// epoch-snapshot overlay uses this to query a frozen index plus a small
-// unindexed delta with identical candidate semantics.
+// AppendSignatures appends v's per-table signatures to dst.
+func (l *LSH) AppendSignatures(dst []uint64, v Vector) []uint64 {
+	for t := range l.planes {
+		dst = append(dst, l.signature(t, v))
+	}
+	return dst
+}
+
+// Bucket returns the ids filed under sig in table t: the candidates that
+// table contributes to a query whose signature there is sig. A caller that
+// scores by its own document numbers (the docstore's frozen base) probes
+// through this. The slice is the index's own and valid until the next Put,
+// Insert or Delete.
+func (l *LSH) Bucket(t int, sig uint64) []string {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.tables[t][sig]
+}
+
+// BucketSizes sums the sizes of the buckets a query with these signatures
+// reads: no probe finds more distinct ids.
+func (l *LSH) BucketSizes(sigs []uint64) (n int) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	for t, sig := range sigs {
+		n += len(l.tables[t][sig])
+	}
+	return n
+}
+
+// Extra is a vector held outside the index with what a search needs beside
+// it: its norm, and its signatures (from Signatures, against the same
+// hyperplanes). It is a probe's candidate exactly when an indexed vector
+// would be — when it Shares a bucket with the query. The docstore's overlay
+// holds its documents' vectors this way, to search a frozen index plus a
+// small unindexed delta with identical candidate semantics.
 type Extra struct {
 	ID   string
 	Vec  Vector
+	Norm float64 // Vec.Norm()
 	Sigs []uint64
+}
+
+// Shares reports whether e falls in the same bucket as a vector with
+// signatures sigs, in any table.
+func (e *Extra) Shares(sigs []uint64) bool {
+	for t, sig := range e.Sigs {
+		if t < len(sigs) && sigs[t] == sig {
+			return true
+		}
+	}
+	return false
 }
 
 // Clone returns an independent copy sharing only immutable state (the
@@ -172,92 +212,84 @@ type Candidate struct {
 	Score float64
 }
 
+// lshScratch is the pooled per-query state of Query and Scan: the set of ids
+// already scored and the selection heap keep their storage across queries.
+type lshScratch struct {
+	seen map[string]struct{}
+	heap []Candidate
+}
+
+var lshPool = sync.Pool{New: func() any { return &lshScratch{seen: map[string]struct{}{}} }}
+
 // Query returns up to k ids most cosine-similar to q among LSH candidates,
 // exactly re-scored and sorted descending. If the candidate set is smaller
 // than k the result is shorter; callers needing guaranteed recall can fall
 // back to Scan.
 func (l *LSH) Query(q Vector, k int) []Candidate {
-	return l.QueryWith(q, k, nil, nil)
-}
-
-// QueryWith is Query extended for snapshot readers: extras join the bucket
-// candidate sets by their precomputed signatures, and ids for which excluded
-// returns true are dropped before top-k selection (so superseded index
-// entries cannot crowd out live ones).
-func (l *LSH) QueryWith(q Vector, k int, extras []Extra, excluded func(string) bool) []Candidate {
+	sc := lshPool.Get().(*lshScratch)
+	clear(sc.seen)
+	top := candTop{k: k, heap: sc.heap[:0]}
+	qn := q.Norm()
 	l.mu.RLock()
-	defer l.mu.RUnlock()
-	seen := make(map[string]bool)
-	var cands []Candidate
 	for t := range l.tables {
-		sig := l.signature(t, q)
-		for _, id := range l.tables[t][sig] {
-			if seen[id] || (excluded != nil && excluded(id)) {
+		for _, id := range l.tables[t][l.signature(t, q)] {
+			if _, dup := sc.seen[id]; dup {
 				continue
 			}
-			seen[id] = true
-			cands = append(cands, Candidate{ID: id, Score: Cosine(q, l.items[id])})
-		}
-		for i := range extras {
-			e := &extras[i]
-			if t >= len(e.Sigs) || e.Sigs[t] != sig || seen[e.ID] {
-				continue
-			}
-			seen[e.ID] = true
-			cands = append(cands, Candidate{ID: e.ID, Score: Cosine(q, e.Vec)})
+			sc.seen[id] = struct{}{}
+			v := l.items[id]
+			top.push(Candidate{ID: id, Score: CosineNorms(q, v, qn, v.Norm())})
 		}
 	}
-	return topCandidates(cands, k)
+	l.mu.RUnlock()
+	return top.result(sc)
 }
 
 // Scan exactly scores every indexed vector against q — the ground-truth
 // (and slow) path used for recall measurement and small stores.
 func (l *LSH) Scan(q Vector, k int) []Candidate {
-	return l.ScanWith(q, k, nil, nil)
-}
-
-// ScanWith is Scan extended for snapshot readers; see QueryWith.
-func (l *LSH) ScanWith(q Vector, k int, extras []Extra, excluded func(string) bool) []Candidate {
+	sc := lshPool.Get().(*lshScratch)
+	top := candTop{k: k, heap: sc.heap[:0]}
+	qn := q.Norm()
 	l.mu.RLock()
-	defer l.mu.RUnlock()
-	cands := make([]Candidate, 0, len(l.items)+len(extras))
 	for id, v := range l.items {
-		if excluded != nil && excluded(id) {
-			continue
-		}
-		cands = append(cands, Candidate{ID: id, Score: Cosine(q, v)})
+		top.push(Candidate{ID: id, Score: CosineNorms(q, v, qn, v.Norm())})
 	}
-	for i := range extras {
-		cands = append(cands, Candidate{ID: extras[i].ID, Score: Cosine(q, extras[i].Vec)})
-	}
-	return topCandidates(cands, k)
+	l.mu.RUnlock()
+	return top.result(sc)
 }
 
-// topCandidates selects the best k candidates under the deterministic
-// (score desc, ID asc) order. For bounded k it keeps a k-sized min-heap
-// keyed by "worst kept" instead of sorting the whole candidate set; ids are
-// unique, so the order is strict and the result is identical to
-// sort-then-truncate.
-func topCandidates(cands []Candidate, k int) []Candidate {
-	if k == 0 {
-		return cands[:0]
+// candTop selects the best k candidates pushed, under the deterministic
+// (score desc, ID asc) order, while they are scored: a k-sized min-heap keyed
+// by "worst kept" instead of a slice of every candidate. Ids are unique, so
+// the order is strict and the result is identical to sort-then-truncate.
+// k < 0 keeps everything.
+type candTop struct {
+	k    int
+	heap []Candidate
+}
+
+func (h *candTop) push(c Candidate) {
+	switch {
+	case h.k < 0:
+		h.heap = append(h.heap, c)
+	case len(h.heap) < h.k:
+		h.heap = append(h.heap, c)
+		siftUpCand(h.heap, len(h.heap)-1)
+	case h.k > 0 && candWorse(h.heap[0], c):
+		h.heap[0] = c
+		siftDownCand(h.heap)
 	}
-	if k < 0 || len(cands) <= k {
-		sortCandidates(cands)
-		return cands
-	}
-	heap := make([]Candidate, 0, k)
-	for _, c := range cands {
-		if len(heap) < k {
-			heap = append(heap, c)
-			siftUpCand(heap, len(heap)-1)
-		} else if candWorse(heap[0], c) {
-			heap[0] = c
-			siftDownCand(heap)
-		}
-	}
-	sortCandidates(heap)
-	return heap
+}
+
+// result returns the kept candidates, ranked, in a slice of their own, and
+// hands the scratch back to the pool.
+func (h *candTop) result(sc *lshScratch) []Candidate {
+	sortCandidates(h.heap)
+	out := append([]Candidate(nil), h.heap...)
+	sc.heap = h.heap[:0]
+	lshPool.Put(sc)
+	return out
 }
 
 // candWorse reports whether a ranks strictly worse than b.
@@ -297,12 +329,13 @@ func siftDownCand(h []Candidate) {
 	}
 }
 
+// sortCandidates ranks by score, ties by ID so results are deterministic
+// across runs.
 func sortCandidates(cands []Candidate) {
-	// Ties break by ID so results are deterministic across runs.
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Score != cands[j].Score {
-			return cands[i].Score > cands[j].Score
+	slices.SortFunc(cands, func(a, b Candidate) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return cands[i].ID < cands[j].ID
+		return strings.Compare(a.ID, b.ID)
 	})
 }

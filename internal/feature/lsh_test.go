@@ -123,3 +123,42 @@ func TestLSHPutIsCopy(t *testing.T) {
 		t.Fatal("index must store a copy of the vector")
 	}
 }
+
+// TestLSHSelectsWhileScanning: Query and Scan keep the best k in a heap as
+// they score; that must be the head of the full ranking (k < 0), ties on the
+// score broken by id, for every k.
+func TestLSHSelectsWhileScanning(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	l := NewLSH(6, 8, 6, 4)
+	twin := randomUnit(r, 8)
+	for i := 0; i < 300; i++ {
+		v := randomUnit(r, 8)
+		if i%5 == 0 {
+			v = twin // equal scores: the id decides
+		}
+		l.Put(fmt.Sprintf("d%03d", i), v)
+	}
+	q := randomUnit(r, 8)
+	for name, search := range map[string]func(Vector, int) []Candidate{"Query": l.Query, "Scan": l.Scan} {
+		all := search(q, -1)
+		if name == "Scan" && len(all) != 300 {
+			t.Fatalf("Scan ranked %d of 300", len(all))
+		}
+		for i := 1; i < len(all); i++ {
+			if !candWorse(all[i], all[i-1]) {
+				t.Fatalf("%s: %v ranked before %v", name, all[i-1], all[i])
+			}
+		}
+		for _, k := range []int{0, 1, 7, len(all) - 1, len(all), len(all) + 9} {
+			got, want := search(q, k), all[:min(k, len(all))]
+			if len(got) != len(want) {
+				t.Fatalf("%s(k=%d): %d candidates, want %d", name, k, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s(k=%d): candidate %d is %v, want %v", name, k, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Tokenize splits text into lowercase word tokens, dropping punctuation and
@@ -37,6 +38,58 @@ func Tokenize(text string) []string {
 	return out
 }
 
+// Tokenizer yields Tokenize's tokens one at a time, for a reader that looks
+// each up and moves on: a token shorter than the buffer is never allocated.
+// The zero value has nothing to yield.
+type Tokenizer struct {
+	rest string // text not yet read
+	buf  [64]byte
+}
+
+// Reset starts over on text.
+func (tz *Tokenizer) Reset(text string) { tz.rest = text }
+
+// Next returns the next token: a maximal run of letters and digits,
+// lowercased, at least two bytes long and not a stopword. The bytes are the
+// tokenizer's own and are overwritten by the following call.
+func (tz *Tokenizer) Next() ([]byte, bool) {
+	s, tok := tz.rest, tz.buf[:0]
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			i++
+			switch {
+			case 'a' <= c && c <= 'z', '0' <= c && c <= '9':
+				tok = append(tok, c)
+				continue
+			case 'A' <= c && c <= 'Z':
+				tok = append(tok, c+('a'-'A'))
+				continue
+			}
+		} else {
+			r, size := utf8.DecodeRuneInString(s[i:])
+			i += size
+			if unicode.IsLetter(r) || unicode.IsDigit(r) {
+				tok = utf8.AppendRune(tok, unicode.ToLower(r))
+				continue
+			}
+		}
+		if isToken(tok) {
+			tz.rest = s[i:]
+			return tok, true
+		}
+		tok = tok[:0]
+	}
+	tz.rest = ""
+	return tok, isToken(tok)
+}
+
+// isToken reports whether a run of letters and digits is kept: long enough,
+// and not a stopword — which a run longer than every stopword is not, without
+// a lookup.
+func isToken(run []byte) bool {
+	return len(run) >= 2 && (len(run) > maxStopword || !stopwords[string(run)])
+}
+
 var stopwords = map[string]bool{
 	"a": true, "an": true, "the": true, "and": true, "or": true, "of": true,
 	"to": true, "in": true, "on": true, "for": true, "with": true, "is": true,
@@ -45,6 +98,14 @@ var stopwords = map[string]bool{
 	"from": true, "but": true, "not": true, "has": true, "have": true,
 	"had": true, "will": true, "would": true, "can": true, "may": true,
 }
+
+// maxStopword is the length of the longest stopword.
+var maxStopword = func() (n int) {
+	for w := range stopwords {
+		n = max(n, len(w))
+	}
+	return n
+}()
 
 // Vocabulary maps terms to stable dimension indices and tracks document
 // frequencies for IDF weighting. It is safe for concurrent use.

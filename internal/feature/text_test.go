@@ -2,8 +2,10 @@ package feature
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -132,5 +134,84 @@ func TestProjectDeterministic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// streamTokens reads texts through one Tokenizer, as a reader of a document's
+// parts does, copying each token out before the next call overwrites it.
+func streamTokens(texts ...string) []string {
+	var out []string
+	var tz Tokenizer
+	for _, text := range texts {
+		tz.Reset(text)
+		for tok, ok := tz.Next(); ok; tok, ok = tz.Next() {
+			out = append(out, string(tok))
+		}
+	}
+	return out
+}
+
+// TestTokenizerMatchesTokenize: the streaming Tokenizer — its own scanner,
+// with an ASCII fast path and a fixed buffer — read over a document's parts
+// yields exactly what Tokenize returns for the parts joined by spaces.
+func TestTokenizerMatchesTokenize(t *testing.T) {
+	long := strings.Repeat("Straße", 30) // 210 bytes: past the tokenizer's own buffer
+	table := [][]string{
+		{"The Folk-Jewelry of Europe, and its 12 styles!"},
+		{"Gold Ring", "byzantine filigree", "jewelry", "7th-century"},
+		{"", "", ""},
+		{"a I . ,", "x", "ab"}, // 1-byte runs and stopwords only, then the shortest token
+		{"THE and Or NOT", "Would you", "may9 can't"}, // stopwords in every case, one inside a longer run
+		{"ÉCOLE Ångström İstanbul ǅungla ẞ", "Ⱥ Ⱦ"},   // folding that changes byte length, both ways
+		{"زيتون ٣٤ 数字 ４２ x²", "naïve café"},           // letters and digits outside Latin; a superscript is neither
+		{long, "tail " + long + "!" + long},
+		{"bad \xff\xfe utf8 \xe2\x82", "ok\xc3"}, // invalid bytes delimit
+		{"tab\tnew\nline nbsp em—dash"},
+	}
+	for _, texts := range table {
+		want := Tokenize(strings.Join(texts, " "))
+		if got := streamTokens(texts...); !reflect.DeepEqual(got, want) {
+			t.Errorf("Tokenizer over %q = %q, Tokenize of them joined %q", texts, got, want)
+		}
+	}
+	// Random strings over an alphabet dense in the cases above.
+	alphabet := []rune("aAbZzİıẞßǅÉé09٣² \t-.,' \xff")
+	r := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 2000; trial++ {
+		texts := make([]string, 1+r.Intn(4))
+		for i := range texts {
+			b := make([]rune, r.Intn(90))
+			for j := range b {
+				b[j] = alphabet[r.Intn(len(alphabet))]
+			}
+			texts[i] = string(b)
+			if r.Intn(8) == 0 {
+				texts[i] += "\xf0\x9f" // a truncated sequence at the end of a part
+			}
+		}
+		want := Tokenize(strings.Join(texts, " "))
+		if got := streamTokens(texts...); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: Tokenizer over %q = %q, Tokenize of them joined %q", trial, texts, got, want)
+		}
+	}
+}
+
+// TestTokenizerDoesNotAllocate pins what the personalize step relies on:
+// looking a document's tokens up costs no allocation.
+func TestTokenizerDoesNotAllocate(t *testing.T) {
+	affinity := map[string]float64{"gold": 1, "ring": 0.5}
+	texts := []string{"Gold Ring of the Byzantine court", "filigree and gold, 12 carats", "jewelry"}
+	var sum float64
+	got := testing.AllocsPerRun(100, func() {
+		var tz Tokenizer
+		for _, text := range texts {
+			tz.Reset(text)
+			for tok, ok := tz.Next(); ok; tok, ok = tz.Next() {
+				sum += affinity[string(tok)]
+			}
+		}
+	})
+	if got != 0 || sum == 0 {
+		t.Fatalf("%v allocations per pass (sum %v)", got, sum)
 	}
 }

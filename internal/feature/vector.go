@@ -68,7 +68,14 @@ func (v Vector) L1(w Vector) float64 {
 // Cosine returns the cosine similarity of v and w in [-1, 1]; zero vectors
 // yield 0.
 func Cosine(v, w Vector) float64 {
-	nv, nw := v.Norm(), w.Norm()
+	return CosineNorms(v, w, v.Norm(), w.Norm())
+}
+
+// CosineNorms is Cosine for a caller that already holds nv = v.Norm() and
+// nw = w.Norm() — an index scoring one query against stored vectors computes
+// each norm once instead of once per pair. It is the one cosine expression,
+// so the result has Cosine's bits.
+func CosineNorms(v, w Vector, nv, nw float64) float64 {
 	if nv == 0 || nw == 0 {
 		return 0
 	}

@@ -2,6 +2,7 @@ package feature
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -156,5 +157,71 @@ func TestMetricSimilarityBounded(t *testing.T) {
 func TestMetricString(t *testing.T) {
 	if MetricCosine.String() != "cosine" || MetricHistogram.String() != "histogram" || MetricInvL1.String() != "invL1" {
 		t.Fatal("metric names wrong")
+	}
+}
+
+// referenceCosine is Cosine as it was before CosineNorms carried it: both
+// norms computed in the call.
+func referenceCosine(v, w Vector) float64 {
+	nv, nw := v.Norm(), w.Norm()
+	if nv == 0 || nw == 0 {
+		return 0
+	}
+	c := v.Dot(w) / (nv * nw)
+	if math.IsNaN(c) {
+		return 0
+	}
+	if c > 1 {
+		c = 1
+	}
+	if c < -1 {
+		c = -1
+	}
+	return c
+}
+
+// TestCosineNormsMatchesCosine: a score computed from norms held beside the
+// vectors — the query's taken once, each stored vector's taken when it was
+// stored — has the bits of one computed from scratch, on random vectors and
+// on every case Cosine guards.
+func TestCosineNormsMatchesCosine(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	vec := func(n int, scale float64) Vector {
+		v := make(Vector, n)
+		for i := range v {
+			v[i] = r.NormFloat64() * scale
+		}
+		return v
+	}
+	huge := math.MaxFloat64 / 2
+	pairs := [][2]Vector{
+		{{0, 0, 0}, {1, 2, 3}},               // zero vector
+		{{1, 2, 3}, {}},                      // empty vector
+		{nil, nil},                           //
+		{{huge, huge}, {huge, huge}},         // Dot and Norm overflow: Inf/Inf is NaN, scored 0
+		{{huge, 1}, {1, huge}},               // the product of the norms overflows: x/Inf
+		{{1e-200, 1e-200}, {1e-200, 1e-200}}, // the norms underflow to 0
+		{{0.1, 0.2, 0.3}, {0.1, 0.2, 0.3}},   // parallel: the quotient may round past 1
+		{{0.1, 0.2, 0.3}, {-0.1, -0.2, -0.3}},
+		{{3, 4}, {3, 4, 100, -7}}, // unequal lengths: Dot over the prefix, each norm over its own
+		{{math.NaN(), 1}, {1, 1}},
+	}
+	for i := 0; i < 3000; i++ {
+		n := 1 + r.Intn(40)
+		v, w := vec(n, 1), vec(n-r.Intn(2), math.Pow(10, float64(r.Intn(7)-3)))
+		if r.Intn(10) == 0 {
+			w = v.Clone().Scale(r.Float64() * 3) // many near ±1, where the clamp decides
+		}
+		pairs = append(pairs, [2]Vector{v, w})
+	}
+	for _, p := range pairs {
+		v, w := p[0], p[1]
+		want := referenceCosine(v, w)
+		nv, nw := v.Norm(), w.Norm()
+		for name, got := range map[string]float64{"CosineNorms": CosineNorms(v, w, nv, nw), "Cosine": Cosine(v, w)} {
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s(%v, %v) = %x, reference %x", name, v, w, math.Float64bits(got), math.Float64bits(want))
+			}
+		}
 	}
 }

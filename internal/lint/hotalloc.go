@@ -12,16 +12,17 @@ var hotallocPackage = "internal/docstore"
 // hotallocRoots are the Store entry points whose steady state is
 // benchmarked at 0 allocs/op (cache hit) and 1 alloc/op (cold): the text
 // search path, local and — since the result cache keys on the router's
-// statistics — global, which is the hit path of every scatter ask. The
-// visual/vector/hybrid wrappers assemble fresh result slices by design and
-// are not held to the zero-alloc bar, but their shared text machinery
-// (searchTextRaw and below) is reached from these roots and so stays
-// covered.
+// statistics — global, which is the hit path of every scatter ask; and the
+// hybrid search every market ask runs at each contracted source, with the
+// vector search it shares its kernels with (reached through alpha >= 1):
+// pools, blend and top-k live in the scratch, the result slice is their one
+// allocation. SearchVisual is no root: no caller serves it hot.
 var hotallocRoots = map[string]bool{
 	"SearchText":           true,
 	"SearchTextGlobal":     true,
 	"SearchTextGlobalAt":   true,
 	"SearchTextExhaustive": true,
+	"SearchHybrid":         true,
 }
 
 // hotallocPooled are the scratch types whose backing arrays are pooled:

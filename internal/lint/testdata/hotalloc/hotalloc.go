@@ -92,6 +92,24 @@ func (s *Store) statsKey(sc *searchScratch, terms []string) []byte {
 	return sc.keyBuf
 }
 
+// SearchHybrid is a root: the blend files one pool in the scratch and
+// allocates only its result, not a map over either pool.
+func (s *Store) SearchHybrid(q string, k int) []Hit {
+	sc := scratchPool.Get().(*searchScratch)
+	hits := s.blend(q, k, sc)
+	scratchPool.Put(sc)
+	return hits
+}
+
+// blend is reachable only from SearchHybrid.
+func (s *Store) blend(q string, k int, sc *searchScratch) []Hit {
+	byID := make(map[string]Hit, k) // want "allocates with make"
+	byID[q] = Hit{id: q}
+	sc.heap = append(sc.heap[:0], byID[q]) // pooled scratch: allowed
+	out := make([]Hit, 0, k)               //lint:allow hotalloc fixture: the result slice
+	return append(out, sc.heap...)         //lint:allow hotalloc fixture: appends into the sized result; never grows
+}
+
 // Writers may allocate freely: Put is not reachable from the Search
 // roots, so none of this fires.
 func (s *Store) Put(h Hit) {

@@ -30,21 +30,27 @@ func Best(cands []SourceEstimate, obj Objective, maxSources int) (Plan, error) {
 
 func bestExhaustive(cands []SourceEstimate, obj Objective, maxSources int) Plan {
 	n := len(cands)
+	// Every subset is scored out of one slice; only one that improves on the
+	// best so far is copied, into the plan returned.
+	trial := Plan{Sources: make([]SourceEstimate, 0, n)}
 	var best Plan
 	bestScore := math.Inf(-1)
 	for mask := 1; mask < 1<<n; mask++ {
 		if maxSources > 0 && popcount(mask) > maxSources {
 			continue
 		}
-		var p Plan
+		trial.Sources = trial.Sources[:0]
 		for i := 0; i < n; i++ {
 			if mask&(1<<i) != 0 {
-				p.Sources = append(p.Sources, cands[i])
+				trial.Sources = append(trial.Sources, cands[i])
 			}
 		}
-		if s := obj.Score(p); s > bestScore {
+		if s := obj.Score(trial); s > bestScore {
 			bestScore = s
-			best = p
+			if best.Sources == nil {
+				best.Sources = make([]SourceEstimate, 0, n)
+			}
+			best.Sources = append(best.Sources[:0], trial.Sources...)
 		}
 	}
 	return best
@@ -60,20 +66,22 @@ func popcount(x int) int {
 }
 
 func bestGreedy(cands []SourceEstimate, obj Objective, maxSources int) Plan {
-	var plan Plan
+	limit := len(cands)
+	if maxSources > 0 && maxSources < limit {
+		limit = maxSources
+	}
+	// The plan has room for every source it can take, so a trial — the plan
+	// so far and one more — is written into its spare capacity.
+	plan := Plan{Sources: make([]SourceEstimate, 0, limit)}
 	used := make([]bool, len(cands))
 	cur := math.Inf(-1)
-	for {
-		if maxSources > 0 && len(plan.Sources) >= maxSources {
-			break
-		}
+	for len(plan.Sources) < limit {
 		bestIdx, bestScore := -1, cur
 		for i, c := range cands {
 			if used[i] {
 				continue
 			}
-			trial := Plan{Sources: append(append([]SourceEstimate{}, plan.Sources...), c)}
-			if s := obj.Score(trial); s > bestScore {
+			if s := obj.Score(Plan{Sources: append(plan.Sources, c)}); s > bestScore {
 				bestScore = s
 				bestIdx = i
 			}

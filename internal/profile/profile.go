@@ -150,17 +150,23 @@ func (p *Profile) PersonalScore(base float64, docConcept feature.Vector, gamma f
 }
 
 // TermBoost returns a multiplicative boost derived from the user's term
-// affinities over the document's tokens, in [0.5, 1.5].
-func (p *Profile) TermBoost(tokens []string) float64 {
-	if len(tokens) == 0 || len(p.TermAffinity) == 0 {
+// affinities over a document's tokens, in [0.5, 1.5]. The document comes as
+// its texts (docstore.Document.Texts), tokenized here as they are read: a
+// token is looked up, never kept.
+func (p *Profile) TermBoost(texts []string) float64 {
+	if len(p.TermAffinity) == 0 {
 		return 1
 	}
 	var sum float64
 	var n int
-	for _, t := range tokens {
-		if a, ok := p.TermAffinity[t]; ok {
-			sum += a
-			n++
+	var tz feature.Tokenizer
+	for _, text := range texts {
+		tz.Reset(text)
+		for tok, ok := tz.Next(); ok; tok, ok = tz.Next() {
+			if a, ok := p.TermAffinity[string(tok)]; ok {
+				sum += a
+				n++
+			}
 		}
 	}
 	if n == 0 {

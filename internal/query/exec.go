@@ -1,7 +1,9 @@
 package query
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/docstore"
@@ -28,6 +30,11 @@ func Execute(s *docstore.Store, q *Query, concept feature.Vector, now int64) []R
 	if pool < 50 {
 		pool = 50
 	}
+	// A search returns its hits ranked (score descending, then id), and a
+	// filter only drops hits: what passes is ranked already. The topic and
+	// freshness scans come newest first with every score 1, so theirs are
+	// ranked here.
+	ranked := true
 	var hits []docstore.Hit
 	switch {
 	case q.Text != "" && len(concept) > 0:
@@ -39,22 +46,33 @@ func Execute(s *docstore.Store, q *Query, concept feature.Vector, now int64) []R
 	case len(q.Topics) > 0:
 		// Topic-only query: the topic index finds every carrier, not just
 		// whatever happens to be freshest.
+		ranked = false
 		for _, d := range s.ByTopic(q.Topics[0], pool) {
 			hits = append(hits, docstore.Hit{Doc: d, Score: 1})
 		}
 	default:
+		ranked = false
 		for _, d := range s.Freshest(pool) {
 			hits = append(hits, docstore.Hit{Doc: d, Score: 1})
 		}
 	}
-	var out []Result
+	room := len(hits)
+	if ranked {
+		room = min(room, max(q.TopK, 1))
+	}
+	out := make([]Result, 0, room)
 	for _, h := range hits {
 		if !matchesFilters(h.Doc, q, concept, now) {
 			continue
 		}
 		out = append(out, Result{Doc: h.Doc, Score: h.Score, Source: h.Doc.Provenance})
+		if ranked && len(out) >= q.TopK {
+			break
+		}
 	}
-	sortResults(out)
+	if !ranked {
+		SortResults(out)
+	}
 	if len(out) > q.TopK {
 		out = out[:q.TopK]
 	}
@@ -143,19 +161,20 @@ func Merge(lists [][]Result, topK int) []Result {
 	for _, r := range best {
 		out = append(out, r)
 	}
-	sortResults(out)
+	SortResults(out)
 	if topK > 0 && len(out) > topK {
 		out = out[:topK]
 	}
 	return out
 }
 
-func sortResults(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Score != rs[j].Score {
-			return rs[i].Score > rs[j].Score
+// SortResults ranks by score descending, ties by document ID.
+func SortResults(rs []Result) {
+	slices.SortFunc(rs, func(a, b Result) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return rs[i].Doc.ID < rs[j].Doc.ID
+		return strings.Compare(a.Doc.ID, b.Doc.ID)
 	})
 }
 
