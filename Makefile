@@ -19,13 +19,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Fast subset: the heavy concurrent suites (load tests, fan-out churn)
-# where the race detector earns its keep on every edit, plus -count
+# Fast subset: the heavy concurrent suites (load tests, fan-out churn,
+# concurrent scatter asks sharing the router's statistics caches and
+# clients) where the race detector earns its keep on every edit, plus -count
 # stresses of the two bookkeeping-before-reply ordering pins — the trace is
 # retrievable, and the coalescer's flush is counted (E27 reads it), once the
 # reply is observable. Both are scheduling races, so one pass proves little.
 race-core:
-	$(GO) test -race ./internal/telemetry ./internal/transport ./internal/docstore ./internal/core
+	$(GO) test -race ./internal/telemetry ./internal/transport ./internal/shard ./internal/docstore ./internal/core
 	$(GO) test -race -count=20 -run TestTraceRetrievableOnceReplyObserved ./internal/transport
 	$(GO) test -race -count=20 -run TestE27Shapes ./internal/bench
 

@@ -77,19 +77,30 @@ func main() {
 	reg := telemetry.NewRegistry()
 	tr := reg.StartTrace("agora-query", text)
 
+	// Stage every node's query, then wait for each in turn: N nodes cost
+	// the slowest round trip, not the sum.
+	type asked struct {
+		c    *transport.Client
+		sp   *telemetry.Span
+		call transport.Call[wire.QueryResult]
+	}
+	var calls []asked
+	for _, c := range clients {
+		sp := tr.Span("query", c.RemoteID)
+		calls = append(calls, asked{c, sp, c.StartQueryTraced(text, nil, *top, *timeout, sp.Context())})
+	}
 	type hit struct {
 		item wire.ResultItem
 	}
 	var all []hit
-	for _, c := range clients {
-		sp := tr.Span("query", c.RemoteID)
-		res, err := c.QueryTraced(text, nil, *top, *timeout, sp.Context())
+	for _, a := range calls {
+		res, err := a.call.Wait()
 		if err != nil {
-			sp.Fail(err)
-			log.Printf("agora-query: %s: %v", c.RemoteID, err)
+			a.sp.Fail(err)
+			log.Printf("agora-query: %s: %v", a.c.RemoteID, err)
 			continue
 		}
-		sp.End()
+		a.sp.End()
 		// Normalize per-source scores before merging.
 		var max float64
 		for _, it := range res.Items {

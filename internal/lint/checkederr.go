@@ -20,7 +20,7 @@ var watchedMethods = map[string]bool{
 	"append": true, "flush": true, "sync": true, "close": true,
 	"Compact": true,
 	// transport write path
-	"send": true, "WriteFrame": true,
+	"stage": true, "stageBytes": true, "WriteFrame": true,
 	"SetDeadline": true, "SetReadDeadline": true, "SetWriteDeadline": true,
 }
 

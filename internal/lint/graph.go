@@ -94,16 +94,25 @@ func (g *CallGraph) PkgFuncs(pkgPath string) []*FuncNode {
 	return out
 }
 
-// Roots returns the nodes of pkgPath whose method/function name matches
-// the predicate, sorted by position.
-func (g *CallGraph) Roots(pkgPath string, match func(*FuncNode) bool) []*FuncNode {
-	var out []*FuncNode
-	for _, n := range g.PkgFuncs(pkgPath) {
-		if match(n) {
-			out = append(out, n)
+// WalkPackage is the walk every "nothing reachable from X may do Y"
+// contract scoped to one package shares: the functions of p that isRoot
+// accepts are the roots, reachability is followed inside p only, and visit
+// sees each reached function that has a body, in source order, with the
+// root that first reached it.
+func (g *CallGraph) WalkPackage(p *Package, isRoot func(*FuncNode) bool, visit func(n, root *FuncNode)) {
+	funcs := g.PkgFuncs(p.Path)
+	var roots []*FuncNode
+	for _, n := range funcs {
+		if isRoot(n) {
+			roots = append(roots, n)
 		}
 	}
-	return out
+	reached := g.ReachableFrom(roots, func(n *FuncNode) bool { return n.Pkg == p })
+	for _, n := range funcs {
+		if root, ok := reached[n]; ok && n.Decl.Body != nil {
+			visit(n, root)
+		}
+	}
 }
 
 // ReachableFrom walks the graph from the roots, restricted to nodes the

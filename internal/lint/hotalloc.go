@@ -59,16 +59,9 @@ func runHotPath(m *Module, sc hotPathScope, report ReportFunc) {
 			pooled[tn] = true
 		}
 	}
-	g := m.Graph()
-	roots := g.Roots(sc.pkg, sc.isRoot)
-	reached := g.ReachableFrom(roots, func(n *FuncNode) bool { return n.Pkg == p })
-	for _, n := range g.PkgFuncs(sc.pkg) {
-		root, ok := reached[n]
-		if !ok || n.Decl.Body == nil {
-			continue
-		}
+	m.Graph().WalkPackage(p, sc.isRoot, func(n, root *FuncNode) {
 		checkHotFunc(sc, p, n, root, pooled, report)
-	}
+	})
 }
 
 // hotallocAnalyzer pins the zero-alloc search win against regression:

@@ -39,16 +39,10 @@ var lockfreeAnalyzer = &Analyzer{
 		if muField == nil {
 			return
 		}
-		g := m.Graph()
-		roots := g.Roots(lockfreePackage, func(n *FuncNode) bool {
+		isRead := func(n *FuncNode) bool {
 			return n.RecvTypeName() == lockfreeReceiver && lockfreeReadMethod(n.Obj.Name())
-		})
-		reached := g.ReachableFrom(roots, func(n *FuncNode) bool { return n.Pkg == p })
-		for _, n := range g.PkgFuncs(lockfreePackage) {
-			root, ok := reached[n]
-			if !ok || n.Decl.Body == nil {
-				continue
-			}
+		}
+		m.Graph().WalkPackage(p, isRead, func(n, root *FuncNode) {
 			name, via := n.String(), root.String()
 			ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
 				sel, ok := node.(*ast.SelectorExpr)
@@ -64,7 +58,7 @@ var lockfreeAnalyzer = &Analyzer{
 				}
 				return true
 			})
-		}
+		})
 	},
 }
 

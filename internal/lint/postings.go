@@ -38,14 +38,7 @@ var postingsAnalyzer = &Analyzer{
 		if len(forbidden) == 0 {
 			return
 		}
-		g := m.Graph()
-		roots := g.Roots(lockfreePackage, searchRoot)
-		reached := g.ReachableFrom(roots, func(n *FuncNode) bool { return n.Pkg == p })
-		for _, n := range g.PkgFuncs(lockfreePackage) {
-			root, ok := reached[n]
-			if !ok || n.Decl.Body == nil {
-				continue
-			}
+		m.Graph().WalkPackage(p, searchRoot, func(n, root *FuncNode) {
 			name, via := n.String(), root.String()
 			ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
 				rng, ok := node.(*ast.RangeStmt)
@@ -58,7 +51,7 @@ var postingsAnalyzer = &Analyzer{
 				}
 				return true
 			})
-		}
+		})
 	},
 }
 

@@ -25,12 +25,15 @@ import (
 //  3. Probe: when the best shard's bound dominates the runner-up's by
 //     probeDominance, it is asked alone first; its answers seed the merge
 //     threshold θ so the remaining bound checks have teeth.
-//  4. Scatter: bounded workers (the PR-2 fan-out shape) dispatch the
-//     surviving shards best-bound-first, re-checking θ before each RPC;
+//  4. Scatter: the surviving shards' queries are staged best-bound-first,
+//     up to scatterWindow on the wire at once, θ re-checked before each —
 //     a shard whose bound can no longer reach θ is dropped without a
-//     round-trip. Slow primaries get one hedged retry against a replica.
+//     round-trip — and waited for in that order. A slow or failed primary
+//     gets one hedged retry against a replica.
 //  5. Merge: per-shard top-k lists stream through MergeTopK.
 //
+// The whole ask runs on the goroutine that asked: requests are staged
+// without blocking (transport.Call) and the only waiting is for replies.
 // A dead shard yields a partial result (Partial flag + per-shard error),
 // never a failed ask.
 type Router struct {
@@ -41,9 +44,6 @@ type Router struct {
 	shards []*routerShard
 	terms  termMemo
 
-	// wg tracks hedge/backup attempt goroutines; Close joins them so no
-	// attempt outlives the router's connections.
-	wg     sync.WaitGroup
 	closed bool
 	mu     sync.Mutex
 }
@@ -61,11 +61,13 @@ type routerShard struct {
 }
 
 // installStats folds one TermStats response into the shard's cache,
-// flushing entries from an older epoch first. Length-mismatched responses
-// (a malformed peer) are dropped rather than partially installed.
-func (s *routerShard) installStats(terms []string, resp wire.TermStatsResp) {
+// flushing entries from an older epoch first. A response whose lengths
+// disagree with the request (a malformed peer) is the shard's error, never
+// partially installed: an empty cache would bound the shard to zero and
+// prune it as hitless with nobody told.
+func (s *routerShard) installStats(terms []string, resp wire.TermStatsResp) error {
 	if len(resp.DF) != len(terms) || len(resp.MaxRatio) != len(terms) {
-		return
+		return fmt.Errorf("reply carries %d df / %d ratio figures for %d terms", len(resp.DF), len(resp.MaxRatio), len(terms))
 	}
 	s.mu.Lock()
 	if resp.Epoch != s.epoch {
@@ -77,6 +79,19 @@ func (s *routerShard) installStats(terms []string, resp wire.TermStatsResp) {
 		s.stats[t] = termStat{df: resp.DF[i], maxRatio: resp.MaxRatio[i]}
 	}
 	s.mu.Unlock()
+	return nil
+}
+
+// missing reports whether the cache lacks any of terms.
+func (s *routerShard) missing(terms []string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, t := range terms {
+		if _, ok := s.stats[t]; !ok {
+			return true
+		}
+	}
+	return false
 }
 
 type termStat struct {
@@ -99,8 +114,8 @@ type Options struct {
 
 // The dispatch policy.
 const (
-	hedgeDelay     = 25 * time.Millisecond // wait before hedging a slow primary to a replica
-	scatterWorkers = 4                     // concurrent shard dispatches
+	hedgeDelay     = 25 * time.Millisecond // a primary silent this long after staging is hedged to a replica
+	scatterWindow  = 4                     // shard queries kept on the wire at once
 	probeDominance = 1.25                  // probe when best bound ≥ probeDominance × runner-up
 )
 
@@ -140,13 +155,13 @@ func NewRouter(m *Map, opts Options) (*Router, error) {
 	for _, mem := range m.Members() {
 		rs := &routerShard{Member: mem, stats: make(map[string]termStat)}
 		if len(mem.Addrs) == 0 {
-			r.closeLocked()
+			r.Close()
 			return nil, fmt.Errorf("shard: member %q has no address", mem.ID)
 		}
 		for _, addr := range mem.Addrs {
 			c, err := transport.DialWithTelemetry(addr, opts.ClientID, opts.Timeout, opts.Telemetry)
 			if err != nil {
-				r.closeLocked()
+				r.Close()
 				return nil, fmt.Errorf("shard: dial %s (%s): %w", mem.ID, addr, err)
 			}
 			rs.clients = append(rs.clients, c)
@@ -156,15 +171,11 @@ func NewRouter(m *Map, opts Options) (*Router, error) {
 	return r, nil
 }
 
-// Close tears down every connection and joins any in-flight hedge
-// attempts.
+// Close tears down every connection. There is nothing to join: an ask owns
+// no goroutine, and one still waiting gets the connections' read errors.
 func (r *Router) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.closeLocked()
-}
-
-func (r *Router) closeLocked() error {
 	if r.closed {
 		return nil
 	}
@@ -177,7 +188,6 @@ func (r *Router) closeLocked() error {
 			}
 		}
 	}
-	r.wg.Wait()
 	return err
 }
 
@@ -235,21 +245,17 @@ func (r *Router) AskTraced(query string, k int, tc telemetry.TraceContext) Resul
 	// bounding to zero are provably hitless and pruned for free.
 	gs := r.globalStats(terms, res.Errors)
 	plan := r.plan(terms, qns, gs, &res)
-	zeroPruned := len(r.shards) - len(plan) - len(res.Errors)
+	res.Pruned = len(r.shards) - len(plan) - len(res.Errors)
 
 	// Phase 3+4: probe-then-scatter dispatch.
-	ms := &mergeState{k: k, errors: res.Errors}
-	r.dispatch(plan, query, k, gs, ms, tr)
+	ms := mergeState{k: k, res: &res}
+	r.dispatch(plan, query, gs, &ms, tr)
 
 	// Phase 5: streaming merge.
 	mstart := now()
 	res.Items = MergeTopK(ms.lists, k)
 	r.tel.mergeLat.Observe(since(mstart))
 
-	res.Partial = res.Partial || ms.partial
-	res.Fanout = ms.fanout
-	res.Pruned = ms.pruned + zeroPruned
-	res.Hedges = ms.hedges
 	r.tel.fanout.Add(uint64(res.Fanout))
 	r.tel.pruned.Add(uint64(res.Pruned))
 	r.tel.hedges.Add(uint64(res.Hedges))
@@ -317,58 +323,37 @@ func (tm *termMemo) canonical(query string) ([]string, []int) {
 	return c.terms, c.qns
 }
 
-// ensureStats fills every live shard's term-stat cache for terms, issuing
-// one parallel TermStats RPC per shard that misses any. A shard whose RPC
-// fails is recorded in res.Errors and marked partial: its documents cannot
-// be scored under exact global statistics this ask.
+// ensureStats fills every live shard's term-stat cache for terms. Stage
+// first, wait second: every missing shard's request goes on the wire back
+// to back — per connection the frames ride one coalesced batch — and only
+// then does the ask block, on each reply in turn, so the round trips
+// overlap. A shard whose RPC fails (after one blocking retry against its
+// replica, if it has one) is recorded in res.Errors and marked partial: its
+// documents cannot be scored under exact global statistics this ask.
 func (r *Router) ensureStats(terms []string, res *Result) {
-	// Stage first, wait second: TermStatsAsync puts every missing shard's
-	// request on the wire back to back — per connection the frames ride one
-	// coalesced batch — and only then does anyone block, so the stats
-	// round-trips fully overlap instead of depending on goroutine
-	// scheduling to get the requests out.
 	type staged struct {
 		s    *routerShard
-		wait func() (wire.TermStatsResp, error)
+		call transport.Call[wire.TermStatsResp]
 	}
 	var pending []staged
 	for _, s := range r.shards {
-		s.mu.Lock()
-		missing := false
-		for _, t := range terms {
-			if _, ok := s.stats[t]; !ok {
-				missing = true
-				break
-			}
+		if s.missing(terms) {
+			pending = append(pending, staged{s, s.clients[0].StartTermStats(terms, r.timeout)})
 		}
-		s.mu.Unlock()
-		if !missing {
-			continue
-		}
-		pending = append(pending, staged{s: s, wait: s.clients[0].TermStatsAsync(terms, r.timeout)})
 	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
 	for _, p := range pending {
-		wg.Add(1)
-		go func(p staged) {
-			defer wg.Done()
-			resp, err := p.wait()
-			if err != nil && len(p.s.clients) > 1 {
-				// Primary failed: one blocking retry against the replica.
-				resp, err = p.s.clients[1].TermStats(terms, r.timeout)
-			}
-			if err != nil {
-				mu.Lock()
-				res.Errors[p.s.ID] = fmt.Errorf("term stats: %w", err)
-				res.Partial = true
-				mu.Unlock()
-				return
-			}
-			p.s.installStats(terms, resp)
-		}(p)
+		resp, err := p.call.Wait()
+		if err != nil && len(p.s.clients) > 1 {
+			resp, err = p.s.clients[1].TermStats(terms, r.timeout)
+		}
+		if err == nil {
+			err = p.s.installStats(terms, resp)
+		}
+		if err != nil {
+			res.Errors[p.s.ID] = fmt.Errorf("term stats: %w", err)
+			res.Partial = true
+		}
 	}
-	wg.Wait()
 }
 
 // globalQuery bundles the corpus-wide figures one ask scores under.
@@ -440,22 +425,17 @@ func (r *Router) plan(terms []string, qns []int, gs globalQuery, res *Result) []
 
 // mergeState accumulates per-shard answers and the running threshold θ
 // (the k-th best score seen so far — a monotone lower bound on the final
-// k-th best, which is what makes pre-dispatch pruning safe).
+// k-th best, which is what makes pre-dispatch pruning safe); the dispatch
+// counts and failures go straight into the ask's Result. One ask, one
+// goroutine: nothing here is shared.
 type mergeState struct {
-	mu      sync.Mutex
-	k       int
-	lists   [][]wire.ResultItem
-	top     []float64 // min-heap of the best ≤k scores
-	errors  map[string]error
-	partial bool
-	fanout  int
-	pruned  int
-	hedges  int
+	k     int
+	lists [][]wire.ResultItem
+	top   []float64 // min-heap of the best ≤k scores
+	res   *Result
 }
 
 func (ms *mergeState) addList(items []wire.ResultItem) {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
 	ms.lists = append(ms.lists, items)
 	for _, it := range items {
 		if len(ms.top) < ms.k {
@@ -484,98 +464,88 @@ func (ms *mergeState) addList(items []wire.ResultItem) {
 	}
 }
 
-// theta returns the pruning threshold: the k-th best score seen, valid
-// only once k scores have arrived.
-func (ms *mergeState) theta() (float64, bool) {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	if len(ms.top) < ms.k {
-		return 0, false
-	}
-	return ms.top[0], true
+// rulesOut reports whether θ — the k-th best score seen, valid only once k
+// scores have arrived — already beats a shard's most optimistic document.
+// θ only grows, so a shard ruled out stays out.
+func (ms *mergeState) rulesOut(ub float64) bool {
+	return len(ms.top) >= ms.k && ub*docstore.BoundSlack < ms.top[0]
 }
 
-func (ms *mergeState) fail(id string, err error) {
-	ms.mu.Lock()
-	ms.errors[id] = err
-	ms.partial = true
-	ms.mu.Unlock()
+// inflight is one shard's query on the wire: the primary call and the span
+// that covers the exchange from staging to the folded answer.
+type inflight struct {
+	rs   *routerShard
+	sp   *telemetry.Span
+	call transport.Call[wire.QueryResult]
 }
 
-// dispatch runs the probe-then-scatter loop over the planned shards.
-func (r *Router) dispatch(plan []plannedShard, query string, k int, gs globalQuery, ms *mergeState, tr *telemetry.Trace) {
-	next := 0
+// dispatch runs the probe-then-scatter loop over the planned shards: one
+// window of staged queries, filled best-bound-first with the θ check before
+// each and drained in staging order. The probe is that window opened at
+// one — when the best-bounded shard dominates it is asked alone, so its
+// answers set θ before anything else is staged; on the topical asks the
+// workload skews toward, that one round trip often prunes every other
+// shard.
+func (r *Router) dispatch(plan []plannedShard, query string, gs globalQuery, ms *mergeState, tr *telemetry.Trace) {
+	window := scatterWindow
 	if len(plan) >= 2 && plan[0].ub >= probeDominance*plan[1].ub {
-		// Probe: the best-bounded shard dominates — ask it alone first so
-		// its answers set θ before anything else is dispatched. On the
-		// topical asks the workload skews toward, this one round-trip
-		// often prunes every other shard.
-		r.runShard(plan[0], query, k, gs, ms, tr)
-		next = 1
+		window = 1
 	}
-	if len(plan)-next == 1 {
-		// One shard left (the usual case after a probe, or a one-shard
-		// plan): ask it on this goroutine, no worker to start and join.
-		r.tryShard(plan[next], query, k, gs, ms, tr)
-		return
-	}
-	var wg sync.WaitGroup
-	var idx sync.Mutex
-	workers := min(scatterWorkers, len(plan)-next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				idx.Lock()
-				if next >= len(plan) {
-					idx.Unlock()
-					return
-				}
-				ps := plan[next]
-				next++
-				idx.Unlock()
-				r.tryShard(ps, query, k, gs, ms, tr)
+	var ring [scatterWindow]inflight
+	head, n := 0, 0
+	for {
+		for ; n < window && len(plan) > 0; plan = plan[1:] {
+			if ms.rulesOut(plan[0].ub) {
+				ms.res.Pruned++
+				continue
 			}
-		}()
+			s := plan[0].rs
+			sp := tr.Span("shard", s.ID)
+			ring[(head+n)%scatterWindow] = inflight{s, sp, r.startQuery(s.clients[0], query, gs, ms.k, sp)}
+			n++
+		}
+		if n == 0 {
+			return
+		}
+		r.collect(&ring[head], query, gs, ms)
+		head, n = (head+1)%scatterWindow, n-1
+		window = scatterWindow
 	}
-	wg.Wait()
 }
 
-// tryShard asks ps unless θ already rules it out.
-func (r *Router) tryShard(ps plannedShard, query string, k int, gs globalQuery, ms *mergeState, tr *telemetry.Trace) {
-	if theta, ok := ms.theta(); ok && ps.ub*docstore.BoundSlack < theta {
-		// Even this shard's most optimistic document loses to the current
-		// k-th best — and θ only grows.
-		ms.mu.Lock()
-		ms.pruned++
-		ms.mu.Unlock()
-		return
-	}
-	r.runShard(ps, query, k, gs, ms, tr)
+func (r *Router) startQuery(c *transport.Client, query string, gs globalQuery, k int, sp *telemetry.Span) transport.Call[wire.QueryResult] {
+	return c.StartQueryGlobal(query, k, r.timeout, sp.Context(), gs.total, gs.terms, gs.df)
 }
 
-// runShard performs one shard's (possibly hedged) RPC and folds the
-// outcome into ms.
-func (r *Router) runShard(ps plannedShard, query string, k int, gs globalQuery, ms *mergeState, tr *telemetry.Trace) {
-	s := ps.rs
-	sp := tr.Span("shard", s.ID)
-	res, hedged, err := r.attempt(s, query, k, gs, sp.Context())
-	if hedged {
-		ms.mu.Lock()
-		ms.hedges++
-		ms.mu.Unlock()
+// collect waits for one staged shard's answer and folds it into ms. A
+// shard with a replica is hedged here: when the primary has not answered
+// hedgeDelay after staging, or failed fast, the replica is asked too and
+// the first good answer wins — the loser is dropped, nobody waits for it.
+func (r *Router) collect(f *inflight, query string, gs globalQuery, ms *mergeState) {
+	s := f.rs
+	var res wire.QueryResult
+	var err error
+	if len(s.clients) < 2 {
+		res, err = f.call.Wait()
+	} else if v, done, perr := f.call.WaitWithin(hedgeDelay); done && perr == nil {
+		res = v
+	} else {
+		ms.res.Hedges++
+		backup := r.startQuery(s.clients[1], query, gs, ms.k, f.sp)
+		if done {
+			res, err = backup.Wait()
+		} else {
+			res, err = transport.First(f.call, backup)
+		}
 	}
 	if err != nil {
-		sp.Fail(err)
-		sp.End()
-		ms.fail(s.ID, err)
+		f.sp.Fail(err)
+		ms.res.Errors[s.ID] = err
+		ms.res.Partial = true
 		return
 	}
-	sp.End()
-	ms.mu.Lock()
-	ms.fanout++
-	ms.mu.Unlock()
+	f.sp.End()
+	ms.res.Fanout++
 	s.mu.Lock()
 	if res.Epoch != 0 && res.Epoch != s.epoch {
 		// The shard answered from a newer snapshot than the cached stats:
@@ -591,52 +561,4 @@ func (r *Router) runShard(ps plannedShard, query string, k int, gs globalQuery, 
 	}
 	s.mu.Unlock()
 	ms.addList(res.Items)
-}
-
-// attempt sends the query to the shard's primary, hedging one backup to a
-// replica when the primary is slow (or retrying immediately when it fails
-// fast and a replica exists). Attempt goroutines are tracked in r.wg —
-// Close joins them — and both attempts are bounded by the per-attempt RPC
-// timeout.
-func (r *Router) attempt(s *routerShard, query string, k int, gs globalQuery, tc telemetry.TraceContext) (wire.QueryResult, bool, error) {
-	ask := func(c *transport.Client) (wire.QueryResult, error) {
-		return c.QueryGlobal(query, k, r.timeout, tc, gs.total, gs.terms, gs.df)
-	}
-	if len(s.clients) < 2 {
-		res, err := ask(s.clients[0])
-		return res, false, err
-	}
-	type out struct {
-		res wire.QueryResult
-		err error
-	}
-	ch := make(chan out, 2)
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		res, err := ask(s.clients[0])
-		ch <- out{res, err}
-	}()
-	select {
-	case first := <-ch:
-		if first.err == nil {
-			return first.res, false, nil
-		}
-		// Fast failure: retry once on the replica (not a hedge — the
-		// primary already answered with an error).
-		res, err := ask(s.clients[1])
-		return res, true, err
-	case <-after(hedgeDelay):
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			res, err := ask(s.clients[1])
-			ch <- out{res, err}
-		}()
-		first := <-ch
-		if first.err != nil {
-			first = <-ch // loser may still win; bounded by the RPC timeout
-		}
-		return first.res, true, first.err
-	}
 }

@@ -412,3 +412,32 @@ func TestHandoffRebalance(t *testing.T) {
 		assertIdentical(t, "post-rebalance "+q, res.Items, mono.SearchText(q, 10))
 	}
 }
+
+// TestAskAllocCeiling holds a warm ask that prunes to one shard — statistics
+// cached, one query on the wire, the other three shards ruled out by bounds —
+// to an allocation count, shard server's share included (it runs in this
+// process). The ask stages its calls and waits on its own goroutine; a `go`
+// statement back on that path costs a closure and its captured variables
+// per ask and fails this without a stopwatch: the change that removed the
+// router's goroutines reads 20 here, its parent 26.
+func TestAskAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	docs, g := testCorpus(t, 600)
+	tc := startCluster(t, 4, docs)
+	r := tc.router(t, Options{})
+	q := g.Topics[0].Vocab[0] + " " + g.Topics[0].Vocab[1]
+	if res := r.Ask(q, 10); res.Partial || res.Fanout != 1 || res.Pruned != 3 {
+		t.Fatalf("warm-up ask: partial=%v fanout=%d pruned=%d, want one shard asked of four", res.Partial, res.Fanout, res.Pruned)
+	}
+	got := testing.AllocsPerRun(200, func() {
+		if res := r.Ask(q, 10); res.Fanout != 1 || len(res.Items) == 0 {
+			t.Fatalf("fanout=%d items=%d", res.Fanout, len(res.Items))
+		}
+	})
+	if got > 23 {
+		t.Fatalf("%.1f allocations per ask, ceiling 23", got)
+	}
+	t.Logf("%.1f allocations per ask", got)
+}

@@ -4,11 +4,11 @@ import "time"
 
 // internal/shard is inside the wallclock analyzer's kernel scope (the
 // router's pruning math must stay deterministic), but the router is also a
-// real-network client: RPC deadlines, hedge timers, and latency histograms
-// genuinely need the wall clock. Every clock read funnels through these
+// real-network client whose latency histograms genuinely need the wall
+// clock (RPC deadlines and the hedge delay are kept by transport.Call, from
+// the moment a request is staged). Every clock read funnels through these
 // helpers so each use carries its justification in one place — the values
-// feed timeouts and telemetry only and never influence scoring, pruning,
-// or merge order.
+// feed telemetry only and never influence scoring, pruning, or merge order.
 
 // now reads the wall clock for latency telemetry.
 func now() time.Time {
@@ -18,9 +18,4 @@ func now() time.Time {
 // since measures elapsed wall time for telemetry.
 func since(t time.Time) time.Duration {
 	return time.Since(t) //lint:allow wallclock latency stopwatch for telemetry histograms; never reaches scoring or merge state
-}
-
-// after arms the hedge/backup timer on the real-network ask path.
-func after(d time.Duration) <-chan time.Time {
-	return time.After(d) //lint:allow wallclock hedge timer races a live TCP round-trip; timing affects only which replica answers, not the result
 }

@@ -259,11 +259,17 @@ func (c *Client) Query(text string, concept feature.Vector, topK int, timeout ti
 // continues the caller's trace; the returned result echoes the trace ID
 // the server served under. A zero tc sends an untraced query.
 func (c *Client) QueryTraced(text string, concept feature.Vector, topK int, timeout time.Duration, tc telemetry.TraceContext) (wire.QueryResult, error) {
-	q := wire.Query{
+	return c.StartQueryTraced(text, concept, topK, timeout, tc).Wait()
+}
+
+// StartQueryTraced stages QueryTraced's request and returns the call in
+// flight, so a caller asking several nodes pays the slowest round trip
+// instead of their sum.
+func (c *Client) StartQueryTraced(text string, concept feature.Vector, topK int, timeout time.Duration, tc telemetry.TraceContext) Call[wire.QueryResult] {
+	return c.startQuery(wire.Query{
 		Text: text, Concept: concept, TopK: uint32(topK),
 		TraceID: uint64(tc.TraceID), SpanID: uint64(tc.SpanID),
-	}
-	return c.roundtripQuery(q, timeout)
+	}, timeout)
 }
 
 // QueryGlobal sends a query carrying router-supplied corpus-wide statistics
@@ -272,27 +278,26 @@ func (c *Client) QueryTraced(text string, concept feature.Vector, topK int, time
 // bit-identically to a single node holding the whole corpus. statsTerms and
 // statsDF are parallel; globalDocs must be > 0.
 func (c *Client) QueryGlobal(text string, topK int, timeout time.Duration, tc telemetry.TraceContext, globalDocs uint64, statsTerms []string, statsDF []uint64) (wire.QueryResult, error) {
-	q := wire.Query{
+	return c.StartQueryGlobal(text, topK, timeout, tc, globalDocs, statsTerms, statsDF).Wait()
+}
+
+// StartQueryGlobal stages QueryGlobal's request and returns the call in
+// flight: a scatter router keeps several shards' queries on the wire and
+// waits for them on the goroutine that asked.
+func (c *Client) StartQueryGlobal(text string, topK int, timeout time.Duration, tc telemetry.TraceContext, globalDocs uint64, statsTerms []string, statsDF []uint64) Call[wire.QueryResult] {
+	return c.startQuery(wire.Query{
 		Text: text, TopK: uint32(topK),
 		TraceID: uint64(tc.TraceID), SpanID: uint64(tc.SpanID),
 		GlobalDocs: globalDocs, StatsTerms: statsTerms, StatsDF: statsDF,
-	}
-	return c.roundtripQuery(q, timeout)
+	}, timeout)
 }
 
-func (c *Client) roundtripQuery(q wire.Query, timeout time.Duration) (wire.QueryResult, error) {
-	start := time.Now()
-	k := begin(c, c.queries, 'q')
+func (c *Client) startQuery(q wire.Query, timeout time.Duration) Call[wire.QueryResult] {
+	k := begin(c, c.queries, 'q', timeout)
+	k.answered, k.rtt = c.tel.queries, c.tel.queryRTT
 	q.ID = k.id
-	if err := k.send(wire.KindQuery, &q); err != nil {
-		return wire.QueryResult{}, err
-	}
-	res, err := k.wait(timeout)
-	if err == nil {
-		c.tel.queries.Inc()
-		c.tel.queryRTT.Observe(time.Since(start))
-	}
-	return res, err
+	k.send(wire.KindQuery, &q)
+	return k
 }
 
 // TermStats asks the server for its live document count, snapshot epoch,
@@ -300,21 +305,17 @@ func (c *Client) roundtripQuery(q wire.Query, timeout time.Duration) (wire.Query
 // terms). Scatter routers call this once per unseen (term set, epoch) and
 // cache the answer.
 func (c *Client) TermStats(terms []string, timeout time.Duration) (wire.TermStatsResp, error) {
-	return c.TermStatsAsync(terms, timeout)()
+	return c.StartTermStats(terms, timeout).Wait()
 }
 
-// TermStatsAsync stages the stats request immediately and returns a wait
-// function for the response. Scatter routers stage every shard's request
-// back-to-back — the frames ride one coalesced batch per connection — and
-// only then start waiting, overlapping the round-trips instead of paying
-// them one by one. The wait function must be called exactly once.
-func (c *Client) TermStatsAsync(terms []string, timeout time.Duration) func() (wire.TermStatsResp, error) {
-	k := begin(c, c.stats, 's')
-	req := wire.TermStatsReq{ID: k.id, Terms: terms}
-	if err := k.send(wire.KindTermStats, &req); err != nil {
-		return func() (wire.TermStatsResp, error) { return wire.TermStatsResp{}, err }
-	}
-	return func() (wire.TermStatsResp, error) { return k.wait(timeout) }
+// StartTermStats stages TermStats' request and returns the call in flight.
+// Scatter routers stage every shard's request back to back — the frames
+// ride one coalesced batch per connection — and only then start waiting,
+// overlapping the round trips instead of paying them one by one.
+func (c *Client) StartTermStats(terms []string, timeout time.Duration) Call[wire.TermStatsResp] {
+	k := begin(c, c.stats, 's', timeout)
+	k.send(wire.KindTermStats, &wire.TermStatsReq{ID: k.id, Terms: terms})
+	return k
 }
 
 // pending is the demux table of one request/reply exchange: the channel
@@ -330,7 +331,8 @@ func (p pending[T]) failAll() {
 	clear(p)
 }
 
-// resolve hands a decoded reply to the call waiting on id, if one still is.
+// resolve hands a decoded reply to the call waiting on id, if one still is;
+// a reply to a call that timed out or was dropped is discarded.
 func resolve[T any](c *Client, p pending[T], id string, v T) {
 	c.mu.Lock()
 	ch, ok := p[id]
@@ -342,59 +344,140 @@ func resolve[T any](c *Client, p pending[T], id string, v T) {
 	}
 }
 
-// call is one request in flight: an id registered in its pending table and
-// the channel the read loop resolves. Every round trip is begin, send, wait.
-type call[T any] struct {
-	c  *Client
-	p  pending[T]
-	id string
-	ch chan T
+// Call is one request in flight, the only kind the client has: an id
+// registered in its pending table, the channel the read loop resolves, and
+// a deadline that runs from the moment the request was staged — not from
+// the moment somebody starts waiting, so a caller that stages several calls
+// and waits for them in turn bounds the whole exchange by one timeout.
+// Every blocking round trip is a Start followed by Wait. A call ends
+// exactly once: by Wait, by a WaitWithin that reports done, as either side
+// of First, or by Drop; until then its id stays in the table.
+type Call[T any] struct {
+	c       *Client
+	p       pending[T]
+	id      string
+	ch      chan T
+	start   time.Time
+	timeout time.Duration
+	err     error // the stage failed: nothing was sent, nothing will arrive
+
+	// answered and rtt account a good reply (nil-safe; queries set them).
+	answered *telemetry.Counter
+	rtt      *telemetry.Histogram
 }
 
-// begin mints a request id and registers its reply channel.
-func begin[T any](c *Client, p pending[T], prefix byte) call[T] {
+// begin mints a request id, registers its reply channel and starts the
+// call's clock.
+func begin[T any](c *Client, p pending[T], prefix byte, timeout time.Duration) Call[T] {
 	c.mu.Lock()
-	k := call[T]{c: c, p: p, id: c.newID(prefix), ch: make(chan T, 1)}
+	k := Call[T]{c: c, p: p, id: c.newID(prefix), ch: make(chan T, 1), start: time.Now(), timeout: timeout}
 	p[k.id] = k.ch
 	c.mu.Unlock()
 	return k
 }
 
-// drop forgets the call. The read loop resolves only ids it finds in the
-// table, so a call that will not be waited for — never sent, or timed out —
-// must leave it, or the entry leaks until Close.
-func (k call[T]) drop() {
+// send stages the request, which must carry k.id. A failure ends the call
+// the way a dead connection does, by a closed channel: whoever waits for it
+// gets the stage error at once.
+func (k *Call[T]) send(kind wire.Kind, req wire.Appender) {
+	if k.err = k.c.out.stage(kind, req); k.err != nil {
+		k.Drop()
+		close(k.ch)
+	}
+}
+
+// Drop forgets the call. The read loop resolves only ids it finds in the
+// table, so a call nobody will wait for — never sent, timed out, or the
+// loser of a hedge — must leave it, or the entry leaks until Close. A reply
+// that arrives afterwards is discarded.
+func (k Call[T]) Drop() {
 	k.c.mu.Lock()
 	delete(k.p, k.id)
 	k.c.mu.Unlock()
 }
 
-// send stages the request, which must carry k.id.
-func (k call[T]) send(kind wire.Kind, req wire.Appender) error {
-	err := k.c.out.stage(kind, req)
-	if err != nil {
-		k.drop()
-	}
-	return err
+// Wait blocks until the reply arrives, the connection dies or the call's
+// deadline passes.
+func (k Call[T]) Wait() (T, error) {
+	v, _, err := k.WaitWithin(k.timeout)
+	return v, err
 }
 
-// wait blocks until the reply arrives, the connection dies or the timeout
-// expires.
-func (k call[T]) wait(timeout time.Duration) (T, error) {
-	t := acquireTimer(timeout)
-	defer releaseTimer(t)
+// WaitWithin is Wait that gives up once d has passed since the call was
+// staged: it then reports done=false and the call stays in flight — its
+// reply can still be collected by a later Wait or First. With done=true the
+// call is over, as after Wait.
+func (k Call[T]) WaitWithin(d time.Duration) (v T, done bool, err error) {
+	// A reply already here wins over a deadline that has also passed: calls
+	// staged together and waited for in turn all expire at the same moment,
+	// and one mute peer must not turn its neighbours' answers into timeouts.
 	select {
 	case v, ok := <-k.ch:
-		if !ok {
-			return v, k.c.err()
-		}
-		return v, nil
-	case <-t.C:
-		k.drop()
-		k.c.tel.timeouts.Inc()
-		var zero T
-		return zero, ErrTimeout
+		return k.reply(v, ok)
+	default:
 	}
+	if left := min(d, k.timeout) - time.Since(k.start); left > 0 {
+		t := acquireTimer(left)
+		defer releaseTimer(t)
+		select {
+		case v, ok := <-k.ch:
+			return k.reply(v, ok)
+		case <-t.C:
+		}
+	}
+	if d < k.timeout {
+		return v, false, nil
+	}
+	k.Drop()
+	k.c.tel.timeouts.Inc()
+	return v, true, ErrTimeout
+}
+
+// reply turns what came off the channel into the call's outcome: the value,
+// or the error that closed the channel unresolved — the failed stage's, else
+// the dead read loop's.
+func (k Call[T]) reply(v T, ok bool) (T, bool, error) {
+	switch {
+	case ok:
+		k.answered.Inc()
+		k.rtt.Observe(time.Since(k.start))
+		return v, true, nil
+	case k.err != nil:
+		return v, true, k.err
+	}
+	return v, true, k.c.err()
+}
+
+// First waits for two calls carrying one request to two peers — a primary
+// and the replica hedging it — and returns the first good answer. The other
+// call is dropped, never waited for in the background; a call that fails
+// leaves the other to decide, so the error is the later failure's.
+func First[T any](a, b Call[T]) (T, error) {
+	if b.start.Add(b.timeout).Before(a.start.Add(a.timeout)) {
+		a, b = b, a // a expires first
+	}
+	t := acquireTimer(a.timeout - time.Since(a.start))
+	defer releaseTimer(t)
+	select {
+	case v, ok := <-a.ch:
+		return a.orElse(b, v, ok)
+	case v, ok := <-b.ch:
+		return b.orElse(a, v, ok)
+	case <-t.C:
+		a.Drop()
+		a.c.tel.timeouts.Inc()
+		return b.Wait()
+	}
+}
+
+// orElse settles First once k's channel has yielded: a good reply wins and
+// the other call is dropped; a dead connection leaves the other to decide.
+func (k Call[T]) orElse(other Call[T], v T, ok bool) (T, error) {
+	if v, _, err := k.reply(v, ok); err == nil {
+		other.Drop()
+		return v, nil
+	}
+	return other.Wait()
 }
 
 // Subscribe registers a standing subscription; matching feed items arrive

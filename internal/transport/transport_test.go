@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/docstore"
 	"repro/internal/feature"
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -237,10 +238,12 @@ func TestServerSurvivesGarbageBytes(t *testing.T) {
 	_ = srv
 }
 
-// TestPendingCallsLeaveTheTable drives the three ways a call ends without a
-// reply, against a peer that acknowledges the handshake and then never
-// answers: a timeout and a failed stage each drop their own entry, and the
-// read loop's death wakes the calls still waiting and empties the table.
+// TestPendingCallsLeaveTheTable drives the ways a call ends without a reply,
+// against a peer that acknowledges the handshake and then never answers: a
+// timeout and a failed stage each drop their own entry, calls staged
+// together expire together, a hedge's loser is dropped (and its late reply
+// discarded), and the read loop's death wakes the calls still waiting and
+// empties the table.
 func TestPendingCallsLeaveTheTable(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -290,12 +293,63 @@ func TestPendingCallsLeaveTheTable(t *testing.T) {
 		t.Fatalf("%d entries left after two timeouts", n)
 	}
 
-	wait := c.TermStatsAsync([]string{"ring"}, 5*time.Second)
+	// Staged together, waited for in turn: the deadline runs from staging, so
+	// the second wait does not start a timeout of its own.
+	first := c.StartTermStats([]string{"gold"}, 20*time.Millisecond)
+	second := c.StartTermStats([]string{"ring"}, 20*time.Millisecond)
+	if n := inFlight(); n != 2 {
+		t.Fatalf("%d entries with two calls staged, want 2", n)
+	}
+	if _, done, err := first.WaitWithin(time.Millisecond); done || err != nil {
+		t.Fatalf("bounded wait on a mute peer: done=%v err=%v, want the call left in flight", done, err)
+	}
+	if n := inFlight(); n != 2 {
+		t.Fatalf("%d entries after a bounded wait gave up, want 2", n)
+	}
+	if _, err := first.Wait(); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("first of two staged calls: %v, want ErrTimeout", err)
+	}
+	if _, err := second.Wait(); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("second of two staged calls: %v, want ErrTimeout", err)
+	}
+	if n := inFlight(); n != 0 {
+		t.Fatalf("%d entries left after two staged calls expired", n)
+	}
+
+	// A hedge: the mute primary loses to a live replica and is dropped, not
+	// waited for; what the primary says afterwards under the dropped id is
+	// discarded, and the next reply still finds its call.
+	_, addr := startServer(t)
+	live, err := Dial(addr, "iris", 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	loser := c.StartQueryTraced("gold", nil, 3, 5*time.Second, telemetry.TraceContext{})
+	res, err := First(loser, live.StartQueryTraced("gold", nil, 3, 5*time.Second, telemetry.TraceContext{}))
+	if err != nil || res.From != "museum-tcp" || len(res.Items) == 0 {
+		t.Fatalf("hedged query: %+v, %v, want the live replica's answer", res, err)
+	}
+	if n := inFlight(); n != 0 {
+		t.Fatalf("%d entries left by a hedge's loser", n)
+	}
+	next := c.StartQueryTraced("ring", nil, 3, 5*time.Second, telemetry.TraceContext{})
+	for _, id := range []string{loser.id, next.id} {
+		late := wire.QueryResult{QueryID: id, From: "mute"}
+		if err := wire.WriteFrame(conn, wire.KindQueryResult, late.AppendTo(nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res, err := next.Wait(); err != nil || res.QueryID != next.id {
+		t.Fatalf("call after a late reply to a dropped id: %+v, %v", res, err)
+	}
+
+	waiter := c.StartTermStats([]string{"ring"}, 5*time.Second)
 	if n := inFlight(); n != 1 {
 		t.Fatalf("%d entries with one call waiting, want 1", n)
 	}
 	conn.Close() // the read loop dies; the waiter must not sit out its 5 s
-	if _, err := wait(); err == nil || errors.Is(err, ErrTimeout) {
+	if _, err := waiter.Wait(); err == nil || errors.Is(err, ErrTimeout) {
 		t.Fatalf("waiter on a dead connection: %v, want the read error", err)
 	}
 	if n := inFlight(); n != 0 {
