@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -270,18 +271,12 @@ func (r *Router) AskTraced(query string, k int, tc telemetry.TraceContext) Resul
 // frequencies.
 func canonicalTerms(query string) (terms []string, qns []int) {
 	for _, t := range feature.Tokenize(query) {
-		found := false
-		for i := range terms {
-			if terms[i] == t {
-				qns[i]++
-				found = true
-				break
-			}
+		if i := slices.Index(terms, t); i >= 0 {
+			qns[i]++
+			continue
 		}
-		if !found {
-			terms = append(terms, t)
-			qns = append(qns, 1)
-		}
+		terms = append(terms, t)
+		qns = append(qns, 1)
 	}
 	return terms, qns
 }
@@ -327,9 +322,10 @@ func (tm *termMemo) canonical(query string) ([]string, []int) {
 // first, wait second: every missing shard's request goes on the wire back
 // to back — per connection the frames ride one coalesced batch — and only
 // then does the ask block, on each reply in turn, so the round trips
-// overlap. A shard whose RPC fails (after one blocking retry against its
-// replica, if it has one) is recorded in res.Errors and marked partial: its
-// documents cannot be scored under exact global statistics this ask.
+// overlap. Shards whose primary failed get one retry against their replica,
+// staged as found and awaited in a second pass: N failures cost one more
+// round trip, not N. A shard still failing is recorded in res.Errors and
+// marked partial: it cannot be scored under exact global statistics.
 func (r *Router) ensureStats(terms []string, res *Result) {
 	type staged struct {
 		s    *routerShard
@@ -341,18 +337,23 @@ func (r *Router) ensureStats(terms []string, res *Result) {
 			pending = append(pending, staged{s, s.clients[0].StartTermStats(terms, r.timeout)})
 		}
 	}
-	for _, p := range pending {
-		resp, err := p.call.Wait()
-		if err != nil && len(p.s.clients) > 1 {
-			resp, err = p.s.clients[1].TermStats(terms, r.timeout)
+	for pass := 0; len(pending) > 0; pass++ {
+		retry := pending[:0] // refilled behind the read position
+		for _, p := range pending {
+			resp, err := p.call.Wait()
+			if err != nil && pass == 0 && len(p.s.clients) > 1 {
+				retry = append(retry, staged{p.s, p.s.clients[1].StartTermStats(terms, r.timeout)})
+				continue
+			}
+			if err == nil {
+				err = p.s.installStats(terms, resp)
+			}
+			if err != nil {
+				res.Errors[p.s.ID] = fmt.Errorf("term stats: %w", err)
+				res.Partial = true
+			}
 		}
-		if err == nil {
-			err = p.s.installStats(terms, resp)
-		}
-		if err != nil {
-			res.Errors[p.s.ID] = fmt.Errorf("term stats: %w", err)
-			res.Partial = true
-		}
+		pending = retry
 	}
 }
 
@@ -549,13 +550,11 @@ func (r *Router) collect(f *inflight, query string, gs globalQuery, ms *mergeSta
 	s.mu.Lock()
 	if res.Epoch != 0 && res.Epoch != s.epoch {
 		// The shard answered from a newer snapshot than the cached stats:
-		// flush so the next ask re-collects (its ensureStats round stages
-		// every missing shard's request on one coalesced batch). This
-		// ask's figures are a consistent global view of the older epoch.
-		// No speculative background refresh: under sustained ingest every
-		// answer drifts and consecutive asks rarely share terms, so a
-		// drift-triggered refetch is an extra stats RPC per ask that the
-		// next ask cannot usually use — pure overhead on a busy host.
+		// flush so the next ask re-collects. This ask's figures are a
+		// consistent global view of the older epoch. No speculative
+		// background refresh: under sustained ingest every answer drifts
+		// and consecutive asks rarely share terms, so a drift-triggered
+		// refetch is a stats RPC per ask the next ask cannot usually use.
 		clear(s.stats)
 		r.tel.drift.Inc()
 	}

@@ -419,7 +419,7 @@ func TestHandoffRebalance(t *testing.T) {
 // process). The ask stages its calls and waits on its own goroutine; a `go`
 // statement back on that path costs a closure and its captured variables
 // per ask and fails this without a stopwatch: the change that removed the
-// router's goroutines reads 20 here, its parent 26.
+// router's goroutines reads 21 here, its parent 26.
 func TestAskAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -437,7 +437,7 @@ func TestAskAllocCeiling(t *testing.T) {
 		}
 	})
 	if got > 23 {
-		t.Fatalf("%.1f allocations per ask, ceiling 23", got)
+		t.Fatalf("%.1f allocations per ask, ceiling 23 (the count is process-wide: the in-process shard server and the client's read loop allocate their share of it, so look there as well as in the ask path)", got)
 	}
 	t.Logf("%.1f allocations per ask", got)
 }

@@ -349,9 +349,8 @@ func resolve[T any](c *Client, p pending[T], id string, v T) {
 // a deadline that runs from the moment the request was staged — not from
 // the moment somebody starts waiting, so a caller that stages several calls
 // and waits for them in turn bounds the whole exchange by one timeout.
-// Every blocking round trip is a Start followed by Wait. A call ends
-// exactly once: by Wait, by a WaitWithin that reports done, as either side
-// of First, or by Drop; until then its id stays in the table.
+// Every blocking round trip is a Start followed by Wait. A call ends once:
+// by Wait, by a WaitWithin that reports done, or as either side of First.
 type Call[T any] struct {
 	c       *Client
 	p       pending[T]
@@ -377,23 +376,25 @@ func begin[T any](c *Client, p pending[T], prefix byte, timeout time.Duration) C
 }
 
 // send stages the request, which must carry k.id. A failure ends the call
-// the way a dead connection does, by a closed channel: whoever waits for it
-// gets the stage error at once.
+// the way a dead connection does, by a closed channel — closed by whoever
+// removes the entry, as in resolve and failAll: the broken connection that
+// failed the write may already have had the read loop close it.
 func (k *Call[T]) send(kind wire.Kind, req wire.Appender) {
-	if k.err = k.c.out.stage(kind, req); k.err != nil {
-		k.Drop()
+	if k.err = k.c.out.stage(kind, req); k.err != nil && k.drop() {
 		close(k.ch)
 	}
 }
 
-// Drop forgets the call. The read loop resolves only ids it finds in the
-// table, so a call nobody will wait for — never sent, timed out, or the
-// loser of a hedge — must leave it, or the entry leaks until Close. A reply
-// that arrives afterwards is discarded.
-func (k Call[T]) Drop() {
+// drop forgets the call and reports whether its entry was still there. A
+// call nobody will wait for — never sent, timed out, a hedge's loser — must
+// leave the table or it leaks until Close; the read loop resolves only ids
+// it finds there, so a reply that arrives afterwards is discarded.
+func (k Call[T]) drop() bool {
 	k.c.mu.Lock()
+	_, mine := k.p[k.id]
 	delete(k.p, k.id)
 	k.c.mu.Unlock()
+	return mine
 }
 
 // Wait blocks until the reply arrives, the connection dies or the call's
@@ -428,7 +429,7 @@ func (k Call[T]) WaitWithin(d time.Duration) (v T, done bool, err error) {
 	if d < k.timeout {
 		return v, false, nil
 	}
-	k.Drop()
+	k.drop()
 	k.c.tel.timeouts.Inc()
 	return v, true, ErrTimeout
 }
@@ -464,7 +465,7 @@ func First[T any](a, b Call[T]) (T, error) {
 	case v, ok := <-b.ch:
 		return b.orElse(a, v, ok)
 	case <-t.C:
-		a.Drop()
+		a.drop()
 		a.c.tel.timeouts.Inc()
 		return b.Wait()
 	}
@@ -474,7 +475,7 @@ func First[T any](a, b Call[T]) (T, error) {
 // the other call is dropped; a dead connection leaves the other to decide.
 func (k Call[T]) orElse(other Call[T], v T, ok bool) (T, error) {
 	if v, _, err := k.reply(v, ok); err == nil {
-		other.Drop()
+		other.drop()
 		return v, nil
 	}
 	return other.Wait()

@@ -242,8 +242,8 @@ func TestServerSurvivesGarbageBytes(t *testing.T) {
 // against a peer that acknowledges the handshake and then never answers: a
 // timeout and a failed stage each drop their own entry, calls staged
 // together expire together, a hedge's loser is dropped (and its late reply
-// discarded), and the read loop's death wakes the calls still waiting and
-// empties the table.
+// discarded), the read loop's death wakes the calls still waiting and
+// empties the table, and a stage that fails after that closes nothing twice.
 func TestPendingCallsLeaveTheTable(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -345,8 +345,11 @@ func TestPendingCallsLeaveTheTable(t *testing.T) {
 	}
 
 	waiter := c.StartTermStats([]string{"ring"}, 5*time.Second)
-	if n := inFlight(); n != 1 {
-		t.Fatalf("%d entries with one call waiting, want 1", n)
+	// A call caught between begin and send when the connection breaks: it is
+	// registered, so the dying read loop closes its channel too.
+	caught := begin(c, c.stats, 's', 5*time.Second)
+	if n := inFlight(); n != 2 {
+		t.Fatalf("%d entries with one call waiting and one registered, want 2", n)
 	}
 	conn.Close() // the read loop dies; the waiter must not sit out its 5 s
 	if _, err := waiter.Wait(); err == nil || errors.Is(err, ErrTimeout) {
@@ -362,5 +365,11 @@ func TestPendingCallsLeaveTheTable(t *testing.T) {
 	}
 	if n := inFlight(); n != 0 {
 		t.Fatalf("%d entries left after a failed stage", n)
+	}
+	// Its stage fails on a channel the read loop already closed: the call ends
+	// with the stage error, and the channel is not closed a second time.
+	caught.send(wire.KindTermStats, &wire.TermStatsReq{ID: caught.id, Terms: []string{"ring"}})
+	if _, err := caught.Wait(); err == nil || errors.Is(err, ErrTimeout) {
+		t.Fatalf("stage after the read loop died: %v, want the stage error", err)
 	}
 }
