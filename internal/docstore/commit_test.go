@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -802,5 +803,27 @@ func TestCommitQueueAndCompactGauges(t *testing.T) {
 	wg.Wait()
 	if gauge(depth) != 3 || gauge(inFlight) != 0 {
 		t.Fatalf("after the burst: queue_depth %v (want 3), in_flight %v (want 0)", gauge(depth), gauge(inFlight))
+	}
+
+	// The two windows each published an overlay and neither froze: one
+	// observation apiece in the publish histogram, none in the freeze one.
+	var sb strings.Builder
+	reg.RenderPrometheus(&sb)
+	fams, err := telemetry.ParsePrometheus(sb.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]float64{"agora_docstore_publish_latency_seconds": 2, "agora_docstore_freeze_latency_seconds": 0} {
+		f := fams[name]
+		if f == nil || f.Type != "histogram" {
+			t.Fatalf("%s: %+v", name, f)
+		}
+		i := slices.IndexFunc(f.Samples, func(sm telemetry.PromSample) bool { return sm.Name == name+"_count" })
+		if i < 0 {
+			t.Fatalf("%s has no _count sample", name)
+		}
+		if got := f.Samples[i].Value; got != want {
+			t.Fatalf("%s_count = %v, want %v", name, got, want)
+		}
 	}
 }

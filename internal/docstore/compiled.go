@@ -35,6 +35,8 @@ type compiledIndex struct {
 	// so the query path never intersects masked sets with postings.
 	termList []string
 	fwd      [][]uint32
+	fwdFree  []uint32 // the forward lists' one arena, less what addDoc has handed out
+	nPost    int      // postings appended: what the next index's arena is sized from
 }
 
 // termPostings locates one term's blocks inside the shared directory.
@@ -57,21 +59,31 @@ type blockMeta struct {
 	maxRatio float64
 }
 
-// newCompiledIndex returns an empty index whose maps and arena have room for
-// nDocs documents and about the terms and postings like holds. Its builders
-// fill it in order — addDoc in ascending document ID, then appendTerm in
-// ascending term — and nothing re-sorts afterwards.
-func newCompiledIndex(nDocs int, like *compiledIndex) *compiledIndex {
+// newCompiledIndex returns an empty index with room for exactly nDocs
+// documents carrying nPost postings between them — one allocation per column
+// of the document table, one arena for every forward list — and for about the
+// terms and blocks like holds. Its builders fill it in order — addDoc in
+// ascending document ID, then appendTerm in ascending term — and nothing
+// re-sorts afterwards.
+func newCompiledIndex(nDocs, nPost int, like *compiledIndex) *compiledIndex {
 	return &compiledIndex{
-		ords:   make(map[string]uint32, nDocs),
-		terms:  make(map[string]termPostings, len(like.termList)),
-		blocks: make([]blockMeta, 0, len(like.blocks)),
-		data:   make([]byte, 0, len(like.data)),
+		ids:     make([]string, 0, nDocs),
+		docs:    make([]*Document, 0, nDocs),
+		docLens: make([]uint32, 0, nDocs),
+		norms:   make([]float64, 0, nDocs),
+		cnorms:  make([]float64, 0, nDocs),
+		ords:    make(map[string]uint32, nDocs),
+		terms:   make(map[string]termPostings, len(like.termList)),
+		blocks:  make([]blockMeta, 0, len(like.blocks)),
+		data:    make([]byte, 0, len(like.data)),
+		fwd:     make([][]uint32, 0, nDocs),
+		fwdFree: make([]uint32, nPost),
 	}
 }
 
 // addDoc gives d, whose ID must sort after every document already added, the
-// next ordinal, with room for nTerms distinct terms in its forward list.
+// next ordinal, with room for nTerms distinct terms in its forward list (the
+// snapshot loader learns them as it reads, passes 0 and lets the list grow).
 // cnorm is d.Concept.Norm(): a carried document brings the one its last index
 // held. Ordinals ascend with IDs so that equal scores tie-break identically
 // whether a doc is identified by ordinal or by ID.
@@ -82,9 +94,28 @@ func (cx *compiledIndex) addDoc(d *Document, docLen uint32, nTerms int, cnorm fl
 	cx.docLens = append(cx.docLens, docLen)
 	cx.norms = append(cx.norms, math.Sqrt(float64(docLen)+1))
 	cx.cnorms = append(cx.cnorms, cnorm)
-	cx.fwd = append(cx.fwd, make([]uint32, 0, nTerms))
+	cx.fwd = append(cx.fwd, cx.fwdFree[:0:nTerms])
+	cx.fwdFree = cx.fwdFree[nTerms:]
 	cx.ords[d.ID] = ord
 	return ord
+}
+
+// tfWeights holds tfWeight of every frequency below 256, from the expression
+// it computes above that: a looked-up weight has the same bits.
+var tfWeights = func() (w [256]float64) {
+	for tf := range w {
+		w[tf] = 1 + math.Log(float64(tf))
+	}
+	return w
+}()
+
+// tfWeight is the document-side weight of a term occurring tf times, 1 + ln tf:
+// the one place the scorer, the block bounds and TermStats take it from.
+func tfWeight(tf int) float64 {
+	if uint(tf) < uint(len(tfWeights)) {
+		return tfWeights[tf]
+	}
+	return 1 + math.Log(float64(tf))
 }
 
 // appendTerm encodes one term's postings — strictly ascending ordinals of
@@ -95,6 +126,7 @@ func (cx *compiledIndex) addDoc(d *Document, docLen uint32, nTerms int, cnorm fl
 func (cx *compiledIndex) appendTerm(term string, entries []postEntry) {
 	ti := uint32(len(cx.termList))
 	cx.termList = append(cx.termList, term)
+	cx.nPost += len(entries)
 	tm := termPostings{df: int32(len(entries)), blockOff: int32(len(cx.blocks))}
 	for start := 0; start < len(entries); start += blockSize {
 		blk := entries[start:min(start+blockSize, len(entries))]
@@ -105,11 +137,7 @@ func (cx *compiledIndex) appendTerm(term string, entries []postEntry) {
 			count:    uint16(len(blk)),
 		}
 		for _, e := range blk {
-			w := 1.0
-			if e.tf > 1 { // ln 1 is exactly 0, and most postings have tf 1
-				w += math.Log(float64(e.tf))
-			}
-			if r := w / cx.norms[e.ord]; r > bm.maxRatio {
+			if r := tfWeight(int(e.tf)) / cx.norms[e.ord]; r > bm.maxRatio {
 				bm.maxRatio = r
 			}
 			cx.fwd[e.ord] = append(cx.fwd[e.ord], ti)
@@ -130,25 +158,29 @@ func (cx *compiledIndex) appendTerm(term string, entries []postEntry) {
 // after the empty one is made this way — by the freeze (delta = overlay plus
 // the overflowing window), the compactor (the pinned snapshot's overlay) and
 // Open (the replayed WAL tail) — so an index is a function of immutable
-// published state, never a second mutable truth beside it. Only ov's masked,
-// byID, terms and docLen are read, which is all stageDoc maintains.
+// published state, never a second mutable truth beside it. Only ov's masked
+// and byID are read, which is all stageDoc maintains. What is still O(base):
+// every surviving posting is decoded, renumbered and re-encoded.
 func mergeIndex(base *compiledIndex, ov *overlay) *compiledIndex {
 	if len(ov.masked) == 0 && len(ov.byID) == 0 {
 		return base // immutable, so an unchanged index is shared
 	}
+	nPost := base.nPost
 	add := make([]string, 0, len(ov.byID))
-	for id := range ov.byID {
+	for id, e := range ov.byID {
 		add = append(add, id)
+		nPost += len(e.terms)
 	}
 	slices.Sort(add)
 
 	// remap takes a base ordinal to its merged one (monotone over the live
 	// ordinals, so renumbered postings stay ascending) or to ordSentinel.
 	remap := make([]uint32, len(base.ids))
-	for id := range ov.masked {
-		remap[base.ords[id]] = ordSentinel
+	for _, ord := range ov.masked {
+		remap[ord] = ordSentinel
+		nPost -= len(base.fwd[ord])
 	}
-	cx := newCompiledIndex(len(base.ids)-len(ov.masked)+len(add), base)
+	cx := newCompiledIndex(len(base.ids)-len(ov.masked)+len(add), nPost, base)
 
 	// One pass over both ascending ID lists numbers the merged documents and
 	// transposes the delta's per-document term lists into per-term postings,
@@ -162,9 +194,9 @@ func mergeIndex(base *compiledIndex, ov *overlay) *compiledIndex {
 	j := 0
 	for i := 0; i <= len(base.ids); i++ {
 		for ; j < len(add) && (i == len(base.ids) || add[j] <= base.ids[i]); j++ {
-			d, terms := ov.byID[add[j]], ov.terms[add[j]]
-			ord := cx.addDoc(d, uint32(ov.docLen[add[j]]), len(terms), d.Concept.Norm())
-			for _, tt := range terms {
+			e := ov.byID[add[j]]
+			ord := cx.addDoc(e.doc, uint32(e.docLen), len(e.terms), e.doc.Concept.Norm())
+			for _, tt := range e.terms {
 				s, ok := slot[tt.term]
 				if !ok {
 					s = len(delta)
@@ -375,7 +407,7 @@ type searchScratch struct {
 	terms   []queryTerm
 	cursors []cursor
 	order   []int
-	ords    []uint32 // base ordinals: the masked ones (walkBase), a probe's candidates
+	ords    []uint32 // base ordinals: a probe's candidates
 	heap    []scored // the text top-k
 	vecHeap []scored // the vector top-k
 	outHeap []scored // the hybrid top-k
@@ -483,11 +515,8 @@ tokenLoop:
 		if gs != nil {
 			df = int(gs.dfOf(qt.t))
 		} else {
-			if hasBase {
-				df = int(tm.df)
-			}
-			df -= ov.maskedDF[qt.t]
-			df += ov.df(qt.t)
+			e := ov.termPost[qt.t]
+			df = int(tm.df) + len(e.post) - e.maskedDF // tm is zero without base postings
 		}
 		if df <= 0 {
 			qt.qw = 0
@@ -520,13 +549,13 @@ tokenLoop:
 			if qt.qw == 0 {
 				continue
 			}
-			for _, p := range ov.postingsFor(qt.t) {
-				dw := (1 + math.Log(float64(p.tf))) * qt.idf
+			for _, p := range ov.termPost[qt.t].post {
+				dw := tfWeight(p.tf) * qt.idf
 				sc.ovAcc[p.id] += qt.qw * dw
 			}
 		}
 		for id, acc := range sc.ovAcc {
-			norm := math.Sqrt(float64(ov.docLen[id]) + 1)
+			norm := math.Sqrt(float64(ov.byID[id].docLen) + 1)
 			h.push(scored{id: id, ord: -1, score: acc / norm})
 		}
 	}
@@ -543,18 +572,10 @@ tokenLoop:
 // applying block-max skipping unless exhaustive.
 func (sn *snapshot) walkBase(h *topK[scored], sc *searchScratch, exhaustive bool) {
 	cx := sn.base.cx
-	ov := sn.ov
 
-	// Masked base ordinals, ascending. Evaluated ordinals only increase,
-	// so one monotonic pointer replaces per-candidate set lookups.
-	sc.ords = sc.ords[:0]
-	for id := range ov.masked {
-		if ord, ok := cx.ords[id]; ok {
-			sc.ords = append(sc.ords, ord)
-		}
-	}
-	slices.Sort(sc.ords)
-	mi := 0
+	// The tombstones ascend and so do the ordinals evaluated, so one
+	// monotonic pointer replaces per-candidate set lookups.
+	masked := sn.ov.masked
 
 	sc.order = sc.order[:0]
 	for i := range sc.cursors {
@@ -661,10 +682,10 @@ func (sn *snapshot) walkBase(h *topK[scored], sc *searchScratch, exhaustive bool
 		}
 
 		d := lead.curOrd
-		for mi < len(sc.ords) && sc.ords[mi] < d {
-			mi++
+		for len(masked) > 0 && masked[0] < d {
+			masked = masked[1:]
 		}
-		if mi == len(sc.ords) || sc.ords[mi] != d {
+		if len(masked) == 0 || masked[0] != d {
 			// Exact score, accumulated in canonical term order: cursors
 			// were appended in that order and are scanned by index here.
 			acc := 0.0
@@ -674,7 +695,7 @@ func (sn *snapshot) walkBase(h *topK[scored], sc *searchScratch, exhaustive bool
 					if !c.loaded {
 						c.decodeBlock(&sc.stats) // shallow on d: pos 0 is d's tf
 					}
-					dw := (1 + math.Log(float64(c.curTF))) * c.idf
+					dw := tfWeight(int(c.curTF)) * c.idf
 					acc += c.qw * dw
 				}
 			}

@@ -64,24 +64,13 @@ func (s *Store) TermStats(terms []string) (total uint64, epoch uint64, stats []T
 	ov := sn.ov
 	stats = make([]TermStat, len(terms))
 	for i, t := range terms {
-		df := 0
-		maxRatio := 0.0
-		if tm, ok := cx.terms[t]; ok {
-			df = int(tm.df)
-			maxRatio = tm.maxRatio
+		tm, e := cx.terms[t], ov.termPost[t] // zero where the term is unknown
+		df := int(tm.df) - e.maskedDF + len(e.post)
+		maxRatio := tm.maxRatio
+		for _, p := range e.post {
+			maxRatio = max(maxRatio, tfWeight(p.tf)/math.Sqrt(float64(ov.byID[p.id].docLen)+1))
 		}
-		df -= ov.maskedDF[t]
-		for _, p := range ov.postingsFor(t) {
-			df++
-			r := (1 + math.Log(float64(p.tf))) / math.Sqrt(float64(ov.docLen[p.id])+1)
-			if r > maxRatio {
-				maxRatio = r
-			}
-		}
-		if df < 0 {
-			df = 0
-		}
-		stats[i] = TermStat{DF: uint64(df), MaxRatio: maxRatio}
+		stats[i] = TermStat{DF: uint64(max(df, 0)), MaxRatio: maxRatio}
 	}
 	return uint64(sn.docCount()), sn.epoch, stats
 }

@@ -23,8 +23,19 @@ import (
 //
 //	snapshot = { base: frozen state, ov: docs written since the freeze }
 //
-// Each commit window clones the (small) overlay once and republishes; once
-// the overlay would pass overlayLimit a fresh base is published and the
+// A commit window costs what it writes. Overlays form one lineage — each is
+// built under Store.mu from the published one and published in turn, never
+// from an older one — so a successor shares its predecessor's storage
+// wherever it only adds. A term's overlay postings are append-only:
+// setTermPost appends onto the predecessor's backing array, a held snapshot
+// reads only its own length, and the one successor is the only writer past
+// it; delTermPost — a replace or delete of a document written since the
+// freeze — copies the slice it shortens. The two maps (documents, terms) and
+// three small slices (time index, vector list, tombstones) take inserts in
+// order and removals, which an array shared with readers cannot, so
+// cloneNextN copies them once per window.
+//
+// Once the overlay would pass overlayLimit a fresh base is published and the
 // overlay resets — small-batch coalescing that amortizes the O(n) freeze over
 // many writes. Every base is the last one merged with the overlay: mergeIndex
 // for the text index and document table, state.next for the vector, time and
@@ -72,13 +83,13 @@ func newState(opts Options) *state {
 // Only ov's masked, byID and extras are read — all stageDoc maintains — and
 // extras only to reuse signatures putDoc already computed. Documents are
 // shared, never copied: the write path installs a private clone and nothing
-// mutates a stored *Document. What is still O(base): the LSH clone and the
-// time-index copy.
+// mutates a stored *Document. What is still O(base): the pass over the LSH
+// buckets and the time-index merge.
 func (prev *state) next(cx *compiledIndex, ov *overlay) *state {
 	if len(ov.masked) == 0 && len(ov.byID) == 0 {
 		return prev
 	}
-	st := &state{cx: cx, vec: prev.vec.Clone(), topics: maps.Clone(prev.topics), visuals: prev.visuals}
+	st := &state{cx: cx, topics: maps.Clone(prev.topics), visuals: prev.visuals}
 	tally := func(d *Document, by int) {
 		for i, t := range d.Topics {
 			if slices.Contains(d.Topics[:i], t) {
@@ -92,19 +103,22 @@ func (prev *state) next(cx *compiledIndex, ov *overlay) *state {
 			st.visuals += by
 		}
 	}
+	dead := make(map[string]bool, len(ov.masked))
 	drop := make([]timeEntry, 0, len(ov.masked))
-	for id := range ov.masked {
-		d := prev.cx.docs[prev.cx.ords[id]]
-		st.vec.Delete(id)
+	for _, ord := range ov.masked {
+		d := prev.cx.docs[ord]
+		dead[d.ID] = true
 		tally(d, -1)
-		drop = append(drop, timeEntry{key: d.CreatedAt, id: id})
+		drop = append(drop, timeEntry{key: d.CreatedAt, id: d.ID})
 	}
+	st.vec = prev.vec.CloneWithout(dead)
 	sigs := make(map[string][]uint64, len(ov.extras))
 	for i := range ov.extras {
 		sigs[ov.extras[i].ID] = ov.extras[i].Sigs
 	}
 	add := make([]timeEntry, 0, len(ov.byID))
-	for id, d := range ov.byID {
+	for id, e := range ov.byID {
+		d := e.doc
 		if len(d.Concept) > 0 {
 			sg := sigs[id]
 			if sg == nil {
@@ -135,9 +149,9 @@ func (prev *state) next(cx *compiledIndex, ov *overlay) *state {
 // carry returns the delta that masks nothing and carries docs, as next reads
 // it: how a snapshot file's documents join the empty base.
 func carry(docs []*Document) *overlay {
-	ov := &overlay{byID: make(map[string]*Document, len(docs))}
+	ov := &overlay{byID: make(map[string]ovDoc, len(docs))}
 	for _, d := range docs {
-		ov.byID[d.ID] = d
+		ov.byID[d.ID] = ovDoc{doc: d}
 	}
 	return ov
 }
@@ -161,28 +175,20 @@ func (a timeEntry) compare(b timeEntry) int {
 	return strings.Compare(a.id, b.id)
 }
 
-// overlay is the immutable delta on top of a frozen base. Every write to an
-// id that exists in the base marks it masked (dead in the base); liveness of
-// an overlay id is byID membership. The zero overlay (nil maps) is valid:
-// lookups on nil maps read as empty.
+// overlay is the immutable delta on top of a frozen base: one map per key
+// space, documents and terms, and three small slices. Every write to an id
+// that exists in the base masks it (dead in the base); liveness of an overlay
+// id is byID membership. The zero overlay (nil maps) is valid: lookups on nil
+// maps read as empty.
 type overlay struct {
-	ops    int             // writes since the last freeze
-	masked map[string]bool // base ids superseded or deleted
-	// maskedDF counts, per term, how many masked ids carry the term in the
-	// frozen base — maintained incrementally from the compiled forward
-	// index when an id is masked, so the query path computes live document
-	// frequencies in O(1) per term instead of intersecting the masked set
-	// with postings.
-	maskedDF map[string]int
-	byID     map[string]*Document
-	byTime   []timeEntry         // ascending (key, id)
-	terms    map[string][]termTF // docID -> distinct terms, ascending (inner slices immutable)
-	docLen   map[string]int
-	// termPost inverts terms (term -> carriers sorted by docID) so per-term
-	// document frequency and overlay scoring are O(carriers), not
-	// O(overlay docs). Slices are copy-on-write: cloneNextN shares them, and
-	// any write replaces the touched term's slice with a fresh copy.
-	termPost map[string][]ovPost
+	ops int // writes since the last freeze
+	// masked is the base's tombstones: the ordinals of base documents
+	// superseded or deleted, ascending — one monotonic pointer passes them in
+	// the base walk, a lookup by ordinal is a binary search.
+	masked   []uint32
+	byID     map[string]ovDoc
+	termPost map[string]ovTerm
+	byTime   []timeEntry // ascending (key, id)
 	// termDelta is the live term count minus the base's: overlay-only terms,
 	// less base terms whose every carrier is masked and that no overlay
 	// document carries. Kept by setTermPost/delTermPost/maskBase.
@@ -191,6 +197,25 @@ type overlay struct {
 	// overlay's carriers less the masked base ones.
 	visualDelta int
 	extras      []feature.Extra // byID's concept vectors, with norm and LSH signatures
+}
+
+// ovDoc is one document written since the freeze, its distinct terms,
+// ascending (the slice is immutable), and its token count.
+type ovDoc struct {
+	doc    *Document
+	terms  []termTF
+	docLen int
+}
+
+// ovTerm is one term's overlay figures. post lists its carriers among the
+// overlay's documents, in write order, so document frequency and overlay
+// scoring are O(carriers); it is append-only along the lineage (see the file
+// comment). maskedDF counts the masked ids that carry the term in the base —
+// charged from the forward index as an id is masked, so a query never
+// intersects the tombstones with postings.
+type ovTerm struct {
+	post     []ovPost
+	maskedDF int
 }
 
 // termTF is one distinct term of a document and its frequency there.
@@ -226,47 +251,28 @@ type ovPost struct {
 	tf int
 }
 
-// cloneNextN deep-copies the overlay's own containers for a commit window of
-// n writes: ONE copy absorbs the whole window, so publish cost is
-// O(overlay + window) rather than O(overlay × window). Inner term slices and
-// documents are immutable after insertion and shared.
+// cloneNextN copies the overlay's own containers for a commit window of n
+// writes — the two maps and the three slices, each with room for the window —
+// so publish cost is O(overlay + window) rather than O(overlay × window).
+// Posting slices, term lists and documents are shared.
 func (ov *overlay) cloneNextN(n int) *overlay {
 	nv := &overlay{
 		ops:         ov.ops + n,
-		masked:      make(map[string]bool, len(ov.masked)+1),
-		maskedDF:    make(map[string]int, len(ov.maskedDF)+8),
-		byID:        make(map[string]*Document, len(ov.byID)+1),
-		byTime:      append([]timeEntry(nil), ov.byTime...),
-		terms:       make(map[string][]termTF, len(ov.terms)+1),
-		docLen:      make(map[string]int, len(ov.docLen)+1),
-		termPost:    make(map[string][]ovPost, len(ov.termPost)+8),
+		masked:      append(make([]uint32, 0, len(ov.masked)+n), ov.masked...),
+		byID:        make(map[string]ovDoc, len(ov.byID)+n),
+		termPost:    make(map[string]ovTerm, len(ov.termPost)+8),
+		byTime:      append(make([]timeEntry, 0, len(ov.byTime)+n), ov.byTime...),
 		termDelta:   ov.termDelta,
 		visualDelta: ov.visualDelta,
-		extras:      append([]feature.Extra(nil), ov.extras...),
+		extras:      append(make([]feature.Extra, 0, len(ov.extras)+n), ov.extras...),
 	}
-	for id := range ov.masked {
-		nv.masked[id] = true
-	}
-	for t, c := range ov.maskedDF {
-		nv.maskedDF[t] = c
-	}
-	for id, d := range ov.byID {
-		nv.byID[id] = d
-	}
-	for id, m := range ov.terms {
-		nv.terms[id] = m
-	}
-	for id, l := range ov.docLen {
-		nv.docLen[id] = l
-	}
-	for t, p := range ov.termPost {
-		nv.termPost[t] = p
-	}
+	maps.Copy(nv.byID, ov.byID)
+	maps.Copy(nv.termPost, ov.termPost)
 	return nv
 }
 
 // dropID removes any existing overlay entry for id (a replace or delete of a
-// doc written since the freeze). The masked set is left alone: masking
+// doc written since the freeze). The tombstones are left alone: masking
 // records a fact about the base, which does not change within an overlay's
 // lifetime.
 func (nv *overlay) dropID(id string, cx *compiledIndex) {
@@ -275,64 +281,47 @@ func (nv *overlay) dropID(id string, cx *compiledIndex) {
 		return
 	}
 	delete(nv.byID, id)
-	for _, tt := range nv.terms[id] {
+	for _, tt := range old.terms {
 		nv.delTermPost(tt.term, id, cx)
 	}
-	delete(nv.terms, id)
-	delete(nv.docLen, id)
-	if hasVisual(old) {
+	if hasVisual(old.doc) {
 		nv.visualDelta--
 	}
-	nv.removeTime(old.CreatedAt, id)
-	for i := range nv.extras {
-		if nv.extras[i].ID == id {
-			nv.extras = append(nv.extras[:i], nv.extras[i+1:]...)
-			break
-		}
-	}
-}
-
-func (nv *overlay) insertTime(key int64, id string) {
-	e := timeEntry{key: key, id: id}
-	i, _ := slices.BinarySearchFunc(nv.byTime, e, timeEntry.compare)
-	nv.byTime = slices.Insert(nv.byTime, i, e)
-}
-
-func (nv *overlay) removeTime(key int64, id string) {
-	if i, ok := slices.BinarySearchFunc(nv.byTime, timeEntry{key: key, id: id}, timeEntry.compare); ok {
+	if i, ok := slices.BinarySearchFunc(nv.byTime, timeEntry{key: old.doc.CreatedAt, id: id}, timeEntry.compare); ok {
 		nv.byTime = slices.Delete(nv.byTime, i, i+1)
 	}
+	nv.extras = slices.DeleteFunc(nv.extras, func(e feature.Extra) bool { return e.ID == id })
 }
 
 // stageDoc records d, whose tokens it sorts, as mergeIndex and state.next
-// read it: live under its distinct terms, its version in cx (the index nv
-// sits on) masked. A window that overflows the overlay — a bulk load is one
-// window of thousands — is only staged: no per-posting copy-on-write, no
-// sorted insert, no LSH signatures. Callers own nv; with staged documents it
-// is merged, never published.
-func (nv *overlay) stageDoc(d *Document, tokens []string, cx *compiledIndex) {
-	nv.dropID(d.ID, cx)
-	nv.maskBase(d.ID, cx)
-	nv.byID[d.ID] = d
-	nv.docLen[d.ID] = len(tokens)
-	nv.terms[d.ID] = termFreqs(tokens)
+// read it: live under its distinct terms, which it returns, its version in cx
+// (the index nv sits on) masked. A window that overflows the overlay — a bulk
+// load is one window of thousands — is only staged: no postings, no sorted
+// insert, no LSH signatures. Callers own nv; with staged documents it is
+// merged, never published.
+func (nv *overlay) stageDoc(d *Document, tokens []string, cx *compiledIndex) []termTF {
+	nv.deleteDoc(d.ID, cx)
+	terms := termFreqs(tokens)
+	nv.byID[d.ID] = ovDoc{doc: d, terms: terms, docLen: len(tokens)}
 	if hasVisual(d) {
 		nv.visualDelta++
 	}
+	return terms
 }
 
-// putDoc folds d into a freshly cloned (not yet published) overlay that will
-// be searched: stageDoc plus the read-side indexes. Once published the
-// overlay is immutable again. sigs are d.Concept's per-table LSH signatures
-// (nil when the doc has no concept vector).
-func (nv *overlay) putDoc(d *Document, tokens []string, sigs []uint64, cx *compiledIndex) {
-	nv.stageDoc(d, tokens, cx)
-	nv.insertTime(d.CreatedAt, d.ID)
-	for _, tt := range nv.terms[d.ID] {
-		nv.setTermPost(tt.term, d.ID, tt.tf, cx)
+// putDoc folds d into a freshly cloned (not yet published) overlay over base
+// that will be searched: stageDoc plus the read-side indexes. Once published
+// the overlay is immutable again.
+func (nv *overlay) putDoc(d *Document, tokens []string, base *state) {
+	terms := nv.stageDoc(d, tokens, base.cx)
+	at := timeEntry{key: d.CreatedAt, id: d.ID}
+	i, _ := slices.BinarySearchFunc(nv.byTime, at, timeEntry.compare)
+	nv.byTime = slices.Insert(nv.byTime, i, at)
+	for _, tt := range terms {
+		nv.setTermPost(tt.term, d.ID, tt.tf, base.cx)
 	}
 	if len(d.Concept) > 0 {
-		nv.extras = append(nv.extras, feature.Extra{ID: d.ID, Vec: d.Concept, Norm: d.Concept.Norm(), Sigs: sigs})
+		nv.extras = append(nv.extras, feature.Extra{ID: d.ID, Vec: d.Concept, Norm: d.Concept.Norm(), Sigs: base.vec.Signatures(d.Concept)})
 	}
 }
 
@@ -342,83 +331,73 @@ func (nv *overlay) deleteDoc(id string, cx *compiledIndex) {
 	nv.maskBase(id, cx)
 }
 
+// isMasked reports whether base ordinal ord is dead.
+func (ov *overlay) isMasked(ord uint32) bool {
+	_, dead := slices.BinarySearch(ov.masked, ord)
+	return dead
+}
+
 // maskBase marks id dead in the base, when the base holds it, and charges
 // its distinct terms to maskedDF via the compiled forward index. Masking is
 // idempotent per overlay lifetime — an id already masked was already charged.
 func (nv *overlay) maskBase(id string, cx *compiledIndex) {
 	ord, inBase := cx.ords[id]
-	if !inBase || nv.masked[id] {
+	if !inBase {
 		return
 	}
-	nv.masked[id] = true
+	at, dead := slices.BinarySearch(nv.masked, ord)
+	if dead {
+		return
+	}
+	nv.masked = slices.Insert(nv.masked, at, ord)
 	if hasVisual(cx.docs[ord]) {
 		nv.visualDelta--
 	}
 	for _, ti := range cx.fwd[ord] {
 		t := cx.termList[ti]
-		nv.maskedDF[t]++
-		if !nv.baseLive(t, cx) && len(nv.termPost[t]) == 0 {
+		e := nv.termPost[t]
+		e.maskedDF++
+		nv.termPost[t] = e
+		if len(e.post) == 0 && !e.baseLive(t, cx) {
 			nv.termDelta-- // the term's last live carrier anywhere
 		}
 	}
 }
 
 // baseLive reports whether t still has an unmasked carrier in the base.
-func (nv *overlay) baseLive(t string, cx *compiledIndex) bool {
-	return int(cx.terms[t].df) > nv.maskedDF[t]
+func (e ovTerm) baseLive(t string, cx *compiledIndex) bool {
+	return int(cx.terms[t].df) > e.maskedDF
 }
 
-// setTermPost records id carrying term with frequency tf, copying the
-// term's posting slice so shared predecessors stay immutable.
+// setTermPost records id, which no posting of the term names (dropID has
+// removed an earlier version's), carrying it with frequency tf: one append,
+// onto the array the predecessor's slice ends in.
 func (nv *overlay) setTermPost(t, id string, tf int, cx *compiledIndex) {
-	p := nv.termPost[t]
-	if len(p) == 0 && !nv.baseLive(t, cx) {
+	e := nv.termPost[t]
+	if len(e.post) == 0 && !e.baseLive(t, cx) {
 		nv.termDelta++ // first live carrier: a new term, or one fully masked
 	}
-	i := sort.Search(len(p), func(i int) bool { return p[i].id >= id })
-	np := make([]ovPost, 0, len(p)+1)
-	np = append(np, p[:i]...)
-	np = append(np, ovPost{id: id, tf: tf})
-	if i < len(p) && p[i].id == id {
-		i++ // replace the existing entry
-	}
-	np = append(np, p[i:]...)
-	nv.termPost[t] = np
+	e.post = append(e.post, ovPost{id: id, tf: tf})
+	nv.termPost[t] = e
 }
 
-// delTermPost removes id from term's posting slice, same copy-on-write
-// discipline.
+// delTermPost removes id from the term's postings in a copy: the old array
+// is a held snapshot's to read.
 func (nv *overlay) delTermPost(t, id string, cx *compiledIndex) {
-	p, ok := nv.termPost[t]
-	if !ok {
+	e := nv.termPost[t]
+	i := slices.IndexFunc(e.post, func(p ovPost) bool { return p.id == id })
+	if i < 0 {
 		return
 	}
-	i := sort.Search(len(p), func(i int) bool { return p[i].id >= id })
-	if i >= len(p) || p[i].id != id {
-		return
+	e.post = slices.Delete(slices.Clone(e.post), i, i+1)
+	if len(e.post) == 0 && !e.baseLive(t, cx) {
+		nv.termDelta--
 	}
-	if len(p) == 1 {
+	if len(e.post) == 0 && e.maskedDF == 0 {
 		delete(nv.termPost, t)
-		if !nv.baseLive(t, cx) {
-			nv.termDelta--
-		}
-		return
+	} else {
+		nv.termPost[t] = e
 	}
-	np := make([]ovPost, 0, len(p)-1)
-	np = append(np, p[:i]...)
-	np = append(np, p[i+1:]...)
-	nv.termPost[t] = np
-}
-
-// postingsFor returns term's overlay postings, sorted by document ID. The
-// slice is shared and read-only.
-func (ov *overlay) postingsFor(term string) []ovPost {
-	return ov.termPost[term]
-}
-
-// df returns how many overlay docs carry term.
-func (ov *overlay) df(term string) int {
-	return len(ov.termPost[term])
 }
 
 // overlayLimit bounds overlay size before a freeze: large enough to
@@ -447,10 +426,10 @@ func (sn *snapshot) visualCount() int { return sn.base.visuals + sn.ov.visualDel
 // getDoc returns the live document for id, or nil. The pointer is
 // snapshot-owned and must be cloned before leaving the store.
 func (sn *snapshot) getDoc(id string) *Document {
-	if d, ok := sn.ov.byID[id]; ok {
-		return d
+	if e, ok := sn.ov.byID[id]; ok {
+		return e.doc
 	}
-	if ord, ok := sn.base.cx.ords[id]; ok && !sn.ov.masked[id] {
+	if ord, ok := sn.base.cx.ords[id]; ok && !sn.ov.isMasked(ord) {
 		return sn.base.cx.docs[ord]
 	}
 	return nil
@@ -486,7 +465,7 @@ func (sn *snapshot) assembleHits(kept []scored) []Hit {
 		if r.ord >= 0 {
 			d = sn.base.cx.docs[r.ord]
 		} else {
-			d = sn.ov.byID[r.id]
+			d = sn.ov.byID[r.id].doc
 		}
 		if d != nil {
 			hits = append(hits, Hit{Doc: d, Score: r.score}) //lint:allow hotalloc appends into the sized cold-query allocation above; never grows
@@ -527,7 +506,7 @@ func (sn *snapshot) searchVectorRaw(q feature.Vector, k int, sc *searchScratch) 
 			for t, sig := range sigs {
 				for _, id := range lsh.Bucket(t, sig) {
 					ord := cx.ords[id] // the LSH indexes exactly cx's documents with a vector
-					if sc.slot[ord] == 0 && !ov.masked[id] {
+					if sc.slot[ord] == 0 && !ov.isMasked(ord) {
 						sc.slot[ord] = 1
 						sc.ords = append(sc.ords, ord)
 					}
@@ -543,7 +522,7 @@ func (sn *snapshot) searchVectorRaw(q feature.Vector, k int, sc *searchScratch) 
 	}
 	if !probed {
 		for ord, d := range cx.docs {
-			if len(d.Concept) > 0 && !ov.masked[d.ID] {
+			if len(d.Concept) > 0 && !ov.isMasked(uint32(ord)) {
 				base(uint32(ord))
 			}
 		}
@@ -612,6 +591,11 @@ func timeRange(ents []timeEntry, from, to int64) []timeEntry {
 	return ents[lo:max(lo, hi)]
 }
 
+// baseDead reports whether id, a document of the base, is masked.
+func (sn *snapshot) baseDead(id string) bool {
+	return len(sn.ov.masked) > 0 && sn.ov.isMasked(sn.base.cx.ords[id])
+}
+
 // scanAsc visits live (key, id) pairs with key in [from, to] ascending — an
 // ordered merge of the base's time index (skipping masked ids) with the
 // overlay's, yielding exactly the sequence one index over the live set would.
@@ -621,7 +605,7 @@ func (sn *snapshot) scanAsc(from, to int64, visit func(key int64, id string) boo
 		var e timeEntry
 		if len(ot) == 0 || (len(bt) > 0 && bt[0].compare(ot[0]) < 0) {
 			e, bt = bt[0], bt[1:]
-			if sn.ov.masked[e.id] {
+			if sn.baseDead(e.id) {
 				continue
 			}
 		} else {
@@ -642,7 +626,7 @@ func (sn *snapshot) scanDesc(to int64, limit int, visit func(key int64, id strin
 		var e timeEntry
 		if b, o := len(bt)-1, len(ot)-1; o < 0 || (b >= 0 && bt[b].compare(ot[o]) > 0) {
 			e, bt = bt[b], bt[:b]
-			if sn.ov.masked[e.id] {
+			if sn.baseDead(e.id) {
 				continue
 			}
 		} else {
@@ -660,13 +644,13 @@ func (sn *snapshot) scanDesc(to int64, limit int, visit func(key int64, id strin
 func (sn *snapshot) topicCount(topic string) int {
 	cx := sn.base.cx
 	n := sn.base.topics[topic]
-	for id := range sn.ov.masked {
-		if slices.Contains(cx.docs[cx.ords[id]].Topics, topic) {
+	for _, ord := range sn.ov.masked {
+		if slices.Contains(cx.docs[ord].Topics, topic) {
 			n--
 		}
 	}
-	for _, d := range sn.ov.byID {
-		if slices.Contains(d.Topics, topic) {
+	for _, e := range sn.ov.byID {
+		if slices.Contains(e.doc.Topics, topic) {
 			n++
 		}
 	}

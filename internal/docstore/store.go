@@ -41,7 +41,8 @@ type Options struct {
 	// Telemetry receives per-operation latency histograms and counters
 	// (docstore.put, docstore.search.*, docstore.compact, WAL replay,
 	// docstore.epoch, docstore.cache.*, docstore.snapshot.freezes with the
-	// docstore.freeze.latency histogram, the group-commit pipeline's
+	// docstore.freeze.latency histogram and docstore.publish.latency for
+	// every window that did not freeze, the group-commit pipeline's
 	// docstore.wal.{syncs,windows,group_size,sync_wait_us} counters plus
 	// the docstore.commit latency histogram, and the gauges
 	// docstore.commit.queue_depth — requests waiting when the committer
@@ -59,7 +60,7 @@ type storeTel struct {
 	compactErrors                                               *telemetry.Counter
 	epoch, queueDepth, compactActive                            *telemetry.Gauge
 	putLat, deleteLat, textLat, vectorLat, visualLat, hybridLat *telemetry.Histogram
-	compactLat, replayLat, commitLat, freezeLat                 *telemetry.Histogram
+	compactLat, replayLat, commitLat, freezeLat, publishLat     *telemetry.Histogram
 }
 
 func newStoreTel(reg *telemetry.Registry) storeTel {
@@ -94,6 +95,9 @@ func newStoreTel(reg *telemetry.Registry) storeTel {
 		commitLat:     reg.Histogram("docstore.commit"),
 		// The writer stall of one overflow: mergeIndex plus state.next.
 		freezeLat: reg.Histogram("docstore.freeze.latency"),
+		// What a window that does not freeze holds Store.mu for beyond its
+		// log write: the overlay clone, the fold and the publish.
+		publishLat: reg.Histogram("docstore.publish.latency"),
 	}
 }
 
@@ -243,13 +247,15 @@ func (s *Store) freezeLocked(cur *snapshot, delta *overlay) {
 
 // publishWindowLocked publishes one epoch covering the n non-skipped ops of a
 // commit window, folded into a single overlay clone in WAL order: the window
-// pays the O(overlay) deep copy once, exactly as it pays one fsync. When the
-// window pushes the overlay past its coalescing limit the clone is never
-// searched — it is the delta of a freeze — so its documents are only staged.
+// pays the copy of the overlay's containers once, exactly as it pays one
+// fsync. When the window pushes the overlay past its coalescing limit the
+// clone is never searched — it is the delta of a freeze — so its documents
+// are only staged.
 func (s *Store) publishWindowLocked(cur *snapshot, window []*commitReq, n int) {
 	if n == 0 {
 		return
 	}
+	start := time.Now()
 	cx := cur.base.cx
 	freeze := cur.ov.ops+n > overlayLimit(len(cx.ids))
 	nv := cur.ov.cloneNextN(n)
@@ -263,11 +269,7 @@ func (s *Store) publishWindowLocked(cur *snapshot, window []*commitReq, n int) {
 			case freeze:
 				nv.stageDoc(op.doc, op.tokens, cx)
 			default:
-				var sigs []uint64
-				if len(op.doc.Concept) > 0 {
-					sigs = cur.base.vec.Signatures(op.doc.Concept)
-				}
-				nv.putDoc(op.doc, op.tokens, sigs, cx)
+				nv.putDoc(op.doc, op.tokens, cur.base)
 			}
 		}
 	}
@@ -276,6 +278,7 @@ func (s *Store) publishWindowLocked(cur *snapshot, window []*commitReq, n int) {
 		return
 	}
 	s.installLocked(&snapshot{epoch: cur.epoch + 1, base: cur.base, ov: nv})
+	s.tel.publishLat.Observe(time.Since(start))
 }
 
 // Put stores (or replaces) a document durably: a PutBatch of one.
@@ -448,12 +451,12 @@ func (s *Store) SearchVisual(query feature.VisualFeatures, colorWeight float64, 
 		}
 	}
 	for ord, d := range sn.base.cx.docs {
-		if !sn.ov.masked[d.ID] {
+		if !sn.ov.isMasked(uint32(ord)) {
 			score(d, int32(ord))
 		}
 	}
-	for _, d := range sn.ov.byID {
-		score(d, -1)
+	for _, e := range sn.ov.byID {
+		score(e.doc, -1)
 	}
 	sc.heap = h.items[:0]
 	hits := sn.assembleHits(h.items)
@@ -545,16 +548,16 @@ func (s *Store) Freshest(k int) []*Document {
 // those written since in unspecified order.
 func (s *Store) All(visit func(*Document) bool) {
 	sn := s.snap.Load()
-	for _, d := range sn.base.cx.docs {
-		if sn.ov.masked[d.ID] {
+	for ord, d := range sn.base.cx.docs {
+		if sn.ov.isMasked(uint32(ord)) {
 			continue
 		}
 		if !visit(d.Clone()) {
 			return
 		}
 	}
-	for _, d := range sn.ov.byID {
-		if !visit(d.Clone()) {
+	for _, e := range sn.ov.byID {
+		if !visit(e.doc.Clone()) {
 			return
 		}
 	}

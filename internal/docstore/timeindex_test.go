@@ -9,14 +9,20 @@ import (
 )
 
 // timeSnap builds the parts of a snapshot a time scan reads: a base and an
-// overlay time index (sorted here) and the base ids the overlay masks.
+// overlay time index (sorted here), the base's id -> ordinal map, and the
+// ordinals of the base ids the overlay masks.
 func timeSnap(base, ov []timeEntry, masked ...string) *snapshot {
 	slices.SortFunc(base, timeEntry.compare)
 	slices.SortFunc(ov, timeEntry.compare)
-	sn := &snapshot{base: &state{cx: &compiledIndex{}, byTime: base}, ov: &overlay{byTime: ov, masked: map[string]bool{}}}
-	for _, id := range masked {
-		sn.ov.masked[id] = true
+	cx := &compiledIndex{ords: map[string]uint32{}}
+	for i, e := range base {
+		cx.ords[e.id] = uint32(i)
 	}
+	sn := &snapshot{base: &state{cx: cx, byTime: base}, ov: &overlay{byTime: ov}}
+	for _, id := range masked {
+		sn.ov.masked = append(sn.ov.masked, cx.ords[id])
+	}
+	slices.Sort(sn.ov.masked)
 	return sn
 }
 

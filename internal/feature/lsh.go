@@ -81,9 +81,7 @@ func (l *LSH) Put(id string, v Vector) {
 func (l *LSH) Insert(id string, v Vector, sigs []uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, ok := l.items[id]; ok {
-		l.removeLocked(id)
-	}
+	l.removeLocked(id)
 	l.items[id] = v
 	for t, sig := range sigs {
 		l.tables[t][sig] = append(l.tables[t][sig], id)
@@ -94,30 +92,28 @@ func (l *LSH) Insert(id string, v Vector, sigs []uint64) {
 func (l *LSH) Delete(id string) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, ok := l.items[id]; !ok {
-		return false
-	}
-	l.removeLocked(id)
-	return true
+	return l.removeLocked(id)
 }
 
-func (l *LSH) removeLocked(id string) {
-	v := l.items[id]
+// removeLocked removes id, if it is indexed, and reports whether it was.
+func (l *LSH) removeLocked(id string) bool {
+	v, ok := l.items[id]
+	if !ok {
+		return false
+	}
 	delete(l.items, id)
 	for t := range l.tables {
 		sig := l.signature(t, v)
 		bucket := l.tables[t][sig]
-		for i, b := range bucket {
-			if b == id {
-				bucket[i] = bucket[len(bucket)-1]
-				l.tables[t][sig] = bucket[:len(bucket)-1]
-				break
-			}
+		if i := slices.Index(bucket, id); i >= 0 {
+			bucket[i] = bucket[len(bucket)-1]
+			l.tables[t][sig] = bucket[:len(bucket)-1]
 		}
 		if len(l.tables[t][sig]) == 0 {
 			delete(l.tables[t], sig)
 		}
 	}
+	return true
 }
 
 // Signatures returns v's per-table bucket signatures. Hyperplanes are
@@ -181,27 +177,35 @@ func (e *Extra) Shares(sigs []uint64) bool {
 	return false
 }
 
-// Clone returns an independent copy sharing only immutable state (the
-// hyperplanes and the stored vectors, which are never mutated in place).
-// Bucket slices and maps are deep-copied so Put/Delete on either side never
-// touches the other.
-func (l *LSH) Clone() *LSH {
+// CloneWithout returns an independent copy of the index less the ids in
+// dead, sharing only immutable state (the hyperplanes; the stored vectors,
+// never mutated in place). One pass filters the buckets as it copies them —
+// no signature is recomputed, as a Delete per id would — each table's carved
+// from one array and capped, so no Insert ever touches a neighbouring bucket.
+func (l *LSH) CloneWithout(dead map[string]bool) *LSH {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	cp := &LSH{
-		planes: l.planes,
-		tables: make([]map[uint64][]string, len(l.tables)),
-		items:  make(map[string]Vector, len(l.items)),
-	}
-	for t, tbl := range l.tables {
-		nt := make(map[uint64][]string, len(tbl))
-		for sig, bucket := range tbl {
-			nt[sig] = append([]string(nil), bucket...)
-		}
-		cp.tables[t] = nt
-	}
+	cp := &LSH{planes: l.planes, tables: make([]map[uint64][]string, 0, len(l.tables)), items: make(map[string]Vector, len(l.items))}
 	for id, v := range l.items {
-		cp.items[id] = v
+		if !dead[id] {
+			cp.items[id] = v
+		}
+	}
+	for _, tbl := range l.tables {
+		nt := make(map[uint64][]string, len(tbl))
+		ids := make([]string, 0, len(cp.items)) // a table files every item once
+		for sig, bucket := range tbl {
+			n := len(ids)
+			for _, id := range bucket {
+				if !dead[id] {
+					ids = append(ids, id)
+				}
+			}
+			if len(ids) > n {
+				nt[sig] = ids[n:len(ids):len(ids)]
+			}
+		}
+		cp.tables = append(cp.tables, nt)
 	}
 	return cp
 }
@@ -282,10 +286,16 @@ func (h *candTop) push(c Candidate) {
 	}
 }
 
-// result returns the kept candidates, ranked, in a slice of their own, and
-// hands the scratch back to the pool.
+// result returns the kept candidates, ranked — by score, ties by ID, so
+// results are deterministic across runs — in a slice of their own, and hands
+// the scratch back to the pool.
 func (h *candTop) result(sc *lshScratch) []Candidate {
-	sortCandidates(h.heap)
+	slices.SortFunc(h.heap, func(a, b Candidate) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
+		}
+		return strings.Compare(a.ID, b.ID)
+	})
 	out := append([]Candidate(nil), h.heap...)
 	sc.heap = h.heap[:0]
 	lshPool.Put(sc)
@@ -327,15 +337,4 @@ func siftDownCand(h []Candidate) {
 		h[i], h[m] = h[m], h[i]
 		i = m
 	}
-}
-
-// sortCandidates ranks by score, ties by ID so results are deterministic
-// across runs.
-func sortCandidates(cands []Candidate) {
-	slices.SortFunc(cands, func(a, b Candidate) int {
-		if c := cmp.Compare(b.Score, a.Score); c != 0 {
-			return c
-		}
-		return strings.Compare(a.ID, b.ID)
-	})
 }

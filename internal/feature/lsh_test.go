@@ -3,6 +3,8 @@ package feature
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -160,5 +162,66 @@ func TestLSHSelectsWhileScanning(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// buckets flattens an index's tables into "table/signature" -> sorted ids.
+func buckets(l *LSH) map[string][]string {
+	out := map[string][]string{}
+	for t, tbl := range l.tables {
+		for sig, ids := range tbl {
+			ids = slices.Clone(ids)
+			slices.Sort(ids)
+			out[fmt.Sprintf("%d/%x", t, sig)] = ids
+		}
+	}
+	return out
+}
+
+// TestLSHCloneWithoutIsCopyThenDelete: the filtered copy files exactly what a
+// full copy followed by a Delete per id files (a bucket is a set: Delete
+// reorders one), answers every Query the same, and shares no bucket storage
+// with the original or between its own buckets — an Insert into either index
+// changes only the bucket it lands in.
+func TestLSHCloneWithoutIsCopyThenDelete(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	l := NewLSH(3, 16, 6, 4) // 16 buckets a table: every bucket is crowded
+	for i := 0; i < 400; i++ {
+		l.Put(fmt.Sprintf("d%03d", i), randomUnit(r, 16))
+	}
+	before := buckets(l)
+	dead := map[string]bool{"absent": true}
+	for i := 0; i < 400; i += 1 + r.Intn(5) {
+		dead[fmt.Sprintf("d%03d", i)] = true
+	}
+	got, want := l.CloneWithout(dead), l.CloneWithout(nil)
+	for id := range dead {
+		want.Delete(id)
+	}
+	if got.Len() != want.Len() || !reflect.DeepEqual(buckets(got), buckets(want)) {
+		t.Fatalf("filtered copy holds %d ids, copy-then-delete %d, or their buckets differ", got.Len(), want.Len())
+	}
+	for i := 0; i < 50; i++ {
+		q := randomUnit(r, 16)
+		if g, w := got.Query(q, 10), want.Query(q, 10); !reflect.DeepEqual(g, w) {
+			t.Fatalf("query %d: filtered copy %v, copy-then-delete %v", i, g, w)
+		}
+	}
+
+	after := buckets(got)
+	for i := 0; i < 100; i++ {
+		id, v := fmt.Sprintf("new%d", i), randomUnit(r, 16)
+		got.Put(id, v)
+		for t, sig := range got.Signatures(v) {
+			key := fmt.Sprintf("%d/%x", t, sig)
+			after[key] = append(after[key], id)
+			slices.Sort(after[key])
+		}
+	}
+	if !reflect.DeepEqual(buckets(got), after) {
+		t.Fatal("an Insert into the copy changed a bucket other than its own")
+	}
+	if !reflect.DeepEqual(buckets(l), before) {
+		t.Fatal("building or filling the copy changed the original")
 	}
 }

@@ -13,8 +13,8 @@ import (
 // bug class that made results depend on accumulation order — and a
 // per-query walk of a whole postings map defeats the block cursors the
 // query path compiles to. Writers build that map and may iterate it
-// freely; queries must go through the compiled cursors or the overlay's
-// sorted COW slices.
+// freely; queries must go through the compiled cursors or one term's
+// overlay posting slice.
 //
 // Reachability comes from the module call graph (graph.go): methods are
 // resolved through real type information, so the pooled scratch's

@@ -19,19 +19,28 @@ import (
 //   - compiledIndex is filled only by addDoc and appendTerm (the freeze
 //     and the compactor's merge, and the snapshot loader, all build
 //     through them);
-//   - overlay is copy-on-write: the clone/fold family (stageDoc for a
-//     window that is merged instead of searched, carry for a snapshot
-//     file's documents) builds the next overlay value, and nothing
-//     mutates a published one.
+//   - overlay is built by the clone/fold family (stageDoc for a window
+//     that is merged instead of searched, carry for a snapshot file's
+//     documents): cloneNextN copies the containers a window inserts into
+//     or removes from, setTermPost appends past the length any published
+//     overlay reads, delTermPost copies the slice it shortens, and
+//     nothing mutates a published value;
+//   - feature.LSH is the vector index a state holds. It is a mutable
+//     index for its other callers, so the list is simply its writers —
+//     CloneWithout builds the copy a freeze fills through Insert — and
+//     nothing else may reach into its tables.
 var snapfreezeFrozen = map[string]map[string][]string{
 	"internal/docstore": {
 		"snapshot":      {},
 		"state":         {"next"},
 		"compiledIndex": {"addDoc", "appendTerm"},
 		"overlay": {
-			"cloneNextN", "dropID", "insertTime", "removeTime", "stageDoc", "carry",
-			"putDoc", "deleteDoc", "maskBase", "setTermPost", "delTermPost",
+			"cloneNextN", "dropID", "stageDoc", "carry", "putDoc", "maskBase",
+			"setTermPost", "delTermPost",
 		},
+	},
+	"internal/feature": {
+		"LSH": {"NewLSH", "Insert", "removeLocked", "CloneWithout"},
 	},
 }
 

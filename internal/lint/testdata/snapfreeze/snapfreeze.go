@@ -18,8 +18,14 @@ type compiledIndex struct {
 	norms []float64
 }
 
+type ovTerm struct {
+	post     []int
+	maskedDF int
+}
+
 type overlay struct {
-	termPost map[string][]int
+	masked   []uint32
+	termPost map[string]ovTerm
 }
 
 type snapshot struct {
@@ -60,21 +66,37 @@ func (s *Store) installLocked(next *state) {
 
 // cloneNextN is overlay's fold-family constructor: legal.
 func (ov *overlay) cloneNextN() *overlay {
-	next := &overlay{termPost: map[string][]int{}}
-	next.termPost["x"] = nil
+	next := &overlay{masked: append([]uint32(nil), ov.masked...), termPost: map[string]ovTerm{}}
+	for t, e := range ov.termPost {
+		next.termPost[t] = e
+	}
 	return next
+}
+
+// setTermPost appends onto the array the predecessor's slice ends in, and
+// maskBase inserts into the clone's own tombstones: both are builders of
+// the next overlay, so both are legal.
+func (nv *overlay) setTermPost(t string, p int) {
+	e := nv.termPost[t]
+	e.post = append(e.post, p)
+	nv.termPost[t] = e
+}
+
+func (nv *overlay) maskBase(ord uint32) {
+	nv.masked = append(nv.masked, ord)
 }
 
 // mutateAfterPublish is the violation class: writes through a published
 // snapshot, each reported against the innermost frozen owner on the
 // target path.
 func (s *Store) mutateAfterPublish(id string) {
-	s.current.docCount++             // want "snapshot.docCount assigned in mutateAfterPublish"
-	s.current.base = nil             // want "snapshot.base assigned in mutateAfterPublish"
-	s.current.base.byTime[0].id = id // want "state.byTime assigned in mutateAfterPublish"
-	s.current.cx.terms = nil         // want "compiledIndex.terms assigned in mutateAfterPublish"
-	s.current.cx.norms[0] = 0        // want "compiledIndex.norms assigned in mutateAfterPublish"
-	s.current.ov.termPost["t"] = nil // want "overlay.termPost assigned in mutateAfterPublish"
+	s.current.docCount++                  // want "snapshot.docCount assigned in mutateAfterPublish"
+	s.current.base = nil                  // want "snapshot.base assigned in mutateAfterPublish"
+	s.current.base.byTime[0].id = id      // want "state.byTime assigned in mutateAfterPublish"
+	s.current.cx.terms = nil              // want "compiledIndex.terms assigned in mutateAfterPublish"
+	s.current.cx.norms[0] = 0             // want "compiledIndex.norms assigned in mutateAfterPublish"
+	s.current.ov.termPost["t"] = ovTerm{} // want "overlay.termPost assigned in mutateAfterPublish"
+	s.current.ov.masked[0] = 0            // want "overlay.masked assigned in mutateAfterPublish"
 }
 
 // Reads are always fine.
