@@ -100,20 +100,11 @@ func (cx *compiledIndex) addDoc(d *Document, docLen uint32, nTerms int, cnorm fl
 	return ord
 }
 
-// tfWeights holds tfWeight of every frequency below 256, from the expression
-// it computes above that: a looked-up weight has the same bits.
-var tfWeights = func() (w [256]float64) {
-	for tf := range w {
-		w[tf] = 1 + math.Log(float64(tf))
-	}
-	return w
-}()
-
 // tfWeight is the document-side weight of a term occurring tf times, 1 + ln tf:
 // the one place the scorer, the block bounds and TermStats take it from.
 func tfWeight(tf int) float64 {
-	if uint(tf) < uint(len(tfWeights)) {
-		return tfWeights[tf]
+	if tf == 1 {
+		return 1 // most postings; 1 + ln 1 has the same bits
 	}
 	return 1 + math.Log(float64(tf))
 }

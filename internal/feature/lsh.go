@@ -81,7 +81,9 @@ func (l *LSH) Put(id string, v Vector) {
 func (l *LSH) Insert(id string, v Vector, sigs []uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.removeLocked(id)
+	if _, ok := l.items[id]; ok {
+		l.removeLocked(id)
+	}
 	l.items[id] = v
 	for t, sig := range sigs {
 		l.tables[t][sig] = append(l.tables[t][sig], id)
@@ -92,28 +94,30 @@ func (l *LSH) Insert(id string, v Vector, sigs []uint64) {
 func (l *LSH) Delete(id string) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.removeLocked(id)
-}
-
-// removeLocked removes id, if it is indexed, and reports whether it was.
-func (l *LSH) removeLocked(id string) bool {
-	v, ok := l.items[id]
-	if !ok {
+	if _, ok := l.items[id]; !ok {
 		return false
 	}
+	l.removeLocked(id)
+	return true
+}
+
+func (l *LSH) removeLocked(id string) {
+	v := l.items[id]
 	delete(l.items, id)
 	for t := range l.tables {
 		sig := l.signature(t, v)
 		bucket := l.tables[t][sig]
-		if i := slices.Index(bucket, id); i >= 0 {
-			bucket[i] = bucket[len(bucket)-1]
-			l.tables[t][sig] = bucket[:len(bucket)-1]
+		for i, b := range bucket {
+			if b == id {
+				bucket[i] = bucket[len(bucket)-1]
+				l.tables[t][sig] = bucket[:len(bucket)-1]
+				break
+			}
 		}
 		if len(l.tables[t][sig]) == 0 {
 			delete(l.tables[t], sig)
 		}
 	}
-	return true
 }
 
 // Signatures returns v's per-table bucket signatures. Hyperplanes are
@@ -185,13 +189,17 @@ func (e *Extra) Shares(sigs []uint64) bool {
 func (l *LSH) CloneWithout(dead map[string]bool) *LSH {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	cp := &LSH{planes: l.planes, tables: make([]map[uint64][]string, 0, len(l.tables)), items: make(map[string]Vector, len(l.items))}
+	cp := &LSH{
+		planes: l.planes,
+		tables: make([]map[uint64][]string, len(l.tables)),
+		items:  make(map[string]Vector, len(l.items)),
+	}
 	for id, v := range l.items {
 		if !dead[id] {
 			cp.items[id] = v
 		}
 	}
-	for _, tbl := range l.tables {
+	for t, tbl := range l.tables {
 		nt := make(map[uint64][]string, len(tbl))
 		ids := make([]string, 0, len(cp.items)) // a table files every item once
 		for sig, bucket := range tbl {
@@ -205,7 +213,7 @@ func (l *LSH) CloneWithout(dead map[string]bool) *LSH {
 				nt[sig] = ids[n:len(ids):len(ids)]
 			}
 		}
-		cp.tables = append(cp.tables, nt)
+		cp.tables[t] = nt
 	}
 	return cp
 }
@@ -286,16 +294,10 @@ func (h *candTop) push(c Candidate) {
 	}
 }
 
-// result returns the kept candidates, ranked — by score, ties by ID, so
-// results are deterministic across runs — in a slice of their own, and hands
-// the scratch back to the pool.
+// result returns the kept candidates, ranked, in a slice of their own, and
+// hands the scratch back to the pool.
 func (h *candTop) result(sc *lshScratch) []Candidate {
-	slices.SortFunc(h.heap, func(a, b Candidate) int {
-		if c := cmp.Compare(b.Score, a.Score); c != 0 {
-			return c
-		}
-		return strings.Compare(a.ID, b.ID)
-	})
+	sortCandidates(h.heap)
 	out := append([]Candidate(nil), h.heap...)
 	sc.heap = h.heap[:0]
 	lshPool.Put(sc)
@@ -337,4 +339,15 @@ func siftDownCand(h []Candidate) {
 		h[i], h[m] = h[m], h[i]
 		i = m
 	}
+}
+
+// sortCandidates ranks by score, ties by ID so results are deterministic
+// across runs.
+func sortCandidates(cands []Candidate) {
+	slices.SortFunc(cands, func(a, b Candidate) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
+		}
+		return strings.Compare(a.ID, b.ID)
+	})
 }
