@@ -29,9 +29,9 @@ import (
 // CPU work (Clone, marshal, tokenize) runs in parallel outside the committer.
 type stagedOp struct {
 	op      uint8
-	payload []byte    // marshalled document (put) or raw id bytes (delete)
+	payload []byte    // marshalled document (put) or raw id bytes (delete); released once logged
 	doc     *Document // put: the already-cloned document to install
-	tokens  []string  // put: precomputed tokens; the fold sorts them in place
+	tokens  []string  // put: precomputed tokens; the fold sorts them in place, then releases them
 	id      string    // delete: target id
 	skip    bool      // set by the committer: delete of a dead id, not logged
 }
@@ -153,6 +153,7 @@ func (s *Store) commitWindow(window []*commitReq) {
 			}
 			if durable && wErr == nil {
 				wErr = s.log.append(op.op, op.payload)
+				op.payload = nil // logged: the window's fold and freeze do not hold its records
 			}
 			if wErr != nil {
 				continue

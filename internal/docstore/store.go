@@ -271,6 +271,7 @@ func (s *Store) publishWindowLocked(cur *snapshot, window []*commitReq, n int) {
 			default:
 				nv.putDoc(op.doc, op.tokens, cur.base)
 			}
+			op.tokens = nil // folded: a bulk window's freeze does not run with every document's tokens still held
 		}
 	}
 	if freeze {
