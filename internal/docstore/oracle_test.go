@@ -3,9 +3,11 @@ package docstore
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/feature"
@@ -64,13 +66,118 @@ func bruteHits(live map[string]*Document, k int, score func(*Document) (float64,
 	return hits
 }
 
+// textOracle is the reference text scorer: maps and a sort, no postings, no
+// ordinals, no heap. Every live document is tokenized on the spot, document
+// frequencies are counted over the live set, and a document's score is the
+// sum over the query's distinct terms, in first-appearance order, of
+// qw·((1+ln tf)·idf), divided by √(len+1) — the arithmetic DESIGN.md states,
+// written out once more so that the store's two walks are not each other's
+// only witness.
+type textOracle struct {
+	total int
+	tf    map[string]map[string]int // id -> term -> occurrences
+	dlen  map[string]int            // id -> token count
+	df    map[string]int            // term -> live carriers
+}
+
+func newTextOracle(live map[string]*Document) *textOracle {
+	o := &textOracle{total: len(live), tf: map[string]map[string]int{}, dlen: map[string]int{}, df: map[string]int{}}
+	for id, d := range live {
+		toks := feature.Tokenize(strings.Join(append([]string{d.Title, d.Text}, d.Topics...), " "))
+		tf := map[string]int{}
+		for _, t := range toks {
+			tf[t]++
+		}
+		for t := range tf {
+			o.df[t]++
+		}
+		o.tf[id], o.dlen[id] = tf, len(toks)
+	}
+	return o
+}
+
+// terms returns the query's distinct terms in first-appearance order, with
+// how often the query repeats each.
+func (o *textOracle) terms(query string) (terms []string, qn map[string]int) {
+	qn = map[string]int{}
+	for _, t := range feature.Tokenize(query) {
+		if qn[t] == 0 {
+			terms = append(terms, t)
+		}
+		qn[t]++
+	}
+	return terms, qn
+}
+
+// global is the statistics a scatter router would ship for query had it
+// summed them over this one corpus.
+func (o *textOracle) global(query string) *GlobalStats {
+	terms, _ := o.terms(query)
+	gs := &GlobalStats{TotalDocs: uint64(o.total), Terms: terms}
+	for _, t := range terms {
+		gs.DF = append(gs.DF, uint64(o.df[t]))
+	}
+	return gs
+}
+
+func (o *textOracle) search(live map[string]*Document, query string, k int) []Hit {
+	terms, qn := o.terms(query)
+	if k < 0 {
+		k = len(live)
+	}
+	return bruteHits(live, k, func(d *Document) (float64, bool) {
+		acc, matched := 0.0, false
+		for _, t := range terms {
+			tf := o.tf[d.ID][t]
+			if tf == 0 {
+				continue
+			}
+			idf := math.Log(1 + float64(o.total)/float64(1+o.df[t]))
+			qw := (1 + math.Log(float64(qn[t]))) * idf
+			dw := (1 + math.Log(float64(tf))) * idf
+			acc += qw * dw
+			matched = true
+		}
+		return acc / math.Sqrt(float64(o.dlen[d.ID])+1), matched
+	})
+}
+
+// oracleQueries: one term, several, a repeated term (query weight above 1), a
+// term nothing carries, a topic (topics are indexed as text), nothing at all.
+var oracleQueries = []string{
+	"gold", "byzantine gold ring", "ring ring amber ring", "nobody coin",
+	"alpha", "jade mosaic pendant silver brooch", "nobody", "",
+}
+
+// requireTextMatches holds SearchText, SearchTextExhaustive and
+// SearchTextGlobal (under the oracle's own totals) to the oracle, id for id
+// and score bit for score bit.
+func requireTextMatches(t *testing.T, stage string, s *Store, live map[string]*Document) {
+	t.Helper()
+	o := newTextOracle(live)
+	for _, q := range oracleQueries {
+		for _, k := range []int{1, 5, len(live) + 3, -1} {
+			want := o.search(live, q, k)
+			for name, got := range map[string][]Hit{
+				"SearchText":           s.SearchText(q, k),
+				"SearchTextExhaustive": s.SearchTextExhaustive(q, k),
+				"SearchTextGlobal":     s.SearchTextGlobal(q, k, o.global(q)),
+			} {
+				if !hitsEqual(got, want) {
+					t.Fatalf("%s: %s(%q, %d)\n got    %v\n oracle %v", stage, name, q, k, hitIDs(got), hitIDs(want))
+				}
+			}
+		}
+	}
+}
+
 var (
 	oracleVec = feature.Vector{1, -0.5, 0.25, 0, 0.75, -1, 0.5, 0}
 	oracleVis = feature.VisualFeatures{ColorHist: []float64{0.3, 0.4, 0.3}, Texture: []float64{0.6, 0.4}}
 )
 
 // requireReadsMatch checks Len, TopicCount, ByTopic, Freshest, RecentSince,
-// SearchVector and SearchVisual against the oracle. SearchVector asks for
+// SearchVector, SearchVisual and the three text searches against the oracle. SearchVector asks for
 // more hits than there are documents, so the LSH falls back to its exact
 // scan and the answer is every live vector, ranked.
 func requireReadsMatch(t *testing.T, stage string, s *Store, live map[string]*Document) {
@@ -114,13 +221,14 @@ func requireReadsMatch(t *testing.T, stage string, s *Store, live map[string]*Do
 	if got := s.SearchVisual(oracleVis, 0.5, 6); !hitsEqual(got, wantVis) {
 		t.Fatalf("%s: SearchVisual %v, oracle %v", stage, hitIDs(got), hitIDs(wantVis))
 	}
+	requireTextMatches(t, stage, s, live)
 }
 
 // TestReadsMatchBruteForce drives a put / replace / delete history across
 // several freezes — single writes folded into searchable overlays, PutBatch
 // windows that overflow and are staged, windows mixing puts and deletes — and
-// after every write holds every vector, visual, topic and time read to the
-// oracle. Timestamps come from a range of 30, so equal CreatedAt ties (broken
+// after every write holds every text, vector, visual, topic and time read to
+// the oracle. Timestamps come from a range of 30, so equal CreatedAt ties (broken
 // by ID) are everywhere; some documents list a topic twice and must count
 // once. The scripted tail pins the cases a random history may miss.
 func TestReadsMatchBruteForce(t *testing.T) {
