@@ -181,3 +181,82 @@ func TestBlockMaxMatchesExhaustive(t *testing.T) {
 			memStats.BlocksDecoded+st.BlocksDecoded)
 	}
 }
+
+// TestWindowEdges pins the walk at its window boundaries. The base holds
+// three windows and a tail, every document carries "common", and the only
+// short documents — the best answers to it — sit on ordinals k·window−1,
+// k·window and k·window+1, inside blocks of long ones, and carry "edge" too;
+// "sparse" lives in the first and last stretch only, so whole windows hold
+// none of its postings beside a term that is everywhere. Lengths grow with
+// the ordinal, so block bounds fall and the pruned walk has blocks to pass.
+// Block-max, exhaustive and the oracle must agree with everything live, then
+// with tombstones on the edge ordinals themselves (deleted, and replaced by an
+// overlay document), for k below, at and above the match count and unbounded.
+func TestWindowEdges(t *testing.T) {
+	const window = 1024
+	const n = 3*window + 300
+	r := rand.New(rand.NewSource(29))
+	s, err := Open(Options{ConceptDim: 8, Seed: 7, QueryCacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := func(ord int) string { return fmt.Sprintf("w%04d", ord) }
+	var edges []int
+	for k := 1; k <= 3; k++ {
+		edges = append(edges, k*window-1, k*window, k*window+1)
+	}
+	live := map[string]*Document{}
+	bulk := make([]*Document, n)
+	for i := range bulk {
+		text := "common"
+		if i < 50 || i >= 3*window+40 {
+			text += " sparse"
+		}
+		for j := 0; j < 4+i/150+r.Intn(4); j++ {
+			text += " " + blockmaxVocab[r.Intn(6)]
+		}
+		bulk[i] = doc(id(i), "", text, int64(i), nil)
+	}
+	for _, e := range edges {
+		bulk[e] = doc(id(e), "", "common edge", int64(e), nil)
+	}
+	for _, d := range bulk {
+		live[d.ID] = d
+	}
+	if err := s.PutBatch(bulk); err != nil {
+		t.Fatal(err)
+	}
+	base := s.snap.Load().base
+	for i, e := range edges {
+		if got := base.cx.ords[id(e)]; int(got) != e {
+			t.Fatalf("edge %d sits on ordinal %d, not %d", i, got, e)
+		}
+	}
+
+	queries := []string{"common", "edge", "sparse", "common edge", "sparse common", "edge sparse gold", "gold common common silver"}
+	ks := []int{1, 3, len(edges), len(edges) + 5, n + 7, -1}
+	requireTextMatches(t, "all live", s, live, queries, ks)
+
+	// Tombstones on window edges: one of each kind deleted, the middle one
+	// of the second triple replaced (a tombstone and an overlay document).
+	for _, e := range []int{window - 1, 2 * window, 3*window + 1} {
+		if err := s.Delete(id(e)); err != nil {
+			t.Fatal(err)
+		}
+		delete(live, id(e))
+	}
+	repl := doc(id(2*window-1), "", "edge edge common gold", int64(n), nil)
+	if err := s.Put(repl); err != nil {
+		t.Fatal(err)
+	}
+	live[repl.ID] = repl
+	sn := s.snap.Load()
+	if sn.base != base || len(sn.ov.masked) != 4 || len(sn.ov.byID) != 1 {
+		t.Fatalf("masked %v, overlay %d: the edge writes were to stay in one overlay", sn.ov.masked, len(sn.ov.byID))
+	}
+	requireTextMatches(t, "edges tombstoned", s, live, queries, ks)
+
+	if st := s.Stats(); st.BlocksSkipped == 0 {
+		t.Fatalf("no block skipped (decoded %d): the pruned walk never pruned", st.BlocksDecoded)
+	}
+}

@@ -65,16 +65,23 @@ func decodePostingsBlock(data []byte, count int, ords, tfs []uint32) (int, error
 	off := 0
 	prev := int64(-1)
 	for i := 0; i < count; i++ {
-		gap, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return 0, errBlockTruncated
+		var gap, tf uint64
+		if off+1 < len(data) && data[off]|data[off+1] < 0x80 {
+			// Two one-byte uvarints — nearly every pair — are their own
+			// values; the checks below apply to them as to any other.
+			gap, tf = uint64(data[off]), uint64(data[off+1])
+			off += 2
+		} else {
+			var n int
+			if gap, n = binary.Uvarint(data[off:]); n <= 0 {
+				return 0, errBlockTruncated
+			}
+			off += n
+			if tf, n = binary.Uvarint(data[off:]); n <= 0 {
+				return 0, errBlockTruncated
+			}
+			off += n
 		}
-		off += n
-		tf, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return 0, errBlockTruncated
-		}
-		off += n
 		if gap == 0 || gap > math.MaxUint32 || tf == 0 || tf > math.MaxUint32 {
 			return 0, errBlockCorrupt
 		}

@@ -2,6 +2,7 @@ package docstore
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -102,12 +103,25 @@ func (cx *compiledIndex) addDoc(d *Document, docLen uint32, nTerms int, cnorm fl
 
 // tfWeight is the document-side weight of a term occurring tf times, 1 + ln tf:
 // the one place the scorer, the block bounds and TermStats take it from.
+// Small tfs — nearly all of them — are read from a table filled at init from
+// the same expression, so the bits are the function's by construction. The
+// table is back on a profile, not on principle: math.Log was 4% of the
+// per-document WAND walk, which is why PR 21 took the table out, and is a
+// third of the windowed walk that replaced it (ISSUE 22), whose per-posting
+// work is otherwise one add and one bit set.
 func tfWeight(tf int) float64 {
-	if tf == 1 {
-		return 1 // most postings; 1 + ln 1 has the same bits
+	if uint(tf) < uint(len(tfWeights)) {
+		return tfWeights[tf]
 	}
 	return 1 + math.Log(float64(tf))
 }
+
+var tfWeights = func() (t [64]float64) {
+	for tf := range t {
+		t[tf] = 1 + math.Log(float64(tf))
+	}
+	return t
+}()
 
 // appendTerm encodes one term's postings — strictly ascending ordinals of
 // documents already added, tf >= 1, term after every term already appended —
@@ -272,9 +286,8 @@ type queryTerm struct {
 // cursor walks one term's compressed postings, decoding at most one block at
 // a time into its inline buffers. A cursor can be "shallow": positioned on a
 // block's first posting (curOrd = firstOrd, exact) with the block not yet
-// decoded — curTF is only valid once loaded. Blocks that never survive a
-// bound check are passed shallow, without touching their bytes.
-// curOrd == ordSentinel means exhausted.
+// decoded. Blocks that never survive a bound check are passed shallow,
+// without touching their bytes. curOrd == ordSentinel means exhausted.
 type cursor struct {
 	idf    float64
 	qw     float64
@@ -286,7 +299,6 @@ type cursor struct {
 	n      int  // decoded entries in the current block
 	pos    int  // position within the decoded block
 	curOrd uint32
-	curTF  uint32
 	ords   [blockSize]uint32
 	tfs    [blockSize]uint32
 }
@@ -302,8 +314,6 @@ func (c *cursor) decodeBlock(st *searchStats) {
 	c.loaded = true
 	c.n = n
 	c.pos = 0
-	c.curOrd = c.ords[0]
-	c.curTF = c.tfs[0]
 	st.blocksDecoded++
 }
 
@@ -317,21 +327,6 @@ func (c *cursor) enterShallow(bi int) {
 		return
 	}
 	c.curOrd = c.blocks[bi].firstOrd
-}
-
-// next advances the cursor by one posting. Block transitions are shallow:
-// the next block's first ordinal comes from metadata, not from decoding.
-func (c *cursor) next(st *searchStats) {
-	if !c.loaded {
-		c.decodeBlock(st) // shallow on firstOrd: decode, then step past it
-	}
-	c.pos++
-	if c.pos < c.n {
-		c.curOrd = c.ords[c.pos]
-		c.curTF = c.tfs[c.pos]
-		return
-	}
-	c.enterShallow(c.bi + 1)
 }
 
 // seek advances the cursor to the first posting with ordinal >= target,
@@ -363,7 +358,28 @@ func (c *cursor) seek(target uint32, st *searchStats) {
 	}
 	// The current block's lastOrd >= target, so pos is in range.
 	c.curOrd = c.ords[c.pos]
-	c.curTF = c.tfs[c.pos]
+}
+
+// addWindow adds the term's score mass for every posting below hi into acc,
+// slot ord-lo, marking each slot it writes in touched, and leaves the cursor
+// on its first posting at or past hi.
+func (c *cursor) addWindow(lo, hi uint32, acc *[windowSize]float64, touched *[windowSize / 64]uint64, st *searchStats) {
+	for c.curOrd < hi {
+		if !c.loaded {
+			c.decodeBlock(st)
+		}
+		p := c.pos
+		for ; p < c.n && c.ords[p] < hi; p++ {
+			slot := (c.ords[p] - lo) % windowSize // in range already: the mask spares a bounds check
+			acc[slot] += c.qw * (tfWeight(int(c.tfs[p])) * c.idf)
+			touched[slot/64] |= 1 << (slot % 64)
+		}
+		if p < c.n {
+			c.pos, c.curOrd = p, c.ords[p]
+			return
+		}
+		c.enterShallow(c.bi + 1)
+	}
 }
 
 // IDF, QueryWeight and BoundSlack are exported for the scatter router, whose
@@ -397,7 +413,6 @@ type searchScratch struct {
 	keyBuf  []byte
 	terms   []queryTerm
 	cursors []cursor
-	order   []int
 	ords    []uint32 // base ordinals: a probe's candidates
 	heap    []scored // the text top-k
 	vecHeap []scored // the vector top-k
@@ -409,6 +424,12 @@ type searchScratch struct {
 	// hit's place in its pool — and are zero, and empty, between uses.
 	slot   []int32
 	ovSlot map[string]int32
+	// The base walk's window: acc[i] is the score mass gathered for ordinal
+	// lo+i and touched has a bit per slot written. Inline, so the pooled
+	// scratch carries them and a search allocates neither; both are zero
+	// between windows.
+	acc     [windowSize]float64
+	touched [windowSize / 64]uint64
 }
 
 // growSlots makes slot cover n base ordinals.
@@ -559,142 +580,99 @@ tokenLoop:
 	return h.items
 }
 
-// walkBase runs the document-at-a-time walk over the base cursors,
-// applying block-max skipping unless exhaustive.
+// windowSize is how many consecutive ordinals the base walk scores at a
+// time: 8 KB of accumulators, which stay in the first-level cache.
+const windowSize = 1024
+
+// walkBase scores the base's postings a window of ordinals at a time. A
+// window starts at the least ordinal any cursor stands on; each cursor in
+// turn, in canonical term order, adds its postings below the window's end
+// into the accumulators, and one sweep over the touched slots passes the
+// tombstones, divides by the norm and offers the heap what beats its
+// threshold θ. A slot starts at zero and takes its terms in canonical order,
+// so a score is the same sequence of float operations whatever the window.
+//
+// Unless exhaustive, once the heap is full a window also ends with the block
+// its leading cursor stands in, and is passed undecoded when the best its
+// blocks could add cannot reach θ: a document holds a term at most once, so
+// within the window it draws on at most one block per cursor, and its score
+// is at most the sum over cursors of qw·idf·maxRatio of the best block
+// overlapping the window.
 func (sn *snapshot) walkBase(h *topK[scored], sc *searchScratch, exhaustive bool) {
 	cx := sn.base.cx
+	cursors := sc.cursors
 
 	// The tombstones ascend and so do the ordinals evaluated, so one
 	// monotonic pointer replaces per-candidate set lookups.
 	masked := sn.ov.masked
 
-	sc.order = sc.order[:0]
-	for i := range sc.cursors {
-		sc.order = append(sc.order, i)
-	}
-
 	for {
-		// Keep cursor indexes sorted by current ordinal (insertion sort:
-		// the slice is nearly sorted and tiny — one entry per query term).
-		for i := 1; i < len(sc.order); i++ {
-			for j := i; j > 0 && sc.cursors[sc.order[j]].curOrd < sc.cursors[sc.order[j-1]].curOrd; j-- {
-				sc.order[j], sc.order[j-1] = sc.order[j-1], sc.order[j]
+		lo, lead, ub := ordSentinel, 0, 0.0
+		for i := range cursors {
+			if c := &cursors[i]; c.curOrd != ordSentinel {
+				ub += c.termUB
+				if c.curOrd < lo {
+					lo, lead = c.curOrd, i
+				}
 			}
 		}
-		lead := &sc.cursors[sc.order[0]]
-		if lead.curOrd == ordSentinel {
+		if lo == ordSentinel {
 			return
 		}
+		hi := uint32(min(uint64(lo)+windowSize, uint64(ordSentinel)))
 
-		if !exhaustive && h.k > 0 && len(h.items) == h.k {
+		if !exhaustive && len(h.items) == h.k {
 			theta := h.items[0].score
-			// Pivot: shortest prefix of cursors (by current ordinal) whose
-			// summed term bounds could reach θ. Documents before the pivot
-			// ordinal are covered by fewer terms than that, so they lose.
-			ub := 0.0
-			pivot := -1
-			for j := 0; j < len(sc.order); j++ {
-				c := &sc.cursors[sc.order[j]]
-				if c.curOrd == ordSentinel {
-					break
-				}
-				ub += c.termUB
-				if ub*BoundSlack >= theta {
-					pivot = j
-					break
-				}
-			}
-			if pivot < 0 {
+			if ub*BoundSlack < theta {
 				return // even all remaining terms together cannot reach θ
 			}
-			pivotOrd := sc.cursors[sc.order[pivot]].curOrd
-			if lead.curOrd != pivotOrd {
-				// WAND skip: no document before pivotOrd can win. Advance
-				// the lagging cursors; seek skips their dead blocks.
-				for j := 0; j < pivot; j++ {
-					sc.cursors[sc.order[j]].seek(pivotOrd, &sc.stats)
-				}
-				continue
+			if c := &cursors[lead]; c.blocks[c.bi].lastOrd < hi {
+				hi = c.blocks[c.bi].lastOrd + 1
 			}
-			// All cursors at pivotOrd form the group. Tighten the bound
-			// with their current blocks' maxima; if even that cannot reach
-			// θ, every document up to the group's nearest block boundary
-			// (capped by the next cursor beyond the group) loses too.
-			bub := 0.0
-			blockEnd := ordSentinel
-			nextOrd := ordSentinel
-			for j := 0; j < len(sc.order); j++ {
-				c := &sc.cursors[sc.order[j]]
-				if c.curOrd != pivotOrd {
-					nextOrd = c.curOrd // sorted: first non-member is the minimum beyond
-					break
-				}
-				bm := &c.blocks[c.bi]
-				bub += c.qw * c.idf * bm.maxRatio
-				if bm.lastOrd < blockEnd {
-					blockEnd = bm.lastOrd
-				}
-			}
-			if bub*BoundSlack < theta {
-				if pivot == 0 && uint64(nextOrd) > uint64(blockEnd) &&
-					(len(sc.order) == 1 || sc.cursors[sc.order[1]].curOrd != pivotOrd) {
-					// Single-member group abandoning its whole block: every
-					// document strictly before nextOrd contains only this
-					// query term, so any further block that both ends before
-					// nextOrd and whose own metadata bound cannot reach θ
-					// loses wholesale — pass it shallow, bytes untouched.
-					// (Multi-member groups fall through to seek: their
-					// combined bound changes at each member's block boundary,
-					// so they re-check one step at a time.)
-					c := lead
-					if !c.loaded {
-						sc.stats.blocksSkipped++
-					}
-					bi := c.bi + 1
-					for bi < len(c.blocks) && c.blocks[bi].lastOrd < nextOrd &&
-						c.qw*c.idf*c.blocks[bi].maxRatio*BoundSlack < theta {
-						bi++
-						sc.stats.blocksSkipped++
-					}
-					c.enterShallow(bi)
+			bound := 0.0
+			for i := range cursors {
+				c := &cursors[i]
+				if c.curOrd >= hi {
 					continue
 				}
-				target := uint32(min(uint64(blockEnd)+1, uint64(nextOrd)))
-				for j := 0; j < len(sc.order); j++ {
-					c := &sc.cursors[sc.order[j]]
-					if c.curOrd != pivotOrd {
+				best := 0.0
+				for _, bm := range c.blocks[c.bi:] {
+					if bm.firstOrd >= hi {
 						break
 					}
-					c.seek(target, &sc.stats)
+					best = max(best, bm.maxRatio)
+				}
+				bound += c.qw * c.idf * best
+			}
+			if bound*BoundSlack < theta {
+				for i := range cursors {
+					cursors[i].seek(hi, &sc.stats)
 				}
 				continue
 			}
-			// Bound reachable: fall through and score pivotOrd exactly.
 		}
 
-		d := lead.curOrd
-		for len(masked) > 0 && masked[0] < d {
-			masked = masked[1:]
+		for i := range cursors {
+			cursors[i].addWindow(lo, hi, &sc.acc, &sc.touched, &sc.stats)
 		}
-		if len(masked) == 0 || masked[0] != d {
-			// Exact score, accumulated in canonical term order: cursors
-			// were appended in that order and are scanned by index here.
-			acc := 0.0
-			for i := range sc.cursors {
-				c := &sc.cursors[i]
-				if c.curOrd == d {
-					if !c.loaded {
-						c.decodeBlock(&sc.stats) // shallow on d: pos 0 is d's tf
-					}
-					dw := tfWeight(int(c.curTF)) * c.idf
-					acc += c.qw * dw
+		for w, set := range &sc.touched {
+			sc.touched[w] = 0
+			for ; set != 0; set &= set - 1 {
+				slot := w*64 + bits.TrailingZeros64(set)
+				d := lo + uint32(slot)
+				acc := sc.acc[slot]
+				sc.acc[slot] = 0
+				for len(masked) > 0 && masked[0] < d {
+					masked = masked[1:]
 				}
-			}
-			h.push(scored{id: cx.ids[d], ord: int32(d), score: acc / cx.norms[d]})
-		}
-		for i := range sc.cursors {
-			if sc.cursors[i].curOrd == d {
-				sc.cursors[i].next(&sc.stats)
+				if len(masked) > 0 && masked[0] == d {
+					continue
+				}
+				score := acc / cx.norms[d]
+				if len(h.items) == h.k && score < h.items[0].score {
+					continue // below θ: the heap would turn it away
+				}
+				h.push(scored{id: cx.ids[d], ord: int32(d), score: score})
 			}
 		}
 	}

@@ -151,12 +151,12 @@ var oracleQueries = []string{
 
 // requireTextMatches holds SearchText, SearchTextExhaustive and
 // SearchTextGlobal (under the oracle's own totals) to the oracle, id for id
-// and score bit for score bit.
-func requireTextMatches(t *testing.T, stage string, s *Store, live map[string]*Document) {
+// and score bit for score bit, for every query at every k.
+func requireTextMatches(t *testing.T, stage string, s *Store, live map[string]*Document, queries []string, ks []int) {
 	t.Helper()
 	o := newTextOracle(live)
-	for _, q := range oracleQueries {
-		for _, k := range []int{1, 5, len(live) + 3, -1} {
+	for _, q := range queries {
+		for _, k := range ks {
 			want := o.search(live, q, k)
 			for name, got := range map[string][]Hit{
 				"SearchText":           s.SearchText(q, k),
@@ -221,7 +221,7 @@ func requireReadsMatch(t *testing.T, stage string, s *Store, live map[string]*Do
 	if got := s.SearchVisual(oracleVis, 0.5, 6); !hitsEqual(got, wantVis) {
 		t.Fatalf("%s: SearchVisual %v, oracle %v", stage, hitIDs(got), hitIDs(wantVis))
 	}
-	requireTextMatches(t, stage, s, live)
+	requireTextMatches(t, stage, s, live, oracleQueries, []int{1, 5, len(live) + 3, -1})
 }
 
 // TestReadsMatchBruteForce drives a put / replace / delete history across
