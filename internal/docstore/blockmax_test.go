@@ -2,6 +2,7 @@ package docstore
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -193,7 +194,7 @@ func TestBlockMaxMatchesExhaustive(t *testing.T) {
 // with tombstones on the edge ordinals themselves (deleted, and replaced by an
 // overlay document), for k below, at and above the match count and unbounded.
 func TestWindowEdges(t *testing.T) {
-	const window = 1024
+	const window = windowSize
 	const n = 3*window + 300
 	r := rand.New(rand.NewSource(29))
 	s, err := Open(Options{ConceptDim: 8, Seed: 7, QueryCacheSize: -1})
@@ -258,5 +259,19 @@ func TestWindowEdges(t *testing.T) {
 
 	if st := s.Stats(); st.BlocksSkipped == 0 {
 		t.Fatalf("no block skipped (decoded %d): the pruned walk never pruned", st.BlocksDecoded)
+	}
+}
+
+// TestTFWeightBits: the table is the expression's values, not an
+// approximation of them — every score and every block bound is built from
+// these bits, and the oracle computes them with math.Log directly.
+func TestTFWeightBits(t *testing.T) {
+	for tf := 1; tf < len(tfWeights)+64; tf++ {
+		if got, want := tfWeight(tf), 1+math.Log(float64(tf)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("tfWeight(%d) = %x, 1+ln tf = %x", tf, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+	if tfWeight(1) != 1 {
+		t.Fatalf("tfWeight(1) = %v", tfWeight(1))
 	}
 }

@@ -86,22 +86,28 @@ func TestCodecCorrupt(t *testing.T) {
 		}
 		return b
 	}
-	cases := map[string][]byte{
-		"zero gap":          uv(0, 1),
-		"zero tf":           uv(1, 0),
-		"gap past uint32":   uv(math.MaxUint32+1, 1),
-		"tf past uint32":    uv(1, math.MaxUint32+1),
-		"ord hits sentinel": uv(uint64(ordSentinel)+1, 1),
+	cases := map[string]struct {
+		data  []byte
+		count int
+	}{
+		"zero gap":          {uv(0, 1), 1},
+		"zero tf":           {uv(1, 0), 1},
+		"gap past uint32":   {uv(math.MaxUint32+1, 1), 1},
+		"tf past uint32":    {uv(1, math.MaxUint32+1), 1},
+		"ord hits sentinel": {uv(uint64(ordSentinel)+1, 1), 1},
 		// Cumulative overflow: two legal gaps whose sum crosses the sentinel.
-		"ord sum overflow": uv(uint64(ordSentinel), 1, math.MaxUint32, 1),
+		"ord sum overflow": {uv(uint64(ordSentinel), 1, math.MaxUint32, 1), 2},
+		// The zeroes again where the decoder reads a pair of single bytes
+		// directly — behind a good pair, with bytes to spare after — and
+		// beside a two-byte value, where it does not.
+		"zero gap, one-byte pair": {[]byte{1, 1, 0, 1, 1, 1}, 2},
+		"zero tf, one-byte pair":  {[]byte{1, 1, 1, 0, 1, 1}, 2},
+		"zero gap before 0x80":    {[]byte{0, 0x80, 1, 1}, 1},
+		"zero tf after 0x80":      {[]byte{0x80, 1, 0, 1}, 1},
 	}
 	var ords, tfs [blockSize]uint32
-	for name, data := range cases {
-		count := 1
-		if name == "ord sum overflow" {
-			count = 2
-		}
-		if _, err := decodePostingsBlock(data, count, ords[:], tfs[:]); !errors.Is(err, errBlockCorrupt) {
+	for name, c := range cases {
+		if _, err := decodePostingsBlock(c.data, c.count, ords[:], tfs[:]); !errors.Is(err, errBlockCorrupt) {
 			t.Fatalf("%s: err = %v, want errBlockCorrupt", name, err)
 		}
 	}
@@ -114,13 +120,82 @@ func TestCodecCorrupt(t *testing.T) {
 	}
 }
 
+// pairEdges are streams around the decoder's direct read of a (gap, tf) pair
+// of two single bytes: 0x7f is the last value that takes it and 0x80 the
+// first byte that does not, on either side of the pair; a pair may be cut by
+// the end of data after either byte; and a block may end exactly at
+// len(data), where the read must not look one byte further. want nil means
+// the stream is truncated.
+var pairEdges = []struct {
+	name  string
+	data  []byte
+	count int
+	want  []postEntry
+}{
+	{"0x7f 0x7f", []byte{0x7f, 0x7f}, 1, []postEntry{{126, 127}}},
+	{"0x80 on the gap", []byte{0x80, 0x01, 0x7f}, 1, []postEntry{{127, 127}}},
+	{"0x80 on the tf", []byte{0x7f, 0x80, 0x01}, 1, []postEntry{{126, 128}}},
+	{"0x80 on both", []byte{0x80, 0x01, 0x80, 0x01}, 1, []postEntry{{127, 128}}},
+	{"ends exactly at len(data)", []byte{1, 1, 2, 3}, 2, []postEntry{{0, 1}, {2, 3}}},
+	{"two-byte pair, then one-byte pair at the end", []byte{0x80, 0x01, 0x80, 0x01, 1, 1}, 2, []postEntry{{127, 128}, {128, 1}}},
+	{"bytes to spare are not read", []byte{1, 1, 0, 0}, 1, []postEntry{{0, 1}}},
+	{"pair cut after the gap", []byte{1, 1, 5}, 2, nil},
+	{"pair cut before the gap", []byte{1, 1}, 2, nil},
+	{"tf cut inside 0x80", []byte{0x7f, 0x80}, 1, nil},
+	{"gap cut inside 0x80", []byte{0x80}, 1, nil},
+}
+
+// TestCodecPairEdges: the direct read keeps the decoder's contract at its own
+// boundaries — the same postings, the same byte count, the same errors.
+func TestCodecPairEdges(t *testing.T) {
+	for _, c := range pairEdges {
+		var ords, tfs [blockSize]uint32
+		n, err := decodePostingsBlock(c.data, c.count, ords[:], tfs[:])
+		if c.want == nil {
+			if !errors.Is(err, errBlockTruncated) {
+				t.Fatalf("%s: err = %v, want errBlockTruncated", c.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if wantN := len(appendPostingsBlock(nil, c.want)); n != wantN {
+			t.Fatalf("%s: consumed %d bytes, want %d", c.name, n, wantN)
+		}
+		for i, e := range c.want {
+			if ords[i] != e.ord || tfs[i] != e.tf {
+				t.Fatalf("%s: entry %d = (%d,%d), want (%d,%d)", c.name, i, ords[i], tfs[i], e.ord, e.tf)
+			}
+		}
+	}
+}
+
+// uvarintPairs is the decoder without its shortcut or its checks: count pairs
+// read by binary.Uvarint alone. ok is false when the bytes run out.
+func uvarintPairs(data []byte, count int) (gaps, tfs []uint64, n int, ok bool) {
+	for i := 0; i < count; i++ {
+		for _, dst := range []*[]uint64{&gaps, &tfs} {
+			v, m := binary.Uvarint(data[n:])
+			if m <= 0 {
+				return nil, nil, 0, false
+			}
+			*dst = append(*dst, v)
+			n += m
+		}
+	}
+	return gaps, tfs, n, true
+}
+
 // FuzzPostingsCodec drives the decoder with arbitrary bytes and counts. For
 // any input the decoder must return cleanly — no panics, no out-of-range
 // indexes — and anything it accepts must satisfy the posting invariants and
 // survive an encode→decode round trip unchanged (so the decoder cannot
 // invent postings the encoder could never have produced). Byte-exact
 // re-encoding is deliberately not required: uvarint tolerates non-minimal
-// encodings, and the encoder only ever emits minimal ones.
+// encodings, and the encoder only ever emits minimal ones. Whatever it
+// accepts it must also have read exactly as a plain binary.Uvarint loop
+// reads it: the direct read of one-byte pairs is a shortcut, not a format.
 func FuzzPostingsCodec(f *testing.F) {
 	f.Add([]byte{}, 1)
 	f.Add(appendPostingsBlock(nil, []postEntry{{0, 1}}), 1)
@@ -136,6 +211,11 @@ func FuzzPostingsCodec(f *testing.F) {
 	f.Add(appendPostingsBlock(nil, full), blockSize)
 	f.Add([]byte{0x00, 0x01}, 1)                                  // zero gap
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 1}, 1) // gap > uint32
+	f.Add([]byte{1, 1, 0, 1, 1, 1}, 2)                            // zero gap in one-byte form
+	f.Add([]byte{1, 1, 1, 0, 1, 1}, 2)                            // zero tf in one-byte form
+	for _, c := range pairEdges {
+		f.Add(c.data, c.count)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, count int) {
 		if count < 0 || count > blockSize {
@@ -148,6 +228,17 @@ func FuzzPostingsCodec(f *testing.F) {
 		}
 		if n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
+		}
+		gaps, rtfs, rn, ok := uvarintPairs(data, count)
+		if !ok || rn != n {
+			t.Fatalf("accepted %d bytes where a uvarint loop reads %d (ok=%v)", n, rn, ok)
+		}
+		at := int64(-1)
+		for i := 0; i < count; i++ {
+			at += int64(gaps[i])
+			if int64(ords[i]) != at || uint64(tfs[i]) != rtfs[i] {
+				t.Fatalf("posting %d = (%d,%d), a uvarint loop reads (%d,%d)", i, ords[i], tfs[i], at, rtfs[i])
+			}
 		}
 		entries := make([]postEntry, count)
 		prev := int64(-1)

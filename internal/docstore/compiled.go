@@ -473,13 +473,13 @@ func getScratch() *searchScratch {
 func putScratch(sc *searchScratch) { scratchPool.Put(sc) }
 
 // searchCompiled runs the text top-k over the compiled base index merged
-// with the snapshot's overlay. In block-max mode (exhaustive=false) it runs
-// WAND-style early termination: terms become cursors over their compressed
-// postings, the topK heap's minimum is the threshold θ, and any document
-// range whose summed term/block upper bounds cannot reach θ is skipped
-// without decoding. In exhaustive mode every candidate is scored through
-// the exact same accumulation code, so the two modes are bit-identical on
-// the documents they both score — and the skipped ones provably lose.
+// with the snapshot's overlay. Terms become cursors over their compressed
+// postings and walkBase scores them a window of ordinals at a time; in
+// block-max mode (exhaustive=false) the topK heap's minimum is the threshold
+// θ, and a window whose summed block upper bounds cannot reach θ is passed
+// without decoding. Exhaustive mode is the same walk with the bound checks
+// off, so the two are bit-identical on the documents they both score — and
+// the skipped ones provably lose.
 //
 // The result is the k best, scratch-backed and not yet ranked (assembleHits
 // ranks). Set and scores match the historical map-walk scorer: contributions
@@ -588,7 +588,7 @@ const windowSize = 1024
 // window starts at the least ordinal any cursor stands on; each cursor in
 // turn, in canonical term order, adds its postings below the window's end
 // into the accumulators, and one sweep over the touched slots passes the
-// tombstones, divides by the norm and offers the heap what beats its
+// tombstones, divides by the norm and offers the heap what is not below its
 // threshold θ. A slot starts at zero and takes its terms in canonical order,
 // so a score is the same sequence of float operations whatever the window.
 //
@@ -655,7 +655,7 @@ func (sn *snapshot) walkBase(h *topK[scored], sc *searchScratch, exhaustive bool
 		for i := range cursors {
 			cursors[i].addWindow(lo, hi, &sc.acc, &sc.touched, &sc.stats)
 		}
-		for w, set := range &sc.touched {
+		for w, set := range sc.touched[:(hi-lo+63)/64] {
 			sc.touched[w] = 0
 			for ; set != 0; set &= set - 1 {
 				slot := w*64 + bits.TrailingZeros64(set)
