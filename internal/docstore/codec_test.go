@@ -174,14 +174,16 @@ func TestCodecPairEdges(t *testing.T) {
 // uvarintPairs is the decoder without its shortcut or its checks: count pairs
 // read by binary.Uvarint alone. ok is false when the bytes run out.
 func uvarintPairs(data []byte, count int) (gaps, tfs []uint64, n int, ok bool) {
-	for i := 0; i < count; i++ {
-		for _, dst := range []*[]uint64{&gaps, &tfs} {
-			v, m := binary.Uvarint(data[n:])
-			if m <= 0 {
-				return nil, nil, 0, false
-			}
-			*dst = append(*dst, v)
-			n += m
+	for i := 0; i < 2*count; i++ {
+		v, m := binary.Uvarint(data[n:])
+		if m <= 0 {
+			return nil, nil, 0, false
+		}
+		n += m
+		if i%2 == 0 {
+			gaps = append(gaps, v)
+		} else {
+			tfs = append(tfs, v)
 		}
 	}
 	return gaps, tfs, n, true

@@ -360,19 +360,19 @@ func (c *cursor) seek(target uint32, st *searchStats) {
 	c.curOrd = c.ords[c.pos]
 }
 
-// addWindow adds the term's score mass for every posting below hi into acc,
-// slot ord-lo, marking each slot it writes in touched, and leaves the cursor
-// on its first posting at or past hi.
-func (c *cursor) addWindow(lo, hi uint32, acc *[windowSize]float64, touched *[windowSize / 64]uint64, st *searchStats) {
+// addWindow adds the term's score mass for every posting below hi into
+// sc.acc, slot ord-lo, marking each slot it writes in sc.touched, and leaves
+// the cursor on its first posting at or past hi.
+func (c *cursor) addWindow(lo, hi uint32, sc *searchScratch) {
 	for c.curOrd < hi {
 		if !c.loaded {
-			c.decodeBlock(st)
+			c.decodeBlock(&sc.stats)
 		}
 		p := c.pos
 		for ; p < c.n && c.ords[p] < hi; p++ {
 			slot := (c.ords[p] - lo) % windowSize // in range already: the mask spares a bounds check
-			acc[slot] += c.qw * (tfWeight(int(c.tfs[p])) * c.idf)
-			touched[slot/64] |= 1 << (slot % 64)
+			sc.acc[slot] += c.qw * (tfWeight(int(c.tfs[p])) * c.idf)
+			sc.touched[slot/64] |= 1 << (slot % 64)
 		}
 		if p < c.n {
 			c.pos, c.curOrd = p, c.ords[p]
@@ -653,7 +653,7 @@ func (sn *snapshot) walkBase(h *topK[scored], sc *searchScratch, exhaustive bool
 		}
 
 		for i := range cursors {
-			cursors[i].addWindow(lo, hi, &sc.acc, &sc.touched, &sc.stats)
+			cursors[i].addWindow(lo, hi, sc)
 		}
 		for w, set := range sc.touched[:(hi-lo+63)/64] {
 			sc.touched[w] = 0

@@ -177,9 +177,9 @@ var (
 )
 
 // requireReadsMatch checks Len, TopicCount, ByTopic, Freshest, RecentSince,
-// SearchVector, SearchVisual and the three text searches against the oracle. SearchVector asks for
-// more hits than there are documents, so the LSH falls back to its exact
-// scan and the answer is every live vector, ranked.
+// SearchVector, SearchVisual and the three text searches against the oracle.
+// SearchVector asks for more hits than there are documents, so the LSH falls
+// back to its exact scan and the answer is every live vector, ranked.
 func requireReadsMatch(t *testing.T, stage string, s *Store, live map[string]*Document) {
 	t.Helper()
 	if s.Len() != len(live) {
@@ -228,8 +228,8 @@ func requireReadsMatch(t *testing.T, stage string, s *Store, live map[string]*Do
 // several freezes — single writes folded into searchable overlays, PutBatch
 // windows that overflow and are staged, windows mixing puts and deletes — and
 // after every write holds every text, vector, visual, topic and time read to
-// the oracle. Timestamps come from a range of 30, so equal CreatedAt ties (broken
-// by ID) are everywhere; some documents list a topic twice and must count
+// the oracle. Timestamps come from a range of 30, so equal CreatedAt ties
+// (broken by ID) are everywhere; some documents list a topic twice and must count
 // once. The scripted tail pins the cases a random history may miss.
 func TestReadsMatchBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
