@@ -24,11 +24,14 @@ race:
 # clients) where the race detector earns its keep on every edit, plus -count
 # stresses of the two bookkeeping-before-reply ordering pins — the trace is
 # retrievable, and the coalescer's flush is counted (E27 reads it), once the
-# reply is observable. Both are scheduling races, so one pass proves little.
+# reply is observable — and of the scatter asks held to the brute-force
+# ranking at the epoch they name while a writer runs. All three are
+# scheduling races, so one pass proves little.
 race-core:
 	$(GO) test -race ./internal/telemetry ./internal/transport ./internal/shard ./internal/docstore ./internal/core
 	$(GO) test -race -count=20 -run TestTraceRetrievableOnceReplyObserved ./internal/transport
 	$(GO) test -race -count=20 -run TestE27Shapes ./internal/bench
+	$(GO) test -race -count=5 -run TestScatterExactUnderConcurrentWrites ./internal/shard
 
 vet:
 	$(GO) vet ./...

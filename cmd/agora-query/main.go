@@ -148,7 +148,8 @@ func main() {
 // order, is taken as the uniform partition agora-node -shard-range i/n
 // serves. The router collects global term statistics, prunes shards whose
 // score bound cannot reach the top-k, scatters to the rest, and merges —
-// printing the same ranking an unsharded node with the whole corpus would.
+// printing the same ranking an unsharded node with the whole corpus would,
+// and the epoch each asked shard confirmed those statistics on and searched.
 func scatterAsk(addrs []string, text string, top int, timeout time.Duration) {
 	ids := make([]string, 0, len(addrs))
 	for _, a := range addrs {
@@ -177,6 +178,11 @@ func scatterAsk(addrs []string, text string, top int, timeout time.Duration) {
 	}
 	log.Printf("agora-query: scatter over %d shard(s): asked %d, pruned %d, hedged %d — %s in %.1fms",
 		m.Len(), res.Fanout, res.Pruned, res.Hedges, status, elapsed.Seconds()*1000)
+	for _, id := range ids { // the state the answer was computed from
+		if epoch, asked := res.Epochs[id]; asked {
+			log.Printf("agora-query: shard %s answered from epoch %d", id, epoch)
+		}
+	}
 	tid := telemetry.TraceID(res.TraceID)
 	log.Printf("agora-query: trace %s — inspect via /debug/trace?id=%s on any node's debug listener",
 		tid, tid)

@@ -135,7 +135,9 @@ func (c *queryCache) len() int {
 // global ask scores under figures the router supplied, so its key carries
 // every one of them — document total, then each term with its frequency —
 // with a length before every string: {"ab"},{1} and {"a","b"},{1,…} can
-// never encode alike. The first byte keeps the two families apart.
+// never encode alike. The first byte keeps the two families apart. What the
+// router assumed of this store goes last, each array under its own length:
+// an entry is found again only under the assumption it was checked for.
 func appendTextKey(dst []byte, query string, k int, gs *GlobalStats) []byte {
 	if gs == nil {
 		dst = append(dst, 't', 0)
@@ -153,6 +155,17 @@ func appendTextKey(dst []byte, query string, k int, gs *GlobalStats) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(t)))
 		dst = append(dst, t...)
 		dst = binary.AppendUvarint(dst, gs.dfAt(i))
+	}
+	if a := gs.Assumed; a != nil {
+		dst = binary.AppendUvarint(dst, a.Docs)
+		dst = binary.AppendUvarint(dst, uint64(len(a.DF)))
+		for _, df := range a.DF {
+			dst = binary.AppendUvarint(dst, df)
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(a.MaxRatio)))
+		for _, r := range a.MaxRatio {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r))
+		}
 	}
 	return dst
 }

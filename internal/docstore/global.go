@@ -6,10 +6,11 @@ import "math"
 // across stores; TF-IDF scores computed against shard-local document
 // frequencies would then diverge from a single node holding everything
 // (each shard sees a different df, hence different idf floats). The scatter
-// router instead collects per-shard TermStats once, sums them into a
-// GlobalStats, and ships that with every query; shards score through the
-// identical searchCompiled code with only total/df overridden, so the
-// merged top-k is bit-identical to the monolithic SearchText result.
+// router instead sums the shards' TermStats into a GlobalStats and ships
+// that with every query; shards score through the identical searchCompiled
+// code with only total/df overridden, so the merged top-k is bit-identical
+// to the monolithic SearchText result while each shard's addend is still
+// true — which the shard checks of its own (Assumed).
 
 // GlobalStats carries corpus-wide statistics for one query: the total live
 // document count across all shards and, parallel in Terms/DF, the global
@@ -19,6 +20,31 @@ type GlobalStats struct {
 	TotalDocs uint64
 	Terms     []string
 	DF        []uint64
+	Assumed   *Assumed // set: answer only while it holds (SearchTextAssuming)
+}
+
+// Assumed is the addend of the store being asked, as the router held it: the
+// store's own document count and, parallel to GlobalStats.Terms, TermStats.
+type Assumed struct {
+	Docs     uint64
+	DF       []uint64
+	MaxRatio []float64
+}
+
+// confirms reports whether sn is the store gs was summed over: document
+// count and frequencies as assumed — they decide score bits — and no maximum
+// ratio above the assumed one, which a router uses only as an upper bound.
+func (sn *snapshot) confirms(gs *GlobalStats) bool {
+	if gs == nil || gs.Assumed == nil {
+		return true
+	}
+	a, n := gs.Assumed, len(gs.Terms)
+	ok := len(a.DF) == n && len(a.MaxRatio) == n && a.Docs == uint64(sn.docCount())
+	for i := 0; ok && i < n; i++ {
+		st := sn.termStat(gs.Terms[i])
+		ok = st.DF == a.DF[i] && st.MaxRatio <= a.MaxRatio[i]
+	}
+	return ok
 }
 
 // dfOf returns the global document frequency for t. Queries carry a
@@ -60,19 +86,20 @@ type TermStat struct {
 // publishing new epochs while this reads an old one.
 func (s *Store) TermStats(terms []string) (total uint64, epoch uint64, stats []TermStat) {
 	sn := s.snap.Load()
-	cx := sn.base.cx
-	ov := sn.ov
 	stats = make([]TermStat, len(terms))
 	for i, t := range terms {
-		tm, e := cx.terms[t], ov.termPost[t] // zero where the term is unknown
-		df := int(tm.df) - e.maskedDF + len(e.post)
-		maxRatio := tm.maxRatio
-		for _, p := range e.post {
-			maxRatio = max(maxRatio, tfWeight(p.tf)/math.Sqrt(float64(ov.byID[p.id].docLen)+1))
-		}
-		stats[i] = TermStat{DF: uint64(max(df, 0)), MaxRatio: maxRatio}
+		stats[i] = sn.termStat(t)
 	}
 	return uint64(sn.docCount()), sn.epoch, stats
+}
+
+func (sn *snapshot) termStat(t string) TermStat {
+	tm, e := sn.base.cx.terms[t], sn.ov.termPost[t] // zero where the term is unknown
+	df, maxRatio := int(tm.df)-e.maskedDF+len(e.post), tm.maxRatio
+	for _, p := range e.post {
+		maxRatio = max(maxRatio, tfWeight(p.tf)/math.Sqrt(float64(sn.ov.byID[p.id].docLen)+1))
+	}
+	return TermStat{DF: uint64(max(df, 0)), MaxRatio: maxRatio}
 }
 
 // SearchTextGlobal is SearchText scored under router-supplied global
@@ -82,13 +109,14 @@ func (s *Store) TermStats(terms []string) (total uint64, epoch uint64, stats []T
 // lookup. A nil gs is plain SearchText. Returned hits are read-only (see
 // Hit).
 func (s *Store) SearchTextGlobal(query string, k int, gs *GlobalStats) []Hit {
-	hits, _ := s.searchText(query, k, gs)
+	hits, _, _ := s.searchText(query, k, gs)
 	return hits
 }
 
-// SearchTextGlobalAt is SearchTextGlobal that also reports the epoch of the
-// snapshot the hits were computed (or cached) at. A server puts that in its
-// reply: Epoch() read around the call could name a different snapshot.
-func (s *Store) SearchTextGlobalAt(query string, k int, gs *GlobalStats) ([]Hit, uint64) {
+// SearchTextAssuming is SearchTextGlobal as a shard server asks it: it also
+// names the epoch of the snapshot the hits were computed (or cached) at —
+// Epoch() read around the call could name another — and answers only if that
+// snapshot confirms gs.Assumed: once the store has moved on, no hits, !ok.
+func (s *Store) SearchTextAssuming(query string, k int, gs *GlobalStats) (hits []Hit, epoch uint64, ok bool) {
 	return s.searchText(query, k, gs)
 }

@@ -2,6 +2,7 @@ package docstore
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -268,9 +269,9 @@ func TestGlobalCacheKeyedOnStats(t *testing.T) {
 	}
 }
 
-// TestSearchTextGlobalAtReportsSearchedEpoch: the epoch returned with the
+// TestSearchTextAssumingReportsSearchedEpoch: the epoch returned with the
 // hits is the snapshot's own, on the miss and on the hit.
-func TestSearchTextGlobalAtReportsSearchedEpoch(t *testing.T) {
+func TestSearchTextAssumingReportsSearchedEpoch(t *testing.T) {
 	s := memStore(t)
 	defer s.Close()
 	if err := s.Put(doc("d1", "gold ring", "gold filigree ring", 1, nil)); err != nil {
@@ -278,10 +279,93 @@ func TestSearchTextGlobalAtReportsSearchedEpoch(t *testing.T) {
 	}
 	gs := statsOf(s, "gold")
 	for _, pass := range []string{"miss", "hit"} {
-		if _, epoch := s.SearchTextGlobalAt("gold", 3, gs); epoch != s.Epoch() {
+		if _, epoch, ok := s.SearchTextAssuming("gold", 3, gs); epoch != s.Epoch() || !ok {
 			t.Fatalf("%s: reported epoch %d, store at %d", pass, epoch, s.Epoch())
 		}
 	}
+}
+
+// assumedOf is statsOf with the store's own figures named as the assumption:
+// what a router that summed only this store would send it.
+func assumedOf(s *Store, terms ...string) *GlobalStats {
+	gs := statsOf(s, terms...)
+	total, _, stats := s.TermStats(terms)
+	gs.Assumed = &Assumed{Docs: total, DF: make([]uint64, len(terms)), MaxRatio: make([]float64, len(terms))}
+	for i, st := range stats {
+		gs.Assumed.DF[i], gs.Assumed.MaxRatio[i] = st.DF, st.MaxRatio
+	}
+	return gs
+}
+
+// TestSearchTextAssumingConfirmsOrRefuses: an assumption the snapshot
+// confirms is answered exactly as the unconditional ask; a hit under it is
+// the confirmation already made and searches nothing; a document count or a
+// frequency off by one, a ratio assumed too low, or arrays not parallel to
+// the terms are refused, at the snapshot's epoch, without searching or
+// caching; a ratio assumed too high is only a looser bound; and a write
+// that moves the figures turns the confirmed assumption into a refused one,
+// on the overlay as after a freeze.
+func TestSearchTextAssumingConfirmsOrRefuses(t *testing.T) {
+	s := memStore(t)
+	defer s.Close()
+	for i := 0; i < 6; i++ {
+		if err := s.Put(doc(fmt.Sprintf("d%d", i), "gold ring", "byzantine gold ring", int64(i), nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const q, k = "gold ring", 4
+	want := s.SearchTextGlobal(q, k, statsOf(s, "gold", "ring"))
+	searches, entries := s.Stats().Searches, s.cache.len()
+	ask := func(label string, gs *GlobalStats, wantOK bool, wantSearches uint64) {
+		t.Helper()
+		hits, epoch, ok := s.SearchTextAssuming(q, k, gs)
+		if ok != wantOK || epoch != s.Epoch() || (ok && !hitsEqual(hits, want)) || (!ok && hits != nil) {
+			t.Fatalf("%s: ok=%v epoch=%d (store at %d) hits=%v", label, ok, epoch, s.Epoch(), hitIDs(hits))
+		}
+		if got := s.Stats().Searches - searches; got != wantSearches {
+			t.Fatalf("%s: %d searches so far, want %d", label, got, wantSearches)
+		}
+	}
+	good := assumedOf(s, "gold", "ring")
+	ask("confirmed", good, true, 1)
+	ask("confirmed again", good, true, 1)
+	if got := s.cache.len(); got != entries+1 {
+		t.Fatalf("cache grew by %d entries, want one keyed on the assumption", got-entries)
+	}
+	for label, spoil := range map[string]func(a *Assumed){
+		"docs":        func(a *Assumed) { a.Docs++ },
+		"df":          func(a *Assumed) { a.DF[1]-- },
+		"ratio low":   func(a *Assumed) { a.MaxRatio[0] /= 2 },
+		"ratio NaN":   func(a *Assumed) { a.MaxRatio[0] = math.NaN() },
+		"short df":    func(a *Assumed) { a.DF = a.DF[:1] },
+		"long ratios": func(a *Assumed) { a.MaxRatio = append(a.MaxRatio, 1) },
+	} {
+		bad := assumedOf(s, "gold", "ring")
+		spoil(bad.Assumed)
+		ask(label, bad, false, 1)
+		ask(label+" again", bad, false, 1)
+	}
+	if got := s.cache.len(); got != entries+1 {
+		t.Fatalf("refusals left %d cache entries", got-entries-1)
+	}
+	loose := assumedOf(s, "gold", "ring")
+	loose.Assumed.MaxRatio[1] *= 2
+	ask("ratio high", loose, true, 2)
+
+	if err := s.Put(doc("d9", "ring", "one more ring", 9, nil)); err != nil {
+		t.Fatal(err)
+	}
+	searches = s.Stats().Searches
+	ask("after a write", good, false, 0)
+	s.mu.Lock()
+	s.freezeLocked(s.snap.Load(), s.snap.Load().ov)
+	s.mu.Unlock()
+	ask("after the freeze", good, false, 0)
+	good.Assumed = nil
+	want = s.SearchTextGlobal(q, k, good) // the same sums, unconditionally
+	searches = s.Stats().Searches
+	good.Assumed = assumedOf(s, "gold", "ring").Assumed
+	ask("corrected", good, true, 1)
 }
 
 // TestGlobalStatsShortDF: statistics whose DF is shorter than Terms arrive

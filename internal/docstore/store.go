@@ -365,7 +365,7 @@ type Hit struct {
 // the current epoch; cache hits do not re-execute (and do not count as a
 // search in Stats). Returned hits are read-only (see Hit).
 func (s *Store) SearchText(query string, k int) []Hit {
-	hits, _ := s.searchText(query, k, nil)
+	hits, _, _ := s.searchText(query, k, nil)
 	return hits
 }
 
@@ -374,23 +374,25 @@ func (s *Store) SearchText(query string, k int) []Hit {
 // spells out everything the scores depend on — query, k and, for a global
 // ask, the document total and every (term, df) pair — and the entry is
 // tagged with the epoch of the snapshot searched, which is also returned:
-// the answer names the exact state it was computed from.
-func (s *Store) searchText(query string, k int, gs *GlobalStats) ([]Hit, uint64) {
+// the answer names the exact state it was computed from. What gs assumes of
+// this store is in the key: a hit is a confirmation already made at that
+// epoch, a miss checks it against the snapshot about to be searched.
+func (s *Store) searchText(query string, k int, gs *GlobalStats) ([]Hit, uint64, bool) {
 	start := time.Now()
 	defer func() { s.tel.textLat.Observe(time.Since(start)) }()
 	sn := s.snap.Load()
 	sc := getScratch()
 	sc.keyBuf = appendTextKey(sc.keyBuf[:0], query, k, gs)
-	if hits, ok := s.cache.get(sc.keyBuf, sn.epoch); ok {
+	if hits, ok := s.cache.get(sc.keyBuf, sn.epoch); ok || !sn.confirms(gs) {
 		putScratch(sc)
-		return hits, sn.epoch
+		return hits, sn.epoch, ok
 	}
 	s.countSearch()
 	raw := sn.searchTextRaw(s.tokens.tokenize(query), k, sc, gs)
 	s.noteSearchStats(&sc.stats)
 	s.cache.put(sc.keyBuf, sn.epoch, raw)
 	putScratch(sc)
-	return raw, sn.epoch
+	return raw, sn.epoch, true
 }
 
 // SearchTextExhaustive ranks with early termination disabled: every

@@ -12,7 +12,9 @@ var hotallocPackage = "internal/docstore"
 // hotallocRoots are the Store entry points whose steady state is
 // benchmarked at 0 allocs/op (cache hit) and 1 alloc/op (cold): the text
 // search path, local and — since the result cache keys on the router's
-// statistics — global, which is the hit path of every scatter ask; and the
+// statistics — global, which is the hit path of every scatter ask, entered
+// by a shard server through SearchTextAssuming (whose check of the router's
+// assumption, on a miss, compares figures without building them); and the
 // hybrid search every market ask runs at each contracted source, with the
 // vector search it shares its kernels with (reached through alpha >= 1):
 // pools, blend and top-k live in the scratch, the result slice is their one
@@ -20,7 +22,7 @@ var hotallocPackage = "internal/docstore"
 var hotallocRoots = map[string]bool{
 	"SearchText":           true,
 	"SearchTextGlobal":     true,
-	"SearchTextGlobalAt":   true,
+	"SearchTextAssuming":   true,
 	"SearchTextExhaustive": true,
 	"SearchHybrid":         true,
 }

@@ -92,6 +92,18 @@ func (s *Store) statsKey(sc *searchScratch, terms []string) []byte {
 	return sc.keyBuf
 }
 
+// SearchTextAssuming is the root a shard server enters by: checking what the
+// router assumed of this store must not build the figures it compares.
+func (s *Store) SearchTextAssuming(q string, assumed []uint64) ([]Hit, bool) {
+	now := make([]uint64, len(assumed)) // want "allocates with make"
+	for i := range now {
+		if now[i] != assumed[i] {
+			return nil, false
+		}
+	}
+	return s.SearchTextGlobal(q, nil), true
+}
+
 // SearchHybrid is a root: the blend files one pool in the scratch and
 // allocates only its result, not a map over either pool.
 func (s *Store) SearchHybrid(q string, k int) []Hit {

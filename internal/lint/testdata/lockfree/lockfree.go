@@ -30,6 +30,15 @@ func (st *Store) Get(id string) *Hit {
 	return nil
 }
 
+// The conditional ask a shard server enters by is a read like the others:
+// the assumption is checked against the snapshot, not under the writer lock.
+
+func (s *Store) SearchTextAssuming(q string, k int) ([]Hit, bool) {
+	s.mu.Lock()         // want "Store.SearchTextAssuming references Store.mu"
+	defer s.mu.Unlock() // want "Store.SearchTextAssuming references Store.mu"
+	return nil, true
+}
+
 // The lock may not hide in a helper either: the call graph chases the
 // read path into it.
 

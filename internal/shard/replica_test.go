@@ -2,7 +2,9 @@ package shard
 
 import (
 	"bufio"
+	"errors"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,9 +16,9 @@ import (
 
 // fakePeer stands in for a shard server: it acknowledges every handshake
 // and then hands each frame it reads to answer, whose return value (if any)
-// goes back as one frame of kind reply. A nil answer is the mute peer: it
-// keeps reading and never says another word.
-func fakePeer(t *testing.T, reply wire.Kind, answer func(wire.Frame) []byte) string {
+// goes back as one frame of the kind it names. A nil answer is the mute
+// peer: it keeps reading and never says another word.
+func fakePeer(t *testing.T, answer func(wire.Frame) (wire.Kind, []byte)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -47,7 +49,7 @@ func fakePeer(t *testing.T, reply wire.Kind, answer func(wire.Frame) []byte) str
 					if answer == nil {
 						continue
 					}
-					if b := answer(f); b != nil && wire.WriteFrame(conn, reply, b) != nil {
+					if kind, b := answer(f); b != nil && wire.WriteFrame(conn, kind, b) != nil {
 						return
 					}
 				}
@@ -88,7 +90,7 @@ func replicaWorld(t *testing.T) (*testCluster, *docstore.Store, []string) {
 // hedge), and the answer is the monolith's, bit for bit, not partial.
 func TestReplicaAnswersForMutePrimary(t *testing.T) {
 	tc, mono, queries := replicaWorld(t)
-	mute := fakePeer(t, 0, nil)
+	mute := fakePeer(t, nil)
 	for _, mem := range tc.m.Members() {
 		tc.m.SetAddrs(mem.ID, mute, mem.Addrs[0])
 	}
@@ -144,16 +146,16 @@ func TestReplicaAnswersForClosedPrimary(t *testing.T) {
 // hitless.
 func TestShortStatsReplyIsTheShardsError(t *testing.T) {
 	tc, _, queries := replicaWorld(t)
-	short := fakePeer(t, wire.KindTermStatsResult, func(f wire.Frame) []byte {
+	short := fakePeer(t, func(f wire.Frame) (wire.Kind, []byte) {
 		if f.Kind != wire.KindTermStats {
-			return nil
+			return 0, nil
 		}
 		req, err := wire.UnmarshalTermStatsReq(f.Payload)
 		if err != nil {
-			return nil
+			return 0, nil
 		}
 		resp := wire.TermStatsResp{ID: req.ID, Total: 9, Epoch: 1, DF: []uint64{1}, MaxRatio: []float64{1}}
-		return resp.AppendTo(nil)
+		return wire.KindTermStatsResult, resp.AppendTo(nil)
 	})
 	tc.m.SetAddrs("shard1", short)
 	r := tc.router(t, Options{Telemetry: telemetry.NewRegistry()})
@@ -163,5 +165,107 @@ func TestShortStatsReplyIsTheShardsError(t *testing.T) {
 	}
 	if res.Fanout != 1 || len(res.Items) == 0 {
 		t.Fatalf("fanout=%d items=%d, want the healthy shard's answer", res.Fanout, len(res.Items))
+	}
+}
+
+// TestReplicaEpochIsNotDrift: a replica is another store with its own epoch
+// counter. Statistics fetched through one — here after the primaries died, for
+// terms not yet held — name an epoch the primary never reported, and used to
+// flush everything it had: the next ask of the old terms fetched them again.
+// Figures that agree drop nothing, whatever epoch they were read at.
+func TestReplicaEpochIsNotDrift(t *testing.T) {
+	tc, mono, queries := replicaWorld(t)
+	for _, mem := range tc.m.Members() {
+		// The same documents put one by one: equal figures, a far later epoch.
+		replica := memShard(t)
+		var err error
+		tc.stores[mem.ID].All(func(d *docstore.Document) bool {
+			err = replica.Put(d)
+			return err == nil
+		})
+		if err != nil || replica.Epoch() == tc.stores[mem.ID].Epoch() {
+			t.Fatalf("seeding %s's replica: err %v, epoch %d like the primary's", mem.ID, err, replica.Epoch())
+		}
+		primary := tc.stores[mem.ID]
+		tc.stores[mem.ID] = replica
+		tc.m.SetAddrs(mem.ID, mem.Addrs[0], tc.serveReplica(t, mem.ID))
+		tc.stores[mem.ID] = primary
+	}
+	reg := telemetry.NewRegistry()
+	r := tc.router(t, Options{Telemetry: reg})
+	rpcs := reg.Counter("shard.scatter.stats.rpcs")
+	ask := func(label, q string, wantRPCs uint64) {
+		t.Helper()
+		before := rpcs.Value()
+		res := r.Ask(q, 10)
+		if res.Partial || len(res.Errors) > 0 {
+			t.Fatalf("%s: partial=%v errors=%v", label, res.Partial, res.Errors)
+		}
+		assertIdentical(t, label, res.Items, mono.SearchText(q, 10))
+		if got := rpcs.Value() - before; got != wantRPCs {
+			t.Fatalf("%s: %d statistics requests, want %d", label, got, wantRPCs)
+		}
+	}
+	ask("primaries, cold", queries[0], 2)
+	for _, srv := range tc.servers {
+		srv.Close()
+	}
+	ask("replicas, cold", queries[1], 4) // each dead primary tried first
+	ask("replicas, terms the primaries reported", queries[0], 0)
+	if drift := reg.Counter("shard.scatter.epoch.drift").Value(); drift != 0 {
+		t.Fatalf("%d drift replies from replicas holding the primaries' figures", drift)
+	}
+}
+
+// TestDriftingShardIsGivenUpOn: a peer that answers every query with other
+// figures than it last reported costs the ask maxDrift queries to it, not a
+// hang: the shard is reported as ErrDrift, the ask is partial, and the
+// healthy shard's answer is kept.
+func TestDriftingShardIsGivenUpOn(t *testing.T) {
+	tc, _, queries := replicaWorld(t)
+	var asked atomic.Uint64
+	drifting := fakePeer(t, func(f wire.Frame) (wire.Kind, []byte) {
+		switch f.Kind {
+		case wire.KindTermStats:
+			req, err := wire.UnmarshalTermStatsReq(f.Payload)
+			if err != nil {
+				return 0, nil
+			}
+			// Ratios no real shard reaches: this peer is the probe, asked first.
+			resp := wire.TermStatsResp{ID: req.ID, Total: 9, Epoch: 1, DF: make([]uint64, len(req.Terms)), MaxRatio: make([]float64, len(req.Terms))}
+			for i := range req.Terms {
+				resp.DF[i], resp.MaxRatio[i] = 1, 100
+			}
+			return wire.KindTermStatsResult, resp.AppendTo(nil)
+		case wire.KindQuery:
+			q, err := wire.UnmarshalQuery(f.Payload)
+			if err != nil || !q.Assumed {
+				return 0, nil
+			}
+			n := asked.Add(1)
+			resp := wire.QueryResult{QueryID: q.ID, From: "fake", Epoch: 1 + n, Drift: true, Docs: q.AssumedDocs + 1, DF: q.AssumedDF, MaxRatio: q.AssumedMaxRatio}
+			return wire.KindQueryResult, resp.AppendTo(nil)
+		}
+		return 0, nil
+	})
+	tc.m.SetAddrs("shard1", drifting)
+	reg := telemetry.NewRegistry()
+	r := tc.router(t, Options{Timeout: 2 * time.Second, Telemetry: reg})
+	start := time.Now()
+	res := r.Ask(queries[0], 10)
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("the ask took %v: it waited out a deadline instead of counting corrections", took)
+	}
+	if !res.Partial || len(res.Errors) != 1 || !errors.Is(res.Errors["shard1"], ErrDrift) {
+		t.Fatalf("partial=%v errors=%v, want shard1 reported as ErrDrift", res.Partial, res.Errors)
+	}
+	if res.Fanout != 1 || len(res.Items) == 0 || res.Epochs["shard0"] != tc.stores["shard0"].Epoch() || len(res.Epochs) != 1 {
+		t.Fatalf("fanout=%d items=%d epochs=%v, want the healthy shard's answer kept", res.Fanout, len(res.Items), res.Epochs)
+	}
+	if got := asked.Load(); got != maxDrift {
+		t.Fatalf("the drifting peer was queried %d times, want maxDrift = %d", got, maxDrift)
+	}
+	if drift, restarts := reg.Counter("shard.scatter.epoch.drift").Value(), reg.Counter("shard.scatter.restarts").Value(); drift != maxDrift || restarts != maxDrift-1 {
+		t.Fatalf("counted %d drift replies and %d restarts, want %d and %d", drift, restarts, maxDrift, maxDrift-1)
 	}
 }

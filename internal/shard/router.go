@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -16,10 +17,13 @@ import (
 // Router runs scatter-gather asks over a shard map. The dispatch pipeline,
 // per ask:
 //
-//  1. Statistics: collect per-shard per-term (df, maxRatio) via the
-//     TermStats RPC, cached per shard and invalidated on epoch drift. The
+//  1. Statistics: per-shard per-term (df, maxRatio), held as the shard last
+//     reported them, fetched (TermStats RPC) only for terms never seen. The
 //     sums give the corpus-wide document count and frequencies every shard
 //     must score under for the merge to be bit-identical to a single node.
+//     Each query names the addends used for its shard, which answers only
+//     from a snapshot they still describe; otherwise it sends its figures
+//     (drift) and the ask starts over from the corrected sums.
 //  2. Planning: each shard gets a score upper bound — Σ over query terms
 //     present on the shard of qw·idf·maxRatio. Shards bounding to zero
 //     hold no matching document and are pruned outright.
@@ -50,49 +54,63 @@ type Router struct {
 }
 
 // routerShard pairs a map member with its live connections (parallel to
-// Addrs) and the cached term statistics for the shard's current epoch.
+// Addrs) and the figures the shard last reported: its document count and
+// the statistics of the terms asked so far.
 type routerShard struct {
 	Member
 	clients []*transport.Client
 
 	mu    sync.Mutex
 	total uint64
-	epoch uint64
 	stats map[string]termStat
 }
 
-// installStats folds one TermStats response into the shard's cache,
-// flushing entries from an older epoch first. A response whose lengths
-// disagree with the request (a malformed peer) is the shard's error, never
-// partially installed: an empty cache would bound the shard to zero and
-// prune it as hitless with nobody told.
-func (s *routerShard) installStats(terms []string, resp wire.TermStatsResp) error {
-	if len(resp.DF) != len(terms) || len(resp.MaxRatio) != len(terms) {
-		return fmt.Errorf("reply carries %d df / %d ratio figures for %d terms", len(resp.DF), len(resp.MaxRatio), len(terms))
+// install folds figures a shard reported for terms — a TermStats or a drift
+// reply, from the primary or a replica — into its cache. A reply that
+// contradicts the cache (another document count, another figure for a term
+// it names) shows the shard was written to since, so what it does not
+// restate is dropped with what it corrects; one that agrees drops nothing,
+// whatever epoch it was read at. A reply whose lengths disagree with the
+// request (a malformed peer) is the shard's error, never partially
+// installed: an empty cache would bound the shard to zero and prune it as
+// hitless with nobody told.
+func (s *routerShard) install(terms []string, total uint64, df []uint64, maxRatio []float64) error {
+	if len(df) != len(terms) || len(maxRatio) != len(terms) {
+		return fmt.Errorf("reply carries %d df / %d ratio figures for %d terms", len(df), len(maxRatio), len(terms))
 	}
 	s.mu.Lock()
-	if resp.Epoch != s.epoch {
-		clear(s.stats) // new epoch: everything cached is stale
-	}
-	s.total = resp.Total
-	s.epoch = resp.Epoch
+	changed := total != s.total
 	for i, t := range terms {
-		s.stats[t] = termStat{df: resp.DF[i], maxRatio: resp.MaxRatio[i]}
+		if held, ok := s.stats[t]; ok && held != (termStat{df[i], maxRatio[i]}) {
+			changed = true
+		}
+	}
+	if changed {
+		clear(s.stats)
+	}
+	s.total = total
+	for i, t := range terms {
+		s.stats[t] = termStat{df[i], maxRatio[i]}
 	}
 	s.mu.Unlock()
 	return nil
 }
 
-// missing reports whether the cache lacks any of terms.
-func (s *routerShard) missing(terms []string) bool {
+// view copies the shard's held figures for terms into its slots of a
+// globalQuery, all under one lock: the addends one pass of an ask sums, plans
+// with and names to the shard. It reports false when the cache lacks a term.
+func (s *routerShard) view(terms []string, counts []uint64, ratios []float64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, t := range terms {
-		if _, ok := s.stats[t]; !ok {
-			return true
+	for i, t := range terms {
+		st, ok := s.stats[t]
+		if !ok {
+			return false
 		}
+		counts[1+i], ratios[i] = st.df, st.maxRatio
 	}
-	return false
+	counts[0] = s.total
+	return true
 }
 
 type termStat struct {
@@ -102,8 +120,8 @@ type termStat struct {
 
 // routerTel caches the scatter path's instruments; the zero value no-ops.
 type routerTel struct {
-	fanout, pruned, partial, hedges, drift *telemetry.Counter
-	askLat, mergeLat                       *telemetry.Histogram
+	fanout, pruned, partial, hedges, drift, statsRPCs, restarts *telemetry.Counter
+	askLat, mergeLat                                            *telemetry.Histogram
 }
 
 // Options configures a Router. Zero values select the defaults noted.
@@ -118,7 +136,12 @@ const (
 	hedgeDelay     = 25 * time.Millisecond // a primary silent this long after staging is hedged to a replica
 	scatterWindow  = 4                     // shard queries kept on the wire at once
 	probeDominance = 1.25                  // probe when best bound ≥ probeDominance × runner-up
+	maxDrift       = 3                     // corrections one shard may send in one ask before it is given up on
 )
+
+// ErrDrift is the error (errors.Is) of a shard written to faster than an ask
+// could follow: maxDrift queries each found it away from its last report.
+var ErrDrift = errors.New("shard: statistics drifted")
 
 func (o *Options) withDefaults() Options {
 	out := *o
@@ -144,13 +167,15 @@ func NewRouter(m *Map, opts Options) (*Router, error) {
 	}
 	if reg := opts.Telemetry; reg != nil {
 		r.tel = routerTel{
-			fanout:   reg.Counter("shard.scatter.fanout"),
-			pruned:   reg.Counter("shard.scatter.pruned"),
-			partial:  reg.Counter("shard.scatter.partial"),
-			hedges:   reg.Counter("shard.scatter.hedges"),
-			drift:    reg.Counter("shard.scatter.epoch.drift"),
-			askLat:   reg.Histogram("shard.scatter.ask"),
-			mergeLat: reg.Histogram("shard.scatter.merge_ns"),
+			fanout:    reg.Counter("shard.scatter.fanout"),
+			pruned:    reg.Counter("shard.scatter.pruned"),
+			partial:   reg.Counter("shard.scatter.partial"),
+			hedges:    reg.Counter("shard.scatter.hedges"),
+			drift:     reg.Counter("shard.scatter.epoch.drift"),
+			statsRPCs: reg.Counter("shard.scatter.stats.rpcs"),
+			restarts:  reg.Counter("shard.scatter.restarts"),
+			askLat:    reg.Histogram("shard.scatter.ask"),
+			mergeLat:  reg.Histogram("shard.scatter.merge_ns"),
 		}
 	}
 	for _, mem := range m.Members() {
@@ -204,6 +229,9 @@ type Result struct {
 	Pruned  int // shards eliminated by the bound checks
 	Hedges  int // backup attempts launched
 	TraceID uint64
+	// Epochs names, per shard that answered, the snapshot epoch it confirmed
+	// the ask's figures on and searched: the state Items was computed from.
+	Epochs map[string]uint64
 }
 
 // Ask runs an untraced scatter-gather text query.
@@ -211,10 +239,11 @@ func (r *Router) Ask(query string, k int) Result {
 	return r.AskTraced(query, k, telemetry.TraceContext{})
 }
 
-// plannedShard is one shard's dispatch entry: its score upper bound under
-// the current global statistics.
+// plannedShard is one shard's dispatch entry: its position among the
+// router's shards and its score upper bound under the pass's statistics.
 type plannedShard struct {
 	rs *routerShard
+	i  int
 	ub float64
 }
 
@@ -229,28 +258,36 @@ func (r *Router) AskTraced(query string, k int, tc telemetry.TraceContext) Resul
 		r.tel.askLat.ObserveExemplar(since(start), tr.ID())
 		tr.Finish()
 	}()
-	res := Result{TraceID: uint64(tr.ID()), Errors: map[string]error{}}
+	res := Result{TraceID: uint64(tr.ID()), Errors: map[string]error{}, Epochs: map[string]uint64{}}
 
 	terms, qns := r.terms.canonical(query)
 	if len(terms) == 0 || k <= 0 {
 		return res
 	}
-
-	// Phase 1: per-shard statistics (cached; one RPC per shard on miss).
-	sp := tr.Span("stats", "")
-	r.ensureStats(terms, &res)
-	sp.End()
-
-	// Phase 2: global weights and per-shard bounds. Shards whose stats RPC
-	// failed are out of the plan (already attributed in res.Errors); shards
-	// bounding to zero are provably hitless and pruned for free.
-	gs := r.globalStats(terms, res.Errors)
-	plan := r.plan(terms, qns, gs, &res)
-	res.Pruned = len(r.shards) - len(plan) - len(res.Errors)
-
-	// Phase 3+4: probe-then-scatter dispatch.
+	gs := newGlobalQuery(terms, len(r.shards))
 	ms := mergeState{k: k, res: &res}
-	r.dispatch(plan, query, gs, &ms, tr)
+	for {
+		// Phase 1: per-shard statistics (held; one RPC per shard on miss).
+		sp := tr.Span("stats", "")
+		r.ensureStats(&gs, &res)
+		sp.End()
+
+		// Phase 2: global weights and per-shard bounds. Shards whose stats RPC
+		// failed are out of the plan (already attributed in res.Errors); shards
+		// bounding to zero are provably hitless and pruned for free.
+		r.globalStats(&gs, res.Errors)
+		plan := r.plan(qns, &gs, &res)
+		res.Pruned = len(r.shards) - len(plan) - len(res.Errors)
+
+		// Phase 3+4: probe-then-scatter dispatch. A correction changes the sums:
+		// what was collected was scored under the old ones and is discarded.
+		if !r.dispatch(plan, query, &gs, &ms, tr) {
+			break
+		}
+		r.tel.restarts.Inc()
+		ms.lists, ms.top, res.Fanout = ms.lists[:0], ms.top[:0], 0
+		clear(res.Epochs)
+	}
 
 	// Phase 5: streaming merge.
 	mstart := now()
@@ -318,101 +355,127 @@ func (tm *termMemo) canonical(query string) ([]string, []int) {
 	return c.terms, c.qns
 }
 
-// ensureStats fills every live shard's term-stat cache for terms. Stage
-// first, wait second: every missing shard's request goes on the wire back
-// to back — per connection the frames ride one coalesced batch — and only
-// then does the ask block, on each reply in turn, so the round trips
-// overlap. Shards whose primary failed get one retry against their replica,
-// staged as found and awaited in a second pass: N failures cost one more
-// round trip, not N. A shard still failing is recorded in res.Errors and
-// marked partial: it cannot be scored under exact global statistics.
-func (r *Router) ensureStats(terms []string, res *Result) {
+// ensureStats fills every live shard's view for the ask's terms: from its
+// cache or, where that lacks a term, from a TermStats reply. Stage first,
+// wait second: every such shard's request goes on the wire back to back —
+// per connection the frames ride one coalesced batch — and only then does
+// the ask block, on each reply in turn, so the round trips overlap. Shards
+// whose primary failed get one retry against their replica, staged as found
+// and awaited in a second pass: N failures cost one more round trip, not N.
+// A shard still failing is recorded in res.Errors and marked partial: it
+// cannot be scored under exact global statistics.
+func (r *Router) ensureStats(gs *globalQuery, res *Result) {
 	type staged struct {
-		s    *routerShard
+		i    int
 		call transport.Call[wire.TermStatsResp]
 	}
 	var pending []staged
-	for _, s := range r.shards {
-		if s.missing(terms) {
-			pending = append(pending, staged{s, s.clients[0].StartTermStats(terms, r.timeout)})
+	for i, s := range r.shards {
+		if _, dead := res.Errors[s.ID]; !dead && !s.view(gs.terms, gs.counts(i), gs.ratios(i)) {
+			pending = append(pending, staged{i, s.clients[0].StartTermStats(gs.terms, r.timeout)})
 		}
 	}
 	for pass := 0; len(pending) > 0; pass++ {
+		r.tel.statsRPCs.Add(uint64(len(pending)))
 		retry := pending[:0] // refilled behind the read position
 		for _, p := range pending {
+			s := r.shards[p.i]
 			resp, err := p.call.Wait()
-			if err != nil && pass == 0 && len(p.s.clients) > 1 {
-				retry = append(retry, staged{p.s, p.s.clients[1].StartTermStats(terms, r.timeout)})
+			if err != nil && pass == 0 && len(s.clients) > 1 {
+				retry = append(retry, staged{p.i, s.clients[1].StartTermStats(gs.terms, r.timeout)})
 				continue
 			}
 			if err == nil {
-				err = p.s.installStats(terms, resp)
+				err = s.install(gs.terms, resp.Total, resp.DF, resp.MaxRatio)
 			}
 			if err != nil {
-				res.Errors[p.s.ID] = fmt.Errorf("term stats: %w", err)
+				res.Errors[s.ID] = fmt.Errorf("term stats: %w", err)
 				res.Partial = true
+				continue
 			}
+			// The reply is the view, whatever other asks do to the cache meanwhile.
+			copy(gs.counts(p.i)[1:], resp.DF)
+			copy(gs.ratios(p.i), resp.MaxRatio)
+			gs.counts(p.i)[0] = resp.Total
 		}
 		pending = retry
 	}
 }
 
-// globalQuery bundles the corpus-wide figures one ask scores under.
+// globalQuery bundles the figures one pass of an ask scores under: the
+// corpus-wide sums and, per shard, the addends they were made from.
 type globalQuery struct {
 	total uint64
 	terms []string
 	df    []uint64
 	idf   []float64
+	// The addends, shard after shard, in the arrays df and idf head: u holds a
+	// document count then a df per term for each, f a maximum ratio per term.
+	u []uint64
+	f []float64
 }
 
-// globalStats sums the per-shard statistics into the corpus-wide document
-// count and frequencies (shards that failed stats collection are excluded
-// — the ask is already marked partial).
-func (r *Router) globalStats(terms []string, errs map[string]error) globalQuery {
-	gq := globalQuery{terms: terms, df: make([]uint64, len(terms)), idf: make([]float64, len(terms))}
-	for _, s := range r.shards {
+func newGlobalQuery(terms []string, shards int) globalQuery {
+	n := len(terms)
+	u, f := make([]uint64, n+shards*(n+1)), make([]float64, n+shards*n)
+	return globalQuery{terms: terms, df: u[:n:n], idf: f[:n:n], u: u[n:], f: f[n:]}
+}
+
+// counts is shard i's document count followed by its df per term.
+func (gq *globalQuery) counts(i int) []uint64 {
+	return gq.u[i*(len(gq.terms)+1) : (i+1)*(len(gq.terms)+1)]
+}
+
+// ratios is shard i's maximum ratio per term.
+func (gq *globalQuery) ratios(i int) []float64 {
+	return gq.f[i*len(gq.terms) : (i+1)*len(gq.terms)]
+}
+
+// globalStats sums the shards' views into the corpus-wide document count
+// and frequencies (shards that failed stats collection are excluded — the
+// ask is already marked partial).
+func (r *Router) globalStats(gq *globalQuery, errs map[string]error) {
+	gq.total = 0
+	clear(gq.df)
+	for i, s := range r.shards {
 		if _, dead := errs[s.ID]; dead {
 			continue
 		}
-		s.mu.Lock()
-		gq.total += s.total
-		for i, t := range terms {
-			gq.df[i] += s.stats[t].df
-		}
-		s.mu.Unlock()
-	}
-	for i := range terms {
-		if gq.df[i] > 0 {
-			gq.idf[i] = docstore.IDF(gq.total, gq.df[i])
+		c := gq.counts(i)
+		gq.total += c[0]
+		for j := range gq.df {
+			gq.df[j] += c[1+j]
 		}
 	}
-	return gq
+	for j, df := range gq.df {
+		gq.idf[j] = 0
+		if df > 0 {
+			gq.idf[j] = docstore.IDF(gq.total, df)
+		}
+	}
 }
 
 // plan computes each live shard's score upper bound and returns the
 // shards that can contribute at all, best bound first. A shard where no
 // query term has a posting bounds to zero — provably hitless — and is
 // pruned without a round-trip.
-func (r *Router) plan(terms []string, qns []int, gs globalQuery, res *Result) []plannedShard {
-	var plan []plannedShard
-	for _, s := range r.shards {
+func (r *Router) plan(qns []int, gs *globalQuery, res *Result) []plannedShard {
+	plan := make([]plannedShard, 0, len(r.shards))
+	for i, s := range r.shards {
 		if _, dead := res.Errors[s.ID]; dead {
 			continue
 		}
-		ub := 0.0
-		s.mu.Lock()
-		for i, t := range terms {
-			st := s.stats[t]
-			if st.df == 0 {
+		ub, df, ratios := 0.0, gs.counts(i)[1:], gs.ratios(i)
+		for j := range gs.terms {
+			if df[j] == 0 {
 				continue
 			}
-			ub += docstore.QueryWeight(qns[i], gs.idf[i]) * gs.idf[i] * st.maxRatio
+			ub += docstore.QueryWeight(qns[j], gs.idf[j]) * gs.idf[j] * ratios[j]
 		}
-		s.mu.Unlock()
 		if ub <= 0 {
 			continue
 		}
-		plan = append(plan, plannedShard{rs: s, ub: ub})
+		plan = append(plan, plannedShard{rs: s, i: i, ub: ub})
 	}
 	// Best bound first: descending ub, shard ID tiebreak for determinism.
 	for i := 1; i < len(plan); i++ {
@@ -430,14 +493,18 @@ func (r *Router) plan(terms []string, qns []int, gs globalQuery, res *Result) []
 // counts and failures go straight into the ask's Result. One ask, one
 // goroutine: nothing here is shared.
 type mergeState struct {
-	k     int
-	lists [][]wire.ResultItem
-	top   []float64 // min-heap of the best ≤k scores
-	res   *Result
+	k      int
+	lists  [][]wire.ResultItem
+	top    []float64 // min-heap of the best ≤k scores
+	res    *Result
+	drifts map[string]int // corrections per shard ID, over all passes
 }
 
 func (ms *mergeState) addList(items []wire.ResultItem) {
 	ms.lists = append(ms.lists, items)
+	if ms.top == nil {
+		ms.top = make([]float64, 0, min(ms.k, 64)) // the usual k in one piece
+	}
 	for _, it := range items {
 		if len(ms.top) < ms.k {
 			ms.top = append(ms.top, it.Score)
@@ -475,7 +542,7 @@ func (ms *mergeState) rulesOut(ub float64) bool {
 // inflight is one shard's query on the wire: the primary call and the span
 // that covers the exchange from staging to the folded answer.
 type inflight struct {
-	rs   *routerShard
+	plannedShard
 	sp   *telemetry.Span
 	call transport.Call[wire.QueryResult]
 }
@@ -486,8 +553,9 @@ type inflight struct {
 // one — when the best-bounded shard dominates it is asked alone, so its
 // answers set θ before anything else is staged; on the topical asks the
 // workload skews toward, that one round trip often prunes every other
-// shard.
-func (r *Router) dispatch(plan []plannedShard, query string, gs globalQuery, ms *mergeState, tr *telemetry.Trace) {
+// shard. After a correction (reported) nothing more is staged, and what is
+// on the wire is drained for further ones.
+func (r *Router) dispatch(plan []plannedShard, query string, gs *globalQuery, ms *mergeState, tr *telemetry.Trace) (drifted bool) {
 	window := scatterWindow
 	if len(plan) >= 2 && plan[0].ub >= probeDominance*plan[1].ub {
 		window = 1
@@ -495,34 +563,43 @@ func (r *Router) dispatch(plan []plannedShard, query string, gs globalQuery, ms 
 	var ring [scatterWindow]inflight
 	head, n := 0, 0
 	for {
-		for ; n < window && len(plan) > 0; plan = plan[1:] {
+		for ; !drifted && n < window && len(plan) > 0; plan = plan[1:] {
 			if ms.rulesOut(plan[0].ub) {
 				ms.res.Pruned++
 				continue
 			}
-			s := plan[0].rs
-			sp := tr.Span("shard", s.ID)
-			ring[(head+n)%scatterWindow] = inflight{s, sp, r.startQuery(s.clients[0], query, gs, ms.k, sp)}
+			sp := tr.Span("shard", plan[0].rs.ID)
+			ring[(head+n)%scatterWindow] = inflight{plan[0], sp, r.startQuery(0, plan[0], query, gs, ms.k, sp)}
 			n++
 		}
 		if n == 0 {
-			return
+			return drifted
 		}
-		r.collect(&ring[head], query, gs, ms)
+		drifted = r.collect(&ring[head], query, gs, ms) || drifted
 		head, n = (head+1)%scatterWindow, n-1
 		window = scatterWindow
 	}
 }
 
-func (r *Router) startQuery(c *transport.Client, query string, gs globalQuery, k int, sp *telemetry.Span) transport.Call[wire.QueryResult] {
-	return c.StartQueryGlobal(query, k, r.timeout, sp.Context(), gs.total, gs.terms, gs.df)
+// startQuery stages p's query on one of its connections: the global sums,
+// and the addends p's shard contributed to them.
+func (r *Router) startQuery(client int, p plannedShard, query string, gs *globalQuery, k int, sp *telemetry.Span) transport.Call[wire.QueryResult] {
+	tc, c := sp.Context(), gs.counts(p.i)
+	return p.rs.clients[client].StartQuery(wire.Query{
+		Text: query, TopK: uint32(k),
+		TraceID: uint64(tc.TraceID), SpanID: uint64(tc.SpanID),
+		GlobalDocs: gs.total, StatsTerms: gs.terms, StatsDF: gs.df,
+		Assumed: true, AssumedDocs: c[0], AssumedDF: c[1:], AssumedMaxRatio: gs.ratios(p.i),
+	}, r.timeout)
 }
 
-// collect waits for one staged shard's answer and folds it into ms. A
+// collect waits for one staged shard's reply and folds it into ms. A
 // shard with a replica is hedged here: when the primary has not answered
 // hedgeDelay after staging, or failed fast, the replica is asked too and
-// the first good answer wins — the loser is dropped, nobody waits for it.
-func (r *Router) collect(f *inflight, query string, gs globalQuery, ms *mergeState) {
+// the first good reply wins — the loser is dropped, nobody waits for it.
+// A drift reply is installed and reported, fewer than maxDrift times per
+// shard and ask; the next costs the ask that shard.
+func (r *Router) collect(f *inflight, query string, gs *globalQuery, ms *mergeState) (drifted bool) {
 	s := f.rs
 	var res wire.QueryResult
 	var err error
@@ -532,32 +609,37 @@ func (r *Router) collect(f *inflight, query string, gs globalQuery, ms *mergeSta
 		res = v
 	} else {
 		ms.res.Hedges++
-		backup := r.startQuery(s.clients[1], query, gs, ms.k, f.sp)
+		backup := r.startQuery(1, f.plannedShard, query, gs, ms.k, f.sp)
 		if done {
 			res, err = backup.Wait()
 		} else {
 			res, err = transport.First(f.call, backup)
 		}
 	}
+	if err == nil && res.Drift {
+		r.tel.drift.Inc()
+		if ms.drifts == nil {
+			ms.drifts = map[string]int{}
+		}
+		ms.drifts[s.ID]++
+		switch err = s.install(gs.terms, res.Docs, res.DF, res.MaxRatio); {
+		case err != nil: // a malformed correction is the shard's error
+		case ms.drifts[s.ID] < maxDrift:
+			f.sp.Fail(ErrDrift)
+			return true
+		default:
+			err = fmt.Errorf("%w under each of %d queries, last at epoch %d", ErrDrift, maxDrift, res.Epoch)
+		}
+	}
 	if err != nil {
 		f.sp.Fail(err)
 		ms.res.Errors[s.ID] = err
 		ms.res.Partial = true
-		return
+		return false
 	}
 	f.sp.End()
 	ms.res.Fanout++
-	s.mu.Lock()
-	if res.Epoch != 0 && res.Epoch != s.epoch {
-		// The shard answered from a newer snapshot than the cached stats:
-		// flush so the next ask re-collects. This ask's figures are a
-		// consistent global view of the older epoch. No speculative
-		// background refresh: under sustained ingest every answer drifts
-		// and consecutive asks rarely share terms, so a drift-triggered
-		// refetch is a stats RPC per ask the next ask cannot usually use.
-		clear(s.stats)
-		r.tel.drift.Inc()
-	}
-	s.mu.Unlock()
+	ms.res.Epochs[s.ID] = res.Epoch
 	ms.addList(res.Items)
+	return false
 }

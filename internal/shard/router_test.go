@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -194,9 +196,10 @@ func TestScatterMatchesMonolithic(t *testing.T) {
 	}
 }
 
-// TestScatterStatsTrackWrites pins the epoch-drift path: after writes land
-// on a shard, the next ask must re-collect statistics and stay
-// bit-identical to a monolithic store receiving the same writes.
+// TestScatterStatsTrackWrites pins the drift path: after writes land on a
+// shard, the very next ask is corrected by that shard inside its one query
+// exchange — no statistics request — and is bit-identical to a monolithic
+// store receiving the same writes.
 func TestScatterStatsTrackWrites(t *testing.T) {
 	docs, g := testCorpus(t, 300)
 	mono := memShard(t)
@@ -204,12 +207,14 @@ func TestScatterStatsTrackWrites(t *testing.T) {
 		t.Fatalf("seed mono: %v", err)
 	}
 	tc := startCluster(t, 4, docs)
-	r := tc.router(t, Options{Telemetry: telemetry.NewRegistry()})
+	reg := telemetry.NewRegistry()
+	r := tc.router(t, Options{Telemetry: reg})
 	q := g.Topics[0].Vocab[0] + " " + g.Common[0]
 	assertIdentical(t, "pre-write", r.Ask(q, 10).Items, mono.SearchText(q, 10))
+	rpcs := reg.Counter("shard.scatter.stats.rpcs").Value()
 
-	// New documents for topic 0: they land on exactly one shard, bumping
-	// its epoch; the cached stats for that shard are now stale.
+	// New documents for topic 0: they land on exactly one shard; the figures
+	// held of that shard are now stale.
 	extra := make([]*docstore.Document, 0, 20)
 	for i := 0; i < 20; i++ {
 		extra = append(extra, &docstore.Document{
@@ -218,17 +223,118 @@ func TestScatterStatsTrackWrites(t *testing.T) {
 			Topics: []string{g.Topics[0].Name},
 		})
 	}
-	target := tc.stores[tc.m.Locate(Key(g.Topics[0].Name)).ID]
+	targetID := tc.m.Locate(Key(g.Topics[0].Name)).ID
+	target := tc.stores[targetID]
 	if err := target.PutBatch(extra); err != nil {
 		t.Fatalf("put extra: %v", err)
 	}
 	if err := mono.PutBatch(extra); err != nil {
 		t.Fatalf("put extra mono: %v", err)
 	}
-	// First post-write ask answers under the cached (stale) statistics but
-	// observes the epoch drift; the one after must be exact again.
-	r.Ask(q, 10)
-	assertIdentical(t, "post-write", r.Ask(q, 10).Items, mono.SearchText(q, 10))
+	res := r.Ask(q, 10)
+	assertIdentical(t, "post-write", res.Items, mono.SearchText(q, 10))
+	if res.Partial || res.Epochs[targetID] != target.Epoch() || res.Fanout != len(res.Epochs) {
+		t.Fatalf("partial=%v fanout=%d epochs=%v, want %s answering at epoch %d", res.Partial, res.Fanout, res.Epochs, targetID, target.Epoch())
+	}
+	drift, restarts := reg.Counter("shard.scatter.epoch.drift").Value(), reg.Counter("shard.scatter.restarts").Value()
+	if drift != 1 || restarts != 1 || reg.Counter("shard.scatter.stats.rpcs").Value() != rpcs {
+		t.Fatalf("%d drift replies, %d restarts, %d statistics requests since the write; want 1, 1, 0",
+			drift, restarts, reg.Counter("shard.scatter.stats.rpcs").Value()-rpcs)
+	}
+	// A write that moves no figure — the same document again — is a new epoch
+	// and nothing else: the ask is confirmed where it was asked.
+	if err := target.Put(extra[0]); err != nil {
+		t.Fatal(err)
+	}
+	res = r.Ask(q, 10)
+	assertIdentical(t, "new epoch, same figures", res.Items, mono.SearchText(q, 10))
+	if res.Epochs[targetID] != target.Epoch() {
+		t.Fatalf("answered at epoch %d, store at %d", res.Epochs[targetID], target.Epoch())
+	}
+	if reg.Counter("shard.scatter.epoch.drift").Value() != drift || reg.Counter("shard.scatter.stats.rpcs").Value() != rpcs {
+		t.Fatal("an epoch that changed no figure cost a drift reply or a statistics request")
+	}
+}
+
+// TestScatterExactUnderConcurrentWrites: one writer keeps adding documents to
+// the shard the queries are dominated by — always asked, first — while asks
+// run; the other shards are quiescent. Every answer names the epoch that
+// shard confirmed the ask's figures on and searched, and must equal, bit for
+// bit, the exhaustive ranking of a single store holding the cluster's
+// documents as of that epoch: the statistics and the search of one ask can
+// no longer straddle a write.
+func TestScatterExactUnderConcurrentWrites(t *testing.T) {
+	docs, g := testCorpus(t, 300)
+	tc := startCluster(t, 4, docs)
+	r := tc.router(t, Options{Telemetry: telemetry.NewRegistry()})
+	vocab := g.Topics[0].Vocab
+	targetID := tc.m.Locate(Key(g.Topics[0].Name)).ID
+	target := tc.stores[targetID]
+	queries := []string{vocab[0] + " " + vocab[1], vocab[0] + " " + g.Common[0], vocab[2] + " " + vocab[0] + " " + g.Common[1]}
+
+	const batches, perBatch = 40, 3
+	extra := make([]*docstore.Document, 0, batches*perBatch)
+	for i := 0; i < cap(extra); i++ {
+		extra = append(extra, &docstore.Document{
+			ID:     fmt.Sprintf("extra%03d", i),
+			Text:   strings.Repeat(vocab[i%3]+" ", 1+i%4) + vocab[(i+1)%3] + " " + g.Common[i%2],
+			Topics: []string{g.Topics[0].Name},
+		})
+	}
+	written := map[uint64]int{target.Epoch(): 0} // the shard's epoch -> how many of extra it holds
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for n := perBatch; n <= len(extra); n += perBatch {
+			if err := target.PutBatch(extra[n-perBatch : n]); err != nil {
+				t.Errorf("put: %v", err)
+				return
+			}
+			written[target.Epoch()] = n // the only writer: one batch, one epoch
+			time.Sleep(200 * time.Microsecond)
+		}
+	}()
+	type answer struct {
+		q   string
+		res Result
+	}
+	var answers []answer
+	for writing := true; writing; {
+		select {
+		case <-done:
+			writing = false // and one more round, at the final epoch
+		default:
+		}
+		for _, q := range queries {
+			answers = append(answers, answer{q, r.Ask(q, 10)})
+		}
+	}
+
+	monos := map[int]*docstore.Store{}
+	exact, epochs := 0, map[uint64]bool{}
+	for _, a := range answers {
+		if errors.Is(a.res.Errors[targetID], ErrDrift) && len(a.res.Errors) == 1 {
+			continue // outrun maxDrift times in one ask: reported, not wrong
+		}
+		epoch, asked := a.res.Epochs[targetID]
+		n, known := written[epoch]
+		if a.res.Partial || !asked || !known {
+			t.Fatalf("q=%q: partial=%v errors=%v epochs=%v, want %s at an epoch the writer published", a.q, a.res.Partial, a.res.Errors, a.res.Epochs, targetID)
+		}
+		if monos[n] == nil {
+			monos[n] = memShard(t)
+			if err := monos[n].PutBatch(append(docs[:len(docs):len(docs)], extra[:n]...)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		assertIdentical(t, fmt.Sprintf("q=%q at epoch %d (%d written)", a.q, epoch, n), a.res.Items, monos[n].SearchTextExhaustive(a.q, 10))
+		exact++
+		epochs[epoch] = true
+	}
+	if exact < len(answers)/2 || len(epochs) < 3 {
+		t.Fatalf("%d of %d asks answered, at %d distinct epochs: the writer and the asks did not overlap", exact, len(answers), len(epochs))
+	}
+	t.Logf("%d asks, %d exact at %d distinct epochs of %d published", len(answers), exact, len(epochs), len(written))
 }
 
 // TestScatterPartialOnShardDeath kills one shard between asks: the router

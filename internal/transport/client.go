@@ -266,7 +266,7 @@ func (c *Client) QueryTraced(text string, concept feature.Vector, topK int, time
 // flight, so a caller asking several nodes pays the slowest round trip
 // instead of their sum.
 func (c *Client) StartQueryTraced(text string, concept feature.Vector, topK int, timeout time.Duration, tc telemetry.TraceContext) Call[wire.QueryResult] {
-	return c.startQuery(wire.Query{
+	return c.StartQuery(wire.Query{
 		Text: text, Concept: concept, TopK: uint32(topK),
 		TraceID: uint64(tc.TraceID), SpanID: uint64(tc.SpanID),
 	}, timeout)
@@ -278,21 +278,19 @@ func (c *Client) StartQueryTraced(text string, concept feature.Vector, topK int,
 // bit-identically to a single node holding the whole corpus. statsTerms and
 // statsDF are parallel; globalDocs must be > 0.
 func (c *Client) QueryGlobal(text string, topK int, timeout time.Duration, tc telemetry.TraceContext, globalDocs uint64, statsTerms []string, statsDF []uint64) (wire.QueryResult, error) {
-	return c.StartQueryGlobal(text, topK, timeout, tc, globalDocs, statsTerms, statsDF).Wait()
-}
-
-// StartQueryGlobal stages QueryGlobal's request and returns the call in
-// flight: a scatter router keeps several shards' queries on the wire and
-// waits for them on the goroutine that asked.
-func (c *Client) StartQueryGlobal(text string, topK int, timeout time.Duration, tc telemetry.TraceContext, globalDocs uint64, statsTerms []string, statsDF []uint64) Call[wire.QueryResult] {
-	return c.startQuery(wire.Query{
+	return c.StartQuery(wire.Query{
 		Text: text, TopK: uint32(topK),
 		TraceID: uint64(tc.TraceID), SpanID: uint64(tc.SpanID),
 		GlobalDocs: globalDocs, StatsTerms: statsTerms, StatsDF: statsDF,
-	}, timeout)
+	}, timeout).Wait()
 }
 
-func (c *Client) startQuery(q wire.Query, timeout time.Duration) Call[wire.QueryResult] {
+// StartQuery stages q under a fresh request id and returns the call in
+// flight. A scatter router fills in the statistics and what it assumed of
+// the shard itself, keeps several shards' queries on the wire and waits for
+// them on the goroutine that asked. q is encoded before StartQuery returns,
+// so its slices may be scratch the caller reuses.
+func (c *Client) StartQuery(q wire.Query, timeout time.Duration) Call[wire.QueryResult] {
 	k := begin(c, c.queries, 'q', timeout)
 	k.answered, k.rtt = c.tel.queries, c.tel.queryRTT
 	q.ID = k.id
@@ -302,8 +300,8 @@ func (c *Client) startQuery(q wire.Query, timeout time.Duration) Call[wire.Query
 
 // TermStats asks the server for its live document count, snapshot epoch,
 // and per-term document frequency / score-bound statistics (parallel to
-// terms). Scatter routers call this once per unseen (term set, epoch) and
-// cache the answer.
+// terms). Scatter routers call this for terms they hold no figures of and
+// cache the answer; what they hold is confirmed or corrected by each query.
 func (c *Client) TermStats(terms []string, timeout time.Duration) (wire.TermStatsResp, error) {
 	return c.StartTermStats(terms, timeout).Wait()
 }

@@ -89,7 +89,7 @@ func (s *Server) tel() serverTel {
 	return serverTel{}
 }
 
-// Served returns how many queries the server has answered.
+// Served returns how many queries the server has answered; a drift reply answers none.
 func (s *Server) Served() uint64 { return s.served.Load() }
 
 // Delivered returns how many feed items have been pushed to subscribers.
@@ -103,6 +103,8 @@ type connState struct {
 	// the reply before it returns, so the backing array is free again by
 	// the next query.
 	items []wire.ResultItem
+	// query is serveQuery's decode target, kept for its assumed-figure arrays.
+	query wire.Query
 }
 
 type subscription struct {
@@ -262,16 +264,8 @@ func (s *Server) handle(cs *connState) {
 				s.warnf("transport: bad term stats req: %v", err)
 				continue
 			}
-			total, epoch, stats := s.Store.TermStats(req.Terms)
-			resp := wire.TermStatsResp{
-				ID: req.ID, Total: total, Epoch: epoch,
-				DF:       make([]uint64, len(stats)),
-				MaxRatio: make([]float64, len(stats)),
-			}
-			for i, st := range stats {
-				resp.DF[i] = st.DF
-				resp.MaxRatio[i] = st.MaxRatio
-			}
+			resp := wire.TermStatsResp{ID: req.ID}
+			resp.Total, resp.Epoch, resp.DF, resp.MaxRatio = s.figures(req.Terms)
 			if err := cs.out.stage(wire.KindTermStatsResult, &resp); err != nil {
 				s.warnf("transport: send term stats: %v", err)
 			}
@@ -297,13 +291,13 @@ func (s *Server) handle(cs *connState) {
 func (s *Server) serveQuery(cs *connState, payload []byte) {
 	// Shared-string decode: payload is the FrameReader's pooled buffer,
 	// valid only for this call; the shared backing is an owned copy.
-	wq, err := wire.UnmarshalQueryShared(payload)
-	if err != nil {
+	wq := &cs.query
+	if err := wire.DecodeQueryShared(payload, wq); err != nil {
 		s.warnf("transport: bad query: %v", err)
 		return
 	}
 	tel := s.tel()
-	if err := checkQuery(&wq); err != nil {
+	if err := checkQuery(wq); err != nil {
 		// Refused before it reaches the store; the connection stays usable.
 		tel.readErrors.Inc()
 		s.warnf("transport: bad query: %v", err)
@@ -328,17 +322,27 @@ func (s *Server) serveQuery(cs *connState, payload []byte) {
 		if topK <= 0 {
 			topK = 10
 		}
-		gs := &docstore.GlobalStats{TotalDocs: wq.GlobalDocs, Terms: wq.StatsTerms, DF: wq.StatsDF}
+		gs := docstore.GlobalStats{TotalDocs: wq.GlobalDocs, Terms: wq.StatsTerms, DF: wq.StatsDF}
+		if wq.Assumed {
+			gs.Assumed = &docstore.Assumed{Docs: wq.AssumedDocs, DF: wq.AssumedDF, MaxRatio: wq.AssumedMaxRatio}
+		}
 		sp := tr.Span("search-global", wq.ID)
-		// The epoch is the searched snapshot's own: the router compares it
-		// with the epoch its statistics came from.
-		hits, epoch := s.Store.SearchTextGlobalAt(wq.Text, topK, gs)
-		sp.End()
+		// The epoch is the searched snapshot's own, the state the answer names.
+		hits, epoch, ok := s.Store.SearchTextAssuming(wq.Text, topK, &gs)
 		resp.Epoch = epoch
 		for _, h := range hits {
 			resp.Items = append(resp.Items, wire.ResultItem{
 				DocID: h.Doc.ID, Source: s.NodeID, Score: h.Score, Snippet: h.Doc.Snippet(80),
 			})
+		}
+		if ok {
+			sp.End()
+		} else {
+			// The store is not the one the router summed: say what it is now
+			// (figures and epoch of one snapshot) and answer nothing.
+			sp.Fail(errDrift)
+			resp.Drift = true
+			resp.Docs, resp.Epoch, resp.DF, resp.MaxRatio = s.figures(wq.StatsTerms)
 		}
 	} else {
 		var q *query.Query
@@ -367,14 +371,16 @@ func (s *Server) serveQuery(cs *connState, payload []byte) {
 		}
 	}
 	resp.Elapsed = time.Since(start).Seconds()
-	s.served.Add(1)
-	tel.queries.Inc()
+	if !resp.Drift {
+		s.served.Add(1)
+		tel.queries.Inc()
+	}
 	tel.queryLat.ObserveExemplar(time.Since(start), tr.ID())
 	// Finish before staging: an idle link writes the reply inline, and a
 	// trace must be retrievable by ID once its reply is observable (the
 	// exemplar → /debug/trace?id= link depends on it).
 	tr.Finish()
-	err = cs.out.stage(wire.KindQueryResult, &resp)
+	err := cs.out.stage(wire.KindQueryResult, &resp)
 	cs.items = resp.Items[:0]
 	if err != nil {
 		s.warnf("transport: send result: %v", err)
@@ -386,11 +392,29 @@ func (s *Server) serveQuery(cs *connState, payload []byte) {
 	}
 }
 
+// errDrift tags the search span of a query refused for drift.
+var errDrift = errors.New("drift")
+
+// figures is the store's TermStats as the wire carries them: figures and
+// epoch of one snapshot, the per-term ones in parallel arrays.
+func (s *Server) figures(terms []string) (docs, epoch uint64, df []uint64, maxRatio []float64) {
+	docs, epoch, stats := s.Store.TermStats(terms)
+	df, maxRatio = make([]uint64, len(stats)), make([]float64, len(stats))
+	for i, st := range stats {
+		df[i], maxRatio[i] = st.DF, st.MaxRatio
+	}
+	return docs, epoch, df, maxRatio
+}
+
 // checkQuery refuses a decoded query whose parallel statistics arrays
-// disagree in length: each frequency belongs to the term at its index.
+// disagree in length: each frequency — global, and assumed of this shard —
+// and each assumed ratio belongs to the term at its index.
 func checkQuery(wq *wire.Query) error {
 	if len(wq.StatsDF) != len(wq.StatsTerms) {
 		return fmt.Errorf("query %q carries %d stats terms but %d frequencies", wq.ID, len(wq.StatsTerms), len(wq.StatsDF))
+	}
+	if wq.Assumed && (len(wq.AssumedDF) != len(wq.StatsTerms) || len(wq.AssumedMaxRatio) != len(wq.StatsTerms)) {
+		return fmt.Errorf("query %q carries %d stats terms but %d/%d assumed figures", wq.ID, len(wq.StatsTerms), len(wq.AssumedDF), len(wq.AssumedMaxRatio))
 	}
 	return nil
 }

@@ -298,6 +298,37 @@ func (r *Reader) U64s() []uint64 {
 	return out
 }
 
+// U64sInto is U64s into dst's backing array (grown when too small), for a
+// caller that decodes message after message into slices it keeps. The count
+// is held against the bytes that remain before anything grows.
+func (r *Reader) U64sInto(dst []uint64) []uint64 {
+	dst = dst[:0]
+	for n := r.count(8); n > 0 && r.err == nil; n-- {
+		dst = append(dst, r.U64())
+	}
+	return dst
+}
+
+// F64sInto is F64s into dst's backing array; see U64sInto.
+func (r *Reader) F64sInto(dst []float64) []float64 {
+	dst = dst[:0]
+	for n := r.count(8); n > 0 && r.err == nil; n-- {
+		dst = append(dst, r.F64())
+	}
+	return dst
+}
+
+// count reads a slice's element count and fails the read when that many
+// elements of width bytes each cannot remain.
+func (r *Reader) count(width int) uint64 {
+	n := r.Uvarint()
+	if n > uint64(r.Remaining()/width) {
+		r.fail(ErrShortBuffer)
+		return 0
+	}
+	return n
+}
+
 // Strings reads a count-prefixed string slice.
 func (r *Reader) Strings() []string {
 	n := r.Uvarint()

@@ -84,6 +84,10 @@ func FuzzWireDecoders(f *testing.F) {
 	f.Add(uint8(KindHello), hello.AppendTo(nil))
 	sub := Subscribe{SubID: "s1", From: "iris", Terms: []string{"auction"}, Concept: []float64{0.5, -2}, Threshold: 0.4}
 	f.Add(uint8(KindSubscribe), sub.AppendTo(nil))
+	assumed, drift := assumedQuery(), driftResult()
+	f.Add(uint8(KindQuery), assumed.AppendTo(nil))
+	f.Add(uint8(KindQueryResult), drift.AppendTo(nil))
+	f.Add(uint8(KindQuery), append((&Query{ID: "q", GlobalDocs: 1}).AppendTo(nil), 0xAA, 0xBB, 0xCC)) // a tail too short to be the figures
 	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
 		checkDecoders(t, Kind(kind), payload)
 	})

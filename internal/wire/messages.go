@@ -130,6 +130,18 @@ type Query struct {
 	GlobalDocs uint64
 	StatsTerms []string
 	StatsDF    []uint64
+
+	// Assumed-figures tail (optional, after the statistics tail; sent iff
+	// Assumed). The global figures above are sums the router made from what
+	// each shard last reported. These are the addends it used for the shard
+	// being asked: its document count and, parallel to StatsTerms, each
+	// term's local document frequency and maximum term-weight ratio. The
+	// shard answers only if they still describe the snapshot it searches
+	// (see QueryResult.Drift).
+	Assumed         bool
+	AssumedDocs     uint64
+	AssumedDF       []uint64
+	AssumedMaxRatio []float64
 }
 
 // Trace-context fields ride as *trailing* fixed-width fields rather than a
@@ -137,7 +149,10 @@ type Query struct {
 // the tail and ignores it, while a new decoder reads them only when enough
 // bytes remain. Old frames therefore stay decodable (context reads as
 // zero, i.e. untraced) and old peers tolerate new frames. Any future
-// optional field must be appended after these, same trick.
+// optional field must be appended after these, same trick. A tail of
+// variable width (the assumed figures of Query, the drift figures of
+// QueryResult) is all-or-nothing: bytes too few or too malformed to be the
+// field are a tail this decoder does not know, and are ignored like one.
 
 // AppendTo appends the encoded message to dst; see Hello.AppendTo.
 func (m *Query) AppendTo(dst []byte) []byte {
@@ -154,19 +169,62 @@ func (m *Query) AppendTo(dst []byte) []byte {
 	w.U64(m.GlobalDocs)
 	w.Strings(m.StatsTerms)
 	w.U64s(m.StatsDF)
+	if m.Assumed {
+		appendFigures(&w, m.AssumedDocs, m.AssumedDF, m.AssumedMaxRatio)
+	}
 	return w.buf
 }
 
+// appendFigures writes one shard's local figures, the optional tail Query
+// and QueryResult share: document count, then the parallel per-term document
+// frequencies and maximum ratios.
+func appendFigures(w *Writer, docs uint64, df []uint64, maxRatio []float64) {
+	w.U64(docs)
+	w.U64s(df)
+	w.F64s(maxRatio)
+}
+
+// figures reads the tail appendFigures wrote, the slices into the backing
+// arrays of df and maxRatio. ok is false, with nothing consumed and no error
+// raised, when what remains cannot be that tail.
+func (r *Reader) figures(df []uint64, maxRatio []float64) (docs uint64, _ []uint64, _ []float64, ok bool) {
+	if r.err != nil || r.Remaining() < 10 { // count + two empty slices
+		return 0, df[:0], maxRatio[:0], false
+	}
+	off := r.off
+	docs, df, maxRatio = r.U64(), r.U64sInto(df), r.F64sInto(maxRatio)
+	if r.err != nil {
+		r.off, r.err = off, nil
+		return 0, df[:0], maxRatio[:0], false
+	}
+	return docs, df, maxRatio, true
+}
+
 // UnmarshalQuery decodes a Query.
-func UnmarshalQuery(b []byte) (Query, error) { return decodeQuery(NewReader(b)) }
+func UnmarshalQuery(b []byte) (Query, error) {
+	var m Query
+	err := decodeQuery(NewReader(b), &m)
+	return m, err
+}
 
 // UnmarshalQueryShared decodes a Query with all string fields sharing one
 // backing allocation (NewSharedReader): the streaming server path decodes
 // pooled FrameReader payloads through this.
-func UnmarshalQueryShared(b []byte) (Query, error) { return decodeQuery(NewSharedReader(b)) }
+func UnmarshalQueryShared(b []byte) (Query, error) {
+	var m Query
+	err := DecodeQueryShared(b, &m)
+	return m, err
+}
 
-func decodeQuery(r *Reader) (Query, error) {
-	m := Query{
+// DecodeQueryShared is UnmarshalQueryShared over a Query the caller keeps
+// between frames: every field is overwritten, and the assumed figures land
+// in the backing arrays m already owns, so a connection that decodes its
+// queries one at a time pays for them once.
+func DecodeQueryShared(b []byte, m *Query) error { return decodeQuery(NewSharedReader(b), m) }
+
+func decodeQuery(r *Reader, m *Query) error {
+	df, maxRatio := m.AssumedDF, m.AssumedMaxRatio
+	*m = Query{
 		ID:      r.String(),
 		From:    r.String(),
 		Text:    r.String(),
@@ -184,7 +242,8 @@ func decodeQuery(r *Reader) (Query, error) {
 		m.StatsTerms = r.Strings()
 		m.StatsDF = r.U64s()
 	}
-	return m, r.Err()
+	m.AssumedDocs, m.AssumedDF, m.AssumedMaxRatio, m.Assumed = r.figures(df, maxRatio)
+	return r.Err()
 }
 
 // ResultItem is one scored answer.
@@ -206,6 +265,16 @@ type QueryResult struct {
 	Elapsed float64 // seconds, provider-side
 	TraceID uint64
 	Epoch   uint64 // provider snapshot epoch answered from (0 = unreported)
+
+	// Drift tail (optional, after Epoch; sent iff Drift). A shard whose
+	// snapshot contradicts the query's assumed figures answers nothing: no
+	// Items, and instead what the figures are now, at Epoch — its document
+	// count and, parallel to the query's StatsTerms, each term's local
+	// document frequency and maximum ratio.
+	Drift    bool
+	Docs     uint64
+	DF       []uint64
+	MaxRatio []float64
 }
 
 // AppendTo appends the encoded message to dst; see Hello.AppendTo.
@@ -224,6 +293,9 @@ func (m *QueryResult) AppendTo(dst []byte) []byte {
 	w.F64(m.Elapsed)
 	w.U64(m.TraceID)
 	w.U64(m.Epoch)
+	if m.Drift {
+		appendFigures(&w, m.Docs, m.DF, m.MaxRatio)
+	}
 	return w.buf
 }
 
@@ -263,6 +335,7 @@ func decodeQueryResult(r *Reader) (QueryResult, error) {
 	}
 	if r.Err() == nil && r.Remaining() >= 8 {
 		m.Epoch = r.U64()
+		m.Docs, m.DF, m.MaxRatio, m.Drift = r.figures(nil, nil)
 	}
 	return m, r.Err()
 }
