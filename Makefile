@@ -24,14 +24,18 @@ race:
 # clients) where the race detector earns its keep on every edit, plus -count
 # stresses of the two bookkeeping-before-reply ordering pins — the trace is
 # retrievable, and the coalescer's flush is counted (E27 reads it), once the
-# reply is observable — and of the scatter asks held to the brute-force
-# ranking at the epoch they name while a writer runs. All three are
-# scheduling races, so one pass proves little.
+# reply is observable — of the scatter asks held to the brute-force ranking
+# at the epoch they name while a writer runs, and of the reader that keeps
+# asking a held snapshot while freezes fold tombstones into its segments'
+# successors and tier merges replace them. All four are scheduling races —
+# where in a merge the reader's walk falls is up to the scheduler — so one
+# pass proves little.
 race-core:
 	$(GO) test -race ./internal/telemetry ./internal/transport ./internal/shard ./internal/docstore ./internal/core
 	$(GO) test -race -count=20 -run TestTraceRetrievableOnceReplyObserved ./internal/transport
 	$(GO) test -race -count=20 -run TestE27Shapes ./internal/bench
 	$(GO) test -race -count=5 -run TestScatterExactUnderConcurrentWrites ./internal/shard
+	$(GO) test -race -count=5 -run TestHeldSnapshotSurvivesLaterWindows ./internal/docstore
 
 vet:
 	$(GO) vet ./...

@@ -227,7 +227,7 @@ func TestWindowEdges(t *testing.T) {
 	if err := s.PutBatch(bulk); err != nil {
 		t.Fatal(err)
 	}
-	base := s.snap.Load().base
+	base := s.snap.Load().segs[0]
 	for i, e := range edges {
 		if got := base.cx.ords[id(e)]; int(got) != e {
 			t.Fatalf("edge %d sits on ordinal %d, not %d", i, got, e)
@@ -252,7 +252,7 @@ func TestWindowEdges(t *testing.T) {
 	}
 	live[repl.ID] = repl
 	sn := s.snap.Load()
-	if sn.base != base || len(sn.ov.masked) != 4 || len(sn.ov.byID) != 1 {
+	if len(sn.segs) != 1 || sn.segs[0] != base || len(sn.ov.masked[0]) != 4 || len(sn.ov.byID) != 1 {
 		t.Fatalf("masked %v, overlay %d: the edge writes were to stay in one overlay", sn.ov.masked, len(sn.ov.byID))
 	}
 	requireTextMatches(t, "edges tombstoned", s, live, queries, ks)

@@ -841,14 +841,23 @@ func TestCommitQueueAndCompactGauges(t *testing.T) {
 	}
 
 	// The two windows each published an overlay and neither froze: one
-	// observation apiece in the publish histogram, none in the freeze one.
+	// observation apiece in the publish histogram, none in the freeze and
+	// merge ones, no document rewritten, no segment yet.
 	var sb strings.Builder
 	reg.RenderPrometheus(&sb)
 	fams, err := telemetry.ParsePrometheus(sb.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, want := range map[string]float64{"agora_docstore_publish_latency_seconds": 2, "agora_docstore_freeze_latency_seconds": 0} {
+	if gauge("agora_docstore_segments") != 0 {
+		t.Fatalf("segments = %v before any freeze", gauge("agora_docstore_segments"))
+	}
+	if f := fams["agora_docstore_merge_docs_total"]; f == nil || f.Type != "counter" || len(f.Samples) != 1 || f.Samples[0].Value != 0 {
+		t.Fatalf("agora_docstore_merge_docs_total: %+v", f)
+	}
+	for name, want := range map[string]float64{
+		"agora_docstore_publish_latency_seconds": 2, "agora_docstore_freeze_latency_seconds": 0, "agora_docstore_merge_latency_seconds": 0,
+	} {
 		f := fams[name]
 		if f == nil || f.Type != "histogram" {
 			t.Fatalf("%s: %+v", name, f)

@@ -1,6 +1,7 @@
 package docstore
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"slices"
@@ -8,11 +9,12 @@ import (
 	"sync"
 )
 
-// compiledIndex is the text index, and the frozen base's document table: the
-// only representation of postings besides the overlay's delta. It is built
-// in order by addDoc/appendTerm — at a freeze or compaction as the merge of
-// the previous index with the overlay (mergeIndex), at Open from the
-// snapshot file's bytes — and is immutable afterwards: live documents get
+// compiledIndex is a segment's text index and document table: the only
+// representation of postings besides the overlay's delta. It is built in
+// order by addDoc/appendTerm — at a freeze from the overlay alone, at a tier
+// merge, a compaction or Open as the merge of several indexes (mergeIndex, all
+// of them), at Open from the snapshot file's bytes — and is immutable
+// afterwards: its documents get
 // dense ordinals in ascending-ID order, every term's postings become
 // delta+varint-compressed blocks (codec.go), and each block carries the
 // maximum (1+ln tf)/norm ratio of its postings so the block-max search can
@@ -42,6 +44,7 @@ type compiledIndex struct {
 
 // termPostings locates one term's blocks inside the shared directory.
 type termPostings struct {
+	id       uint32 // position in termList
 	df       int32
 	blockOff int32
 	nBlocks  int32
@@ -62,11 +65,11 @@ type blockMeta struct {
 
 // newCompiledIndex returns an empty index with room for exactly nDocs
 // documents carrying nPost postings between them — one allocation per column
-// of the document table, one arena for every forward list — and for about the
-// terms and blocks like holds. Its builders fill it in order — addDoc in
-// ascending document ID, then appendTerm in ascending term — and nothing
-// re-sorts afterwards.
-func newCompiledIndex(nDocs, nPost int, like *compiledIndex) *compiledIndex {
+// of the document table, one arena for every forward list — and for about
+// nTerms terms in nBlocks blocks of nData bytes. Its builders fill it in order
+// — addDoc in ascending document ID, then appendTerm in ascending term — and
+// nothing re-sorts afterwards.
+func newCompiledIndex(nDocs, nPost, nTerms, nBlocks, nData int) *compiledIndex {
 	return &compiledIndex{
 		ids:     make([]string, 0, nDocs),
 		docs:    make([]*Document, 0, nDocs),
@@ -74,9 +77,9 @@ func newCompiledIndex(nDocs, nPost int, like *compiledIndex) *compiledIndex {
 		norms:   make([]float64, 0, nDocs),
 		cnorms:  make([]float64, 0, nDocs),
 		ords:    make(map[string]uint32, nDocs),
-		terms:   make(map[string]termPostings, len(like.termList)),
-		blocks:  make([]blockMeta, 0, len(like.blocks)),
-		data:    make([]byte, 0, len(like.data)),
+		terms:   make(map[string]termPostings, nTerms),
+		blocks:  make([]blockMeta, 0, nBlocks),
+		data:    make([]byte, 0, nData),
 		fwd:     make([][]uint32, 0, nDocs),
 		fwdFree: make([]uint32, nPost),
 	}
@@ -126,13 +129,13 @@ var tfWeights = func() (t [64]float64) {
 // appendTerm encodes one term's postings — strictly ascending ordinals of
 // documents already added, tf >= 1, term after every term already appended —
 // into blocks, block-max bounds, the directory and the forward index. It is
-// the only encoder of postings into a compiledIndex: mergeIndex (freeze,
-// compactor, Open) and the snapshot loader all end here.
+// the only encoder of postings into a compiledIndex: mergeIndex (freeze, tier
+// merge, compactor, Open) and the snapshot loader all end here.
 func (cx *compiledIndex) appendTerm(term string, entries []postEntry) {
 	ti := uint32(len(cx.termList))
 	cx.termList = append(cx.termList, term)
 	cx.nPost += len(entries)
-	tm := termPostings{df: int32(len(entries)), blockOff: int32(len(cx.blocks))}
+	tm := termPostings{id: ti, df: int32(len(entries)), blockOff: int32(len(cx.blocks))}
 	for start := 0; start < len(entries); start += blockSize {
 		blk := entries[start:min(start+blockSize, len(entries))]
 		bm := blockMeta{
@@ -157,108 +160,163 @@ func (cx *compiledIndex) appendTerm(term string, entries []postEntry) {
 	cx.terms[term] = tm
 }
 
-// mergeIndex builds the next compiled index from the last one and the delta
-// written since: base documents the overlay masks drop out, the overlay's
-// documents join, everything else is carried over renumbered. Every index
-// after the empty one is made this way — by the freeze (delta = overlay plus
-// the overflowing window), the compactor (the pinned snapshot's overlay) and
-// Open (the replayed WAL tail) — so an index is a function of immutable
-// published state, never a second mutable truth beside it. Only ov's masked
-// and byID are read, which is all stageDoc maintains. What is still O(base):
-// every surviving posting is decoded, renumbered and re-encoded.
-func mergeIndex(base *compiledIndex, ov *overlay) *compiledIndex {
-	if len(ov.masked) == 0 && len(ov.byID) == 0 {
-		return base // immutable, so an unchanged index is shared
-	}
-	nPost := base.nPost
-	add := make([]string, 0, len(ov.byID))
-	for id, e := range ov.byID {
-		add = append(add, id)
-		nPost += len(e.terms)
-	}
-	slices.Sort(add)
-
-	// remap takes a base ordinal to its merged one (monotone over the live
-	// ordinals, so renumbered postings stay ascending) or to ordSentinel.
-	remap := make([]uint32, len(base.ids))
-	for _, ord := range ov.masked {
-		remap[ord] = ordSentinel
-		nPost -= len(base.fwd[ord])
-	}
-	cx := newCompiledIndex(len(base.ids)-len(ov.masked)+len(add), nPost, base)
-
-	// One pass over both ascending ID lists numbers the merged documents and
-	// transposes the delta's per-document term lists into per-term postings,
-	// ascending because the documents are visited in ordinal order.
-	type deltaTerm struct {
+// compileDocs builds the index of docs alone: their per-document term lists
+// transposed into per-term postings — counted first, so that every list is
+// carved from one array, and filed in ordinal order, so that they ascend.
+func compileDocs(docs map[string]ovDoc) *compiledIndex {
+	type termPosts struct {
 		term string
+		n    int
 		post []postEntry
 	}
-	var delta []deltaTerm
+	var terms []termPosts
 	slot := make(map[string]int)
-	j := 0
-	for i := 0; i <= len(base.ids); i++ {
-		for ; j < len(add) && (i == len(base.ids) || add[j] <= base.ids[i]); j++ {
-			e := ov.byID[add[j]]
-			ord := cx.addDoc(e.doc, uint32(e.docLen), len(e.terms), e.doc.Concept.Norm())
-			for _, tt := range e.terms {
-				s, ok := slot[tt.term]
-				if !ok {
-					s = len(delta)
-					slot[tt.term] = s
-					delta = append(delta, deltaTerm{term: tt.term})
-				}
-				delta[s].post = append(delta[s].post, postEntry{ord: ord, tf: uint32(tt.tf)})
+	ids, nPost := make([]string, 0, len(docs)), 0
+	for id, e := range docs {
+		ids, nPost = append(ids, id), nPost+len(e.terms)
+		for _, tt := range e.terms {
+			s, ok := slot[tt.term]
+			if !ok {
+				s, slot[tt.term] = len(terms), len(terms)
+				terms = append(terms, termPosts{term: tt.term})
 			}
-		}
-		if i < len(base.ids) && remap[i] != ordSentinel {
-			remap[i] = cx.addDoc(base.docs[i], base.docLens[i], len(base.fwd[i]), base.cnorms[i])
+			terms[s].n++
 		}
 	}
-	slices.SortFunc(delta, func(a, b deltaTerm) int { return strings.Compare(a.term, b.term) })
+	slices.Sort(ids)
+	arena := make([]postEntry, nPost)
+	for i := range terms {
+		terms[i].post, arena = arena[:0:terms[i].n], arena[terms[i].n:]
+	}
+	cx := newCompiledIndex(len(ids), nPost, len(terms), len(terms), 2*nPost)
+	for _, id := range ids {
+		e := docs[id]
+		ord := cx.addDoc(e.doc, uint32(e.docLen), len(e.terms), e.doc.Concept.Norm())
+		for _, tt := range e.terms {
+			t := &terms[slot[tt.term]]
+			t.post = append(t.post, postEntry{ord: ord, tf: uint32(tt.tf)})
+		}
+	}
+	slices.SortFunc(terms, func(a, b termPosts) int { return strings.Compare(a.term, b.term) })
+	for _, t := range terms {
+		cx.appendTerm(t.term, t.post)
+	}
+	return cx
+}
 
-	// Two-way merge per term, in ascending term order across both sides. A
-	// term left without a carrier is dropped: a fresh build never lists one.
+// mergeIndex builds one compiled index over the live documents of segs — a
+// document dead at the last freeze, or masked by ov since, drops out — and
+// the documents ov carries, compiled first (compileDocs) and merged as one
+// more index; everything is carried over renumbered. Every index not read
+// from a file is made this way — by the freeze (no segments: the overlay
+// compiled alone), a tier merge (the run, no overlay), the compactor and Open
+// (everything) — so an index is a function of immutable published state,
+// never a second mutable truth beside it. Only ov's masked and byID are read,
+// which is all stageDoc maintains. Beside the index it returns, per segment,
+// where each ordinal went (ordSentinel: nowhere). Every surviving posting is
+// decoded, renumbered and re-encoded: the cost is that of what is given,
+// whatever else the store holds.
+func mergeIndex(segs []*segment, ov *overlay) (*compiledIndex, [][]uint32) {
+	// remap takes a source's ordinal to its merged one (monotone over the live
+	// ordinals, so a source's renumbered postings stay ascending).
+	srcs := make([]*compiledIndex, 0, len(segs)+1)
+	remap := make([][]uint32, 0, len(segs)+1)
+	nDocs, nPost, nTerms, nBlocks, nData := 0, 0, 0, 0, 0
+	for si, seg := range segs {
+		to := make([]uint32, len(seg.cx.ids))
+		for _, dead := range [2][]uint32{seg.dead, ov.maskedIn(si)} {
+			for _, ord := range dead {
+				to[ord] = ordSentinel
+				nPost -= len(seg.cx.fwd[ord])
+			}
+			nDocs -= len(dead)
+		}
+		srcs, remap = append(srcs, seg.cx), append(remap, to)
+	}
+	if len(ov.byID) > 0 {
+		cx := compileDocs(ov.byID)
+		srcs, remap = append(srcs, cx), append(remap, make([]uint32, len(cx.ids)))
+	}
+	for _, src := range srcs {
+		nDocs, nPost, nTerms = nDocs+len(src.ids), nPost+src.nPost, max(nTerms, len(src.termList))
+		nBlocks, nData = nBlocks+len(src.blocks), nData+len(src.data)
+	}
+	if len(srcs) == 1 && nDocs == len(srcs[0].ids) {
+		for ord := range remap[0] {
+			remap[0][ord] = uint32(ord)
+		}
+		return srcs[0], remap[:len(segs)] // immutable, so an unchanged index is shared
+	}
+	cx := newCompiledIndex(nDocs, nPost, nTerms, nBlocks, nData)
+
+	// The ascending ID lists number the merged documents: the least head
+	// goes next.
+	next := make([]int, len(srcs)) // per source, the least ordinal not yet passed
+	for {
+		from := -1
+		for si, src := range srcs {
+			for next[si] < len(src.ids) && remap[si][next[si]] == ordSentinel {
+				next[si]++
+			}
+			if next[si] < len(src.ids) && (from < 0 || src.ids[next[si]] < srcs[from].ids[next[from]]) {
+				from = si
+			}
+		}
+		if from < 0 {
+			break
+		}
+		src, old := srcs[from], next[from]
+		remap[from][old] = cx.addDoc(src.docs[old], src.docLens[old], len(src.fwd[old]), src.cnorms[old])
+		next[from]++
+	}
+
+	// Term by term, in ascending order across the sources: each source that
+	// lists the term gives a run of renumbered postings, ascending, and the
+	// runs — their ordinals are distinct — are put in order. A term left
+	// without a carrier is dropped: a fresh build never lists one.
 	var ords, tfs [blockSize]uint32
-	var merged []postEntry
-	bt := base.termList
-	for len(bt) > 0 || len(delta) > 0 {
-		// The smaller head is the next term; on a tie both sides carry it.
-		fromBase := len(delta) == 0 || (len(bt) > 0 && bt[0] <= delta[0].term)
-		var term string
-		var dp []postEntry
-		if fromBase {
-			term, bt = bt[0], bt[1:]
-		} else {
-			term = delta[0].term
+	var buf []postEntry
+	clear(next) // now: per source, the next term of its list
+	for {
+		term, found := "", false
+		for si, src := range srcs {
+			if next[si] < len(src.termList) && (!found || src.termList[next[si]] < term) {
+				term, found = src.termList[next[si]], true
+			}
 		}
-		if len(delta) > 0 && delta[0].term == term {
-			dp, delta = delta[0].post, delta[1:]
+		if !found {
+			return cx, remap[:len(segs)]
 		}
-		merged = merged[:0]
-		if fromBase {
-			for _, bm := range base.termBlocks(base.terms[term]) {
+		buf = buf[:0]
+		runs := 0
+		for si, src := range srcs {
+			if next[si] == len(src.termList) || src.termList[next[si]] != term {
+				continue
+			}
+			next[si]++
+			start := len(buf)
+			for _, bm := range src.termBlocks(src.terms[term]) {
 				n := int(bm.count)
-				if _, err := decodePostingsBlock(base.data[bm.off:], n, ords[:n], tfs[:n]); err != nil {
+				if _, err := decodePostingsBlock(src.data[bm.off:], n, ords[:n], tfs[:n]); err != nil {
 					panic(err) // in-memory arena, validated when it was built
 				}
 				for k, old := range ords[:n] {
-					ord := remap[old]
-					if ord == ordSentinel {
-						continue
+					if ord := remap[si][old]; ord != ordSentinel {
+						buf = append(buf, postEntry{ord: ord, tf: tfs[k]})
 					}
-					for len(dp) > 0 && dp[0].ord < ord {
-						merged, dp = append(merged, dp[0]), dp[1:]
-					}
-					merged = append(merged, postEntry{ord: ord, tf: tfs[k]})
 				}
 			}
+			if len(buf) > start {
+				runs++
+			}
 		}
-		if merged = append(merged, dp...); len(merged) > 0 {
-			cx.appendTerm(term, merged)
+		if runs > 1 {
+			slices.SortFunc(buf, func(a, b postEntry) int { return cmp.Compare(a.ord, b.ord) })
+		}
+		if runs > 0 {
+			cx.appendTerm(term, buf)
 		}
 	}
-	return cx
 }
 
 // termBlocks returns the slice of block metadata for tm.
@@ -279,6 +337,7 @@ type searchStats struct {
 type queryTerm struct {
 	t   string
 	qn  int // occurrences in the query
+	df  int // live carriers in this snapshot
 	idf float64
 	qw  float64 // (1+ln qn) * idf
 }
@@ -412,19 +471,22 @@ const BoundSlack = 1 + 1e-9
 type searchScratch struct {
 	keyBuf  []byte
 	terms   []queryTerm
-	cursors []cursor
-	ords    []uint32 // base ordinals: a probe's candidates
-	heap    []scored // the text top-k
-	vecHeap []scored // the vector top-k
-	outHeap []scored // the hybrid top-k
+	tms     []termPostings // segment-major, one per (segment, query term): the zero value where the term is absent
+	cursors []cursor       // one segment's, reused from segment to segment
+	ords    []uint32       // segment offset + ordinal: a probe's candidates
+	heap    []scored       // the text top-k
+	vecHeap []scored       // the vector top-k
+	outHeap []scored       // the hybrid top-k
 	ovAcc   map[string]float64
 	stats   searchStats
-	// slot (by base ordinal) and ovSlot (by overlay id) file a number per
-	// document — a probe marks what it has collected, a blend notes each text
-	// hit's place in its pool — and are zero, and empty, between uses.
+	// slot (by segment offset + ordinal, segOff[si] being segment si's offset)
+	// and ovSlot (by overlay id) file a number per document — a probe marks
+	// what it has collected, a blend notes each text hit's place in its pool —
+	// and are zero, and empty, between uses.
 	slot   []int32
+	segOff []uint32
 	ovSlot map[string]int32
-	// The base walk's window: acc[i] is the score mass gathered for ordinal
+	// A segment walk's window: acc[i] is the score mass gathered for ordinal
 	// lo+i and touched has a bit per slot written. Inline, so the pooled
 	// scratch carries them and a search allocates neither; both are zero
 	// between windows.
@@ -432,8 +494,15 @@ type searchScratch struct {
 	touched [windowSize / 64]uint64
 }
 
-// growSlots makes slot cover n base ordinals.
-func (sc *searchScratch) growSlots(n int) {
+// growSlots numbers the documents of segs — segOff[si] + ordinal — and makes
+// slot cover them.
+func (sc *searchScratch) growSlots(segs []*segment) {
+	sc.segOff = sc.segOff[:0]
+	n := 0
+	for _, seg := range segs {
+		sc.segOff = append(sc.segOff, uint32(n))
+		n += len(seg.cx.ids)
+	}
 	for len(sc.slot) < n {
 		sc.slot = append(sc.slot, 0)
 	}
@@ -443,7 +512,7 @@ func (sc *searchScratch) growSlots(n int) {
 // (zero: nothing) and clears it.
 func (sc *searchScratch) fileSlot(r scored, v int32) {
 	if r.ord >= 0 {
-		sc.slot[r.ord] = v
+		sc.slot[sc.segOff[r.seg]+uint32(r.ord)] = v
 	} else {
 		sc.ovSlot[r.id] = v
 	}
@@ -451,7 +520,8 @@ func (sc *searchScratch) fileSlot(r scored, v int32) {
 
 func (sc *searchScratch) takeSlot(r scored) (v int32) {
 	if r.ord >= 0 {
-		v, sc.slot[r.ord] = sc.slot[r.ord], 0
+		at := sc.segOff[r.seg] + uint32(r.ord)
+		v, sc.slot[at] = sc.slot[at], 0
 	} else if v = sc.ovSlot[r.id]; v != 0 {
 		delete(sc.ovSlot, r.id)
 	}
@@ -472,20 +542,21 @@ func getScratch() *searchScratch {
 
 func putScratch(sc *searchScratch) { scratchPool.Put(sc) }
 
-// searchCompiled runs the text top-k over the compiled base index merged
-// with the snapshot's overlay. Terms become cursors over their compressed
-// postings and walkBase scores them a window of ordinals at a time; in
-// block-max mode (exhaustive=false) the topK heap's minimum is the threshold
-// θ, and a window whose summed block upper bounds cannot reach θ is passed
-// without decoding. Exhaustive mode is the same walk with the bound checks
-// off, so the two are bit-identical on the documents they both score — and
-// the skipped ones provably lose.
+// searchCompiled runs the text top-k over the compiled segments merged with
+// the snapshot's overlay, under one heap. In each segment, terms become
+// cursors over their compressed postings and walkBase scores them a window of
+// ordinals at a time; in block-max mode (exhaustive=false) the topK heap's
+// minimum is the threshold θ — one θ, carried from the overlay through every
+// segment — and a window whose summed block upper bounds cannot reach it is
+// passed without decoding. Exhaustive mode is the same walk with the bound
+// checks off, so the two are bit-identical on the documents they both score —
+// and the skipped ones provably lose.
 //
 // The result is the k best, scratch-backed and not yet ranked (assembleHits
 // ranks). Set and scores match the historical map-walk scorer: contributions
 // accumulate per document in canonical query-term order, and the heap's
 // (score desc, id asc) total order makes the top-k set independent of
-// candidate arrival order.
+// candidate arrival order — of which segment holds a document, too.
 //
 // gs, when non-nil, replaces the snapshot's document count and per-term
 // document frequencies with corpus-wide figures supplied by a scatter
@@ -494,7 +565,6 @@ func putScratch(sc *searchScratch) { scratchPool.Put(sc) }
 // a sharded top-k merge bit-identical to the monolithic result. Term
 // frequencies and norms stay local — they are per-document facts.
 func (sn *snapshot) searchCompiled(tokens []string, k int, sc *searchScratch, exhaustive bool, gs *GlobalStats) []scored {
-	cx := sn.base.cx
 	ov := sn.ov
 	total := sn.docCount()
 	if gs != nil {
@@ -517,43 +587,35 @@ tokenLoop:
 		sc.terms = append(sc.terms, queryTerm{t: t, qn: 1})
 	}
 
-	// Per-term document frequency (base minus masked plus overlay), idf,
-	// and a cursor for every term with base postings.
-	sc.cursors = sc.cursors[:0]
+	// Per-term document frequency (each segment's live carriers, minus the
+	// masked, plus the overlay's) and idf; where each segment keeps the term
+	// is filed for the walks.
+	sc.tms = sc.tms[:0]
+	for _, seg := range sn.segs {
+		for i := range sc.terms {
+			tm := seg.cx.terms[sc.terms[i].t] // zero without postings here
+			sc.tms = append(sc.tms, tm)
+			sc.terms[i].df += seg.liveDF(tm)
+		}
+	}
 	for i := range sc.terms {
 		qt := &sc.terms[i]
-		tm, hasBase := cx.terms[qt.t]
-		df := 0
+		e := ov.termPost[qt.t]
+		qt.df += len(e.post) - e.maskedDF
 		if gs != nil {
-			df = int(gs.dfOf(qt.t))
-		} else {
-			e := ov.termPost[qt.t]
-			df = int(tm.df) + len(e.post) - e.maskedDF // tm is zero without base postings
+			qt.df = int(gs.dfOf(qt.t))
 		}
-		if df <= 0 {
-			qt.qw = 0
-			continue
+		if qt.df > 0 {
+			qt.idf = IDF(uint64(total), uint64(qt.df))
+			qt.qw = QueryWeight(qt.qn, qt.idf)
 		}
-		qt.idf = IDF(uint64(total), uint64(df))
-		qt.qw = QueryWeight(qt.qn, qt.idf)
-		if !hasBase {
-			continue
-		}
-		sc.cursors = append(sc.cursors, cursor{
-			idf:    qt.idf,
-			qw:     qt.qw,
-			termUB: qt.qw * qt.idf * tm.maxRatio,
-			blocks: cx.termBlocks(tm),
-			data:   cx.data,
-		})
-		sc.cursors[len(sc.cursors)-1].enterShallow(0)
 	}
 
 	h := topK[scored]{k: k, better: scoredBetter, items: sc.heap[:0]}
 
 	// Overlay documents first: they are few (bounded by the freeze limit),
-	// and scoring them up front seeds the heap threshold before the base
-	// walk starts, which is where early termination pays.
+	// and scoring them up front seeds the heap threshold before the segment
+	// walks start, which is where early termination pays.
 	if len(ov.byID) > 0 {
 		clear(sc.ovAcc)
 		for i := range sc.terms {
@@ -572,19 +634,38 @@ tokenLoop:
 		}
 	}
 
-	if len(sc.cursors) > 0 {
-		sn.walkBase(&h, sc, exhaustive)
+	// Oldest segment first: it is the largest, and the θ it leaves lets most
+	// of the small ones end at their first bound check.
+	for si, seg := range sn.segs {
+		sc.cursors = sc.cursors[:0]
+		for i := range sc.terms {
+			qt, tm := &sc.terms[i], sc.tms[si*len(sc.terms)+i]
+			if qt.qw == 0 || tm.df == 0 {
+				continue
+			}
+			sc.cursors = append(sc.cursors, cursor{
+				idf:    qt.idf,
+				qw:     qt.qw,
+				termUB: qt.qw * qt.idf * tm.maxRatio,
+				blocks: seg.cx.termBlocks(tm),
+				data:   seg.cx.data,
+			})
+			sc.cursors[len(sc.cursors)-1].enterShallow(0)
+		}
+		if len(sc.cursors) > 0 {
+			sn.walkBase(si, &h, sc, exhaustive)
+		}
 	}
 
 	sc.heap = h.items[:0] // retain backing for the next query
 	return h.items
 }
 
-// windowSize is how many consecutive ordinals the base walk scores at a
+// windowSize is how many consecutive ordinals a segment walk scores at a
 // time: 8 KB of accumulators, which stay in the first-level cache.
 const windowSize = 1024
 
-// walkBase scores the base's postings a window of ordinals at a time. A
+// walkBase scores segment si's postings a window of ordinals at a time. A
 // window starts at the least ordinal any cursor stands on; each cursor in
 // turn, in canonical term order, adds its postings below the window's end
 // into the accumulators, and one sweep over the touched slots passes the
@@ -598,13 +679,13 @@ const windowSize = 1024
 // within the window it draws on at most one block per cursor, and its score
 // is at most the sum over cursors of qw·idf·maxRatio of the best block
 // overlapping the window.
-func (sn *snapshot) walkBase(h *topK[scored], sc *searchScratch, exhaustive bool) {
-	cx := sn.base.cx
+func (sn *snapshot) walkBase(si int, h *topK[scored], sc *searchScratch, exhaustive bool) {
+	cx := sn.segs[si].cx
 	cursors := sc.cursors
 
-	// The tombstones ascend and so do the ordinals evaluated, so one
-	// monotonic pointer replaces per-candidate set lookups.
-	masked := sn.ov.masked
+	// The segment's tombstones, frozen and masked since, ascend, and so do the
+	// ordinals evaluated: two monotonic pointers replace per-candidate lookups.
+	dead, masked := sn.segs[si].dead, sn.ov.maskedIn(si)
 
 	for {
 		lo, lead, ub := ordSentinel, 0, 0.0
@@ -662,17 +743,20 @@ func (sn *snapshot) walkBase(h *topK[scored], sc *searchScratch, exhaustive bool
 				d := lo + uint32(slot)
 				acc := sc.acc[slot]
 				sc.acc[slot] = 0
+				for len(dead) > 0 && dead[0] < d {
+					dead = dead[1:]
+				}
 				for len(masked) > 0 && masked[0] < d {
 					masked = masked[1:]
 				}
-				if len(masked) > 0 && masked[0] == d {
+				if (len(dead) > 0 && dead[0] == d) || (len(masked) > 0 && masked[0] == d) {
 					continue
 				}
 				score := acc / cx.norms[d]
 				if len(h.items) == h.k && score < h.items[0].score {
 					continue // below θ: the heap would turn it away
 				}
-				h.push(scored{id: cx.ids[d], ord: int32(d), score: score})
+				h.push(scored{id: cx.ids[d], seg: int32(si), ord: int32(d), score: score})
 			}
 		}
 	}

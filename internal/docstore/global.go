@@ -73,8 +73,8 @@ func (gs *GlobalStats) dfAt(i int) uint64 {
 // and the maximum normalized term-weight ratio max_d (1+ln tf_d)/√(len_d+1)
 // over the shard's documents. A router sums DF across shards into global
 // frequencies and uses qw·idf·MaxRatio as this shard's score upper bound
-// for the term (the compiled ratio may include masked documents, so the
-// bound is valid, merely loose, under churn).
+// for the term (a segment's compiled ratio may include dead documents, so
+// the bound is valid, merely loose, under churn).
 type TermStat struct {
 	DF       uint64
 	MaxRatio float64
@@ -94,8 +94,12 @@ func (s *Store) TermStats(terms []string) (total uint64, epoch uint64, stats []T
 }
 
 func (sn *snapshot) termStat(t string) TermStat {
-	tm, e := sn.base.cx.terms[t], sn.ov.termPost[t] // zero where the term is unknown
-	df, maxRatio := int(tm.df)-e.maskedDF+len(e.post), tm.maxRatio
+	e := sn.ov.termPost[t] // zero where the term is unknown
+	df, maxRatio := len(e.post)-e.maskedDF, 0.0
+	for _, seg := range sn.segs {
+		tm := seg.cx.terms[t]
+		df, maxRatio = df+seg.liveDF(tm), max(maxRatio, tm.maxRatio)
+	}
 	for _, p := range e.post {
 		maxRatio = max(maxRatio, tfWeight(p.tf)/math.Sqrt(float64(sn.ov.byID[p.id].docLen)+1))
 	}

@@ -71,7 +71,7 @@ type vectorOracle struct {
 func (o *vectorOracle) pool(q feature.Vector, k int) []Hit {
 	score := func(d *Document) (float64, bool) { return feature.Cosine(q, d.Concept), len(d.Concept) > 0 }
 	if len(o.live) > 256 {
-		lsh := o.s.snap.Load().base.vec
+		lsh := o.s.snap.Load().planes
 		qs := lsh.Signatures(q)
 		found := bruteHits(o.live, k, func(d *Document) (float64, bool) {
 			if len(d.Concept) == 0 {
@@ -164,8 +164,8 @@ func TestHybridMatchesReference(t *testing.T) {
 		if err := s.PutBatch(docs); err != nil {
 			t.Fatal(err)
 		}
-		if sn := s.snap.Load(); len(sn.ov.byID) != 0 || len(sn.base.cx.ids) != size {
-			t.Fatal("the load did not freeze into the base")
+		if sn := s.snap.Load(); len(sn.ov.byID) != 0 || len(sn.segs) != 1 || len(sn.segs[0].cx.ids) != size {
+			t.Fatal("the load did not freeze into one segment")
 		}
 		check("fresh load")
 
@@ -196,8 +196,8 @@ func TestHybridMatchesReference(t *testing.T) {
 		del(size + 4) // an overlay id deleted
 		del(6)        // a re-put id deleted
 		put(4)        // a deleted id put back
-		if sn := s.snap.Load(); len(sn.ov.masked) < 15 || len(sn.ov.extras) == 0 || len(sn.base.cx.ids) != size {
-			t.Fatal("the writes did not stay in one overlay over the loaded base")
+		if sn := s.snap.Load(); len(sn.segs) != 1 || len(sn.ov.masked[0]) < 15 || len(sn.ov.extras) == 0 || len(sn.segs[0].cx.ids) != size {
+			t.Fatal("the writes did not stay in one overlay over the loaded segment")
 		}
 		check("live overlay")
 

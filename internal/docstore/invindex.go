@@ -1,10 +1,11 @@
 package docstore
 
-// scored is a ranked text hit. ord is the document's ordinal in the
-// compiled base index, or -1 for overlay documents — it lets the hit
-// assembler resolve the Document without a map lookup.
+// scored is a ranked hit. seg and ord are the document's segment and its
+// ordinal there, ord -1 for overlay documents — they let the hit assembler
+// resolve the Document without a map lookup.
 type scored struct {
 	id    string
+	seg   int32
 	ord   int32
 	score float64
 }

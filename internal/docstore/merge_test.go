@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -41,14 +42,19 @@ func requireSameIndex(t *testing.T, stage string, got, want *compiledIndex) {
 }
 
 // freshIndex builds the compiled index of a live set the one way there is:
-// one merge of the whole set, staged, into an empty base.
+// one merge of the whole set, staged, over no segments.
 func freshIndex(live map[string]*Document) *compiledIndex {
-	ov := (&overlay{}).cloneNextN(0)
+	ov := (&overlay{}).cloneNextN(0, 0)
 	for _, d := range live {
-		ov.stageDoc(d, d.Tokens(), &compiledIndex{})
+		ov.stageDoc(d, d.Tokens(), nil)
 	}
-	return mergeIndex(&compiledIndex{}, ov)
+	cx, _ := mergeIndex(nil, ov)
+	return cx
 }
+
+// frozeSince reports whether a freeze lies between two snapshots of one store:
+// a window that does not freeze publishes the segment list it found.
+func frozeSince(prev, now *snapshot) bool { return !slices.Equal(prev.segs, now.segs) }
 
 // snapshotBytes serializes cx as a v2 snapshot.
 func snapshotBytes(t *testing.T, cx *compiledIndex) []byte {
@@ -106,7 +112,7 @@ func TestMergeIndexMatchesFreshBuild(t *testing.T) {
 	}
 	freezes := 0
 	for round := 0; round < 60; round++ {
-		base := s.snap.Load().base
+		before := s.snap.Load()
 		switch round % 3 {
 		case 0: // single writes: searchable overlays
 			for i := 0; i < 1+r.Intn(40); i++ {
@@ -152,7 +158,7 @@ func TestMergeIndexMatchesFreshBuild(t *testing.T) {
 			}
 		}
 		sn := s.snap.Load()
-		if sn.base != base {
+		if frozeSince(before, sn) {
 			freezes++
 		}
 		stageName := fmt.Sprintf("round %d", round)
@@ -161,7 +167,7 @@ func TestMergeIndexMatchesFreshBuild(t *testing.T) {
 			t.Fatalf("%s: Len %d, want %d", stageName, s.Len(), len(live))
 		}
 		fresh := freshIndex(live)
-		merged := mergeIndex(sn.base.cx, sn.ov)
+		merged, _ := mergeIndex(sn.segs, sn.ov)
 		requireSameIndex(t, stageName+": merge vs fresh", merged, fresh)
 		raw := snapshotBytes(t, merged)
 		loaded, err := loadSnapshotBytes(t, raw)
@@ -175,6 +181,54 @@ func TestMergeIndexMatchesFreshBuild(t *testing.T) {
 	}
 	if freezes < 10 {
 		t.Fatalf("only %d freezes in 60 rounds: the history is not crossing merge boundaries", freezes)
+	}
+
+	// One merge of k segments with dead ordinals in each: the shapes of
+	// tierSchedule (four segments, tombstones in three, under an empty and
+	// under a masking overlay; after a dead-share and after a tier merge),
+	// merged as the compactor merges, against the fresh build of the live set.
+	if s, err = Open(Options{ConceptDim: 8, Seed: 1, QueryCacheSize: -1}); err != nil {
+		t.Fatal(err)
+	}
+	clear(live)
+	most := 0
+	tierSchedule(t, s, r, tierOps{
+		put: func(_ string, d *Document) {
+			if err := s.Put(d); err != nil {
+				t.Fatal(err)
+			}
+			live[d.ID] = d
+		},
+		del: func(_, id string) {
+			if err := s.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+			delete(live, id)
+		},
+		batch: func(_ string, docs []*Document) {
+			if err := s.PutBatch(docs); err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range docs {
+				live[d.ID] = d
+			}
+		},
+		shaped: func(stage string, sn *snapshot) {
+			t.Helper()
+			tombstoned := 0
+			for si, seg := range sn.segs {
+				if len(seg.dead)+len(sn.ov.maskedIn(si)) > 0 {
+					tombstoned++
+				}
+			}
+			most = max(most, tombstoned)
+			merged, _ := mergeIndex(sn.segs, sn.ov)
+			requireSameIndex(t, stage+": k-way merge vs fresh", merged, freshIndex(live))
+			requireTerms(stage)
+		},
+	})
+	if most < 3 {
+		t.Fatalf("at most %d segments with dead ordinals went into one merge, want 3 or more", most)
 	}
 }
 
@@ -384,7 +438,7 @@ func TestReopenMergesWALTail(t *testing.T) {
 			if got, want := s.Stats().Terms, mono.Stats().Terms; got != want {
 				t.Fatalf("Stats().Terms %d, monolithic %d", got, want)
 			}
-			requireSameIndex(t, "reopened vs fresh", s.snap.Load().base.cx, freshIndex(live))
+			requireSameIndex(t, "reopened vs fresh", s.snap.Load().segs[0].cx, freshIndex(live))
 			requireReadsMatch(t, "reopened", s, live)
 			for _, q := range []string{"gold ring", "byzantine", "amber jade", "mosaic coin", "rare3", "rare5 silver"} {
 				want := mono.SearchTextExhaustive(q, 8)
@@ -454,7 +508,7 @@ func TestGoldenSnapshotV2(t *testing.T) {
 			}
 		}
 	}
-	cx := s.snap.Load().base.cx
+	cx := s.snap.Load().segs[0].cx
 	multi := false
 	for _, tm := range cx.terms {
 		multi = multi || tm.nBlocks > 1
@@ -464,6 +518,13 @@ func TestGoldenSnapshotV2(t *testing.T) {
 	}
 	if !bytes.Equal(snapshotBytes(t, cx), raw) {
 		t.Fatal("the golden snapshot does not re-serialise byte for byte")
+	}
+	// The compactor's merge of everything writes the same file back.
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := os.ReadFile(snapPath); err != nil || !bytes.Equal(again, raw) {
+		t.Fatalf("after a Compact the snapshot file differs from the golden one (%v)", err)
 	}
 }
 
@@ -500,7 +561,7 @@ func FuzzSnapshotV2(f *testing.F) {
 		if cx == nil {
 			t.Fatal("a file with the v2 magic was declined as legacy")
 		}
-		sn := &snapshot{epoch: 1, base: &state{cx: cx}, ov: &overlay{}}
+		sn := &snapshot{epoch: 1, segs: []*segment{{cx: cx}}, ov: &overlay{}}
 		for _, q := range []string{"gold ring", "byzantine amber", "xx"} {
 			sc := getScratch()
 			got := sn.searchTextRaw(feature.Tokenize(q), 5, sc, nil)

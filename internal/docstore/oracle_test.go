@@ -226,9 +226,9 @@ func requireReadsMatch(t *testing.T, stage string, s *Store, live map[string]*Do
 
 // TestReadsMatchBruteForce drives a put / replace / delete history across
 // several freezes — single writes folded into searchable overlays, PutBatch
-// windows that overflow and are staged, windows mixing puts and deletes — and
-// after every write holds every text, vector, visual, topic and time read to
-// the oracle. Timestamps come from a range of 30, so equal CreatedAt ties
+// windows that overflow and are staged, windows mixing puts and deletes, then
+// a scripted walk through the shapes of a segment list — and after every
+// write holds every text, vector, visual, topic and time read to the oracle. Timestamps come from a range of 30, so equal CreatedAt ties
 // (broken by ID) are everywhere; some documents list a topic twice and must count
 // once. The scripted tail pins the cases a random history may miss.
 func TestReadsMatchBruteForce(t *testing.T) {
@@ -280,7 +280,7 @@ func TestReadsMatchBruteForce(t *testing.T) {
 
 	freezes := 0
 	for round := 0; round < 12; round++ {
-		base := s.snap.Load().base
+		before := s.snap.Load()
 		stage := fmt.Sprintf("round %d", round)
 		switch round % 3 {
 		case 0:
@@ -311,7 +311,7 @@ func TestReadsMatchBruteForce(t *testing.T) {
 			}
 			requireReadsMatch(t, stage, s, live)
 		}
-		if s.snap.Load().base != base {
+		if frozeSince(before, s.snap.Load()) {
 			freezes++
 		}
 	}
@@ -326,8 +326,8 @@ func TestReadsMatchBruteForce(t *testing.T) {
 	put("fix", fix)
 	batch("freeze fix into the base", 90)
 	sn := s.snap.Load()
-	if _, ok := sn.base.cx.ords["fix"]; !ok || len(sn.ov.byID) != 0 {
-		t.Fatal("the batch did not freeze fix into the base")
+	if sn.getDoc("fix") == nil || len(sn.ov.byID) != 0 {
+		t.Fatal("the batch did not freeze fix into a segment")
 	}
 	// ...is replaced by one with other topics, no vector and no picture,
 	// deleted, and put back as it was, all within one overlay's lifetime.
@@ -337,12 +337,35 @@ func TestReadsMatchBruteForce(t *testing.T) {
 	del("delete fix", "fix")
 	del("delete fix again", "fix")
 	put("put fix back", fix)
-	if s.snap.Load().base != sn.base {
+	if frozeSince(sn, s.snap.Load()) {
 		t.Fatal("the scripted writes crossed a freeze; they must share one overlay lifetime")
 	}
-	// The next base is built from that overlay: masked, carried, counted once.
+	// The next segment is built from that overlay: masked, carried, counted once.
 	batch("freeze the put-back", 90)
-	if s.snap.Load().base == sn.base {
+	if !frozeSince(sn, s.snap.Load()) {
 		t.Fatal("the closing batch did not freeze")
 	}
+
+	// The same reads through a scripted segment list: tombstones in every
+	// tier, a dead-share merge, a tier merge (tierSchedule), on a store of its
+	// own so that the shapes are the schedule's.
+	if s, err = Open(Options{ConceptDim: 8, Seed: 3, QueryCacheSize: -1}); err != nil {
+		t.Fatal(err)
+	}
+	clear(live)
+	tierSchedule(t, s, r, tierOps{
+		put: put,
+		del: del,
+		batch: func(stage string, docs []*Document) {
+			t.Helper()
+			for _, d := range docs {
+				live[d.ID] = d
+			}
+			if err := s.PutBatch(docs); err != nil {
+				t.Fatal(err)
+			}
+			requireReadsMatch(t, stage, s, live)
+		},
+		shaped: func(stage string, _ *snapshot) { requireReadsMatch(t, stage, s, live) },
+	})
 }

@@ -144,7 +144,7 @@ func loadSnapshotFile(path string) (*compiledIndex, error) {
 		}
 		docs[i] = d
 	}
-	cx := newCompiledIndex(len(docs), 0, &compiledIndex{})
+	cx := newCompiledIndex(len(docs), 0, 0, 0, 0)
 	for _, d := range docs {
 		dl, err := r.uvarint()
 		if err != nil {

@@ -14,51 +14,63 @@ import (
 // This file implements the lock-free read path. The published snapshot is the
 // store's only state: the write path (serialized by Store.mu) reads it exactly
 // as readers do, builds its successor and publishes that through an atomic
-// pointer. Readers load the snapshot once and never touch the store lock — a
-// search can run entirely concurrently with writers, and a reader holding an
-// old snapshot simply keeps seeing the old epoch.
+// pointer. Readers load the snapshot once and never touch the store lock, and
+// a reader holding an old snapshot keeps seeing the old epoch, segments merged
+// away since included: nothing it points at is ever written again.
 //
-// Publishing a full deep copy per write would make Put O(n). Instead a
-// snapshot is a frozen base plus a small immutable overlay delta:
+//	snapshot = { segs: immutable segments, oldest first; ov: docs written since the freeze }
 //
-//	snapshot = { base: frozen state, ov: docs written since the freeze }
+// A segment is the compiled form of a fixed document set plus what later
+// writes superseded in it: its dead ordinals and, per term, how many dead
+// documents carry it. The indexes never change; tombstones and counts are
+// replaced copy-on-write (withDead) in a new entry that shares the indexes.
+// An id is live in at most one place — whoever writes it masks the copy below
+// first — so the newest segment holding an id decides whether it is live.
 //
 // A commit window costs what it writes. Overlays form one lineage — each is
-// built under Store.mu from the published one and published in turn, never
-// from an older one — so a successor shares its predecessor's storage
-// wherever it only adds. A term's overlay postings are append-only:
-// setTermPost appends onto the predecessor's backing array, a held snapshot
-// reads only its own length, and the one successor is the only writer past
-// it; delTermPost — a replace or delete of a document written since the
-// freeze — copies the slice it shortens. The two maps (documents, terms) and
-// three small slices (time index, vector list, tombstones) take inserts in
-// order and removals, which an array shared with readers cannot, so
-// cloneNextN copies them once per window.
+// built under Store.mu from the published one and published in turn — so a
+// successor shares its predecessor's storage wherever it only adds: a term's
+// overlay postings are append-only (setTermPost appends onto the
+// predecessor's backing array, a held snapshot reads only its own length),
+// delTermPost copies the slice it shortens, and cloneNextN copies, once per
+// window, the two maps and the small slices that take ordered inserts.
 //
-// Once the overlay would pass overlayLimit a fresh base is published and the
-// overlay resets — small-batch coalescing that amortizes the O(n) freeze over
-// many writes. Every base is the last one merged with the overlay: mergeIndex
-// for the text index and document table, state.next for the vector, time and
-// topic indexes.
+// A freeze costs what the overlay holds: past overlayLimit writes the
+// overlay's documents are compiled into a segment of their own (buildSegment
+// over no segments) and what it masked is folded into the entries it touched.
+// Then the tiers (mergeRun): a run of the newest segments, each at most
+// tierRatio times what is gathered behind it, and any segment more than
+// deadShare dead, is replaced, inline, by one segment at the newest place, so
+// a document is rewritten O(log(store/overlayLimit)) times. The compactor and
+// Open merge everything into the one index the v2 file holds.
 //
-// Exactness contract: every read through (base, ov) must be result-identical
-// to the same read against a monolithic index containing the live documents.
-// The subtle cases are TF-IDF (document frequencies count base postings
-// minus superseded ids plus overlay carriers, with the float expression
-// order fixed by searchCompiled's canonical term order) and LSH bucket
-// membership (overlay vectors carry precomputed per-table signatures so
-// they join exactly the buckets an indexed vector would — see feature.Extra).
-// TestSnapshotMatchesMonolithic pins this equivalence across freeze
-// boundaries.
+// Exactness contract: every read through (segs, ov) is result-identical to
+// the same read against one index over the live documents. Text: one heap and
+// one θ over the overlay and a walkBase per segment, df = Σ segment df − dead
+// − masked + overlay carriers, float order fixed by searchCompiled's
+// canonical term order, ties (score desc, id asc). Vectors: segments share
+// hyperplanes, so the union of their buckets less the dead is the monolith's
+// bucket, and overlay vectors carry their signatures (feature.Extra). Time
+// scans are k-way merges, counts are sums. TestSnapshotMatchesMonolithic and
+// TestReadsMatchBruteForce pin it across freezes and both kinds of merge.
 
-// state is a frozen base: the index structures over one fixed document set,
-// immutable once next (or newState, for the empty one) returns it.
-type state struct {
-	cx     *compiledIndex // text index and document table
-	vec    *feature.LSH   // concept vectors: the documents' own slices
-	byTime []timeEntry    // ascending (CreatedAt, id)
-	topics map[string]int // topic -> documents carrying it
-	// visuals counts docs carrying visual features, so SearchVisual can
+// segment is one immutable entry of the snapshot's list. cx, vec, sigs,
+// byTime and timeOrd are fixed when buildSegment returns; dead, deadDF,
+// topics and visuals are as of the last freeze and are replaced, never
+// written, by withDead.
+type segment struct {
+	cx   *compiledIndex // text index and document table
+	vec  *feature.LSH   // concept vectors: the documents' own slices
+	sigs []uint64       // ordinal-major, lshTables a document: what vec files it under, carried through merges
+	// byTime ascends by (CreatedAt, id); timeOrd[i] is byTime[i]'s ordinal, so
+	// a scan tests liveness without an id lookup.
+	byTime  []timeEntry
+	timeOrd []uint32
+
+	dead   []uint32       // ordinals superseded or deleted before the last freeze, ascending
+	deadDF []int32        // term id -> dead carriers; nil while nothing is dead
+	topics map[string]int // topic -> live documents carrying it
+	// visuals counts live docs carrying visual features, so SearchVisual can
 	// return before building any scratch state when there are none.
 	visuals int
 }
@@ -66,102 +78,181 @@ type state struct {
 // The vector index's shape: hash tables, and hyperplane bits per table.
 const lshTables, lshBits = 6, 10
 
-// newState returns the empty base every store starts from; it fixes the LSH
-// hyperplanes every later base shares.
-func newState(opts Options) *state {
-	return &state{
-		cx:     &compiledIndex{},
-		vec:    feature.NewLSH(opts.Seed, opts.ConceptDim, lshTables, lshBits),
-		topics: map[string]int{},
+// The segment list's constants; DESIGN.md §4c has the measurements behind them.
+const (
+	// overlayLimit: writes an overlay takes before it is compiled — where the
+	// per-window copy of its containers meets a freeze's fixed cost (E25's
+	// fixture needs it above 48).
+	overlayLimit = 64
+	// tierRatio: a segment joins the newest run while it is at most this many
+	// times the run so far, so sizes at least double towards the oldest.
+	tierRatio = 1
+	// More than this share dead, a segment joins the next merge: at a half,
+	// every document rewritten is paid for by one that died.
+	deadShareNum, deadShareDen = 1, 2
+)
+
+func (seg *segment) live() int { return len(seg.cx.ids) - len(seg.dead) }
+
+// isDead reports whether ord was dead at the last freeze.
+func (seg *segment) isDead(ord uint32) bool {
+	_, dead := slices.BinarySearch(seg.dead, ord)
+	return dead
+}
+
+// liveDF is how many documents live at the last freeze carry the term tm
+// locates in seg's index (the zero tm: none).
+func (seg *segment) liveDF(tm termPostings) int {
+	if tm.df == 0 || seg.deadDF == nil {
+		return int(tm.df)
+	}
+	return int(tm.df - seg.deadDF[tm.id])
+}
+
+// holder finds the newest of segs that holds id, live or dead — the one that
+// decides whether it is live (see the file comment): its place in segs and
+// id's ordinal there, or si < 0.
+func holder(segs []*segment, id string) (si int, ord uint32) {
+	for si = len(segs) - 1; si >= 0; si-- {
+		if ord, held := segs[si].cx.ords[id]; held {
+			return si, ord
+		}
+	}
+	return -1, 0
+}
+
+// tally counts d into (by = 1) or out of (-1) seg's topic and visual counts.
+func (seg *segment) tally(d *Document, by int) {
+	for i, t := range d.Topics {
+		if slices.Contains(d.Topics[:i], t) {
+			continue // listed twice, carried once
+		}
+		if seg.topics[t] += by; seg.topics[t] == 0 {
+			delete(seg.topics, t)
+		}
+	}
+	if hasVisual(d) {
+		seg.visuals += by
 	}
 }
 
-// next is the one builder of a base: prev without the documents ov masks,
-// plus the documents ov carries, around cx, which must index exactly that
-// set. The freeze, Open (the snapshot file's documents carried over the empty
-// base, then the replayed log) and the tests' forced freeze all come here.
-// Only ov's masked, byID and extras are read — all stageDoc maintains — and
-// extras only to reuse signatures putDoc already computed. Documents are
-// shared, never copied: the write path installs a private clone and nothing
-// mutates a stored *Document. What is still O(base): the pass over the LSH
-// buckets and the time-index merge.
-func (prev *state) next(cx *compiledIndex, ov *overlay) *state {
-	if len(ov.masked) == 0 && len(ov.byID) == 0 {
-		return prev
-	}
-	st := &state{cx: cx, topics: maps.Clone(prev.topics), visuals: prev.visuals}
-	tally := func(d *Document, by int) {
-		for i, t := range d.Topics {
-			if slices.Contains(d.Topics[:i], t) {
-				continue // listed twice, carried once
-			}
-			if st.topics[t] += by; st.topics[t] == 0 {
-				delete(st.topics, t)
-			}
-		}
-		if hasVisual(d) {
-			st.visuals += by
+// buildSegment is the one builder of a segment: the live documents of segs (a
+// document dead at the last freeze or masked by ov since drops out) and the
+// documents ov carries, compiled together. A freeze calls it over no segments,
+// a tier merge over its run and an empty overlay, Open and the tests' monolith
+// over everything. Only ov's masked, byID and extras are read — extras only to
+// reuse signatures putDoc computed; a carried document brings its own along.
+// Documents are shared, never copied: nothing mutates a stored *Document.
+func buildSegment(planes *feature.LSH, segs []*segment, ov *overlay) *segment {
+	cx, remap := mergeIndex(segs, ov)
+	seg := &segment{cx: cx, sigs: make([]uint64, lshTables*len(cx.ids)), topics: map[string]int{}}
+	sign := func(ord uint32, v feature.Vector, known []uint64) {
+		if at := lshTables * int(ord); known != nil {
+			copy(seg.sigs[at:at+lshTables], known)
+		} else {
+			planes.AppendSignatures(seg.sigs[at:at:at+lshTables], v) // in place
 		}
 	}
-	dead := make(map[string]bool, len(ov.masked))
-	drop := make([]timeEntry, 0, len(ov.masked))
-	for _, ord := range ov.masked {
-		d := prev.cx.docs[ord]
-		dead[d.ID] = true
-		tally(d, -1)
-		drop = append(drop, timeEntry{key: d.CreatedAt, id: d.ID})
+	for si, src := range segs {
+		for old, ord := range remap[si] {
+			if v := src.cx.docs[old].Concept; ord != ordSentinel && len(v) > 0 {
+				var known []uint64
+				if src.sigs != nil { // nil: an index read from a snapshot file
+					known = src.sigs[lshTables*old : lshTables*(old+1)]
+				}
+				sign(ord, v, known)
+			}
+		}
 	}
-	st.vec = prev.vec.CloneWithout(dead)
-	sigs := make(map[string][]uint64, len(ov.extras))
+	known := make(map[string][]uint64, len(ov.extras))
 	for i := range ov.extras {
-		sigs[ov.extras[i].ID] = ov.extras[i].Sigs
+		known[ov.extras[i].ID] = ov.extras[i].Sigs
 	}
-	add := make([]timeEntry, 0, len(ov.byID))
 	for id, e := range ov.byID {
-		d := e.doc
-		if len(d.Concept) > 0 {
-			sg := sigs[id]
-			if sg == nil {
-				sg = st.vec.Signatures(d.Concept)
-			}
-			st.vec.Insert(id, d.Concept, sg)
+		if len(e.doc.Concept) > 0 {
+			sign(cx.ords[id], e.doc.Concept, known[id])
 		}
-		tally(d, 1)
-		add = append(add, timeEntry{key: d.CreatedAt, id: id})
 	}
-	slices.SortFunc(drop, timeEntry.compare)
-	slices.SortFunc(add, timeEntry.compare)
-	st.byTime = make([]timeEntry, 0, len(prev.byTime)-len(drop)+len(add))
-	for _, e := range prev.byTime {
-		if len(drop) > 0 && e == drop[0] {
-			drop = drop[1:]
-			continue
-		}
-		for len(add) > 0 && add[0].compare(e) < 0 {
-			st.byTime, add = append(st.byTime, add[0]), add[1:]
-		}
-		st.byTime = append(st.byTime, e)
+	vecs := make([]feature.Vector, len(cx.ids))
+	seg.timeOrd = make([]uint32, len(cx.ids))
+	for ord, d := range cx.docs {
+		vecs[ord] = d.Concept
+		seg.tally(d, 1)
+		seg.timeOrd[ord] = uint32(ord)
 	}
-	st.byTime = append(st.byTime, add...)
-	return st
+	seg.vec = planes.Filled(cx.ids, vecs, seg.sigs)
+	// Ordinals ascend with ids, so (CreatedAt, ordinal) is (CreatedAt, id).
+	slices.SortFunc(seg.timeOrd, func(a, b uint32) int {
+		if c := cmp.Compare(cx.docs[a].CreatedAt, cx.docs[b].CreatedAt); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	seg.byTime = make([]timeEntry, len(cx.ids))
+	for i, ord := range seg.timeOrd {
+		seg.byTime[i] = timeEntry{key: cx.docs[ord].CreatedAt, id: cx.ids[ord]}
+	}
+	return seg
 }
 
-// carry returns the delta that masks nothing and carries docs, as next reads
-// it: how a snapshot file's documents join the empty base.
-func carry(docs []*Document) *overlay {
-	ov := &overlay{byID: make(map[string]ovDoc, len(docs))}
-	for _, d := range docs {
-		ov.byID[d.ID] = ovDoc{doc: d}
+// withDead returns seg's successor entry: the same indexes, the ordinals in
+// masked — live in seg until now — dead too. It copies the tombstones and the
+// counts, O(dead + terms + topics), and reads of the index only the masked
+// documents' forward lists.
+func (seg *segment) withDead(masked []uint32) *segment {
+	if len(masked) == 0 {
+		return seg
 	}
-	return ov
+	ns := *seg
+	ns.dead = slices.Grow(slices.Clone(seg.dead), len(masked))
+	ns.deadDF = append(make([]int32, 0, len(seg.cx.termList)), seg.deadDF...)[:len(seg.cx.termList)]
+	ns.topics = maps.Clone(seg.topics)
+	for _, ord := range masked {
+		at, _ := slices.BinarySearch(ns.dead, ord)
+		ns.dead = slices.Insert(ns.dead, at, ord)
+		for _, ti := range seg.cx.fwd[ord] {
+			ns.deadDF[ti]++
+		}
+		ns.tally(seg.cx.docs[ord], -1)
+	}
+	return &ns
+}
+
+// mergeRun splits segs (oldest first, as a freeze leaves them) into those to
+// keep and the run to merge into one segment at the newest place: walking back
+// from the newest, a segment joins while it is at most tierRatio times the
+// live documents gathered so far, and any segment more than deadShare dead
+// joins wherever it sits. Segments with nothing live are in neither. A run of
+// one is no merge.
+func mergeRun(segs []*segment) (keep, run []*segment) {
+	size, chain := 0, true
+	for i := len(segs) - 1; i >= 0; i-- {
+		seg := segs[i]
+		n := seg.live()
+		chain = chain && (size == 0 || n <= tierRatio*size)
+		switch {
+		case n == 0:
+		case chain || len(seg.dead)*deadShareDen > len(seg.cx.ids)*deadShareNum:
+			run = append(run, seg)
+			size += n
+		default:
+			keep = append(keep, seg)
+		}
+	}
+	slices.Reverse(keep)
+	slices.Reverse(run)
+	if len(run) < 2 {
+		return append(keep, run...), nil
+	}
+	return keep, run
 }
 
 func hasVisual(d *Document) bool {
 	return len(d.ColorHist) > 0 || len(d.Texture) > 0
 }
 
-// timeEntry is one pair of a time index — the base's and the overlay's are
-// both slices sorted by compare, so a scan merges the two.
+// timeEntry is one pair of a time index — a segment's and the overlay's are
+// slices sorted by compare, so a scan merges them.
 type timeEntry struct {
 	key int64 // CreatedAt
 	id  string
@@ -175,26 +266,29 @@ func (a timeEntry) compare(b timeEntry) int {
 	return strings.Compare(a.id, b.id)
 }
 
-// overlay is the immutable delta on top of a frozen base: one map per key
-// space, documents and terms, and three small slices. Every write to an id
-// that exists in the base masks it (dead in the base); liveness of an overlay
-// id is byID membership. The zero overlay (nil maps) is valid: lookups on nil
-// maps read as empty.
+// overlay is the immutable delta on top of the segments: one map per key
+// space, documents and terms, and a few small slices. Every write to an id
+// that is live in a segment masks it there; liveness of an overlay id is byID
+// membership. The zero overlay (nil maps) is valid: lookups on nil maps read
+// as empty.
 type overlay struct {
 	ops int // writes since the last freeze
-	// masked is the base's tombstones: the ordinals of base documents
-	// superseded or deleted, ascending — one monotonic pointer passes them in
-	// the base walk, a lookup by ordinal is a binary search.
-	masked   []uint32
+	// masked is the tombstones since the last freeze: per segment, in the
+	// snapshot's order, the ordinals of documents superseded or deleted,
+	// ascending — one monotonic pointer passes them in a walk, a lookup by
+	// ordinal is a binary search. Read through maskedIn: it may be shorter
+	// than the segment list.
+	masked   [][]uint32
 	byID     map[string]ovDoc
 	termPost map[string]ovTerm
 	byTime   []timeEntry // ascending (key, id)
-	// termDelta is the live term count minus the base's: overlay-only terms,
-	// less base terms whose every carrier is masked and that no overlay
-	// document carries. Kept by setTermPost/delTermPost/maskBase.
+	// termDelta is the live term count minus the segments': overlay-only
+	// terms, less segment terms whose every carrier is dead or masked and that
+	// no overlay document carries. Kept by setTermPost/delTermPost/maskBase: a
+	// staged document's terms are not in it (freezeLocked counts those).
 	termDelta int
 	// visualDelta is the same for documents with visual features: the
-	// overlay's carriers less the masked base ones.
+	// overlay's carriers less the masked ones.
 	visualDelta int
 	extras      []feature.Extra // byID's concept vectors, with norm and LSH signatures
 }
@@ -210,12 +304,16 @@ type ovDoc struct {
 // ovTerm is one term's overlay figures. post lists its carriers among the
 // overlay's documents, in write order, so document frequency and overlay
 // scoring are O(carriers); it is append-only along the lineage (see the file
-// comment). maskedDF counts the masked ids that carry the term in the base —
+// comment). maskedDF counts the masked documents that carry the term —
 // charged from the forward index as an id is masked, so a query never
-// intersects the tombstones with postings.
+// intersects the tombstones with postings. segDF, once a writer has asked
+// (known), is the segments' live carriers at the last freeze: the segments do
+// not change within an overlay's lifetime, so the lineage sums them once a term.
 type ovTerm struct {
 	post     []ovPost
 	maskedDF int
+	segDF    int
+	known    bool
 }
 
 // termTF is one distinct term of a document and its frequency there.
@@ -251,20 +349,31 @@ type ovPost struct {
 	tf int
 }
 
+// maskedIn returns the tombstones since the last freeze in segment si.
+func (ov *overlay) maskedIn(si int) []uint32 {
+	if si < len(ov.masked) {
+		return ov.masked[si]
+	}
+	return nil
+}
+
 // cloneNextN copies the overlay's own containers for a commit window of n
-// writes — the two maps and the three slices, each with room for the window —
-// so publish cost is O(overlay + window) rather than O(overlay × window).
-// Posting slices, term lists and documents are shared.
-func (ov *overlay) cloneNextN(n int) *overlay {
+// writes over nSegs segments — the two maps and the slices, each with room for
+// the window — so publish cost is O(overlay + window) rather than O(overlay ×
+// window). Posting slices, term lists and documents are shared.
+func (ov *overlay) cloneNextN(n, nSegs int) *overlay {
 	nv := &overlay{
 		ops:         ov.ops + n,
-		masked:      append(make([]uint32, 0, len(ov.masked)+n), ov.masked...),
+		masked:      make([][]uint32, nSegs),
 		byID:        make(map[string]ovDoc, len(ov.byID)+n),
 		termPost:    make(map[string]ovTerm, len(ov.termPost)+8),
 		byTime:      append(make([]timeEntry, 0, len(ov.byTime)+n), ov.byTime...),
 		termDelta:   ov.termDelta,
 		visualDelta: ov.visualDelta,
 		extras:      append(make([]feature.Extra, 0, len(ov.extras)+n), ov.extras...),
+	}
+	for si := range nv.masked {
+		nv.masked[si] = slices.Clone(ov.maskedIn(si))
 	}
 	maps.Copy(nv.byID, ov.byID)
 	maps.Copy(nv.termPost, ov.termPost)
@@ -273,16 +382,16 @@ func (ov *overlay) cloneNextN(n int) *overlay {
 
 // dropID removes any existing overlay entry for id (a replace or delete of a
 // doc written since the freeze). The tombstones are left alone: masking
-// records a fact about the base, which does not change within an overlay's
+// records a fact about the segments, which do not change within an overlay's
 // lifetime.
-func (nv *overlay) dropID(id string, cx *compiledIndex) {
+func (nv *overlay) dropID(id string, segs []*segment) {
 	old, ok := nv.byID[id]
 	if !ok {
 		return
 	}
 	delete(nv.byID, id)
 	for _, tt := range old.terms {
-		nv.delTermPost(tt.term, id, cx)
+		nv.delTermPost(tt.term, id, segs)
 	}
 	if hasVisual(old.doc) {
 		nv.visualDelta--
@@ -293,14 +402,14 @@ func (nv *overlay) dropID(id string, cx *compiledIndex) {
 	nv.extras = slices.DeleteFunc(nv.extras, func(e feature.Extra) bool { return e.ID == id })
 }
 
-// stageDoc records d, whose tokens it sorts, as mergeIndex and state.next
-// read it: live under its distinct terms, which it returns, its version in cx
-// (the index nv sits on) masked. A window that overflows the overlay — a bulk
-// load is one window of thousands — is only staged: no postings, no sorted
-// insert, no LSH signatures. Callers own nv; with staged documents it is
-// merged, never published.
-func (nv *overlay) stageDoc(d *Document, tokens []string, cx *compiledIndex) []termTF {
-	nv.deleteDoc(d.ID, cx)
+// stageDoc records d, whose tokens it sorts, as mergeIndex and buildSegment
+// read it: live under its distinct terms, which it returns, its version in
+// segs (the list nv sits on) masked. A window that overflows the overlay — a
+// bulk load is one window of thousands — is only staged: no postings, no
+// sorted insert, no LSH signatures. Callers own nv; with staged documents it
+// is compiled, never published.
+func (nv *overlay) stageDoc(d *Document, tokens []string, segs []*segment) []termTF {
+	nv.deleteDoc(d.ID, segs)
 	terms := termFreqs(tokens)
 	nv.byID[d.ID] = ovDoc{doc: d, terms: terms, docLen: len(tokens)}
 	if hasVisual(d) {
@@ -309,47 +418,42 @@ func (nv *overlay) stageDoc(d *Document, tokens []string, cx *compiledIndex) []t
 	return terms
 }
 
-// putDoc folds d into a freshly cloned (not yet published) overlay over base
-// that will be searched: stageDoc plus the read-side indexes. Once published
-// the overlay is immutable again.
-func (nv *overlay) putDoc(d *Document, tokens []string, base *state) {
-	terms := nv.stageDoc(d, tokens, base.cx)
+// putDoc folds d into a freshly cloned (not yet published) overlay over segs
+// that will be searched: stageDoc plus the read-side indexes, the vector
+// signed against planes. Once published the overlay is immutable again.
+func (nv *overlay) putDoc(d *Document, tokens []string, segs []*segment, planes *feature.LSH) {
+	terms := nv.stageDoc(d, tokens, segs)
 	at := timeEntry{key: d.CreatedAt, id: d.ID}
 	i, _ := slices.BinarySearchFunc(nv.byTime, at, timeEntry.compare)
 	nv.byTime = slices.Insert(nv.byTime, i, at)
 	for _, tt := range terms {
-		nv.setTermPost(tt.term, d.ID, tt.tf, base.cx)
+		nv.setTermPost(tt.term, d.ID, tt.tf, segs)
 	}
 	if len(d.Concept) > 0 {
-		nv.extras = append(nv.extras, feature.Extra{ID: d.ID, Vec: d.Concept, Norm: d.Concept.Norm(), Sigs: base.vec.Signatures(d.Concept)})
+		nv.extras = append(nv.extras, feature.Extra{ID: d.ID, Vec: d.Concept, Norm: d.Concept.Norm(), Sigs: planes.Signatures(d.Concept)})
 	}
 }
 
 // deleteDoc folds a delete into a freshly cloned overlay (see putDoc).
-func (nv *overlay) deleteDoc(id string, cx *compiledIndex) {
-	nv.dropID(id, cx)
-	nv.maskBase(id, cx)
+func (nv *overlay) deleteDoc(id string, segs []*segment) {
+	nv.dropID(id, segs)
+	nv.maskBase(id, segs)
 }
 
-// isMasked reports whether base ordinal ord is dead.
-func (ov *overlay) isMasked(ord uint32) bool {
-	_, dead := slices.BinarySearch(ov.masked, ord)
-	return dead
-}
-
-// maskBase marks id dead in the base, when the base holds it, and charges
+// maskBase marks id dead in the segment where it is live, if any, and charges
 // its distinct terms to maskedDF via the compiled forward index. Masking is
 // idempotent per overlay lifetime — an id already masked was already charged.
-func (nv *overlay) maskBase(id string, cx *compiledIndex) {
-	ord, inBase := cx.ords[id]
-	if !inBase {
+func (nv *overlay) maskBase(id string, segs []*segment) {
+	si, ord := holder(segs, id)
+	if si < 0 || segs[si].isDead(ord) {
 		return
 	}
-	at, dead := slices.BinarySearch(nv.masked, ord)
-	if dead {
+	at, masked := slices.BinarySearch(nv.masked[si], ord)
+	if masked {
 		return
 	}
-	nv.masked = slices.Insert(nv.masked, at, ord)
+	nv.masked[si] = slices.Insert(nv.masked[si], at, ord)
+	cx := segs[si].cx
 	if hasVisual(cx.docs[ord]) {
 		nv.visualDelta--
 	}
@@ -357,24 +461,31 @@ func (nv *overlay) maskBase(id string, cx *compiledIndex) {
 		t := cx.termList[ti]
 		e := nv.termPost[t]
 		e.maskedDF++
-		nv.termPost[t] = e
-		if len(e.post) == 0 && !e.baseLive(t, cx) {
+		if len(e.post) == 0 && !e.segsLive(t, segs) {
 			nv.termDelta-- // the term's last live carrier anywhere
 		}
+		nv.termPost[t] = e
 	}
 }
 
-// baseLive reports whether t still has an unmasked carrier in the base.
-func (e ovTerm) baseLive(t string, cx *compiledIndex) bool {
-	return int(cx.terms[t].df) > e.maskedDF
+// segsLive reports whether t still has a live, unmasked carrier in segs,
+// whose live carriers it sums on the first call and keeps in e.
+func (e *ovTerm) segsLive(t string, segs []*segment) bool {
+	if !e.known {
+		e.known = true
+		for _, seg := range segs {
+			e.segDF += seg.liveDF(seg.cx.terms[t])
+		}
+	}
+	return e.segDF > e.maskedDF
 }
 
 // setTermPost records id, which no posting of the term names (dropID has
 // removed an earlier version's), carrying it with frequency tf: one append,
 // onto the array the predecessor's slice ends in.
-func (nv *overlay) setTermPost(t, id string, tf int, cx *compiledIndex) {
+func (nv *overlay) setTermPost(t, id string, tf int, segs []*segment) {
 	e := nv.termPost[t]
-	if len(e.post) == 0 && !e.baseLive(t, cx) {
+	if len(e.post) == 0 && !e.segsLive(t, segs) {
 		nv.termDelta++ // first live carrier: a new term, or one fully masked
 	}
 	e.post = append(e.post, ovPost{id: id, tf: tf})
@@ -383,14 +494,14 @@ func (nv *overlay) setTermPost(t, id string, tf int, cx *compiledIndex) {
 
 // delTermPost removes id from the term's postings in a copy: the old array
 // is a held snapshot's to read.
-func (nv *overlay) delTermPost(t, id string, cx *compiledIndex) {
+func (nv *overlay) delTermPost(t, id string, segs []*segment) {
 	e := nv.termPost[t]
 	i := slices.IndexFunc(e.post, func(p ovPost) bool { return p.id == id })
 	if i < 0 {
 		return
 	}
 	e.post = slices.Delete(slices.Clone(e.post), i, i+1)
-	if len(e.post) == 0 && !e.baseLive(t, cx) {
+	if len(e.post) == 0 && !e.segsLive(t, segs) {
 		nv.termDelta--
 	}
 	if len(e.post) == 0 && e.maskedDF == 0 {
@@ -400,43 +511,58 @@ func (nv *overlay) delTermPost(t, id string, cx *compiledIndex) {
 	}
 }
 
-// overlayLimit bounds overlay size before a freeze: large enough to
-// amortize the O(n) deep clone, small enough to keep the per-query overlay
-// adjustments cheap.
-func overlayLimit(baseDocs int) int {
-	return min(max(baseDocs/8, 64), 512)
-}
-
 // snapshot is one published epoch: an immutable view of the store, and all
-// the state the store has. Its counts are O(1) sums of a base figure and an
-// overlay delta: docCount, visualCount, and the live term count
-// len(base.cx.termList) + ov.termDelta.
+// the state the store has. Its counts are sums over a handful of segments and
+// an overlay delta: docCount, visualCount, and the live term count terms +
+// ov.termDelta.
 type snapshot struct {
-	epoch uint64
-	base  *state
-	ov    *overlay
+	epoch  uint64
+	planes *feature.LSH // empty: the hyperplanes every segment's index shares
+	segs   []*segment   // oldest first
+	terms  int          // distinct terms with a carrier live in segs
+	ov     *overlay
 }
 
 func (sn *snapshot) docCount() int {
-	return len(sn.base.cx.ids) - len(sn.ov.masked) + len(sn.ov.byID)
+	n := len(sn.ov.byID)
+	for si, seg := range sn.segs {
+		n += seg.live() - len(sn.ov.maskedIn(si))
+	}
+	return n
 }
 
-func (sn *snapshot) visualCount() int { return sn.base.visuals + sn.ov.visualDelta }
+func (sn *snapshot) visualCount() int {
+	n := sn.ov.visualDelta
+	for _, seg := range sn.segs {
+		n += seg.visuals
+	}
+	return n
+}
 
-// getDoc returns the live document for id, or nil. The pointer is
-// snapshot-owned and must be cloned before leaving the store.
+// isDead reports whether ordinal ord of segment si is dead: at the last
+// freeze, or masked since.
+func (sn *snapshot) isDead(si int, ord uint32) bool {
+	if _, masked := slices.BinarySearch(sn.ov.maskedIn(si), ord); masked {
+		return true
+	}
+	return sn.segs[si].isDead(ord)
+}
+
+// getDoc returns the live document for id, or nil: the overlay's, else the
+// one in the newest segment holding the id, if it is live there. The pointer
+// is snapshot-owned and must be cloned before leaving the store.
 func (sn *snapshot) getDoc(id string) *Document {
 	if e, ok := sn.ov.byID[id]; ok {
 		return e.doc
 	}
-	if ord, ok := sn.base.cx.ords[id]; ok && !sn.ov.isMasked(ord) {
-		return sn.base.cx.docs[ord]
+	if si, ord := holder(sn.segs, id); si >= 0 && !sn.isDead(si, ord) {
+		return sn.segs[si].cx.docs[ord]
 	}
 	return nil
 }
 
-// searchTextRaw ranks against the merged index (block-max over the
-// compiled base, exact merge with the overlay), under this snapshot's own
+// searchTextRaw ranks against the merged index (block-max over each compiled
+// segment, exact merge with the overlay), under this snapshot's own
 // statistics or, with a non-nil gs, router-supplied ones (see GlobalStats).
 // Returned hits share snapshot-owned documents — they are read-only for
 // callers.
@@ -463,7 +589,7 @@ func (sn *snapshot) assembleHits(kept []scored) []Hit {
 	for _, r := range h.sorted() {
 		var d *Document
 		if r.ord >= 0 {
-			d = sn.base.cx.docs[r.ord]
+			d = sn.segs[r.seg].cx.docs[r.ord]
 		} else {
 			d = sn.ov.byID[r.id].doc
 		}
@@ -477,53 +603,70 @@ func (sn *snapshot) assembleHits(kept []scored) []Hit {
 // searchVectorRaw selects the k live documents most cosine-similar to q:
 // what an LSH probe finds when that is at least k of them, otherwise — and
 // always for a store of at most 256 — what the exact scan over the ordinals
-// does. A candidate is an unmasked base document with a concept vector, or an
+// does. A candidate is a live segment document with a concept vector, or an
 // overlay vector, scored from the norm kept beside it (a score has
-// feature.Cosine's bits). The probe collects its distinct candidates before
-// scoring any, and reads no bucket when their sizes already sum to fewer than
-// k. The result is scratch-backed and unranked, like searchCompiled's.
+// feature.Cosine's bits). The probe reads q's buckets in every segment —
+// together, less the dead, the one bucket of an index over the live set —
+// collects its distinct candidates before scoring any, and reads no bucket
+// when their sizes already sum to fewer than k. The result is scratch-backed
+// and unranked, like searchCompiled's.
 func (sn *snapshot) searchVectorRaw(q feature.Vector, k int, sc *searchScratch) []scored {
-	cx, ov, lsh := sn.base.cx, sn.ov, sn.base.vec
+	ov := sn.ov
 	h := topK[scored]{k: k, better: scoredBetter, items: sc.vecHeap[:0]}
 	qn := q.Norm()
-	base := func(ord uint32) {
-		h.push(scored{id: cx.ids[ord], ord: int32(ord), score: feature.CosineNorms(q, cx.docs[ord].Concept, qn, cx.cnorms[ord])})
+	push := func(cx *compiledIndex, si int, ord uint32) {
+		h.push(scored{id: cx.ids[ord], seg: int32(si), ord: int32(ord), score: feature.CosineNorms(q, cx.docs[ord].Concept, qn, cx.cnorms[ord])})
 	}
 	var sigs []uint64
 	probed := false
 	if sn.docCount() > 256 {
 		var buf [lshTables]uint64
-		sigs = lsh.AppendSignatures(buf[:0], q)
+		sigs = sn.planes.AppendSignatures(buf[:0], q)
 		near := 0 // overlay vectors in one of q's buckets
 		for i := range ov.extras {
 			if ov.extras[i].Shares(sigs) {
 				near++
 			}
 		}
+		sizes := 0
+		for _, seg := range sn.segs {
+			sizes += seg.vec.BucketSizes(sigs)
+		}
 		sc.ords = sc.ords[:0]
-		if k <= near+lsh.BucketSizes(sigs) {
-			sc.growSlots(len(cx.ids))
-			for t, sig := range sigs {
-				for _, id := range lsh.Bucket(t, sig) {
-					ord := cx.ords[id] // the LSH indexes exactly cx's documents with a vector
-					if sc.slot[ord] == 0 && !ov.isMasked(ord) {
-						sc.slot[ord] = 1
-						sc.ords = append(sc.ords, ord)
+		if k <= near+sizes {
+			// Candidates are filed under segment offset + ordinal, so sc.ords
+			// ascends from one segment to the next.
+			sc.growSlots(sn.segs)
+			for si, seg := range sn.segs {
+				for t, sig := range sigs {
+					for _, id := range seg.vec.Bucket(t, sig) {
+						ord := seg.cx.ords[id] // the LSH indexes exactly cx's documents with a vector
+						if at := sc.segOff[si] + ord; sc.slot[at] == 0 && !sn.isDead(si, ord) {
+							sc.slot[at] = 1
+							sc.ords = append(sc.ords, at)
+						}
 					}
 				}
 			}
 			probed = k <= near+len(sc.ords)
 		}
-		for _, ord := range sc.ords {
-			if sc.slot[ord] = 0; probed {
-				base(ord)
+		si := 0
+		for _, at := range sc.ords {
+			for at >= sc.segOff[si]+uint32(len(sn.segs[si].cx.ids)) {
+				si++
+			}
+			if sc.slot[at] = 0; probed {
+				push(sn.segs[si].cx, si, at-sc.segOff[si])
 			}
 		}
 	}
 	if !probed {
-		for ord, d := range cx.docs {
-			if len(d.Concept) > 0 && !ov.isMasked(uint32(ord)) {
-				base(uint32(ord))
+		for si, seg := range sn.segs {
+			clean := len(seg.dead)+len(ov.maskedIn(si)) == 0 // no tombstone to look for
+			for ord, d := range seg.cx.docs {
+				if len(d.Concept) > 0 && (clean || !sn.isDead(si, uint32(ord))) {
+					push(seg.cx, si, uint32(ord))
+				}
 			}
 		}
 	}
@@ -540,9 +683,9 @@ func (sn *snapshot) searchVectorRaw(q feature.Vector, k int, sc *searchScratch) 
 // two pools — the max(4k, 32) best text hits and as many vector hits — each
 // score first divided by its pool's best (a pool whose best is not positive
 // contributes zeros; a document outside a pool scores zero there). The text
-// pool is filed by ordinal, each vector hit takes its text score from there,
-// the text hits left follow, and a k-heap keeps the answer: neither pool is
-// ranked or keyed by id, nothing is sorted but the k kept.
+// pool is filed by segment offset + ordinal, each vector hit takes its text
+// score from there, the text hits left follow, and a k-heap keeps the answer:
+// neither pool is ranked or keyed by id, nothing is sorted but the k kept.
 func (sn *snapshot) searchHybridRaw(tokens []string, concept feature.Vector, alpha float64, k int, sc *searchScratch) []Hit {
 	pool := max(k*4, 32)
 	text := sn.searchCompiled(tokens, pool, sc, false, nil)
@@ -561,7 +704,7 @@ func (sn *snapshot) searchHybridRaw(tokens []string, concept feature.Vector, alp
 		return score / of
 	}
 	blend := func(ts, vs float64) float64 { return (1-alpha)*ts + alpha*vs }
-	sc.growSlots(len(sn.base.cx.ids))
+	sc.growSlots(sn.segs)
 	for i, r := range text {
 		sc.fileSlot(r, int32(i+1))
 	}
@@ -584,69 +727,82 @@ func (sn *snapshot) searchHybridRaw(tokens []string, concept feature.Vector, alp
 	return sn.assembleHits(h.items)
 }
 
-// timeRange returns the entries of a time index with key in [from, to].
-func timeRange(ents []timeEntry, from, to int64) []timeEntry {
-	lo := sort.Search(len(ents), func(i int) bool { return ents[i].key >= from })
-	hi := sort.Search(len(ents), func(i int) bool { return ents[i].key > to })
-	return ents[lo:max(lo, hi)]
+// timeRun is the part [lo, hi) of one time index a scan has yet to visit: a
+// segment's (ords beside ents) or, seg -1, the overlay's.
+type timeRun struct {
+	seg    int
+	ents   []timeEntry
+	ords   []uint32
+	lo, hi int
 }
 
-// baseDead reports whether id, a document of the base, is masked.
-func (sn *snapshot) baseDead(id string) bool {
-	return len(sn.ov.masked) > 0 && sn.ov.isMasked(sn.base.cx.ords[id])
-}
-
-// scanAsc visits live (key, id) pairs with key in [from, to] ascending — an
-// ordered merge of the base's time index (skipping masked ids) with the
-// overlay's, yielding exactly the sequence one index over the live set would.
-func (sn *snapshot) scanAsc(from, to int64, visit func(key int64, id string) bool) {
-	bt, ot := timeRange(sn.base.byTime, from, to), timeRange(sn.ov.byTime, from, to)
-	for len(bt) > 0 || len(ot) > 0 {
-		var e timeEntry
-		if len(ot) == 0 || (len(bt) > 0 && bt[0].compare(ot[0]) < 0) {
-			e, bt = bt[0], bt[1:]
-			if sn.baseDead(e.id) {
-				continue
-			}
-		} else {
-			e, ot = ot[0], ot[1:]
+// scanTime visits live (key, id) pairs with key in [from, to], ascending or
+// (desc) descending — a k-way merge of the segments' time indexes (a dead
+// ordinal is passed: two binary searches, no id lookup) with the overlay's,
+// from the heads or from the tails, yielding exactly the sequence one index
+// over the live set would; a bounded scan costs what it visits. limit < 0
+// means unbounded; it counts visits.
+func (sn *snapshot) scanTime(from, to int64, desc bool, limit int, visit func(key int64, id string) bool) {
+	runs := make([]timeRun, 0, len(sn.segs)+1)
+	for si, seg := range sn.segs {
+		runs = append(runs, timeRun{seg: si, ents: seg.byTime, ords: seg.timeOrd})
+	}
+	runs = append(runs, timeRun{seg: -1, ents: sn.ov.byTime})
+	for i := range runs {
+		r := &runs[i]
+		r.lo = sort.Search(len(r.ents), func(i int) bool { return r.ents[i].key >= from })
+		r.hi = max(r.lo, sort.Search(len(r.ents), func(i int) bool { return r.ents[i].key > to }))
+	}
+	end := func(r *timeRun) int { // the index of r's next entry
+		if desc {
+			return r.hi - 1
 		}
-		if !visit(e.key, e.id) {
+		return r.lo
+	}
+	for limit != 0 {
+		var next *timeRun
+		for i := range runs {
+			if r := &runs[i]; r.lo < r.hi && (next == nil || (r.ents[end(r)].compare(next.ents[end(next)]) < 0) != desc) {
+				next = r
+			}
+		}
+		if next == nil {
 			return
 		}
-	}
-}
-
-// scanDesc is scanAsc from the other end: live pairs with key <= to,
-// descending, walked from the tails of the two indexes so a bounded scan
-// costs what it visits. limit < 0 means unbounded; it counts visits.
-func (sn *snapshot) scanDesc(to int64, limit int, visit func(key int64, id string) bool) {
-	bt, ot := timeRange(sn.base.byTime, math.MinInt64, to), timeRange(sn.ov.byTime, math.MinInt64, to)
-	for limit != 0 && (len(bt) > 0 || len(ot) > 0) {
-		var e timeEntry
-		if b, o := len(bt)-1, len(ot)-1; o < 0 || (b >= 0 && bt[b].compare(ot[o]) > 0) {
-			e, bt = bt[b], bt[:b]
-			if sn.baseDead(e.id) {
-				continue
-			}
+		at := end(next)
+		if desc {
+			next.hi--
 		} else {
-			e, ot = ot[o], ot[:o]
+			next.lo++
 		}
-		if !visit(e.key, e.id) {
+		if next.seg >= 0 && sn.isDead(next.seg, next.ords[at]) {
+			continue
+		}
+		if e := next.ents[at]; !visit(e.key, e.id) {
 			return
 		}
 		limit--
 	}
 }
 
-// topicCount counts live docs carrying topic: the base's count, less its
+func (sn *snapshot) scanAsc(from, to int64, visit func(key int64, id string) bool) {
+	sn.scanTime(from, to, false, -1, visit)
+}
+
+func (sn *snapshot) scanDesc(to int64, limit int, visit func(key int64, id string) bool) {
+	sn.scanTime(math.MinInt64, to, true, limit, visit)
+}
+
+// topicCount counts live docs carrying topic: the segments' counts, less the
 // masked carriers, plus overlay carriers.
 func (sn *snapshot) topicCount(topic string) int {
-	cx := sn.base.cx
-	n := sn.base.topics[topic]
-	for _, ord := range sn.ov.masked {
-		if slices.Contains(cx.docs[ord].Topics, topic) {
-			n--
+	n := 0
+	for si, seg := range sn.segs {
+		n += seg.topics[topic]
+		for _, ord := range sn.ov.maskedIn(si) {
+			if slices.Contains(seg.cx.docs[ord].Topics, topic) {
+				n--
+			}
 		}
 	}
 	for _, e := range sn.ov.byID {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -116,11 +117,12 @@ func shadowDoc(r *rand.Rand, id string, at int64) *Document {
 	return d
 }
 
-// TestSnapshotMatchesMonolithic is the exactness proof for the base+overlay
-// read path: after every write in a put/replace/delete sweep (crossing
-// several freeze boundaries), every read API must return results identical —
-// scores included — to a freshly built store holding the same live set with
-// an empty overlay. Text queries use at most two distinct terms so float
+// TestSnapshotMatchesMonolithic is the exactness proof for the
+// segments+overlay read path: after every write in a put/replace/delete sweep
+// (crossing several freeze boundaries), and then in a scripted walk through
+// the shapes of a segment list, every read API must return results identical
+// — scores included — to a freshly built store holding the same live set in
+// one segment with an empty overlay. Text queries use at most two distinct terms so float
 // accumulation order cannot differ between the two stores.
 func TestSnapshotMatchesMonolithic(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
@@ -137,7 +139,7 @@ func TestSnapshotMatchesMonolithic(t *testing.T) {
 	check := func(step int) {
 		t.Helper()
 		// Rebuild a monolithic reference store with the same seed and
-		// force an all-base snapshot so b has no overlay at all.
+		// force a one-segment snapshot so b has no overlay at all.
 		b, err := Open(Options{ConceptDim: 8, Seed: 7, QueryCacheSize: -1})
 		if err != nil {
 			t.Fatal(err)
@@ -150,10 +152,10 @@ func TestSnapshotMatchesMonolithic(t *testing.T) {
 			}
 		}
 		b.mu.Lock()
-		b.freezeLocked(b.snap.Load(), b.snap.Load().ov)
+		b.installLocked(b.snap.Load().merged(b.Epoch() + 1))
 		b.mu.Unlock()
-		if bo := b.snap.Load().ov; bo.ops != 0 || len(bo.byID) != 0 {
-			t.Fatal("reference store still has an overlay after forced freeze")
+		if bs := b.snap.Load(); bs.ov.ops != 0 || len(bs.ov.byID) != 0 || len(bs.segs) > 1 {
+			t.Fatal("reference store still has an overlay, or several segments, after the forced merge")
 		}
 
 		if a.Len() != b.Len() {
@@ -225,6 +227,52 @@ func TestSnapshotMatchesMonolithic(t *testing.T) {
 			check(step)
 		}
 	}
+
+	// The same comparison through a scripted segment list: tombstones in every
+	// tier, a dead-share merge, a tier merge (tierSchedule), after every write,
+	// on a store of its own so that the shapes are the schedule's.
+	if a, err = Open(Options{ConceptDim: 8, Seed: 7, QueryCacheSize: -1}); err != nil {
+		t.Fatal(err)
+	}
+	clear(live)
+	ids = ids[:0]
+	step := 1000
+	wrote := func(docs ...*Document) {
+		t.Helper()
+		for _, d := range docs {
+			if _, known := live[d.ID]; !known && !slices.Contains(ids, d.ID) {
+				ids = append(ids, d.ID)
+			}
+			live[d.ID] = d
+		}
+		step++
+		check(step)
+	}
+	tierSchedule(t, a, r, tierOps{
+		put: func(_ string, d *Document) {
+			t.Helper()
+			if err := a.Put(d); err != nil {
+				t.Fatal(err)
+			}
+			wrote(d)
+		},
+		del: func(_, id string) {
+			t.Helper()
+			if err := a.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+			delete(live, id)
+			wrote()
+		},
+		batch: func(_ string, docs []*Document) {
+			t.Helper()
+			if err := a.PutBatch(docs); err != nil {
+				t.Fatal(err)
+			}
+			wrote(docs...)
+		},
+		shaped: func(string, *snapshot) {},
+	})
 }
 
 func hitsEqual(a, b []Hit) bool {

@@ -41,8 +41,10 @@ type Options struct {
 	// Telemetry receives per-operation latency histograms and counters
 	// (docstore.put, docstore.search.*, docstore.compact, WAL replay,
 	// docstore.epoch, docstore.cache.*, docstore.snapshot.freezes with the
-	// docstore.freeze.latency histogram and docstore.publish.latency for
-	// every window that did not freeze, the group-commit pipeline's
+	// docstore.freeze.latency histogram — an overlay compiled into a segment
+	// — and docstore.publish.latency for every window that did not freeze,
+	// the docstore.segments gauge, docstore.merge.latency and
+	// docstore.merge.docs for the tier merges, the group-commit pipeline's
 	// docstore.wal.{syncs,windows,group_size,sync_wait_us} counters plus
 	// the docstore.commit latency histogram, and the gauges
 	// docstore.commit.queue_depth — requests waiting when the committer
@@ -55,12 +57,13 @@ type Options struct {
 // storeTel caches resolved instruments; with a nil registry every field is
 // nil and each call site degrades to a nil-receiver no-op.
 type storeTel struct {
-	puts, deletes, searches, walRecords, freezes                *telemetry.Counter
+	puts, deletes, searches, walRecords, freezes, mergeDocs     *telemetry.Counter
 	walSyncs, walWindows, walGroupSize, walSyncWaitUs           *telemetry.Counter
 	compactErrors                                               *telemetry.Counter
-	epoch, queueDepth, compactActive                            *telemetry.Gauge
+	epoch, queueDepth, compactActive, segments                  *telemetry.Gauge
 	putLat, deleteLat, textLat, vectorLat, visualLat, hybridLat *telemetry.Histogram
 	compactLat, replayLat, commitLat, freezeLat, publishLat     *telemetry.Histogram
+	mergeLat                                                    *telemetry.Histogram
 }
 
 func newStoreTel(reg *telemetry.Registry) storeTel {
@@ -73,6 +76,8 @@ func newStoreTel(reg *telemetry.Registry) storeTel {
 		searches:   reg.Counter("docstore.searches"),
 		walRecords: reg.Counter("docstore.wal.records.replayed"),
 		freezes:    reg.Counter("docstore.snapshot.freezes"),
+		// Documents rewritten by tier merges: over puts, the write amplification.
+		mergeDocs: reg.Counter("docstore.merge.docs"),
 		// Group-commit pipeline: fsyncs issued, commit windows closed, and
 		// records committed across all windows — mean window size is
 		// group_size / windows, fsync amortization is puts+deletes / syncs.
@@ -84,6 +89,7 @@ func newStoreTel(reg *telemetry.Registry) storeTel {
 		epoch:         reg.Gauge("docstore.epoch"),
 		queueDepth:    reg.Gauge("docstore.commit.queue_depth"),
 		compactActive: reg.Gauge("docstore.compact.in_flight"),
+		segments:      reg.Gauge("docstore.segments"),
 		putLat:        reg.Histogram("docstore.put"),
 		deleteLat:     reg.Histogram("docstore.delete"),
 		textLat:       reg.Histogram("docstore.search.text"),
@@ -93,8 +99,11 @@ func newStoreTel(reg *telemetry.Registry) storeTel {
 		compactLat:    reg.Histogram("docstore.compact"),
 		replayLat:     reg.Histogram("docstore.wal.replay"),
 		commitLat:     reg.Histogram("docstore.commit"),
-		// The writer stall of one overflow: mergeIndex plus state.next.
+		// The writer stall of one overflow has two parts: the overlay compiled
+		// into a segment and its tombstones folded in, then — some freezes —
+		// the newest tiers merged into one.
 		freezeLat: reg.Histogram("docstore.freeze.latency"),
+		mergeLat:  reg.Histogram("docstore.merge.latency"),
 		// What a window that does not freeze holds Store.mu for beyond its
 		// log write: the overlay clone, the fold and the publish.
 		publishLat: reg.Histogram("docstore.publish.latency"),
@@ -117,7 +126,7 @@ var (
 // code itself, minus the WAL. Every read method loads the published epoch
 // snapshot and runs lock-free, so searches never block writers and never
 // take the store lock (a contract enforced by agoralint's lockfree analyzer
-// — see snapshot.go for the epoch/overlay design).
+// — see snapshot.go for the epoch/segments/overlay design).
 type Store struct {
 	mu   sync.Mutex // serializes log appends and snapshot publishes; never taken on the read path
 	opts Options
@@ -162,9 +171,9 @@ func Open(opts Options) (*Store, error) {
 		cache:  newQueryCache(opts.QueryCacheSize, opts.Telemetry),
 		tokens: newTokenMemo(opts.Telemetry),
 	}
-	base := newState(opts)
+	planes := feature.NewLSH(opts.Seed, opts.ConceptDim, lshTables, lshBits)
 	if opts.Dir == "" {
-		s.installLocked(&snapshot{epoch: 1, base: base, ov: &overlay{}})
+		s.installLocked(&snapshot{epoch: 1, planes: planes, ov: &overlay{}})
 		return s, nil
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
@@ -173,19 +182,19 @@ func Open(opts Options) (*Store, error) {
 	snapPath, walPath := snapshotPaths(opts.Dir)
 	replayStart := time.Now()
 	// Snapshot files carry a versioned header. The compiled (v2) format
-	// loads postings blocks directly — no per-document re-tokenization — and
-	// its documents are carried onto the empty base. The log after it (and
-	// all of a legacy snapshot, a WAL-format record stream) is staged into
-	// one delta, merged once below.
+	// loads postings blocks directly — no per-document re-tokenization. The
+	// log after it (and all of a legacy snapshot, a WAL-format record stream)
+	// is staged into one delta over the file's index, and the two are merged
+	// once below, into one segment.
 	file, err := loadSnapshotFile(snapPath)
 	if err != nil {
 		return nil, err
 	}
-	legacy := file == nil
-	if !legacy {
-		base = base.next(file, carry(file.docs))
+	var segs []*segment
+	if file != nil {
+		segs = []*segment{{cx: file}}
 	}
-	delta := (&overlay{}).cloneNextN(0)
+	delta := (&overlay{}).cloneNextN(0, len(segs))
 	apply := func(op uint8, payload []byte) error {
 		s.tel.walRecords.Inc()
 		switch op {
@@ -194,13 +203,13 @@ func Open(opts Options) (*Store, error) {
 			if err != nil {
 				return err
 			}
-			delta.stageDoc(d, d.Tokens(), base.cx)
+			delta.stageDoc(d, d.Tokens(), segs)
 		case opDelete:
-			delta.deleteDoc(string(payload), base.cx)
+			delta.deleteDoc(string(payload), segs)
 		}
 		return nil
 	}
-	if legacy {
+	if file == nil {
 		if _, _, err := replayWAL(snapPath, apply); err != nil {
 			return nil, err
 		}
@@ -222,9 +231,19 @@ func Open(opts Options) (*Store, error) {
 	s.walBytes.Store(s.log.size)
 	// One publish for the whole replay: per-record publishing would make
 	// recovery O(n) snapshot churn for nothing.
-	s.installLocked(&snapshot{epoch: 1, base: base.next(mergeIndex(base.cx, delta), delta), ov: &overlay{}})
+	s.installLocked((&snapshot{planes: planes, segs: segs, ov: delta}).merged(1))
 	s.startCommitter()
 	return s, nil
+}
+
+// merged returns sn's live set as one segment under an empty overlay — the
+// monolith every read through sn must agree with — at the given epoch.
+func (sn *snapshot) merged(epoch uint64) *snapshot {
+	all := buildSegment(sn.planes, sn.segs, sn.ov)
+	if len(all.cx.ids) == 0 {
+		return &snapshot{epoch: epoch, planes: sn.planes, ov: &overlay{}}
+	}
+	return &snapshot{epoch: epoch, planes: sn.planes, segs: []*segment{all}, terms: len(all.cx.termList), ov: &overlay{}}
 }
 
 // installLocked publishes sn. Callers hold mu (or are inside Open before the
@@ -232,17 +251,45 @@ func Open(opts Options) (*Store, error) {
 func (s *Store) installLocked(sn *snapshot) {
 	s.snap.Store(sn)
 	s.tel.epoch.Set(float64(sn.epoch))
+	s.tel.segments.Set(float64(len(sn.segs)))
 }
 
-// freezeLocked publishes, as cur's successor, a fresh base with an empty
-// overlay — the coalescing point that keeps overlays small. The base is cur's
-// merged with delta, which must hold every write since cur's base was frozen.
+// freezeLocked publishes, as cur's successor, cur's segments and an empty
+// overlay — the coalescing point that keeps overlays small. delta must hold
+// every write since cur's last freeze: what it masked is folded into the
+// segments it touched, its documents are compiled into a segment of their
+// own, and then the newest tiers are merged if they are due (mergeRun).
 func (s *Store) freezeLocked(cur *snapshot, delta *overlay) {
 	start := time.Now()
 	s.tel.freezes.Inc()
-	base := cur.base.next(mergeIndex(cur.base.cx, delta), delta)
-	s.installLocked(&snapshot{epoch: cur.epoch + 1, base: base, ov: &overlay{}})
+	segs := make([]*segment, len(cur.segs), len(cur.segs)+1)
+	for si, seg := range cur.segs {
+		segs[si] = seg.withDead(delta.maskedIn(si))
+	}
+	// termDelta is exact but for the terms of staged documents, which have no
+	// overlay postings: such a term is new if nothing live carries it.
+	terms := cur.terms + delta.termDelta
+	if len(delta.byID) > 0 {
+		fresh := buildSegment(cur.planes, nil, delta)
+		segs = append(segs, fresh)
+		for _, t := range fresh.cx.termList {
+			if e := delta.termPost[t]; len(e.post) == 0 && !e.segsLive(t, cur.segs) {
+				terms++
+			}
+		}
+	}
 	s.tel.freezeLat.Observe(time.Since(start))
+
+	if keep, run := mergeRun(segs); run == nil {
+		segs = keep
+	} else {
+		start = time.Now()
+		merged := buildSegment(cur.planes, run, &overlay{})
+		segs = append(keep, merged)
+		s.tel.mergeDocs.Add(uint64(len(merged.cx.ids)))
+		s.tel.mergeLat.Observe(time.Since(start))
+	}
+	s.installLocked(&snapshot{epoch: cur.epoch + 1, planes: cur.planes, segs: segs, terms: terms, ov: &overlay{}})
 }
 
 // publishWindowLocked publishes one epoch covering the n non-skipped ops of a
@@ -256,20 +303,19 @@ func (s *Store) publishWindowLocked(cur *snapshot, window []*commitReq, n int) {
 		return
 	}
 	start := time.Now()
-	cx := cur.base.cx
-	freeze := cur.ov.ops+n > overlayLimit(len(cx.ids))
-	nv := cur.ov.cloneNextN(n)
+	freeze := cur.ov.ops+n > overlayLimit
+	nv := cur.ov.cloneNextN(n, len(cur.segs))
 	for _, req := range window {
 		for i := range req.ops {
 			op := &req.ops[i]
 			switch {
 			case op.skip:
 			case op.op == opDelete:
-				nv.deleteDoc(op.id, cx)
+				nv.deleteDoc(op.id, cur.segs)
 			case freeze:
-				nv.stageDoc(op.doc, op.tokens, cx)
+				nv.stageDoc(op.doc, op.tokens, cur.segs)
 			default:
-				nv.putDoc(op.doc, op.tokens, cur.base)
+				nv.putDoc(op.doc, op.tokens, cur.segs, cur.planes)
 			}
 			op.tokens = nil // folded: a bulk window's freeze does not run with every document's tokens still held
 		}
@@ -278,7 +324,7 @@ func (s *Store) publishWindowLocked(cur *snapshot, window []*commitReq, n int) {
 		s.freezeLocked(cur, nv)
 		return
 	}
-	s.installLocked(&snapshot{epoch: cur.epoch + 1, base: cur.base, ov: nv})
+	s.installLocked(&snapshot{epoch: cur.epoch + 1, planes: cur.planes, segs: cur.segs, terms: cur.terms, ov: nv})
 	s.tel.publishLat.Observe(time.Since(start))
 }
 
@@ -446,20 +492,22 @@ func (s *Store) SearchVisual(query feature.VisualFeatures, colorWeight float64, 
 	}
 	sc := getScratch()
 	h := topK[scored]{k: k, better: scoredBetter, items: sc.heap[:0]}
-	score := func(d *Document, ord int32) {
+	score := func(d *Document, seg, ord int32) {
 		if hasVisual(d) {
-			h.push(scored{id: d.ID, ord: ord, score: feature.VisualSimilarity(query, feature.VisualFeatures{
+			h.push(scored{id: d.ID, seg: seg, ord: ord, score: feature.VisualSimilarity(query, feature.VisualFeatures{
 				ColorHist: d.ColorHist, Texture: d.Texture,
 			}, colorWeight)})
 		}
 	}
-	for ord, d := range sn.base.cx.docs {
-		if !sn.ov.isMasked(uint32(ord)) {
-			score(d, int32(ord))
+	for si, seg := range sn.segs {
+		for ord, d := range seg.cx.docs {
+			if !sn.isDead(si, uint32(ord)) {
+				score(d, int32(si), int32(ord))
+			}
 		}
 	}
 	for _, e := range sn.ov.byID {
-		score(e.doc, -1)
+		score(e.doc, 0, -1)
 	}
 	sc.heap = h.items[:0]
 	hits := sn.assembleHits(h.items)
@@ -547,16 +595,16 @@ func (s *Store) Freshest(k int) []*Document {
 	return out
 }
 
-// All visits every document (copies): the frozen base's in ID order, then
-// those written since in unspecified order.
+// All visits every document (copies): each segment's in ID order, oldest
+// segment first, then those written since the last freeze in unspecified
+// order.
 func (s *Store) All(visit func(*Document) bool) {
 	sn := s.snap.Load()
-	for ord, d := range sn.base.cx.docs {
-		if sn.ov.isMasked(uint32(ord)) {
-			continue
-		}
-		if !visit(d.Clone()) {
-			return
+	for si, seg := range sn.segs {
+		for ord, d := range seg.cx.docs {
+			if !sn.isDead(si, uint32(ord)) && !visit(d.Clone()) {
+				return
+			}
 		}
 	}
 	for _, e := range sn.ov.byID {
@@ -634,12 +682,12 @@ func (s *Store) compactOnce() error {
 	off := s.log.size
 	s.mu.Unlock()
 
-	// Phase 2 (no lock): merge the overlay into the compiled base — the
-	// same merge a freeze runs, never re-tokenizing documents — and write
-	// the live set as a v2 snapshot into a temp file.
+	// Phase 2 (no lock): merge the segments and the overlay into one index —
+	// the same merge a tier merge runs, over everything, never re-tokenizing
+	// documents — and write the live set as a v2 snapshot into a temp file.
 	snapPath, walPath := snapshotPaths(s.opts.Dir)
 	tmp := snapPath + ".tmp"
-	merged := mergeIndex(sn.base.cx, sn.ov)
+	merged, _ := mergeIndex(sn.segs, sn.ov)
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("docstore: creating snapshot: %w", err)
@@ -761,7 +809,7 @@ func (s *Store) Stats() Stats {
 	sn := s.snap.Load()
 	return Stats{
 		Docs:          sn.docCount(),
-		Terms:         len(sn.base.cx.termList) + sn.ov.termDelta,
+		Terms:         sn.terms + sn.ov.termDelta,
 		Puts:          s.puts.Load(),
 		Deletes:       s.deletes.Load(),
 		Searches:      s.searches.Load(),

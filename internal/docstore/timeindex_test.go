@@ -4,25 +4,33 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
-// timeSnap builds the parts of a snapshot a time scan reads: a base and an
-// overlay time index (sorted here), the base's id -> ordinal map, and the
-// ordinals of the base ids the overlay masks.
+// timeSnap builds the parts of a snapshot a time scan reads: a segment and an
+// overlay time index (sorted here), the ordinal beside each segment entry
+// (ordinals ascend by id, as a compiled index numbers them), and the ordinals
+// of the segment ids the overlay masks.
 func timeSnap(base, ov []timeEntry, masked ...string) *snapshot {
 	slices.SortFunc(base, timeEntry.compare)
 	slices.SortFunc(ov, timeEntry.compare)
-	cx := &compiledIndex{ords: map[string]uint32{}}
-	for i, e := range base {
-		cx.ords[e.id] = uint32(i)
+	byID := slices.Clone(base)
+	slices.SortFunc(byID, func(a, b timeEntry) int { return strings.Compare(a.id, b.id) })
+	ords := map[string]uint32{}
+	for i, e := range byID {
+		ords[e.id] = uint32(i)
 	}
-	sn := &snapshot{base: &state{cx: cx, byTime: base}, ov: &overlay{byTime: ov}}
+	seg := &segment{byTime: base}
+	for _, e := range base {
+		seg.timeOrd = append(seg.timeOrd, ords[e.id])
+	}
+	sn := &snapshot{segs: []*segment{seg}, ov: &overlay{byTime: ov, masked: [][]uint32{nil}}}
 	for _, id := range masked {
-		sn.ov.masked = append(sn.ov.masked, cx.ords[id])
+		sn.ov.masked[0] = append(sn.ov.masked[0], ords[id])
 	}
-	slices.Sort(sn.ov.masked)
+	slices.Sort(sn.ov.masked[0])
 	return sn
 }
 
@@ -161,8 +169,8 @@ func TestFreshestAllocatesPerResult(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if sn := s.snap.Load(); len(sn.ov.byID) != 3 || len(sn.base.byTime) != n {
-			t.Fatalf("base %d, overlay %d: not the shape this test is about", len(sn.base.byTime), len(sn.ov.byID))
+		if sn := s.snap.Load(); len(sn.ov.byID) != 3 || len(sn.segs) != 1 || len(sn.segs[0].byTime) != n {
+			t.Fatalf("%d segments, overlay %d: not the shape this test is about", len(sn.segs), len(sn.ov.byID))
 		}
 		return s
 	}

@@ -181,39 +181,40 @@ func (e *Extra) Shares(sigs []uint64) bool {
 	return false
 }
 
-// CloneWithout returns an independent copy of the index less the ids in
-// dead, sharing only immutable state (the hyperplanes; the stored vectors,
-// never mutated in place). One pass filters the buckets as it copies them —
-// no signature is recomputed, as a Delete per id would — each table's carved
-// from one array and capped, so no Insert ever touches a neighbouring bucket.
-func (l *LSH) CloneWithout(dead map[string]bool) *LSH {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	cp := &LSH{
-		planes: l.planes,
-		tables: make([]map[uint64][]string, len(l.tables)),
-		items:  make(map[string]Vector, len(l.items)),
-	}
-	for id, v := range l.items {
-		if !dead[id] {
-			cp.items[id] = v
+// Filled returns an index over l's hyperplanes — which are immutable, so a
+// vector has the same signatures in both and a query's buckets in the two,
+// taken together, are its bucket in one index holding both sets — of the
+// vectors vecs[i] under ids[i], each filed under sigs[i*tables:(i+1)*tables]
+// (its Signatures); an empty vector is no item. The index keeps the vectors
+// themselves, and each table's buckets are carved from one array and capped,
+// so no later Insert touches a neighbouring bucket. The docstore builds one
+// per segment this way, from signatures it carries along.
+func (l *LSH) Filled(ids []string, vecs []Vector, sigs []uint64) *LSH {
+	cp := &LSH{planes: l.planes, tables: make([]map[uint64][]string, len(l.tables)), items: make(map[string]Vector, len(ids))}
+	for i, id := range ids {
+		if len(vecs[i]) > 0 {
+			cp.items[id] = vecs[i]
 		}
 	}
-	for t, tbl := range l.tables {
-		nt := make(map[uint64][]string, len(tbl))
-		ids := make([]string, 0, len(cp.items)) // a table files every item once
-		for sig, bucket := range tbl {
-			n := len(ids)
-			for _, id := range bucket {
-				if !dead[id] {
-					ids = append(ids, id)
-				}
-			}
-			if len(ids) > n {
-				nt[sig] = ids[n:len(ids):len(ids)]
+	sizes := map[uint64]int{}
+	for t := range cp.tables {
+		clear(sizes)
+		for i := range ids {
+			if len(vecs[i]) > 0 {
+				sizes[sigs[i*len(l.tables)+t]]++
 			}
 		}
-		cp.tables[t] = nt
+		tbl := make(map[uint64][]string, len(sizes))
+		arena := make([]string, len(cp.items)) // a table files every item once
+		for sig, n := range sizes {
+			tbl[sig], arena = arena[:0:n], arena[n:]
+		}
+		for i, id := range ids {
+			if sig := sigs[i*len(l.tables)+t]; len(vecs[i]) > 0 {
+				tbl[sig] = append(tbl[sig], id)
+			}
+		}
+		cp.tables[t] = tbl
 	}
 	return cp
 }

@@ -13,34 +13,37 @@ import (
 // snapshot hands to lock-free readers is here — once a snapshot pointer
 // is stored, every byte behind it must stay frozen, or readers race.
 //
-//   - snapshot is a literal, whole before installLocked publishes it;
-//   - state, the frozen base, is built only by next: the store keeps no
-//     mutable twin of it, so the one builder is the one writer;
-//   - compiledIndex is filled only by addDoc and appendTerm (the freeze
-//     and the compactor's merge, and the snapshot loader, all build
-//     through them);
+//   - snapshot is a literal, whole before installLocked publishes it, its
+//     segment list included: a freeze or a merge makes a new slice;
+//   - segment, an entry of that list, is built only by buildSegment (the
+//     freeze's compile of the overlay, a tier merge, Open: one builder)
+//     with tally, its counting helper, and succeeded — never written —
+//     by withDead, the copy-on-write fold of tombstones, which assigns
+//     only the fields of the copy it returns;
+//   - compiledIndex is filled only by addDoc and appendTerm (the k-way
+//     mergeIndex and the snapshot loader both build through them);
 //   - overlay is built by the clone/fold family (stageDoc for a window
-//     that is merged instead of searched, carry for a snapshot file's
-//     documents): cloneNextN copies the containers a window inserts into
-//     or removes from, setTermPost appends past the length any published
-//     overlay reads, delTermPost copies the slice it shortens, and
-//     nothing mutates a published value;
-//   - feature.LSH is the vector index a state holds. It is a mutable
+//     that is compiled instead of searched): cloneNextN copies the
+//     containers a window inserts into or removes from, setTermPost
+//     appends past the length any published overlay reads, delTermPost
+//     copies the slice it shortens, and nothing mutates a published
+//     value;
+//   - feature.LSH is the vector index a segment holds. It is a mutable
 //     index for its other callers, so the list is simply its writers —
-//     CloneWithout builds the copy a freeze fills through Insert — and
-//     nothing else may reach into its tables.
+//     Filled builds a segment's index in one pass —
+//     and nothing else may reach into its tables.
 var snapfreezeFrozen = map[string]map[string][]string{
 	"internal/docstore": {
 		"snapshot":      {},
-		"state":         {"next"},
+		"segment":       {"buildSegment", "tally", "withDead"},
 		"compiledIndex": {"addDoc", "appendTerm"},
 		"overlay": {
-			"cloneNextN", "dropID", "stageDoc", "carry", "putDoc", "maskBase",
+			"cloneNextN", "dropID", "stageDoc", "putDoc", "maskBase",
 			"setTermPost", "delTermPost",
 		},
 	},
 	"internal/feature": {
-		"LSH": {"NewLSH", "Insert", "removeLocked", "CloneWithout"},
+		"LSH": {"NewLSH", "Filled", "Insert", "removeLocked"},
 	},
 }
 
@@ -48,13 +51,13 @@ var snapfreezeFrozen = map[string]map[string][]string{
 // into a compile gate: any assignment (or ++/--) whose target path
 // passes through a field of a frozen type, outside that type's listed
 // constructors, is reported. The target *path* matters: in
-// `sn.base.byTime[i].key = 0` the spine crosses state.byTime, so the
+// `sn.segs[i].byTime[j].key = 0` the spine crosses segment.byTime, so the
 // write is caught even though the assigned field lives on an inner
 // unfrozen type. Selector reads on the right-hand side (and map keys on the
 // left) are untouched.
 var snapfreezeAnalyzer = &Analyzer{
 	Name: "snapfreeze",
-	Doc:  "fields of published snapshot/state/compiledIndex/overlay values may only be assigned in their freeze/compile constructors",
+	Doc:  "fields of published snapshot/segment/compiledIndex/overlay values may only be assigned in their freeze/compile constructors",
 	RunModule: func(m *Module, report ReportFunc) {
 		for pkgPath, frozenCfg := range snapfreezeFrozen {
 			p := m.Lookup(pkgPath)

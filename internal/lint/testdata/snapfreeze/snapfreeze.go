@@ -9,8 +9,9 @@ type timeEntry struct {
 	id  string
 }
 
-type state struct {
+type segment struct {
 	byTime []timeEntry
+	dead   []uint32
 }
 
 type compiledIndex struct {
@@ -30,7 +31,7 @@ type overlay struct {
 
 type snapshot struct {
 	epoch    uint64
-	base     *state
+	segs     []*segment
 	cx       *compiledIndex
 	ov       *overlay
 	docCount int
@@ -47,21 +48,31 @@ func (cx *compiledIndex) appendTerm(term string) {
 	cx.norms = append(cx.norms, 0)
 }
 
-// next is the one builder of a base: its assignments are legal, closures
-// included.
-func (prev *state) next(e timeEntry) *state {
-	st := &state{}
-	st.byTime = append(st.byTime, prev.byTime...)
-	func() { st.byTime[0] = e }()
-	return st
+// buildSegment is the one builder of a segment: its assignments are legal,
+// closures included.
+func buildSegment(prev *segment, e timeEntry) *segment {
+	seg := &segment{}
+	seg.byTime = append(seg.byTime, prev.byTime...)
+	func() { seg.byTime[0] = e }()
+	return seg
+}
+
+// withDead is the copy-on-write fold of tombstones: it assigns fields of the
+// copy it returns, never of the published entry it was given.
+func (seg *segment) withDead(masked []uint32) *segment {
+	ns := *seg
+	ns.dead = append(append([]uint32(nil), seg.dead...), masked...)
+	return &ns
 }
 
 // installLocked publishes a snapshot that is whole already: a literal assigns
-// no field. Store is not frozen — republishing the pointer is the design.
-func (s *Store) installLocked(next *state) {
+// no field, and the segment list is a new slice. Store is not frozen —
+// republishing the pointer is the design.
+func (s *Store) installLocked(next *segment) {
 	cx := &compiledIndex{}
 	cx.appendTerm("t")
-	s.current = &snapshot{epoch: s.current.epoch + 1, base: next, cx: cx, docCount: len(next.byTime)}
+	segs := append(append([]*segment(nil), s.current.segs...), next)
+	s.current = &snapshot{epoch: s.current.epoch + 1, segs: segs, cx: cx, docCount: len(next.byTime)}
 }
 
 // cloneNextN is overlay's fold-family constructor: legal.
@@ -91,8 +102,10 @@ func (nv *overlay) maskBase(ord uint32) {
 // target path.
 func (s *Store) mutateAfterPublish(id string) {
 	s.current.docCount++                  // want "snapshot.docCount assigned in mutateAfterPublish"
-	s.current.base = nil                  // want "snapshot.base assigned in mutateAfterPublish"
-	s.current.base.byTime[0].id = id      // want "state.byTime assigned in mutateAfterPublish"
+	s.current.segs = nil                  // want "snapshot.segs assigned in mutateAfterPublish"
+	s.current.segs[0] = &segment{}        // want "snapshot.segs assigned in mutateAfterPublish"
+	s.current.segs[0].byTime[0].id = id   // want "segment.byTime assigned in mutateAfterPublish"
+	s.current.segs[0].dead[0] = 0         // want "segment.dead assigned in mutateAfterPublish"
 	s.current.cx.terms = nil              // want "compiledIndex.terms assigned in mutateAfterPublish"
 	s.current.cx.norms[0] = 0             // want "compiledIndex.norms assigned in mutateAfterPublish"
 	s.current.ov.termPost["t"] = ovTerm{} // want "overlay.termPost assigned in mutateAfterPublish"
@@ -101,7 +114,7 @@ func (s *Store) mutateAfterPublish(id string) {
 
 // Reads are always fine.
 func (s *Store) read(id string) int {
-	return len(s.current.base.byTime) + s.current.docCount
+	return len(s.current.segs[0].byTime) + s.current.docCount
 }
 
 // A reasoned allow covers a deliberate exception.

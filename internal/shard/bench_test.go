@@ -16,8 +16,9 @@ import (
 // scatter path: a fixed 128k-document Zipfian corpus served by 1/2/4/8
 // shard servers over real TCP, asked under sustained ingest (one
 // 64-document batch per 4 asks — the open agora's operating point, where
-// every overlayLimit writes the written store pays an O(base) freeze, and
-// the base is what sharding divides). ns/op is the per-ask cost with the
+// every overlayLimit writes the written store compiles its overlay into a
+// segment and, some of those times, merges its newest tiers). ns/op is the
+// per-ask cost with the
 // ingest schedule folded in; p50/p99 ask latency, realized fan-out, and
 // pruned shards land in the extras. Run with a fixed iteration count
 // (-benchtime 256x = the full churn pool) so every shard width measures the
