@@ -53,23 +53,25 @@ lint: vet
 
 check: build lint test race
 
-# Decoder robustness: a short fixed-iteration fuzz of the decoders that
-# read bytes this process did not just write — the postings codec, the v2
-# snapshot file (checksum re-stamped, so mutations reach the structure
-# checks), the wire Query as the shard server serves it, the write-ahead
-# log and every wire message decoder in both reader modes (cheap enough for
-# every CI run — the seed corpora in codec_test.go, merge_test.go,
-# badquery_test.go, fault_test.go and wire/fuzz_test.go already pin the
-# tricky edges, so even 0 new execs still exercises them all). `go test
-# -fuzz` takes one target per run, hence five commands. For a real
-# expedition run e.g. `go test -fuzz FuzzPostingsCodec ./internal/docstore`
-# with a time budget instead.
+# Decoder robustness and selection identity: a short fixed-iteration fuzz of
+# the decoders that read bytes this process did not just write — the
+# postings codec, the v2 snapshot file (checksum re-stamped, so mutations
+# reach the structure checks), the wire Query as the shard server serves it,
+# the write-ahead log and every wire message decoder in both reader modes —
+# and of the quickselect the vector and hybrid pools keep their k best with,
+# held to sort-then-truncate (cheap enough for every CI run — the seed
+# corpora in codec_test.go, merge_test.go, badquery_test.go, fault_test.go,
+# wire/fuzz_test.go and topk_test.go already pin the tricky edges, so even 0
+# new execs still exercises them all). `go test -fuzz` takes one target per
+# run, hence six commands. For a real expedition run e.g. `go test -fuzz
+# FuzzPostingsCodec ./internal/docstore` with a time budget instead.
 fuzz:
 	$(GO) test -run XXX -fuzz FuzzPostingsCodec -fuzztime 2000x ./internal/docstore
 	$(GO) test -run XXX -fuzz FuzzSnapshotV2 -fuzztime 2000x ./internal/docstore
 	$(GO) test -run XXX -fuzz FuzzUnmarshalQuery -fuzztime 2000x ./internal/transport
 	$(GO) test -run XXX -fuzz FuzzReplayWAL -fuzztime 2000x ./internal/docstore
 	$(GO) test -run XXX -fuzz FuzzWireDecoders -fuzztime 2000x ./internal/wire
+	$(GO) test -run XXX -fuzz FuzzSelectBest -fuzztime 2000x ./internal/docstore
 
 clean:
 	$(GO) clean ./...

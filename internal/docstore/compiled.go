@@ -475,8 +475,8 @@ type searchScratch struct {
 	cursors []cursor       // one segment's, reused from segment to segment
 	ords    []uint32       // segment offset + ordinal: a probe's candidates
 	heap    []scored       // the text top-k
-	vecHeap []scored       // the vector top-k
-	outHeap []scored       // the hybrid top-k
+	vecPool []scored       // the vector selection
+	outPool []scored       // the hybrid's blended selection
 	ovAcc   map[string]float64
 	stats   searchStats
 	// slot (by segment offset + ordinal, segOff[si] being segment si's offset)
@@ -611,7 +611,7 @@ tokenLoop:
 		}
 	}
 
-	h := topK[scored]{k: k, better: scoredBetter, items: sc.heap[:0]}
+	h := topK{k: k, items: sc.heap[:0]}
 
 	// Overlay documents first: they are few (bounded by the freeze limit),
 	// and scoring them up front seeds the heap threshold before the segment
@@ -679,7 +679,7 @@ const windowSize = 1024
 // within the window it draws on at most one block per cursor, and its score
 // is at most the sum over cursors of qw·idf·maxRatio of the best block
 // overlapping the window.
-func (sn *snapshot) walkBase(si int, h *topK[scored], sc *searchScratch, exhaustive bool) {
+func (sn *snapshot) walkBase(si int, h *topK, sc *searchScratch, exhaustive bool) {
 	cx := sn.segs[si].cx
 	cursors := sc.cursors
 

@@ -114,6 +114,9 @@ func requireSameBits(t *testing.T, what string, got, want []Hit) {
 // (at most 256 documents) and one where the LSH probe answers when it finds
 // the pool and the scan when it does not. A quarter of the vectors sit close
 // to the query so that the probe does fill the small pools; one is all zeros.
+// Then clones that put equal scores on every pool's boundary and the blend's,
+// so that ids decide them, and — at the larger size — the segment lists of
+// tierSchedule.
 func TestHybridMatchesReference(t *testing.T) {
 	concepts := []feature.Vector{oracleVec, make(feature.Vector, 8)}
 	queries := []string{"gold ring", "amber jade mosaic amber", "nosuchterm"}
@@ -125,8 +128,7 @@ func TestHybridMatchesReference(t *testing.T) {
 		}
 		live := map[string]*Document{}
 		oracle := &vectorOracle{s: s, live: live}
-		newDoc := func(id string) *Document {
-			d := shadowDoc(r, id, int64(r.Intn(30)))
+		near := func(d *Document) *Document {
 			if r.Intn(4) == 0 {
 				d.Concept = oracleVec.Clone()
 				for i := range d.Concept {
@@ -135,6 +137,7 @@ func TestHybridMatchesReference(t *testing.T) {
 			}
 			return d
 		}
+		newDoc := func(id string) *Document { return near(shadowDoc(r, id, int64(r.Intn(30)))) }
 		id := func(i int) string { return fmt.Sprintf("h%04d", i) }
 		check := func(stage string) {
 			t.Helper()
@@ -213,6 +216,70 @@ func TestHybridMatchesReference(t *testing.T) {
 			del(20 + 2*i)
 		}
 		check("deletes")
+
+		// 110 clones of one short "gold ring" document carrying the query's
+		// own vector, written one by one (so they land in two segments and the
+		// overlay) under ids that interleave the others: the 4k-th place of
+		// each pool and the k-th of the blend fall among equal scores, and ids
+		// decide them.
+		for i := 0; i < 110; i++ {
+			d := doc(id(2*i)+"c", "gold ring", "gold ring", 7, oracleVec.Clone())
+			if err := s.Put(d); err != nil {
+				t.Fatal(err)
+			}
+			live[d.ID] = d
+		}
+		check("clones")
+		tiedAt := func(hits []Hit, n int) bool { return len(hits) > n && hits[n-1].Score == hits[n].Score }
+		var tied [3]bool // text pool, vector pool, blend
+		for _, k := range []int{1, 3, 100} {
+			pool := max(4*k, 32)
+			text, vec := s.SearchTextExhaustive("gold ring", pool+1), oracle.pool(oracleVec, pool+1)
+			tied[0] = tied[0] || tiedAt(text, pool)
+			tied[1] = tied[1] || tiedAt(vec, pool)
+			tied[2] = tied[2] || tiedAt(referenceHybrid(text[:min(pool, len(text))], vec[:min(pool, len(vec))], 0.5, k+1), k)
+		}
+		if tied != [3]bool{true, true, true} {
+			t.Fatalf("%d documents: the clones tie at the text pool's, the vector pool's and the blend's boundary: %v, want all", size, tied)
+		}
+
+		// The tiers: three segments and then four, tombstones in each, under
+		// an overlay that masks all of them, a dead-share merge and a tier
+		// merge — both pools collect across the list. On a store of its own,
+		// past the probe's 256 documents.
+		if size > 256 {
+			if s, err = Open(Options{ConceptDim: 8, Seed: 5, QueryCacheSize: -1}); err != nil {
+				t.Fatal(err)
+			}
+			clear(live)
+			oracle.s = s
+			tierSchedule(t, s, r, tierOps{
+				put: func(_ string, d *Document) {
+					t.Helper()
+					if err := s.Put(near(d)); err != nil {
+						t.Fatal(err)
+					}
+					live[d.ID] = d
+				},
+				del: func(_, id string) {
+					t.Helper()
+					if err := s.Delete(id); err != nil {
+						t.Fatal(err)
+					}
+					delete(live, id)
+				},
+				batch: func(_ string, docs []*Document) {
+					t.Helper()
+					for _, d := range docs {
+						live[d.ID] = near(d)
+					}
+					if err := s.PutBatch(docs); err != nil {
+						t.Fatal(err)
+					}
+				},
+				shaped: func(stage string, _ *snapshot) { check("tiers, " + stage) },
+			})
+		}
 
 		switch {
 		case size <= 256 && oracle.probe != 0:

@@ -11,7 +11,7 @@ type scored struct {
 }
 
 // scoredBetter is the deterministic (score desc, id asc) ranking order; ids
-// are unique so it is a strict total order, which makes heap selection
+// are unique so it is a strict total order, which makes topK and selection
 // provably identical to sort-then-truncate — and makes the selected top-k
 // set independent of the order candidates arrive in.
 func scoredBetter(a, b scored) bool {

@@ -584,7 +584,7 @@ func (sn *snapshot) assembleHits(kept []scored) []Hit {
 	if len(kept) == 0 {
 		return nil
 	}
-	h := topK[scored]{better: scoredBetter, items: kept}
+	h := topK{items: kept}
 	hits := make([]Hit, 0, len(kept)) //lint:allow hotalloc the one documented cold-query allocation: the returned []Hit
 	for _, r := range h.sorted() {
 		var d *Document
@@ -608,14 +608,14 @@ func (sn *snapshot) assembleHits(kept []scored) []Hit {
 // feature.Cosine's bits). The probe reads q's buckets in every segment —
 // together, less the dead, the one bucket of an index over the live set —
 // collects its distinct candidates before scoring any, and reads no bucket
-// when their sizes already sum to fewer than k. The result is scratch-backed
-// and unranked, like searchCompiled's.
+// when their sizes already sum to fewer than k. A selection keeps the result:
+// O(k) scratch even on an exact scan, unranked, like searchCompiled's.
 func (sn *snapshot) searchVectorRaw(q feature.Vector, k int, sc *searchScratch) []scored {
 	ov := sn.ov
-	h := topK[scored]{k: k, better: scoredBetter, items: sc.vecHeap[:0]}
+	sel := selection{k: k, items: sc.vecPool[:0]}
 	qn := q.Norm()
 	push := func(cx *compiledIndex, si int, ord uint32) {
-		h.push(scored{id: cx.ids[ord], seg: int32(si), ord: int32(ord), score: feature.CosineNorms(q, cx.docs[ord].Concept, qn, cx.cnorms[ord])})
+		sel.offer(scored{id: cx.ids[ord], seg: int32(si), ord: int32(ord), score: feature.CosineNorms(q, cx.docs[ord].Concept, qn, cx.cnorms[ord])})
 	}
 	var sigs []uint64
 	probed := false
@@ -672,11 +672,11 @@ func (sn *snapshot) searchVectorRaw(q feature.Vector, k int, sc *searchScratch) 
 	}
 	for i := range ov.extras {
 		if e := &ov.extras[i]; !probed || e.Shares(sigs) {
-			h.push(scored{id: e.ID, ord: -1, score: feature.CosineNorms(q, e.Vec, qn, e.Norm)})
+			sel.offer(scored{id: e.ID, ord: -1, score: feature.CosineNorms(q, e.Vec, qn, e.Norm)})
 		}
 	}
-	sc.vecHeap = h.items[:0]
-	return h.items
+	sc.vecPool = sel.best()
+	return sc.vecPool
 }
 
 // searchHybridRaw ranks by (1-alpha)*text + alpha*vector over the union of
@@ -684,8 +684,8 @@ func (sn *snapshot) searchVectorRaw(q feature.Vector, k int, sc *searchScratch) 
 // score first divided by its pool's best (a pool whose best is not positive
 // contributes zeros; a document outside a pool scores zero there). The text
 // pool is filed by segment offset + ordinal, each vector hit takes its text
-// score from there, the text hits left follow, and a k-heap keeps the answer:
-// neither pool is ranked or keyed by id, nothing is sorted but the k kept.
+// score from there, the text hits left follow, and a selection keeps k of the
+// blend: nothing is ranked or keyed by id but the k that assembleHits ranks.
 func (sn *snapshot) searchHybridRaw(tokens []string, concept feature.Vector, alpha float64, k int, sc *searchScratch) []Hit {
 	pool := max(k*4, 32)
 	text := sn.searchCompiled(tokens, pool, sc, false, nil)
@@ -708,23 +708,23 @@ func (sn *snapshot) searchHybridRaw(tokens []string, concept feature.Vector, alp
 	for i, r := range text {
 		sc.fileSlot(r, int32(i+1))
 	}
-	h := topK[scored]{k: k, better: scoredBetter, items: sc.outHeap[:0]}
+	sel := selection{k: k, items: sc.outPool[:0]}
 	for _, r := range vec {
 		ts := 0.0
 		if at := sc.takeSlot(r); at != 0 {
 			ts = share(text[at-1].score, tmax)
 		}
 		r.score = blend(ts, share(r.score, vmax))
-		h.push(r)
+		sel.offer(r)
 	}
 	for _, r := range text {
 		if sc.takeSlot(r) != 0 {
 			r.score = blend(share(r.score, tmax), 0)
-			h.push(r)
+			sel.offer(r)
 		}
 	}
-	sc.outHeap = h.items[:0]
-	return sn.assembleHits(h.items)
+	sc.outPool = sel.best()
+	return sn.assembleHits(sc.outPool)
 }
 
 // timeRun is the part [lo, hi) of one time index a scan has yet to visit: a

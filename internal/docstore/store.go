@@ -477,8 +477,8 @@ func (s *Store) SearchVector(concept feature.Vector, k int) []Hit {
 // similarity (color-histogram intersection blended with texture cosine) —
 // the "visible features" match of the paper's jewelry scenario. Documents
 // without visual features are skipped; when no live document carries any,
-// the method returns before building scratch state. Selection is a bounded
-// top-k heap, not a full sort.
+// the method returns before building scratch state. Selection is the vector
+// pool's, not a full sort.
 func (s *Store) SearchVisual(query feature.VisualFeatures, colorWeight float64, k int) []Hit {
 	if len(query.ColorHist) == 0 && len(query.Texture) == 0 {
 		return nil
@@ -491,10 +491,10 @@ func (s *Store) SearchVisual(query feature.VisualFeatures, colorWeight float64, 
 		return nil
 	}
 	sc := getScratch()
-	h := topK[scored]{k: k, better: scoredBetter, items: sc.heap[:0]}
+	sel := selection{k: k, items: sc.heap[:0]}
 	score := func(d *Document, seg, ord int32) {
 		if hasVisual(d) {
-			h.push(scored{id: d.ID, seg: seg, ord: ord, score: feature.VisualSimilarity(query, feature.VisualFeatures{
+			sel.offer(scored{id: d.ID, seg: seg, ord: ord, score: feature.VisualSimilarity(query, feature.VisualFeatures{
 				ColorHist: d.ColorHist, Texture: d.Texture,
 			}, colorWeight)})
 		}
@@ -509,8 +509,8 @@ func (s *Store) SearchVisual(query feature.VisualFeatures, colorWeight float64, 
 	for _, e := range sn.ov.byID {
 		score(e.doc, 0, -1)
 	}
-	sc.heap = h.items[:0]
-	hits := sn.assembleHits(h.items)
+	sc.heap = sel.best()
+	hits := sn.assembleHits(sc.heap)
 	putScratch(sc)
 	return hits
 }

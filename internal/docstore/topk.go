@@ -1,19 +1,16 @@
 package docstore
 
-// topK selects the best k items under a strict total order without sorting
-// the full candidate set: a k-sized min-heap keyed by "worst kept" replaces
-// the seed's sort-then-truncate. better must be a strict total order
-// (searches break score ties by document id), which makes the selected set —
-// and, after the final drain, the emitted order — identical to sorting
-// everything. k < 0 means unbounded: push degrades to append and sorted
-// heapifies before draining, preserving the "return all, ranked" calls.
-type topK[T any] struct {
-	k      int
-	better func(a, b T) bool
-	items  []T
+// topK and selection keep the best k under scoredBetter, a strict total
+// order, so either keeps the set sort-then-truncate would in any arrival
+// order. topK is a min-heap, root the worst kept: for an exact k-th best while
+// candidates arrive (the text walk's θ) and to rank a result in place. k < 0
+// is unbounded: push appends, sorted heapifies before draining.
+type topK struct {
+	k     int
+	items []scored
 }
 
-func (h *topK[T]) push(x T) {
+func (h *topK) push(x scored) {
 	if h.k == 0 {
 		return
 	}
@@ -26,8 +23,7 @@ func (h *topK[T]) push(x T) {
 		i := len(h.items) - 1
 		for i > 0 {
 			p := (i - 1) / 2
-			// Min-heap on "worse": the root is the worst item kept.
-			if !h.better(h.items[p], h.items[i]) {
+			if !scoredBetter(h.items[p], h.items[i]) {
 				break
 			}
 			h.items[i], h.items[p] = h.items[p], h.items[i]
@@ -35,7 +31,7 @@ func (h *topK[T]) push(x T) {
 		}
 		return
 	}
-	if !h.better(x, h.items[0]) {
+	if !scoredBetter(x, h.items[0]) {
 		return
 	}
 	h.items[0] = x
@@ -44,13 +40,13 @@ func (h *topK[T]) push(x T) {
 
 // siftDown restores the heap property for the subtree rooted at i, treating
 // only items[:n] as the heap.
-func (h *topK[T]) siftDown(i, n int) {
+func (h *topK) siftDown(i, n int) {
 	for {
 		l, r, m := 2*i+1, 2*i+2, i
-		if l < n && h.better(h.items[m], h.items[l]) {
+		if l < n && scoredBetter(h.items[m], h.items[l]) {
 			m = l
 		}
-		if r < n && h.better(h.items[m], h.items[r]) {
+		if r < n && scoredBetter(h.items[m], h.items[r]) {
 			m = r
 		}
 		if m == i {
@@ -62,14 +58,9 @@ func (h *topK[T]) siftDown(i, n int) {
 }
 
 // sorted ranks the kept items best-first and returns them, draining the
-// heap in place: repeatedly swap the root (worst remaining) to the end of
-// the shrinking prefix and sift down — a heapsort, so no comparison closure
-// escapes to sort.Slice and nothing allocates. The initial heapify makes
-// the drain valid for the unbounded (k < 0) append-only case too; for the
-// bounded case the items already form a heap and heapify is a cheap no-op
-// verification. The heap is consumed; the receiver must not be pushed to
-// afterwards.
-func (h *topK[T]) sorted() []T {
+// heap in place: heapify (a no-op check when bounded), then a heapsort over
+// the heap's own array, so nothing allocates. The heap is consumed.
+func (h *topK) sorted() []scored {
 	n := len(h.items)
 	for i := n/2 - 1; i >= 0; i-- {
 		h.siftDown(i, n)
@@ -79,4 +70,63 @@ func (h *topK[T]) sorted() []T {
 		h.siftDown(0, end)
 	}
 	return h.items
+}
+
+// selectionSlack·k is how much a selection buffers before a cut: O(k)
+// scratch, and each cut's O(k) work removes k entries (CHANGES.md, PR 25).
+const selectionSlack = 2
+
+// selection is for where only the members of the k best are needed: an
+// append buffer cut back by quickselect, unranked (k < 0: all). After a cut,
+// items[k-1] is the worst kept, and an offer not better could never be kept.
+type selection struct {
+	k     int
+	items []scored
+	cut   bool
+}
+
+func (s *selection) offer(x scored) {
+	if s.k == 0 || s.cut && !scoredBetter(x, s.items[s.k-1]) {
+		return
+	}
+	if s.items = append(s.items, x); len(s.items) == selectionSlack*s.k {
+		s.best()
+	}
+}
+
+// best cuts the buffer to the k best offered and returns them, in place.
+func (s *selection) best() []scored {
+	if s.k >= 0 && len(s.items) > s.k {
+		selectBest(s.items, s.k)
+		s.items, s.cut = s.items[:s.k], true
+	}
+	return s.items
+}
+
+// selectBest reorders items, 0 < k ≤ len(items), so that items[:k] are the k
+// best and items[k-1] the worst of them: Hoare's FIND, expected linear time.
+func selectBest(items []scored, k int) {
+	n := k - 1
+	for lo, hi := 0, len(items)-1; lo < hi; {
+		p, i, j := items[lo+(hi-lo)/2], lo, hi
+		for i <= j {
+			for scoredBetter(items[i], p) {
+				i++
+			}
+			for scoredBetter(p, items[j]) {
+				j--
+			}
+			if i <= j {
+				items[i], items[j] = items[j], items[i]
+				i++
+				j--
+			}
+		}
+		// Not worse than p: items[lo..j]; not better: items[i..hi]; p between.
+		if n >= i {
+			lo = i
+		} else if hi = j; n > j {
+			return
+		}
+	}
 }

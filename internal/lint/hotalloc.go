@@ -15,16 +15,17 @@ var hotallocPackage = "internal/docstore"
 // statistics — global, which is the hit path of every scatter ask, entered
 // by a shard server through SearchTextAssuming (whose check of the router's
 // assumption, on a miss, compares figures without building them); and the
-// hybrid search every market ask runs at each contracted source, with the
-// vector search it shares its kernels with (reached through alpha >= 1):
-// pools, blend and top-k live in the scratch, the result slice is their one
-// allocation. SearchVisual is no root: no caller serves it hot.
+// hybrid search every market ask runs at each contracted source, and the
+// vector search whose pool it runs: pools, blend and selection live in the
+// scratch, the result slice is their one allocation. SearchVisual is no
+// root: no caller serves it hot.
 var hotallocRoots = map[string]bool{
 	"SearchText":           true,
 	"SearchTextGlobal":     true,
 	"SearchTextAssuming":   true,
 	"SearchTextExhaustive": true,
 	"SearchHybrid":         true,
+	"SearchVector":         true,
 }
 
 // hotallocPooled are the scratch types whose backing arrays are pooled:
