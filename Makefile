@@ -26,8 +26,8 @@ race:
 # retrievable, and the coalescer's flush is counted (E27 reads it), once the
 # reply is observable — of the scatter asks held to the brute-force ranking
 # at the epoch they name while a writer runs, and of the reader that keeps
-# asking a held snapshot while freezes fold tombstones into its segments'
-# successors and tier merges replace them. All four are scheduling races —
+# asking a held snapshot while later windows fold tombstones into its
+# segments' successors and tier merges replace them. All four are scheduling races —
 # where in a merge the reader's walk falls is up to the scheduler — so one
 # pass proves little.
 race-core:

@@ -404,8 +404,8 @@ func TestE25Shapes(t *testing.T) {
 	r := E25BlockMaxSearch(25, testScale)
 	h := r.Headline
 	// The contract, not a performance number: block-max must be
-	// bit-identical to the exhaustive scorer, compiled base and overlay
-	// alike. Any drift is a correctness bug.
+	// bit-identical to the exhaustive scorer, however many segments the
+	// store holds. Any drift is a correctness bug.
 	if h["identical"] != 1 {
 		t.Fatalf("block-max diverged from exhaustive scoring: %+v", h)
 	}

@@ -21,10 +21,13 @@ import (
 // skipped; plus per-search allocation counts on the uncached and cache-hit
 // paths (runtime.MemStats deltas, not estimates), and the bit-identity
 // check — every query must return the identical hit slice (ids and
-// float-identical scores) under both scorers, including with a live COW
-// overlay merged in.
+// float-identical scores) under both scorers, including after single writes
+// have added small segments beside the large ones.
 func E25BlockMaxSearch(seed int64, scale float64) *Result {
-	nDocs := scaleInt(2048, scale, 768)
+	// At least two walk windows of 1 024 ordinals: written one document at a
+	// time, a corpus merges into one segment, and a segment of one window
+	// fills the heap before any bound is tested — nothing is left to skip.
+	nDocs := scaleInt(2048, scale, 2048)
 	const k = 10
 
 	// Three vocabulary tiers: common terms land in most documents, rare
@@ -130,8 +133,9 @@ func E25BlockMaxSearch(seed int64, scale float64) *Result {
 	table.AddRow("allocs/op cache hit", "-", "-", headline["allocs_cache_hit"])
 
 	// Bit-identity: block-max must return exactly the exhaustive result —
-	// same ids, float-identical scores — on the compiled base and again
-	// with a fresh batch of documents pending in the COW overlay.
+	// same ids, float-identical scores — on the loaded segments and again
+	// after 48 single writes, each a segment of its own until the tiers
+	// merge it.
 	identical := true
 	check := func() {
 		for _, cl := range classes {
@@ -144,7 +148,7 @@ func E25BlockMaxSearch(seed int64, scale float64) *Result {
 	}
 	check()
 	r := rand.New(rand.NewSource(seed + 2))
-	for i := 0; i < 48; i++ { // below the overlay limit: stays unmerged
+	for i := 0; i < 48; i++ {
 		if err := s.Put(mkDoc(r, nDocs+i)); err != nil {
 			panic(err)
 		}

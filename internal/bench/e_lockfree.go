@@ -43,7 +43,7 @@ func E22LockFreeReads(seed int64, scale float64) *Result {
 			CreatedAt:  int64(i),
 			Provenance: "e22",
 		}
-		if i%4 == 0 { // every fourth document goes through the overlay's LSH path too
+		if i%4 == 0 { // every fourth document goes through the vector index too
 			docs[i].Concept = make(feature.Vector, 8)
 			for j := range docs[i].Concept {
 				docs[i].Concept[j] = r.Float64()

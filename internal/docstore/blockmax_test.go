@@ -71,8 +71,8 @@ func requireBlockmaxMatches(t *testing.T, s *Store, queries []string, stage stri
 
 // TestBlockMaxMatchesExhaustive is the acceptance property test for the
 // compiled read path: on a randomized corpus under puts, replaces, and
-// deletes — crossing freeze boundaries so queries hit base-only,
-// overlay-merged, and masked-heavy snapshots — the block-max scorer must
+// deletes — crossing tier merges so queries hit one-segment, many-segment
+// and tombstone-heavy snapshots — the block-max scorer must
 // return exactly what the exhaustive scorer returns, at every step,
 // including after crash recovery (reopen) and after compaction (cold start
 // from the v2 snapshot file).
@@ -191,8 +191,8 @@ func TestBlockMaxMatchesExhaustive(t *testing.T) {
 // none of its postings beside a term that is everywhere. Lengths grow with
 // the ordinal, so block bounds fall and the pruned walk has blocks to pass.
 // Block-max, exhaustive and the oracle must agree with everything live, then
-// with tombstones on the edge ordinals themselves (deleted, and replaced by an
-// overlay document), for k below, at and above the match count and unbounded.
+// with tombstones on the edge ordinals themselves (deleted, and replaced by a
+// newer segment's document), for k below, at and above the match count and unbounded.
 func TestWindowEdges(t *testing.T) {
 	const window = windowSize
 	const n = 3*window + 300
@@ -229,7 +229,7 @@ func TestWindowEdges(t *testing.T) {
 	}
 	base := s.snap.Load().segs[0]
 	for i, e := range edges {
-		if got := base.cx.ords[id(e)]; int(got) != e {
+		if got, _ := base.cx.ord(id(e)); int(got) != e {
 			t.Fatalf("edge %d sits on ordinal %d, not %d", i, got, e)
 		}
 	}
@@ -239,7 +239,8 @@ func TestWindowEdges(t *testing.T) {
 	requireTextMatches(t, "all live", s, live, queries, ks)
 
 	// Tombstones on window edges: one of each kind deleted, the middle one
-	// of the second triple replaced (a tombstone and an overlay document).
+	// of the second triple replaced (a tombstone and a document in a segment
+	// of its own).
 	for _, e := range []int{window - 1, 2 * window, 3*window + 1} {
 		if err := s.Delete(id(e)); err != nil {
 			t.Fatal(err)
@@ -252,8 +253,8 @@ func TestWindowEdges(t *testing.T) {
 	}
 	live[repl.ID] = repl
 	sn := s.snap.Load()
-	if len(sn.segs) != 1 || sn.segs[0] != base || len(sn.ov.masked[0]) != 4 || len(sn.ov.byID) != 1 {
-		t.Fatalf("masked %v, overlay %d: the edge writes were to stay in one overlay", sn.ov.masked, len(sn.ov.byID))
+	if len(sn.segs) != 2 || sn.segs[0].cx != base.cx || len(sn.segs[0].dead) != 4 || sn.segs[1].live() != 1 {
+		t.Fatalf("%d segments, the base's %v dead: the edge writes were to tombstone the base and add one segment", len(sn.segs), sn.segs[0].dead)
 	}
 	requireTextMatches(t, "edges tombstoned", s, live, queries, ks)
 

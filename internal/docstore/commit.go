@@ -153,7 +153,7 @@ func (s *Store) commitWindow(window []*commitReq) {
 			}
 			if durable && wErr == nil {
 				wErr = s.log.append(op.op, op.payload)
-				op.payload = nil // logged: the window's fold and freeze do not hold its records
+				op.payload = nil // logged: the window's compile does not hold its records
 			}
 			if wErr != nil {
 				continue
@@ -181,10 +181,10 @@ func (s *Store) commitWindow(window []*commitReq) {
 		}
 	}
 	if wErr == nil {
-		// Publish the whole window, folded in WAL order, as ONE epoch: the
-		// publish amortizes its overlay clone across the window just as the
-		// fsync above amortizes the disk round trip. The window becomes
-		// visible atomically, after it is durable.
+		// Publish the whole window, staged in WAL order, as ONE epoch: the
+		// publish amortizes its compile across the window just as the fsync
+		// above amortizes the disk round trip. The window becomes visible
+		// atomically, after it is durable.
 		s.puts.Add(puts)
 		s.tel.puts.Add(puts)
 		s.deletes.Add(deletes)

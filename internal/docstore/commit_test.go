@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/feature"
 	"repro/internal/telemetry"
 )
 
@@ -581,10 +582,10 @@ func commitOps(s *Store, ops ...stagedOp) error {
 }
 
 // TestWindowReleasesStagedRecords: a window drops each op's marshalled record
-// once it is logged and its tokens once they are folded, freeze or not — the
-// writer still holds the ops while it waits, and a bulk load's freeze must not
-// run with the whole batch's records and tokens reachable beside the base it
-// builds (that was a third of the heap there, and the benchmark's peak RSS
+// once it is logged and its tokens once they are staged, small window or bulk
+// — the writer still holds the ops while it waits, and a bulk load's compile
+// must not run with the whole batch's records and tokens reachable beside the
+// base it builds (that was a third of the heap there, and the benchmark's peak RSS
 // swung by 90 MB with where the collector met it).
 func TestWindowReleasesStagedRecords(t *testing.T) {
 	s, err := Open(Options{Dir: t.TempDir(), ConceptDim: 4, Seed: 1})
@@ -592,7 +593,7 @@ func TestWindowReleasesStagedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for _, n := range []int{4, 600} { // an overlay window, then one that overflows into a freeze
+	for _, n := range []int{4, 600} { // a small window, then a bulk one
 		ops := make([]stagedOp, n)
 		for i := range ops {
 			d := doc(fmt.Sprintf("r%d-%d", n, i), "gold ring", "a ring of gold", int64(i), nil)
@@ -601,8 +602,8 @@ func TestWindowReleasesStagedRecords(t *testing.T) {
 		if err := commitOps(s, ops...); err != nil {
 			t.Fatal(err)
 		}
-		if froze := s.snap.Load().ov.ops == 0; froze != (n == 600) {
-			t.Fatalf("window of %d: froze = %v", n, froze)
+		if s.snap.Load().getDoc(ops[n-1].doc.ID) == nil {
+			t.Fatalf("window of %d: its last document was not published", n)
 		}
 		for i := range ops {
 			if ops[i].payload != nil || ops[i].tokens != nil {
@@ -612,6 +613,49 @@ func TestWindowReleasesStagedRecords(t *testing.T) {
 	}
 	if got := s.SearchText("gold", 3); len(got) != 3 {
 		t.Fatalf("search after the windows: %d hits", len(got))
+	}
+}
+
+// TestWindowPublishAllocs pins what a segment costs to start, as a count: a
+// window of one new document — 25 distinct terms, a topic, a vector — staged,
+// compiled into a segment of its own beside a 1 024-document one, and
+// published makes exactly this many allocations. Every window pays it, so a
+// per-segment cost that creeps back shows here first.
+func TestWindowPublishAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	const want = 19
+	s := memStore(t)
+	r := rand.New(rand.NewSource(3))
+	bulk := make([]*Document, 1024)
+	for i := range bulk {
+		bulk[i] = shadowDoc(r, fmt.Sprintf("b%04d", i), int64(i))
+	}
+	if err := s.PutBatch(bulk); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	reqs := make([]*commitReq, runs+1) // AllocsPerRun warms up once
+	for i := range reqs {
+		text := ""
+		for w := 0; w < 25; w++ {
+			text += fmt.Sprintf(" w%02d w%02d", w, r.Intn(25))
+		}
+		d := doc(fmt.Sprintf("n%02d", i), "gold ring", text, int64(2000+i), feature.Vector{1, -1, 0.5, 0, 0.25, 2, -0.5, 1})
+		d.Topics = []string{"alpha"}
+		reqs[i] = &commitReq{ops: []stagedOp{{op: opPut, doc: d, tokens: d.Tokens()}}}
+	}
+	cur, i := s.snap.Load(), 0
+	got := testing.AllocsPerRun(runs, func() {
+		s.publishWindowLocked(cur, reqs[i:i+1], 1) // from cur each time: no tier merge is due
+		i++
+	})
+	if sn := s.snap.Load(); len(sn.segs) != 2 || sn.segs[1].live() != 1 {
+		t.Fatalf("%d segments: the window did not publish a segment of its own", len(sn.segs))
+	}
+	if got != want {
+		t.Fatalf("publishing a one-document window makes %v allocations, want %d", got, want)
 	}
 }
 
@@ -670,8 +714,8 @@ func TestWritePathEquivalence(t *testing.T) {
 		}},
 	}
 	ids["x"], ids["g"] = true, true
-	// Enough single and batched ops to cross overlayLimit (64 at this size)
-	// more than twice, with replaces and deletes of live and dead ids mixed in.
+	// Enough single and batched ops to cross several tier merges, with
+	// replaces and deletes of live and dead ids mixed in.
 	for i := 0; i < 180; i++ {
 		id := fmt.Sprintf("n%03d", i%120) // wraps: the tail replaces
 		switch {
@@ -840,23 +884,24 @@ func TestCommitQueueAndCompactGauges(t *testing.T) {
 		t.Fatalf("after the burst: queue_depth %v (want 3), in_flight %v (want 0)", gauge(depth), gauge(inFlight))
 	}
 
-	// The two windows each published an overlay and neither froze: one
-	// observation apiece in the publish histogram, none in the freeze and
-	// merge ones, no document rewritten, no segment yet.
+	// The two windows each compiled a segment, one observation apiece in the
+	// freeze histogram, and the second, of three documents, merged the first's
+	// one into a segment of four: one merge timed, four documents rewritten,
+	// one segment left.
 	var sb strings.Builder
 	reg.RenderPrometheus(&sb)
 	fams, err := telemetry.ParsePrometheus(sb.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gauge("agora_docstore_segments") != 0 {
-		t.Fatalf("segments = %v before any freeze", gauge("agora_docstore_segments"))
+	if gauge("agora_docstore_segments") != 1 {
+		t.Fatalf("segments = %v after a merge of everything", gauge("agora_docstore_segments"))
 	}
-	if f := fams["agora_docstore_merge_docs_total"]; f == nil || f.Type != "counter" || len(f.Samples) != 1 || f.Samples[0].Value != 0 {
+	if f := fams["agora_docstore_merge_docs_total"]; f == nil || f.Type != "counter" || len(f.Samples) != 1 || f.Samples[0].Value != 4 {
 		t.Fatalf("agora_docstore_merge_docs_total: %+v", f)
 	}
 	for name, want := range map[string]float64{
-		"agora_docstore_publish_latency_seconds": 2, "agora_docstore_freeze_latency_seconds": 0, "agora_docstore_merge_latency_seconds": 0,
+		"agora_docstore_freeze_latency_seconds": 2, "agora_docstore_merge_latency_seconds": 1,
 	} {
 		f := fams[name]
 		if f == nil || f.Type != "histogram" {

@@ -9,12 +9,11 @@ import (
 	"sync"
 )
 
-// compiledIndex is a segment's text index and document table: the only
-// representation of postings besides the overlay's delta. It is built in
-// order by addDoc/appendTerm — at a freeze from the overlay alone, at a tier
-// merge, a compaction or Open as the merge of several indexes (mergeIndex, all
-// of them), at Open from the snapshot file's bytes — and is immutable
-// afterwards: its documents get
+// compiledIndex is a segment's text index and document table, the only
+// representation of postings. It is built in order by addDoc/appendTerm — for
+// a commit window from its batch alone, at a tier merge, a compaction or Open
+// as the merge of several indexes (mergeIndex, all of them), at Open from the
+// snapshot file's bytes — and is immutable afterwards: its documents get
 // dense ordinals in ascending-ID order, every term's postings become
 // delta+varint-compressed blocks (codec.go), and each block carries the
 // maximum (1+ln tf)/norm ratio of its postings so the block-max search can
@@ -26,20 +25,21 @@ type compiledIndex struct {
 	docLens []uint32    // ordinal -> token count
 	norms   []float64   // ordinal -> sqrt(docLen+1), the score denominator
 	cnorms  []float64   // ordinal -> docs[ord].Concept.Norm(), the cosine denominator
-	ords    map[string]uint32
 
-	terms  map[string]termPostings
-	blocks []blockMeta // all terms' block directory, term-major
-	data   []byte      // all terms' encoded blocks, one arena
+	// termList is the distinct terms, ascending, and tms[i] locates
+	// termList[i]'s blocks: a term is found by binary search (term).
+	termList []string
+	tms      []termPostings
+	blocks   []blockMeta // all terms' block directory, term-major
+	data     []byte      // all terms' encoded blocks, one arena
 
 	// Forward index: per ordinal, the sorted IDs (into termList) of the
-	// document's distinct terms. The overlay uses it to maintain masked
-	// document frequencies incrementally in O(|doc terms|) at mask time,
-	// so the query path never intersects masked sets with postings.
-	termList []string
-	fwd      [][]uint32
-	fwdFree  []uint32 // the forward lists' one arena, less what addDoc has handed out
-	nPost    int      // postings appended: what the next index's arena is sized from
+	// document's distinct terms. withDead charges a killed document's terms
+	// to the dead counts from it in O(|doc terms|), so the query path never
+	// intersects tombstones with postings.
+	fwd     [][]uint32
+	fwdFree []uint32 // the forward lists' one arena, less what addDoc has handed out
+	nPost   int      // postings appended: what the next index's arena is sized from
 }
 
 // termPostings locates one term's blocks inside the shared directory.
@@ -64,24 +64,27 @@ type blockMeta struct {
 }
 
 // newCompiledIndex returns an empty index with room for exactly nDocs
-// documents carrying nPost postings between them — one allocation per column
-// of the document table, one arena for every forward list — and for about
-// nTerms terms in nBlocks blocks of nData bytes. Its builders fill it in order
-// — addDoc in ascending document ID, then appendTerm in ascending term — and
-// nothing re-sorts afterwards.
+// documents carrying nPost postings between them — the document table's
+// columns carved from one array per element type, one arena for every
+// forward list — and for about nTerms terms in nBlocks blocks of nData bytes.
+// Its builders fill it in order — addDoc in ascending document ID, then
+// appendTerm in ascending term — and nothing re-sorts afterwards.
 func newCompiledIndex(nDocs, nPost, nTerms, nBlocks, nData int) *compiledIndex {
+	strs := make([]string, nDocs+nTerms)
+	floats := make([]float64, 2*nDocs)
+	words := make([]uint32, nDocs+nPost)
 	return &compiledIndex{
-		ids:     make([]string, 0, nDocs),
-		docs:    make([]*Document, 0, nDocs),
-		docLens: make([]uint32, 0, nDocs),
-		norms:   make([]float64, 0, nDocs),
-		cnorms:  make([]float64, 0, nDocs),
-		ords:    make(map[string]uint32, nDocs),
-		terms:   make(map[string]termPostings, nTerms),
-		blocks:  make([]blockMeta, 0, nBlocks),
-		data:    make([]byte, 0, nData),
-		fwd:     make([][]uint32, 0, nDocs),
-		fwdFree: make([]uint32, nPost),
+		ids:      strs[:0:nDocs],
+		docs:     make([]*Document, 0, nDocs),
+		docLens:  words[:0:nDocs],
+		norms:    floats[:0:nDocs],
+		cnorms:   floats[nDocs:nDocs],
+		termList: strs[nDocs:nDocs],
+		tms:      make([]termPostings, 0, nTerms),
+		blocks:   make([]blockMeta, 0, nBlocks),
+		data:     make([]byte, 0, nData),
+		fwd:      make([][]uint32, 0, nDocs),
+		fwdFree:  words[nDocs:],
 	}
 }
 
@@ -100,8 +103,13 @@ func (cx *compiledIndex) addDoc(d *Document, docLen uint32, nTerms int, cnorm fl
 	cx.cnorms = append(cx.cnorms, cnorm)
 	cx.fwd = append(cx.fwd, cx.fwdFree[:0:nTerms])
 	cx.fwdFree = cx.fwdFree[nTerms:]
-	cx.ords[d.ID] = ord
 	return ord
+}
+
+// ord returns id's ordinal, if cx holds it: ordinals ascend with ids.
+func (cx *compiledIndex) ord(id string) (uint32, bool) {
+	ord, held := slices.BinarySearch(cx.ids, id)
+	return uint32(ord), held
 }
 
 // tfWeight is the document-side weight of a term occurring tf times, 1 + ln tf:
@@ -129,7 +137,7 @@ var tfWeights = func() (t [64]float64) {
 // appendTerm encodes one term's postings — strictly ascending ordinals of
 // documents already added, tf >= 1, term after every term already appended —
 // into blocks, block-max bounds, the directory and the forward index. It is
-// the only encoder of postings into a compiledIndex: mergeIndex (freeze, tier
+// the only encoder of postings into a compiledIndex: mergeIndex (window, tier
 // merge, compactor, Open) and the snapshot loader all end here.
 func (cx *compiledIndex) appendTerm(term string, entries []postEntry) {
 	ti := uint32(len(cx.termList))
@@ -157,34 +165,63 @@ func (cx *compiledIndex) appendTerm(term string, entries []postEntry) {
 		}
 	}
 	tm.nBlocks = int32(len(cx.blocks)) - tm.blockOff
-	cx.terms[term] = tm
+	cx.tms = append(cx.tms, tm)
 }
+
+// term locates t's blocks, or is the zero termPostings: no postings here.
+func (cx *compiledIndex) term(t string) termPostings {
+	if i, ok := slices.BinarySearch(cx.termList, t); ok {
+		return cx.tms[i]
+	}
+	return termPostings{}
+}
+
+// buildScratch is the working state of compileDocs and mergeIndex, pooled:
+// none of it outlives the index being built, so a commit window allocates its
+// index and not the scaffolding around it.
+type buildScratch struct {
+	ids   []string
+	slot  map[string]int
+	terms []termPosts
+	post  []postEntry
+	srcs  []*compiledIndex
+	next  []int
+}
+
+// termPosts is one term's postings as compileDocs gathers them.
+type termPosts struct {
+	term string
+	n    int
+	post []postEntry
+}
+
+var buildPool = sync.Pool{New: func() any { return &buildScratch{slot: map[string]int{}} }}
 
 // compileDocs builds the index of docs alone: their per-document term lists
 // transposed into per-term postings — counted first, so that every list is
 // carved from one array, and filed in ordinal order, so that they ascend.
-func compileDocs(docs map[string]ovDoc) *compiledIndex {
-	type termPosts struct {
-		term string
-		n    int
-		post []postEntry
-	}
-	var terms []termPosts
-	slot := make(map[string]int)
-	ids, nPost := make([]string, 0, len(docs)), 0
+func compileDocs(docs map[string]batchDoc) *compiledIndex {
+	bs := buildPool.Get().(*buildScratch)
+	defer buildPool.Put(bs)
+	ids, nPost := bs.ids[:0], 0
 	for id, e := range docs {
 		ids, nPost = append(ids, id), nPost+len(e.terms)
-		for _, tt := range e.terms {
-			s, ok := slot[tt.term]
+	}
+	slices.Sort(ids)
+	clear(bs.slot)
+	terms := bs.terms[:0]
+	for _, id := range ids {
+		for _, tt := range docs[id].terms {
+			s, ok := bs.slot[tt.term]
 			if !ok {
-				s, slot[tt.term] = len(terms), len(terms)
+				s, bs.slot[tt.term] = len(terms), len(terms)
 				terms = append(terms, termPosts{term: tt.term})
 			}
 			terms[s].n++
 		}
 	}
-	slices.Sort(ids)
-	arena := make([]postEntry, nPost)
+	arena := slices.Grow(bs.post[:0], nPost)[:nPost]
+	bs.ids, bs.terms, bs.post = ids, terms, arena
 	for i := range terms {
 		terms[i].post, arena = arena[:0:terms[i].n], arena[terms[i].n:]
 	}
@@ -193,7 +230,7 @@ func compileDocs(docs map[string]ovDoc) *compiledIndex {
 		e := docs[id]
 		ord := cx.addDoc(e.doc, uint32(e.docLen), len(e.terms), e.doc.Concept.Norm())
 		for _, tt := range e.terms {
-			t := &terms[slot[tt.term]]
+			t := &terms[bs.slot[tt.term]]
 			t.post = append(t.post, postEntry{ord: ord, tf: uint32(tt.tf)})
 		}
 	}
@@ -205,26 +242,30 @@ func compileDocs(docs map[string]ovDoc) *compiledIndex {
 }
 
 // mergeIndex builds one compiled index over the live documents of segs — a
-// document dead at the last freeze, or masked by ov since, drops out — and
-// the documents ov carries, compiled first (compileDocs) and merged as one
-// more index; everything is carried over renumbered. Every index not read
-// from a file is made this way — by the freeze (no segments: the overlay
-// compiled alone), a tier merge (the run, no overlay), the compactor and Open
-// (everything) — so an index is a function of immutable published state,
-// never a second mutable truth beside it. Only ov's masked and byID are read,
-// which is all stageDoc maintains. Beside the index it returns, per segment,
+// document dead, or superseded by b, drops out — and the documents b puts,
+// compiled first (compileDocs) and merged as one more index; everything is
+// carried over renumbered. Every index not read from a file is made this way
+// — by a commit window (no segments: its batch compiled alone), a tier merge
+// (the run, with the batch of the window that completes it), the compactor
+// and Open (everything) — so an index is a function of immutable published
+// state and one window's writes, never a second mutable truth beside it. Beside the index it returns, per segment,
 // where each ordinal went (ordSentinel: nowhere). Every surviving posting is
 // decoded, renumbered and re-encoded: the cost is that of what is given,
 // whatever else the store holds.
-func mergeIndex(segs []*segment, ov *overlay) (*compiledIndex, [][]uint32) {
+func mergeIndex(segs []*segment, b *batch) (*compiledIndex, [][]uint32) {
+	if len(segs) == 0 && b != nil {
+		return compileDocs(b.byID), nil // a commit window: its batch alone
+	}
+	bs := buildPool.Get().(*buildScratch)
+	defer buildPool.Put(bs)
 	// remap takes a source's ordinal to its merged one (monotone over the live
 	// ordinals, so a source's renumbered postings stay ascending).
-	srcs := make([]*compiledIndex, 0, len(segs)+1)
+	srcs := bs.srcs[:0]
 	remap := make([][]uint32, 0, len(segs)+1)
 	nDocs, nPost, nTerms, nBlocks, nData := 0, 0, 0, 0, 0
 	for si, seg := range segs {
 		to := make([]uint32, len(seg.cx.ids))
-		for _, dead := range [2][]uint32{seg.dead, ov.maskedIn(si)} {
+		for _, dead := range [2][]uint32{seg.dead, b.maskedIn(si)} {
 			for _, ord := range dead {
 				to[ord] = ordSentinel
 				nPost -= len(seg.cx.fwd[ord])
@@ -233,14 +274,15 @@ func mergeIndex(segs []*segment, ov *overlay) (*compiledIndex, [][]uint32) {
 		}
 		srcs, remap = append(srcs, seg.cx), append(remap, to)
 	}
-	if len(ov.byID) > 0 {
-		cx := compileDocs(ov.byID)
+	if b != nil && len(b.byID) > 0 {
+		cx := compileDocs(b.byID)
 		srcs, remap = append(srcs, cx), append(remap, make([]uint32, len(cx.ids)))
 	}
 	for _, src := range srcs {
-		nDocs, nPost, nTerms = nDocs+len(src.ids), nPost+src.nPost, max(nTerms, len(src.termList))
+		nDocs, nPost, nTerms = nDocs+len(src.ids), nPost+src.nPost, nTerms+len(src.termList)
 		nBlocks, nData = nBlocks+len(src.blocks), nData+len(src.data)
 	}
+	bs.srcs = srcs
 	if len(srcs) == 1 && nDocs == len(srcs[0].ids) {
 		for ord := range remap[0] {
 			remap[0][ord] = uint32(ord)
@@ -251,7 +293,9 @@ func mergeIndex(segs []*segment, ov *overlay) (*compiledIndex, [][]uint32) {
 
 	// The ascending ID lists number the merged documents: the least head
 	// goes next.
-	next := make([]int, len(srcs)) // per source, the least ordinal not yet passed
+	next := slices.Grow(bs.next[:0], len(srcs))[:len(srcs)] // per source, the least ordinal not yet passed
+	clear(next)
+	bs.next = next
 	for {
 		from := -1
 		for si, src := range srcs {
@@ -275,7 +319,7 @@ func mergeIndex(segs []*segment, ov *overlay) (*compiledIndex, [][]uint32) {
 	// runs — their ordinals are distinct — are put in order. A term left
 	// without a carrier is dropped: a fresh build never lists one.
 	var ords, tfs [blockSize]uint32
-	var buf []postEntry
+	buf := bs.post[:0]
 	clear(next) // now: per source, the next term of its list
 	for {
 		term, found := "", false
@@ -285,6 +329,7 @@ func mergeIndex(segs []*segment, ov *overlay) (*compiledIndex, [][]uint32) {
 			}
 		}
 		if !found {
+			bs.post = buf // its capacity, for the next build
 			return cx, remap[:len(segs)]
 		}
 		buf = buf[:0]
@@ -293,9 +338,8 @@ func mergeIndex(segs []*segment, ov *overlay) (*compiledIndex, [][]uint32) {
 			if next[si] == len(src.termList) || src.termList[next[si]] != term {
 				continue
 			}
-			next[si]++
 			start := len(buf)
-			for _, bm := range src.termBlocks(src.terms[term]) {
+			for _, bm := range src.termBlocks(src.tms[next[si]]) {
 				n := int(bm.count)
 				if _, err := decodePostingsBlock(src.data[bm.off:], n, ords[:n], tfs[:n]); err != nil {
 					panic(err) // in-memory arena, validated when it was built
@@ -306,7 +350,7 @@ func mergeIndex(segs []*segment, ov *overlay) (*compiledIndex, [][]uint32) {
 					}
 				}
 			}
-			if len(buf) > start {
+			if next[si]++; len(buf) > start {
 				runs++
 			}
 		}
@@ -332,8 +376,8 @@ type searchStats struct {
 
 // queryTerm is one distinct query term in canonical (first-appearance)
 // order, with its query-side weight. Scores are accumulated per document in
-// this order on every path — block-max, exhaustive, and overlay — so float
-// rounding is identical everywhere.
+// this order on every path — block-max and exhaustive, in every segment — so
+// float rounding is identical everywhere.
 type queryTerm struct {
 	t   string
 	qn  int // occurrences in the query
@@ -477,15 +521,12 @@ type searchScratch struct {
 	heap    []scored       // the text top-k
 	vecPool []scored       // the vector selection
 	outPool []scored       // the hybrid's blended selection
-	ovAcc   map[string]float64
 	stats   searchStats
-	// slot (by segment offset + ordinal, segOff[si] being segment si's offset)
-	// and ovSlot (by overlay id) file a number per document — a probe marks
-	// what it has collected, a blend notes each text hit's place in its pool —
-	// and are zero, and empty, between uses.
+	// slot, by segment offset + ordinal (segOff[si] is segment si's offset),
+	// files a number per document — a probe marks what it has collected, a
+	// blend notes each text hit's place in its pool — and is zero between uses.
 	slot   []int32
 	segOff []uint32
-	ovSlot map[string]int32
 	// A segment walk's window: acc[i] is the score mass gathered for ordinal
 	// lo+i and touched has a bit per slot written. Inline, so the pooled
 	// scratch carries them and a search allocates neither; both are zero
@@ -508,31 +549,17 @@ func (sc *searchScratch) growSlots(segs []*segment) {
 	}
 }
 
-// fileSlot files v under r's document; takeSlot returns what is filed there
-// (zero: nothing) and clears it.
-func (sc *searchScratch) fileSlot(r scored, v int32) {
-	if r.ord >= 0 {
-		sc.slot[sc.segOff[r.seg]+uint32(r.ord)] = v
-	} else {
-		sc.ovSlot[r.id] = v
-	}
-}
+// slotOf is where r's document is filed in slot; takeSlot returns what is
+// filed there (zero: nothing) and clears it.
+func (sc *searchScratch) slotOf(r scored) uint32 { return sc.segOff[r.seg] + r.ord }
 
 func (sc *searchScratch) takeSlot(r scored) (v int32) {
-	if r.ord >= 0 {
-		at := sc.segOff[r.seg] + uint32(r.ord)
-		v, sc.slot[at] = sc.slot[at], 0
-	} else if v = sc.ovSlot[r.id]; v != 0 {
-		delete(sc.ovSlot, r.id)
-	}
+	at := sc.slotOf(r)
+	v, sc.slot[at] = sc.slot[at], 0
 	return v
 }
 
-var scratchPool = sync.Pool{
-	New: func() any {
-		return &searchScratch{ovAcc: make(map[string]float64, 16), ovSlot: make(map[string]int32, 16)}
-	},
-}
+var scratchPool = sync.Pool{New: func() any { return &searchScratch{} }}
 
 func getScratch() *searchScratch {
 	sc := scratchPool.Get().(*searchScratch)
@@ -542,15 +569,14 @@ func getScratch() *searchScratch {
 
 func putScratch(sc *searchScratch) { scratchPool.Put(sc) }
 
-// searchCompiled runs the text top-k over the compiled segments merged with
-// the snapshot's overlay, under one heap. In each segment, terms become
-// cursors over their compressed postings and walkBase scores them a window of
-// ordinals at a time; in block-max mode (exhaustive=false) the topK heap's
-// minimum is the threshold θ — one θ, carried from the overlay through every
-// segment — and a window whose summed block upper bounds cannot reach it is
-// passed without decoding. Exhaustive mode is the same walk with the bound
-// checks off, so the two are bit-identical on the documents they both score —
-// and the skipped ones provably lose.
+// searchCompiled runs the text top-k over the compiled segments under one
+// heap. In each segment, terms become cursors over their compressed postings
+// and walkBase scores them a window of ordinals at a time; in block-max mode
+// (exhaustive=false) the topK heap's minimum is the threshold θ — one θ,
+// carried through every segment — and a window whose summed block upper
+// bounds cannot reach it is passed without decoding. Exhaustive mode is the
+// same walk with the bound checks off, so the two are bit-identical on the
+// documents they both score — and the skipped ones provably lose.
 //
 // The result is the k best, scratch-backed and not yet ranked (assembleHits
 // ranks). Set and scores match the historical map-walk scorer: contributions
@@ -565,7 +591,6 @@ func putScratch(sc *searchScratch) { scratchPool.Put(sc) }
 // a sharded top-k merge bit-identical to the monolithic result. Term
 // frequencies and norms stay local — they are per-document facts.
 func (sn *snapshot) searchCompiled(tokens []string, k int, sc *searchScratch, exhaustive bool, gs *GlobalStats) []scored {
-	ov := sn.ov
 	total := sn.docCount()
 	if gs != nil {
 		total = int(gs.TotalDocs)
@@ -587,21 +612,18 @@ tokenLoop:
 		sc.terms = append(sc.terms, queryTerm{t: t, qn: 1})
 	}
 
-	// Per-term document frequency (each segment's live carriers, minus the
-	// masked, plus the overlay's) and idf; where each segment keeps the term
-	// is filed for the walks.
+	// Per-term document frequency (each segment's live carriers) and idf;
+	// where each segment keeps the term is filed for the walks.
 	sc.tms = sc.tms[:0]
 	for _, seg := range sn.segs {
 		for i := range sc.terms {
-			tm := seg.cx.terms[sc.terms[i].t] // zero without postings here
+			tm := seg.cx.term(sc.terms[i].t) // zero without postings here
 			sc.tms = append(sc.tms, tm)
 			sc.terms[i].df += seg.liveDF(tm)
 		}
 	}
 	for i := range sc.terms {
 		qt := &sc.terms[i]
-		e := ov.termPost[qt.t]
-		qt.df += len(e.post) - e.maskedDF
 		if gs != nil {
 			qt.df = int(gs.dfOf(qt.t))
 		}
@@ -612,27 +634,6 @@ tokenLoop:
 	}
 
 	h := topK{k: k, items: sc.heap[:0]}
-
-	// Overlay documents first: they are few (bounded by the freeze limit),
-	// and scoring them up front seeds the heap threshold before the segment
-	// walks start, which is where early termination pays.
-	if len(ov.byID) > 0 {
-		clear(sc.ovAcc)
-		for i := range sc.terms {
-			qt := &sc.terms[i]
-			if qt.qw == 0 {
-				continue
-			}
-			for _, p := range ov.termPost[qt.t].post {
-				dw := tfWeight(p.tf) * qt.idf
-				sc.ovAcc[p.id] += qt.qw * dw
-			}
-		}
-		for id, acc := range sc.ovAcc {
-			norm := math.Sqrt(float64(ov.byID[id].docLen) + 1)
-			h.push(scored{id: id, ord: -1, score: acc / norm})
-		}
-	}
 
 	// Oldest segment first: it is the largest, and the θ it leaves lets most
 	// of the small ones end at their first bound check.
@@ -683,9 +684,9 @@ func (sn *snapshot) walkBase(si int, h *topK, sc *searchScratch, exhaustive bool
 	cx := sn.segs[si].cx
 	cursors := sc.cursors
 
-	// The segment's tombstones, frozen and masked since, ascend, and so do the
-	// ordinals evaluated: two monotonic pointers replace per-candidate lookups.
-	dead, masked := sn.segs[si].dead, sn.ov.maskedIn(si)
+	// The segment's tombstones ascend, and so do the ordinals evaluated: a
+	// monotonic pointer replaces per-candidate lookups.
+	dead := sn.segs[si].dead
 
 	for {
 		lo, lead, ub := ordSentinel, 0, 0.0
@@ -746,17 +747,14 @@ func (sn *snapshot) walkBase(si int, h *topK, sc *searchScratch, exhaustive bool
 				for len(dead) > 0 && dead[0] < d {
 					dead = dead[1:]
 				}
-				for len(masked) > 0 && masked[0] < d {
-					masked = masked[1:]
-				}
-				if (len(dead) > 0 && dead[0] == d) || (len(masked) > 0 && masked[0] == d) {
+				if len(dead) > 0 && dead[0] == d {
 					continue
 				}
 				score := acc / cx.norms[d]
 				if len(h.items) == h.k && score < h.items[0].score {
 					continue // below θ: the heap would turn it away
 				}
-				h.push(scored{id: cx.ids[d], seg: int32(si), ord: int32(d), score: score})
+				h.push(scored{id: cx.ids[d], seg: int32(si), ord: d, score: score})
 			}
 		}
 	}

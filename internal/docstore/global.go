@@ -1,7 +1,5 @@
 package docstore
 
-import "math"
-
 // Distributed-scoring support. A sharded deployment partitions the corpus
 // across stores; TF-IDF scores computed against shard-local document
 // frequencies would then diverge from a single node holding everything
@@ -94,16 +92,12 @@ func (s *Store) TermStats(terms []string) (total uint64, epoch uint64, stats []T
 }
 
 func (sn *snapshot) termStat(t string) TermStat {
-	e := sn.ov.termPost[t] // zero where the term is unknown
-	df, maxRatio := len(e.post)-e.maskedDF, 0.0
+	var st TermStat
 	for _, seg := range sn.segs {
-		tm := seg.cx.terms[t]
-		df, maxRatio = df+seg.liveDF(tm), max(maxRatio, tm.maxRatio)
+		tm := seg.cx.term(t) // zero where the term is unknown
+		st.DF, st.MaxRatio = st.DF+uint64(seg.liveDF(tm)), max(st.MaxRatio, tm.maxRatio)
 	}
-	for _, p := range e.post {
-		maxRatio = max(maxRatio, tfWeight(p.tf)/math.Sqrt(float64(sn.ov.byID[p.id].docLen)+1))
-	}
-	return TermStat{DF: uint64(max(df, 0)), MaxRatio: maxRatio}
+	return st
 }
 
 // SearchTextGlobal is SearchText scored under router-supplied global

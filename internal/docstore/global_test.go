@@ -41,8 +41,8 @@ func buildGlobalFromSelf(s *Store, query string) *GlobalStats {
 // TestSearchTextGlobalMatchesLocal pins the distributed-scoring invariant
 // at its base case: global statistics gathered from a store and fed back to
 // the same store produce bit-identical hits (IDs, order, and float scores)
-// across puts, replacements, and deletes — including overlay states where
-// local df bookkeeping is the base-minus-masked-plus-overlay merge.
+// across puts, replacements, and deletes — including many-segment states
+// where local df is a sum of segment frequencies less their dead carriers.
 func TestSearchTextGlobalMatchesLocal(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	s, err := Open(Options{ConceptDim: 8, Seed: 3, QueryCacheSize: -1})
@@ -304,7 +304,7 @@ func assumedOf(s *Store, terms ...string) *GlobalStats {
 // the terms are refused, at the snapshot's epoch, without searching or
 // caching; a ratio assumed too high is only a looser bound; and a write
 // that moves the figures turns the confirmed assumption into a refused one,
-// on the overlay as after a freeze.
+// in a segment of its own as after a merge.
 func TestSearchTextAssumingConfirmsOrRefuses(t *testing.T) {
 	s := memStore(t)
 	defer s.Close()
@@ -357,10 +357,8 @@ func TestSearchTextAssumingConfirmsOrRefuses(t *testing.T) {
 	}
 	searches = s.Stats().Searches
 	ask("after a write", good, false, 0)
-	s.mu.Lock()
-	s.freezeLocked(s.snap.Load(), s.snap.Load().ov)
-	s.mu.Unlock()
-	ask("after the freeze", good, false, 0)
+	forceMerge(s)
+	ask("after a merge", good, false, 0)
 	good.Assumed = nil
 	want = s.SearchTextGlobal(q, k, good) // the same sums, unconditionally
 	searches = s.Stats().Searches

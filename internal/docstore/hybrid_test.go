@@ -109,8 +109,8 @@ func requireSameBits(t *testing.T, what string, got, want []Hit) {
 // TestHybridMatchesReference holds SearchHybrid (and SearchVector, which
 // shares its kernels) to the map-based reference over an exhaustive text pool
 // and the brute-force vector pool, in every state a store passes through —
-// freshly loaded, under a live overlay that masks, re-puts and deletes base
-// ids, after a forced freeze, after deletes — at a size the exact scan serves
+// freshly loaded, under single-write segments that re-put and delete base
+// ids, after a forced merge, after deletes — at a size the exact scan serves
 // (at most 256 documents) and one where the LSH probe answers when it finds
 // the pool and the scan when it does not. A quarter of the vectors sit close
 // to the query so that the probe does fill the small pools; one is all zeros.
@@ -167,8 +167,9 @@ func TestHybridMatchesReference(t *testing.T) {
 		if err := s.PutBatch(docs); err != nil {
 			t.Fatal(err)
 		}
-		if sn := s.snap.Load(); len(sn.ov.byID) != 0 || len(sn.segs) != 1 || len(sn.segs[0].cx.ids) != size {
-			t.Fatal("the load did not freeze into one segment")
+		loaded := s.snap.Load()
+		if len(loaded.segs) != 1 || len(loaded.segs[0].cx.ids) != size {
+			t.Fatal("the load did not compile into one segment")
 		}
 		check("fresh load")
 
@@ -188,29 +189,27 @@ func TestHybridMatchesReference(t *testing.T) {
 			delete(live, id(i))
 		}
 		for i := 0; i < 20; i++ {
-			put(size + i) // new ids, in the overlay only
+			put(size + i) // new ids, in newer segments only
 		}
 		for i := 0; i < 10; i++ {
-			put(3 * i) // base ids re-put: masked below, live above
+			put(3 * i) // base ids re-put: dead below, live above
 		}
 		for i := 0; i < 5; i++ {
-			del(3*i + 1) // base ids deleted: masked only
+			del(3*i + 1) // base ids deleted: dead only
 		}
-		del(size + 4) // an overlay id deleted
+		del(size + 4) // a newer segment's id deleted
 		del(6)        // a re-put id deleted
 		put(4)        // a deleted id put back
-		if sn := s.snap.Load(); len(sn.segs) != 1 || len(sn.ov.masked[0]) < 15 || len(sn.ov.extras) == 0 || len(sn.segs[0].cx.ids) != size {
-			t.Fatal("the writes did not stay in one overlay over the loaded segment")
+		if sn := s.snap.Load(); len(sn.segs) < 2 || sn.segs[0].cx != loaded.segs[0].cx || len(sn.segs[0].dead) < 15 {
+			t.Fatal("the writes did not go to newer segments over the loaded one")
 		}
-		check("live overlay")
+		check("single-write segments")
 
-		s.mu.Lock()
-		s.freezeLocked(s.snap.Load(), s.snap.Load().ov)
-		s.mu.Unlock()
-		if sn := s.snap.Load(); len(sn.ov.byID) != 0 || len(sn.ov.masked) != 0 {
-			t.Fatal("the forced freeze left an overlay")
+		forceMerge(s)
+		if sn := s.snap.Load(); len(sn.segs) != 1 || len(sn.segs[0].dead) != 0 {
+			t.Fatal("the forced merge left more than one segment, or tombstones")
 		}
-		check("forced freeze")
+		check("forced merge")
 
 		for i := 0; i < 15; i++ {
 			del(20 + 2*i)
@@ -218,8 +217,8 @@ func TestHybridMatchesReference(t *testing.T) {
 		check("deletes")
 
 		// 110 clones of one short "gold ring" document carrying the query's
-		// own vector, written one by one (so they land in two segments and the
-		// overlay) under ids that interleave the others: the 4k-th place of
+		// own vector, written one by one (so they land in several segments)
+		// under ids that interleave the others: the 4k-th place of
 		// each pool and the k-th of the blend fall among equal scores, and ids
 		// decide them.
 		for i := 0; i < 110; i++ {
@@ -243,10 +242,10 @@ func TestHybridMatchesReference(t *testing.T) {
 			t.Fatalf("%d documents: the clones tie at the text pool's, the vector pool's and the blend's boundary: %v, want all", size, tied)
 		}
 
-		// The tiers: three segments and then four, tombstones in each, under
-		// an overlay that masks all of them, a dead-share merge and a tier
-		// merge — both pools collect across the list. On a store of its own,
-		// past the probe's 256 documents.
+		// The tiers: three segments and then four and five, tombstones in
+		// each but the newest, a dead-share merge and a tier merge — both
+		// pools collect across the list. On a store of its own, past the
+		// probe's 256 documents.
 		if size > 256 {
 			if s, err = Open(Options{ConceptDim: 8, Seed: 5, QueryCacheSize: -1}); err != nil {
 				t.Fatal(err)

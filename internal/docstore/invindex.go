@@ -1,12 +1,12 @@
 package docstore
 
 // scored is a ranked hit. seg and ord are the document's segment and its
-// ordinal there, ord -1 for overlay documents — they let the hit assembler
-// resolve the Document without a map lookup.
+// ordinal there: they let the hit assembler resolve the Document without a
+// map lookup.
 type scored struct {
 	id    string
 	seg   int32
-	ord   int32
+	ord   uint32
 	score float64
 }
 

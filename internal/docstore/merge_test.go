@@ -30,7 +30,7 @@ func requireSameIndex(t *testing.T, stage string, got, want *compiledIndex) {
 		t.Fatalf("%s: docLens differ", stage)
 	case !reflect.DeepEqual(got.termList, want.termList):
 		t.Fatalf("%s: term lists differ:\n got  %v\n want %v", stage, got.termList, want.termList)
-	case !reflect.DeepEqual(got.terms, want.terms):
+	case !reflect.DeepEqual(got.tms, want.tms):
 		t.Fatalf("%s: term postings (df, block ranges, bounds) differ", stage)
 	case !reflect.DeepEqual(got.blocks, want.blocks):
 		t.Fatalf("%s: block directories differ", stage)
@@ -44,17 +44,21 @@ func requireSameIndex(t *testing.T, stage string, got, want *compiledIndex) {
 // freshIndex builds the compiled index of a live set the one way there is:
 // one merge of the whole set, staged, over no segments.
 func freshIndex(live map[string]*Document) *compiledIndex {
-	ov := (&overlay{}).cloneNextN(0, 0)
+	b := newBatch(len(live), 0)
 	for _, d := range live {
-		ov.stageDoc(d, d.Tokens(), nil)
+		b.put(d, d.Tokens(), nil)
 	}
-	cx, _ := mergeIndex(nil, ov)
+	cx, _ := mergeIndex(nil, b)
 	return cx
 }
 
-// frozeSince reports whether a freeze lies between two snapshots of one store:
-// a window that does not freeze publishes the segment list it found.
-func frozeSince(prev, now *snapshot) bool { return !slices.Equal(prev.segs, now.segs) }
+// mergedSince reports whether a merge lies between two snapshots of one
+// store: an index of the first that the second no longer holds.
+func mergedSince(prev, now *snapshot) bool {
+	return slices.ContainsFunc(prev.segs, func(seg *segment) bool {
+		return !slices.ContainsFunc(now.segs, func(n *segment) bool { return n.cx == seg.cx })
+	})
+}
 
 // snapshotBytes serializes cx as a v2 snapshot.
 func snapshotBytes(t *testing.T, cx *compiledIndex) []byte {
@@ -75,16 +79,13 @@ func loadSnapshotBytes(t testing.TB, raw []byte) (*compiledIndex, error) {
 	return loadSnapshotFile(path)
 }
 
-// TestMergeIndexMatchesFreshBuild: a compiled index is the previous one
-// merged with the delta, however the delta got there — single writes folded
-// into searchable overlays (putDoc/deleteDoc), bulk windows that overflow
-// the overlay and are only staged (stageDoc), windows mixing puts and
-// deletes. After every round of a random put/replace/delete history the
-// merge of the published (base, overlay) must equal one merge of the whole
-// live set into an empty base, survive a v2 snapshot round trip byte for
-// byte, and Stats().Terms must be the fresh build's term count — checked
-// after every single write too, since rare terms here lose their only
-// carrier (fully masked in the base) and get it back.
+// TestMergeIndexMatchesFreshBuild: a compiled index is the previous ones
+// merged, however the writes got there — single writes each compiled into a
+// segment, bulk windows, windows mixing puts and deletes, with tier merges
+// between them. After every round of a random put/replace/delete history the
+// merge of the published segments must equal one merge of the whole live set
+// into an empty base, and survive a v2 snapshot round trip byte for byte;
+// rare terms here lose their only carrier (every copy dead) and get it back.
 func TestMergeIndexMatchesFreshBuild(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	s, err := Open(Options{ConceptDim: 8, Seed: 1, QueryCacheSize: -1})
@@ -104,17 +105,11 @@ func TestMergeIndexMatchesFreshBuild(t *testing.T) {
 	stagePut := func(d *Document) stagedOp {
 		return stagedOp{op: opPut, payload: d.marshal(), doc: d, tokens: d.Tokens()}
 	}
-	requireTerms := func(stage string) {
-		t.Helper()
-		if got, want := s.Stats().Terms, len(freshIndex(live).termList); got != want {
-			t.Fatalf("%s: Stats().Terms = %d, fresh build has %d", stage, got, want)
-		}
-	}
-	freezes := 0
+	merges := 0
 	for round := 0; round < 60; round++ {
 		before := s.snap.Load()
 		switch round % 3 {
-		case 0: // single writes: searchable overlays
+		case 0: // single writes: a segment each
 			for i := 0; i < 1+r.Intn(40); i++ {
 				if r.Intn(3) == 0 {
 					id := fmt.Sprintf("n%03d", r.Intn(300))
@@ -129,9 +124,8 @@ func TestMergeIndexMatchesFreshBuild(t *testing.T) {
 					}
 					live[d.ID] = d
 				}
-				requireTerms(fmt.Sprintf("round %d write %d", round, i))
 			}
-		case 1: // one bulk window past the overlay limit: staged, then merged
+		case 1: // one bulk window
 			batch := make([]*Document, 70+r.Intn(80))
 			for i := range batch {
 				batch[i] = newDoc()
@@ -140,7 +134,7 @@ func TestMergeIndexMatchesFreshBuild(t *testing.T) {
 			if err := s.PutBatch(batch); err != nil {
 				t.Fatal(err)
 			}
-		case 2: // a window of puts and deletes, small or overflowing
+		case 2: // a window of puts and deletes, small or large
 			var ops []stagedOp
 			for i := 0; i < 10+r.Intn(120); i++ {
 				if r.Intn(3) == 0 {
@@ -158,16 +152,15 @@ func TestMergeIndexMatchesFreshBuild(t *testing.T) {
 			}
 		}
 		sn := s.snap.Load()
-		if frozeSince(before, sn) {
-			freezes++
+		if mergedSince(before, sn) {
+			merges++
 		}
 		stageName := fmt.Sprintf("round %d", round)
-		requireTerms(stageName)
 		if s.Len() != len(live) {
 			t.Fatalf("%s: Len %d, want %d", stageName, s.Len(), len(live))
 		}
 		fresh := freshIndex(live)
-		merged, _ := mergeIndex(sn.segs, sn.ov)
+		merged, _ := mergeIndex(sn.segs, nil)
 		requireSameIndex(t, stageName+": merge vs fresh", merged, fresh)
 		raw := snapshotBytes(t, merged)
 		loaded, err := loadSnapshotBytes(t, raw)
@@ -179,14 +172,14 @@ func TestMergeIndexMatchesFreshBuild(t *testing.T) {
 			t.Fatalf("%s: a loaded snapshot re-serialises differently", stageName)
 		}
 	}
-	if freezes < 10 {
-		t.Fatalf("only %d freezes in 60 rounds: the history is not crossing merge boundaries", freezes)
+	if merges < 10 {
+		t.Fatalf("only %d rounds with a merge in 60: the history is not crossing merge boundaries", merges)
 	}
 
 	// One merge of k segments with dead ordinals in each: the shapes of
-	// tierSchedule (four segments, tombstones in three, under an empty and
-	// under a masking overlay; after a dead-share and after a tier merge),
-	// merged as the compactor merges, against the fresh build of the live set.
+	// tierSchedule (four segments, tombstones in three; five, tombstones in
+	// four; after a dead-share and after a tier merge), merged as the
+	// compactor merges, against the fresh build of the live set.
 	if s, err = Open(Options{ConceptDim: 8, Seed: 1, QueryCacheSize: -1}); err != nil {
 		t.Fatal(err)
 	}
@@ -216,15 +209,14 @@ func TestMergeIndexMatchesFreshBuild(t *testing.T) {
 		shaped: func(stage string, sn *snapshot) {
 			t.Helper()
 			tombstoned := 0
-			for si, seg := range sn.segs {
-				if len(seg.dead)+len(sn.ov.maskedIn(si)) > 0 {
+			for _, seg := range sn.segs {
+				if len(seg.dead) > 0 {
 					tombstoned++
 				}
 			}
 			most = max(most, tombstoned)
-			merged, _ := mergeIndex(sn.segs, sn.ov)
+			merged, _ := mergeIndex(sn.segs, nil)
 			requireSameIndex(t, stage+": k-way merge vs fresh", merged, freshIndex(live))
-			requireTerms(stage)
 		},
 	})
 	if most < 3 {
@@ -435,9 +427,6 @@ func TestReopenMergesWALTail(t *testing.T) {
 			if s.Len() != mono.Len() || s.Len() != len(live) {
 				t.Fatalf("Len %d, monolithic %d, live %d", s.Len(), mono.Len(), len(live))
 			}
-			if got, want := s.Stats().Terms, mono.Stats().Terms; got != want {
-				t.Fatalf("Stats().Terms %d, monolithic %d", got, want)
-			}
 			requireSameIndex(t, "reopened vs fresh", s.snap.Load().segs[0].cx, freshIndex(live))
 			requireReadsMatch(t, "reopened", s, live)
 			for _, q := range []string{"gold ring", "byzantine", "amber jade", "mosaic coin", "rare3", "rare5 silver"} {
@@ -491,8 +480,8 @@ func TestGoldenSnapshotV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.Len() != golden.Docs || s.Stats().Terms != golden.Terms {
-		t.Fatalf("loaded %d docs / %d terms, recorded %d / %d", s.Len(), s.Stats().Terms, golden.Docs, golden.Terms)
+	if terms := len(s.snap.Load().segs[0].cx.termList); s.Len() != golden.Docs || terms != golden.Terms {
+		t.Fatalf("loaded %d docs / %d terms, recorded %d / %d", s.Len(), terms, golden.Docs, golden.Terms)
 	}
 	if len(golden.Queries) == 0 {
 		t.Fatal("no recorded queries")
@@ -510,7 +499,7 @@ func TestGoldenSnapshotV2(t *testing.T) {
 	}
 	cx := s.snap.Load().segs[0].cx
 	multi := false
-	for _, tm := range cx.terms {
+	for _, tm := range cx.tms {
 		multi = multi || tm.nBlocks > 1
 	}
 	if !multi {
@@ -561,7 +550,7 @@ func FuzzSnapshotV2(f *testing.F) {
 		if cx == nil {
 			t.Fatal("a file with the v2 magic was declined as legacy")
 		}
-		sn := &snapshot{epoch: 1, segs: []*segment{{cx: cx}}, ov: &overlay{}}
+		sn := &snapshot{epoch: 1, segs: []*segment{{cx: cx}}}
 		for _, q := range []string{"gold ring", "byzantine amber", "xx"} {
 			sc := getScratch()
 			got := sn.searchTextRaw(feature.Tokenize(q), 5, sc, nil)

@@ -225,9 +225,9 @@ func requireReadsMatch(t *testing.T, stage string, s *Store, live map[string]*Do
 }
 
 // TestReadsMatchBruteForce drives a put / replace / delete history across
-// several freezes — single writes folded into searchable overlays, PutBatch
-// windows that overflow and are staged, windows mixing puts and deletes, then
-// a scripted walk through the shapes of a segment list — and after every
+// several merges — single writes each compiled into a segment, PutBatch
+// windows, windows mixing puts and deletes, then a scripted walk through the
+// shapes of a segment list — and after every
 // write holds every text, vector, visual, topic and time read to the oracle. Timestamps come from a range of 30, so equal CreatedAt ties
 // (broken by ID) are everywhere; some documents list a topic twice and must count
 // once. The scripted tail pins the cases a random history may miss.
@@ -278,7 +278,7 @@ func TestReadsMatchBruteForce(t *testing.T) {
 		requireReadsMatch(t, stage, s, live)
 	}
 
-	freezes := 0
+	merges := 0
 	for round := 0; round < 12; round++ {
 		before := s.snap.Load()
 		stage := fmt.Sprintf("round %d", round)
@@ -311,12 +311,12 @@ func TestReadsMatchBruteForce(t *testing.T) {
 			}
 			requireReadsMatch(t, stage, s, live)
 		}
-		if frozeSince(before, s.snap.Load()) {
-			freezes++
+		if mergedSince(before, s.snap.Load()) {
+			merges++
 		}
 	}
-	if freezes < 3 {
-		t.Fatalf("only %d freezes: the history is not crossing merge boundaries", freezes)
+	if merges < 3 {
+		t.Fatalf("only %d rounds with a merge: the history is not crossing merge boundaries", merges)
 	}
 
 	// A base document with a vector, a picture and a topic listed twice...
@@ -324,27 +324,26 @@ func TestReadsMatchBruteForce(t *testing.T) {
 	fix.Topics = []string{"alpha", "alpha"}
 	fix.ColorHist, fix.Texture = []float64{0.3, 0.4, 0.3}, []float64{0.6, 0.4}
 	put("fix", fix)
-	batch("freeze fix into the base", 90)
+	batch("merge fix into a larger segment", 90)
 	sn := s.snap.Load()
-	if sn.getDoc("fix") == nil || len(sn.ov.byID) != 0 {
-		t.Fatal("the batch did not freeze fix into a segment")
+	si, _ := holder(sn.segs, "fix")
+	if sn.getDoc("fix") == nil || sn.segs[si].live() < 90 {
+		t.Fatal("the batch did not merge fix into a segment of its size")
 	}
 	// ...is replaced by one with other topics, no vector and no picture,
-	// deleted, and put back as it was, all within one overlay's lifetime.
+	// deleted, and put back as it was, all while that segment holds it dead.
 	bare := doc("fix", "silver coin", "etruscan silver coin", 12, nil)
 	bare.Topics = []string{"beta"}
 	put("replace fix", bare)
 	del("delete fix", "fix")
 	del("delete fix again", "fix")
 	put("put fix back", fix)
-	if frozeSince(sn, s.snap.Load()) {
-		t.Fatal("the scripted writes crossed a freeze; they must share one overlay lifetime")
+	if mergedSince(sn, s.snap.Load()) {
+		t.Fatal("the scripted writes merged the segment that held fix; they must see it dead")
 	}
-	// The next segment is built from that overlay: masked, carried, counted once.
-	batch("freeze the put-back", 90)
-	if !frozeSince(sn, s.snap.Load()) {
-		t.Fatal("the closing batch did not freeze")
-	}
+	// A merge of that segment drops the dead copy: carried, counted once.
+	forceMerge(s)
+	requireReadsMatch(t, "merge the put-back", s, live)
 
 	// The same reads through a scripted segment list: tombstones in every
 	// tier, a dead-share merge, a tier merge (tierSchedule), on a store of its

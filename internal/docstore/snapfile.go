@@ -49,8 +49,8 @@ func writeSnapshotV2(w io.Writer, cx *compiledIndex) error {
 		buf = binary.AppendUvarint(buf, uint64(dl))
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(cx.termList)))
-	for _, t := range cx.termList {
-		tm := cx.terms[t]
+	for i, t := range cx.termList {
+		tm := cx.tms[i]
 		buf = binary.AppendUvarint(buf, uint64(len(t)))
 		buf = append(buf, t...)
 		buf = binary.AppendUvarint(buf, uint64(tm.df))

@@ -62,7 +62,7 @@ func TestSnapshotPreWriteStability(t *testing.T) {
 func TestEpochMonotonic(t *testing.T) {
 	s := memStore(t)
 	last := s.Epoch()
-	for i := 0; i < 150; i++ { // crosses the overlay freeze limit
+	for i := 0; i < 150; i++ { // crosses tier merges
 		if err := s.Put(doc(fmt.Sprintf("e%d", i), "t", "body text", int64(i), nil)); err != nil {
 			t.Fatal(err)
 		}
@@ -117,13 +117,13 @@ func shadowDoc(r *rand.Rand, id string, at int64) *Document {
 	return d
 }
 
-// TestSnapshotMatchesMonolithic is the exactness proof for the
-// segments+overlay read path: after every write in a put/replace/delete sweep
-// (crossing several freeze boundaries), and then in a scripted walk through
-// the shapes of a segment list, every read API must return results identical
-// — scores included — to a freshly built store holding the same live set in
-// one segment with an empty overlay. Text queries use at most two distinct terms so float
-// accumulation order cannot differ between the two stores.
+// TestSnapshotMatchesMonolithic is the exactness proof for the segment-list
+// read path: after every write in a put/replace/delete sweep (crossing
+// several tier merges), and then in a scripted walk through the shapes of a
+// segment list, every read API must return results identical — scores
+// included — to a freshly built store holding the same live set in one
+// segment. Text queries use at most two distinct terms so float accumulation
+// order cannot differ between the two stores.
 func TestSnapshotMatchesMonolithic(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	a, err := Open(Options{ConceptDim: 8, Seed: 7, QueryCacheSize: -1})
@@ -139,7 +139,7 @@ func TestSnapshotMatchesMonolithic(t *testing.T) {
 	check := func(step int) {
 		t.Helper()
 		// Rebuild a monolithic reference store with the same seed and
-		// force a one-segment snapshot so b has no overlay at all.
+		// force a one-segment snapshot.
 		b, err := Open(Options{ConceptDim: 8, Seed: 7, QueryCacheSize: -1})
 		if err != nil {
 			t.Fatal(err)
@@ -151,11 +151,9 @@ func TestSnapshotMatchesMonolithic(t *testing.T) {
 				}
 			}
 		}
-		b.mu.Lock()
-		b.installLocked(b.snap.Load().merged(b.Epoch() + 1))
-		b.mu.Unlock()
-		if bs := b.snap.Load(); bs.ov.ops != 0 || len(bs.ov.byID) != 0 || len(bs.segs) > 1 {
-			t.Fatal("reference store still has an overlay, or several segments, after the forced merge")
+		forceMerge(b)
+		if bs := b.snap.Load(); len(bs.segs) > 1 {
+			t.Fatal("reference store still has several segments after the forced merge")
 		}
 
 		if a.Len() != b.Len() {
@@ -164,7 +162,7 @@ func TestSnapshotMatchesMonolithic(t *testing.T) {
 		for _, q := range queries {
 			ah, bh := a.SearchText(q, 5), b.SearchText(q, 5)
 			if !hitsEqual(ah, bh) {
-				t.Fatalf("step %d: SearchText(%q) diverged:\n overlay: %v\n mono:    %v",
+				t.Fatalf("step %d: SearchText(%q) diverged:\n segments: %v\n mono:     %v",
 					step, q, hitIDs(ah), hitIDs(bh))
 			}
 		}
@@ -273,6 +271,14 @@ func TestSnapshotMatchesMonolithic(t *testing.T) {
 		},
 		shaped: func(string, *snapshot) {},
 	})
+}
+
+// forceMerge publishes the store's live set as one segment, at the next epoch.
+func forceMerge(s *Store) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sn := s.snap.Load()
+	s.installLocked(&snapshot{epoch: sn.epoch + 1, planes: sn.planes, segs: merged(sn.planes, sn.segs, nil)})
 }
 
 func hitsEqual(a, b []Hit) bool {
@@ -406,7 +412,7 @@ func TestSnapshotReadersUnderChurn(t *testing.T) {
 // the benchmark scenario: 16 concurrent readers issue the same query while a
 // writer continuously re-puts identical documents (epoch churn with constant
 // content). Every reader must observe the exact quiesced hit slice — same
-// ids, same scores, same order — at every epoch, overlay or base.
+// ids, same scores, same order — at every epoch, however many segments.
 func TestSearchDeterminismUnderChurn(t *testing.T) {
 	s := memStore(t)
 	mk := func(i int) *Document {

@@ -41,9 +41,8 @@ type Options struct {
 	// Telemetry receives per-operation latency histograms and counters
 	// (docstore.put, docstore.search.*, docstore.compact, WAL replay,
 	// docstore.epoch, docstore.cache.*, docstore.snapshot.freezes with the
-	// docstore.freeze.latency histogram — an overlay compiled into a segment
-	// — and docstore.publish.latency for every window that did not freeze,
-	// the docstore.segments gauge, docstore.merge.latency and
+	// docstore.freeze.latency histogram — a commit window compiled into a
+	// segment — the docstore.segments gauge, docstore.merge.latency and
 	// docstore.merge.docs for the tier merges, the group-commit pipeline's
 	// docstore.wal.{syncs,windows,group_size,sync_wait_us} counters plus
 	// the docstore.commit latency histogram, and the gauges
@@ -62,8 +61,7 @@ type storeTel struct {
 	compactErrors                                               *telemetry.Counter
 	epoch, queueDepth, compactActive, segments                  *telemetry.Gauge
 	putLat, deleteLat, textLat, vectorLat, visualLat, hybridLat *telemetry.Histogram
-	compactLat, replayLat, commitLat, freezeLat, publishLat     *telemetry.Histogram
-	mergeLat                                                    *telemetry.Histogram
+	compactLat, replayLat, commitLat, freezeLat, mergeLat       *telemetry.Histogram
 }
 
 func newStoreTel(reg *telemetry.Registry) storeTel {
@@ -99,14 +97,11 @@ func newStoreTel(reg *telemetry.Registry) storeTel {
 		compactLat:    reg.Histogram("docstore.compact"),
 		replayLat:     reg.Histogram("docstore.wal.replay"),
 		commitLat:     reg.Histogram("docstore.commit"),
-		// The writer stall of one overflow has two parts: the overlay compiled
-		// into a segment and its tombstones folded in, then — some freezes —
-		// the newest tiers merged into one.
+		// What a window holds Store.mu for beyond its log write has two
+		// parts: its batch compiled into a segment and its tombstones folded
+		// in, then — some windows — the newest tiers merged into one.
 		freezeLat: reg.Histogram("docstore.freeze.latency"),
 		mergeLat:  reg.Histogram("docstore.merge.latency"),
-		// What a window that does not freeze holds Store.mu for beyond its
-		// log write: the overlay clone, the fold and the publish.
-		publishLat: reg.Histogram("docstore.publish.latency"),
 	}
 }
 
@@ -126,7 +121,7 @@ var (
 // code itself, minus the WAL. Every read method loads the published epoch
 // snapshot and runs lock-free, so searches never block writers and never
 // take the store lock (a contract enforced by agoralint's lockfree analyzer
-// — see snapshot.go for the epoch/segments/overlay design).
+// — see snapshot.go for the epoch/segments design).
 type Store struct {
 	mu   sync.Mutex // serializes log appends and snapshot publishes; never taken on the read path
 	opts Options
@@ -173,7 +168,7 @@ func Open(opts Options) (*Store, error) {
 	}
 	planes := feature.NewLSH(opts.Seed, opts.ConceptDim, lshTables, lshBits)
 	if opts.Dir == "" {
-		s.installLocked(&snapshot{epoch: 1, planes: planes, ov: &overlay{}})
+		s.installLocked(&snapshot{epoch: 1, planes: planes})
 		return s, nil
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
@@ -184,7 +179,7 @@ func Open(opts Options) (*Store, error) {
 	// Snapshot files carry a versioned header. The compiled (v2) format
 	// loads postings blocks directly — no per-document re-tokenization. The
 	// log after it (and all of a legacy snapshot, a WAL-format record stream)
-	// is staged into one delta over the file's index, and the two are merged
+	// is staged as one batch over the file's index, and the two are merged
 	// once below, into one segment.
 	file, err := loadSnapshotFile(snapPath)
 	if err != nil {
@@ -194,7 +189,7 @@ func Open(opts Options) (*Store, error) {
 	if file != nil {
 		segs = []*segment{{cx: file}}
 	}
-	delta := (&overlay{}).cloneNextN(0, len(segs))
+	delta := newBatch(0, len(segs))
 	apply := func(op uint8, payload []byte) error {
 		s.tel.walRecords.Inc()
 		switch op {
@@ -203,9 +198,9 @@ func Open(opts Options) (*Store, error) {
 			if err != nil {
 				return err
 			}
-			delta.stageDoc(d, d.Tokens(), segs)
+			delta.put(d, d.Tokens(), segs)
 		case opDelete:
-			delta.deleteDoc(string(payload), segs)
+			delta.delete(string(payload), segs)
 		}
 		return nil
 	}
@@ -231,19 +226,19 @@ func Open(opts Options) (*Store, error) {
 	s.walBytes.Store(s.log.size)
 	// One publish for the whole replay: per-record publishing would make
 	// recovery O(n) snapshot churn for nothing.
-	s.installLocked((&snapshot{planes: planes, segs: segs, ov: delta}).merged(1))
+	s.installLocked(&snapshot{epoch: 1, planes: planes, segs: merged(planes, segs, delta)})
 	s.startCommitter()
 	return s, nil
 }
 
-// merged returns sn's live set as one segment under an empty overlay — the
-// monolith every read through sn must agree with — at the given epoch.
-func (sn *snapshot) merged(epoch uint64) *snapshot {
-	all := buildSegment(sn.planes, sn.segs, sn.ov)
-	if len(all.cx.ids) == 0 {
-		return &snapshot{epoch: epoch, planes: sn.planes, ov: &overlay{}}
+// merged returns the live set of segs, less what b supersedes, and the
+// documents b puts as one segment — the monolith every read must agree with —
+// or no segment when nothing is live.
+func merged(planes *feature.LSH, segs []*segment, b *batch) []*segment {
+	if all := buildSegment(planes, segs, b); len(all.cx.ids) > 0 {
+		return []*segment{all}
 	}
-	return &snapshot{epoch: epoch, planes: sn.planes, segs: []*segment{all}, terms: len(all.cx.termList), ov: &overlay{}}
+	return nil
 }
 
 // installLocked publishes sn. Callers hold mu (or are inside Open before the
@@ -254,78 +249,48 @@ func (s *Store) installLocked(sn *snapshot) {
 	s.tel.segments.Set(float64(len(sn.segs)))
 }
 
-// freezeLocked publishes, as cur's successor, cur's segments and an empty
-// overlay — the coalescing point that keeps overlays small. delta must hold
-// every write since cur's last freeze: what it masked is folded into the
-// segments it touched, its documents are compiled into a segment of their
-// own, and then the newest tiers are merged if they are due (mergeRun).
-func (s *Store) freezeLocked(cur *snapshot, delta *overlay) {
-	start := time.Now()
-	s.tel.freezes.Inc()
-	segs := make([]*segment, len(cur.segs), len(cur.segs)+1)
-	for si, seg := range cur.segs {
-		segs[si] = seg.withDead(delta.maskedIn(si))
-	}
-	// termDelta is exact but for the terms of staged documents, which have no
-	// overlay postings: such a term is new if nothing live carries it.
-	terms := cur.terms + delta.termDelta
-	if len(delta.byID) > 0 {
-		fresh := buildSegment(cur.planes, nil, delta)
-		segs = append(segs, fresh)
-		for _, t := range fresh.cx.termList {
-			if e := delta.termPost[t]; len(e.post) == 0 && !e.segsLive(t, cur.segs) {
-				terms++
-			}
-		}
-	}
-	s.tel.freezeLat.Observe(time.Since(start))
-
-	if keep, run := mergeRun(segs); run == nil {
-		segs = keep
-	} else {
-		start = time.Now()
-		merged := buildSegment(cur.planes, run, &overlay{})
-		segs = append(keep, merged)
-		s.tel.mergeDocs.Add(uint64(len(merged.cx.ids)))
-		s.tel.mergeLat.Observe(time.Since(start))
-	}
-	s.installLocked(&snapshot{epoch: cur.epoch + 1, planes: cur.planes, segs: segs, terms: terms, ov: &overlay{}})
-}
-
-// publishWindowLocked publishes one epoch covering the n non-skipped ops of a
-// commit window, folded into a single overlay clone in WAL order: the window
-// pays the copy of the overlay's containers once, exactly as it pays one
-// fsync. When the window pushes the overlay past its coalescing limit the
-// clone is never searched — it is the delta of a freeze — so its documents
-// are only staged.
+// publishWindowLocked publishes, as cur's successor, one epoch covering the n
+// non-skipped ops of a commit window, staged in WAL order as one batch: what
+// it supersedes is folded into the segments it touches, and its documents are
+// compiled into a segment of their own — or, when they complete a run of the
+// newest tiers (mergeRun), into the one segment that replaces the run. The
+// window pays the compile once, exactly as it pays one fsync.
 func (s *Store) publishWindowLocked(cur *snapshot, window []*commitReq, n int) {
 	if n == 0 {
 		return
 	}
 	start := time.Now()
-	freeze := cur.ov.ops+n > overlayLimit
-	nv := cur.ov.cloneNextN(n, len(cur.segs))
+	s.tel.freezes.Inc()
+	b := newBatch(n, len(cur.segs))
 	for _, req := range window {
 		for i := range req.ops {
-			op := &req.ops[i]
-			switch {
+			switch op := &req.ops[i]; {
 			case op.skip:
 			case op.op == opDelete:
-				nv.deleteDoc(op.id, cur.segs)
-			case freeze:
-				nv.stageDoc(op.doc, op.tokens, cur.segs)
+				b.delete(op.id, cur.segs)
 			default:
-				nv.putDoc(op.doc, op.tokens, cur.segs, cur.planes)
+				b.put(op.doc, op.tokens, cur.segs)
+				op.tokens = nil // staged: a bulk window's compile does not run with every document's tokens still held
 			}
-			op.tokens = nil // folded: a bulk window's freeze does not run with every document's tokens still held
 		}
 	}
-	if freeze {
-		s.freezeLocked(cur, nv)
-		return
+	segs := make([]*segment, len(cur.segs), len(cur.segs)+1)
+	for si, seg := range cur.segs {
+		segs[si] = seg.withDead(b.maskedIn(si))
 	}
-	s.installLocked(&snapshot{epoch: cur.epoch + 1, planes: cur.planes, segs: cur.segs, terms: cur.terms, ov: nv})
-	s.tel.publishLat.Observe(time.Since(start))
+	keep, run := mergeRun(segs, len(b.byID))
+	if run == nil && len(b.byID) > 0 {
+		keep = append(keep, buildSegment(cur.planes, nil, b))
+	}
+	s.tel.freezeLat.Observe(time.Since(start))
+	if run != nil {
+		start = time.Now()
+		seg := buildSegment(cur.planes, run, &batch{byID: b.byID}) // the tombstones are folded already
+		keep = append(keep, seg)
+		s.tel.mergeDocs.Add(uint64(len(seg.cx.ids)))
+		s.tel.mergeLat.Observe(time.Since(start))
+	}
+	s.installLocked(&snapshot{epoch: cur.epoch + 1, planes: cur.planes, segs: keep})
 }
 
 // Put stores (or replaces) a document durably: a PutBatch of one.
@@ -492,22 +457,14 @@ func (s *Store) SearchVisual(query feature.VisualFeatures, colorWeight float64, 
 	}
 	sc := getScratch()
 	sel := selection{k: k, items: sc.heap[:0]}
-	score := func(d *Document, seg, ord int32) {
-		if hasVisual(d) {
-			sel.offer(scored{id: d.ID, seg: seg, ord: ord, score: feature.VisualSimilarity(query, feature.VisualFeatures{
-				ColorHist: d.ColorHist, Texture: d.Texture,
-			}, colorWeight)})
-		}
-	}
 	for si, seg := range sn.segs {
 		for ord, d := range seg.cx.docs {
-			if !sn.isDead(si, uint32(ord)) {
-				score(d, int32(si), int32(ord))
+			if hasVisual(d) && !seg.isDead(uint32(ord)) {
+				sel.offer(scored{id: d.ID, seg: int32(si), ord: uint32(ord), score: feature.VisualSimilarity(query, feature.VisualFeatures{
+					ColorHist: d.ColorHist, Texture: d.Texture,
+				}, colorWeight)})
 			}
 		}
-	}
-	for _, e := range sn.ov.byID {
-		score(e.doc, 0, -1)
 	}
 	sc.heap = sel.best()
 	hits := sn.assembleHits(sc.heap)
@@ -596,20 +553,13 @@ func (s *Store) Freshest(k int) []*Document {
 }
 
 // All visits every document (copies): each segment's in ID order, oldest
-// segment first, then those written since the last freeze in unspecified
-// order.
+// segment first.
 func (s *Store) All(visit func(*Document) bool) {
-	sn := s.snap.Load()
-	for si, seg := range sn.segs {
+	for _, seg := range s.snap.Load().segs {
 		for ord, d := range seg.cx.docs {
-			if !sn.isDead(si, uint32(ord)) && !visit(d.Clone()) {
+			if !seg.isDead(uint32(ord)) && !visit(d.Clone()) {
 				return
 			}
-		}
-	}
-	for _, e := range sn.ov.byID {
-		if !visit(e.doc.Clone()) {
-			return
 		}
 	}
 }
@@ -682,12 +632,12 @@ func (s *Store) compactOnce() error {
 	off := s.log.size
 	s.mu.Unlock()
 
-	// Phase 2 (no lock): merge the segments and the overlay into one index —
-	// the same merge a tier merge runs, over everything, never re-tokenizing
-	// documents — and write the live set as a v2 snapshot into a temp file.
+	// Phase 2 (no lock): merge the segments into one index — the same merge a
+	// tier merge runs, over everything, never re-tokenizing documents — and
+	// write the live set as a v2 snapshot into a temp file.
 	snapPath, walPath := snapshotPaths(s.opts.Dir)
 	tmp := snapPath + ".tmp"
-	merged, _ := mergeIndex(sn.segs, sn.ov)
+	merged, _ := mergeIndex(sn.segs, nil)
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("docstore: creating snapshot: %w", err)
@@ -792,7 +742,6 @@ func (s *Store) Close() error {
 // is the block-max early-termination win.
 type Stats struct {
 	Docs          int
-	Terms         int
 	Puts          uint64
 	Deletes       uint64
 	Searches      uint64
@@ -809,7 +758,6 @@ func (s *Store) Stats() Stats {
 	sn := s.snap.Load()
 	return Stats{
 		Docs:          sn.docCount(),
-		Terms:         sn.terms + sn.ov.termDelta,
 		Puts:          s.puts.Load(),
 		Deletes:       s.deletes.Load(),
 		Searches:      s.searches.Load(),

@@ -23,12 +23,13 @@ type tierOps struct {
 
 // tierSchedule drives a store that must be empty through the states a
 // segment list has: three segments of falling size, so that no tier merge is
-// due; a document of every tier replaced and one deleted while the overlay
-// is live and again after a freeze has folded the tombstones into every
-// segment (four segments, tombstones in each of the first three); a segment
-// more than deadShare dead, merged into the newest across one that stays;
-// and a tier merge that takes every segment but the first. It fails the test
-// when the store does not pass through those shapes.
+// due; a document of every tier replaced and one deleted, each a window of
+// its own, until a batch takes in the small segments those left (four
+// segments, tombstones in each of the first three), and again over those four
+// (five segments, tombstones in four); a segment more than deadShare dead,
+// merged into the newest across one that stays; and a tier merge that takes
+// every segment but the first. It fails the test when the store does not
+// pass through those shapes.
 func tierSchedule(t *testing.T, s *Store, r *rand.Rand, ops tierOps) {
 	t.Helper()
 	if s.Len() != 0 {
@@ -48,8 +49,8 @@ func tierSchedule(t *testing.T, s *Store, r *rand.Rand, ops tierOps) {
 		for _, seg := range sn.segs {
 			got = append(got, seg.live())
 		}
-		if !slices.Equal(got, want) || len(sn.ov.byID) != 0 {
-			t.Fatalf("%s: segments hold %v live documents under an overlay of %d, want %v and none", stage, got, len(sn.ov.byID), want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: segments hold %v live documents, want %v", stage, got, want)
 		}
 		return sn
 	}
@@ -66,12 +67,11 @@ func tierSchedule(t *testing.T, s *Store, r *rand.Rand, ops tierOps) {
 	ops.batch("tier c", gen("tc", 80))
 	shape("three tiers", 400, 140, 80)
 
-	touch("live overlay", 5, "ta", "tb", "tc")
+	touch("single windows", 5, "ta", "tb", "tc")
 	ops.put("a new id", shadowDoc(r, "tn000", 7))
-	// 7 writes and 58 more overflow the overlay: 3 replaced + 1 new + 58
-	// compile into a segment of 62, too small for the 78 left of tier c to
-	// join it.
-	ops.batch("freeze the touches", gen("td", 58))
+	// The 3 replaced + 1 new, merged in tiers as they came, and 58 more make
+	// a segment of 62, too small for the 78 left of tier c to join it.
+	ops.batch("a batch over the touches", gen("td", 58))
 	sn := shape("tombstones folded", 398, 138, 78, 62)
 	for si, seg := range sn.segs[:3] {
 		if len(seg.dead) != 2 || seg.deadDF == nil {
@@ -81,18 +81,18 @@ func tierSchedule(t *testing.T, s *Store, r *rand.Rand, ops tierOps) {
 	ops.shaped("four segments, tombstones in three", sn)
 
 	touch("over four segments", 9, "ta", "tb", "tc", "td")
-	ops.shaped("four segments under a masking overlay", s.snap.Load())
+	ops.shaped("five segments, tombstones in four", shape("five segments", 396, 136, 76, 60, 4))
 
-	// Tier c loses 40 more: 44 of its 80 are dead at the next freeze, which a
-	// batch of 17 forces (8 + 40 + 17 writes). Its 36 live documents and the
-	// overlay's 4 + 17 become the newest segment; tier d, between them and
-	// more than twice the overlay's size, stays.
+	// Tier c loses 40 more. The delete that leaves 41 of its 80 dead merges
+	// its 39 live documents with the 4 written since into the newest segment;
+	// tier d, between them and larger than those 4, stays. Three more deletes
+	// fall on the merged segment, and a batch of 17 comes after it.
 	tierC, tierD := sn.segs[2].cx, sn.segs[3].cx
 	for i := 20; i < 60; i++ {
 		ops.del(fmt.Sprintf("emptying tier c: %d", i), fmt.Sprintf("tc%03d", i))
 	}
-	ops.batch("freeze into a dead-share merge", gen("te", 17))
-	sn = shape("dead-share merge", 396, 136, 60, 36+4+17)
+	ops.batch("a batch after the dead-share merge", gen("te", 17))
+	sn = shape("dead-share merge", 396, 136, 60, 39+4-3, 17)
 	if held := func(cx *compiledIndex) bool {
 		return slices.ContainsFunc(sn.segs, func(seg *segment) bool { return seg.cx == cx })
 	}; held(tierC) || !held(tierD) {
@@ -100,22 +100,23 @@ func tierSchedule(t *testing.T, s *Store, r *rand.Rand, ops tierOps) {
 	}
 	ops.shaped("after the dead-share merge", sn)
 
-	// 66 new documents: the newest three segments are each no larger than
+	// 66 new documents: the newest four segments are each no larger than
 	// what is gathered behind them, the first is larger than all of it.
-	ops.batch("freeze into a tier merge", gen("tf", 66))
-	ops.shaped("after the tier merge", shape("tier merge", 396, 136+60+57+66))
+	ops.batch("a batch into a tier merge", gen("tf", 66))
+	ops.shaped("after the tier merge", shape("tier merge", 396, 136+60+40+17+66))
 	touch("two segments", 13, "ta", "tb", "td", "tf")
 }
 
 // TestWriteAmplificationIsLogarithmic pins what the tiers are for, in counts:
-// N single-document windows into a 16k-document store rewrite, between them,
-// at most log₂(base/overlayLimit) documents per document written — a segment
-// of s documents is merged only into one of at least 2s, which cannot happen
-// more often than that — and never leave more than that many segments, plus
-// the newest two. A store that merged everything at every freeze would
-// rewrite base/overlayLimit = 256 documents per write.
+// N single-document windows, each compiled into a segment, into a
+// 16k-document store rewrite, between them, at most log₂(base/window)
+// documents per document written — a segment of s documents is merged only
+// into one of at least 2s, which cannot happen more often than that — and
+// never leave more than that many segments, plus the newest two. A store that
+// merged everything at every window would rewrite base/window = 16384
+// documents per write.
 func TestWriteAmplificationIsLogarithmic(t *testing.T) {
-	const base, writes = 16384, 4096
+	const base, writes, window = 16384, 4096, 1
 	reg := telemetry.NewRegistry()
 	s, err := Open(Options{ConceptDim: 8, Seed: 7, QueryCacheSize: -1, Telemetry: reg})
 	if err != nil {
@@ -129,7 +130,7 @@ func TestWriteAmplificationIsLogarithmic(t *testing.T) {
 	if err := s.PutBatch(bulk); err != nil {
 		t.Fatal(err)
 	}
-	bound := math.Log2(base / overlayLimit)
+	bound := math.Log2(base / window)
 	maxSegs := 0
 	for i := 0; i < writes; i++ {
 		// Three in four are new ids, one replaces a base document.
@@ -144,11 +145,11 @@ func TestWriteAmplificationIsLogarithmic(t *testing.T) {
 	}
 	snap := reg.Snapshot()
 	freezes, merged := snap.Counters["docstore.snapshot.freezes"], snap.Counters["docstore.merge.docs"]
-	if want := uint64(writes / overlayLimit); freezes < want-1 || freezes > want+1 {
+	if want := uint64(writes / window); freezes < want-1 || freezes > want+1 {
 		t.Fatalf("%d freezes for %d single writes, want %d", freezes, writes, want)
 	}
 	if amp := float64(merged) / writes; amp == 0 || amp > bound {
-		t.Fatalf("merges rewrote %d documents for %d written: %.2f each, want above 0 and at most log₂(%d/%d) = %.0f", merged, writes, amp, base, overlayLimit, bound)
+		t.Fatalf("merges rewrote %d documents for %d written: %.2f each, want above 0 and at most log₂(%d/%d) = %.0f", merged, writes, amp, base, window, bound)
 	}
 	if float64(maxSegs) > bound+2 {
 		t.Fatalf("up to %d segments, want at most %.0f", maxSegs, bound+2)

@@ -1,6 +1,7 @@
 package docstore
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -9,29 +10,37 @@ import (
 	"testing/quick"
 )
 
-// timeSnap builds the parts of a snapshot a time scan reads: a segment and an
-// overlay time index (sorted here), the ordinal beside each segment entry
-// (ordinals ascend by id, as a compiled index numbers them), and the ordinals
-// of the segment ids the overlay masks.
-func timeSnap(base, ov []timeEntry, masked ...string) *snapshot {
-	slices.SortFunc(base, timeEntry.compare)
-	slices.SortFunc(ov, timeEntry.compare)
-	byID := slices.Clone(base)
-	slices.SortFunc(byID, func(a, b timeEntry) int { return strings.Compare(a.id, b.id) })
-	ords := map[string]uint32{}
-	for i, e := range byID {
-		ords[e.id] = uint32(i)
+// timePair is a (CreatedAt, id) pair as a test writes it.
+type timePair struct {
+	key int64
+	id  string
+}
+
+func (a timePair) compare(b timePair) int {
+	return cmp.Or(cmp.Compare(a.key, b.key), strings.Compare(a.id, b.id))
+}
+
+// timeSnap builds the parts of a snapshot a time scan reads: two segments,
+// each its ids (ordinals ascend by id, as a compiled index numbers them) and
+// its time index, and the ordinals of the first segment's ids that are dead.
+func timeSnap(base, newer []timePair, dead ...string) *snapshot {
+	seg := func(pairs []timePair, dead []string) *segment {
+		byID := slices.Clone(pairs)
+		slices.SortFunc(byID, func(a, b timePair) int { return strings.Compare(a.id, b.id) })
+		seg := &segment{cx: &compiledIndex{}}
+		for i, p := range byID {
+			seg.cx.ids = append(seg.cx.ids, p.id)
+			seg.byTime = append(seg.byTime, timeEntry{key: p.key, ord: uint32(i)})
+		}
+		slices.SortFunc(seg.byTime, func(a, b timeEntry) int { return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.ord, b.ord)) })
+		for _, id := range dead {
+			ord, _ := seg.cx.ord(id)
+			seg.dead = append(seg.dead, ord)
+		}
+		slices.Sort(seg.dead)
+		return seg
 	}
-	seg := &segment{byTime: base}
-	for _, e := range base {
-		seg.timeOrd = append(seg.timeOrd, ords[e.id])
-	}
-	sn := &snapshot{segs: []*segment{seg}, ov: &overlay{byTime: ov, masked: [][]uint32{nil}}}
-	for _, id := range masked {
-		sn.ov.masked[0] = append(sn.ov.masked[0], ords[id])
-	}
-	slices.Sort(sn.ov.masked[0])
-	return sn
+	return &snapshot{segs: []*segment{seg(base, dead), seg(newer, nil)}}
 }
 
 func scanned(scan func(visit func(int64, string) bool)) []string {
@@ -45,8 +54,8 @@ func scanned(scan func(visit func(int64, string) bool)) []string {
 
 func TestTimeScanRange(t *testing.T) {
 	sn := timeSnap(
-		[]timeEntry{{50, "e"}, {10, "a"}, {30, "c"}},
-		[]timeEntry{{20, "b"}, {40, "d"}})
+		[]timePair{{50, "e"}, {10, "a"}, {30, "c"}},
+		[]timePair{{20, "b"}, {40, "d"}})
 	got := scanned(func(v func(int64, string) bool) { sn.scanAsc(15, 45, v) })
 	if want := []string{"20/b", "30/c", "40/d"}; !strsEqual(got, want) {
 		t.Fatalf("scanAsc(15, 45) = %v, want %v", got, want)
@@ -56,12 +65,12 @@ func TestTimeScanRange(t *testing.T) {
 	}
 }
 
-// Equal keys order by id across the two indexes, and a masked base entry is
+// Equal keys order by id across the two indexes, and a dead base entry is
 // not there at all.
 func TestTimeScanTieOrder(t *testing.T) {
 	sn := timeSnap(
-		[]timeEntry{{10, "a"}, {10, "c"}, {10, "d"}},
-		[]timeEntry{{10, "b"}, {10, "e"}}, "c")
+		[]timePair{{10, "a"}, {10, "c"}, {10, "d"}},
+		[]timePair{{10, "b"}, {10, "e"}}, "c")
 	if got, want := scanned(func(v func(int64, string) bool) { sn.scanAsc(10, 10, v) }), []string{"10/a", "10/b", "10/d", "10/e"}; !strsEqual(got, want) {
 		t.Fatalf("ascending = %v, want %v", got, want)
 	}
@@ -71,9 +80,9 @@ func TestTimeScanTieOrder(t *testing.T) {
 }
 
 func TestTimeScanEarlyStop(t *testing.T) {
-	var base, ov []timeEntry
+	var base, ov []timePair
 	for i := 0; i < 100; i++ {
-		e := timeEntry{int64(i), fmt.Sprintf("d%d", i)}
+		e := timePair{int64(i), fmt.Sprintf("d%d", i)}
 		if i%3 == 0 {
 			ov = append(ov, e)
 		} else {
@@ -93,13 +102,13 @@ func TestTimeScanEarlyStop(t *testing.T) {
 	}
 }
 
-// The limit counts visits, and a masked entry is not a visit.
+// The limit counts visits, and a dead entry is not a visit.
 func TestTimeScanDescending(t *testing.T) {
-	var base []timeEntry
+	var base []timePair
 	for i := 1; i <= 10; i++ {
-		base = append(base, timeEntry{int64(i), fmt.Sprintf("d%d", i)})
+		base = append(base, timePair{int64(i), fmt.Sprintf("d%d", i)})
 	}
-	sn := timeSnap(base, []timeEntry{{6, "x"}}, "d6")
+	sn := timeSnap(base, []timePair{{6, "x"}}, "d6")
 	got := scanned(func(v func(int64, string) bool) { sn.scanDesc(7, 3, v) })
 	if want := []string{"7/d7", "6/x", "5/d5"}; !strsEqual(got, want) {
 		t.Fatalf("scanDesc(7, 3) = %v, want %v", got, want)
@@ -109,15 +118,15 @@ func TestTimeScanDescending(t *testing.T) {
 	}
 }
 
-// Any split of a set of pairs into base, masked base and overlay scans as the
-// sorted live set does, in both directions, over any range and limit.
+// Any split of a set of pairs into base, dead base and a newer segment scans
+// as the sorted live set does, in both directions, over any range and limit.
 func TestTimeScanMatchesSortedSliceProperty(t *testing.T) {
 	f := func(keys []int8, seed int64, from, to int8, limit uint8) bool {
 		r := rand.New(rand.NewSource(seed))
-		var base, ov, live []timeEntry
+		var base, ov, live []timePair
 		var masked []string
 		for i, k := range keys {
-			e := timeEntry{int64(k), fmt.Sprintf("id%d", i)}
+			e := timePair{int64(k), fmt.Sprintf("id%d", i)}
 			switch r.Intn(3) {
 			case 0:
 				base, live = append(base, e), append(live, e)
@@ -128,7 +137,7 @@ func TestTimeScanMatchesSortedSliceProperty(t *testing.T) {
 			}
 		}
 		sn := timeSnap(base, ov, masked...)
-		slices.SortFunc(live, timeEntry.compare)
+		slices.SortFunc(live, timePair.compare)
 		var asc, desc []string
 		for _, e := range live {
 			if e.key >= int64(from) && e.key <= int64(to) {
@@ -164,13 +173,13 @@ func TestFreshestAllocatesPerResult(t *testing.T) {
 		if err := s.PutBatch(docs); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 3; i++ { // a non-empty overlay: the scan merges two indexes
+		for i := 0; i < 3; i++ { // single windows: the scan merges three indexes
 			if err := s.Put(doc(fmt.Sprintf("late%d", i), "gold ring", "byzantine gold", int64(n-2+i), nil)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if sn := s.snap.Load(); len(sn.ov.byID) != 3 || len(sn.segs) != 1 || len(sn.segs[0].byTime) != n {
-			t.Fatalf("%d segments, overlay %d: not the shape this test is about", len(sn.segs), len(sn.ov.byID))
+		if sn := s.snap.Load(); len(sn.segs) != 3 || len(sn.segs[0].byTime) != n {
+			t.Fatalf("%d segments: not the shape this test is about", len(sn.segs))
 		}
 		return s
 	}

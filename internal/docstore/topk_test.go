@@ -108,7 +108,7 @@ func TestSelectionMatchesReference(t *testing.T) {
 		n := r.Intn(2000)
 		items := make([]scored, n)
 		for i, id := range r.Perm(n) {
-			items[i] = scored{id: fmt.Sprintf("doc-%04d", id), ord: int32(i), score: float64(r.Intn(8)) / 4}
+			items[i] = scored{id: fmt.Sprintf("doc-%04d", id), ord: uint32(i), score: float64(r.Intn(8)) / 4}
 		}
 		reversed := slices.Clone(items)
 		slices.Reverse(reversed)

@@ -73,18 +73,13 @@ func (l *LSH) signature(t int, v Vector) uint64 {
 // Put indexes a copy of v under id, replacing any previous vector for id.
 func (l *LSH) Put(id string, v Vector) {
 	cp := v.Clone()
-	l.Insert(id, cp, l.Signatures(cp))
-}
-
-// Insert is Put for a caller that already owns v and its Signatures: the
-// index keeps v itself, which must never change again.
-func (l *LSH) Insert(id string, v Vector, sigs []uint64) {
+	sigs := l.Signatures(cp)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if _, ok := l.items[id]; ok {
 		l.removeLocked(id)
 	}
-	l.items[id] = v
+	l.items[id] = cp
 	for t, sig := range sigs {
 		l.tables[t][sig] = append(l.tables[t][sig], id)
 	}
@@ -122,7 +117,8 @@ func (l *LSH) removeLocked(id string) {
 
 // Signatures returns v's per-table bucket signatures. Hyperplanes are
 // immutable after construction, so this takes no lock; callers use it to
-// precompute signatures for vectors held outside the index.
+// sign vectors held outside the index against the same hyperplanes — the
+// docstore files each segment's vectors by them.
 func (l *LSH) Signatures(v Vector) []uint64 {
 	return l.AppendSignatures(make([]uint64, 0, len(l.planes)), v)
 }
@@ -133,90 +129,6 @@ func (l *LSH) AppendSignatures(dst []uint64, v Vector) []uint64 {
 		dst = append(dst, l.signature(t, v))
 	}
 	return dst
-}
-
-// Bucket returns the ids filed under sig in table t: the candidates that
-// table contributes to a query whose signature there is sig. A caller that
-// scores by its own document numbers (the docstore's frozen base) probes
-// through this. The slice is the index's own and valid until the next Put,
-// Insert or Delete.
-func (l *LSH) Bucket(t int, sig uint64) []string {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.tables[t][sig]
-}
-
-// BucketSizes sums the sizes of the buckets a query with these signatures
-// reads: no probe finds more distinct ids.
-func (l *LSH) BucketSizes(sigs []uint64) (n int) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	for t, sig := range sigs {
-		n += len(l.tables[t][sig])
-	}
-	return n
-}
-
-// Extra is a vector held outside the index with what a search needs beside
-// it: its norm, and its signatures (from Signatures, against the same
-// hyperplanes). It is a probe's candidate exactly when an indexed vector
-// would be — when it Shares a bucket with the query. The docstore's overlay
-// holds its documents' vectors this way, to search a frozen index plus a
-// small unindexed delta with identical candidate semantics.
-type Extra struct {
-	ID   string
-	Vec  Vector
-	Norm float64 // Vec.Norm()
-	Sigs []uint64
-}
-
-// Shares reports whether e falls in the same bucket as a vector with
-// signatures sigs, in any table.
-func (e *Extra) Shares(sigs []uint64) bool {
-	for t, sig := range e.Sigs {
-		if t < len(sigs) && sigs[t] == sig {
-			return true
-		}
-	}
-	return false
-}
-
-// Filled returns an index over l's hyperplanes — which are immutable, so a
-// vector has the same signatures in both and a query's buckets in the two,
-// taken together, are its bucket in one index holding both sets — of the
-// vectors vecs[i] under ids[i], each filed under sigs[i*tables:(i+1)*tables]
-// (its Signatures); an empty vector is no item. The index keeps the vectors
-// themselves, and each table's buckets are carved from one array and capped,
-// so no later Insert touches a neighbouring bucket. The docstore builds one
-// per segment this way, from signatures it carries along.
-func (l *LSH) Filled(ids []string, vecs []Vector, sigs []uint64) *LSH {
-	cp := &LSH{planes: l.planes, tables: make([]map[uint64][]string, len(l.tables)), items: make(map[string]Vector, len(ids))}
-	for i, id := range ids {
-		if len(vecs[i]) > 0 {
-			cp.items[id] = vecs[i]
-		}
-	}
-	sizes := map[uint64]int{}
-	for t := range cp.tables {
-		clear(sizes)
-		for i := range ids {
-			if len(vecs[i]) > 0 {
-				sizes[sigs[i*len(l.tables)+t]]++
-			}
-		}
-		tbl := make(map[uint64][]string, len(sizes))
-		arena := make([]string, len(cp.items)) // a table files every item once
-		for sig, n := range sizes {
-			tbl[sig], arena = arena[:0:n], arena[n:]
-		}
-		for i, id := range ids {
-			if sig := sigs[i*len(l.tables)+t]; len(vecs[i]) > 0 {
-				tbl[sig] = append(tbl[sig], id)
-			}
-		}
-		cp.tables[t] = tbl
-	}
-	return cp
 }
 
 // Candidate is a scored index hit.

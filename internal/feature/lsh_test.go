@@ -3,8 +3,6 @@ package feature
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
-	"slices"
 	"testing"
 )
 
@@ -162,84 +160,5 @@ func TestLSHSelectsWhileScanning(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// buckets flattens an index's tables into "table/signature" -> sorted ids.
-func buckets(l *LSH) map[string][]string {
-	out := map[string][]string{}
-	for t, tbl := range l.tables {
-		for sig, ids := range tbl {
-			ids = slices.Clone(ids)
-			slices.Sort(ids)
-			out[fmt.Sprintf("%d/%x", t, sig)] = ids
-		}
-	}
-	return out
-}
-
-// TestLSHFilledIsInsertPerItem: the index Filled builds in one pass files
-// exactly what an Insert per item files (a vector signed as the original signs
-// it; an empty vector is no item), so a split of a set over the two files,
-// bucket by bucket, what one index holding all of it does; answers every
-// Query the same; and shares no bucket storage with the original or between
-// its own buckets — an Insert into either changes only the bucket it lands in.
-func TestLSHFilledIsInsertPerItem(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	l := NewLSH(3, 16, 6, 4) // 16 buckets a table: every bucket is crowded
-	whole, want := NewLSH(3, 16, 6, 4), NewLSH(3, 16, 6, 4)
-	for i := 0; i < 200; i++ {
-		v := randomUnit(r, 16)
-		l.Put(fmt.Sprintf("d%03d", i), v)
-		whole.Put(fmt.Sprintf("d%03d", i), v)
-	}
-	before := buckets(l)
-	var ids []string
-	var vecs []Vector
-	var sigs []uint64
-	for i := 200; i < 400; i++ {
-		id, v := fmt.Sprintf("d%03d", i), randomUnit(r, 16)
-		if i%10 == 0 {
-			v = nil
-		} else {
-			want.Put(id, v)
-			whole.Put(id, v)
-		}
-		ids, vecs, sigs = append(ids, id), append(vecs, v), l.AppendSignatures(sigs, v)
-	}
-	got := l.Filled(ids, vecs, sigs)
-	if got.Len() != want.Len() || !reflect.DeepEqual(buckets(got), buckets(want)) {
-		t.Fatalf("filled in one pass it holds %d ids, inserted one by one %d, or their buckets differ", got.Len(), want.Len())
-	}
-	for i := 0; i < 50; i++ {
-		q := randomUnit(r, 16)
-		if g, w := got.Query(q, 10), want.Query(q, 10); !reflect.DeepEqual(g, w) {
-			t.Fatalf("query %d: filled %v, inserted %v", i, g, w)
-		}
-	}
-	union := buckets(l)
-	for key, b := range buckets(got) {
-		union[key] = append(union[key], b...)
-		slices.Sort(union[key])
-	}
-	if !reflect.DeepEqual(union, buckets(whole)) {
-		t.Fatal("the two indexes' buckets, united, are not those of one index over both sets")
-	}
-
-	after := buckets(got)
-	for i := 0; i < 100; i++ {
-		id, v := fmt.Sprintf("new%d", i), randomUnit(r, 16)
-		got.Put(id, v)
-		for t, sig := range got.Signatures(v) {
-			key := fmt.Sprintf("%d/%x", t, sig)
-			after[key] = append(after[key], id)
-			slices.Sort(after[key])
-		}
-	}
-	if !reflect.DeepEqual(buckets(got), after) {
-		t.Fatal("an Insert into the filled index changed a bucket other than its own")
-	}
-	if !reflect.DeepEqual(buckets(l), before) {
-		t.Fatal("building or filling the new index changed the original")
 	}
 }

@@ -54,7 +54,7 @@ func collectDirectives(fset *token.FileSet, f *File) {
 // initialization cycle; TestAnalyzerNameList pins it to the suite.
 var allowableAnalyzers = []string{
 	"wallclock", "nilguard", "goroutine", "checkederr",
-	"lockfree", "postings", "atomics", "hotalloc", "snapfreeze",
+	"lockfree", "atomics", "hotalloc", "snapfreeze",
 	"wirealloc",
 }
 

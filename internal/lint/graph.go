@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // FuncNode is one production function or method in the module's call
@@ -249,10 +248,4 @@ func implementations(concrete []types.Type, iface *types.Interface) []types.Type
 		}
 	}
 	return out
-}
-
-// searchRoot matches the Search*-prefixed methods that anchor both the
-// postings and hotalloc read-path contracts.
-func searchRoot(n *FuncNode) bool {
-	return strings.HasPrefix(n.Obj.Name(), "Search")
 }

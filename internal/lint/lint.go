@@ -184,7 +184,6 @@ func Analyzers() []*Analyzer {
 		goroutineAnalyzer,
 		checkederrAnalyzer,
 		lockfreeAnalyzer,
-		postingsAnalyzer,
 		atomicsAnalyzer,
 		hotallocAnalyzer,
 		snapfreezeAnalyzer,

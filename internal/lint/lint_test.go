@@ -175,23 +175,14 @@ func TestLockfreeOutsideDocstoreIsSilent(t *testing.T) {
 	assertFixtureSilent(t, "lockfree", "internal/core", lockfreeAnalyzer)
 }
 
-func TestPostingsFixture(t *testing.T) {
-	runFixture(t, "postings", "internal/docstore", postingsAnalyzer)
-}
-
-// TestPostingsOutsideDocstoreIsSilent pins the scoping: the same fixture
-// under any other path must produce nothing.
-func TestPostingsOutsideDocstoreIsSilent(t *testing.T) {
-	assertFixtureSilent(t, "postings", "internal/core", postingsAnalyzer)
-}
-
-// TestPostingsPoolPutNotConflated pins the regression the typed call
-// graph exists for: the old name-based graph conflated sync.Pool.Put
-// with Store.Put and needed a hard-coded barrier list to avoid dragging
-// the whole write side into Search* reachability. With method
-// resolution, Store.Put must simply not be reachable from SearchText.
-func TestPostingsPoolPutNotConflated(t *testing.T) {
-	m, err := FixtureModule(filepath.Join("testdata", "postings"), "internal/docstore")
+// TestPoolPutNotConflated pins the regression the typed call graph exists
+// for: the old name-based graph conflated sync.Pool.Put with Store.Put and
+// needed a hard-coded barrier list to avoid dragging the whole write side
+// into Search* reachability. With method resolution, Store.Put must simply
+// not be reachable from SearchText, which releases its scratch through
+// sync.Pool.Put.
+func TestPoolPutNotConflated(t *testing.T) {
+	m, err := FixtureModule(filepath.Join("testdata", "hotalloc"), "internal/docstore")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,36 +14,25 @@ import (
 // is stored, every byte behind it must stay frozen, or readers race.
 //
 //   - snapshot is a literal, whole before installLocked publishes it, its
-//     segment list included: a freeze or a merge makes a new slice;
-//   - segment, an entry of that list, is built only by buildSegment (the
-//     freeze's compile of the overlay, a tier merge, Open: one builder)
-//     with tally, its counting helper, and succeeded — never written —
-//     by withDead, the copy-on-write fold of tombstones, which assigns
-//     only the fields of the copy it returns;
+//     segment list included: a window or a merge makes a new slice;
+//   - segment, an entry of that list, is built only by buildSegment (a
+//     window's batch compiled, a tier merge, Open: one builder) with tally,
+//     its counting helper, and succeeded — never written — by withDead, the
+//     copy-on-write fold of tombstones, which assigns only the fields of the
+//     copy it returns;
 //   - compiledIndex is filled only by addDoc and appendTerm (the k-way
 //     mergeIndex and the snapshot loader both build through them);
-//   - overlay is built by the clone/fold family (stageDoc for a window
-//     that is compiled instead of searched): cloneNextN copies the
-//     containers a window inserts into or removes from, setTermPost
-//     appends past the length any published overlay reads, delTermPost
-//     copies the slice it shortens, and nothing mutates a published
-//     value;
-//   - feature.LSH is the vector index a segment holds. It is a mutable
-//     index for its other callers, so the list is simply its writers —
-//     Filled builds a segment's index in one pass —
-//     and nothing else may reach into its tables.
+//   - feature.LSH holds the hyperplanes every segment signs its vectors
+//     with. It is a mutable index for its other callers, so the list is
+//     simply its writers, and nothing else may reach into its tables.
 var snapfreezeFrozen = map[string]map[string][]string{
 	"internal/docstore": {
 		"snapshot":      {},
 		"segment":       {"buildSegment", "tally", "withDead"},
 		"compiledIndex": {"addDoc", "appendTerm"},
-		"overlay": {
-			"cloneNextN", "dropID", "stageDoc", "putDoc", "maskBase",
-			"setTermPost", "delTermPost",
-		},
 	},
 	"internal/feature": {
-		"LSH": {"NewLSH", "Filled", "Insert", "removeLocked"},
+		"LSH": {"NewLSH", "Put", "removeLocked"},
 	},
 }
 
@@ -57,7 +46,7 @@ var snapfreezeFrozen = map[string]map[string][]string{
 // left) are untouched.
 var snapfreezeAnalyzer = &Analyzer{
 	Name: "snapfreeze",
-	Doc:  "fields of published snapshot/segment/compiledIndex/overlay values may only be assigned in their freeze/compile constructors",
+	Doc:  "fields of published snapshot/segment/compiledIndex values may only be assigned in their build constructors",
 	RunModule: func(m *Module, report ReportFunc) {
 		for pkgPath, frozenCfg := range snapfreezeFrozen {
 			p := m.Lookup(pkgPath)
@@ -113,7 +102,7 @@ func checkFreeze(p *Package, fd *ast.FuncDecl, frozen map[*types.TypeName]map[st
 				continue
 			}
 			if !allowed[fnName] {
-				report(sel.Pos(), "%s.%s assigned in %s, outside its freeze/compile constructors (%s); published values are immutable — build a new value instead",
+				report(sel.Pos(), "%s.%s assigned in %s, outside its build constructors (%s); published values are immutable — build a new value instead",
 					named.Obj().Name(), sel.Sel.Name, fnName, ctorList(allowed))
 			}
 			return

@@ -19,21 +19,10 @@ type compiledIndex struct {
 	norms []float64
 }
 
-type ovTerm struct {
-	post     []int
-	maskedDF int
-}
-
-type overlay struct {
-	masked   []uint32
-	termPost map[string]ovTerm
-}
-
 type snapshot struct {
 	epoch    uint64
 	segs     []*segment
 	cx       *compiledIndex
-	ov       *overlay
 	docCount int
 }
 
@@ -75,41 +64,17 @@ func (s *Store) installLocked(next *segment) {
 	s.current = &snapshot{epoch: s.current.epoch + 1, segs: segs, cx: cx, docCount: len(next.byTime)}
 }
 
-// cloneNextN is overlay's fold-family constructor: legal.
-func (ov *overlay) cloneNextN() *overlay {
-	next := &overlay{masked: append([]uint32(nil), ov.masked...), termPost: map[string]ovTerm{}}
-	for t, e := range ov.termPost {
-		next.termPost[t] = e
-	}
-	return next
-}
-
-// setTermPost appends onto the array the predecessor's slice ends in, and
-// maskBase inserts into the clone's own tombstones: both are builders of
-// the next overlay, so both are legal.
-func (nv *overlay) setTermPost(t string, p int) {
-	e := nv.termPost[t]
-	e.post = append(e.post, p)
-	nv.termPost[t] = e
-}
-
-func (nv *overlay) maskBase(ord uint32) {
-	nv.masked = append(nv.masked, ord)
-}
-
 // mutateAfterPublish is the violation class: writes through a published
 // snapshot, each reported against the innermost frozen owner on the
 // target path.
 func (s *Store) mutateAfterPublish(id string) {
-	s.current.docCount++                  // want "snapshot.docCount assigned in mutateAfterPublish"
-	s.current.segs = nil                  // want "snapshot.segs assigned in mutateAfterPublish"
-	s.current.segs[0] = &segment{}        // want "snapshot.segs assigned in mutateAfterPublish"
-	s.current.segs[0].byTime[0].id = id   // want "segment.byTime assigned in mutateAfterPublish"
-	s.current.segs[0].dead[0] = 0         // want "segment.dead assigned in mutateAfterPublish"
-	s.current.cx.terms = nil              // want "compiledIndex.terms assigned in mutateAfterPublish"
-	s.current.cx.norms[0] = 0             // want "compiledIndex.norms assigned in mutateAfterPublish"
-	s.current.ov.termPost["t"] = ovTerm{} // want "overlay.termPost assigned in mutateAfterPublish"
-	s.current.ov.masked[0] = 0            // want "overlay.masked assigned in mutateAfterPublish"
+	s.current.docCount++                // want "snapshot.docCount assigned in mutateAfterPublish"
+	s.current.segs = nil                // want "snapshot.segs assigned in mutateAfterPublish"
+	s.current.segs[0] = &segment{}      // want "snapshot.segs assigned in mutateAfterPublish"
+	s.current.segs[0].byTime[0].id = id // want "segment.byTime assigned in mutateAfterPublish"
+	s.current.segs[0].dead[0] = 0       // want "segment.dead assigned in mutateAfterPublish"
+	s.current.cx.terms = nil            // want "compiledIndex.terms assigned in mutateAfterPublish"
+	s.current.cx.norms[0] = 0           // want "compiledIndex.norms assigned in mutateAfterPublish"
 }
 
 // Reads are always fine.

@@ -16,8 +16,8 @@ import (
 // scatter path: a fixed 128k-document Zipfian corpus served by 1/2/4/8
 // shard servers over real TCP, asked under sustained ingest (one
 // 64-document batch per 4 asks — the open agora's operating point, where
-// every overlayLimit writes the written store compiles its overlay into a
-// segment and, some of those times, merges its newest tiers). ns/op is the
+// every batch a shard takes is compiled into a segment of its own and,
+// some of those times, merged with its newest tiers). ns/op is the
 // per-ask cost with the
 // ingest schedule folded in; p50/p99 ask latency, realized fan-out, and
 // pruned shards land in the extras. Run with a fixed iteration count
@@ -93,7 +93,7 @@ func benchmarkScatter(b *testing.B, n int) {
 	for i := 0; i < b.N; i++ {
 		if i%benchIngestEvery == benchIngestEvery-1 {
 			// Fixed ingest schedule; the pool wraps into replacement
-			// churn, which exercises the same overlay/freeze path.
+			// churn, which exercises the same compile and merge path.
 			lo := next % len(benchCorpus.churn)
 			hi := min(lo+benchIngestBatch, len(benchCorpus.churn))
 			tc.ingest(b, benchCorpus.churn[lo:hi])
@@ -124,8 +124,8 @@ func BenchmarkScatterShards8(b *testing.B) { benchmarkScatter(b, 8) }
 // The BenchmarkQueryRoundtripNShards pair is the wire view of the scatter
 // path: pure warm-cache asks over real TCP with no ingest schedule, so
 // ns/op and allocs/op isolate the framed request/response exchange (stats
-// cached, per-shard Query + merge) rather than the freeze/overlay economics
-// the Scatter family measures.
+// cached, per-shard Query + merge) rather than the segment economics the
+// Scatter family measures.
 func benchmarkRoundtrip(b *testing.B, n int) {
 	benchSetup()
 	tc := startCluster(b, n, benchCorpus.docs)
