@@ -53,18 +53,20 @@ lint: vet
 
 check: build lint test race
 
-# Decoder robustness and selection identity: a short fixed-iteration fuzz of
-# the decoders that read bytes this process did not just write — the
-# postings codec, the v2 snapshot file (checksum re-stamped, so mutations
-# reach the structure checks), the wire Query as the shard server serves it,
-# the write-ahead log and every wire message decoder in both reader modes —
-# and of the quickselect the vector and hybrid pools keep their k best with,
-# held to sort-then-truncate (cheap enough for every CI run — the seed
+# Decoder robustness and kernel identity: a short fixed-iteration fuzz of the
+# decoders that read bytes this process did not just write — the postings
+# codec, the v2 snapshot file (checksum re-stamped, so mutations reach the
+# structure checks), the wire Query as the shard server serves it, the
+# write-ahead log and every wire message decoder in both reader modes — of
+# the quickselect the vector and hybrid pools keep their k best with, held to
+# sort-then-truncate, and of the four-wide dot product the vector scan scores
+# with, held to Dot bit for bit (cheap enough for every CI run — the seed
 # corpora in codec_test.go, merge_test.go, badquery_test.go, fault_test.go,
-# wire/fuzz_test.go and topk_test.go already pin the tricky edges, so even 0
-# new execs still exercises them all). `go test -fuzz` takes one target per
-# run, hence six commands. For a real expedition run e.g. `go test -fuzz
-# FuzzPostingsCodec ./internal/docstore` with a time budget instead.
+# wire/fuzz_test.go, topk_test.go and feature/vector_test.go already pin the
+# tricky edges, so even 0 new execs still exercises them all). `go test -fuzz`
+# takes one target per run, hence seven commands. For a real expedition run
+# e.g. `go test -fuzz FuzzPostingsCodec ./internal/docstore` with a time
+# budget instead.
 fuzz:
 	$(GO) test -run XXX -fuzz FuzzPostingsCodec -fuzztime 2000x ./internal/docstore
 	$(GO) test -run XXX -fuzz FuzzSnapshotV2 -fuzztime 2000x ./internal/docstore
@@ -72,6 +74,7 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzReplayWAL -fuzztime 2000x ./internal/docstore
 	$(GO) test -run XXX -fuzz FuzzWireDecoders -fuzztime 2000x ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzSelectBest -fuzztime 2000x ./internal/docstore
+	$(GO) test -run XXX -fuzz FuzzDot4 -fuzztime 2000x ./internal/feature
 
 clean:
 	$(GO) clean ./...

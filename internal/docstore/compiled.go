@@ -25,6 +25,8 @@ type compiledIndex struct {
 	docLens []uint32    // ordinal -> token count
 	norms   []float64   // ordinal -> sqrt(docLen+1), the score denominator
 	cnorms  []float64   // ordinal -> docs[ord].Concept.Norm(), the cosine denominator
+	vecs    []float64   // the concept vectors, one column: ordinal ord's is vecs[vecAt[ord]:vecAt[ord+1]]
+	vecAt   []uint32    // len(ids)+1 offsets into vecs; a document without a vector has an empty range
 
 	// termList is the distinct terms, ascending, and tms[i] locates
 	// termList[i]'s blocks: a term is found by binary search (term).
@@ -64,27 +66,29 @@ type blockMeta struct {
 }
 
 // newCompiledIndex returns an empty index with room for exactly nDocs
-// documents carrying nPost postings between them — the document table's
-// columns carved from one array per element type, one arena for every
-// forward list — and for about nTerms terms in nBlocks blocks of nData bytes.
-// Its builders fill it in order — addDoc in ascending document ID, then
-// appendTerm in ascending term — and nothing re-sorts afterwards.
-func newCompiledIndex(nDocs, nPost, nTerms, nBlocks, nData int) *compiledIndex {
+// documents carrying nPost postings and nVec vector components between them —
+// the document table's columns carved from one array per element type, one
+// arena for every forward list — and for about nTerms terms in nBlocks blocks
+// of nData bytes. Its builders fill it in order — addDoc in ascending document
+// ID, then appendTerm in ascending term — and nothing re-sorts afterwards.
+func newCompiledIndex(nDocs, nPost, nVec, nTerms, nBlocks, nData int) *compiledIndex {
 	strs := make([]string, nDocs+nTerms)
-	floats := make([]float64, 2*nDocs)
-	words := make([]uint32, nDocs+nPost)
+	floats := make([]float64, 2*nDocs+nVec)
+	words := make([]uint32, 2*nDocs+1+nPost)
 	return &compiledIndex{
 		ids:      strs[:0:nDocs],
 		docs:     make([]*Document, 0, nDocs),
 		docLens:  words[:0:nDocs],
 		norms:    floats[:0:nDocs],
-		cnorms:   floats[nDocs:nDocs],
+		cnorms:   floats[nDocs : nDocs : 2*nDocs],
+		vecs:     floats[2*nDocs : 2*nDocs],
+		vecAt:    words[nDocs : nDocs+1 : 2*nDocs+1], // vecAt[0] = 0
 		termList: strs[nDocs:nDocs],
 		tms:      make([]termPostings, 0, nTerms),
 		blocks:   make([]blockMeta, 0, nBlocks),
 		data:     make([]byte, 0, nData),
 		fwd:      make([][]uint32, 0, nDocs),
-		fwdFree:  words[nDocs:],
+		fwdFree:  words[2*nDocs+1:],
 	}
 }
 
@@ -101,6 +105,8 @@ func (cx *compiledIndex) addDoc(d *Document, docLen uint32, nTerms int, cnorm fl
 	cx.docLens = append(cx.docLens, docLen)
 	cx.norms = append(cx.norms, math.Sqrt(float64(docLen)+1))
 	cx.cnorms = append(cx.cnorms, cnorm)
+	cx.vecs = append(cx.vecs, d.Concept...)
+	cx.vecAt = append(cx.vecAt, uint32(len(cx.vecs)))
 	cx.fwd = append(cx.fwd, cx.fwdFree[:0:nTerms])
 	cx.fwdFree = cx.fwdFree[nTerms:]
 	return ord
@@ -203,9 +209,9 @@ var buildPool = sync.Pool{New: func() any { return &buildScratch{slot: map[strin
 func compileDocs(docs map[string]batchDoc) *compiledIndex {
 	bs := buildPool.Get().(*buildScratch)
 	defer buildPool.Put(bs)
-	ids, nPost := bs.ids[:0], 0
+	ids, nPost, nVec := bs.ids[:0], 0, 0
 	for id, e := range docs {
-		ids, nPost = append(ids, id), nPost+len(e.terms)
+		ids, nPost, nVec = append(ids, id), nPost+len(e.terms), nVec+len(e.doc.Concept)
 	}
 	slices.Sort(ids)
 	clear(bs.slot)
@@ -225,7 +231,7 @@ func compileDocs(docs map[string]batchDoc) *compiledIndex {
 	for i := range terms {
 		terms[i].post, arena = arena[:0:terms[i].n], arena[terms[i].n:]
 	}
-	cx := newCompiledIndex(len(ids), nPost, len(terms), len(terms), 2*nPost)
+	cx := newCompiledIndex(len(ids), nPost, nVec, len(terms), len(terms), 2*nPost)
 	for _, id := range ids {
 		e := docs[id]
 		ord := cx.addDoc(e.doc, uint32(e.docLen), len(e.terms), e.doc.Concept.Norm())
@@ -262,13 +268,14 @@ func mergeIndex(segs []*segment, b *batch) (*compiledIndex, [][]uint32) {
 	// ordinals, so a source's renumbered postings stay ascending).
 	srcs := bs.srcs[:0]
 	remap := make([][]uint32, 0, len(segs)+1)
-	nDocs, nPost, nTerms, nBlocks, nData := 0, 0, 0, 0, 0
+	nDocs, nPost, nVec, nTerms, nBlocks, nData := 0, 0, 0, 0, 0, 0
 	for si, seg := range segs {
 		to := make([]uint32, len(seg.cx.ids))
 		for _, dead := range [2][]uint32{seg.dead, b.maskedIn(si)} {
 			for _, ord := range dead {
 				to[ord] = ordSentinel
 				nPost -= len(seg.cx.fwd[ord])
+				nVec -= int(seg.cx.vecAt[ord+1] - seg.cx.vecAt[ord])
 			}
 			nDocs -= len(dead)
 		}
@@ -279,7 +286,7 @@ func mergeIndex(segs []*segment, b *batch) (*compiledIndex, [][]uint32) {
 		srcs, remap = append(srcs, cx), append(remap, make([]uint32, len(cx.ids)))
 	}
 	for _, src := range srcs {
-		nDocs, nPost, nTerms = nDocs+len(src.ids), nPost+src.nPost, nTerms+len(src.termList)
+		nDocs, nPost, nVec, nTerms = nDocs+len(src.ids), nPost+src.nPost, nVec+len(src.vecs), nTerms+len(src.termList)
 		nBlocks, nData = nBlocks+len(src.blocks), nData+len(src.data)
 	}
 	bs.srcs = srcs
@@ -289,7 +296,7 @@ func mergeIndex(segs []*segment, b *batch) (*compiledIndex, [][]uint32) {
 		}
 		return srcs[0], remap[:len(segs)] // immutable, so an unchanged index is shared
 	}
-	cx := newCompiledIndex(nDocs, nPost, nTerms, nBlocks, nData)
+	cx := newCompiledIndex(nDocs, nPost, nVec, nTerms, nBlocks, nData)
 
 	// The ascending ID lists number the merged documents: the least head
 	// goes next.
@@ -520,6 +527,7 @@ type searchScratch struct {
 	ords    []uint32       // segment offset + ordinal: a probe's candidates
 	heap    []scored       // the text top-k
 	vecPool []scored       // the vector selection
+	vecCut  []float64      // a vector search's scores, aligned with ords, then the copy its cut reorders
 	outPool []scored       // the hybrid's blended selection
 	stats   searchStats
 	// slot, by segment offset + ordinal (segOff[si] is segment si's offset),

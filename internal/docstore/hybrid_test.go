@@ -287,4 +287,174 @@ func TestHybridMatchesReference(t *testing.T) {
 			t.Fatalf("%d documents: %d pools from the probe, %d from the scan: both branches must run", size, oracle.probe, oracle.scan)
 		}
 	}
+	scanEdges(t)
+}
+
+// scanEdges is TestHybridMatchesReference's part for the exact scan's edges,
+// which reads each segment's vector column and scores its candidates four at
+// a time before it cuts on the k-th best score: documents without a vector
+// between ones with, vectors shorter and longer than the query, tombstones
+// inside a group of four, segments whose live vectors are not a multiple of
+// four, clones that tie at the cut so that ids decide it — and a store just
+// past 256 documents, where the probe runs and finds fewer than the pool.
+func scanEdges(t *testing.T) {
+	r := rand.New(rand.NewSource(30))
+	long := append(oracleVec.Clone(), 0.5, -0.25, 1) // longer than every stored vector but one kind
+	vec := func(n int) feature.Vector {
+		v := make(feature.Vector, n)
+		for i := range v {
+			v[i] = r.NormFloat64()
+		}
+		return v
+	}
+	open := func() (*Store, map[string]*Document, *vectorOracle) {
+		s, err := Open(Options{ConceptDim: 8, Seed: 5, QueryCacheSize: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := map[string]*Document{}
+		return s, live, &vectorOracle{s: s, live: live}
+	}
+	check := func(stage string, s *Store, live map[string]*Document, oracle *vectorOracle) {
+		t.Helper()
+		for _, k := range []int{1, 3, 5, 40, len(live) + 5} {
+			pool := max(4*k, 32)
+			for _, c := range []feature.Vector{oracleVec, long} {
+				text := s.SearchTextExhaustive("gold ring", pool)
+				for _, alpha := range []float64{0.25, 0.75} {
+					what := fmt.Sprintf("%s: SearchHybrid(query of %d, %v, %d)", stage, len(c), alpha, k)
+					requireSameBits(t, what, s.SearchHybrid("gold ring", c, alpha, k), referenceHybrid(text, oracle.pool(c, pool), alpha, k))
+				}
+				requireSameBits(t, fmt.Sprintf("%s: SearchVector(query of %d, %d)", stage, len(c), k), s.SearchVector(c, k), oracle.pool(c, k))
+			}
+		}
+		requireReadsMatch(t, stage, s, live)
+	}
+	put := func(s *Store, live map[string]*Document, docs ...*Document) {
+		t.Helper()
+		for _, d := range docs {
+			live[d.ID] = d
+		}
+		if err := s.PutBatch(docs); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s, live, oracle := open()
+	base := make([]*Document, 150)
+	for i := range base {
+		base[i] = shadowDoc(r, fmt.Sprintf("e%04d", 2*i), int64(r.Intn(30)))
+		switch i % 6 {
+		case 0, 3:
+			base[i].Concept = nil
+		case 1:
+			base[i].Concept = vec(5) // shorter than the query
+		case 4:
+			base[i].Concept = vec(12) // longer than oracleVec, shorter than long
+		default:
+			base[i].Concept = vec(8)
+		}
+	}
+	put(s, live, base...)
+	check("vectors missing, short and long, interleaved", s, live, oracle)
+
+	// 40 clones of the query's vector, under ids between the others: a batch
+	// of 13, then one window each, so the cut of every k below 40 and of the
+	// 32-pool falls among equal scores.
+	clone := func(i int) *Document {
+		return doc(fmt.Sprintf("e%04d", 2*i+1), "gold ring", "gold ring", 7, oracleVec.Clone())
+	}
+	batch := make([]*Document, 13)
+	for i := range batch {
+		batch[i] = clone(i)
+	}
+	put(s, live, batch...)
+	for i := 13; i < 40; i++ {
+		put(s, live, clone(i))
+	}
+	if want := oracle.pool(oracleVec, 41); want[4].Score != want[5].Score || want[31].Score != want[32].Score {
+		t.Fatal("the clones do not tie at the cut of k = 5 and of the 32-pool")
+	}
+	check("clones tied at the cut", s, live, oracle)
+
+	// Tombstones: of each seven base ids, three dead, so groups of four
+	// straddle them; then the segments' live vectors counted.
+	for i := range base {
+		if i%7 == 1 || i%7 == 2 || i%7 == 4 {
+			if err := s.Delete(base[i].ID); err != nil {
+				t.Fatal(err)
+			}
+			delete(live, base[i].ID)
+		}
+	}
+	odd := 0
+	for _, seg := range s.snap.Load().segs {
+		n := 0
+		for ord := range uint32(len(seg.cx.ids)) {
+			if seg.cx.vecAt[ord] < seg.cx.vecAt[ord+1] && !seg.isDead(ord) {
+				n++
+			}
+		}
+		if n%4 != 0 {
+			odd++
+		}
+	}
+	if odd == 0 || len(s.snap.Load().segs) < 2 {
+		t.Fatal("no segment holds a number of live vectors that is not a multiple of four")
+	}
+	check("tombstones inside groups of four", s, live, oracle)
+
+	// Just past 256 documents, the probe runs, and with vectors spread over
+	// every bucket it finds fewer candidates than the pool: the scan answers.
+	s, live, oracle = open()
+	past := make([]*Document, 260)
+	for i := range past {
+		past[i] = shadowDoc(r, fmt.Sprintf("p%04d", i), int64(r.Intn(30)))
+		past[i].Concept = vec(8)
+	}
+	put(s, live, past...)
+	check("just past 256, the probe short", s, live, oracle)
+	if oracle.scan == 0 || oracle.probe == 0 {
+		t.Fatalf("%d pools from the probe, %d from the scan: both branches must run past 256", oracle.probe, oracle.scan)
+	}
+}
+
+// TestHybridAllocatesOnlyItsResult pins what DESIGN.md states: with its
+// scratch warm, a hybrid search over a snapshot of several segments and a
+// thousand documents allocates once, the []Hit it returns — whether its
+// vector pool came from the probe or from the exact scan.
+func TestHybridAllocatesOnlyItsResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	s := memStore(t)
+	r := rand.New(rand.NewSource(9))
+	docs := make([]*Document, 1000)
+	for i := range docs {
+		docs[i] = shadowDoc(r, fmt.Sprintf("a%04d", i), int64(i))
+		if i%3 == 0 {
+			docs[i].Concept = oracleVec.Clone() // enough near the query for the probe to fill a small pool
+		}
+	}
+	if err := s.PutBatch(docs[:900]); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range docs[900:] {
+		if err := s.Put(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sn := s.snap.Load()
+	if len(sn.segs) < 3 {
+		t.Fatalf("%d segments: the snapshot should hold several", len(sn.segs))
+	}
+	tokens := s.tokens.tokenize("gold ring amber")
+	sc := getScratch()
+	defer putScratch(sc)
+	for _, k := range []int{3, 100} { // a 32-pool the probe fills, a 400-pool it cannot
+		sn.searchHybridRaw(tokens, oracleVec, 0.5, k, sc)
+		if got := testing.AllocsPerRun(20, func() { sn.searchHybridRaw(tokens, oracleVec, 0.5, k, sc) }); got != 1 {
+			t.Fatalf("k = %d: a warm hybrid search makes %v allocations, want 1 (its result)", k, got)
+		}
+	}
 }

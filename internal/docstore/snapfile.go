@@ -125,7 +125,7 @@ func loadSnapshotFile(path string) (*compiledIndex, error) {
 	// The checksum only proves the bytes are the ones written. Nothing
 	// re-sorts what is read here, so the order the index relies on — ids,
 	// terms and each term's ordinals strictly ascending — is checked too.
-	docs := make([]*Document, nDocs)
+	docs, nVec := make([]*Document, nDocs), 0
 	for i := range docs {
 		dlen, err := r.uvarint()
 		if err != nil {
@@ -142,9 +142,9 @@ func loadSnapshotFile(path string) (*compiledIndex, error) {
 		if i > 0 && d.ID <= docs[i-1].ID {
 			return nil, fmt.Errorf("docstore: corrupt snapshot: id %q after %q", d.ID, docs[i-1].ID)
 		}
-		docs[i] = d
+		docs[i], nVec = d, nVec+len(d.Concept)
 	}
-	cx := newCompiledIndex(len(docs), 0, 0, 0, 0)
+	cx := newCompiledIndex(len(docs), 0, nVec, 0, 0, 0)
 	for _, d := range docs {
 		dl, err := r.uvarint()
 		if err != nil {

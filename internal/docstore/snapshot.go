@@ -443,27 +443,20 @@ func (sn *snapshot) assembleHits(kept []scored) []Hit {
 // searchVectorRaw selects the k live documents most cosine-similar to q:
 // what an LSH probe finds when that is at least k of them, otherwise — and
 // always for a store of at most 256 — what the exact scan over the ordinals
-// does. A candidate is a live document with a concept vector, scored from the
-// norm kept beside it (a score has feature.Cosine's bits). The probe reads
+// does. A candidate is a live document with a concept vector. The probe reads
 // q's buckets in every segment — together, less the dead, the one bucket of
 // an index over the live set — and collects its distinct candidates before
-// scoring any. A selection keeps the result: O(k) scratch even on an exact
-// scan, unranked, like searchCompiled's.
+// scoring any. Candidates are filed under segment offset + ordinal, so sc.ords
+// ascends from segment to segment, and scored from the segments' vector
+// columns; only those scoring at least the k-th best score θ are offered to a
+// selection, which decides ties at θ by id. Unranked, like searchCompiled's.
 func (sn *snapshot) searchVectorRaw(q feature.Vector, k int, sc *searchScratch) []scored {
-	sel := selection{k: k, items: sc.vecPool[:0]}
-	qn := q.Norm()
-	push := func(si int, ord uint32) {
-		cx := sn.segs[si].cx
-		sel.offer(scored{id: cx.ids[ord], seg: int32(si), ord: ord, score: feature.CosineNorms(q, cx.docs[ord].Concept, qn, cx.cnorms[ord])})
-	}
+	sc.growSlots(sn.segs)
+	sc.ords = sc.ords[:0]
 	probed := false
 	if sn.docCount() > 256 {
 		var buf [lshTables]uint64
 		sigs := sn.planes.AppendSignatures(buf[:0], q)
-		// Candidates are filed under segment offset + ordinal, so sc.ords
-		// ascends from one segment to the next.
-		sc.growSlots(sn.segs)
-		sc.ords = sc.ords[:0]
 		for si, seg := range sn.segs {
 			for t, sig := range sigs {
 				for _, ord := range seg.bucket(t, sig) {
@@ -474,29 +467,64 @@ func (sn *snapshot) searchVectorRaw(q feature.Vector, k int, sc *searchScratch) 
 				}
 			}
 		}
-		probed = k <= len(sc.ords)
-		si := 0
 		for _, at := range sc.ords {
-			for at >= sc.segOff[si]+uint32(len(sn.segs[si].cx.ids)) {
-				si++
-			}
-			if sc.slot[at] = 0; probed {
-				push(si, at-sc.segOff[si])
+			sc.slot[at] = 0
+		}
+		probed = k <= len(sc.ords)
+	}
+	if !probed {
+		sc.ords = sc.ords[:0]
+		for si, seg := range sn.segs {
+			clean := len(seg.dead) == 0 // no tombstone to look for
+			for ord := range uint32(len(seg.cx.ids)) {
+				if seg.cx.vecAt[ord] < seg.cx.vecAt[ord+1] && (clean || !seg.isDead(ord)) {
+					sc.ords = append(sc.ords, sc.segOff[si]+ord)
+				}
 			}
 		}
 	}
-	if !probed {
-		for si, seg := range sn.segs {
-			clean := len(seg.dead) == 0 // no tombstone to look for
-			for ord, d := range seg.cx.docs {
-				if len(d.Concept) > 0 && (clean || !seg.isDead(uint32(ord))) {
-					push(si, uint32(ord))
-				}
+	n, qn := len(sc.ords), q.Norm()
+	sc.vecCut = slices.Grow(sc.vecCut[:0], 2*n)[:2*n]
+	scores, theta := sc.vecCut[:n], math.Inf(-1)
+	for si, i := 0, 0; i < n; si++ {
+		cx, off, j := sn.segs[si].cx, sc.segOff[si], i
+		for j < n && sc.ords[j] < off+uint32(len(cx.ids)) {
+			j++
+		}
+		cx.cosines(q, qn, sc.ords[i:j], off, scores[i:j])
+		i = j
+	}
+	if k > 0 && n > k {
+		theta = kthBest(sc.vecCut[n:], scores, k)
+	}
+	sel := selection{k: k, items: sc.vecPool[:0]}
+	for si, i := 0, 0; i < n; si++ {
+		cx, off := sn.segs[si].cx, sc.segOff[si]
+		for ; i < n && sc.ords[i] < off+uint32(len(cx.ids)); i++ {
+			if ord := sc.ords[i] - off; scores[i] >= theta {
+				sel.offer(scored{id: cx.ids[ord], seg: int32(si), ord: ord, score: scores[i]})
 			}
 		}
 	}
 	sc.vecPool = sel.best()
 	return sc.vecPool
+}
+
+// cosines scores q, whose norm is qn, against the vectors of ords (each off
+// plus an ordinal of cx) into out, each with feature.Cosine's bits: four at a
+// time, a last group short of four repeating its last vector.
+func (cx *compiledIndex) cosines(q feature.Vector, qn float64, ords []uint32, off uint32, out []float64) {
+	vec := func(i int) feature.Vector {
+		o := ords[min(i, len(ords)-1)] - off
+		return cx.vecs[cx.vecAt[o]:cx.vecAt[o+1]]
+	}
+	for i := 0; i < len(ords); i += 4 {
+		var d [4]float64
+		d[0], d[1], d[2], d[3] = feature.Dot4(q, vec(i), vec(i+1), vec(i+2), vec(i+3))
+		for l, dot := range d[:min(4, len(ords)-i)] {
+			out[i+l] = feature.CosineDot(dot, qn, cx.cnorms[ords[i+l]-off])
+		}
+	}
 }
 
 // searchHybridRaw ranks by (1-alpha)*text + alpha*vector over the union of

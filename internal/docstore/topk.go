@@ -130,3 +130,31 @@ func selectBest(items []scored, k int) {
 		}
 	}
 }
+
+// kthBest returns the k-th largest of scores, none NaN, 0 < k ≤ len(scores):
+// selectBest over plain floats, on a copy in xs, len(xs) ≥ len(scores).
+func kthBest(xs, scores []float64, k int) float64 {
+	xs, n := xs[:copy(xs, scores)], k-1
+	for lo, hi := 0, len(xs)-1; lo < hi; {
+		p, i, j := xs[lo+(hi-lo)/2], lo, hi
+		for i <= j {
+			for xs[i] > p {
+				i++
+			}
+			for p > xs[j] {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		if n >= i {
+			lo = i
+		} else if hi = j; n > j {
+			break
+		}
+	}
+	return xs[n]
+}

@@ -203,3 +203,26 @@ func BenchmarkTopKSorted(b *testing.B) {
 		}
 	})
 }
+
+// TestKthBestMatchesSort holds the vector pool's cut to a sort: on coarse
+// scores, so that ties are everywhere, and on distinct ones, kthBest returns
+// the k-th largest for every k.
+func TestKthBestMatchesSort(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 300; trial++ {
+		xs := make([]float64, 1+r.Intn(200))
+		for i := range xs {
+			if xs[i] = r.Float64()*2 - 1; trial%2 == 0 {
+				xs[i] = float64(r.Intn(5)) / 4
+			}
+		}
+		want := slices.Clone(xs)
+		slices.Sort(want)
+		slices.Reverse(want)
+		for k := 1; k <= len(xs); k++ {
+			if got := kthBest(make([]float64, len(xs)), xs, k); got != want[k-1] {
+				t.Fatalf("trial %d: kthBest(k = %d of %d) = %v, want %v", trial, k, len(xs), got, want[k-1])
+			}
+		}
+	}
+}

@@ -30,16 +30,31 @@ func (v Vector) Clone() Vector {
 
 // Dot returns the inner product of v and w. Mismatched lengths use the
 // shorter prefix, which lets truncated projections compare cheaply.
-func (v Vector) Dot(w Vector) float64 {
-	n := len(v)
-	if len(w) < n {
-		n = len(w)
-	}
-	var s float64
+func (v Vector) Dot(w Vector) float64 { return dotFrom(0, v, w) }
+
+// dotFrom adds v[i]·w[i] to s over the shorter vector, in order: Dot's sum,
+// and what Dot4 finishes a longer lane with.
+func dotFrom(s float64, v, w Vector) float64 {
+	n := min(len(v), len(w))
 	for i := 0; i < n; i++ {
 		s += v[i] * w[i]
 	}
 	return s
+}
+
+// Dot4 returns v.Dot(w0), v.Dot(w1), v.Dot(w2) and v.Dot(w3) with Dot's bits:
+// each sum takes its terms in Dot's order, and the four are independent
+// chains, so a scan of stored vectors overlaps them in the pipeline.
+func Dot4(v, w0, w1, w2, w3 Vector) (s0, s1, s2, s3 float64) {
+	n := min(len(v), len(w0), len(w1), len(w2), len(w3))
+	x0, x1, x2, x3 := w0[:n], w1[:n], w2[:n], w3[:n] // in bounds: spares the loop its checks
+	for i, x := range v[:n] {
+		s0 += x * x0[i]
+		s1 += x * x1[i]
+		s2 += x * x2[i]
+		s3 += x * x3[i]
+	}
+	return dotFrom(s0, v[n:], w0[n:]), dotFrom(s1, v[n:], w1[n:]), dotFrom(s2, v[n:], w2[n:]), dotFrom(s3, v[n:], w3[n:])
 }
 
 // Norm returns the Euclidean norm of v.
@@ -73,13 +88,20 @@ func Cosine(v, w Vector) float64 {
 
 // CosineNorms is Cosine for a caller that already holds nv = v.Norm() and
 // nw = w.Norm() — an index scoring one query against stored vectors computes
-// each norm once instead of once per pair. It is the one cosine expression,
-// so the result has Cosine's bits.
+// each norm once instead of once per pair. Cosine is built on it, and it on
+// CosineDot, so the result has Cosine's bits.
 func CosineNorms(v, w Vector, nv, nw float64) float64 {
+	return CosineDot(v.Dot(w), nv, nw)
+}
+
+// CosineDot is the one cosine expression, for a caller that already holds
+// the dot product v.Dot(w) as well as the norms — a scan scoring four stored
+// vectors at once takes the products from Dot4.
+func CosineDot(dot, nv, nw float64) float64 {
 	if nv == 0 || nw == 0 {
 		return 0
 	}
-	c := v.Dot(w) / (nv * nw)
+	c := dot / (nv * nw)
 	if math.IsNaN(c) { // overflow in Dot or Norm on extreme magnitudes
 		return 0
 	}

@@ -1,6 +1,7 @@
 package feature
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -224,4 +225,98 @@ func TestCosineNormsMatchesCosine(t *testing.T) {
 			}
 		}
 	}
+}
+
+// referenceDot is Dot's sum written out: the shorter prefix, in order.
+func referenceDot(v, w Vector) float64 {
+	var s float64
+	for i := 0; i < len(v) && i < len(w); i++ {
+		s += v[i] * w[i]
+	}
+	return s
+}
+
+// requireDot4 holds each lane of Dot4(v, ws...) to Dot and the written-out
+// sum, and CosineDot over it to CosineNorms and the reference cosine, by bits.
+func requireDot4(t *testing.T, v Vector, ws [4]Vector) {
+	t.Helper()
+	var got [4]float64
+	got[0], got[1], got[2], got[3] = Dot4(v, ws[0], ws[1], ws[2], ws[3])
+	nv, bits := v.Norm(), math.Float64bits
+	for i, w := range ws {
+		if bits(got[i]) != bits(v.Dot(w)) || bits(got[i]) != bits(referenceDot(v, w)) {
+			t.Fatalf("Dot4(%v, ...) lane %d, %v: %x, Dot %x, reference %x", v, i, w, bits(got[i]), bits(v.Dot(w)), bits(referenceDot(v, w)))
+		}
+		c := CosineDot(got[i], nv, w.Norm())
+		if bits(c) != bits(CosineNorms(v, w, nv, w.Norm())) || bits(c) != bits(referenceCosine(v, w)) {
+			t.Fatalf("CosineDot over Dot4(%v, ...) lane %d, %v: %x, CosineNorms %x", v, i, w, bits(c), bits(CosineNorms(v, w, nv, w.Norm())))
+		}
+	}
+}
+
+// TestDot4MatchesDot: four dot products summed side by side have the bits of
+// four taken one at a time — on random vectors, on lanes shorter and longer
+// than the query, on zero and empty vectors, and on magnitudes whose products
+// overflow to Inf and whose sums reach NaN.
+func TestDot4MatchesDot(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	vec := func(n int, scale float64) Vector {
+		v := make(Vector, n)
+		for i := range v {
+			v[i] = r.NormFloat64() * scale
+		}
+		return v
+	}
+	huge := math.MaxFloat64 / 2
+	cases := [][5]Vector{
+		{{1, 2, 3}, {}, nil, {0, 0, 0}, {1, 2, 3}},                         // empty, nil and zero lanes
+		{nil, {1}, {2, 3}, {4, 5, 6}, {}},                                  // an empty query
+		{{0, 0, 0, 0}, {1, 2, 3, 4}, {0, 0}, {5, 6, 7, 8, 9}, {1}},         // a zero query
+		{{3, 4, 5, 6}, {3, 4}, {3, 4, 100, -7, 2, 9}, {1, 1, 1, 1}, {5}},   // each lane its own prefix
+		{{huge, huge}, {huge, huge}, {huge, -huge}, {1, huge}, {-huge, 1}}, // Inf, and Inf-Inf = NaN
+		{{math.Inf(1), 1}, {0, 1}, {1, 0}, {math.NaN(), 1}, {-1, -1}},      // Inf·0 = NaN, NaN in a lane
+	}
+	for i := 0; i < 3000; i++ {
+		n := r.Intn(40)
+		c := [5]Vector{vec(n, 1)}
+		for l := 1; l < 5; l++ {
+			c[l] = vec(max(0, n+r.Intn(9)-4), math.Pow(10, float64(r.Intn(7)-3)))
+			if r.Intn(10) == 0 {
+				c[l] = c[0].Clone().Scale(r.Float64() * 3) // near ±1, where the clamp decides
+			}
+		}
+		cases = append(cases, c)
+	}
+	for _, c := range cases {
+		requireDot4(t, c[0], [4]Vector(c[1:]))
+	}
+}
+
+// FuzzDot4 reads up to five vectors of raw float64 bits — NaN, Inf and
+// subnormals included — the lengths from shape, five bits each, and holds
+// Dot4 of the first against the other four to Dot, lane by lane.
+func FuzzDot4(f *testing.F) {
+	raw := func(xs ...float64) []byte {
+		var b []byte
+		for _, x := range xs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	f.Add(uint32(0), []byte{})
+	f.Add(uint32(3|3<<5|3<<10|3<<15|3<<20), raw(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15))
+	f.Add(uint32(4|2<<5|6<<10|0<<15|1<<20), raw(3, 4, 5, 6, 3, 4, 3, 4, 100, -7, 2, 9, 5))
+	f.Add(uint32(2|2<<5|2<<10|2<<15|2<<20), raw(math.MaxFloat64, math.MaxFloat64, math.MaxFloat64, -math.MaxFloat64, math.Inf(1), 0, math.NaN(), 1, 0, 0))
+	f.Fuzz(func(t *testing.T, shape uint32, data []byte) {
+		var xs []float64
+		for ; len(data) >= 8; data = data[8:] {
+			xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+		}
+		var vs [5]Vector
+		for i := range vs {
+			n := min(int(shape>>(5*i))&31, len(xs))
+			vs[i], xs = xs[:n:n], xs[n:]
+		}
+		requireDot4(t, vs[0], [4]Vector(vs[1:]))
+	})
 }

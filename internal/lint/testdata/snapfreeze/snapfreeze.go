@@ -17,6 +17,8 @@ type segment struct {
 type compiledIndex struct {
 	terms []string
 	norms []float64
+	vecs  []float64
+	vecAt []uint32
 }
 
 type snapshot struct {
@@ -35,6 +37,12 @@ type Store struct {
 func (cx *compiledIndex) appendTerm(term string) {
 	cx.terms = append(cx.terms, term)
 	cx.norms = append(cx.norms, 0)
+}
+
+// addDoc is the other compiledIndex builder: it fills the vector column.
+func (cx *compiledIndex) addDoc(concept []float64) {
+	cx.vecs = append(cx.vecs, concept...)
+	cx.vecAt = append(cx.vecAt, uint32(len(cx.vecs)))
 }
 
 // buildSegment is the one builder of a segment: its assignments are legal,
@@ -75,6 +83,15 @@ func (s *Store) mutateAfterPublish(id string) {
 	s.current.segs[0].dead[0] = 0       // want "segment.dead assigned in mutateAfterPublish"
 	s.current.cx.terms = nil            // want "compiledIndex.terms assigned in mutateAfterPublish"
 	s.current.cx.norms[0] = 0           // want "compiledIndex.norms assigned in mutateAfterPublish"
+}
+
+// normalizeColumn writes the published vector column in place, outside
+// addDoc: a scan reading it concurrently would race.
+func (s *Store) normalizeColumn(scale float64) {
+	for i := range s.current.cx.vecs {
+		s.current.cx.vecs[i] *= scale // want "compiledIndex.vecs assigned in normalizeColumn"
+	}
+	s.current.cx.vecAt = s.current.cx.vecAt[:1] // want "compiledIndex.vecAt assigned in normalizeColumn"
 }
 
 // Reads are always fine.
