@@ -57,14 +57,15 @@ check: build lint test race
 # decoders that read bytes this process did not just write — the postings
 # codec, the v2 snapshot file (checksum re-stamped, so mutations reach the
 # structure checks), the wire Query as the shard server serves it, the
-# write-ahead log and every wire message decoder in both reader modes — of
+# write-ahead log, every wire message decoder in both reader modes and the
+# frame header as DecodeFrame and FrameReader each read a stream — of
 # the quickselect the vector and hybrid pools keep their k best with, held to
 # sort-then-truncate, and of the four-wide dot product the vector scan scores
 # with, held to Dot bit for bit (cheap enough for every CI run — the seed
 # corpora in codec_test.go, merge_test.go, badquery_test.go, fault_test.go,
 # wire/fuzz_test.go, topk_test.go and feature/vector_test.go already pin the
 # tricky edges, so even 0 new execs still exercises them all). `go test -fuzz`
-# takes one target per run, hence seven commands. For a real expedition run
+# takes one target per run, hence eight commands. For a real expedition run
 # e.g. `go test -fuzz FuzzPostingsCodec ./internal/docstore` with a time
 # budget instead.
 fuzz:
@@ -73,6 +74,7 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzUnmarshalQuery -fuzztime 2000x ./internal/transport
 	$(GO) test -run XXX -fuzz FuzzReplayWAL -fuzztime 2000x ./internal/docstore
 	$(GO) test -run XXX -fuzz FuzzWireDecoders -fuzztime 2000x ./internal/wire
+	$(GO) test -run XXX -fuzz FuzzFrames -fuzztime 2000x ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzSelectBest -fuzztime 2000x ./internal/docstore
 	$(GO) test -run XXX -fuzz FuzzDot4 -fuzztime 2000x ./internal/feature
 

@@ -82,7 +82,7 @@ func main() {
 	type asked struct {
 		c    *transport.Client
 		sp   *telemetry.Span
-		call transport.Call[wire.QueryResult]
+		call transport.Call
 	}
 	var calls []asked
 	for _, c := range clients {

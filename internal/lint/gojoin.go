@@ -13,9 +13,10 @@ import (
 // must be joined by Close before the WAL file handle is released. A `go`
 // statement with no visible join in the same function is how these
 // contracts rot.
-// internal/shard joins the list with the scatter router: its hedge and
-// backup attempt goroutines hold live client connections, so Close must
-// drain them (Router.wg) before the sockets go away.
+// internal/shard holds the scatter router, which owns no goroutine: an ask
+// stages its calls and waits for them on the goroutine that asked, hedges
+// included, so Close has nothing to join — and a `go` statement appearing
+// there would need a join before the router's connections close under it.
 var joinTrackedPackages = []string{
 	"internal/transport",
 	"internal/core",
@@ -41,7 +42,7 @@ var joinTrackedPackages = []string{
 // //lint:allow goroutine annotation naming the join point.
 var goroutineAnalyzer = &Analyzer{
 	Name: "goroutine",
-	Doc:  "go statements in transport/core must be join-tracked in the same function",
+	Doc:  "go statements in transport, core, docstore and shard must be join-tracked in the same function",
 	Run: func(p *Package, f *File, report ReportFunc) {
 		if !underAny(p.Path, joinTrackedPackages) {
 			return

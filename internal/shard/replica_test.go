@@ -3,6 +3,7 @@ package shard
 import (
 	"bufio"
 	"errors"
+	"math"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -86,8 +87,9 @@ func replicaWorld(t *testing.T) (*testCluster, *docstore.Store, []string) {
 
 // TestReplicaAnswersForMutePrimary: every shard's primary acknowledges the
 // handshake and then never answers; the live replica behind it must carry
-// both the statistics (after the primary's deadline) and the query (as a
-// hedge), and the answer is the monolith's, bit for bit, not partial.
+// the queries as a hedge — the first, cold one that learns the shard's
+// figures and the one that is answered — and the answer is the monolith's,
+// bit for bit, not partial.
 func TestReplicaAnswersForMutePrimary(t *testing.T) {
 	tc, mono, queries := replicaWorld(t)
 	mute := fakePeer(t, nil)
@@ -111,8 +113,8 @@ func TestReplicaAnswersForMutePrimary(t *testing.T) {
 }
 
 // TestReplicaAnswersForClosedPrimary: the primaries die after the router
-// connected, so every call to one fails fast; statistics and queries both
-// fall over to the replica and the ask stays whole.
+// connected, so every call to one fails fast; cold queries and warm ones
+// both fall over to the replica and the ask stays whole.
 func TestReplicaAnswersForClosedPrimary(t *testing.T) {
 	tc, mono, queries := replicaWorld(t)
 	for _, mem := range tc.m.Members() {
@@ -126,7 +128,7 @@ func TestReplicaAnswersForClosedPrimary(t *testing.T) {
 	for _, srv := range tc.servers {
 		srv.Close()
 	}
-	// queries[0] has its statistics cached, queries[1] must fetch them
+	// queries[0] has its statistics cached, queries[1] must learn them
 	// through the replica as well.
 	for _, q := range queries {
 		res := r.Ask(q, 10)
@@ -140,22 +142,22 @@ func TestReplicaAnswersForClosedPrimary(t *testing.T) {
 	}
 }
 
-// TestShortStatsReplyIsTheShardsError: a peer whose TermStats reply carries
-// fewer figures than terms asked must cost the ask that shard, visibly — not
-// leave an empty cache that bounds the shard to zero and prunes it as
-// hitless.
+// TestShortStatsReplyIsTheShardsError: a peer whose first correction — the
+// reply that teaches a fresh router its figures — carries fewer figures than
+// terms asked must cost the ask that shard, visibly — not leave an empty
+// cache that bounds the shard to zero and prunes it as hitless.
 func TestShortStatsReplyIsTheShardsError(t *testing.T) {
 	tc, _, queries := replicaWorld(t)
 	short := fakePeer(t, func(f wire.Frame) (wire.Kind, []byte) {
-		if f.Kind != wire.KindTermStats {
+		if f.Kind != wire.KindQuery {
 			return 0, nil
 		}
-		req, err := wire.UnmarshalTermStatsReq(f.Payload)
+		q, err := wire.UnmarshalQuery(f.Payload)
 		if err != nil {
 			return 0, nil
 		}
-		resp := wire.TermStatsResp{ID: req.ID, Total: 9, Epoch: 1, DF: []uint64{1}, MaxRatio: []float64{1}}
-		return wire.KindTermStatsResult, resp.AppendTo(nil)
+		resp := wire.QueryResult{QueryID: q.ID, From: "fake", Epoch: 1, Drift: true, Docs: 9, DF: []uint64{1}, MaxRatio: []float64{1}}
+		return wire.KindQueryResult, resp.AppendTo(nil)
 	})
 	tc.m.SetAddrs("shard1", short)
 	r := tc.router(t, Options{Telemetry: telemetry.NewRegistry()})
@@ -169,9 +171,9 @@ func TestShortStatsReplyIsTheShardsError(t *testing.T) {
 }
 
 // TestReplicaEpochIsNotDrift: a replica is another store with its own epoch
-// counter. Statistics fetched through one — here after the primaries died, for
+// counter. Figures learnt through one — here after the primaries died, for
 // terms not yet held — name an epoch the primary never reported, and used to
-// flush everything it had: the next ask of the old terms fetched them again.
+// flush everything it had: the next ask of the old terms learnt them again.
 // Figures that agree drop nothing, whatever epoch they were read at.
 func TestReplicaEpochIsNotDrift(t *testing.T) {
 	tc, mono, queries := replicaWorld(t)
@@ -193,24 +195,24 @@ func TestReplicaEpochIsNotDrift(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry()
 	r := tc.router(t, Options{Telemetry: reg})
-	rpcs := reg.Counter("shard.scatter.stats.rpcs")
-	ask := func(label, q string, wantRPCs uint64) {
+	restarts := reg.Counter("shard.scatter.restarts")
+	ask := func(label, q string, wantRestarts uint64) {
 		t.Helper()
-		before := rpcs.Value()
+		before := restarts.Value()
 		res := r.Ask(q, 10)
 		if res.Partial || len(res.Errors) > 0 {
 			t.Fatalf("%s: partial=%v errors=%v", label, res.Partial, res.Errors)
 		}
 		assertIdentical(t, label, res.Items, mono.SearchText(q, 10))
-		if got := rpcs.Value() - before; got != wantRPCs {
-			t.Fatalf("%s: %d statistics requests, want %d", label, got, wantRPCs)
+		if got := restarts.Value() - before; got != wantRestarts {
+			t.Fatalf("%s: %d restarts, want %d", label, got, wantRestarts)
 		}
 	}
-	ask("primaries, cold", queries[0], 2)
+	ask("primaries, cold", queries[0], 1) // both shards' first figures, one pass
 	for _, srv := range tc.servers {
 		srv.Close()
 	}
-	ask("replicas, cold", queries[1], 4) // each dead primary tried first
+	ask("replicas, cold", queries[1], 1) // each dead primary hedged to its replica
 	ask("replicas, terms the primaries reported", queries[0], 0)
 	if drift := reg.Counter("shard.scatter.epoch.drift").Value(); drift != 0 {
 		t.Fatalf("%d drift replies from replicas holding the primaries' figures", drift)
@@ -218,35 +220,29 @@ func TestReplicaEpochIsNotDrift(t *testing.T) {
 }
 
 // TestDriftingShardIsGivenUpOn: a peer that answers every query with other
-// figures than it last reported costs the ask maxDrift queries to it, not a
-// hang: the shard is reported as ErrDrift, the ask is partial, and the
-// healthy shard's answer is kept.
+// figures than it last reported costs the ask maxDrift queries to it after
+// the first, which only taught the router its figures — not a hang: the
+// shard is reported as ErrDrift, the ask is partial, and the healthy shard's
+// answer is kept.
 func TestDriftingShardIsGivenUpOn(t *testing.T) {
 	tc, _, queries := replicaWorld(t)
 	var asked atomic.Uint64
 	drifting := fakePeer(t, func(f wire.Frame) (wire.Kind, []byte) {
-		switch f.Kind {
-		case wire.KindTermStats:
-			req, err := wire.UnmarshalTermStatsReq(f.Payload)
-			if err != nil {
-				return 0, nil
-			}
-			// Ratios no real shard reaches: this peer is the probe, asked first.
-			resp := wire.TermStatsResp{ID: req.ID, Total: 9, Epoch: 1, DF: make([]uint64, len(req.Terms)), MaxRatio: make([]float64, len(req.Terms))}
-			for i := range req.Terms {
-				resp.DF[i], resp.MaxRatio[i] = 1, 100
-			}
-			return wire.KindTermStatsResult, resp.AppendTo(nil)
-		case wire.KindQuery:
-			q, err := wire.UnmarshalQuery(f.Payload)
-			if err != nil || !q.Assumed {
-				return 0, nil
-			}
-			n := asked.Add(1)
-			resp := wire.QueryResult{QueryID: q.ID, From: "fake", Epoch: 1 + n, Drift: true, Docs: q.AssumedDocs + 1, DF: q.AssumedDF, MaxRatio: q.AssumedMaxRatio}
-			return wire.KindQueryResult, resp.AppendTo(nil)
+		if f.Kind != wire.KindQuery {
+			return 0, nil
 		}
-		return 0, nil
+		q, err := wire.UnmarshalQuery(f.Payload)
+		if err != nil || !q.Assumed {
+			return 0, nil
+		}
+		n := asked.Add(1)
+		// Ratios no real shard reaches: once its figures are held, this peer
+		// is the probe, asked first.
+		resp := wire.QueryResult{QueryID: q.ID, From: "fake", Epoch: 1 + n, Drift: true, Docs: q.AssumedDocs + 1, DF: make([]uint64, len(q.StatsTerms)), MaxRatio: make([]float64, len(q.StatsTerms))}
+		for i := range q.StatsTerms {
+			resp.DF[i], resp.MaxRatio[i] = 1, 100
+		}
+		return wire.KindQueryResult, resp.AppendTo(nil)
 	})
 	tc.m.SetAddrs("shard1", drifting)
 	reg := telemetry.NewRegistry()
@@ -262,10 +258,50 @@ func TestDriftingShardIsGivenUpOn(t *testing.T) {
 	if res.Fanout != 1 || len(res.Items) == 0 || res.Epochs["shard0"] != tc.stores["shard0"].Epoch() || len(res.Epochs) != 1 {
 		t.Fatalf("fanout=%d items=%d epochs=%v, want the healthy shard's answer kept", res.Fanout, len(res.Items), res.Epochs)
 	}
-	if got := asked.Load(); got != maxDrift {
-		t.Fatalf("the drifting peer was queried %d times, want maxDrift = %d", got, maxDrift)
+	if got := asked.Load(); got != 1+maxDrift {
+		t.Fatalf("the drifting peer was queried %d times, want first contact + maxDrift = %d", got, 1+maxDrift)
 	}
-	if drift, restarts := reg.Counter("shard.scatter.epoch.drift").Value(), reg.Counter("shard.scatter.restarts").Value(); drift != maxDrift || restarts != maxDrift-1 {
-		t.Fatalf("counted %d drift replies and %d restarts, want %d and %d", drift, restarts, maxDrift, maxDrift-1)
+	if drift, restarts := reg.Counter("shard.scatter.epoch.drift").Value(), reg.Counter("shard.scatter.restarts").Value(); drift != maxDrift || restarts != maxDrift {
+		t.Fatalf("counted %d drift replies and %d restarts, want %d and %d", drift, restarts, maxDrift, maxDrift)
+	}
+}
+
+// TestColdAgainIsDrift: a cold shard's first correction in an ask is free —
+// it teaches figures nobody held — but one found cold again had this ask's
+// figures installed and lost them to a contradicting reply since (another
+// ask's, after a write). Its corrections then count: a shard that stays
+// cold pass after pass, as under other asks' corrections, is still given
+// up on after maxDrift of them, not asked for ever.
+func TestColdAgainIsDrift(t *testing.T) {
+	tc, _, _ := replicaWorld(t)
+	drifting := fakePeer(t, func(f wire.Frame) (wire.Kind, []byte) {
+		q, err := wire.UnmarshalQuery(f.Payload)
+		if f.Kind != wire.KindQuery || err != nil {
+			return 0, nil
+		}
+		resp := wire.QueryResult{QueryID: q.ID, From: "fake", Drift: true, Docs: q.AssumedDocs + 1, DF: q.AssumedDF, MaxRatio: q.AssumedMaxRatio}
+		return wire.KindQueryResult, resp.AppendTo(nil)
+	})
+	tc.m.SetAddrs("shard1", drifting)
+	reg := telemetry.NewRegistry()
+	r := tc.router(t, Options{Telemetry: reg})
+	terms := []string{"gold"}
+	gs := newGlobalQuery(terms, len(r.shards))
+	res := Result{Errors: map[string]error{}, Epochs: map[string]uint64{}}
+	ms := mergeState{k: 10, res: &res}
+	cold := plannedShard{rs: r.shards[1], i: 1, ub: math.Inf(1)}
+	for pass := 0; pass <= maxDrift; pass++ {
+		clear(cold.rs.stats) // the figures this ask installed, gone again
+		f := inflight{plannedShard: cold, call: r.startQuery(0, cold, "gold", &gs, ms.k, nil)}
+		drifted := r.collect(&f, "gold", &gs, &ms)
+		if want := pass < maxDrift; drifted != want || (res.Errors["shard1"] == nil) == !want {
+			t.Fatalf("correction %d: drifted=%v errors=%v, want the shard given up on after 1 + maxDrift", pass, drifted, res.Errors)
+		}
+		if got := reg.Counter("shard.scatter.epoch.drift").Value(); got != uint64(pass) {
+			t.Fatalf("correction %d: %d counted as drift, want %d", pass, got, pass)
+		}
+	}
+	if !errors.Is(res.Errors["shard1"], ErrDrift) {
+		t.Fatalf("shard1: %v, want ErrDrift", res.Errors["shard1"])
 	}
 }

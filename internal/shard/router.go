@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -18,18 +19,20 @@ import (
 // per ask:
 //
 //  1. Statistics: per-shard per-term (df, maxRatio), held as the shard last
-//     reported them, fetched (TermStats RPC) only for terms never seen. The
-//     sums give the corpus-wide document count and frequencies every shard
-//     must score under for the merge to be bit-identical to a single node.
-//     Each query names the addends used for its shard, which answers only
-//     from a snapshot they still describe; otherwise it sends its figures
-//     (drift) and the ask starts over from the corrected sums.
+//     reported them, zero where it never has. The sums give the corpus-wide
+//     document count and frequencies every shard must score under for the
+//     merge to be bit-identical to a single node. Each query names the
+//     addends used for its shard, which answers only from a snapshot they
+//     still describe; otherwise it sends its figures (drift) and the ask
+//     starts over from the corrected sums — also how figures are first learnt.
 //  2. Planning: each shard gets a score upper bound — Σ over query terms
 //     present on the shard of qw·idf·maxRatio. Shards bounding to zero
-//     hold no matching document and are pruned outright.
-//  3. Probe: when the best shard's bound dominates the runner-up's by
-//     probeDominance, it is asked alone first; its answers seed the merge
-//     threshold θ so the remaining bound checks have teeth.
+//     hold no matching document and are pruned outright; a cold shard, one
+//     lacking a figure, has no bound.
+//  3. Probe: the cold shards are asked first, all together; else, when the
+//     best shard's bound dominates the runner-up's by probeDominance, it is
+//     asked alone first; its answers seed the merge threshold θ so the
+//     remaining bound checks have teeth.
 //  4. Scatter: the surviving shards' queries are staged best-bound-first,
 //     up to scatterWindow on the wire at once, θ re-checked before each —
 //     a shard whose bound can no longer reach θ is dropped without a
@@ -65,12 +68,12 @@ type routerShard struct {
 	stats map[string]termStat
 }
 
-// install folds figures a shard reported for terms — a TermStats or a drift
-// reply, from the primary or a replica — into its cache. A reply that
-// contradicts the cache (another document count, another figure for a term
-// it names) shows the shard was written to since, so what it does not
-// restate is dropped with what it corrects; one that agrees drops nothing,
-// whatever epoch it was read at. A reply whose lengths disagree with the
+// install folds figures a shard reported for terms — a drift reply, or what
+// a cold shard confirmed, from the primary or a replica — into its cache. A
+// reply that contradicts the cache (another document count, another figure
+// for a term it names) shows the shard was written to since, so what it does
+// not restate is dropped with what it corrects; one that agrees drops
+// nothing, whatever epoch it was read at. A reply whose lengths disagree with the
 // request (a malformed peer) is the shard's error, never partially
 // installed: an empty cache would bound the shard to zero and prune it as
 // hitless with nobody told.
@@ -98,19 +101,19 @@ func (s *routerShard) install(terms []string, total uint64, df []uint64, maxRati
 
 // view copies the shard's held figures for terms into its slots of a
 // globalQuery, all under one lock: the addends one pass of an ask sums, plans
-// with and names to the shard. It reports false when the cache lacks a term.
-func (s *routerShard) view(terms []string, counts []uint64, ratios []float64) bool {
+// with and names to the shard. A term the cache lacks is assumed absent (df
+// and ratio 0); complete is false when there was one.
+func (s *routerShard) view(terms []string, counts []uint64, ratios []float64) (complete bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	complete = true
 	for i, t := range terms {
 		st, ok := s.stats[t]
-		if !ok {
-			return false
-		}
+		complete = complete && ok
 		counts[1+i], ratios[i] = st.df, st.maxRatio
 	}
 	counts[0] = s.total
-	return true
+	return complete
 }
 
 type termStat struct {
@@ -120,8 +123,8 @@ type termStat struct {
 
 // routerTel caches the scatter path's instruments; the zero value no-ops.
 type routerTel struct {
-	fanout, pruned, partial, hedges, drift, statsRPCs, restarts *telemetry.Counter
-	askLat, mergeLat                                            *telemetry.Histogram
+	fanout, pruned, partial, hedges, drift, restarts *telemetry.Counter
+	askLat, mergeLat                                 *telemetry.Histogram
 }
 
 // Options configures a Router. Zero values select the defaults noted.
@@ -136,7 +139,7 @@ const (
 	hedgeDelay     = 25 * time.Millisecond // a primary silent this long after staging is hedged to a replica
 	scatterWindow  = 4                     // shard queries kept on the wire at once
 	probeDominance = 1.25                  // probe when best bound ≥ probeDominance × runner-up
-	maxDrift       = 3                     // corrections one shard may send in one ask before it is given up on
+	maxDrift       = 3                     // corrections of held figures one shard may send in one ask before it is given up on
 )
 
 // ErrDrift is the error (errors.Is) of a shard written to faster than an ask
@@ -167,15 +170,14 @@ func NewRouter(m *Map, opts Options) (*Router, error) {
 	}
 	if reg := opts.Telemetry; reg != nil {
 		r.tel = routerTel{
-			fanout:    reg.Counter("shard.scatter.fanout"),
-			pruned:    reg.Counter("shard.scatter.pruned"),
-			partial:   reg.Counter("shard.scatter.partial"),
-			hedges:    reg.Counter("shard.scatter.hedges"),
-			drift:     reg.Counter("shard.scatter.epoch.drift"),
-			statsRPCs: reg.Counter("shard.scatter.stats.rpcs"),
-			restarts:  reg.Counter("shard.scatter.restarts"),
-			askLat:    reg.Histogram("shard.scatter.ask"),
-			mergeLat:  reg.Histogram("shard.scatter.merge_ns"),
+			fanout:   reg.Counter("shard.scatter.fanout"),
+			pruned:   reg.Counter("shard.scatter.pruned"),
+			partial:  reg.Counter("shard.scatter.partial"),
+			hedges:   reg.Counter("shard.scatter.hedges"),
+			drift:    reg.Counter("shard.scatter.epoch.drift"),
+			restarts: reg.Counter("shard.scatter.restarts"),
+			askLat:   reg.Histogram("shard.scatter.ask"),
+			mergeLat: reg.Histogram("shard.scatter.merge_ns"),
 		}
 	}
 	for _, mem := range m.Members() {
@@ -225,6 +227,8 @@ type Result struct {
 	// failure to its shard ID.
 	Partial bool
 	Errors  map[string]error
+	// Fanout, Pruned and Hedges count the final pass: a correction restarts
+	// the ask, and what the passes before it asked is discarded.
 	Fanout  int // shards actually asked over the wire
 	Pruned  int // shards eliminated by the bound checks
 	Hedges  int // backup attempts launched
@@ -240,7 +244,8 @@ func (r *Router) Ask(query string, k int) Result {
 }
 
 // plannedShard is one shard's dispatch entry: its position among the
-// router's shards and its score upper bound under the pass's statistics.
+// router's shards and its score upper bound under the pass's statistics,
+// +Inf for a cold shard.
 type plannedShard struct {
 	rs *routerShard
 	i  int
@@ -267,25 +272,17 @@ func (r *Router) AskTraced(query string, k int, tc telemetry.TraceContext) Resul
 	gs := newGlobalQuery(terms, len(r.shards))
 	ms := mergeState{k: k, res: &res}
 	for {
-		// Phase 1: per-shard statistics (held; one RPC per shard on miss).
-		sp := tr.Span("stats", "")
-		r.ensureStats(&gs, &res)
-		sp.End()
-
-		// Phase 2: global weights and per-shard bounds. Shards whose stats RPC
-		// failed are out of the plan (already attributed in res.Errors); shards
-		// bounding to zero are provably hitless and pruned for free.
-		r.globalStats(&gs, res.Errors)
-		plan := r.plan(qns, &gs, &res)
+		// Phases 1+2: held figures, global weights and per-shard bounds.
+		plan, cold := r.plan(qns, &gs, &res)
 		res.Pruned = len(r.shards) - len(plan) - len(res.Errors)
 
 		// Phase 3+4: probe-then-scatter dispatch. A correction changes the sums:
 		// what was collected was scored under the old ones and is discarded.
-		if !r.dispatch(plan, query, &gs, &ms, tr) {
+		if !r.dispatch(plan, cold, query, &gs, &ms, tr) {
 			break
 		}
 		r.tel.restarts.Inc()
-		ms.lists, ms.top, res.Fanout = ms.lists[:0], ms.top[:0], 0
+		ms.lists, ms.top, res.Fanout, res.Hedges = ms.lists[:0], ms.top[:0], 0, 0
 		clear(res.Epochs)
 	}
 
@@ -355,53 +352,6 @@ func (tm *termMemo) canonical(query string) ([]string, []int) {
 	return c.terms, c.qns
 }
 
-// ensureStats fills every live shard's view for the ask's terms: from its
-// cache or, where that lacks a term, from a TermStats reply. Stage first,
-// wait second: every such shard's request goes on the wire back to back —
-// per connection the frames ride one coalesced batch — and only then does
-// the ask block, on each reply in turn, so the round trips overlap. Shards
-// whose primary failed get one retry against their replica, staged as found
-// and awaited in a second pass: N failures cost one more round trip, not N.
-// A shard still failing is recorded in res.Errors and marked partial: it
-// cannot be scored under exact global statistics.
-func (r *Router) ensureStats(gs *globalQuery, res *Result) {
-	type staged struct {
-		i    int
-		call transport.Call[wire.TermStatsResp]
-	}
-	var pending []staged
-	for i, s := range r.shards {
-		if _, dead := res.Errors[s.ID]; !dead && !s.view(gs.terms, gs.counts(i), gs.ratios(i)) {
-			pending = append(pending, staged{i, s.clients[0].StartTermStats(gs.terms, r.timeout)})
-		}
-	}
-	for pass := 0; len(pending) > 0; pass++ {
-		r.tel.statsRPCs.Add(uint64(len(pending)))
-		retry := pending[:0] // refilled behind the read position
-		for _, p := range pending {
-			s := r.shards[p.i]
-			resp, err := p.call.Wait()
-			if err != nil && pass == 0 && len(s.clients) > 1 {
-				retry = append(retry, staged{p.i, s.clients[1].StartTermStats(gs.terms, r.timeout)})
-				continue
-			}
-			if err == nil {
-				err = s.install(gs.terms, resp.Total, resp.DF, resp.MaxRatio)
-			}
-			if err != nil {
-				res.Errors[s.ID] = fmt.Errorf("term stats: %w", err)
-				res.Partial = true
-				continue
-			}
-			// The reply is the view, whatever other asks do to the cache meanwhile.
-			copy(gs.counts(p.i)[1:], resp.DF)
-			copy(gs.ratios(p.i), resp.MaxRatio)
-			gs.counts(p.i)[0] = resp.Total
-		}
-		pending = retry
-	}
-}
-
 // globalQuery bundles the figures one pass of an ask scores under: the
 // corpus-wide sums and, per shard, the addends they were made from.
 type globalQuery struct {
@@ -431,52 +381,53 @@ func (gq *globalQuery) ratios(i int) []float64 {
 	return gq.f[i*len(gq.terms) : (i+1)*len(gq.terms)]
 }
 
-// globalStats sums the shards' views into the corpus-wide document count
-// and frequencies (shards that failed stats collection are excluded — the
-// ask is already marked partial).
-func (r *Router) globalStats(gq *globalQuery, errs map[string]error) {
-	gq.total = 0
-	clear(gq.df)
-	for i, s := range r.shards {
-		if _, dead := errs[s.ID]; dead {
-			continue
-		}
-		c := gq.counts(i)
-		gq.total += c[0]
-		for j := range gq.df {
-			gq.df[j] += c[1+j]
-		}
-	}
-	for j, df := range gq.df {
-		gq.idf[j] = 0
-		if df > 0 {
-			gq.idf[j] = docstore.IDF(gq.total, df)
-		}
-	}
-}
-
-// plan computes each live shard's score upper bound and returns the
-// shards that can contribute at all, best bound first. A shard where no
-// query term has a posting bounds to zero — provably hitless — and is
-// pruned without a round-trip.
-func (r *Router) plan(qns []int, gs *globalQuery, res *Result) []plannedShard {
-	plan := make([]plannedShard, 0, len(r.shards))
+// plan reads every live shard's held figures into gs, sums them into the
+// corpus-wide document count and frequencies, and returns the shards that
+// can contribute under those sums, cold first, then best bound first. A cold
+// shard has no bound and is never pruned; a shard where no query term has a
+// posting bounds to zero — provably hitless — and is pruned without a
+// round-trip. Failed shards are left out: the ask is already partial.
+func (r *Router) plan(qns []int, gs *globalQuery, res *Result) (plan []plannedShard, cold int) {
+	plan = make([]plannedShard, 0, len(r.shards))
+	gs.total = 0
+	clear(gs.df)
 	for i, s := range r.shards {
 		if _, dead := res.Errors[s.ID]; dead {
 			continue
 		}
-		ub, df, ratios := 0.0, gs.counts(i)[1:], gs.ratios(i)
-		for j := range gs.terms {
-			if df[j] == 0 {
-				continue
-			}
-			ub += docstore.QueryWeight(qns[j], gs.idf[j]) * gs.idf[j] * ratios[j]
+		c := gs.counts(i)
+		p := plannedShard{rs: s, i: i}
+		if !s.view(gs.terms, c, gs.ratios(i)) {
+			p.ub = math.Inf(1)
+			cold++
 		}
-		if ub <= 0 {
-			continue
+		plan = append(plan, p)
+		gs.total += c[0]
+		for j := range gs.df {
+			gs.df[j] += c[1+j]
 		}
-		plan = append(plan, plannedShard{rs: s, i: i, ub: ub})
 	}
+	for j, df := range gs.df {
+		gs.idf[j] = 0
+		if df > 0 {
+			gs.idf[j] = docstore.IDF(gs.total, df)
+		}
+	}
+	live := plan[:0]
+	for _, p := range plan {
+		if p.ub == 0 { // not cold: bound it
+			df, ratios := gs.counts(p.i)[1:], gs.ratios(p.i)
+			for j := range gs.terms {
+				if df[j] > 0 {
+					p.ub += docstore.QueryWeight(qns[j], gs.idf[j]) * gs.idf[j] * ratios[j]
+				}
+			}
+		}
+		if p.ub > 0 {
+			live = append(live, p)
+		}
+	}
+	plan = live
 	// Best bound first: descending ub, shard ID tiebreak for determinism.
 	for i := 1; i < len(plan); i++ {
 		for j := i; j > 0 && (plan[j].ub > plan[j-1].ub ||
@@ -484,7 +435,7 @@ func (r *Router) plan(qns []int, gs *globalQuery, res *Result) []plannedShard {
 			plan[j], plan[j-1] = plan[j-1], plan[j]
 		}
 	}
-	return plan
+	return plan, cold
 }
 
 // mergeState accumulates per-shard answers and the running threshold θ
@@ -544,7 +495,7 @@ func (ms *mergeState) rulesOut(ub float64) bool {
 type inflight struct {
 	plannedShard
 	sp   *telemetry.Span
-	call transport.Call[wire.QueryResult]
+	call transport.Call
 }
 
 // dispatch runs the probe-then-scatter loop over the planned shards: one
@@ -553,14 +504,24 @@ type inflight struct {
 // one — when the best-bounded shard dominates it is asked alone, so its
 // answers set θ before anything else is staged; on the topical asks the
 // workload skews toward, that one round trip often prunes every other
-// shard. After a correction (reported) nothing more is staged, and what is
-// on the wire is drained for further ones.
-func (r *Router) dispatch(plan []plannedShard, query string, gs *globalQuery, ms *mergeState, tr *telemetry.Trace) (drifted bool) {
+// shard. Cold shards, which lead the plan, open it at their number instead,
+// however many: each is likelier to correct the sums than to confirm them,
+// so the others wait for what they say. After a correction (reported)
+// nothing more is staged, and what is on the wire is drained for further
+// ones.
+func (r *Router) dispatch(plan []plannedShard, cold int, query string, gs *globalQuery, ms *mergeState, tr *telemetry.Trace) (drifted bool) {
 	window := scatterWindow
-	if len(plan) >= 2 && plan[0].ub >= probeDominance*plan[1].ub {
+	switch {
+	case cold > 0:
+		window = cold
+	case len(plan) >= 2 && plan[0].ub >= probeDominance*plan[1].ub:
 		window = 1
 	}
-	var ring [scatterWindow]inflight
+	var buf [scatterWindow]inflight
+	ring := buf[:]
+	if cold > len(ring) {
+		ring = make([]inflight, cold)
+	}
 	head, n := 0, 0
 	for {
 		for ; !drifted && n < window && len(plan) > 0; plan = plan[1:] {
@@ -569,21 +530,21 @@ func (r *Router) dispatch(plan []plannedShard, query string, gs *globalQuery, ms
 				continue
 			}
 			sp := tr.Span("shard", plan[0].rs.ID)
-			ring[(head+n)%scatterWindow] = inflight{plan[0], sp, r.startQuery(0, plan[0], query, gs, ms.k, sp)}
+			ring[(head+n)%len(ring)] = inflight{plan[0], sp, r.startQuery(0, plan[0], query, gs, ms.k, sp)}
 			n++
 		}
 		if n == 0 {
 			return drifted
 		}
 		drifted = r.collect(&ring[head], query, gs, ms) || drifted
-		head, n = (head+1)%scatterWindow, n-1
+		head, n = (head+1)%len(ring), n-1
 		window = scatterWindow
 	}
 }
 
 // startQuery stages p's query on one of its connections: the global sums,
 // and the addends p's shard contributed to them.
-func (r *Router) startQuery(client int, p plannedShard, query string, gs *globalQuery, k int, sp *telemetry.Span) transport.Call[wire.QueryResult] {
+func (r *Router) startQuery(client int, p plannedShard, query string, gs *globalQuery, k int, sp *telemetry.Span) transport.Call {
 	tc, c := sp.Context(), gs.counts(p.i)
 	return p.rs.clients[client].StartQuery(wire.Query{
 		Text: query, TopK: uint32(k),
@@ -598,7 +559,10 @@ func (r *Router) startQuery(client int, p plannedShard, query string, gs *global
 // hedgeDelay after staging, or failed fast, the replica is asked too and
 // the first good reply wins — the loser is dropped, nobody waits for it.
 // A drift reply is installed and reported, fewer than maxDrift times per
-// shard and ask; the next costs the ask that shard.
+// shard and ask; the next costs the ask that shard. A cold shard's first
+// correction is how the router learns figures it never held: it is not
+// drift and not counted. A cold shard that confirms had its figures
+// assumed right, and they are installed as it confirmed them.
 func (r *Router) collect(f *inflight, query string, gs *globalQuery, ms *mergeState) (drifted bool) {
 	s := f.rs
 	var res wire.QueryResult
@@ -616,20 +580,34 @@ func (r *Router) collect(f *inflight, query string, gs *globalQuery, ms *mergeSt
 			res, err = transport.First(f.call, backup)
 		}
 	}
+	cold := math.IsInf(f.ub, 1)
 	if err == nil && res.Drift {
-		r.tel.drift.Inc()
 		if ms.drifts == nil {
 			ms.drifts = map[string]int{}
 		}
-		ms.drifts[s.ID]++
+		// A shard corrected before in this ask had these terms' figures
+		// installed: cold again, it was contradicted since.
+		n, again := ms.drifts[s.ID]
+		if again || !cold {
+			r.tel.drift.Inc()
+			n++
+		}
+		ms.drifts[s.ID] = n
 		switch err = s.install(gs.terms, res.Docs, res.DF, res.MaxRatio); {
 		case err != nil: // a malformed correction is the shard's error
-		case ms.drifts[s.ID] < maxDrift:
+		case n == 0: // first contact: figures learnt, nothing drifted
+			f.sp.End()
+			return true
+		case n < maxDrift:
 			f.sp.Fail(ErrDrift)
 			return true
 		default:
 			err = fmt.Errorf("%w under each of %d queries, last at epoch %d", ErrDrift, maxDrift, res.Epoch)
 		}
+	}
+	if err == nil && cold {
+		c := gs.counts(f.i)
+		err = s.install(gs.terms, c[0], c[1:], gs.ratios(f.i))
 	}
 	if err != nil {
 		f.sp.Fail(err)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -196,10 +197,81 @@ func TestScatterMatchesMonolithic(t *testing.T) {
 	}
 }
 
+// TestFirstContactIsOneCorrection: a fresh router holds no figure of any
+// shard, and learns them from its first query to each — there is no other
+// request. Every shard is asked at once, assumed to hold nothing; a shard
+// that holds a query term corrects that (one drift reply) and is asked again
+// under the sums it taught, a shard that holds none is pruned after its one
+// reply. A second query over new terms finds every document count held: a
+// shard without those terms confirms what was assumed of it in one frame,
+// served as an answer that stands. Repeating an ask costs no correction. k
+// exceeds the corpus, so no shard is ruled out by θ and every count is exact.
+func TestFirstContactIsOneCorrection(t *testing.T) {
+	docs, g := testCorpus(t, 600)
+	mono := memShard(t)
+	if err := mono.PutBatch(docs); err != nil {
+		t.Fatalf("seed mono: %v", err)
+	}
+	const k = 1000
+	first := g.Topics[0].Vocab[0] + " " + g.Topics[0].Vocab[1]
+	second := g.Topics[1].Vocab[0] + " " + g.Topics[1].Vocab[1]
+	for _, n := range []int{4, 8} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			tc := startCluster(t, n, docs)
+			reg := telemetry.NewRegistry()
+			r := tc.router(t, Options{Telemetry: reg})
+			restarts, drift := reg.Counter("shard.scatter.restarts"), reg.Counter("shard.scatter.epoch.drift")
+			// ask runs q and checks the answer and what each shard sent:
+			// frames, and of them answers served rather than drift replies —
+			// holder for a shard holding a query term, idle for the others.
+			type sent struct{ frames, served uint64 }
+			ask := func(label, q string, holder, idle sent, wantRestarts uint64) {
+				t.Helper()
+				terms, _ := canonicalTerms(q)
+				before := map[string]sent{}
+				for id, srv := range tc.servers {
+					before[id] = sent{srv.WireStats().Frames, srv.Served()}
+				}
+				restarted := restarts.Value()
+				res := r.Ask(q, k)
+				if res.Partial || len(res.Errors) > 0 {
+					t.Fatalf("%s: partial=%v errors=%v", label, res.Partial, res.Errors)
+				}
+				assertIdentical(t, label, res.Items, mono.SearchText(q, k))
+				if got := restarts.Value() - restarted; got != wantRestarts {
+					t.Fatalf("%s: %d restarts, want %d", label, got, wantRestarts)
+				}
+				holders := 0
+				for id, srv := range tc.servers {
+					_, _, stats := tc.stores[id].TermStats(terms)
+					want := idle
+					if slices.ContainsFunc(stats, func(st docstore.TermStat) bool { return st.DF > 0 }) {
+						want = holder
+						holders++
+					}
+					if got := (sent{srv.WireStats().Frames - before[id].frames, srv.Served() - before[id].served}); got != want {
+						t.Fatalf("%s: %s sent %+v, want %+v", label, id, got, want)
+					}
+				}
+				if holders == 0 || holders == n {
+					t.Fatalf("%s: %d of %d shards hold a query term; the test needs both kinds", label, holders, n)
+				}
+			}
+			ask("cold", first, sent{2, 1}, sent{1, 0}, 1)
+			ask("warm", first, sent{1, 1}, sent{0, 0}, 0)
+			ask("new terms, counts held", second, sent{2, 1}, sent{1, 1}, 1)
+			ask("new terms, warm", second, sent{1, 1}, sent{0, 0}, 0)
+			if got := drift.Value(); got != 0 {
+				t.Fatalf("%d drift replies counted: learning figures is not drift", got)
+			}
+		})
+	}
+}
+
 // TestScatterStatsTrackWrites pins the drift path: after writes land on a
 // shard, the very next ask is corrected by that shard inside its one query
-// exchange — no statistics request — and is bit-identical to a monolithic
-// store receiving the same writes.
+// exchange — one drift reply, one restart — and is bit-identical to a
+// monolithic store receiving the same writes.
 func TestScatterStatsTrackWrites(t *testing.T) {
 	docs, g := testCorpus(t, 300)
 	mono := memShard(t)
@@ -211,7 +283,7 @@ func TestScatterStatsTrackWrites(t *testing.T) {
 	r := tc.router(t, Options{Telemetry: reg})
 	q := g.Topics[0].Vocab[0] + " " + g.Common[0]
 	assertIdentical(t, "pre-write", r.Ask(q, 10).Items, mono.SearchText(q, 10))
-	rpcs := reg.Counter("shard.scatter.stats.rpcs").Value()
+	restarted := reg.Counter("shard.scatter.restarts").Value() // the cold ask's
 
 	// New documents for topic 0: they land on exactly one shard; the figures
 	// held of that shard are now stale.
@@ -236,10 +308,9 @@ func TestScatterStatsTrackWrites(t *testing.T) {
 	if res.Partial || res.Epochs[targetID] != target.Epoch() || res.Fanout != len(res.Epochs) {
 		t.Fatalf("partial=%v fanout=%d epochs=%v, want %s answering at epoch %d", res.Partial, res.Fanout, res.Epochs, targetID, target.Epoch())
 	}
-	drift, restarts := reg.Counter("shard.scatter.epoch.drift").Value(), reg.Counter("shard.scatter.restarts").Value()
-	if drift != 1 || restarts != 1 || reg.Counter("shard.scatter.stats.rpcs").Value() != rpcs {
-		t.Fatalf("%d drift replies, %d restarts, %d statistics requests since the write; want 1, 1, 0",
-			drift, restarts, reg.Counter("shard.scatter.stats.rpcs").Value()-rpcs)
+	drift, restarts := reg.Counter("shard.scatter.epoch.drift").Value(), reg.Counter("shard.scatter.restarts").Value()-restarted
+	if drift != 1 || restarts != 1 {
+		t.Fatalf("%d drift replies, %d restarts since the write; want 1, 1", drift, restarts)
 	}
 	// A write that moves no figure — the same document again — is a new epoch
 	// and nothing else: the ask is confirmed where it was asked.
@@ -251,8 +322,8 @@ func TestScatterStatsTrackWrites(t *testing.T) {
 	if res.Epochs[targetID] != target.Epoch() {
 		t.Fatalf("answered at epoch %d, store at %d", res.Epochs[targetID], target.Epoch())
 	}
-	if reg.Counter("shard.scatter.epoch.drift").Value() != drift || reg.Counter("shard.scatter.stats.rpcs").Value() != rpcs {
-		t.Fatal("an epoch that changed no figure cost a drift reply or a statistics request")
+	if reg.Counter("shard.scatter.epoch.drift").Value() != drift || reg.Counter("shard.scatter.restarts").Value() != restarted+restarts {
+		t.Fatal("an epoch that changed no figure cost a drift reply or a restart")
 	}
 }
 

@@ -91,7 +91,8 @@ func TestMismatchedAssumedFiguresRefused(t *testing.T) {
 // store contradicts is answered with the store's figures and epoch, no
 // items, a search span tagged drift, and Served unmoved; the same query
 // under the corrected figures is answered, at that epoch, and a repeat of it
-// is served from the cache without searching again.
+// is served from the cache without searching again. Client.TermStats reads
+// the figures through that same reply.
 func TestDriftReplyCorrectsAndCountsNothing(t *testing.T) {
 	srv, addr := startServer(t)
 	reg := telemetry.NewRegistry()
@@ -138,6 +139,15 @@ func TestDriftReplyCorrectsAndCountsNothing(t *testing.T) {
 		if srv.Served() != uint64(pass+1) || srv.Store.Stats().Searches != searches {
 			t.Fatalf("pass %d: served %d, searches %d", pass, srv.Served(), srv.Store.Stats().Searches)
 		}
+	}
+	// Client.TermStats is such a query under an assumption nothing confirms:
+	// the store's figures come back as a drift reply, and nothing is served.
+	figs, err := c.TermStats(terms, 2*time.Second)
+	if err != nil || !figs.Drift || figs.Docs != total || figs.Epoch != epoch || len(figs.DF) != 2 || figs.DF[1] != stats[1].DF || figs.MaxRatio[0] != stats[0].MaxRatio {
+		t.Fatalf("TermStats: %+v err %v, store at total %d epoch %d stats %+v", figs, err, total, epoch, stats)
+	}
+	if srv.Served() != 2 || srv.Store.Stats().Searches != 1 {
+		t.Fatalf("TermStats served %d, searched %d times, want 2 and 1 as before it", srv.Served(), srv.Store.Stats().Searches)
 	}
 }
 
@@ -190,8 +200,8 @@ func FuzzUnmarshalQuery(f *testing.F) {
 			}
 			return
 		}
-		if wq.GlobalDocs == 0 {
-			return // local asks go through the AQL pipeline, not this PR's path
+		if wq.GlobalDocs == 0 && !wq.Assumed {
+			return // local asks go through the AQL pipeline, not the scatter path
 		}
 		withStore.serveQuery(cs, data)
 		fr, _, err := wire.DecodeFrame(out.Bytes())

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strconv"
 	"sync"
@@ -15,9 +16,9 @@ import (
 )
 
 // Client is a consumer connection to one agora node over TCP. All sends
-// ride a per-connection write coalescer (see coalescer): concurrent
-// queries, stats requests, and hedges staged while a Write is in flight
-// leave in one batched syscall.
+// ride a per-connection write coalescer (see coalescer): concurrent queries
+// and hedges staged while a Write is in flight leave in one batched
+// syscall.
 type Client struct {
 	conn   net.Conn
 	r      *bufio.Reader
@@ -25,9 +26,9 @@ type Client struct {
 	mu     sync.Mutex
 	nextID uint64
 
-	// queries and stats demux the two request/reply exchanges by request id.
-	queries pending[wire.QueryResult]
-	stats   pending[wire.TermStatsResp]
+	// queries is the demux table of the one request/reply exchange: the
+	// channel each in-flight request id waits on. mu guards it.
+	queries map[string]chan wire.QueryResult
 	// pongs signals pong arrival; the payload echoes the ping and carries
 	// no information, so only the event crosses (the frame payload aliases
 	// the demux loop's pooled read buffer and must not be retained).
@@ -82,8 +83,7 @@ func DialWithTelemetry(addr, clientID string, timeout time.Duration, reg *teleme
 		conn:    conn,
 		r:       bufio.NewReader(conn),
 		out:     newCoalescer(conn),
-		queries: pending[wire.QueryResult]{},
-		stats:   pending[wire.TermStatsResp]{},
+		queries: map[string]chan wire.QueryResult{},
 		pongs:   make(chan struct{}, 4),
 		Feed:    make(chan wire.FeedItem, 64),
 		done:    make(chan struct{}),
@@ -142,8 +142,10 @@ func (c *Client) readLoop() {
 		if err != nil {
 			c.mu.Lock()
 			c.readErr = err
-			c.queries.failAll()
-			c.stats.failAll()
+			for _, ch := range c.queries { // no reply can arrive: wake every waiter
+				close(ch)
+			}
+			clear(c.queries)
 			c.mu.Unlock()
 			close(c.Feed)
 			return
@@ -156,7 +158,7 @@ func (c *Client) readLoop() {
 			if err != nil {
 				continue
 			}
-			resolve(c, c.queries, res.QueryID, res)
+			c.resolve(res)
 		case wire.KindFeedItem:
 			item, err := wire.UnmarshalFeedItemShared(f.Payload)
 			if err != nil {
@@ -167,12 +169,6 @@ func (c *Client) readLoop() {
 			default: // drop on backpressure
 				c.tel.feedDropped.Inc()
 			}
-		case wire.KindTermStatsResult:
-			resp, err := wire.UnmarshalTermStatsResp(f.Payload)
-			if err != nil {
-				continue
-			}
-			resolve(c, c.stats, resp.ID, resp)
 		case wire.KindPong:
 			select {
 			case c.pongs <- struct{}{}:
@@ -211,10 +207,10 @@ func releaseTimer(t *time.Timer) {
 
 // newID mints a connection-unique request id; the caller holds c.mu.
 // strconv instead of fmt keeps it to the one unavoidable allocation.
-func (c *Client) newID(prefix byte) string {
+func (c *Client) newID() string {
 	c.nextID++
 	var buf [24]byte
-	b := append(buf[:0], prefix)
+	b := append(buf[:0], 'q')
 	return string(strconv.AppendUint(b, c.nextID, 10))
 }
 
@@ -265,7 +261,7 @@ func (c *Client) QueryTraced(text string, concept feature.Vector, topK int, time
 // StartQueryTraced stages QueryTraced's request and returns the call in
 // flight, so a caller asking several nodes pays the slowest round trip
 // instead of their sum.
-func (c *Client) StartQueryTraced(text string, concept feature.Vector, topK int, timeout time.Duration, tc telemetry.TraceContext) Call[wire.QueryResult] {
+func (c *Client) StartQueryTraced(text string, concept feature.Vector, topK int, timeout time.Duration, tc telemetry.TraceContext) Call {
 	return c.StartQuery(wire.Query{
 		Text: text, Concept: concept, TopK: uint32(topK),
 		TraceID: uint64(tc.TraceID), SpanID: uint64(tc.SpanID),
@@ -290,95 +286,77 @@ func (c *Client) QueryGlobal(text string, topK int, timeout time.Duration, tc te
 // the shard itself, keeps several shards' queries on the wire and waits for
 // them on the goroutine that asked. q is encoded before StartQuery returns,
 // so its slices may be scratch the caller reuses.
-func (c *Client) StartQuery(q wire.Query, timeout time.Duration) Call[wire.QueryResult] {
-	k := begin(c, c.queries, 'q', timeout)
-	k.answered, k.rtt = c.tel.queries, c.tel.queryRTT
-	q.ID = k.id
-	k.send(wire.KindQuery, &q)
+func (c *Client) StartQuery(q wire.Query, timeout time.Duration) Call {
+	k := c.begin(timeout)
+	k.send(&q)
 	return k
 }
 
-// TermStats asks the server for its live document count, snapshot epoch,
-// and per-term document frequency / score-bound statistics (parallel to
-// terms). Scatter routers call this for terms they hold no figures of and
-// cache the answer; what they hold is confirmed or corrected by each query.
-func (c *Client) TermStats(terms []string, timeout time.Duration) (wire.TermStatsResp, error) {
-	return c.StartTermStats(terms, timeout).Wait()
+// TermStats reports the server's document count, epoch and per-term figures
+// (parallel to terms) as a drift reply's Docs, Epoch, DF and MaxRatio: one
+// Query under an assumption no store confirms. Only the benchmark's replay
+// calls it; benchmark revision item 1 deletes it.
+func (c *Client) TermStats(terms []string, timeout time.Duration) (wire.QueryResult, error) {
+	df, maxRatio := make([]uint64, len(terms)), make([]float64, len(terms))
+	return c.StartQuery(wire.Query{
+		StatsTerms: terms, StatsDF: df,
+		Assumed: true, AssumedDocs: math.MaxUint64, AssumedDF: df, AssumedMaxRatio: maxRatio,
+	}, timeout).Wait()
 }
 
-// StartTermStats stages TermStats' request and returns the call in flight.
-// Scatter routers stage every shard's request back to back — the frames
-// ride one coalesced batch per connection — and only then start waiting,
-// overlapping the round trips instead of paying them one by one.
-func (c *Client) StartTermStats(terms []string, timeout time.Duration) Call[wire.TermStatsResp] {
-	k := begin(c, c.stats, 's', timeout)
-	k.send(wire.KindTermStats, &wire.TermStatsReq{ID: k.id, Terms: terms})
-	return k
-}
-
-// pending is the demux table of one request/reply exchange: the channel
-// each in-flight request id waits on. The client's mu guards it.
-type pending[T any] map[string]chan T
-
-// failAll wakes every waiter with a closed channel once the read loop has
-// died and no reply can arrive; the caller holds the client's mu.
-func (p pending[T]) failAll() {
-	for _, ch := range p {
-		close(ch)
-	}
-	clear(p)
-}
-
-// resolve hands a decoded reply to the call waiting on id, if one still is;
-// a reply to a call that timed out or was dropped is discarded.
-func resolve[T any](c *Client, p pending[T], id string, v T) {
+// resolve hands a decoded reply to the call waiting on its id, if one still
+// is; a reply to a call that timed out or was dropped is discarded.
+func (c *Client) resolve(res wire.QueryResult) {
 	c.mu.Lock()
-	ch, ok := p[id]
-	delete(p, id)
+	ch, ok := c.queries[res.QueryID]
+	delete(c.queries, res.QueryID)
 	c.mu.Unlock()
 	if ok {
-		ch <- v
+		ch <- res
 		close(ch)
 	}
 }
 
 // Call is one request in flight, the only kind the client has: an id
-// registered in its pending table, the channel the read loop resolves, and
+// registered in its demux table, the channel the read loop resolves, and
 // a deadline that runs from the moment the request was staged — not from
 // the moment somebody starts waiting, so a caller that stages several calls
 // and waits for them in turn bounds the whole exchange by one timeout.
 // Every blocking round trip is a Start followed by Wait. A call ends once:
 // by Wait, by a WaitWithin that reports done, or as either side of First.
-type Call[T any] struct {
+type Call struct {
 	c       *Client
-	p       pending[T]
 	id      string
-	ch      chan T
+	ch      chan wire.QueryResult
 	start   time.Time
 	timeout time.Duration
 	err     error // the stage failed: nothing was sent, nothing will arrive
 
-	// answered and rtt account a good reply (nil-safe; queries set them).
+	// answered and rtt account a good reply (nil-safe).
 	answered *telemetry.Counter
 	rtt      *telemetry.Histogram
 }
 
 // begin mints a request id, registers its reply channel and starts the
 // call's clock.
-func begin[T any](c *Client, p pending[T], prefix byte, timeout time.Duration) Call[T] {
+func (c *Client) begin(timeout time.Duration) Call {
 	c.mu.Lock()
-	k := Call[T]{c: c, p: p, id: c.newID(prefix), ch: make(chan T, 1), start: time.Now(), timeout: timeout}
-	p[k.id] = k.ch
+	k := Call{
+		c: c, id: c.newID(), ch: make(chan wire.QueryResult, 1), start: time.Now(), timeout: timeout,
+		answered: c.tel.queries, rtt: c.tel.queryRTT,
+	}
+	c.queries[k.id] = k.ch
 	c.mu.Unlock()
 	return k
 }
 
-// send stages the request, which must carry k.id. A failure ends the call
-// the way a dead connection does, by a closed channel — closed by whoever
-// removes the entry, as in resolve and failAll: the broken connection that
+// send stages q under the call's id. A failure ends the call the way a dead
+// connection does, by a closed channel — closed by whoever removes the
+// entry, as resolve and the dying read loop do: the broken connection that
 // failed the write may already have had the read loop close it.
-func (k *Call[T]) send(kind wire.Kind, req wire.Appender) {
-	if k.err = k.c.out.stage(kind, req); k.err != nil && k.drop() {
+func (k *Call) send(q *wire.Query) {
+	q.ID = k.id
+	if k.err = k.c.out.stage(wire.KindQuery, q); k.err != nil && k.drop() {
 		close(k.ch)
 	}
 }
@@ -387,17 +365,17 @@ func (k *Call[T]) send(kind wire.Kind, req wire.Appender) {
 // call nobody will wait for — never sent, timed out, a hedge's loser — must
 // leave the table or it leaks until Close; the read loop resolves only ids
 // it finds there, so a reply that arrives afterwards is discarded.
-func (k Call[T]) drop() bool {
+func (k Call) drop() bool {
 	k.c.mu.Lock()
-	_, mine := k.p[k.id]
-	delete(k.p, k.id)
+	_, mine := k.c.queries[k.id]
+	delete(k.c.queries, k.id)
 	k.c.mu.Unlock()
 	return mine
 }
 
 // Wait blocks until the reply arrives, the connection dies or the call's
 // deadline passes.
-func (k Call[T]) Wait() (T, error) {
+func (k Call) Wait() (wire.QueryResult, error) {
 	v, _, err := k.WaitWithin(k.timeout)
 	return v, err
 }
@@ -406,7 +384,7 @@ func (k Call[T]) Wait() (T, error) {
 // staged: it then reports done=false and the call stays in flight — its
 // reply can still be collected by a later Wait or First. With done=true the
 // call is over, as after Wait.
-func (k Call[T]) WaitWithin(d time.Duration) (v T, done bool, err error) {
+func (k Call) WaitWithin(d time.Duration) (v wire.QueryResult, done bool, err error) {
 	// A reply already here wins over a deadline that has also passed: calls
 	// staged together and waited for in turn all expire at the same moment,
 	// and one mute peer must not turn its neighbours' answers into timeouts.
@@ -435,7 +413,7 @@ func (k Call[T]) WaitWithin(d time.Duration) (v T, done bool, err error) {
 // reply turns what came off the channel into the call's outcome: the value,
 // or the error that closed the channel unresolved — the failed stage's, else
 // the dead read loop's.
-func (k Call[T]) reply(v T, ok bool) (T, bool, error) {
+func (k Call) reply(v wire.QueryResult, ok bool) (wire.QueryResult, bool, error) {
 	switch {
 	case ok:
 		k.answered.Inc()
@@ -451,7 +429,7 @@ func (k Call[T]) reply(v T, ok bool) (T, bool, error) {
 // and the replica hedging it — and returns the first good answer. The other
 // call is dropped, never waited for in the background; a call that fails
 // leaves the other to decide, so the error is the later failure's.
-func First[T any](a, b Call[T]) (T, error) {
+func First(a, b Call) (wire.QueryResult, error) {
 	if b.start.Add(b.timeout).Before(a.start.Add(a.timeout)) {
 		a, b = b, a // a expires first
 	}
@@ -471,7 +449,7 @@ func First[T any](a, b Call[T]) (T, error) {
 
 // orElse settles First once k's channel has yielded: a good reply wins and
 // the other call is dropped; a dead connection leaves the other to decide.
-func (k Call[T]) orElse(other Call[T], v T, ok bool) (T, error) {
+func (k Call) orElse(other Call, v wire.QueryResult, ok bool) (wire.QueryResult, error) {
 	if v, _, err := k.reply(v, ok); err == nil {
 		other.drop()
 		return v, nil

@@ -183,8 +183,8 @@ func TestCoalescerWriteErrorSticks(t *testing.T) {
 	}
 }
 
-// TestClientCoalescerStress drives concurrent Query, TermStats, and a
-// feed subscription over ONE client connection — under -race this is the
+// TestClientCoalescerStress drives concurrent plain queries, scatter
+// queries answered by a drift reply, and a feed subscription over ONE client connection — under -race this is the
 // demux-correctness and coalescer-interleaving test the satellite asks
 // for. Every response must come back on the right channel with the right
 // content while frames from all senders share batches.
@@ -252,14 +252,19 @@ func TestClientCoalescerStress(t *testing.T) {
 		wg.Add(1)
 		go func() { //lint:allow goroutine test load generator; joined via wg.Wait below
 			defer wg.Done()
+			zeros := []uint64{0, 0}
+			q := wire.Query{
+				Text: "gold ring", StatsTerms: []string{"gold", "ring"}, StatsDF: zeros,
+				Assumed: true, AssumedDF: zeros, AssumedMaxRatio: []float64{0, 0},
+			}
 			for i := 0; i < 10; i++ {
-				resp, err := c.TermStats([]string{"gold", "ring"}, 5*time.Second)
+				resp, err := c.StartQuery(q, 5*time.Second).Wait()
 				if err != nil {
-					errc <- fmt.Errorf("termstats: %w", err)
+					errc <- fmt.Errorf("drift query: %w", err)
 					return
 				}
-				if resp.Total != 20 || len(resp.DF) != 2 {
-					errc <- fmt.Errorf("termstats demux: total=%d df=%d", resp.Total, len(resp.DF))
+				if !resp.Drift || resp.Docs != 20 || len(resp.DF) != 2 {
+					errc <- fmt.Errorf("drift demux: drift=%v docs=%d df=%d", resp.Drift, resp.Docs, len(resp.DF))
 					return
 				}
 			}
@@ -282,7 +287,7 @@ func TestClientCoalescerStress(t *testing.T) {
 		t.Errorf("feed items received = %d, want 10", n)
 	}
 	st := c.WireStats()
-	if st.Frames < 200 { // hello + subscribe + 160 queries + 40 stats
+	if st.Frames < 200 { // hello + subscribe + 160 queries + 40 drift queries
 		t.Errorf("client staged %d frames, expected >= 200", st.Frames)
 	}
 	if st.Flushes > st.Frames {

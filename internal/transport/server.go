@@ -258,17 +258,6 @@ func (s *Server) handle(cs *connState) {
 			}
 		case wire.KindQuery:
 			s.serveQuery(cs, f.Payload)
-		case wire.KindTermStats:
-			req, err := wire.UnmarshalTermStatsReqShared(f.Payload)
-			if err != nil {
-				s.warnf("transport: bad term stats req: %v", err)
-				continue
-			}
-			resp := wire.TermStatsResp{ID: req.ID}
-			resp.Total, resp.Epoch, resp.DF, resp.MaxRatio = s.figures(req.Terms)
-			if err := cs.out.stage(wire.KindTermStatsResult, &resp); err != nil {
-				s.warnf("transport: send term stats: %v", err)
-			}
 		case wire.KindSubscribe:
 			sub, err := wire.UnmarshalSubscribe(f.Payload)
 			if err != nil {
@@ -314,10 +303,12 @@ func (s *Server) serveQuery(cs *connState, payload []byte) {
 		QueryID: wq.ID, From: s.NodeID,
 		TraceID: uint64(tr.ID()), Items: cs.items[:0],
 	}
-	if wq.GlobalDocs > 0 {
+	if wq.GlobalDocs > 0 || wq.Assumed {
 		// Scatter path: a shard router supplied corpus-wide statistics, so
 		// score the plain-text query directly against the store under global
-		// idf weights (the AQL/fusion pipeline is a single-node concern).
+		// idf weights (the AQL/fusion pipeline is a single-node concern). A
+		// router that holds no figures yet sums to zero documents; what it
+		// assumed of this shard is checked all the same.
 		topK := int(wq.TopK)
 		if topK <= 0 {
 			topK = 10

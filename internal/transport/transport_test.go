@@ -280,7 +280,7 @@ func TestPendingCallsLeaveTheTable(t *testing.T) {
 	inFlight := func() int {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return len(c.queries) + len(c.stats)
+		return len(c.queries)
 	}
 
 	if _, err := c.Query("gold", nil, 3, 20*time.Millisecond); !errors.Is(err, ErrTimeout) {
@@ -295,8 +295,8 @@ func TestPendingCallsLeaveTheTable(t *testing.T) {
 
 	// Staged together, waited for in turn: the deadline runs from staging, so
 	// the second wait does not start a timeout of its own.
-	first := c.StartTermStats([]string{"gold"}, 20*time.Millisecond)
-	second := c.StartTermStats([]string{"ring"}, 20*time.Millisecond)
+	first := c.StartQuery(wire.Query{Text: "gold"}, 20*time.Millisecond)
+	second := c.StartQuery(wire.Query{Text: "ring"}, 20*time.Millisecond)
 	if n := inFlight(); n != 2 {
 		t.Fatalf("%d entries with two calls staged, want 2", n)
 	}
@@ -344,10 +344,10 @@ func TestPendingCallsLeaveTheTable(t *testing.T) {
 		t.Fatalf("call after a late reply to a dropped id: %+v, %v", res, err)
 	}
 
-	waiter := c.StartTermStats([]string{"ring"}, 5*time.Second)
+	waiter := c.StartQuery(wire.Query{Text: "ring"}, 5*time.Second)
 	// A call caught between begin and send when the connection breaks: it is
 	// registered, so the dying read loop closes its channel too.
-	caught := begin(c, c.stats, 's', 5*time.Second)
+	caught := c.begin(5 * time.Second)
 	if n := inFlight(); n != 2 {
 		t.Fatalf("%d entries with one call waiting and one registered, want 2", n)
 	}
@@ -368,7 +368,7 @@ func TestPendingCallsLeaveTheTable(t *testing.T) {
 	}
 	// Its stage fails on a channel the read loop already closed: the call ends
 	// with the stage error, and the channel is not closed a second time.
-	caught.send(wire.KindTermStats, &wire.TermStatsReq{ID: caught.id, Terms: []string{"ring"}})
+	caught.send(&wire.Query{Text: "ring"})
 	if _, err := caught.Wait(); err == nil || errors.Is(err, ErrTimeout) {
 		t.Fatalf("stage after the read loop died: %v, want the stage error", err)
 	}

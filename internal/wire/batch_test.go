@@ -40,11 +40,6 @@ func hotMessages() []struct {
 			FeedID: "f1", DocID: "d9", Source: "museum", Text: "auction catalog",
 			Concept: []float64{1, 0, -2}, Seq: 77,
 		}},
-		{KindTermStats, &TermStatsReq{ID: "s3", Terms: []string{"gold", "ring", "byzantine"}}},
-		{KindTermStatsResult, &TermStatsResp{
-			ID: "s3", Total: 4096, Epoch: 12,
-			DF: []uint64{100, 20, 3}, MaxRatio: []float64{0.5, 0.25, 0.125},
-		}},
 	}
 }
 
@@ -90,15 +85,6 @@ func legacyMarshal(m Appender) []byte {
 		w.String(x.Text)
 		w.F64s(x.Concept)
 		w.U64(x.Seq)
-	case *TermStatsReq:
-		w.String(x.ID)
-		w.Strings(x.Terms)
-	case *TermStatsResp:
-		w.String(x.ID)
-		w.U64(x.Total)
-		w.U64(x.Epoch)
-		w.U64s(x.DF)
-		w.F64s(x.MaxRatio)
 	default:
 		panic("unhandled message type")
 	}
@@ -306,10 +292,10 @@ func TestDecodeFrameShortBatch(t *testing.T) {
 // exactly this).
 func TestFrameReaderReusesPayloadBuffer(t *testing.T) {
 	big := &Query{ID: "q1", Text: "a reasonably long query to set the high-water mark"}
-	small := &TermStatsReq{ID: "s1", Terms: []string{"t"}}
+	small := &Query{ID: "s1", Text: "t"}
 	var batch []byte
 	batch = AppendFrame(batch, KindQuery, big)
-	batch = AppendFrame(batch, KindTermStats, small)
+	batch = AppendFrame(batch, KindQuery, small)
 	batch = AppendFrame(batch, KindQuery, big)
 
 	fr := NewFrameReader(bufio.NewReader(bytes.NewReader(batch)))

@@ -48,8 +48,6 @@ const (
 	KindCollabOp
 	KindPing
 	KindPong
-	KindTermStats
-	KindTermStatsResult
 )
 
 var kindNames = map[Kind]string{
@@ -62,7 +60,6 @@ var kindNames = map[Kind]string{
 	KindFeedItem: "feedItem", KindSubscribe: "subscribe",
 	KindUnsubscribe: "unsubscribe", KindProfilePart: "profilePart",
 	KindCollabOp: "collabOp", KindPing: "ping", KindPong: "pong",
-	KindTermStats: "termStats", KindTermStatsResult: "termStatsResult",
 }
 
 func (k Kind) String() string {
@@ -205,14 +202,25 @@ func (fr *FrameReader) Next() (Frame, error) {
 	if err != nil {
 		return Frame{}, err
 	}
-	if uint32(cap(fr.payload)) < length {
-		// Pool miss: the buffer grows to the connection's high-water frame
-		// size once, then every further frame reuses it.
-		fr.payload = make([]byte, length) //lint:allow wirealloc documented pool miss: one growth to the high-water frame size, amortized across the connection
-	}
-	payload := fr.payload[:length]
-	if _, err := io.ReadFull(fr.r, payload); err != nil {
-		return Frame{}, fmt.Errorf("wire: reading payload: %w", err)
+	payload := fr.payload[:0]
+	for len(payload) < int(length) {
+		if len(payload) == cap(payload) {
+			// Pool miss: the buffer grows to the connection's high-water frame
+			// size, then every further frame reuses it. The length is the
+			// header's claim until the bytes arrive, so the buffer at most
+			// doubles per read: a peer that claims 64 MiB and stops makes the
+			// reader hold what it sent, not what it claimed.
+			payload = append(make([]byte, 0, min(int(length), max(2*cap(payload), fr.r.Size()))), payload...) //lint:allow wirealloc documented pool miss: growth to the high-water frame size, amortized across the connection
+			fr.payload = payload
+		}
+		n, err := io.ReadFull(fr.r, payload[len(payload):min(cap(payload), int(length))])
+		if err == io.EOF && len(payload) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return Frame{}, fmt.Errorf("wire: reading payload: %w", err)
+		}
+		payload = payload[:len(payload)+n]
 	}
 	if crc32.ChecksumIEEE(payload) != want {
 		return Frame{}, ErrChecksum

@@ -1,7 +1,12 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"math"
 	"testing"
 )
 
@@ -23,15 +28,13 @@ func decoderOf[T any, P interface {
 // reads: the owned-string reader first, then the shared-backing twin where
 // one exists.
 var wireDecoders = map[Kind][]decoder{
-	KindHello:           {decoderOf(UnmarshalHello)},
-	KindHelloAck:        {decoderOf(UnmarshalHello)},
-	KindGossip:          {decoderOf(UnmarshalGossip)},
-	KindQuery:           {decoderOf(UnmarshalQuery), decoderOf(UnmarshalQueryShared)},
-	KindQueryResult:     {decoderOf(UnmarshalQueryResult), decoderOf(UnmarshalQueryResultShared)},
-	KindFeedItem:        {decoderOf(UnmarshalFeedItem), decoderOf(UnmarshalFeedItemShared)},
-	KindSubscribe:       {decoderOf(UnmarshalSubscribe)},
-	KindTermStats:       {decoderOf(UnmarshalTermStatsReq), decoderOf(UnmarshalTermStatsReqShared)},
-	KindTermStatsResult: {decoderOf(UnmarshalTermStatsResp)},
+	KindHello:       {decoderOf(UnmarshalHello)},
+	KindHelloAck:    {decoderOf(UnmarshalHello)},
+	KindGossip:      {decoderOf(UnmarshalGossip)},
+	KindQuery:       {decoderOf(UnmarshalQuery), decoderOf(UnmarshalQueryShared)},
+	KindQueryResult: {decoderOf(UnmarshalQueryResult), decoderOf(UnmarshalQueryResultShared)},
+	KindFeedItem:    {decoderOf(UnmarshalFeedItem), decoderOf(UnmarshalFeedItemShared)},
+	KindSubscribe:   {decoderOf(UnmarshalSubscribe)},
 }
 
 // checkDecoders holds one payload against the decoders of its kind. Nothing
@@ -88,7 +91,69 @@ func FuzzWireDecoders(f *testing.F) {
 	f.Add(uint8(KindQuery), assumed.AppendTo(nil))
 	f.Add(uint8(KindQueryResult), drift.AppendTo(nil))
 	f.Add(uint8(KindQuery), append((&Query{ID: "q", GlobalDocs: 1}).AppendTo(nil), 0xAA, 0xBB, 0xCC)) // a tail too short to be the figures
+	// A router's first contact: nothing held, so no global document count
+	// and zeros assumed; and a query no store can confirm.
+	first := Query{ID: "q", Text: "gold", StatsTerms: []string{"gold"}, StatsDF: []uint64{0}, Assumed: true, AssumedDF: []uint64{0}, AssumedMaxRatio: []float64{0}}
+	f.Add(uint8(KindQuery), first.AppendTo(nil))
+	first.AssumedDocs = math.MaxUint64
+	f.Add(uint8(KindQuery), first.AppendTo(nil))
 	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
 		checkDecoders(t, Kind(kind), payload)
+	})
+}
+
+// FuzzFrames reads one byte stream as frames twice: with DecodeFrame over the
+// buffer, as a caller accumulating a stream does, and with FrameReader.Next,
+// as every connection does. Neither may panic, and both must yield the same
+// frames in the same order, then stop for the same reason: DecodeFrame's
+// ErrShortBuffer where the reader meets the end of the stream (EOF or
+// unexpected EOF), any other error the same errors.Is class.
+func FuzzFrames(f *testing.F) {
+	var stream []byte
+	for _, tc := range hotMessages() {
+		stream = AppendFrame(stream, tc.kind, tc.msg)
+	}
+	f.Add(stream)
+	one := EncodeFrame(nil, KindPing, []byte("ping"))
+	f.Add(one[:7]) // a torn header
+	badMagic := append([]byte(nil), one...)
+	badMagic[0] ^= 0xFF
+	f.Add(append(append([]byte(nil), one...), badMagic...))
+	badVersion := append([]byte(nil), one...)
+	badVersion[2] = Version + 1
+	f.Add(badVersion)
+	oversized := append([]byte(nil), one...)
+	binary.LittleEndian.PutUint32(oversized[4:], maxFrameLen+1)
+	f.Add(oversized)
+	badCRC := append([]byte(nil), one...)
+	badCRC[len(badCRC)-1] ^= 0xFF
+	f.Add(badCRC)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fr := NewFrameReader(bufio.NewReader(bytes.NewReader(data)))
+		for off, i := 0, 0; ; i++ {
+			want, n, werr := DecodeFrame(data[off:])
+			got, gerr := fr.Next()
+			if werr != nil {
+				if errors.Is(werr, ErrShortBuffer) {
+					if !errors.Is(gerr, io.EOF) && !errors.Is(gerr, io.ErrUnexpectedEOF) {
+						t.Fatalf("frame %d: DecodeFrame wants more bytes, the reader says %v", i, gerr)
+					}
+					return
+				}
+				for _, class := range []error{ErrBadMagic, ErrVersion, ErrTooLarge, ErrChecksum} {
+					if errors.Is(werr, class) != errors.Is(gerr, class) {
+						t.Fatalf("frame %d: DecodeFrame says %v, the reader %v", i, werr, gerr)
+					}
+				}
+				if gerr == nil {
+					t.Fatalf("frame %d: DecodeFrame says %v, the reader read a frame", i, werr)
+				}
+				return
+			}
+			if gerr != nil || got.Kind != want.Kind || !bytes.Equal(got.Payload, want.Payload) {
+				t.Fatalf("frame %d: DecodeFrame read %v %x, the reader %v %x (err %v)", i, want.Kind, want.Payload, got.Kind, got.Payload, gerr)
+			}
+			off += n
+		}
 	})
 }

@@ -126,7 +126,8 @@ type Query struct {
 	// against the same idf weights a single node holding the whole corpus
 	// would use: GlobalDocs is the corpus document count and
 	// StatsTerms/StatsDF are parallel per-term global document frequencies.
-	// GlobalDocs == 0 means "score locally" (the pre-shard behaviour).
+	// GlobalDocs == 0 without Assumed means "score locally" (the pre-shard
+	// behaviour).
 	GlobalDocs uint64
 	StatsTerms []string
 	StatsDF    []uint64
@@ -410,75 +411,6 @@ func UnmarshalSubscribe(b []byte) (Subscribe, error) {
 		Terms:     r.Strings(),
 		Concept:   r.F64s(),
 		Threshold: r.F64(),
-	}
-	return m, r.Err()
-}
-
-// TermStatsReq asks a shard for per-term corpus statistics, so a scatter
-// router can assemble global idf weights and shard-level score upper bounds
-// before dispatching a query.
-type TermStatsReq struct {
-	ID    string
-	Terms []string
-}
-
-// AppendTo appends the encoded message to dst; see Hello.AppendTo.
-func (m *TermStatsReq) AppendTo(dst []byte) []byte {
-	w := Writer{buf: dst}
-	w.String(m.ID)
-	w.Strings(m.Terms)
-	return w.buf
-}
-
-// UnmarshalTermStatsReq decodes a TermStatsReq.
-func UnmarshalTermStatsReq(b []byte) (TermStatsReq, error) {
-	return decodeTermStatsReq(NewReader(b))
-}
-
-// UnmarshalTermStatsReqShared decodes a TermStatsReq with ID and all terms
-// sharing one backing allocation (the payload is almost entirely strings).
-func UnmarshalTermStatsReqShared(b []byte) (TermStatsReq, error) {
-	return decodeTermStatsReq(NewSharedReader(b))
-}
-
-func decodeTermStatsReq(r *Reader) (TermStatsReq, error) {
-	m := TermStatsReq{ID: r.String(), Terms: r.Strings()}
-	return m, r.Err()
-}
-
-// TermStatsResp answers a TermStatsReq: the shard's live document count and
-// snapshot epoch, plus per-term document frequency and the maximum
-// normalized term-weight ratio max_d (1+ln tf)/sqrt(len_d+1) — the shard's
-// contribution to a score upper bound. DF and MaxRatio are parallel to the
-// request's Terms.
-type TermStatsResp struct {
-	ID       string
-	Total    uint64 // documents on this shard
-	Epoch    uint64 // snapshot epoch the stats were read at
-	DF       []uint64
-	MaxRatio []float64
-}
-
-// AppendTo appends the encoded message to dst; see Hello.AppendTo.
-func (m *TermStatsResp) AppendTo(dst []byte) []byte {
-	w := Writer{buf: dst}
-	w.String(m.ID)
-	w.U64(m.Total)
-	w.U64(m.Epoch)
-	w.U64s(m.DF)
-	w.F64s(m.MaxRatio)
-	return w.buf
-}
-
-// UnmarshalTermStatsResp decodes a TermStatsResp.
-func UnmarshalTermStatsResp(b []byte) (TermStatsResp, error) {
-	r := NewReader(b)
-	m := TermStatsResp{
-		ID:       r.String(),
-		Total:    r.U64(),
-		Epoch:    r.U64(),
-		DF:       r.U64s(),
-		MaxRatio: r.F64s(),
 	}
 	return m, r.Err()
 }

@@ -7,9 +7,9 @@ import (
 )
 
 // Shard-routing field coverage: the trailing optional fields added for
-// scatter-gather (Hello shard range, Query global statistics, QueryResult
-// epoch) and the TermStats message pair. Mirrors trace_test.go: every new
-// field must round-trip, and payloads truncated back to an older peer's
+// scatter-gather (Hello shard range, Query global statistics and assumed
+// figures, QueryResult epoch and drift figures). Mirrors trace_test.go: every
+// new field must round-trip, and payloads truncated back to an older peer's
 // layout must decode cleanly with zero values.
 
 func TestHelloShardRangeRoundtrip(t *testing.T) {
@@ -110,37 +110,6 @@ func TestQueryResultEpochRoundtrip(t *testing.T) {
 	gotLegacy, err := UnmarshalQueryResult(legacy)
 	if err != nil || gotLegacy.Epoch != 0 || gotLegacy.TraceID != m.TraceID {
 		t.Fatalf("trace-era result diverged: %+v err %v", gotLegacy, err)
-	}
-}
-
-func TestTermStatsRoundtrip(t *testing.T) {
-	req := TermStatsReq{ID: "s1", Terms: []string{"amphora", "trade"}}
-	gotReq, err := UnmarshalTermStatsReq(req.AppendTo(nil))
-	if err != nil || !reflect.DeepEqual(gotReq, req) {
-		t.Fatalf("req: got %+v err %v", gotReq, err)
-	}
-
-	resp := TermStatsResp{
-		ID: "s1", Total: 15000, Epoch: 7,
-		DF:       []uint64{12, 4400},
-		MaxRatio: []float64{0.61, 0.47},
-	}
-	gotResp, err := UnmarshalTermStatsResp(resp.AppendTo(nil))
-	if err != nil || !reflect.DeepEqual(gotResp, resp) {
-		t.Fatalf("resp: got %+v err %v", gotResp, err)
-	}
-
-	// Empty request/response (term unseen everywhere) round-trips too.
-	empty := TermStatsResp{ID: "s2", Total: 0, Epoch: 1}
-	gotEmpty, err := UnmarshalTermStatsResp(empty.AppendTo(nil))
-	if err != nil || !reflect.DeepEqual(gotEmpty, empty) {
-		t.Fatalf("empty resp: got %+v err %v", gotEmpty, err)
-	}
-}
-
-func TestTermStatsKindNames(t *testing.T) {
-	if KindTermStats.String() != "termStats" || KindTermStatsResult.String() != "termStatsResult" {
-		t.Fatalf("kind names missing: %v %v", KindTermStats, KindTermStatsResult)
 	}
 }
 

@@ -3,9 +3,12 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -157,6 +160,27 @@ func TestFrameDecodeMultipleFromOneBuffer(t *testing.T) {
 	f2, _, err := DecodeFrame(buf[n1:])
 	if err != nil || f2.Kind != KindPong || string(f2.Payload) != "bb" {
 		t.Fatal(err)
+	}
+}
+
+// TestFrameReaderHoldsWhatArrives: a header that claims the largest frame
+// allowed and is followed by nothing must fail without the reader having
+// allocated the claim — every server connection reads its frames this way.
+func TestFrameReaderHoldsWhatArrives(t *testing.T) {
+	hdr := binary.LittleEndian.AppendUint16(nil, Magic)
+	hdr = append(hdr, Version, byte(KindQuery))
+	hdr = binary.LittleEndian.AppendUint32(hdr, maxFrameLen)
+	hdr = binary.LittleEndian.AppendUint32(hdr, 0)
+	fr := NewFrameReader(bufio.NewReader(bytes.NewReader(hdr)))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := fr.Next()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.EOF) {
+		t.Fatalf("header claiming %d bytes, then EOF: err = %v, want EOF", maxFrameLen, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("reading a bare header allocated %d bytes", got)
 	}
 }
 
