@@ -19,8 +19,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Fast subset: the heavy concurrent suites (load tests, fan-out churn,
-# concurrent scatter asks sharing the router's statistics caches and
+# Fast subset: the heavy concurrent suites (load tests, asks under provider
+# churn, concurrent scatter asks sharing the router's statistics caches and
 # clients) where the race detector earns its keep on every edit, plus -count
 # stresses of the two bookkeeping-before-reply ordering pins — the trace is
 # retrievable, and the coalescer's flush is counted (E27 reads it), once the

@@ -7,15 +7,9 @@
 package repro
 
 import (
-	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/bench"
-	"repro/internal/core"
-	"repro/internal/profile"
-	"repro/internal/qos"
-	"repro/internal/workload"
 )
 
 // benchScale keeps testing.B iterations snappy; cmd/agora-bench runs the
@@ -60,47 +54,3 @@ func BenchmarkE24Tracing(b *testing.B)            { runExperiment(b, bench.E24Di
 func BenchmarkE25BlockMax(b *testing.B)           { runExperiment(b, bench.E25BlockMaxSearch) }
 func BenchmarkE26ShardedScatter(b *testing.B)     { runExperiment(b, bench.E26ShardedScatter) }
 func BenchmarkE27WirePath(b *testing.B)           { runExperiment(b, bench.E27WirePath) }
-
-// benchmarkAsk measures one Session.Ask against a 4-source market with
-// simulated provider latency mapped to real sleeps (LatencyScale), at the
-// given fan-out width. The Sequential4/Parallel4 pair is the reproducible
-// speedup claim recorded in EXPERIMENTS.md:
-//
-//	go test -run XXX -bench 'BenchmarkAsk' -benchmem
-func benchmarkAsk(b *testing.B, concurrency int) {
-	const nSources = 4
-	a := core.New(core.Config{Seed: 17, ConceptDim: 32, LatencyScale: 0.02})
-	g := workload.NewGenerator(17, 32, 4)
-	docs := g.GenCorpus(800, 1.2, int64(24*time.Hour))
-	for i, list := range g.AssignToSources(docs, nSources, 0.7) {
-		node, err := a.AddNode(workload.SourceName(i), core.DefaultEconomics(), core.DefaultBehavior())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, d := range list {
-			if err := node.Ingest(d.Doc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	u := g.GenUsers(1)[0]
-	p := profile.New(u.ID, 32)
-	p.Interests = u.Concept.Clone()
-	// Completeness-hungry weights keep the plan at all 4 sources, so the
-	// pair measures the fan-out rather than the archetype's plan size.
-	p.Weights = qos.Weights{Latency: 1, Completeness: 5, Freshness: 1, Trust: 1, Price: 0.2}
-	s := a.NewSession(p)
-	s.MaxSources = nSources
-	s.Concurrency = concurrency
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		topic := g.Topics[i%len(g.Topics)]
-		if _, err := s.Ask(fmt.Sprintf(`FIND documents WHERE topic = %q TOP 10`, topic.Name), topic.Center); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAskSequential4(b *testing.B) { benchmarkAsk(b, 1) }
-func BenchmarkAskParallel4(b *testing.B)   { benchmarkAsk(b, 4) }

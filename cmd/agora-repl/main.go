@@ -32,7 +32,6 @@ func main() {
 	seed := flag.Int64("seed", 7, "world seed")
 	nDocs := flag.Int("docs", 1500, "corpus size")
 	nSources := flag.Int("sources", 5, "provider count")
-	concurrency := flag.Int("concurrency", 0, "ask fan-out width: goroutines per ask (0 = min(plan size, GOMAXPROCS), 1 = sequential)")
 	flag.Parse()
 
 	reg := telemetry.NewRegistry()
@@ -61,7 +60,6 @@ func main() {
 	p := profile.New("you", 32)
 	sess := a.NewSession(p)
 	sess.CompleteQueries = true
-	sess.Concurrency = *concurrency
 
 	var topics []string
 	for _, t := range g.Topics {

@@ -29,7 +29,6 @@ func main() {
 	nSources := flag.Int("sources", 6, "provider count")
 	nUsers := flag.Int("users", 8, "consumer count")
 	nQueries := flag.Int("queries", 60, "queries per consumer")
-	concurrency := flag.Int("concurrency", 0, "ask fan-out width: goroutines per ask (0 = min(plan size, GOMAXPROCS), 1 = sequential)")
 	discovery := flag.Bool("discovery", false, "locate sources via the semantic overlay instead of the registry")
 	showTelemetry := flag.Bool("telemetry", true, "print the runtime telemetry report at end of run")
 	prom := flag.Bool("prom", false, "print the Prometheus text exposition (/metrics format) at end of run")
@@ -81,7 +80,6 @@ func main() {
 		p.Weights = u.Archetype.Weights()
 		p.Risk = u.Risk
 		sess := a.NewSession(p)
-		sess.Concurrency = *concurrency
 		for q := 0; q < *nQueries; q++ {
 			text, concept, topicID := g.QueryFor(u)
 			topic := g.Topics[topicID].Name

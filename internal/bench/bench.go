@@ -67,7 +67,7 @@ func Suite() []Experiment {
 		{"E18", "Integration: registry vs overlay discovery", E18DiscoveryVsRegistry},
 		{"E19", "Personalization: risk-profile recovery & use", E19RiskProfiling},
 		{"E20", "Substrate: telemetry instrument coherence", E20TelemetryOverhead},
-		{"E21", "Pipeline: parallel source fan-out & hedged tail latency", E21ParallelFanout},
+		{"E21", "Pipeline: the market trip in virtual time & hedged tail latency", E21ParallelFanout},
 		{"E22", "Substrate: lock-free snapshot reads under writer churn", E22LockFreeReads},
 		{"E23", "Substrate: group-commit WAL determinism", E23GroupCommit},
 		{"E24", "Substrate: distributed trace identity & tail-sampled retention", E24DistributedTracing},

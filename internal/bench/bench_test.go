@@ -11,11 +11,11 @@ import (
 // The tests here assert the qualitative shapes DESIGN.md §3 claims — they
 // are the "does the reproduction hold" checks, run at reduced scale.
 //
-// Exactly one of them reads a stopwatch, with a wide margin: E21 asks that
-// a 4-source fan-out at least halves p50 latency (measured ~3.3×, and
-// dominated by the simulated providers' sleeps, not by CPU). Every other
-// assertion, and every substrate experiment (E20, E22–E27), is on counts,
-// ratios of counts and identity flags; timing of the substrate is read from
+// None of them asserts on a stopwatch: E21's market-trip claim (at 4
+// sources the trip's p50 is at most half that of visiting the sources one
+// after another) is read in virtual time. Every assertion, substrate
+// experiments (E20, E22–E27) included, is on counts, ratios of counts,
+// virtual spans and identity flags; timing of the substrate is read from
 // `go run ./benchmark`.
 
 const testScale = 0.5

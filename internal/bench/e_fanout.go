@@ -14,35 +14,29 @@ import (
 	"repro/internal/workload"
 )
 
-// E21ParallelFanout measures the parallel source fan-out: the same seeded
-// market is asked the same questions strictly sequentially (Concurrency=1)
-// and fully fanned out (Concurrency=len(sources)), with provider latency
-// mapped onto real wall-clock sleeps via Config.LatencyScale so the
-// benchmark observes actual overlap, not simulated arithmetic. A market
-// visit should cost as much as the slowest stall, not the sum of all of
-// them — the sequential/parallel p50 ratio at each source count is the
-// headline. The experiment also cross-checks determinism (parallel answers
-// must equal sequential answers item for item) and isolates the hedging
-// win on a fat-tailed market by comparing delivered-latency p95 with the
-// backup attempt disabled and enabled.
+// E21ParallelFanout measures the market trip in virtual time: a consumer
+// asks a seeded market of 2, 4 and 8 sources the same questions, and each
+// answer yields two figures: the sum of its settled sources' delivery spans
+// (what visiting the stalls one after another would cost) and its delivered
+// latency, the slowest span (what the agora charges: the trip costs as much
+// as the slowest stall, not the sum). The p50 ratio at each source count is
+// the headline. The experiment also cross-checks determinism (two fresh
+// worlds at the same seed must answer item for item alike) and isolates the
+// hedging win on a fat-tailed market by comparing delivered-latency p95
+// with the backup attempt disabled and enabled.
 func E21ParallelFanout(seed int64, scale float64) *Result {
 	asks := scaleInt(16, scale, 6)
 	nDocs := scaleInt(800, scale, 200)
-	// 200ms of virtual provider latency sleeps 8ms of real time: large
-	// enough to dominate per-ask CPU work, small enough to keep the suite
-	// quick.
-	const latencyScale = 0.04
 
 	type run struct {
 		answers []*core.Answer
-		wall    []float64 // seconds per ask
 		// Pipeline counters: sources abandoned at their deadline, and
 		// backup attempts fired / won.
 		timeouts, hedges, hedgeWins uint64
 	}
-	runWorkload := func(worldSeed int64, nSources, concurrency int, jitter float64, disableHedge bool, asks int) run {
+	runWorkload := func(worldSeed int64, nSources int, jitter float64, disableHedge bool, asks int) run {
 		reg := telemetry.NewRegistry()
-		a := core.New(core.Config{Seed: worldSeed, ConceptDim: 32, LatencyScale: latencyScale, Telemetry: reg})
+		a := core.New(core.Config{Seed: worldSeed, ConceptDim: 32, Telemetry: reg})
 		g := workload.NewGenerator(worldSeed, 32, 4)
 		docs := g.GenCorpus(nDocs, 1.2, int64(24*time.Hour))
 		beh := core.DefaultBehavior()
@@ -63,22 +57,19 @@ func E21ParallelFanout(seed int64, scale float64) *Result {
 		p.Interests = u.Concept.Clone()
 		// Completeness-hungry, price-insensitive weights so the optimizer
 		// plans all nSources at every seed — the experiment measures the
-		// fan-out, not the (seed-dependent) archetype's plan-size choice.
+		// market trip, not the (seed-dependent) archetype's plan-size choice.
 		p.Weights = qos.Weights{Latency: 1, Completeness: 5, Freshness: 1, Trust: 1, Price: 0.2}
 		s := a.NewSession(p)
 		s.MaxSources = nSources
-		s.Concurrency = concurrency
 		s.DisableHedge = disableHedge
 		out := run{}
 		for qi := 0; qi < asks; qi++ {
 			topic := g.Topics[qi%len(g.Topics)]
 			aql := fmt.Sprintf(`FIND documents WHERE topic = %q TOP 10`, topic.Name)
-			start := time.Now()
 			ans, err := s.Ask(aql, topic.Center)
 			if err != nil {
 				continue
 			}
-			out.wall = append(out.wall, time.Since(start).Seconds())
 			out.answers = append(out.answers, ans)
 		}
 		snap := reg.Snapshot()
@@ -98,25 +89,31 @@ func E21ParallelFanout(seed int64, scale float64) *Result {
 		return s[i]
 	}
 
-	table := metrics.NewTable("E21: sequential vs parallel source fan-out",
+	table := metrics.NewTable("E21: sources visited one after another vs the market trip (virtual time)",
 		"sources", "seq p50 ms", "par p50 ms", "speedup", "deterministic")
 	headline := map[string]float64{}
 	deterministic := 1.0
 	for _, n := range []int{2, 4, 8} {
-		seq := runWorkload(seed, n, 1, 0.3, false, asks)
-		// Explicit width: the GOMAXPROCS default would serialize on small
-		// hosts, but overlapping simulated waits needs goroutines, not cores.
-		par := runWorkload(seed, n, n, 0.3, false, asks)
-		same := len(seq.answers) == len(par.answers)
-		for i := 0; same && i < len(seq.answers); i++ {
-			same = reflect.DeepEqual(seq.answers[i].Results, par.answers[i].Results) &&
-				seq.answers[i].Delivered == par.answers[i].Delivered
+		r := runWorkload(seed, n, 0.3, false, asks)
+		again := runWorkload(seed, n, 0.3, false, asks)
+		same := len(r.answers) == len(again.answers)
+		for i := 0; same && i < len(r.answers); i++ {
+			same = reflect.DeepEqual(r.answers[i].Results, again.answers[i].Results) &&
+				r.answers[i].Delivered == again.answers[i].Delivered
 		}
 		if !same {
 			deterministic = 0
 		}
-		seqP50 := pct(seq.wall, 0.5) * 1e3
-		parP50 := pct(par.wall, 0.5) * 1e3
+		var summed, trip []float64
+		for _, ans := range r.answers {
+			var sum time.Duration
+			for _, o := range ans.Outcomes {
+				sum += o.Delivered.Latency
+			}
+			summed = append(summed, sum.Seconds()*1e3)
+			trip = append(trip, ans.Delivered.Latency.Seconds()*1e3)
+		}
+		seqP50, parP50 := pct(summed, 0.5), pct(trip, 0.5)
 		speedup := 0.0
 		if parP50 > 0 {
 			speedup = seqP50 / parP50
@@ -145,7 +142,7 @@ func E21ParallelFanout(seed int64, scale float64) *Result {
 		tailAsks := asks * 3
 		warmup := tailAsks / 4
 		for ws := int64(0); ws < 3; ws++ {
-			r := runWorkload(seed+ws, 4, 4, 0.9, disable, tailAsks)
+			r := runWorkload(seed+ws, 4, 0.9, disable, tailAsks)
 			for i, ans := range r.answers {
 				if i < warmup {
 					continue

@@ -34,12 +34,6 @@ type Config struct {
 	// instrumentation: the hot path then performs only nil-receiver no-ops
 	// and allocates nothing extra.
 	Telemetry *telemetry.Registry
-	// LatencyScale converts simulated provider latencies into real
-	// wall-clock waits during query execution: a source whose drawn
-	// latency is d sleeps d*LatencyScale before answering. Zero (the
-	// default) keeps provider latency purely virtual. Benchmarks set a
-	// small scale so the fan-out's wall-clock behavior is observable.
-	LatencyScale float64
 }
 
 // pipelineTel caches resolved instruments once per Agora so the ask hot
@@ -86,10 +80,11 @@ func newPipelineTel(reg *telemetry.Registry) pipelineTel {
 type Agora struct {
 	mu sync.RWMutex
 	// kmu serializes every access to the simulation kernel. The kernel is
-	// deliberately single-threaded (see internal/sim); with the ask
-	// pipeline fanning out across goroutines and providers churning
-	// concurrently, all clock reads and advances funnel through now() and
-	// advance(). Lock order: a.mu before a.kmu; node.mu is a leaf.
+	// deliberately single-threaded (see internal/sim); an ask reads and
+	// advances the clock while providers may ingest (and stamp feed items
+	// with the clock) on other goroutines, so all clock reads and advances
+	// funnel through now() and advance(). Lock order: a.mu before a.kmu;
+	// node.mu is a leaf.
 	kmu      sync.Mutex
 	cfg      Config
 	kernel   *sim.Kernel
@@ -192,13 +187,10 @@ type Node struct {
 	Econ     NodeEconomics
 	Behavior NodeBehavior
 	agora    *Agora
-	// mu guards the advertisement below: sessions read it while planning
-	// concurrently with ingest churn.
-	mu sync.RWMutex
-	// topicCounts advertises content per topic (the node's "shop window").
-	topicCounts map[string]int
-	totalDocs   int
-	contentVec  feature.Vector
+	// mu guards contentVec: discovery reads it concurrently with ingest
+	// churn.
+	mu         sync.RWMutex
+	contentVec feature.Vector
 }
 
 // AddNode registers a provider with an empty in-memory store.
@@ -214,8 +206,7 @@ func (a *Agora) AddNode(name string, econ NodeEconomics, beh NodeBehavior) (*Nod
 	}
 	n := &Node{
 		Name: name, Store: st, Econ: econ, Behavior: beh, agora: a,
-		topicCounts: make(map[string]int),
-		contentVec:  make(feature.Vector, a.cfg.ConceptDim),
+		contentVec: make(feature.Vector, a.cfg.ConceptDim),
 	}
 	a.nodes[name] = n
 	a.order = append(a.order, name)
@@ -273,10 +264,6 @@ func (n *Node) IngestBatch(docs []*docstore.Document) error {
 	}
 	n.mu.Lock()
 	for _, d := range stamped {
-		n.totalDocs++
-		for _, t := range d.Topics {
-			n.topicCounts[t]++
-		}
 		if len(d.Concept) > 0 {
 			n.contentVec.Add(d.Concept)
 		}
@@ -298,19 +285,13 @@ func (n *Node) ContentVector() feature.Vector {
 	return n.contentVec.Clone().Normalize()
 }
 
-// TopicCount returns the advertised number of documents for a topic.
-func (n *Node) TopicCount(topic string) int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.topicCounts[topic]
-}
+// TopicCount returns the advertised number of documents for a topic: the
+// live documents the store holds under it (the node's "shop window").
+func (n *Node) TopicCount(topic string) int { return n.Store.TopicCount(topic) }
 
-// TotalDocs returns the advertised corpus size.
-func (n *Node) TotalDocs() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.totalDocs
-}
+// TotalDocs returns the advertised corpus size: the live documents the
+// store holds.
+func (n *Node) TotalDocs() int { return n.Store.Len() }
 
 // seller builds the node's negotiator over a package grid derived from the
 // consumer's ask.
@@ -343,16 +324,14 @@ func (n *Node) sampleLatency(r *rand.Rand) time.Duration {
 // learned beliefs (trust ledger). totalForTopics is the corpus-wide count
 // for those topics (coverage denominator).
 func (n *Node) EstimateFor(topics []string, totalForTopics int, trust uncertainty.BetaBelief, latencyPrior uncertainty.Interval) optimizer.SourceEstimate {
-	n.mu.RLock()
 	holding := 0
 	if len(topics) == 0 {
-		holding = n.totalDocs
+		holding = n.TotalDocs()
 	} else {
 		for _, t := range topics {
-			holding += n.topicCounts[t]
+			holding += n.TopicCount(t)
 		}
 	}
-	n.mu.RUnlock()
 	cov := 0.0
 	if totalForTopics > 0 {
 		cov = float64(holding) / float64(totalForTopics)

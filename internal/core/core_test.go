@@ -13,6 +13,7 @@ import (
 	"repro/internal/profile"
 	"repro/internal/qos"
 	"repro/internal/social"
+	"repro/internal/uncertainty"
 	"repro/internal/workload"
 )
 
@@ -193,6 +194,42 @@ func TestIngestBatch(t *testing.T) {
 		if id != fmt.Sprintf("d%02d", i) {
 			t.Fatalf("feed publication out of batch order: %v", delivered)
 		}
+	}
+}
+
+// TestAdvertisementCountsTheStore pins that a node advertises what its
+// store holds: a re-ingested document is one document, a topic listed twice
+// on it is one topic hit, and a delete takes both back.
+func TestAdvertisementCountsTheStore(t *testing.T) {
+	a := New(Config{Seed: 5, ConceptDim: 8})
+	n, err := a.AddNode("museum", DefaultEconomics(), DefaultBehavior())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &docstore.Document{
+		ID: "ring-1", Kind: docstore.KindArticle, Title: "gold ring",
+		Text: "a gold ring", Topics: []string{"jewelry", "jewelry"},
+	}
+	for i := 0; i < 2; i++ {
+		if err := n.Ingest(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n.TotalDocs() != 1 || n.Store.Len() != 1 {
+		t.Fatalf("TotalDocs = %d, Store.Len = %d, want 1 and 1", n.TotalDocs(), n.Store.Len())
+	}
+	if n.TopicCount("jewelry") != 1 || n.Store.TopicCount("jewelry") != 1 {
+		t.Fatalf("TopicCount = %d, Store.TopicCount = %d, want 1 and 1", n.TopicCount("jewelry"), n.Store.TopicCount("jewelry"))
+	}
+	est := n.EstimateFor([]string{"jewelry"}, 2, qos.NewReputationLedger(0.98, 32).Belief("museum"), uncertainty.MakeInterval(0.05, 2))
+	if got := est.Coverage.Mean(); got < 0.4 || got > 0.6 {
+		t.Fatalf("estimate coverage %.2f from one held document of two, want ~0.5", got)
+	}
+	if err := n.Store.Delete("ring-1"); err != nil {
+		t.Fatal(err)
+	}
+	if n.TotalDocs() != 0 || n.TopicCount("jewelry") != 0 {
+		t.Fatalf("after delete: TotalDocs = %d, TopicCount = %d, want 0 and 0", n.TotalDocs(), n.TopicCount("jewelry"))
 	}
 }
 

@@ -151,7 +151,7 @@ func TestAskProgressive(t *testing.T) {
 	if len(partials) == 0 {
 		t.Fatal("no progressive deliveries")
 	}
-	// Partials arrive in completion order with consistent progress counters.
+	// Partials arrive in plan order with consistent progress counters.
 	for i, p := range partials {
 		if p.SourcesDone != i+1 {
 			t.Fatalf("partial %d has SourcesDone=%d", i, p.SourcesDone)

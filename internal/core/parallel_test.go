@@ -3,58 +3,59 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/docstore"
+	"repro/internal/qos"
 	"repro/internal/workload"
 )
 
-// askSeries runs the same query workload on a freshly built world with the
-// given fan-out concurrency and returns every answer. Worlds are rebuilt
-// per call so the two runs share no state but the seed.
-func askSeries(t *testing.T, seed int64, concurrency, asks int) []*Answer {
+// askSeries runs the same query workload on a freshly built world and
+// returns every answer. Worlds are rebuilt per call so two runs share no
+// state but the seed.
+func askSeries(t *testing.T, seed int64, asks int) []*Answer {
 	t.Helper()
 	a, g, _ := buildWorld(t, seed, 600, 4)
 	s := a.NewSession(irisProfile(g, 0))
-	s.Concurrency = concurrency
 	out := make([]*Answer, 0, asks)
 	for i := 0; i < asks; i++ {
 		topic := g.Topics[i%4]
 		ans, err := s.Ask(fmt.Sprintf(`FIND documents WHERE topic = "%s" TOP 10`, topic.Name), topic.Center)
 		if err != nil {
-			t.Fatalf("ask %d (concurrency %d): %v", i, concurrency, err)
+			t.Fatalf("ask %d: %v", i, err)
 		}
 		out = append(out, ans)
 	}
 	return out
 }
 
-// TestParallelMatchesSequential is the determinism guarantee: a parallel
-// fan-out must return byte-identical answers — results, contracts, QoS,
-// learned ledger state — to a strictly sequential run on the same world.
-func TestParallelMatchesSequential(t *testing.T) {
+// TestAskIsDeterministic is the determinism guarantee: two fresh worlds at
+// the same seed return byte-identical answers — results, contracts, QoS,
+// negotiation accounting.
+func TestAskIsDeterministic(t *testing.T) {
 	const asks = 8
-	seq := askSeries(t, 31, 1, asks)
-	par := askSeries(t, 31, 8, asks)
-	for i := range seq {
-		if !reflect.DeepEqual(seq[i].Results, par[i].Results) {
-			t.Fatalf("ask %d: results diverge between sequential and parallel runs", i)
+	first := askSeries(t, 31, asks)
+	second := askSeries(t, 31, asks)
+	for i := range first {
+		if !reflect.DeepEqual(first[i].Results, second[i].Results) {
+			t.Fatalf("ask %d: results diverge between two worlds at one seed", i)
 		}
-		if seq[i].Delivered != par[i].Delivered {
-			t.Fatalf("ask %d: delivered QoS diverges: %+v vs %+v", i, seq[i].Delivered, par[i].Delivered)
+		if first[i].Delivered != second[i].Delivered {
+			t.Fatalf("ask %d: delivered QoS diverges: %+v vs %+v", i, first[i].Delivered, second[i].Delivered)
 		}
-		if len(seq[i].Contracts) != len(par[i].Contracts) {
+		if len(first[i].Contracts) != len(second[i].Contracts) {
 			t.Fatalf("ask %d: contract counts diverge", i)
 		}
-		for j := range seq[i].Contracts {
-			if seq[i].Contracts[j].ID != par[i].Contracts[j].ID {
+		for j := range first[i].Contracts {
+			if first[i].Contracts[j].ID != second[i].Contracts[j].ID {
 				t.Fatalf("ask %d: contract ids diverge (%s vs %s)",
-					i, seq[i].Contracts[j].ID, par[i].Contracts[j].ID)
+					i, first[i].Contracts[j].ID, second[i].Contracts[j].ID)
 			}
 		}
-		if seq[i].Rounds != par[i].Rounds || seq[i].Negotiated != par[i].Negotiated {
+		if first[i].Rounds != second[i].Rounds || first[i].Negotiated != second[i].Negotiated {
 			t.Fatalf("ask %d: negotiation accounting diverges", i)
 		}
 	}
@@ -67,7 +68,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 func TestAskRaceWithChurn(t *testing.T) {
 	a, g, _ := buildWorld(t, 32, 400, 4)
 	s := a.NewSession(irisProfile(g, 0))
-	s.Concurrency = 4
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -102,6 +102,34 @@ func TestAskRaceWithChurn(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestAskStartsNoGoroutine pins that an ask owns no goroutine: every
+// source is negotiated, executed and settled on the goroutine that asked, so
+// the goroutine count inside each progressive callback is the count before
+// the ask began.
+func TestAskStartsNoGoroutine(t *testing.T) {
+	a, g, _ := buildWorld(t, 34, 400, 4)
+	p := irisProfile(g, 0)
+	// Completeness-hungry weights plan every source.
+	p.Weights = qos.Weights{Latency: 1, Completeness: 5, Freshness: 1, Trust: 1, Price: 0.2}
+	s := a.NewSession(p)
+	topic := g.Topics[0]
+	before := runtime.NumGoroutine()
+	partials := 0
+	_, err := s.AskProgressive(fmt.Sprintf(`FIND documents WHERE topic = "%s" TOP 10`, topic.Name), topic.Center,
+		func(Partial) {
+			partials++
+			if got := runtime.NumGoroutine(); got != before {
+				t.Errorf("partial %d: %d goroutines, %d before the ask", partials, got, before)
+			}
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if partials < 2 {
+		t.Fatalf("%d progressive deliveries, want one per planned source", partials)
+	}
 }
 
 // TestFateResolution pins the hedging and deadline policy arithmetic.

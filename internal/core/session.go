@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/ctxmodel"
@@ -49,14 +48,6 @@ type Session struct {
 	MaxSources int
 	// NegotiationRounds bounds each bilateral negotiation.
 	NegotiationRounds int
-	// Concurrency bounds the worker pool that fans the pipeline's
-	// negotiate→execute→settle stages out across planned sources. Zero
-	// picks min(len(plan.Sources), GOMAXPROCS); 1 degrades to strictly
-	// sequential execution. Any setting returns byte-identical answers:
-	// per-source randomness is drawn in plan order before workers launch,
-	// results land in plan-order slots before fusion, and all shared
-	// state is applied after the join in plan order.
-	Concurrency int
 	// DisableHedge turns off the backup attempt that normally fires when
 	// a source runs past the p95 of its latency prior (used by
 	// experiments to isolate the hedging win).
@@ -119,10 +110,10 @@ func (s *Session) Ask(aql string, concept feature.Vector) (*Answer, error) {
 	return s.AskQuery(q, concept)
 }
 
-// Partial is one progressive per-source delivery during an Ask: results
-// stream to the caller as each contracted source settles, so the user can
-// "react immediately if something significant is found" (§9) instead of
-// waiting for the full fusion.
+// Partial is one progressive per-source delivery during an Ask: each
+// contracted source's results reach the caller as that source settles, so
+// the user can "react immediately if something significant is found" (§9)
+// instead of waiting for the full fusion.
 type Partial struct {
 	Source    string
 	Results   []query.Result
@@ -133,10 +124,10 @@ type Partial struct {
 }
 
 // AskProgressive is Ask with a progressive-delivery callback: onPartial is
-// invoked from the asking goroutine as each contracted source settles (in
-// completion order, so the fastest stall is seen first) with that source's
-// raw ranked results; the returned Answer is still the fully fused,
-// personalized final ranking.
+// invoked on the asking goroutine as each contracted source settles, in
+// plan order with SourcesDone counting up, with that source's raw ranked
+// results; the returned Answer is still the fully fused, personalized final
+// ranking.
 func (s *Session) AskProgressive(aql string, concept feature.Vector, onPartial func(Partial)) (*Answer, error) {
 	q, err := query.Parse(aql)
 	if err != nil {
@@ -228,11 +219,10 @@ func (s *Session) runPipeline(tr *telemetry.Trace, q *query.Query, concept featu
 
 	ans := &Answer{ContextLabel: label, PlanScore: obj.Score(plan)}
 
-	// 4-6. Negotiate, execute, settle per source — a concurrent fan-out
-	// over the planned stalls. Results come back in plan-order slots;
-	// shared state (ledger, latency beliefs, answer aggregates) is applied
-	// here, after the join, in plan order, so any Concurrency setting
-	// yields identical answers and identical learned state.
+	// 4-6. Negotiate, execute, settle per source — one visit per planned
+	// stall. Results come back in plan-order slots; shared state (ledger,
+	// latency beliefs, answer aggregates) is applied here, once every
+	// source has run, in plan order.
 	var lists [][]query.Result
 	var worstLatency time.Duration
 	var totalPaid float64
@@ -268,7 +258,7 @@ func (s *Session) runPipeline(tr *telemetry.Trace, q *query.Query, concept featu
 			lists = append(lists, r.results)
 		}
 	}
-	apply(s.fanOut(tr, q, concept, plan.Sources, weights, nil, len(plan.Sources), onPartial))
+	apply(s.visit(tr, q, concept, plan.Sources, weights, nil, onPartial))
 	if len(lists) == 0 {
 		// 6b. Mid-flight re-optimization: everything failed; try once more
 		// with the failures excluded.
@@ -276,7 +266,7 @@ func (s *Session) runPipeline(tr *telemetry.Trace, q *query.Query, concept featu
 		if rerr != nil || len(plan2.Sources) == 0 {
 			return nil, ErrNoProviders
 		}
-		apply(s.fanOut(tr, q, concept, plan2.Sources, weights, failed, len(plan2.Sources), nil))
+		apply(s.visit(tr, q, concept, plan2.Sources, weights, failed, nil))
 		if len(lists) == 0 {
 			return nil, ErrNoProviders
 		}
@@ -414,8 +404,8 @@ func (s *Session) observeLatency(source string, d time.Duration) {
 // provider: whether it responds, how long it takes, and whether it honors
 // the contract (shirking adds the extra delay). All four draws are consumed
 // unconditionally so the session's random stream advances by a fixed amount
-// per attempt regardless of the outcome — the deterministic fan-out relies
-// on fates being drawn sequentially, in plan order, before workers launch.
+// per attempt regardless of the outcome — every fate of a plan is drawn, in
+// plan order, before the first source runs.
 type attemptFate struct {
 	available bool
 	latency   time.Duration
@@ -526,22 +516,19 @@ func (s *Session) drawAttempt(node *Node) attemptFate {
 	}
 }
 
-// sourceJob is one worker assignment: a planned source, its pre-drawn fate,
-// and pre-minted contract identifiers (minted in plan order so identifiers
-// are stable across Concurrency settings).
+// sourceJob is one planned source, its pre-drawn fate, and contract
+// identifiers pre-minted in plan order.
 type sourceJob struct {
-	idx     int
 	node    *Node
 	fate    sourceFate
 	slaID   string
 	queryID string
 }
 
-// sourceResult is everything one worker produced for its source. Workers
-// touch no session state beyond race-safe telemetry; the pipeline applies
-// these in plan order after the join.
+// sourceResult is everything one source's visit produced. A visit touches
+// no session state beyond telemetry; the pipeline applies these in plan
+// order once every source has run.
 type sourceResult struct {
-	idx       int
 	source    string
 	contract  *qos.Contract
 	rounds    int
@@ -554,11 +541,12 @@ type sourceResult struct {
 	err       error
 }
 
-// fanOut runs negotiate→execute→settle for every planned source on a
-// bounded worker pool and returns plan-order slots. skip drops sources that
-// already failed (the re-optimization round). onPartial fires from the
-// calling goroutine as results land, in completion order.
-func (s *Session) fanOut(tr *telemetry.Trace, q *query.Query, concept feature.Vector, ests []optimizer.SourceEstimate, weights qos.Weights, skip map[string]bool, planned int, onPartial func(Partial)) []sourceResult {
+// visit runs negotiate→execute→settle for every planned source, one after
+// another on the asking goroutine, and returns plan-order slots. skip drops
+// sources that already failed (the re-optimization round). Every fate and
+// contract identifier is drawn before the first source runs; onPartial
+// fires as each source settles.
+func (s *Session) visit(tr *telemetry.Trace, q *query.Query, concept feature.Vector, ests []optimizer.SourceEstimate, weights qos.Weights, skip map[string]bool, onPartial func(Partial)) []sourceResult {
 	var jobs []sourceJob
 	for _, est := range ests {
 		if skip != nil && skip[est.Source] {
@@ -569,83 +557,35 @@ func (s *Session) fanOut(tr *telemetry.Trace, q *query.Query, concept feature.Ve
 			continue
 		}
 		jobs = append(jobs, sourceJob{
-			idx:     len(jobs),
 			node:    node,
 			fate:    s.drawFate(node),
 			slaID:   s.agora.nextID("sla"),
 			queryID: s.agora.nextID("q"),
 		})
 	}
-	if len(jobs) == 0 {
-		return nil
-	}
 	now0 := s.agora.now()
-	workers := s.Concurrency
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-
 	slots := make([]sourceResult, len(jobs))
-	if workers == 1 {
-		// Sequential degenerate case: no goroutines, same code path.
-		for done, job := range jobs {
-			slots[job.idx] = s.runSource(tr, q, concept, weights, job, now0)
-			deliverPartial(&slots[job.idx], done+1, planned, onPartial)
+	for i, job := range jobs {
+		slots[i] = s.runSource(tr, q, concept, weights, job, now0)
+		if r := &slots[i]; onPartial != nil && r.err == nil {
+			onPartial(Partial{
+				Source:         r.source,
+				Results:        r.results,
+				Delivered:      r.delivered,
+				SourcesDone:    i + 1,
+				SourcesPlanned: len(ests),
+			})
 		}
-		return slots
-	}
-	jobCh := make(chan sourceJob)
-	resCh := make(chan sourceResult)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for job := range jobCh {
-				resCh <- s.runSource(tr, q, concept, weights, job, now0)
-			}
-		}()
-	}
-	go func() {
-		for _, job := range jobs {
-			jobCh <- job
-		}
-		close(jobCh)
-		wg.Wait()
-		close(resCh)
-	}()
-	// Collect: slot results by plan position, stream partials by completion.
-	done := 0
-	for r := range resCh {
-		slots[r.idx] = r
-		done++
-		deliverPartial(&slots[r.idx], done, planned, onPartial)
 	}
 	return slots
 }
 
-func deliverPartial(r *sourceResult, done, planned int, onPartial func(Partial)) {
-	if onPartial == nil || r.err != nil {
-		return
-	}
-	onPartial(Partial{
-		Source:         r.source,
-		Results:        r.results,
-		Delivered:      r.delivered,
-		SourcesDone:    done,
-		SourcesPlanned: planned,
-	})
-}
-
-// runSource is the worker body: negotiate a contract, play the source's
-// fate forward (hedging past the p95 trigger, abandoning past the
-// deadline), execute the winning attempt, and settle.
+// runSource is one source's visit: negotiate a contract, play its fate
+// forward (hedging past the p95 trigger, abandoning past the deadline),
+// execute the winning attempt, and settle.
 func (s *Session) runSource(tr *telemetry.Trace, q *query.Query, concept feature.Vector, weights qos.Weights, job sourceJob, now0 sim.Time) sourceResult {
 	tel := &s.agora.tel
-	res := sourceResult{idx: job.idx, source: job.node.Name}
+	res := sourceResult{source: job.node.Name}
 	contract, deal, err := s.negotiateTraced(tr, q, job.node, weights, job.slaID, job.queryID, now0)
 	if err != nil {
 		res.err = err
@@ -665,9 +605,7 @@ func (s *Session) runSource(tr *telemetry.Trace, q *query.Query, concept feature
 	}
 	res.span = out.span
 	if out.err != nil {
-		sp := tr.Span("execute", job.node.Name)
-		s.sleepScaled(out.span)
-		sp.Fail(out.err)
+		tr.Span("execute", job.node.Name).Fail(out.err)
 		tel.executeFailures.Inc()
 		if fee, cerr := contract.Cancel(); cerr == nil {
 			res.refund = fee
@@ -683,18 +621,9 @@ func (s *Session) runSource(tr *telemetry.Trace, q *query.Query, concept feature
 	return res
 }
 
-// sleepScaled converts a virtual provider wait into a real one when the
-// agora is configured with a wall-latency scale (benchmarks use this to
-// observe the fan-out in wall-clock time); zero scale keeps waits virtual.
-func (s *Session) sleepScaled(d time.Duration) {
-	if sc := s.agora.cfg.LatencyScale; sc > 0 && d > 0 {
-		time.Sleep(time.Duration(float64(d) * sc)) //lint:allow wallclock LatencyScale maps virtual provider spans onto real sleeps for wall-clock benches
-	}
-}
-
 // negotiateTraced runs negotiateContract inside a `negotiate(source)` span,
-// feeding the negotiation histogram and failure counter. Safe to call from
-// fan-out workers: it touches no session state.
+// feeding the negotiation histogram and failure counter. It touches no
+// session state.
 func (s *Session) negotiateTraced(tr *telemetry.Trace, q *query.Query, node *Node, weights qos.Weights, slaID, queryID string, now sim.Time) (*qos.Contract, negotiate.Deal, error) {
 	tel := &s.agora.tel
 	sp := tr.Span("negotiate", node.Name)
@@ -711,8 +640,9 @@ func (s *Session) negotiateTraced(tr *telemetry.Trace, q *query.Query, node *Nod
 }
 
 // executeTraced runs the winning attempt inside an `execute(source)` span:
-// it waits out the (scaled) provider latency, evaluates the subquery
-// against the node's store, and degrades the delivery when the node shirks.
+// it evaluates the subquery against the node's store and degrades the
+// delivery when the node shirks. The provider's latency is virtual: it is
+// the attempt's span, priced into the delivery, not waited out.
 func (s *Session) executeTraced(tr *telemetry.Trace, node *Node, q *query.Query, concept feature.Vector, c *qos.Contract, out resolved, now0 sim.Time) ([]query.Result, qos.Vector) {
 	tel := &s.agora.tel
 	detail := node.Name
@@ -721,8 +651,6 @@ func (s *Session) executeTraced(tr *telemetry.Trace, node *Node, q *query.Query,
 	}
 	sp := tr.Span("execute", detail)
 	elapsed := stopwatch()
-	s.sleepScaled(out.span)
-
 	sub := *q
 	sub.TopK = q.TopK * 2 // sources over-deliver; fusion trims
 	results := query.Execute(node.Store, &sub, concept, int64(now0))

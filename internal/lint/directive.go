@@ -14,10 +14,10 @@ const allowPrefix = "//lint:allow"
 // directives and fills in the file's allow table. A directive covers its
 // own line and the following line, so both placements work:
 //
-//	time.Sleep(d) //lint:allow wallclock LatencyScale real-sleep path
+//	start := time.Now() //lint:allow wallclock telemetry-only stopwatch
 //
-//	//lint:allow wallclock LatencyScale real-sleep path
-//	time.Sleep(d)
+//	//lint:allow wallclock telemetry-only stopwatch
+//	start := time.Now()
 //
 // A directive naming an analyzer that does not exist suppresses nothing
 // and is recorded separately: a typo like //lint:allow lockfre would

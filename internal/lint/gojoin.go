@@ -7,16 +7,15 @@ import (
 )
 
 // joinTrackedPackages must not leak goroutines: internal/transport serves
-// real TCP connections (Close must drain handlers before returning),
-// internal/core's fan-out workers feed plan-order slots that the caller
-// joins on, and internal/docstore's committer and background compactor
-// must be joined by Close before the WAL file handle is released. A `go`
-// statement with no visible join in the same function is how these
-// contracts rot.
-// internal/shard holds the scatter router, which owns no goroutine: an ask
-// stages its calls and waits for them on the goroutine that asked, hedges
-// included, so Close has nothing to join — and a `go` statement appearing
-// there would need a join before the router's connections close under it.
+// real TCP connections (Close must drain handlers before returning), and
+// internal/docstore's committer and background compactor must be joined by
+// Close before the WAL file handle is released. A `go` statement with no
+// visible join in the same function is how these contracts rot.
+// internal/shard and internal/core own no goroutine: a scatter ask (hedges
+// included) and a market ask each run on the goroutine that asked, so there
+// is nothing to join. A `go` statement appearing in either would need a
+// join before the state it reads — the router's connections, the session's
+// plan-order slots — goes away.
 var joinTrackedPackages = []string{
 	"internal/transport",
 	"internal/core",

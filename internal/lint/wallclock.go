@@ -4,9 +4,9 @@ import "go/ast"
 
 // kernelPackages are governed by the discrete-event kernel's determinism
 // contract: given the same seed and configuration, a run must be
-// byte-identical at any fan-out width (DESIGN.md §4c). Reading the wall
-// clock or the process-global rand source anywhere in these packages
-// silently breaks that.
+// byte-identical (DESIGN.md §4c). Reading the wall clock or the
+// process-global rand source anywhere in these packages silently breaks
+// that.
 // internal/shard is included for the same reason: the router's pruning
 // and merge math must be a pure function of the statistics, never of
 // timing — its genuinely clock-dependent code (RPC deadlines, hedge
@@ -50,8 +50,9 @@ var bannedGlobalRand = map[string]bool{
 
 // wallclockAnalyzer enforces contract (1), determinism: kernel-governed
 // packages must not read wall-clock time or unseeded randomness. The
-// LatencyScale real-sleep path and telemetry-only stopwatches carry
-// //lint:allow wallclock annotations explaining why they are safe.
+// telemetry-only stopwatch in internal/core/walltime.go and the clock
+// helpers in internal/shard/walltime.go carry //lint:allow wallclock
+// annotations explaining why they are safe.
 var wallclockAnalyzer = &Analyzer{
 	Name: "wallclock",
 	Doc:  "forbid wall-clock time and global math/rand in kernel-governed packages",

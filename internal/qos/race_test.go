@@ -6,10 +6,9 @@ import (
 	"testing"
 )
 
-// The reputation ledger is shared by every fan-out worker settling
-// contracts (core applies outcomes in plan order, but nothing stops a
-// future caller from recording concurrently), and it had never run under
-// -race. Hammer every public method from racing goroutines; run with
+// The reputation ledger is goroutine-safe (core records outcomes on the
+// asking goroutine, in plan order, but nothing stops a caller from
+// recording concurrently), and it had never run under -race. Hammer every public method from racing goroutines; run with
 // `make race`.
 func TestReputationLedgerConcurrent(t *testing.T) {
 	l := NewReputationLedger(0.98, 16)

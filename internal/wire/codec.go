@@ -265,6 +265,10 @@ func (r *Reader) F64s() []float64 {
 		r.fail(fmt.Errorf("%w: f64s %d", ErrTooLarge, n))
 		return nil
 	}
+	if n > uint64(r.Remaining()/8) {
+		r.fail(ErrShortBuffer)
+		return nil
+	}
 	if n == 0 {
 		return nil
 	}
@@ -283,6 +287,10 @@ func (r *Reader) U64s() []uint64 {
 	n := r.Uvarint()
 	if n > MaxBlob/8 {
 		r.fail(fmt.Errorf("%w: u64s %d", ErrTooLarge, n))
+		return nil
+	}
+	if n > uint64(r.Remaining()/8) {
+		r.fail(ErrShortBuffer)
 		return nil
 	}
 	if n == 0 {

@@ -85,6 +85,38 @@ func TestReaderHugeLengthRejected(t *testing.T) {
 	}
 }
 
+// TestReaderSizesSlicesByWhatRemains feeds DecodeQueryShared a count just
+// under the MaxBlob limit with no elements behind it, once for the concept
+// (F64s) and once for StatsDF (U64s): the decode must fail short without
+// allocating for the count it was told.
+func TestReaderSizesSlicesByWhatRemains(t *testing.T) {
+	huge := uint64(MaxBlob/8 - 1)
+	w := NewWriter(0)
+	w.String("q-1")
+	w.String("node")
+	w.String("ring")
+	w.Uvarint(huge)
+	concept := w.Bytes()
+
+	tail := (&Query{ID: "q-1", From: "node", Text: "ring", GlobalDocs: 1}).AppendTo(nil)
+	tail = tail[:len(tail)-1] // the empty StatsDF count
+	statsDF := binary.AppendUvarint(tail, huge)
+
+	for name, payload := range map[string][]byte{"concept": concept, "StatsDF": statsDF} {
+		var m Query
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := DecodeQueryShared(payload, &m)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrShortBuffer) {
+			t.Errorf("%s: err = %v, want ErrShortBuffer", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: a %d-byte payload allocated %d bytes", name, len(payload), got)
+		}
+	}
+}
+
 func TestFrameRoundtrip(t *testing.T) {
 	payload := []byte("hello agora")
 	buf := EncodeFrame(nil, KindQuery, payload)
