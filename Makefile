@@ -23,8 +23,8 @@ race:
 # churn, concurrent scatter asks sharing the router's statistics caches and
 # clients) where the race detector earns its keep on every edit, plus -count
 # stresses of the two bookkeeping-before-reply ordering pins — the trace is
-# retrievable, and the coalescer's flush is counted (E27 reads it), once the
-# reply is observable — of the scatter asks held to the brute-force ranking
+# retrievable, and the frame is counted (E27 reads it), once the reply is
+# observable — of the scatter asks held to the brute-force ranking
 # at the epoch they name while a writer runs, and of the reader that keeps
 # asking a held snapshot while later windows fold tombstones into its
 # segments' successors and tier merges replace them. All four are scheduling races —
@@ -43,11 +43,12 @@ vet:
 # Offline static analysis: go vet plus agoralint, the repo's custom
 # analyzer suite (internal/lint). The suite type-checks the whole module
 # (stdlib source importer, still offline) and builds a shared call graph,
-# enforcing the determinism, nil-safe instrument, goroutine-join,
-# checked-error, lock-free/zero-alloc read-path, atomics-discipline, and
-# frozen-snapshot contracts. The Go build cache absorbs the stdlib
-# type-checking work, so warm runs stay a few seconds. Suppressions
-# require a reasoned `//lint:allow <analyzer> <reason>` directive.
+# enforcing the determinism, goroutine-join, checked-error,
+# lock-free/zero-alloc read-path, atomics-discipline, and frozen-snapshot
+# contracts (nil-safe telemetry instruments are a test in that package).
+# The Go build cache absorbs the stdlib type-checking work, so warm runs
+# stay a few seconds. Suppressions require a reasoned
+# `//lint:allow <analyzer> <reason>` directive.
 lint: vet
 	$(GO) run ./cmd/agoralint
 

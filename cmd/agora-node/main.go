@@ -1,6 +1,6 @@
 // Command agora-node serves one Open Agora information source over real
-// TCP: a durable document store answering wire-protocol queries and feeding
-// standing subscriptions. Pair with cmd/agora-query.
+// TCP: a durable document store answering wire-protocol queries. Pair with
+// cmd/agora-query.
 //
 // Usage:
 //
@@ -144,8 +144,7 @@ func main() {
 	go func() {
 		<-done
 		fmt.Println()
-		logger.Infof("agora-node: shutting down (served %d queries, delivered %d feed items)",
-			srv.Served(), srv.Delivered())
+		logger.Infof("agora-node: shutting down (served %d queries)", srv.Served())
 		srv.Close()
 	}()
 	if err := srv.Serve(ln); err != nil {

@@ -1,7 +1,6 @@
 // Command agora-query is the consumer CLI for TCP agora nodes: it fans a
 // query (free text or full AQL) out to one or more nodes, merges the
-// ranked answers, and prints them. With -watch it instead subscribes to the
-// nodes' feeds and streams matching items.
+// ranked answers, and prints them.
 //
 // With -scatter the listed nodes are treated as the uniform shard
 // partition of ONE corpus, in list order (node i owns range i/n — how
@@ -16,7 +15,6 @@
 //	agora-query -nodes 127.0.0.1:7411,127.0.0.1:7412 "byzantine gold ring"
 //	agora-query -nodes 127.0.0.1:7411 -top 5 'FIND documents WHERE text ~ "ring" TOP 5'
 //	agora-query -nodes 127.0.0.1:7411,127.0.0.1:7412 -scatter "byzantine gold ring"
-//	agora-query -nodes 127.0.0.1:7411 -watch "auction drawing"
 package main
 
 import (
@@ -38,11 +36,10 @@ func main() {
 	nodes := flag.String("nodes", "127.0.0.1:7411", "comma-separated node addresses")
 	top := flag.Int("top", 10, "results to print after merging")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-node timeout")
-	watch := flag.Bool("watch", false, "subscribe to feeds instead of querying")
 	scatter := flag.Bool("scatter", false, "treat the nodes as one sharded corpus (list order = shard order) and route through the scatter-gather router")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: agora-query [-nodes a,b] [-scatter|-watch] <query>")
+		fmt.Fprintln(os.Stderr, "usage: agora-query [-nodes a,b] [-scatter] <query>")
 		os.Exit(2)
 	}
 	text := flag.Arg(0)
@@ -64,11 +61,6 @@ func main() {
 	}
 	if len(clients) == 0 {
 		log.Fatal("agora-query: no nodes reachable")
-	}
-
-	if *watch {
-		watchFeeds(clients, text)
-		return
 	}
 
 	// One trace covers the whole fan-out; each node sees its own span
@@ -192,32 +184,4 @@ func scatterAsk(addrs []string, text string, top int, timeout time.Duration) {
 	if len(res.Items) == 0 {
 		fmt.Println("no results")
 	}
-}
-
-func watchFeeds(clients []*transport.Client, terms string) {
-	for i, c := range clients {
-		subID := fmt.Sprintf("watch-%d", i)
-		if err := c.Subscribe(subID, strings.Fields(terms), nil, 0); err != nil {
-			log.Printf("agora-query: subscribe %s: %v", c.RemoteID, err)
-		}
-	}
-	log.Printf("agora-query: watching %d node feed(s) for %q — ctrl-c to stop", len(clients), terms)
-	agg := make(chan wire.FeedItem)
-	for _, c := range clients {
-		go func(c *transport.Client) {
-			for item := range c.Feed {
-				agg <- item
-			}
-		}(c)
-	}
-	for item := range agg {
-		fmt.Printf("[feed %s] %s: %s\n", item.Source, item.DocID, truncate(item.Text, 100))
-	}
-}
-
-func truncate(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n] + "…"
 }

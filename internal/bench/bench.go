@@ -73,7 +73,7 @@ func Suite() []Experiment {
 		{"E24", "Substrate: distributed trace identity & tail-sampled retention", E24DistributedTracing},
 		{"E25", "Substrate: block-max top-k search vs exhaustive scoring", E25BlockMaxSearch},
 		{"E26", "Substrate: sharded corpus scatter-gather identity & pruning", E26ShardedScatter},
-		{"E27", "Substrate: zero-alloc batched wire path", E27WirePath},
+		{"E27", "Substrate: zero-alloc wire path", E27WirePath},
 	}
 }
 

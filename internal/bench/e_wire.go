@@ -12,32 +12,32 @@ import (
 	"repro/internal/wire"
 )
 
-// E27WirePath counts what the zero-alloc batched wire path allocates and
-// how many syscalls it issues, in two phases:
+// E27WirePath counts what the zero-alloc wire path allocates and how many
+// syscalls it issues, in two phases:
 //
 // Codec micro. Single-pass AppendFrame staging of one scatter-shaped Query
 // frame into a reused buffer, and decoding a frame stream through the
 // pooled FrameReader: allocs/frame, both directions, must be zero.
 //
 // TCP round-trip. One warm query round-trip over real loopback TCP through
-// the coalesced transport stack. allocs/op is process-wide, so it counts
-// both sides — client bookkeeping, both codecs and the server's search; the
-// PR-9 stack it replaced read 71.9, and the bar is to stay under half of
-// that. syscalls/frame comes from the coalescer's own Frames/Flushes
-// counters and can never exceed one; multi-frame flushes behind a blocked
-// Write are pinned exactly by transport.TestCoalescerBatchesWhileWriteInFlight.
+// the transport stack. allocs/op is process-wide, so it counts both sides —
+// client bookkeeping, both codecs and the server's search; the allocating
+// stack the zero-alloc path replaced read 71.9, and the bar is to stay under
+// half of that.
+// syscalls/frame comes from the connections' Frames/Flushes counters: every
+// frame is written with one Write of its own, so it reads 1.
 func E27WirePath(seed int64, scale float64) *Result {
 	nFrames := scaleInt(131072, scale, 8192)
 	nAsks := scaleInt(2048, scale, 256)
 
-	table := metrics.NewTable("E27: zero-alloc batched wire path (codec micro + TCP round-trip)",
+	table := metrics.NewTable("E27: zero-alloc wire path (codec micro + TCP round-trip)",
 		"stage", "ops", "allocs/op", "syscalls/frame")
 	headline := map[string]float64{}
 
 	// --- Codec micro ---
 	// A scatter-shaped query message: the text, a routing ID, and the
 	// global-statistics tail the shard router attaches — the hot frame the
-	// coalesced wire path was built for.
+	// zero-alloc wire path was built for.
 	q := wire.Query{
 		ID: "q1", Text: "byzantine gold filigree ring", TopK: 10,
 		GlobalDocs: 131072,

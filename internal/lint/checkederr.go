@@ -20,7 +20,7 @@ var watchedMethods = map[string]bool{
 	"append": true, "flush": true, "sync": true, "close": true,
 	"Compact": true,
 	// transport write path
-	"stage": true, "stageBytes": true, "WriteFrame": true,
+	"writeFrame": true, "WriteFrame": true,
 	"SetDeadline": true, "SetReadDeadline": true, "SetWriteDeadline": true,
 }
 
@@ -28,6 +28,7 @@ var watchedMethods = map[string]bool{
 // same contract.
 var watchedFuncs = map[string]bool{
 	"truncateWAL": true,
+	"appendWrite": true,
 }
 
 // checkederrAnalyzer enforces contract (4), error hygiene: on the
@@ -74,6 +75,11 @@ func watchedCall(call *ast.CallExpr) bool {
 		return watchedFuncs[fun.Name]
 	}
 	return false
+}
+
+func isIdentNamed(e ast.Expr, name string) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == name
 }
 
 func allBlank(exprs []ast.Expr) bool {

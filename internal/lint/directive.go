@@ -53,7 +53,7 @@ func collectDirectives(fset *token.FileSet, f *File) {
 // explicit list (rather than derived from Analyzers) to avoid an
 // initialization cycle; TestAnalyzerNameList pins it to the suite.
 var allowableAnalyzers = []string{
-	"wallclock", "nilguard", "goroutine", "checkederr",
+	"wallclock", "goroutine", "checkederr",
 	"lockfree", "atomics", "hotalloc", "snapfreeze",
 	"wirealloc",
 }

@@ -138,10 +138,6 @@ func assertFixtureSilent(t *testing.T, dir, asPath string, a *Analyzer) {
 	}
 }
 
-func TestNilguardFixture(t *testing.T) {
-	runFixture(t, "nilguard", "internal/telemetry", nilguardAnalyzer)
-}
-
 func TestGoroutineFixture(t *testing.T) {
 	runFixture(t, "goroutine", "internal/transport", goroutineAnalyzer)
 }

@@ -6,8 +6,8 @@ var wireallocPackage = "internal/wire"
 // wireallocFrameFuncs are the free functions of the framed staging path:
 // EncodeFrame for raw payloads, the BeginFrame/EndFrame pair and their
 // AppendFrame composition for single-pass message staging. The transport
-// coalescer calls these per frame, so they and everything they reach are
-// benchmarked at 0 allocs/op.
+// calls these for every frame it writes, so they and everything they reach
+// are benchmarked at 0 allocs/op.
 var wireallocFrameFuncs = map[string]bool{
 	"EncodeFrame": true,
 	"BeginFrame":  true,

@@ -12,7 +12,7 @@ import (
 // traces with per-span durations). Nil-safe without a guard: the closure
 // only calls Snapshot, which no-ops on a nil registry and serves the
 // canonical empty document.
-func (r *Registry) Handler() http.Handler { //lint:allow nilguard closure dereferences r only via Snapshot, which nil-guards
+func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
@@ -25,7 +25,7 @@ func (r *Registry) Handler() http.Handler { //lint:allow nilguard closure derefe
 // of every instrument, histogram buckets carrying exemplar trace IDs.
 // Nil-safe without a guard: the closure only calls RenderPrometheus, which
 // no-ops on a nil registry (an empty exposition is valid).
-func (r *Registry) MetricsHandler() http.Handler { //lint:allow nilguard closure dereferences r only via RenderPrometheus, which nil-guards
+func (r *Registry) MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		r.RenderPrometheus(w)
@@ -39,7 +39,7 @@ func (r *Registry) MetricsHandler() http.Handler { //lint:allow nilguard closure
 // renderer nests each under the caller span it was propagated from.
 // `&format=json` returns the raw snapshots instead. Nil-safe without a
 // guard: the closure only dereferences r via TraceByID, which nil-guards.
-func (r *Registry) TraceHandler() http.Handler { //lint:allow nilguard closure dereferences r only via TraceByID, which nil-guards
+func (r *Registry) TraceHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		id, err := ParseTraceID(req.URL.Query().Get("id"))
 		if err != nil {

@@ -3,8 +3,14 @@ package telemetry
 import (
 	"encoding/json"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
+	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -190,6 +196,72 @@ func TestNilInstrumentsAllocateNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled telemetry allocates: %g allocs/op", allocs)
+	}
+}
+
+// TestNilReceiversAreInert holds the package to "a nil instrument is the
+// disabled state": every exported method of every type below, called on a
+// nil receiver with zero-value arguments, returns without panicking, and so
+// does serving a request through any http.Handler it returns. The package's
+// own source is parsed too, so an exported type that gains an exported
+// pointer-receiver method must join the list.
+func TestNilReceiversAreInert(t *testing.T) {
+	nils := []any{(*Counter)(nil), (*Gauge)(nil), (*Histogram)(nil), (*Registry)(nil), (*Trace)(nil), (*Span)(nil), (*Logger)(nil)}
+	listed := map[string]bool{}
+	for _, v := range nils {
+		rv := reflect.ValueOf(v)
+		listed[rv.Type().Elem().Name()] = true
+		for i := 0; i < rv.NumMethod(); i++ {
+			m, name := rv.Method(i), rv.Type().Method(i).Name
+			args := make([]reflect.Value, m.Type().NumIn())
+			for j := range args {
+				args[j] = reflect.Zero(m.Type().In(j))
+			}
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("(%T).%s panics on a nil receiver: %v", v, name, p)
+					}
+				}()
+				call := m.Call
+				if m.Type().IsVariadic() {
+					call = m.CallSlice
+				}
+				for _, out := range call(args) {
+					if h, ok := out.Interface().(http.Handler); ok {
+						h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/?id=00000000000000ff", nil))
+					}
+				}
+			}()
+		}
+	}
+
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil || !fn.Name.IsExported() {
+				continue
+			}
+			star, ok := fn.Recv.List[0].Type.(*ast.StarExpr)
+			if !ok {
+				continue
+			}
+			if id, ok := star.X.(*ast.Ident); ok && id.IsExported() && !listed[id.Name] {
+				t.Errorf("%s: (*%s).%s is exported, but %s is not in this test's list of nil receivers", fset.Position(fn.Pos()), id.Name, fn.Name.Name, id.Name)
+			}
+		}
 	}
 }
 

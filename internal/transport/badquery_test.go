@@ -179,8 +179,7 @@ func FuzzUnmarshalQuery(f *testing.F) {
 	f.Add([]byte("this is not a query"))
 
 	withStore, _ := startServer(f)
-	silent := func(string, ...any) {}
-	withStore.Logf = silent
+	withStore.Log = nil
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wq, err := wire.UnmarshalQueryShared(data)
@@ -191,9 +190,9 @@ func FuzzUnmarshalQuery(f *testing.F) {
 			return
 		}
 		var out bytes.Buffer
-		cs := &connState{out: newCoalescer(&out)}
+		cs := &connState{w: &out}
 		if checkQuery(&wq) != nil {
-			noStore := &Server{NodeID: "fuzz", Logf: silent}
+			noStore := &Server{NodeID: "fuzz"}
 			noStore.serveQuery(cs, data)
 			if out.Len() != 0 || noStore.Served() != 0 {
 				t.Fatalf("refused query was answered (%d bytes)", out.Len())

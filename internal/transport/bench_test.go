@@ -7,7 +7,7 @@ import (
 )
 
 // BenchmarkQueryRoundtrip measures one query round-trip over real TCP on
-// the coalesced zero-alloc path (AppendTo staging on both sides,
+// the zero-alloc path (AppendTo into a reused frame buffer on both sides,
 // FrameReader pooled reads). allocs/op is process-wide — it counts the
 // server's search and response encode too.
 func BenchmarkQueryRoundtrip(b *testing.B) {
@@ -29,11 +29,11 @@ func BenchmarkQueryRoundtrip(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryRoundtripBatched drives 8 concurrent askers over one
-// client connection: the coalescer's natural batching regime, where
-// frames staged during an in-flight Write share the next syscall.
-func BenchmarkQueryRoundtripBatched(b *testing.B) {
-	srv, addr := startServer(b)
+// BenchmarkQueryRoundtripConcurrent drives 8 concurrent askers over one
+// client connection, whose sends contend for its one send lock; the
+// server answers them on the connection's one handler goroutine.
+func BenchmarkQueryRoundtripConcurrent(b *testing.B) {
+	_, addr := startServer(b)
 	c, err := Dial(addr, "bench", 2*time.Second)
 	if err != nil {
 		b.Fatal(err)
@@ -63,13 +63,4 @@ func BenchmarkQueryRoundtripBatched(b *testing.B) {
 		}(n)
 	}
 	wg.Wait()
-	b.StopTimer()
-	// The client's sends are response-paced (each asker waits before asking
-	// again), so batching mostly materializes on the server's result path.
-	if st := srv.WireStats(); st.Flushes > 0 {
-		b.ReportMetric(float64(st.Frames)/float64(st.Flushes), "srv-frames/flush")
-	}
-	if st := c.WireStats(); st.Flushes > 0 {
-		b.ReportMetric(float64(st.Frames)/float64(st.Flushes), "cli-frames/flush")
-	}
 }

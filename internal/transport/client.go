@@ -8,6 +8,7 @@ import (
 	"net"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/feature"
@@ -15,26 +16,27 @@ import (
 	"repro/internal/wire"
 )
 
-// Client is a consumer connection to one agora node over TCP. All sends
-// ride a per-connection write coalescer (see coalescer): concurrent queries
-// and hedges staged while a Write is in flight leave in one batched
-// syscall.
+// Client is a consumer connection to one agora node over TCP, shared by
+// the goroutines that ask through it. Each frame it sends is encoded into
+// one reused buffer and written with one Write under sendMu.
 type Client struct {
-	conn   net.Conn
-	r      *bufio.Reader
-	out    *coalescer
+	conn net.Conn
+	r    *bufio.Reader
+
+	// sendMu serialises the writers — askers, pings and Close. It is not mu,
+	// which the read loop takes to resolve replies, so a Write blocked on a
+	// slow peer holds up no reply.
+	sendMu  sync.Mutex
+	sendBuf []byte // the frame being written, reused for the next one
+	sendErr error  // the first failed Write's error, or errClosed; sticky
+	frames  atomic.Uint64
+
 	mu     sync.Mutex
 	nextID uint64
-
 	// queries is the demux table of the one request/reply exchange: the
-	// channel each in-flight request id waits on. mu guards it.
+	// channel each in-flight request id waits on — a query's, or a ping's,
+	// whose pong echoes the id. mu guards it.
 	queries map[string]chan wire.QueryResult
-	// pongs signals pong arrival; the payload echoes the ping and carries
-	// no information, so only the event crosses (the frame payload aliases
-	// the demux loop's pooled read buffer and must not be retained).
-	pongs chan struct{}
-	// Feed delivers pushed feed items; buffered, drops when full.
-	Feed chan wire.FeedItem
 	// RemoteID is the server's node id from the handshake.
 	RemoteID string
 	// RemoteStart/RemoteEnd is the shard key range the server announced in
@@ -49,8 +51,8 @@ type Client struct {
 
 // clientTel caches resolved telemetry instruments for client round-trips.
 type clientTel struct {
-	queries, timeouts, feedDropped *telemetry.Counter
-	queryRTT, pingRTT              *telemetry.Histogram
+	queries, timeouts *telemetry.Counter
+	queryRTT, pingRTT *telemetry.Histogram
 }
 
 func newClientTel(reg *telemetry.Registry) clientTel {
@@ -58,11 +60,10 @@ func newClientTel(reg *telemetry.Registry) clientTel {
 		return clientTel{}
 	}
 	return clientTel{
-		queries:     reg.Counter("transport.client.queries"),
-		timeouts:    reg.Counter("transport.client.timeouts"),
-		feedDropped: reg.Counter("transport.client.feed.dropped"),
-		queryRTT:    reg.Histogram("transport.client.query"),
-		pingRTT:     reg.Histogram("transport.client.ping"),
+		queries:  reg.Counter("transport.client.queries"),
+		timeouts: reg.Counter("transport.client.timeouts"),
+		queryRTT: reg.Histogram("transport.client.query"),
+		pingRTT:  reg.Histogram("transport.client.ping"),
 	}
 }
 
@@ -72,7 +73,7 @@ func Dial(addr, clientID string, timeout time.Duration) (*Client, error) {
 }
 
 // DialWithTelemetry is Dial with client round-trip instruments (query/ping
-// RTT histograms, timeout and feed-drop counters) registered in reg before
+// RTT histograms, timeout counter) registered in reg before
 // the demux loop starts, keeping the accounting race-free.
 func DialWithTelemetry(addr, clientID string, timeout time.Duration, reg *telemetry.Registry) (*Client, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
@@ -82,23 +83,16 @@ func DialWithTelemetry(addr, clientID string, timeout time.Duration, reg *teleme
 	c := &Client{
 		conn:    conn,
 		r:       bufio.NewReader(conn),
-		out:     newCoalescer(conn),
 		queries: map[string]chan wire.QueryResult{},
-		pongs:   make(chan struct{}, 4),
-		Feed:    make(chan wire.FeedItem, 64),
 		done:    make(chan struct{}),
 		tel:     newClientTel(reg),
 	}
 	// abort tears down a half-built connection; the handshake error being
 	// returned to the caller is the failure, so teardown errors are
 	// secondary.
-	abort := func() {
-		//lint:allow checkederr dial returns the handshake error; drain errors on the aborted connection are secondary
-		c.out.close()
-		conn.Close()
-	}
+	abort := func() { conn.Close() }
 	hello := wire.Hello{NodeID: clientID}
-	if err := c.out.stage(wire.KindHello, &hello); err != nil {
+	if err := c.writeFrame(wire.KindHello, &hello); err != nil {
 		abort()
 		return nil, err
 	}
@@ -130,9 +124,25 @@ func DialWithTelemetry(addr, clientID string, timeout time.Duration, reg *teleme
 	return c, nil
 }
 
-// WireStats reports frames staged and Write syscalls issued on this
-// connection's coalesced send path.
-func (c *Client) WireStats() WireStats { return c.out.stats() }
+// WireStats counts the frames this client has written.
+func (c *Client) WireStats() WireStats {
+	n := c.frames.Load()
+	return WireStats{Frames: n, Flushes: n}
+}
+
+// errClosed fails every write after Close.
+var errClosed = errors.New("transport: connection closed")
+
+// writeFrame writes one frame with one Write. After a Write fails, or after
+// Close, it writes nothing and returns that error.
+func (c *Client) writeFrame(kind wire.Kind, m wire.Appender) error {
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
+	if c.sendErr == nil {
+		c.sendBuf, c.sendErr = appendWrite(c.conn, c.sendBuf, &c.frames, kind, m)
+	}
+	return c.sendErr
+}
 
 func (c *Client) readLoop() {
 	defer close(c.done)
@@ -147,7 +157,6 @@ func (c *Client) readLoop() {
 			}
 			clear(c.queries)
 			c.mu.Unlock()
-			close(c.Feed)
 			return
 		}
 		switch f.Kind {
@@ -159,21 +168,8 @@ func (c *Client) readLoop() {
 				continue
 			}
 			c.resolve(res)
-		case wire.KindFeedItem:
-			item, err := wire.UnmarshalFeedItemShared(f.Payload)
-			if err != nil {
-				continue
-			}
-			select {
-			case c.Feed <- item:
-			default: // drop on backpressure
-				c.tel.feedDropped.Inc()
-			}
 		case wire.KindPong:
-			select {
-			case c.pongs <- struct{}{}:
-			default:
-			}
+			c.resolve(wire.QueryResult{QueryID: string(f.Payload)})
 		}
 	}
 }
@@ -214,25 +210,21 @@ func (c *Client) newID() string {
 	return string(strconv.AppendUint(b, c.nextID, 10))
 }
 
-// Ping round-trips a ping.
+// Ping round-trips a ping. Its payload is a fresh request id, which the
+// server echoes in its pong, so a pong answers only the ping that sent it:
+// one that arrives after its ping timed out, or that another ping sent,
+// finds no call waiting under its id and is discarded.
 func (c *Client) Ping(timeout time.Duration) (time.Duration, error) {
-	start := time.Now()
-	if err := c.out.stageBytes(wire.KindPing, []byte("ping")); err != nil {
+	k := c.begin(timeout)
+	k.answered, k.rtt = nil, c.tel.pingRTT // a pong answers no query
+	if err := c.writeFrame(wire.KindPing, rawPayload(k.id)); err != nil {
+		k.drop()
 		return 0, err
 	}
-	t := acquireTimer(timeout)
-	defer releaseTimer(t)
-	select {
-	case <-c.pongs:
-		rtt := time.Since(start)
-		c.tel.pingRTT.Observe(rtt)
-		return rtt, nil
-	case <-t.C:
-		c.tel.timeouts.Inc()
-		return 0, ErrTimeout
-	case <-c.done:
-		return 0, c.err()
+	if _, err := k.Wait(); err != nil {
+		return 0, err
 	}
+	return time.Since(k.start), nil
 }
 
 func (c *Client) err() error {
@@ -241,7 +233,7 @@ func (c *Client) err() error {
 	if c.readErr != nil {
 		return c.readErr
 	}
-	return errors.New("transport: connection closed")
+	return errClosed
 }
 
 // Query sends a query (free text or full AQL in text) and waits for the
@@ -330,7 +322,7 @@ type Call struct {
 	ch      chan wire.QueryResult
 	start   time.Time
 	timeout time.Duration
-	err     error // the stage failed: nothing was sent, nothing will arrive
+	err     error // the write failed: nothing was sent, nothing will arrive
 
 	// answered and rtt account a good reply (nil-safe).
 	answered *telemetry.Counter
@@ -350,13 +342,13 @@ func (c *Client) begin(timeout time.Duration) Call {
 	return k
 }
 
-// send stages q under the call's id. A failure ends the call the way a dead
+// send writes q under the call's id. A failure ends the call the way a dead
 // connection does, by a closed channel — closed by whoever removes the
 // entry, as resolve and the dying read loop do: the broken connection that
 // failed the write may already have had the read loop close it.
 func (k *Call) send(q *wire.Query) {
 	q.ID = k.id
-	if k.err = k.c.out.stage(wire.KindQuery, q); k.err != nil && k.drop() {
+	if k.err = k.c.writeFrame(wire.KindQuery, q); k.err != nil && k.drop() {
 		close(k.ch)
 	}
 }
@@ -411,7 +403,7 @@ func (k Call) WaitWithin(d time.Duration) (v wire.QueryResult, done bool, err er
 }
 
 // reply turns what came off the channel into the call's outcome: the value,
-// or the error that closed the channel unresolved — the failed stage's, else
+// or the error that closed the channel unresolved — the failed write's, else
 // the dead read loop's.
 func (k Call) reply(v wire.QueryResult, ok bool) (wire.QueryResult, bool, error) {
 	switch {
@@ -457,21 +449,11 @@ func (k Call) orElse(other Call, v wire.QueryResult, ok bool) (wire.QueryResult,
 	return other.Wait()
 }
 
-// Subscribe registers a standing subscription; matching feed items arrive
-// on c.Feed.
-func (c *Client) Subscribe(subID string, terms []string, concept feature.Vector, threshold float64) error {
-	s := wire.Subscribe{SubID: subID, Terms: terms, Concept: concept, Threshold: threshold}
-	return c.out.stage(wire.KindSubscribe, &s)
-}
-
-// Unsubscribe cancels a subscription.
-func (c *Client) Unsubscribe(subID string) error {
-	return c.out.stageBytes(wire.KindUnsubscribe, []byte(subID))
-}
-
-// Close drains staged frames to the wire, then tears down the connection.
-// A write deadline bounds the drain so a peer that stopped reading cannot
-// wedge Close; a healthy drain finishes in microseconds.
+// Close tears down the connection and returns the first failed Write's
+// error, if a write failed, else the socket's close error. Every frame
+// written before Close is already in the kernel's hands. Closing the socket
+// comes first: it fails a Write blocked on a peer that stopped reading, so
+// Close never waits behind one.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -480,13 +462,13 @@ func (c *Client) Close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	err := c.conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-	if derr := c.out.close(); err == nil {
-		err = derr
+	err := c.conn.Close()
+	c.sendMu.Lock()
+	if c.sendErr != nil {
+		err = c.sendErr
 	}
-	if cerr := c.conn.Close(); err == nil {
-		err = cerr
-	}
+	c.sendErr = errClosed
+	c.sendMu.Unlock()
 	<-c.done
 	return err
 }

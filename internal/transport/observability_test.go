@@ -22,7 +22,7 @@ func startObsServer(t *testing.T, nodeID string, seed uint64) (string, *telemetr
 	t.Helper()
 	store := seededStore(t, nodeID)
 	srv := NewServer(nodeID, store)
-	srv.Logf = t.Logf
+	srv.Log = testLogger(t)
 	reg := telemetry.NewRegistrySeeded(seed)
 	srv.SetTelemetry(reg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -193,12 +193,11 @@ func TestUntracedQueryStillServed(t *testing.T) {
 }
 
 // TestTraceRetrievableOnceReplyObserved pins the ordering contract: the
-// server finishes a query's trace before it stages the reply, so the TraceID
-// a reply carries can be looked up the moment the reply is read — even on an
-// idle link, where the staging goroutine writes the socket inline.
+// server finishes a query's trace before it writes the reply, so the TraceID
+// a reply carries can be looked up the moment the reply is read.
 func TestTraceRetrievableOnceReplyObserved(t *testing.T) {
 	srv := NewServer("museum", seededStore(t, "museum"))
-	srv.Logf = t.Logf
+	srv.Log = testLogger(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -32,35 +32,27 @@ type Server struct {
 	// Log is the leveled logger for server events (read errors, malformed
 	// frames). Defaults to telemetry.DefaultLogger(); nil silences.
 	Log *telemetry.Logger
-	// Logf, when set, overrides Log for every message (test hook).
-	Logf func(format string, args ...any)
 
 	mu     sync.Mutex
 	ln     net.Listener
 	conns  map[net.Conn]*connState
-	subs   map[string]*subscription // subID -> sub
 	closed bool
 	wg     sync.WaitGroup
 
-	// served/delivered are incremented from per-connection goroutines and
+	// served and frames are incremented from per-connection goroutines and
 	// read by operators mid-flight (shutdown logging, debug endpoints) —
 	// atomics, not bare fields, or -race rightly objects.
-	served    atomic.Uint64
-	delivered atomic.Uint64
-	telPtr    atomic.Pointer[serverTel]
-
-	// Coalescer counters for connections already torn down; WireStats adds
-	// the live ones on top.
-	retiredFrames  atomic.Uint64
-	retiredFlushes atomic.Uint64
+	served atomic.Uint64
+	frames atomic.Uint64
+	telPtr atomic.Pointer[serverTel]
 }
 
 // serverTel caches resolved telemetry instruments for the request path.
 // reg is kept so serveQuery can continue an inbound distributed trace.
 type serverTel struct {
-	queries, feedDelivered, conns, readErrors *telemetry.Counter
-	queryLat                                  *telemetry.Histogram
-	reg                                       *telemetry.Registry
+	queries, conns, readErrors *telemetry.Counter
+	queryLat                   *telemetry.Histogram
+	reg                        *telemetry.Registry
 }
 
 // SetTelemetry registers the server's instruments in reg. Safe to call at
@@ -71,12 +63,11 @@ func (s *Server) SetTelemetry(reg *telemetry.Registry) {
 		return
 	}
 	s.telPtr.Store(&serverTel{
-		queries:       reg.Counter("transport.server.queries"),
-		feedDelivered: reg.Counter("transport.server.feed.delivered"),
-		conns:         reg.Counter("transport.server.conns"),
-		readErrors:    reg.Counter("transport.server.read.errors"),
-		queryLat:      reg.Histogram("transport.server.query"),
-		reg:           reg,
+		queries:    reg.Counter("transport.server.queries"),
+		conns:      reg.Counter("transport.server.conns"),
+		readErrors: reg.Counter("transport.server.read.errors"),
+		queryLat:   reg.Histogram("transport.server.query"),
+		reg:        reg,
 	})
 }
 
@@ -92,25 +83,69 @@ func (s *Server) tel() serverTel {
 // Served returns how many queries the server has answered; a drift reply answers none.
 func (s *Server) Served() uint64 { return s.served.Load() }
 
-// Delivered returns how many feed items have been pushed to subscribers.
-func (s *Server) Delivered() uint64 { return s.delivered.Load() }
+// WireStats counts the frames a connection or a server wrote and the Write
+// calls that carried them. Every frame is written with one Write of its own,
+// so Flushes equals Frames.
+type WireStats struct {
+	Frames  uint64
+	Flushes uint64
+}
 
+// WireStats counts every frame the server has written, on every connection.
+func (s *Server) WireStats() WireStats {
+	n := s.frames.Load()
+	return WireStats{Frames: n, Flushes: n}
+}
+
+// connState is one connection, owned by its handler goroutine: every frame
+// the server writes to it is a reply the handler writes, so nothing here is
+// locked.
 type connState struct {
 	conn net.Conn
-	out  *coalescer
+	w    io.Writer // conn, or a buffer when a test serves without a socket
+	buf  []byte    // the frame being written, reused for the next one
 	// items is the reply scratch serveQuery builds QueryResult.Items in:
-	// one connection serves its queries one at a time, and stage encodes
-	// the reply before it returns, so the backing array is free again by
-	// the next query.
+	// one connection serves its queries one at a time, and the reply is
+	// written before the next query is read, so the backing array is free
+	// again by then.
 	items []wire.ResultItem
 	// query is serveQuery's decode target, kept for its assumed-figure arrays.
 	query wire.Query
 }
 
-type subscription struct {
-	sub  wire.Subscribe
-	conn *connState
+// writeFrame writes one frame to cs with one Write.
+func (s *Server) writeFrame(cs *connState, kind wire.Kind, m wire.Appender) error {
+	var err error
+	cs.buf, err = appendWrite(cs.w, cs.buf, &s.frames, kind, m)
+	return err
 }
+
+// maxFrameBuf bounds the frame buffer a connection keeps between frames: one
+// that grew past it (a large result) goes back to the allocator rather than
+// staying pinned for the life of the connection.
+const maxFrameBuf = 1 << 20
+
+// appendWrite encodes one frame into buf's backing array, writes it to w with
+// one Write and returns the buffer for the next frame. The frame is counted
+// in frames before the Write: once Write returns, the peer may already be
+// acting on the frame, and whatever it reads next — this count included —
+// must account for it.
+func appendWrite(w io.Writer, buf []byte, frames *atomic.Uint64, kind wire.Kind, m wire.Appender) ([]byte, error) {
+	buf = wire.AppendFrame(buf[:0], kind, m)
+	frames.Add(1)
+	_, err := w.Write(buf)
+	if cap(buf) > maxFrameBuf {
+		buf = nil
+	}
+	return buf, err
+}
+
+// rawPayload is a frame payload that is already bytes: a ping's, and the
+// pong that echoes it.
+type rawPayload []byte
+
+// AppendTo appends the payload to dst.
+func (p rawPayload) AppendTo(dst []byte) []byte { return append(dst, p...) }
 
 // NewServer wraps a store.
 func NewServer(nodeID string, store *docstore.Store) *Server {
@@ -119,18 +154,7 @@ func NewServer(nodeID string, store *docstore.Store) *Server {
 		Store:  store,
 		Log:    telemetry.DefaultLogger(),
 		conns:  make(map[net.Conn]*connState),
-		subs:   make(map[string]*subscription),
 	}
-}
-
-// warnf routes a warning through Logf when set (tests), the leveled logger
-// otherwise.
-func (s *Server) warnf(format string, args ...any) {
-	if s.Logf != nil {
-		s.Logf(format, args...)
-		return
-	}
-	s.Log.Warnf(format, args...)
 }
 
 // Serve accepts connections on ln until Close. It blocks.
@@ -153,7 +177,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return fmt.Errorf("transport: accept: %w", err)
 		}
-		cs := &connState{conn: conn, out: newCoalescer(conn)}
+		cs := &connState{conn: conn, w: conn}
 		s.tel().conns.Inc()
 		s.mu.Lock()
 		s.conns[conn] = cs
@@ -186,43 +210,8 @@ func (s *Server) Close() error {
 func (s *Server) dropConn(cs *connState) {
 	s.mu.Lock()
 	delete(s.conns, cs.conn)
-	for id, sub := range s.subs {
-		if sub.conn == cs {
-			delete(s.subs, id)
-		}
-	}
 	s.mu.Unlock()
-	// Bound the drain like Client.Close does: the read side already
-	// failed, and a peer that stopped reading must not wedge teardown.
-	// During Server.Close the conn is already closed — the drain below
-	// is a no-op then, so a failed arm is only worth a warning when the
-	// conn was live.
-	if err := cs.conn.SetWriteDeadline(time.Now().Add(2 * time.Second)); err != nil && !errors.Is(err, net.ErrClosed) {
-		s.warnf("transport: arming teardown deadline: %v", err)
-	}
-	//lint:allow checkederr the conn is being dropped because it already failed; the drain error repeats that failure
-	cs.out.close()
-	st := cs.out.stats()
-	s.retiredFrames.Add(st.Frames)
-	s.retiredFlushes.Add(st.Flushes)
 	cs.conn.Close()
-}
-
-// WireStats aggregates coalescer counters across every connection the
-// server has carried, live and retired.
-func (s *Server) WireStats() WireStats {
-	st := WireStats{
-		Frames:  s.retiredFrames.Load(),
-		Flushes: s.retiredFlushes.Load(),
-	}
-	s.mu.Lock()
-	for _, cs := range s.conns {
-		c := cs.out.stats()
-		st.Frames += c.Frames
-		st.Flushes += c.Flushes
-	}
-	s.mu.Unlock()
-	return st
 }
 
 func (s *Server) handle(cs *connState) {
@@ -233,46 +222,31 @@ func (s *Server) handle(cs *connState) {
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.tel().readErrors.Inc()
-				s.warnf("transport: %s: read: %v", cs.conn.RemoteAddr(), err)
+				s.Log.Warnf("transport: %s: read: %v", cs.conn.RemoteAddr(), err)
 			}
 			return
 		}
 		switch f.Kind {
 		case wire.KindHello:
-			hello, err := wire.UnmarshalHello(f.Payload)
-			if err != nil {
-				s.warnf("transport: bad hello: %v", err)
+			if _, err := wire.UnmarshalHello(f.Payload); err != nil {
+				s.Log.Warnf("transport: bad hello: %v", err)
 				return
 			}
 			ack := wire.Hello{
 				NodeID: s.NodeID, Topics: nil, Capacity: int64(s.Store.Len()),
 				ShardStart: s.ShardStart, ShardEnd: s.ShardEnd,
 			}
-			if err := cs.out.stage(wire.KindHelloAck, &ack); err != nil {
+			if err := s.writeFrame(cs, wire.KindHelloAck, &ack); err != nil {
 				return
 			}
-			_ = hello
 		case wire.KindPing:
-			if err := cs.out.stageBytes(wire.KindPong, f.Payload); err != nil {
+			if err := s.writeFrame(cs, wire.KindPong, rawPayload(f.Payload)); err != nil {
 				return
 			}
 		case wire.KindQuery:
 			s.serveQuery(cs, f.Payload)
-		case wire.KindSubscribe:
-			sub, err := wire.UnmarshalSubscribe(f.Payload)
-			if err != nil {
-				s.warnf("transport: bad subscribe: %v", err)
-				continue
-			}
-			s.mu.Lock()
-			s.subs[sub.SubID] = &subscription{sub: sub, conn: cs}
-			s.mu.Unlock()
-		case wire.KindUnsubscribe:
-			s.mu.Lock()
-			delete(s.subs, string(f.Payload))
-			s.mu.Unlock()
 		default:
-			s.warnf("transport: unexpected frame %v", f.Kind)
+			s.Log.Warnf("transport: unexpected frame %v", f.Kind)
 		}
 	}
 }
@@ -282,14 +256,14 @@ func (s *Server) serveQuery(cs *connState, payload []byte) {
 	// valid only for this call; the shared backing is an owned copy.
 	wq := &cs.query
 	if err := wire.DecodeQueryShared(payload, wq); err != nil {
-		s.warnf("transport: bad query: %v", err)
+		s.Log.Warnf("transport: bad query: %v", err)
 		return
 	}
 	tel := s.tel()
 	if err := checkQuery(wq); err != nil {
 		// Refused before it reaches the store; the connection stays usable.
 		tel.readErrors.Inc()
-		s.warnf("transport: bad query: %v", err)
+		s.Log.Warnf("transport: bad query: %v", err)
 		return
 	}
 	start := time.Now()
@@ -367,14 +341,14 @@ func (s *Server) serveQuery(cs *connState, payload []byte) {
 		tel.queries.Inc()
 	}
 	tel.queryLat.ObserveExemplar(time.Since(start), tr.ID())
-	// Finish before staging: an idle link writes the reply inline, and a
-	// trace must be retrievable by ID once its reply is observable (the
-	// exemplar → /debug/trace?id= link depends on it).
+	// Finish before writing: a trace must be retrievable by ID once its
+	// reply is observable (the exemplar → /debug/trace?id= link depends on
+	// it).
 	tr.Finish()
-	err := cs.out.stage(wire.KindQueryResult, &resp)
+	err := s.writeFrame(cs, wire.KindQueryResult, &resp)
 	cs.items = resp.Items[:0]
 	if err != nil {
-		s.warnf("transport: send result: %v", err)
+		s.Log.Warnf("transport: send result: %v", err)
 		// The serve trace is already retained, so the lost reply becomes its
 		// own always-retained error snapshot under the same trace ID.
 		lost := tel.reg.StartTraceFrom(tr.Context(), "send-result", wq.Text)
@@ -408,53 +382,4 @@ func checkQuery(wq *wire.Query) error {
 		return fmt.Errorf("query %q carries %d stats terms but %d/%d assumed figures", wq.ID, len(wq.StatsTerms), len(wq.AssumedDF), len(wq.AssumedMaxRatio))
 	}
 	return nil
-}
-
-// PublishFeed pushes a new document to matching subscribers (callers invoke
-// it after ingesting content).
-func (s *Server) PublishFeed(d *docstore.Document, seq uint64) {
-	item := wire.FeedItem{
-		FeedID: s.NodeID, DocID: d.ID, Source: s.NodeID,
-		Text: d.Title + " " + d.Text, Concept: d.Concept, Seq: seq,
-	}
-	tokens := feature.Tokenize(item.Text)
-	tokenSet := make(map[string]bool, len(tokens))
-	for _, t := range tokens {
-		tokenSet[t] = true
-	}
-	s.mu.Lock()
-	var targets []*connState
-	for _, sub := range s.subs {
-		if matchesSub(sub.sub, tokenSet, d.Concept) {
-			targets = append(targets, sub.conn)
-		}
-	}
-	s.mu.Unlock()
-	for _, cs := range targets {
-		// Counted after staging, unlike serveQuery's trace: delivered means
-		// "staged without error", and nothing looks a received item up by it.
-		if err := cs.out.stage(wire.KindFeedItem, &item); err == nil {
-			s.delivered.Add(1)
-			s.tel().feedDelivered.Inc()
-		}
-	}
-}
-
-func matchesSub(sub wire.Subscribe, tokenSet map[string]bool, concept feature.Vector) bool {
-	for _, t := range sub.Terms {
-		for _, tok := range feature.Tokenize(t) {
-			if !tokenSet[tok] {
-				return false
-			}
-		}
-	}
-	if len(sub.Concept) > 0 {
-		if len(concept) == 0 {
-			return false
-		}
-		if feature.Cosine(feature.Vector(sub.Concept), concept) < sub.Threshold {
-			return false
-		}
-	}
-	return true
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -34,7 +35,7 @@ func startServer(t testing.TB) (*Server, string) {
 		}
 	}
 	srv := NewServer("museum-tcp", st)
-	srv.Logf = t.Logf
+	srv.Log = testLogger(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -42,6 +43,18 @@ func startServer(t testing.TB) (*Server, string) {
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
 	return srv, ln.Addr().String()
+}
+
+// testLogger sends a server's warnings to the test's log.
+func testLogger(t testing.TB) *telemetry.Logger {
+	return telemetry.NewLogger(testLogWriter{t}, telemetry.LevelWarn)
+}
+
+type testLogWriter struct{ t testing.TB }
+
+func (w testLogWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
 }
 
 func TestHandshakeAndPing(t *testing.T) {
@@ -128,47 +141,6 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 }
 
-func TestFeedSubscription(t *testing.T) {
-	srv, addr := startServer(t)
-	c, err := Dial(addr, "iris", 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Subscribe("s1", []string{"auction"}, nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	// Give the server a beat to register the subscription.
-	time.Sleep(50 * time.Millisecond)
-	srv.PublishFeed(&docstore.Document{ID: "new1", Title: "auction catalog item"}, 1)
-	srv.PublishFeed(&docstore.Document{ID: "new2", Title: "unrelated magazine"}, 2)
-	select {
-	case item := <-c.Feed:
-		if item.DocID != "new1" {
-			t.Fatalf("item = %+v", item)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no feed item")
-	}
-	// The non-matching item must not arrive.
-	select {
-	case item := <-c.Feed:
-		t.Fatalf("unexpected item %+v", item)
-	case <-time.After(200 * time.Millisecond):
-	}
-	// Unsubscribe stops deliveries.
-	if err := c.Unsubscribe("s1"); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond)
-	srv.PublishFeed(&docstore.Document{ID: "new3", Title: "auction again"}, 3)
-	select {
-	case item := <-c.Feed:
-		t.Fatalf("delivered after unsubscribe: %+v", item)
-	case <-time.After(200 * time.Millisecond):
-	}
-}
-
 func TestMultipleClients(t *testing.T) {
 	_, addr := startServer(t)
 	var clients []*Client
@@ -238,13 +210,11 @@ func TestServerSurvivesGarbageBytes(t *testing.T) {
 	_ = srv
 }
 
-// TestPendingCallsLeaveTheTable drives the ways a call ends without a reply,
-// against a peer that acknowledges the handshake and then never answers: a
-// timeout and a failed stage each drop their own entry, calls staged
-// together expire together, a hedge's loser is dropped (and its late reply
-// discarded), the read loop's death wakes the calls still waiting and
-// empties the table, and a stage that fails after that closes nothing twice.
-func TestPendingCallsLeaveTheTable(t *testing.T) {
+// dialMutePeer dials a peer that acknowledges the handshake and then sends
+// nothing of its own accord; the test speaks for the peer through the
+// returned connection.
+func dialMutePeer(t *testing.T) (*Client, net.Conn) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -272,11 +242,42 @@ func TestPendingCallsLeaveTheTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	t.Cleanup(func() { c.Close() })
 	conn, ok := <-peer
 	if !ok {
 		t.Fatal("mute peer failed its handshake")
 	}
+	t.Cleanup(func() { conn.Close() })
+	return c, conn
+}
+
+// TestPingAnswersOnlyItsOwnPong: a pong that arrives after its ping timed
+// out must not answer the next ping, which the peer never answers.
+func TestPingAnswersOnlyItsOwnPong(t *testing.T) {
+	c, peer := dialMutePeer(t)
+	if _, err := c.Ping(20 * time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("ping to a mute peer: %v, want ErrTimeout", err)
+	}
+	f, err := wire.ReadFrame(bufio.NewReader(peer))
+	if err != nil || f.Kind != wire.KindPing {
+		t.Fatalf("peer read %v, %v, want the ping", f.Kind, err)
+	}
+	if err := wire.WriteFrame(peer, wire.KindPong, f.Payload); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Ping(200 * time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("unanswered ping: %v, want ErrTimeout, not the late pong of the ping before", err)
+	}
+}
+
+// TestPendingCallsLeaveTheTable drives the ways a call ends without a reply,
+// against a peer that acknowledges the handshake and then never answers: a
+// timeout and a failed stage each drop their own entry, calls staged
+// together expire together, a hedge's loser is dropped (and its late reply
+// discarded), the read loop's death wakes the calls still waiting and
+// empties the table, and a stage that fails after that closes nothing twice.
+func TestPendingCallsLeaveTheTable(t *testing.T) {
+	c, conn := dialMutePeer(t)
 	inFlight := func() int {
 		c.mu.Lock()
 		defer c.mu.Unlock()

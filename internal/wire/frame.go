@@ -26,28 +26,28 @@ const (
 // Kind identifies a message type inside a frame.
 type Kind uint8
 
-// Message kinds spoken by agora nodes.
+// Message kinds spoken by agora nodes. Every kind has its number written
+// out, because a number must never change: KindProfilePart's 17 is on disk
+// in every profile file. 14-16 stay unassigned, since older peers may still
+// send the feed frames that once used them.
 const (
-	KindHello Kind = iota + 1
-	KindHelloAck
-	KindGossip
-	KindQuery
-	KindQueryResult
-	KindCallForOffers
-	KindOffer
-	KindCounterOffer
-	KindAccept
-	KindReject
-	KindContract
-	KindDelivery
-	KindBreach
-	KindFeedItem
-	KindSubscribe
-	KindUnsubscribe
-	KindProfilePart
-	KindCollabOp
-	KindPing
-	KindPong
+	KindHello         Kind = 1
+	KindHelloAck      Kind = 2
+	KindGossip        Kind = 3
+	KindQuery         Kind = 4
+	KindQueryResult   Kind = 5
+	KindCallForOffers Kind = 6
+	KindOffer         Kind = 7
+	KindCounterOffer  Kind = 8
+	KindAccept        Kind = 9
+	KindReject        Kind = 10
+	KindContract      Kind = 11
+	KindDelivery      Kind = 12
+	KindBreach        Kind = 13
+	KindProfilePart   Kind = 17
+	KindCollabOp      Kind = 18
+	KindPing          Kind = 19
+	KindPong          Kind = 20
 )
 
 var kindNames = map[Kind]string{
@@ -57,9 +57,8 @@ var kindNames = map[Kind]string{
 	KindCounterOffer: "counterOffer", KindAccept: "accept",
 	KindReject: "reject", KindContract: "contract",
 	KindDelivery: "delivery", KindBreach: "breach",
-	KindFeedItem: "feedItem", KindSubscribe: "subscribe",
-	KindUnsubscribe: "unsubscribe", KindProfilePart: "profilePart",
-	KindCollabOp: "collabOp", KindPing: "ping", KindPong: "pong",
+	KindProfilePart: "profilePart",
+	KindCollabOp:    "collabOp", KindPing: "ping", KindPong: "pong",
 }
 
 func (k Kind) String() string {
@@ -77,8 +76,8 @@ type Frame struct {
 
 // Appender is a message that can marshal itself onto the end of a
 // caller-owned buffer without allocating: every message of this package
-// implements it, and the transport's write coalescer stages frames through
-// it.
+// implements it, and the transport encodes each frame it writes through it
+// into a buffer the connection reuses.
 type Appender interface {
 	AppendTo(dst []byte) []byte
 }

@@ -33,8 +33,6 @@ var wireDecoders = map[Kind][]decoder{
 	KindGossip:      {decoderOf(UnmarshalGossip)},
 	KindQuery:       {decoderOf(UnmarshalQuery), decoderOf(UnmarshalQueryShared)},
 	KindQueryResult: {decoderOf(UnmarshalQueryResult), decoderOf(UnmarshalQueryResultShared)},
-	KindFeedItem:    {decoderOf(UnmarshalFeedItem), decoderOf(UnmarshalFeedItemShared)},
-	KindSubscribe:   {decoderOf(UnmarshalSubscribe)},
 }
 
 // checkDecoders holds one payload against the decoders of its kind. Nothing
@@ -85,8 +83,6 @@ func FuzzWireDecoders(f *testing.F) {
 	}
 	hello := Hello{NodeID: "n1", Addr: "1.2.3.4:9", Topics: []string{"jewelry"}, Capacity: 7, ShardStart: 1, ShardEnd: 1 << 40}
 	f.Add(uint8(KindHello), hello.AppendTo(nil))
-	sub := Subscribe{SubID: "s1", From: "iris", Terms: []string{"auction"}, Concept: []float64{0.5, -2}, Threshold: 0.4}
-	f.Add(uint8(KindSubscribe), sub.AppendTo(nil))
 	assumed, drift := assumedQuery(), driftResult()
 	f.Add(uint8(KindQuery), assumed.AppendTo(nil))
 	f.Add(uint8(KindQueryResult), drift.AppendTo(nil))

@@ -340,77 +340,3 @@ func decodeQueryResult(r *Reader) (QueryResult, error) {
 	}
 	return m, r.Err()
 }
-
-// FeedItem is one item pushed on a continuous feed.
-type FeedItem struct {
-	FeedID  string
-	DocID   string
-	Source  string
-	Text    string
-	Concept []float64
-	Seq     uint64
-}
-
-// AppendTo appends the encoded message to dst; see Hello.AppendTo.
-func (m *FeedItem) AppendTo(dst []byte) []byte {
-	w := Writer{buf: dst}
-	w.String(m.FeedID)
-	w.String(m.DocID)
-	w.String(m.Source)
-	w.String(m.Text)
-	w.F64s(m.Concept)
-	w.U64(m.Seq)
-	return w.buf
-}
-
-// UnmarshalFeedItem decodes a FeedItem.
-func UnmarshalFeedItem(b []byte) (FeedItem, error) { return decodeFeedItem(NewReader(b)) }
-
-// UnmarshalFeedItemShared decodes a FeedItem with its strings sharing one
-// backing allocation; safe to retain (the backing is independent of b).
-func UnmarshalFeedItemShared(b []byte) (FeedItem, error) { return decodeFeedItem(NewSharedReader(b)) }
-
-func decodeFeedItem(r *Reader) (FeedItem, error) {
-	m := FeedItem{
-		FeedID:  r.String(),
-		DocID:   r.String(),
-		Source:  r.String(),
-		Text:    r.String(),
-		Concept: r.F64s(),
-		Seq:     r.U64(),
-	}
-	return m, r.Err()
-}
-
-// Subscribe registers a standing interest with a provider.
-type Subscribe struct {
-	SubID     string
-	From      string
-	Terms     []string  // textual predicate terms (all must match)
-	Concept   []float64 // similarity predicate; empty disables
-	Threshold float64
-}
-
-// AppendTo appends the encoded message to dst; see Hello.AppendTo.
-func (m *Subscribe) AppendTo(dst []byte) []byte {
-	w := Writer{buf: dst}
-	w.String(m.SubID)
-	w.String(m.From)
-	w.Strings(m.Terms)
-	w.F64s(m.Concept)
-	w.F64(m.Threshold)
-	return w.buf
-}
-
-// UnmarshalSubscribe decodes a Subscribe.
-func UnmarshalSubscribe(b []byte) (Subscribe, error) {
-	r := NewReader(b)
-	m := Subscribe{
-		SubID:     r.String(),
-		From:      r.String(),
-		Terms:     r.Strings(),
-		Concept:   r.F64s(),
-		Threshold: r.F64(),
-	}
-	return m, r.Err()
-}

@@ -252,19 +252,6 @@ func TestQueryResultRoundtrip(t *testing.T) {
 	}
 }
 
-func TestFeedSubscribeRoundtrip(t *testing.T) {
-	fi := FeedItem{FeedID: "f1", DocID: "d9", Source: "auction", Text: "flemish drawing", Concept: []float64{1, 2}, Seq: 42}
-	gotF, err := UnmarshalFeedItem(fi.AppendTo(nil))
-	if err != nil || !reflect.DeepEqual(gotF, fi) {
-		t.Fatalf("feed %+v err %v", gotF, err)
-	}
-	s := Subscribe{SubID: "s1", From: "iris", Terms: []string{"dutch", "drawing"}, Concept: []float64{0.5}, Threshold: 0.7}
-	gotS, err := UnmarshalSubscribe(s.AppendTo(nil))
-	if err != nil || !reflect.DeepEqual(gotS, s) {
-		t.Fatalf("sub %+v err %v", gotS, err)
-	}
-}
-
 func TestQueryRoundtripProperty(t *testing.T) {
 	f := func(id, from, text string, concept []float64, topK, ttl uint32, price, lat float64) bool {
 		for i, c := range concept {
@@ -314,6 +301,34 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(200).String() != "kind(200)" {
 		t.Fatal("unknown kind name")
+	}
+}
+
+// TestKindNumbers pins every kind's number and name. A number must never
+// change: KindProfilePart's 17 is an on-disk value, written into every file
+// profile.Store.SaveTo produces, and the rest are what peers already speak.
+func TestKindNumbers(t *testing.T) {
+	kinds := []struct {
+		kind Kind
+		num  uint8
+		name string
+	}{
+		{KindHello, 1, "hello"}, {KindHelloAck, 2, "helloAck"}, {KindGossip, 3, "gossip"},
+		{KindQuery, 4, "query"}, {KindQueryResult, 5, "queryResult"},
+		{KindCallForOffers, 6, "callForOffers"}, {KindOffer, 7, "offer"},
+		{KindCounterOffer, 8, "counterOffer"}, {KindAccept, 9, "accept"},
+		{KindReject, 10, "reject"}, {KindContract, 11, "contract"},
+		{KindDelivery, 12, "delivery"}, {KindBreach, 13, "breach"},
+		{KindProfilePart, 17, "profilePart"}, {KindCollabOp, 18, "collabOp"},
+		{KindPing, 19, "ping"}, {KindPong, 20, "pong"},
+	}
+	for _, k := range kinds {
+		if uint8(k.kind) != k.num || k.kind.String() != k.name {
+			t.Errorf("%s is %d, want %s %d", k.kind, uint8(k.kind), k.name, k.num)
+		}
+	}
+	if len(kindNames) != len(kinds) {
+		t.Errorf("%d named kinds, %d pinned here: pin the new kind's number", len(kindNames), len(kinds))
 	}
 }
 
