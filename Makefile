@@ -61,12 +61,14 @@ check: build lint test race
 # write-ahead log, every wire message decoder in both reader modes and the
 # frame header as DecodeFrame and FrameReader each read a stream — of
 # the quickselect the vector and hybrid pools keep their k best with, held to
-# sort-then-truncate, and of the four-wide dot product the vector scan scores
-# with, held to Dot bit for bit (cheap enough for every CI run — the seed
-# corpora in codec_test.go, merge_test.go, badquery_test.go, fault_test.go,
-# wire/fuzz_test.go, topk_test.go and feature/vector_test.go already pin the
-# tricky edges, so even 0 new execs still exercises them all). `go test -fuzz`
-# takes one target per run, hence eight commands. For a real expedition run
+# sort-then-truncate, of the four-wide dot product the vector scan scores
+# with, held to Dot bit for bit, and of the write path's term counter,
+# docTerms, held to the reference tokenizer sorted and counted (cheap enough
+# for every CI run — the seed corpora in codec_test.go, merge_test.go,
+# badquery_test.go, fault_test.go, wire/fuzz_test.go, topk_test.go,
+# feature/vector_test.go and terms_test.go already pin the tricky edges, so
+# even 0 new execs still exercises them all). `go test -fuzz` takes one
+# target per run, hence nine commands. For a real expedition run
 # e.g. `go test -fuzz FuzzPostingsCodec ./internal/docstore` with a time
 # budget instead.
 fuzz:
@@ -78,6 +80,7 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzFrames -fuzztime 2000x ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzSelectBest -fuzztime 2000x ./internal/docstore
 	$(GO) test -run XXX -fuzz FuzzDot4 -fuzztime 2000x ./internal/feature
+	$(GO) test -run XXX -fuzz FuzzDocTerms -fuzztime 2000x ./internal/docstore
 
 clean:
 	$(GO) clean ./...

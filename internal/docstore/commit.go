@@ -26,14 +26,13 @@ import (
 // added latency for the uncontended single-writer case.
 
 // stagedOp is one marshalled write, prepared by the writer goroutine so the
-// CPU work (Clone, marshal, tokenize) runs in parallel outside the committer.
+// CPU work (Clone, marshal, count terms) runs in parallel outside the committer.
 type stagedOp struct {
-	op      uint8
-	payload []byte    // marshalled document (put) or raw id bytes (delete); released once logged
-	doc     *Document // put: the already-cloned document to install
-	tokens  []string  // put: precomputed tokens; the fold sorts them in place, then releases them
-	id      string    // delete: target id
-	skip    bool      // set by the committer: delete of a dead id, not logged
+	op       uint8
+	payload  []byte // marshalled document (put) or raw id bytes (delete); released once logged
+	batchDoc        // put: the cloned document to install and its docTerms; terms released once staged
+	id       string // delete: target id
+	skip     bool   // set by the committer: delete of a dead id, not logged
 }
 
 // commitReq is one writer's stake in a window: its ops, the error slot the

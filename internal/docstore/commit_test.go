@@ -388,7 +388,7 @@ func testWindowPutThenDeleteSameID(t *testing.T, opts Options) {
 		return &commitReq{ops: ops, at: time.Now(), done: make(chan struct{})}
 	}
 	d := doc("x", "t", "b", 1, nil)
-	put := mk([]stagedOp{{op: opPut, payload: d.marshal(), doc: d.Clone(), tokens: d.Tokens()}})
+	put := mk([]stagedOp{stagePut(d.Clone())})
 	del := mk([]stagedOp{{op: opDelete, payload: []byte("x"), id: "x"}})
 	delMissing := mk([]stagedOp{{op: opDelete, payload: []byte("ghost"), id: "ghost"}})
 	s.commitWindow([]*commitReq{put, del, delMissing})
@@ -582,9 +582,9 @@ func commitOps(s *Store, ops ...stagedOp) error {
 }
 
 // TestWindowReleasesStagedRecords: a window drops each op's marshalled record
-// once it is logged and its tokens once they are staged, small window or bulk
+// once it is logged and its terms once they are staged, small window or bulk
 // — the writer still holds the ops while it waits, and a bulk load's compile
-// must not run with the whole batch's records and tokens reachable beside the
+// must not run with the whole batch's records reachable beside the
 // base it builds (that was a third of the heap there, and the benchmark's peak RSS
 // swung by 90 MB with where the collector met it).
 func TestWindowReleasesStagedRecords(t *testing.T) {
@@ -597,7 +597,7 @@ func TestWindowReleasesStagedRecords(t *testing.T) {
 		ops := make([]stagedOp, n)
 		for i := range ops {
 			d := doc(fmt.Sprintf("r%d-%d", n, i), "gold ring", "a ring of gold", int64(i), nil)
-			ops[i] = stagedOp{op: opPut, payload: d.marshal(), doc: d, tokens: d.Tokens()}
+			ops[i] = stagePut(d)
 		}
 		if err := commitOps(s, ops...); err != nil {
 			t.Fatal(err)
@@ -606,8 +606,8 @@ func TestWindowReleasesStagedRecords(t *testing.T) {
 			t.Fatalf("window of %d: its last document was not published", n)
 		}
 		for i := range ops {
-			if ops[i].payload != nil || ops[i].tokens != nil {
-				t.Fatalf("window of %d: op %d still holds its record (%d bytes) or tokens (%d)", n, i, len(ops[i].payload), len(ops[i].tokens))
+			if ops[i].payload != nil || ops[i].terms != nil {
+				t.Fatalf("window of %d: op %d still holds its record (%d bytes) or terms (%d)", n, i, len(ops[i].payload), len(ops[i].terms))
 			}
 		}
 	}
@@ -644,7 +644,7 @@ func TestWindowPublishAllocs(t *testing.T) {
 		}
 		d := doc(fmt.Sprintf("n%02d", i), "gold ring", text, int64(2000+i), feature.Vector{1, -1, 0.5, 0, 0.25, 2, -0.5, 1})
 		d.Topics = []string{"alpha"}
-		reqs[i] = &commitReq{ops: []stagedOp{{op: opPut, doc: d, tokens: d.Tokens()}}}
+		reqs[i] = &commitReq{ops: []stagedOp{stagePut(d)}}
 	}
 	cur, i := s.snap.Load(), 0
 	got := testing.AllocsPerRun(runs, func() {
@@ -703,14 +703,14 @@ func TestWritePathEquivalence(t *testing.T) {
 		{"put x then delete x in one batch", func(s *Store) error {
 			d := mkDoc("x", 9)
 			return commitOps(s,
-				stagedOp{op: opPut, payload: d.marshal(), doc: d, tokens: d.Tokens()},
+				stagePut(d),
 				stagedOp{op: opDelete, payload: []byte("x"), id: "x"})
 		}},
 		{"delete ghost inside a batch", func(s *Store) error {
 			d := mkDoc("g", 10)
 			return commitOps(s,
 				stagedOp{op: opDelete, payload: []byte("ghost"), id: "ghost"},
-				stagedOp{op: opPut, payload: d.marshal(), doc: d, tokens: d.Tokens()})
+				stagePut(d))
 		}},
 	}
 	ids["x"], ids["g"] = true, true

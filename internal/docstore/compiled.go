@@ -209,7 +209,7 @@ var buildPool = sync.Pool{New: func() any { return &buildScratch{slot: map[strin
 func compileDocs(docs map[string]batchDoc) *compiledIndex {
 	bs := buildPool.Get().(*buildScratch)
 	defer buildPool.Put(bs)
-	ids, nPost, nVec := bs.ids[:0], 0, 0
+	ids, nPost, nVec, dictLen := bs.ids[:0], 0, 0, 0
 	for id, e := range docs {
 		ids, nPost, nVec = append(ids, id), nPost+len(e.terms), nVec+len(e.doc.Concept)
 	}
@@ -222,6 +222,7 @@ func compileDocs(docs map[string]batchDoc) *compiledIndex {
 			if !ok {
 				s, bs.slot[tt.term] = len(terms), len(terms)
 				terms = append(terms, termPosts{term: tt.term})
+				dictLen += len(tt.term)
 			}
 			terms[s].n++
 		}
@@ -241,10 +242,31 @@ func compileDocs(docs map[string]batchDoc) *compiledIndex {
 		}
 	}
 	slices.SortFunc(terms, func(a, b termPosts) int { return strings.Compare(a.term, b.term) })
+	var dict strings.Builder
+	dict.Grow(dictLen)
 	for _, t := range terms {
-		cx.appendTerm(t.term, t.post)
+		cx.appendTerm(ownTerm(&dict, t.term), t.post)
 	}
 	return cx
+}
+
+// ownTerm copies term onto the end of dict, the index's dictionary, and
+// returns the copy: an index pins no document's terms, no retired dictionary.
+func ownTerm(dict *strings.Builder, term string) string {
+	dict.WriteString(term)
+	all := dict.String()
+	return all[len(all)-len(term):]
+}
+
+// leastTerm returns the least of the terms srcs' lists hold at next, each
+// source's position in its own: the next term of their merged list.
+func leastTerm(srcs []*compiledIndex, next []int) (term string, found bool) {
+	for si, src := range srcs {
+		if next[si] < len(src.termList) && (!found || src.termList[next[si]] < term) {
+			term, found = src.termList[next[si]], true
+		}
+	}
+	return term, found
 }
 
 // mergeIndex builds one compiled index over the live documents of segs — a
@@ -321,20 +343,28 @@ func mergeIndex(segs []*segment, b *batch) (*compiledIndex, [][]uint32) {
 		next[from]++
 	}
 
+	clear(next) // now: per source, the next term of its list, walked once to size the dictionary
+	dictLen := 0
+	for term, found := leastTerm(srcs, next); found; term, found = leastTerm(srcs, next) {
+		dictLen += len(term)
+		for si, src := range srcs {
+			if next[si] < len(src.termList) && src.termList[next[si]] == term {
+				next[si]++
+			}
+		}
+	}
+	var dict strings.Builder
+	dict.Grow(dictLen)
+
 	// Term by term, in ascending order across the sources: each source that
 	// lists the term gives a run of renumbered postings, ascending, and the
 	// runs — their ordinals are distinct — are put in order. A term left
 	// without a carrier is dropped: a fresh build never lists one.
 	var ords, tfs [blockSize]uint32
 	buf := bs.post[:0]
-	clear(next) // now: per source, the next term of its list
+	clear(next)
 	for {
-		term, found := "", false
-		for si, src := range srcs {
-			if next[si] < len(src.termList) && (!found || src.termList[next[si]] < term) {
-				term, found = src.termList[next[si]], true
-			}
-		}
+		term, found := leastTerm(srcs, next)
 		if !found {
 			bs.post = buf // its capacity, for the next build
 			return cx, remap[:len(segs)]
@@ -365,7 +395,7 @@ func mergeIndex(segs []*segment, b *batch) (*compiledIndex, [][]uint32) {
 			slices.SortFunc(buf, func(a, b postEntry) int { return cmp.Compare(a.ord, b.ord) })
 		}
 		if runs > 0 {
-			cx.appendTerm(term, buf)
+			cx.appendTerm(ownTerm(&dict, term), buf)
 		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"strings"
 
 	"repro/internal/feature"
 	"repro/internal/wire"
@@ -62,22 +61,15 @@ type Document struct {
 
 // Texts appends the document's searchable texts to dst: title, body, then
 // each topic. Tokens is the tokens of these in turn; a reader that only looks
-// tokens up streams them (feature.Tokenizer) instead of building the list.
+// tokens up, or counts them (docTerms), streams them (feature.Tokenizer)
+// instead of building the list.
 func (d *Document) Texts(dst []string) []string {
 	return append(append(dst, d.Title, d.Text), d.Topics...)
 }
 
 // Tokens returns the tokenized searchable text (title + body + topics).
 func (d *Document) Tokens() []string {
-	var sb strings.Builder
-	sb.WriteString(d.Title)
-	sb.WriteByte(' ')
-	sb.WriteString(d.Text)
-	for _, t := range d.Topics {
-		sb.WriteByte(' ')
-		sb.WriteString(t)
-	}
-	return feature.Tokenize(sb.String())
+	return feature.Tokenize(d.Texts(nil)...)
 }
 
 // Snippet returns a short display excerpt.

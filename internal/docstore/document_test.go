@@ -94,16 +94,19 @@ func TestTokensAndSnippet(t *testing.T) {
 	}
 }
 
+// textsCases are documents whose parts meet at every kind of boundary.
+var textsCases = []*Document{
+	{},
+	{Title: "Gold Ring", Text: "byzantine filigree", Topics: []string{"jewelry"}},
+	{Title: "ends in a letter", Text: "Starts with one", Topics: []string{"x", "of", "the"}},
+	{Text: "no title", Topics: []string{"", "two words", "ÉCOLE", "a", "b", "c", "d", "e", "f", "nine topics"}},
+	{Title: "the", Text: "and", Topics: []string{"or"}},
+}
+
 // TestTextsStreamToTokens: reading Texts through a feature.Tokenizer — what
 // the personalize step does instead of building Tokens — yields Tokens.
 func TestTextsStreamToTokens(t *testing.T) {
-	for _, d := range []*Document{
-		{},
-		{Title: "Gold Ring", Text: "byzantine filigree", Topics: []string{"jewelry"}},
-		{Title: "ends in a letter", Text: "Starts with one", Topics: []string{"x", "of", "the"}},
-		{Text: "no title", Topics: []string{"", "two words", "ÉCOLE", "a", "b", "c", "d", "e", "f", "nine topics"}},
-		{Title: "the", Text: "and", Topics: []string{"or"}},
-	} {
+	for _, d := range textsCases {
 		var got []string
 		var tz feature.Tokenizer
 		for _, text := range d.Texts(nil) {

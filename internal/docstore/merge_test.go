@@ -46,7 +46,8 @@ func requireSameIndex(t *testing.T, stage string, got, want *compiledIndex) {
 func freshIndex(live map[string]*Document) *compiledIndex {
 	b := newBatch(len(live), 0)
 	for _, d := range live {
-		b.put(d, d.Tokens(), nil)
+		terms, n := docTerms(d)
+		b.put(d, terms, n, nil)
 	}
 	cx, _ := mergeIndex(nil, b)
 	return cx
@@ -101,9 +102,6 @@ func TestMergeIndexMatchesFreshBuild(t *testing.T) {
 			d.Text += fmt.Sprintf(" rare%d", r.Intn(12))
 		}
 		return d
-	}
-	stagePut := func(d *Document) stagedOp {
-		return stagedOp{op: opPut, payload: d.marshal(), doc: d, tokens: d.Tokens()}
 	}
 	merges := 0
 	for round := 0; round < 60; round++ {

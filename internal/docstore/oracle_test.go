@@ -302,7 +302,7 @@ func TestReadsMatchBruteForce(t *testing.T) {
 					delete(live, id)
 				} else {
 					d := newDoc()
-					ops = append(ops, stagedOp{op: opPut, payload: d.marshal(), doc: d, tokens: d.Tokens()})
+					ops = append(ops, stagePut(d))
 					live[d.ID] = d
 				}
 			}

@@ -1,12 +1,15 @@
 package docstore
 
 import (
+	"bytes"
 	"cmp"
+	"encoding/binary"
 	"maps"
 	"math"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/feature"
 )
@@ -330,10 +333,10 @@ func (b *batch) maskedIn(si int) []uint32 {
 	return nil
 }
 
-// put stages d, whose tokens it sorts, over segs: its version there masked.
-func (b *batch) put(d *Document, tokens []string, segs []*segment) {
+// put stages d, with what docTerms gave for it, over segs: its version there masked.
+func (b *batch) put(d *Document, terms []termTF, docLen int, segs []*segment) {
 	b.delete(d.ID, segs)
-	b.byID[d.ID] = batchDoc{doc: d, terms: termFreqs(tokens), docLen: len(tokens)}
+	b.byID[d.ID] = batchDoc{doc: d, terms: terms, docLen: docLen}
 }
 
 // delete stages a delete of id over segs: a version b puts is dropped, the
@@ -355,26 +358,70 @@ type termTF struct {
 	tf   int
 }
 
-// termFreqs sorts tokens in place and returns the distinct terms, ascending,
-// with their counts, in one exactly sized slice: a bulk window holds one per
-// document until its merge.
-func termFreqs(tokens []string) []termTF {
-	slices.Sort(tokens)
-	n := 0
-	for i, t := range tokens {
-		if i == 0 || t != tokens[i-1] {
-			n++
+// docTerms returns what sorting and counting d.Tokens() gives — d's distinct
+// terms, ascending, with their counts, and its token count — without a string
+// per token: the tokens' spans in a pooled buffer are sorted and the distinct
+// ones copied into one string, so a document costs two allocations.
+func docTerms(d *Document) ([]termTF, int) {
+	sc := termPool.Get().(*termScratch)
+	defer termPool.Put(sc)
+	buf, spans := sc.buf[:0], sc.spans[:0]
+	var tz feature.Tokenizer
+	sc.texts = d.Texts(sc.texts[:0])
+	for _, text := range sc.texts {
+		tz.Reset(text)
+		for tok, ok := tz.Next(); ok; tok, ok = tz.Next() {
+			var key [8]byte
+			copy(key[:], tok)
+			spans = append(spans, tokSpan{key: binary.BigEndian.Uint64(key[:]), off: uint32(len(buf)), n: uint32(len(tok))})
+			buf = append(buf, tok...)
+		}
+	}
+	sc.buf, sc.spans = buf, spans
+	compare := func(a, b tokSpan) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 || max(a.n, b.n) <= 8 {
+			return c // equal keys, and both tokens within them: the same token
+		}
+		return bytes.Compare(buf[a.off+8:a.off+a.n], buf[b.off+8:b.off+b.n])
+	}
+	slices.SortFunc(spans, compare)
+	n, size := 0, 0
+	for i, s := range spans {
+		if i == 0 || compare(spans[i-1], s) != 0 {
+			n, size = n+1, size+int(s.n)
 		}
 	}
 	out := make([]termTF, 0, n)
-	for i, t := range tokens {
-		if i == 0 || t != tokens[i-1] {
-			out = append(out, termTF{term: t})
+	var dict strings.Builder
+	dict.Grow(size)
+	for i, s := range spans {
+		if i == 0 || compare(spans[i-1], s) != 0 {
+			dict.Write(buf[s.off : s.off+s.n])
+			all := dict.String()
+			out = append(out, termTF{term: all[len(all)-int(s.n):]})
 		}
 		out[len(out)-1].tf++
 	}
-	return out
+	return out, len(spans)
 }
+
+// termScratch is docTerms' working state, pooled: a document's texts, its
+// tokens packed end to end, and where each lies.
+type termScratch struct {
+	texts []string
+	buf   []byte
+	spans []tokSpan
+}
+
+// tokSpan is one token of termScratch.buf, keyed by its first eight bytes,
+// big-endian and zero-padded: no token holds a zero byte, so keys order as
+// the tokens do, up to ties.
+type tokSpan struct {
+	key    uint64
+	off, n uint32
+}
+
+var termPool = sync.Pool{New: func() any { return new(termScratch) }}
 
 // snapshot is one published epoch: an immutable view of the store, and all
 // the state the store has. Its counts are sums over a handful of segments.

@@ -198,7 +198,8 @@ func Open(opts Options) (*Store, error) {
 			if err != nil {
 				return err
 			}
-			delta.put(d, d.Tokens(), segs)
+			terms, n := docTerms(d)
+			delta.put(d, terms, n, segs)
 		case opDelete:
 			delta.delete(string(payload), segs)
 		}
@@ -269,8 +270,8 @@ func (s *Store) publishWindowLocked(cur *snapshot, window []*commitReq, n int) {
 			case op.op == opDelete:
 				b.delete(op.id, cur.segs)
 			default:
-				b.put(op.doc, op.tokens, cur.segs)
-				op.tokens = nil // staged: a bulk window's compile does not run with every document's tokens still held
+				b.put(op.doc, op.terms, op.docLen, cur.segs)
+				op.terms = nil // staged: only the batch holds them, until its compile copies them
 			}
 		}
 	}
@@ -299,7 +300,7 @@ func (s *Store) Put(d *Document) error {
 }
 
 // PutBatch stores a batch of documents durably. Cloning, marshalling and
-// tokenizing run here, in the caller's goroutine; the batch is then staged
+// counting terms run here, in the caller's goroutine; the batch is then staged
 // as one commit request, so it rides a single commit window end-to-end: one
 // WAL append run, one fsync (per Options), and in-order publication as one
 // epoch — later documents in the batch supersede earlier ones with the same
@@ -318,7 +319,8 @@ func (s *Store) PutBatch(docs []*Document) error {
 	ops := make([]stagedOp, len(docs))
 	for i, d := range docs {
 		cp := d.Clone()
-		ops[i] = stagedOp{op: opPut, payload: cp.marshal(), doc: cp, tokens: cp.Tokens()}
+		terms, n := docTerms(cp)
+		ops[i] = stagedOp{op: opPut, payload: cp.marshal(), batchDoc: batchDoc{cp, terms, n}}
 	}
 	err := s.submit(ops, start)
 	s.tel.putLat.Observe(time.Since(start))

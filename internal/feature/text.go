@@ -3,44 +3,29 @@ package feature
 import (
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"unicode"
 	"unicode/utf8"
 )
 
-// Tokenize splits text into lowercase word tokens, dropping punctuation and
-// stopwords. It is the shared tokenizer for the inverted index and the text
-// vectorizer so their views of a document agree.
-func Tokenize(text string) []string {
+// Tokenize returns the tokens of texts, read in turn as if joined by spaces:
+// Tokenizer's, each as a string of its own. It is the shared tokenizer for the
+// inverted index and the text vectorizer so their views of a document agree.
+func Tokenize(texts ...string) []string {
 	var out []string
-	var b strings.Builder
-	flush := func() {
-		if b.Len() == 0 {
-			return
-		}
-		w := b.String()
-		b.Reset()
-		if len(w) < 2 || stopwords[w] {
-			return
-		}
-		out = append(out, w)
-	}
-	for _, r := range text {
-		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			b.WriteRune(unicode.ToLower(r))
-		default:
-			flush()
+	var tz Tokenizer
+	for _, text := range texts {
+		tz.Reset(text)
+		for tok, ok := tz.Next(); ok; tok, ok = tz.Next() {
+			out = append(out, string(tok))
 		}
 	}
-	flush()
 	return out
 }
 
-// Tokenizer yields Tokenize's tokens one at a time, for a reader that looks
-// each up and moves on: a token shorter than the buffer is never allocated.
-// The zero value has nothing to yield.
+// Tokenizer is the one scanner of text into tokens, yielding them one at a
+// time for a reader that looks each up or copies it on: a token shorter than
+// the buffer is never allocated. The zero value has nothing to yield.
 type Tokenizer struct {
 	rest string // text not yet read
 	buf  [64]byte
@@ -50,8 +35,9 @@ type Tokenizer struct {
 func (tz *Tokenizer) Reset(text string) { tz.rest = text }
 
 // Next returns the next token: a maximal run of letters and digits,
-// lowercased, at least two bytes long and not a stopword. The bytes are the
-// tokenizer's own and are overwritten by the following call.
+// lowercased, at least two bytes long and not a stopword (anything else
+// delimits, invalid UTF-8 included). The bytes are the tokenizer's own and
+// are overwritten by the following call.
 func (tz *Tokenizer) Next() ([]byte, bool) {
 	s, tok := tz.rest, tz.buf[:0]
 	for i := 0; i < len(s); {

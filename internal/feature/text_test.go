@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestTokenize(t *testing.T) {
@@ -137,24 +138,51 @@ func TestProjectDeterministic(t *testing.T) {
 	}
 }
 
-// streamTokens reads texts through one Tokenizer, as a reader of a document's
-// parts does, copying each token out before the next call overwrites it.
-func streamTokens(texts ...string) []string {
+// referenceTokenize is the rune-at-a-time scanner Tokenize was before it was
+// built on Tokenizer, kept as the definition both are held to.
+func referenceTokenize(text string) []string {
 	var out []string
-	var tz Tokenizer
-	for _, text := range texts {
-		tz.Reset(text)
-		for tok, ok := tz.Next(); ok; tok, ok = tz.Next() {
-			out = append(out, string(tok))
+	var b strings.Builder
+	flush := func() {
+		if b.Len() == 0 {
+			return
+		}
+		w := b.String()
+		b.Reset()
+		if len(w) < 2 || stopwords[w] {
+			return
+		}
+		out = append(out, w)
+	}
+	for _, r := range text {
+		switch {
+		case unicode.IsLetter(r) || unicode.IsDigit(r):
+			b.WriteRune(unicode.ToLower(r))
+		default:
+			flush()
 		}
 	}
+	flush()
 	return out
 }
 
-// TestTokenizerMatchesTokenize: the streaming Tokenizer — its own scanner,
-// with an ASCII fast path and a fixed buffer — read over a document's parts
-// yields exactly what Tokenize returns for the parts joined by spaces.
+// TestTokenizerMatchesTokenize: the Tokenizer — an ASCII fast path, a fixed
+// buffer — read over a document's parts, which is what Tokenize of the parts
+// does, and Tokenize of the parts joined by spaces both yield exactly what the
+// reference scanner returns for the joined text.
 func TestTokenizerMatchesTokenize(t *testing.T) {
+	check := func(texts []string) bool {
+		want := referenceTokenize(strings.Join(texts, " "))
+		if got := Tokenize(texts...); !reflect.DeepEqual(got, want) {
+			t.Errorf("Tokenizer over %q = %q, the reference over them joined %q", texts, got, want)
+			return false
+		}
+		if got := Tokenize(strings.Join(texts, " ")); !reflect.DeepEqual(got, want) {
+			t.Errorf("Tokenize of %q joined = %q, the reference %q", texts, got, want)
+			return false
+		}
+		return true
+	}
 	long := strings.Repeat("Straße", 30) // 210 bytes: past the tokenizer's own buffer
 	table := [][]string{
 		{"The Folk-Jewelry of Europe, and its 12 styles!"},
@@ -169,10 +197,7 @@ func TestTokenizerMatchesTokenize(t *testing.T) {
 		{"tab\tnew\nline nbsp em—dash"},
 	}
 	for _, texts := range table {
-		want := Tokenize(strings.Join(texts, " "))
-		if got := streamTokens(texts...); !reflect.DeepEqual(got, want) {
-			t.Errorf("Tokenizer over %q = %q, Tokenize of them joined %q", texts, got, want)
-		}
+		check(texts)
 	}
 	// Random strings over an alphabet dense in the cases above.
 	alphabet := []rune("aAbZzİıẞßǅÉé09٣² \t-.,' \xff")
@@ -189,9 +214,8 @@ func TestTokenizerMatchesTokenize(t *testing.T) {
 				texts[i] += "\xf0\x9f" // a truncated sequence at the end of a part
 			}
 		}
-		want := Tokenize(strings.Join(texts, " "))
-		if got := streamTokens(texts...); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: Tokenizer over %q = %q, Tokenize of them joined %q", trial, texts, got, want)
+		if !check(texts) {
+			t.Fatalf("trial %d", trial)
 		}
 	}
 }
