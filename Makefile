@@ -23,8 +23,8 @@ race:
 # churn, concurrent scatter asks sharing the router's statistics caches and
 # clients) where the race detector earns its keep on every edit, plus -count
 # stresses of the two bookkeeping-before-reply ordering pins — the trace is
-# retrievable, and the frame is counted (E27 reads it), once the reply is
-# observable — of the scatter asks held to the brute-force ranking
+# retrievable, and the server's frame count already holds the reply, the
+# moment a Client.Query returns — of the scatter asks held to the brute-force ranking
 # at the epoch they name while a writer runs, and of the reader that keeps
 # asking a held snapshot while later windows fold tombstones into its
 # segments' successors and tier merges replace them. All four are scheduling races —
@@ -33,7 +33,7 @@ race:
 race-core:
 	$(GO) test -race ./internal/telemetry ./internal/transport ./internal/shard ./internal/docstore ./internal/core
 	$(GO) test -race -count=20 -run TestTraceRetrievableOnceReplyObserved ./internal/transport
-	$(GO) test -race -count=20 -run TestE27Shapes ./internal/bench
+	$(GO) test -race -count=20 -run TestFrameCountedBeforeReplyObserved ./internal/transport
 	$(GO) test -race -count=5 -run TestScatterExactUnderConcurrentWrites ./internal/shard
 	$(GO) test -race -count=5 -run TestHeldSnapshotSurvivesLaterWindows ./internal/docstore
 

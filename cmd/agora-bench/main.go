@@ -1,7 +1,7 @@
-// Command agora-bench regenerates every experiment table from DESIGN.md §3
-// (the synthetic evaluation suite standing in for the vision paper's
-// nonexistent evaluation section) and prints them as markdown — the exact
-// content recorded in EXPERIMENTS.md.
+// Command agora-bench regenerates every pillar experiment's table from
+// DESIGN.md §3 (the synthetic evaluation standing in for the vision paper's
+// nonexistent one) as markdown — the content of EXPERIMENTS.md. The output
+// is a function of -seed and -scale: two runs print the same bytes.
 //
 // Usage:
 //

@@ -214,8 +214,8 @@ func E16ReputationLearning(seed int64, scale float64) *Result {
 }
 
 // E17LSHAblation sweeps the vector index's (tables, bits) parameters:
-// recall@10 against exact scan, and query throughput — the design-choice
-// ablation DESIGN.md calls out for the docstore substrate.
+// recall@10 against exact scan — the design-choice ablation DESIGN.md
+// calls out for the docstore substrate.
 func E17LSHAblation(seed int64, scale float64) *Result {
 	r := rand.New(rand.NewSource(seed + 8))
 	nVecs := scaleInt(3000, scale, 800)
@@ -239,7 +239,7 @@ func E17LSHAblation(seed int64, scale float64) *Result {
 	}
 
 	table := metrics.NewTable("E17: LSH index ablation (recall@10 vs exact scan)",
-		"tables", "bits", "recall@10", "queries/s")
+		"tables", "bits", "recall@10")
 	headline := map[string]float64{}
 	// Ground truth from one exact index.
 	exact := feature.NewLSH(seed, dim, 1, 1)
@@ -260,7 +260,6 @@ func E17LSHAblation(seed int64, scale float64) *Result {
 				idx.Put(fmt.Sprintf("v%05d", i), v)
 			}
 			hits := 0
-			start := time.Now()
 			for qi, q := range queries {
 				for _, c := range idx.Query(q, 10) {
 					if truth[qi][c.ID] {
@@ -268,10 +267,8 @@ func E17LSHAblation(seed int64, scale float64) *Result {
 					}
 				}
 			}
-			dur := time.Since(start)
 			recall := float64(hits) / float64(nQueries*10)
-			qps := float64(nQueries) / dur.Seconds()
-			table.AddRow(tb, bits, recall, qps)
+			table.AddRow(tb, bits, recall)
 			headline[fmt.Sprintf("recall_%dx%d", tb, bits)] = recall
 		}
 	}

@@ -3,14 +3,11 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
-	"repro/internal/docstore"
 	"repro/internal/metrics"
 	"repro/internal/optimizer"
 	"repro/internal/qos"
 	"repro/internal/uncertainty"
-	"repro/internal/workload"
 )
 
 // E13MultiObjective compares plan-selection methods on a randomized source
@@ -65,74 +62,4 @@ func E13MultiObjective(seed int64, scale float64) *Result {
 	headline["hv_weighted"] = hvWeighted / n
 	headline["hv_greedy"] = hvGreedy / n
 	return &Result{ID: "E13", Table: table, Headline: headline}
-}
-
-// E14Docstore micro-benchmarks the storage substrate: ingest and search
-// rates, plus crash-recovery correctness (torn-tail WAL).
-func E14Docstore(seed int64, scale float64) *Result {
-	g := workload.NewGenerator(seed, 32, 8)
-	nDocs := scaleInt(2000, scale, 500)
-	docs := g.GenCorpus(nDocs, 1.2, int64(time.Hour))
-
-	dir, err := tempDir()
-	if err != nil {
-		panic(err)
-	}
-	store, err := docstore.Open(docstore.Options{Dir: dir, ConceptDim: 32, Seed: seed})
-	if err != nil {
-		panic(err)
-	}
-	start := time.Now()
-	for _, d := range docs {
-		if err := store.Put(d.Doc); err != nil {
-			panic(err)
-		}
-	}
-	ingestRate := float64(nDocs) / time.Since(start).Seconds()
-
-	queries := scaleInt(300, scale, 100)
-	users := g.GenUsers(queries)
-	start = time.Now()
-	for _, u := range users {
-		text, _, _ := g.QueryFor(u)
-		store.SearchText(text, 10)
-	}
-	textRate := float64(queries) / time.Since(start).Seconds()
-
-	start = time.Now()
-	for _, u := range users {
-		_, concept, _ := g.QueryFor(u)
-		store.SearchVector(concept, 10)
-	}
-	vecRate := float64(queries) / time.Since(start).Seconds()
-
-	// Crash-recovery: close, reopen, verify count.
-	if err := store.Close(); err != nil {
-		panic(err)
-	}
-	start = time.Now()
-	re, err := docstore.Open(docstore.Options{Dir: dir, ConceptDim: 32, Seed: seed})
-	if err != nil {
-		panic(err)
-	}
-	recoverDur := time.Since(start)
-	recovered := re.Len()
-	re.Close()
-	cleanup(dir)
-
-	table := metrics.NewTable("E14: docstore substrate micro-benchmarks",
-		"metric", "value")
-	table.AddRow("docs", nDocs)
-	table.AddRow("ingest docs/s", ingestRate)
-	table.AddRow("text search q/s", textRate)
-	table.AddRow("vector search q/s", vecRate)
-	table.AddRow("recovery ms", float64(recoverDur)/float64(time.Millisecond))
-	table.AddRow("recovered docs", recovered)
-	return &Result{ID: "E14", Table: table, Headline: map[string]float64{
-		"ingest_rate": ingestRate,
-		"text_qps":    textRate,
-		"vector_qps":  vecRate,
-		"recovered":   float64(recovered),
-		"expected":    float64(nDocs),
-	}}
 }

@@ -276,3 +276,121 @@ func TestTFWeightBits(t *testing.T) {
 		t.Fatalf("tfWeight(1) = %v", tfWeight(1))
 	}
 }
+
+// gradientStore loads the length-gradient corpus, one document per Put: three
+// vocabulary tiers — common terms in most documents, rare ones in a fraction
+// of a percent — and a document length that grows by one term every 32
+// documents, the shape of an archive sorted by time. The gradient is what
+// makes per-block bounds vary; an i.i.d. corpus puts a near-best document in
+// every block and no bound ever drops below the threshold. It returns the
+// store, the document generator for later writes, and two query classes,
+// each pairing a selective term that pins the threshold high with common
+// terms whose tail blocks fall under it.
+func gradientStore(t *testing.T, cacheSize int) (*Store, func(r *rand.Rand, i int) *Document, [2][]string) {
+	t.Helper()
+	const seed, nDocs = 25, 2048 // two walk windows: one holds no skip
+	tier := func(format string, n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf(format, i)
+		}
+		return out
+	}
+	common, mid, rare := tier("common%02d", 8), tier("mid%03d", 64), tier("rare%04d", 256)
+	word := func(r *rand.Rand) string {
+		switch p := r.Float64(); {
+		case p < 0.50:
+			return common[r.Intn(len(common))]
+		case p < 0.85:
+			return mid[r.Intn(len(mid))]
+		default:
+			return rare[r.Intn(len(rare))]
+		}
+	}
+	mkDoc := func(r *rand.Rand, i int) *Document {
+		n := 4 + i/32 + r.Intn(4)
+		text := word(r)
+		for j := 1; j < n; j++ {
+			text += " " + word(r)
+		}
+		return doc(fmt.Sprintf("g%05d", i), word(r), text, int64(i), nil)
+	}
+	s, err := Open(Options{ConceptDim: 8, Seed: seed, QueryCacheSize: cacheSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	r := rand.New(rand.NewSource(seed))
+	for i := 0; i < nDocs; i++ {
+		if err := s.Put(mkDoc(r, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	qr := rand.New(rand.NewSource(seed + 1))
+	pick := func(tier []string) string { return tier[qr.Intn(len(tier))] }
+	var classes [2][]string
+	for i := 0; i < 16; i++ {
+		classes[0] = append(classes[0], pick(rare)+" "+pick(common))
+	}
+	for i := 0; i < 16; i++ {
+		classes[1] = append(classes[1], pick(mid)+" "+pick(common)+" "+pick(common))
+	}
+	return s, mkDoc, classes
+}
+
+// TestBlockMaxSkipsOnLengthGradient is the case for the bound check: on the
+// length-gradient corpus the walk skips postings blocks, and stays
+// bit-identical to the exhaustive scorer on the loaded segments and again
+// after 48 single writes, each a segment of its own until the tiers merge it.
+func TestBlockMaxSkipsOnLengthGradient(t *testing.T) {
+	const k = 10
+	s, mkDoc, classes := gradientStore(t, -1)
+	st0 := s.Stats()
+	for _, cl := range classes {
+		for _, q := range cl {
+			s.SearchText(q, k)
+		}
+	}
+	st1 := s.Stats()
+	dec, skp := st1.BlocksDecoded-st0.BlocksDecoded, st1.BlocksSkipped-st0.BlocksSkipped
+	if ratio := float64(skp) / float64(max(dec+skp, 1)); ratio <= 0 {
+		t.Fatalf("no postings blocks skipped: %d decoded", dec)
+	}
+	check := func(stage string) {
+		for _, cl := range classes {
+			for _, q := range cl {
+				if got, want := s.SearchText(q, k), s.SearchTextExhaustive(q, k); !hitsEqual(got, want) {
+					t.Fatalf("%s: SearchText(%q) diverged from exhaustive:\n blockmax:   %v\n exhaustive: %v", stage, q, hitIDs(got), hitIDs(want))
+				}
+			}
+		}
+	}
+	check("loaded")
+	r := rand.New(rand.NewSource(27))
+	for i := 0; i < 48; i++ {
+		if err := s.Put(mkDoc(r, 2048+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after single writes")
+}
+
+// TestSearchTextAllocs pins what a local search keeps: an uncached search
+// retains the returned []Hit, with a couple of mallocs of slack for
+// incidental runtime allocation, and a cache hit — a byte-key lookup
+// returning the shared hit slice — retains nothing.
+func TestSearchTextAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates on allocation-free paths")
+	}
+	const k = 10
+	uncached, _, classes := gradientStore(t, -1)
+	q0 := classes[0][0]
+	if n := testing.AllocsPerRun(512, func() { uncached.SearchText(q0, k) }); n > 4 {
+		t.Fatalf("uncached SearchText allocates %v/op, want ~1", n)
+	}
+	cached, _, _ := gradientStore(t, 0) // default cache size
+	if n := testing.AllocsPerRun(512, func() { cached.SearchText(q0, k) }); n != 0 {
+		t.Fatalf("cache-hit SearchText allocates: %v allocs/op", n)
+	}
+}

@@ -90,7 +90,38 @@ func TestGroupCommitWALByteIdentical(t *testing.T) {
 		}
 		return docs
 	}
+	checkGroupCommitIdentical(t, mkDocs, 7, "d010")
+}
 
+// TestGroupCommitWALByteIdenticalWithTopics is the same contract on
+// documents that carry topics, batched nine to a window.
+func TestGroupCommitWALByteIdenticalWithTopics(t *testing.T) {
+	const n = 64
+	mkDocs := func() []*Document {
+		r := rand.New(rand.NewSource(23))
+		docs := make([]*Document, n)
+		for i := range docs {
+			docs[i] = &Document{
+				ID:         fmt.Sprintf("w%05d", i),
+				Kind:       KindArticle,
+				Title:      fmt.Sprintf("term%03d term%03d", r.Intn(256), r.Intn(256)),
+				Text:       fmt.Sprintf("body term%03d term%03d term%03d", r.Intn(256), r.Intn(256), r.Intn(256)),
+				Topics:     []string{"t" + fmt.Sprint(i%4)},
+				CreatedAt:  int64(i),
+				Provenance: "test",
+			}
+		}
+		return docs
+	}
+	checkGroupCommitIdentical(t, mkDocs, 9, fmt.Sprintf("w%05d", n/2))
+}
+
+// checkGroupCommitIdentical commits mkDocs' documents and then deletes del,
+// on one store one op per window and on another window documents per
+// PutBatch. The two WALs must be byte-identical and nonempty, and both must
+// replay to the same documents, all but the deleted one.
+func checkGroupCommitIdentical(t *testing.T, mkDocs func() []*Document, window int, del string) {
+	t.Helper()
 	dirA, dirB := t.TempDir(), t.TempDir()
 	a, err := Open(Options{Dir: dirA, ConceptDim: 4, Seed: 1, SyncEveryPut: true})
 	if err != nil {
@@ -107,22 +138,18 @@ func TestGroupCommitWALByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := a.Delete("d010"); err != nil {
+	if err := a.Delete(del); err != nil {
 		t.Fatal(err)
 	}
 
 	// Store B: the same sequence, puts riding PutBatch windows.
 	docs := mkDocs()
-	for i := 0; i < len(docs); i += 7 {
-		end := i + 7
-		if end > len(docs) {
-			end = len(docs)
-		}
-		if err := b.PutBatch(docs[i:end]); err != nil {
+	for i := 0; i < len(docs); i += window {
+		if err := b.PutBatch(docs[i:min(i+window, len(docs))]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := b.Delete("d010"); err != nil {
+	if err := b.Delete(del); err != nil {
 		t.Fatal(err)
 	}
 
@@ -142,8 +169,8 @@ func TestGroupCommitWALByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(rawA, rawB) {
-		t.Fatalf("WALs diverged: serialized %d bytes, batched %d bytes", len(rawA), len(rawB))
+	if len(rawA) == 0 || !bytes.Equal(rawA, rawB) {
+		t.Fatalf("WALs empty or diverged: serialized %d bytes, batched %d bytes", len(rawA), len(rawB))
 	}
 
 	// And both replay to the same state.
@@ -157,8 +184,8 @@ func TestGroupCommitWALByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rb.Close()
-	if ra.Len() != rb.Len() || ra.Len() != 59 {
-		t.Fatalf("replayed lengths diverged: %d vs %d (want 59)", ra.Len(), rb.Len())
+	if want := len(docs) - 1; ra.Len() != rb.Len() || ra.Len() != want {
+		t.Fatalf("replayed lengths diverged: %d vs %d (want %d)", ra.Len(), rb.Len(), want)
 	}
 	ra.All(func(d *Document) bool {
 		got, err := rb.Get(d.ID)
@@ -166,7 +193,7 @@ func TestGroupCommitWALByteIdentical(t *testing.T) {
 			t.Errorf("batched replay missing %s", d.ID)
 			return false
 		}
-		if got.Title != d.Title || got.Text != d.Text || got.CreatedAt != d.CreatedAt {
+		if got.Title != d.Title || got.Text != d.Text || got.CreatedAt != d.CreatedAt || !slices.Equal(got.Topics, d.Topics) {
 			t.Errorf("replayed doc %s diverged", d.ID)
 			return false
 		}

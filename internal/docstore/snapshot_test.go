@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/feature"
@@ -415,43 +416,89 @@ func TestSnapshotReadersUnderChurn(t *testing.T) {
 // ids, same scores, same order — at every epoch, however many segments.
 func TestSearchDeterminismUnderChurn(t *testing.T) {
 	s := memStore(t)
-	mk := func(i int) *Document {
-		return doc(fmt.Sprintf("g%02d", i), "Gold Ring",
+	docs := make([]*Document, 40)
+	for i := range docs {
+		docs[i] = doc(fmt.Sprintf("g%02d", i), "Gold Ring",
 			fmt.Sprintf("byzantine gold ring number %d with filigree", i), int64(i), nil)
 	}
-	const n = 40
-	for i := 0; i < n; i++ {
-		if err := s.Put(mk(i)); err != nil {
+	// Two distinct terms: order-independent accumulation.
+	checkReadsUnderChurn(t, s, docs, "gold filigree", 500, 16)
+}
+
+// TestUncachedSearchDeterminismUnderChurn is the same contract with the
+// query cache off, so every read runs the search against whatever epoch it
+// pins, on documents that carry topics and, every fourth, a concept vector
+// for the LSH index.
+func TestUncachedSearchDeterminismUnderChurn(t *testing.T) {
+	const seed = 22
+	s, err := Open(Options{ConceptDim: 8, Seed: seed, QueryCacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	r := rand.New(rand.NewSource(seed + 2))
+	w := func() string { return fmt.Sprintf("term%03d", r.Intn(256)) }
+	docs := make([]*Document, 64)
+	for i := range docs {
+		docs[i] = &Document{
+			ID:         fmt.Sprintf("u%04d", i),
+			Kind:       KindArticle,
+			Title:      w() + " " + w(),
+			Text:       w() + " " + w() + " " + w() + " " + w(),
+			Topics:     []string{"t" + fmt.Sprint(i%4)},
+			CreatedAt:  int64(i),
+			Provenance: "test",
+		}
+		if i%4 == 0 {
+			docs[i].Concept = make(feature.Vector, 8)
+			for j := range docs[i].Concept {
+				docs[i].Concept[j] = r.Float64()
+			}
+		}
+	}
+	checkReadsUnderChurn(t, s, docs, docs[0].Title, 8*len(docs), 8)
+}
+
+// checkReadsUnderChurn loads docs into s, then has readers issue query while
+// one writer re-puts clones of the same documents puts times. Every read must
+// return the quiesced hit slice. Every put must publish an epoch, and each
+// reader reads once more after the writer's last put, or the identity is
+// vacuous.
+func checkReadsUnderChurn(t *testing.T, s *Store, docs []*Document, query string, puts, readers int) {
+	t.Helper()
+	for _, d := range docs {
+		if err := s.Put(d.Clone()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	const query = "gold filigree" // two distinct terms: order-independent accumulation
 	expected := s.SearchText(query, 8)
 	if len(expected) == 0 {
 		t.Fatal("empty baseline result")
 	}
 
+	epoch0 := s.Epoch()
 	done := make(chan struct{})
+	var reads atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { // churn writer: identical content, epoch bumps only
 		defer wg.Done()
 		defer close(done)
-		for i := 0; i < 500; i++ {
-			if err := s.Put(mk(i % n)); err != nil {
+		for i := 0; i < puts; i++ {
+			if err := s.Put(docs[i%len(docs)].Clone()); err != nil {
 				t.Error(err)
 				return
 			}
 		}
 	}()
-	for w := 0; w < 16; w++ {
+	for w := 0; w < readers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
+			for last := false; !last; {
 				select {
 				case <-done:
-					return
+					last = true
 				default:
 				}
 				got := s.SearchText(query, 8)
@@ -460,10 +507,17 @@ func TestSearchDeterminismUnderChurn(t *testing.T) {
 						hitIDs(got), hitIDs(expected))
 					return
 				}
+				reads.Add(1)
 			}
 		}()
 	}
 	wg.Wait()
+	if epochs := s.Epoch() - epoch0; epochs != uint64(puts) {
+		t.Fatalf("writer published %v epochs over %v puts", epochs, puts)
+	}
+	if reads.Load() == 0 {
+		t.Fatal("no read was checked")
+	}
 	if got := s.SearchText(query, 8); !hitsEqual(got, expected) {
 		t.Fatalf("post-quiesce result diverged: %v vs %v", hitIDs(got), hitIDs(expected))
 	}

@@ -114,7 +114,7 @@ type Overlay struct {
 	net    *sim.Network
 	cfg    Config
 	nodes  map[int]*Node
-	ids    []int
+	ids    []int // join order: what draws from rng walks it, never nodes
 	rng    *rand.Rand
 	answer map[string]func(Answer)    // per-query collectors at origins
 	spans  map[string]*telemetry.Span // per-query parent spans for hop tracing
@@ -184,8 +184,8 @@ func (ov *Overlay) IDs() []int { return ov.ids }
 // Bootstrap wires initial random views and semantic shortcuts, then starts
 // the periodic gossip and refresh processes.
 func (ov *Overlay) Bootstrap() {
-	for _, n := range ov.nodes {
-		n.view = ov.sampleIDs(n.ID, ov.cfg.ViewSize)
+	for _, id := range ov.ids {
+		ov.nodes[id].view = ov.sampleIDs(id, ov.cfg.ViewSize)
 	}
 	ov.refreshShortcuts()
 	k := ov.net.Kernel()
@@ -219,7 +219,8 @@ func (ov *Overlay) sampleIDs(self, k int) []int {
 // gossipRound has every live node exchange a view sample with one random
 // view member (Cyclon-style shuffle, simplified: symmetric merge + trim).
 func (ov *Overlay) gossipRound() {
-	for _, n := range ov.nodes {
+	for _, id := range ov.ids {
+		n := ov.nodes[id]
 		if ov.net.IsDown(n.ID) || len(n.view) == 0 {
 			continue
 		}
@@ -280,7 +281,8 @@ func (n *Node) mergeView(incoming []int) {
 // global membership directory this would be cheating; sampling keeps it
 // honest to what gossip can discover.
 func (ov *Overlay) refreshShortcuts() {
-	for _, n := range ov.nodes {
+	for _, nid := range ov.ids {
+		n := ov.nodes[nid]
 		self := n.handler.ContentVector()
 		cands := map[int]bool{}
 		for _, id := range n.view {
@@ -298,11 +300,7 @@ func (ov *Overlay) refreshShortcuts() {
 		}
 		var scoredPeers []scoredPeer
 		for id := range cands {
-			peer := ov.nodes[id]
-			if peer == nil {
-				continue
-			}
-			scoredPeers = append(scoredPeers, scoredPeer{id, feature.Cosine(self, peer.handler.ContentVector())})
+			scoredPeers = append(scoredPeers, scoredPeer{id, feature.Cosine(self, ov.nodes[id].handler.ContentVector())})
 		}
 		sort.Slice(scoredPeers, func(i, j int) bool {
 			if scoredPeers[i].s != scoredPeers[j].s {

@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -211,5 +212,26 @@ func TestResetSeenAllowsRepeatQueryIDs(t *testing.T) {
 	third := runQuery(k, ov, q, 5*time.Second)
 	if len(third) == 0 {
 		t.Fatal("ResetSeen did not clear dedup state")
+	}
+}
+
+// TestSameSeedSameOverlay pins that the overlay is a function of its seed:
+// two overlays built from one seed, run through several gossip and
+// shortcut-refresh periods, end with the same views, shortcuts and message
+// counts. Walking the node map while drawing from the seeded stream breaks
+// this.
+func TestSameSeedSameOverlay(t *testing.T) {
+	k1, ov1 := buildOverlay(t, 64, 10)
+	k2, ov2 := buildOverlay(t, 64, 10)
+	_ = k1.RunUntil(k1.Now() + 2*time.Minute)
+	_ = k2.RunUntil(k2.Now() + 2*time.Minute)
+	if ov1.GossipMsgs == 0 || ov1.GossipMsgs != ov2.GossipMsgs {
+		t.Fatalf("gossip messages %d vs %d", ov1.GossipMsgs, ov2.GossipMsgs)
+	}
+	for _, id := range ov1.IDs() {
+		n1, n2 := ov1.Node(id), ov2.Node(id)
+		if !slices.Equal(n1.view, n2.view) || !slices.Equal(n1.shortcuts, n2.shortcuts) {
+			t.Fatalf("node %d: view %v vs %v, shortcuts %v vs %v", id, n1.view, n2.view, n1.shortcuts, n2.shortcuts)
+		}
 	}
 }

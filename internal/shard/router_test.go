@@ -197,6 +197,73 @@ func TestScatterMatchesMonolithic(t *testing.T) {
 	}
 }
 
+// TestScatterPrunesTopicalAsks: on a topical ask mix, statistics-driven
+// planning keeps most of an 8-shard cluster out of each ask, under sustained
+// ingest too. Over 8 192 Zipfian documents the router first asks every
+// distinct query once, as a steady-state router would have, then asks them
+// again while routed 64-document batches land every fourth ask; the mean
+// number of shards pruned without a round trip must exceed half of them.
+func TestScatterPrunesTopicalAsks(t *testing.T) {
+	const seed, nAsks, k, n = 26, 32, 10, 8
+	const ingestEvery, ingestBatch = 4, 64
+	g := workload.NewGenerator(seed, 16, 16)
+	var docs []*docstore.Document
+	for _, d := range g.GenCorpus(8192, 1.1, int64(time.Hour)) {
+		docs = append(docs, d.Doc)
+	}
+	// Churn: further generator output under fresh IDs.
+	var churn []*docstore.Document
+	for i, d := range g.GenCorpus(nAsks/ingestEvery*ingestBatch, 1.1, 0) {
+		d.Doc.ID = fmt.Sprintf("churn%05d", i)
+		churn = append(churn, d.Doc)
+	}
+	users := g.GenUsers(64)
+	queries := make([]string, nAsks)
+	for i := range queries {
+		queries[i], _, _ = g.QueryFor(users[i%len(users)])
+	}
+	tc := startCluster(t, n, docs)
+	r := tc.router(t, Options{Telemetry: telemetry.NewRegistry()})
+	ask := func(q string) Result {
+		t.Helper()
+		res := r.Ask(q, k)
+		if res.Partial {
+			t.Fatalf("q=%q: partial on a healthy cluster: %v", q, res.Errors)
+		}
+		return res
+	}
+	for _, q := range queries {
+		ask(q)
+	}
+	fanout, pruned, next := 0, 0, 0
+	for i := 0; i < nAsks; i++ {
+		if i%ingestEvery == ingestEvery-1 && next < len(churn) {
+			parts := make(map[string][]*docstore.Document)
+			for _, d := range churn[next:min(next+ingestBatch, len(churn))] {
+				id := tc.m.Locate(DocKey(d)).ID
+				parts[id] = append(parts[id], d)
+			}
+			for id, p := range parts {
+				if err := tc.stores[id].PutBatch(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			next += ingestBatch
+		}
+		res := ask(queries[i%len(queries)])
+		fanout += res.Fanout
+		pruned += res.Pruned
+	}
+	avgFan, avgPruned := float64(fanout)/nAsks, float64(pruned)/nAsks
+	if avgFan+avgPruned != n {
+		t.Fatalf("fanout %v + pruned %v != %d shards", avgFan, avgPruned, n)
+	}
+	if avgPruned <= 4 {
+		t.Fatalf("pruning barely engaged at %d shards: %v pruned, %v asked per ask", n, avgPruned, avgFan)
+	}
+	t.Logf("%v of %d shards pruned per ask", avgPruned, n)
+}
+
 // TestFirstContactIsOneCorrection: a fresh router holds no figure of any
 // shard, and learns them from its first query to each — there is no other
 // request. Every shard is asked at once, assumed to hold nothing; a shard

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -104,6 +105,29 @@ func TestTailSamplerBeatsFIFO(t *testing.T) {
 	}
 	t.Logf("slowest-decile coverage: sampler %d/%d, FIFO %d/%d; errors retained %d/%d",
 		samplerHits, len(decile), fifoHits, len(decile), len(errIDs), len(errIDs))
+
+	// The same contract on the public API: traces started, failed and
+	// finished through a registry, a burst big enough to evict any FIFO of
+	// the budget, with rare failures spread through it.
+	reg := NewRegistrySeeded(24)
+	burst, wantErrs := 400, 0
+	for i := 0; i < burst; i++ {
+		tr := reg.StartTrace("probe", fmt.Sprintf("burst-%d", i))
+		if i%97 == 0 && wantErrs < 12 { // 97 is coprime with the burst
+			tr.Fail(errors.New("provider unreachable"))
+			wantErrs++
+		}
+		tr.Finish()
+	}
+	keptErrs := 0
+	for _, tr := range reg.Snapshot().Traces {
+		if tr.Err != "" {
+			keptErrs++
+		}
+	}
+	if keptErrs != wantErrs {
+		t.Fatalf("error traces lost: kept %v of %v", keptErrs, wantErrs)
+	}
 }
 
 // TestTailSamplerReservoirKeepsNormalTraces checks the third class: fast,

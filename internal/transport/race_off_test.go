@@ -1,5 +1,5 @@
 //go:build !race
 
-package bench
+package transport
 
 const raceEnabled = false
