@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-core vet lint check fuzz clean
+.PHONY: build test race race-core vet lint check fuzz determinism clean
 
 build:
 	$(GO) build ./...
@@ -81,6 +81,16 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzSelectBest -fuzztime 2000x ./internal/docstore
 	$(GO) test -run XXX -fuzz FuzzDot4 -fuzztime 2000x ./internal/feature
 	$(GO) test -run XXX -fuzz FuzzDocTerms -fuzztime 2000x ./internal/docstore
+
+# The experiment suite's tables are a function of -seed and -scale: agora-bench
+# reads no clock, so two runs at one seed and scale print the same bytes.
+# Two runs at a fifth of full scale (a few seconds), compared with cmp; the
+# outputs stay in .determinism/ (gitignored) to diff when they differ.
+determinism:
+	mkdir -p .determinism
+	$(GO) run ./cmd/agora-bench -seed 1 -scale 0.2 > .determinism/a.txt
+	$(GO) run ./cmd/agora-bench -seed 1 -scale 0.2 > .determinism/b.txt
+	cmp .determinism/a.txt .determinism/b.txt
 
 clean:
 	$(GO) clean ./...

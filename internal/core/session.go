@@ -279,13 +279,18 @@ func (s *Session) runPipeline(tr *telemetry.Trace, q *query.Query, concept featu
 	spMerge := tr.Span("merge", "")
 	mergeElapsed := stopwatch()
 	merged := query.Merge(lists, q.TopK*3)
-	var texts [8]string
 	for i := range merged {
-		base := merged[i].Score
-		p := merged[i].Doc
-		score := s.Profile.PersonalScore(base, p.Concept, s.Gamma)
-		score *= s.Profile.TermBoost(p.Texts(texts[:0]))
-		merged[i].Score = score
+		r := &merged[i]
+		// The term counts come from the index of the store that served the
+		// result; Terms counts them itself if that store no longer holds
+		// this document (or r.Source names no node).
+		var served *docstore.Store
+		if n := s.agora.Node(r.Source); n != nil {
+			served = n.Store
+		}
+		boost := s.Profile.TermBoost()
+		served.Terms(r.Doc, boost.Add)
+		r.Score = s.Profile.PersonalScore(r.Score, r.Doc.Concept, s.Gamma) * boost.Value()
 	}
 	query.SortResults(merged)
 

@@ -35,10 +35,11 @@ type compiledIndex struct {
 	blocks   []blockMeta // all terms' block directory, term-major
 	data     []byte      // all terms' encoded blocks, one arena
 
-	// Forward index: per ordinal, the sorted IDs (into termList) of the
-	// document's distinct terms. withDead charges a killed document's terms
-	// to the dead counts from it in O(|doc terms|), so the query path never
-	// intersects tombstones with postings.
+	// Forward index: per ordinal, the document's distinct terms, ascending,
+	// as pairs — the term's ID (into termList), then its count there: 8 bytes
+	// a posting. withDead charges a killed document's terms to the dead
+	// counts from the IDs in O(|doc terms|), so the query path never
+	// intersects tombstones with postings; Store.Terms reads the pairs.
 	fwd     [][]uint32
 	fwdFree []uint32 // the forward lists' one arena, less what addDoc has handed out
 	nPost   int      // postings appended: what the next index's arena is sized from
@@ -74,7 +75,7 @@ type blockMeta struct {
 func newCompiledIndex(nDocs, nPost, nVec, nTerms, nBlocks, nData int) *compiledIndex {
 	strs := make([]string, nDocs+nTerms)
 	floats := make([]float64, 2*nDocs+nVec)
-	words := make([]uint32, 2*nDocs+1+nPost)
+	words := make([]uint32, 2*nDocs+1+2*nPost)
 	return &compiledIndex{
 		ids:      strs[:0:nDocs],
 		docs:     make([]*Document, 0, nDocs),
@@ -107,8 +108,8 @@ func (cx *compiledIndex) addDoc(d *Document, docLen uint32, nTerms int, cnorm fl
 	cx.cnorms = append(cx.cnorms, cnorm)
 	cx.vecs = append(cx.vecs, d.Concept...)
 	cx.vecAt = append(cx.vecAt, uint32(len(cx.vecs)))
-	cx.fwd = append(cx.fwd, cx.fwdFree[:0:nTerms])
-	cx.fwdFree = cx.fwdFree[nTerms:]
+	cx.fwd = append(cx.fwd, cx.fwdFree[:0:2*nTerms])
+	cx.fwdFree = cx.fwdFree[2*nTerms:]
 	return ord
 }
 
@@ -162,7 +163,7 @@ func (cx *compiledIndex) appendTerm(term string, entries []postEntry) {
 			if r := tfWeight(int(e.tf)) / cx.norms[e.ord]; r > bm.maxRatio {
 				bm.maxRatio = r
 			}
-			cx.fwd[e.ord] = append(cx.fwd[e.ord], ti)
+			cx.fwd[e.ord] = append(cx.fwd[e.ord], ti, e.tf)
 		}
 		cx.data = appendPostingsBlock(cx.data, blk)
 		cx.blocks = append(cx.blocks, bm)
@@ -296,7 +297,7 @@ func mergeIndex(segs []*segment, b *batch) (*compiledIndex, [][]uint32) {
 		for _, dead := range [2][]uint32{seg.dead, b.maskedIn(si)} {
 			for _, ord := range dead {
 				to[ord] = ordSentinel
-				nPost -= len(seg.cx.fwd[ord])
+				nPost -= len(seg.cx.fwd[ord]) / 2
 				nVec -= int(seg.cx.vecAt[ord+1] - seg.cx.vecAt[ord])
 			}
 			nDocs -= len(dead)
@@ -339,7 +340,7 @@ func mergeIndex(segs []*segment, b *batch) (*compiledIndex, [][]uint32) {
 			break
 		}
 		src, old := srcs[from], next[from]
-		remap[from][old] = cx.addDoc(src.docs[old], src.docLens[old], len(src.fwd[old]), src.cnorms[old])
+		remap[from][old] = cx.addDoc(src.docs[old], src.docLens[old], len(src.fwd[old])/2, src.cnorms[old])
 		next[from]++
 	}
 

@@ -233,8 +233,8 @@ func (seg *segment) withDead(masked []uint32) *segment {
 	for _, ord := range masked {
 		at, _ := slices.BinarySearch(ns.dead, ord)
 		ns.dead = slices.Insert(ns.dead, at, ord)
-		for _, ti := range seg.cx.fwd[ord] {
-			ns.deadDF[ti]++
+		for f := seg.cx.fwd[ord]; len(f) > 0; f = f[2:] {
+			ns.deadDF[f[0]]++
 		}
 		ns.tally(seg.cx.docs[ord], -1)
 	}

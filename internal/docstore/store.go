@@ -349,6 +349,29 @@ func (s *Store) Get(id string) (*Document, error) {
 	return d.Clone(), nil
 }
 
+// Terms calls fn with each of d's distinct terms, ascending, and its count
+// there — what docTerms(d) returns. When the published snapshot holds d
+// itself, live — a Hit's document is the store's own — the pairs are read
+// from the forward index its put was compiled into, which allocates nothing;
+// any other d (replaced or deleted since, held by another store, or given to
+// a nil store) is counted. The term strings are immutable and may be kept.
+func (s *Store) Terms(d *Document, fn func(term string, tf int)) {
+	if s != nil {
+		segs := s.snap.Load().segs
+		if si, ord := holder(segs, d.ID); si >= 0 && segs[si].cx.docs[ord] == d && !segs[si].isDead(ord) {
+			cx := segs[si].cx
+			for f := cx.fwd[ord]; len(f) > 0; f = f[2:] {
+				fn(cx.termList[f[0]], int(f[1]))
+			}
+			return
+		}
+	}
+	terms, _ := docTerms(d)
+	for _, t := range terms {
+		fn(t.term, t.tf)
+	}
+}
+
 // Len returns the number of stored documents.
 func (s *Store) Len() int {
 	return s.snap.Load().docCount()

@@ -3,6 +3,7 @@ package docstore
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -270,4 +271,141 @@ func TestIndexOwnsItsDictionary(t *testing.T) {
 func stagePut(d *Document) stagedOp {
 	terms, n := docTerms(d)
 	return stagedOp{op: opPut, payload: d.marshal(), batchDoc: batchDoc{d, terms, n}}
+}
+
+// storeTerms is what s.Terms yields for d, in order.
+func storeTerms(s *Store, d *Document) []termTF {
+	var out []termTF
+	s.Terms(d, func(term string, tf int) { out = append(out, termTF{term: term, tf: tf}) })
+	return out
+}
+
+// TestStoreTermsMatchDocTerms: for every document a store holds, Terms
+// yields docTerms — term for term, count for count — read from the forward
+// index without an allocation, however the index was built: a commit window,
+// a tier merge, Compact, Open from the v2 file and Open through the legacy
+// reader. A document the store no longer holds — replaced, deleted, never
+// put, or asked of a nil store — is counted, to the same sequence.
+func TestStoreTermsMatchDocTerms(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	newDoc := func(id string) *Document {
+		d := shadowDoc(r, id, int64(r.Intn(1000)))
+		for w := r.Intn(6); w > 0; w-- { // repeats: counts above one, up to the block size and past it
+			d.Text += strings.Repeat(" "+shadowVocab[r.Intn(len(shadowVocab))], 1+r.Intn(200))
+		}
+		d.Text += fmt.Sprintf(" rare%d", r.Intn(40))
+		return d
+	}
+	check := func(stage string, s *Store, wantHeld int) {
+		t.Helper()
+		held := 0
+		for _, seg := range s.snap.Load().segs {
+			for ord, d := range seg.cx.docs {
+				if seg.isDead(uint32(ord)) {
+					continue
+				}
+				held++
+				want, _ := docTerms(d)
+				if got := storeTerms(s, d); !slices.Equal(got, want) {
+					t.Fatalf("%s: Terms(%s) %v, docTerms %v", stage, d.ID, got, want)
+				}
+				if !raceEnabled {
+					if n := testing.AllocsPerRun(5, func() { s.Terms(d, func(string, int) {}) }); n != 0 {
+						t.Fatalf("%s: Terms(%s) of a held document makes %v allocations, want 0: it was counted", stage, d.ID, n)
+					}
+				}
+			}
+		}
+		if held != wantHeld || s.Len() != wantHeld {
+			t.Fatalf("%s: %d documents held, Len %d, want %d", stage, held, s.Len(), wantHeld)
+		}
+	}
+	counted := func(stage string, s *Store, d *Document) {
+		t.Helper()
+		want, _ := docTerms(d)
+		if got := storeTerms(s, d); !slices.Equal(got, want) {
+			t.Fatalf("%s: Terms(%s) %v, docTerms %v", stage, d.ID, got, want)
+		}
+		if !raceEnabled {
+			if n := testing.AllocsPerRun(5, func() { s.Terms(d, func(string, int) {}) }); n == 0 {
+				t.Fatalf("%s: Terms(%s) made no allocation: read from an index that does not hold it", stage, d.ID)
+			}
+		}
+	}
+
+	dir := t.TempDir()
+	opts := Options{Dir: dir, ConceptDim: 8, Seed: 7}
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]*Document, 8)
+	for i := range batch {
+		batch[i] = newDoc(fmt.Sprintf("d%03d", i))
+	}
+	if err := s.PutBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	check("window", s, 8)
+
+	prev := s.snap.Load()
+	for i := 8; i < 80; i++ {
+		if err := s.Put(newDoc(fmt.Sprintf("d%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !mergedSince(prev, s.snap.Load()) {
+		t.Fatal("no tier merge in 72 single-document windows")
+	}
+	check("tier merge", s, 80)
+
+	old := s.snap.Load().getDoc("d005")
+	if err := s.Put(newDoc("d005")); err != nil {
+		t.Fatal(err)
+	}
+	counted("replaced", s, old)
+	gone := s.snap.Load().getDoc("d006")
+	if err := s.Delete("d006"); err != nil {
+		t.Fatal(err)
+	}
+	counted("deleted", s, gone)
+	stranger := newDoc("d007") // an id the store holds, another document
+	counted("never put", s, stranger)
+	counted("nil store", nil, stranger)
+	check("after replace and delete", s, 79)
+
+	// The log so far becomes a legacy snapshot, as stores wrote it before
+	// v2: a record stream with no magic, which Open replays.
+	legacy := t.TempDir()
+	snapPath, walPath := snapshotPaths(dir)
+	legacySnap, _ := snapshotPaths(legacy)
+	copyFile(t, walPath, legacySnap)
+
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check("compact", s, 79)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if raw, err := os.ReadFile(snapPath); err != nil || !strings.HasPrefix(string(raw), snapMagic) {
+		t.Fatalf("the compacted snapshot is not a v2 file: %v", err)
+	}
+	if s, err = Open(opts); err != nil {
+		t.Fatal(err)
+	}
+	check("open v2", s, 79)
+	counted("open v2, a document of the closed store", s, old)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if s, err = Open(Options{Dir: legacy, ConceptDim: 8, Seed: 7}); err != nil {
+		t.Fatal(err)
+	}
+	check("open legacy", s, 79)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 }

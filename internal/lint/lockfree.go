@@ -16,7 +16,7 @@ var lockfreeReadMethods = map[string]bool{
 	"Get": true, "Len": true, "Epoch": true, "Stats": true,
 	"ByTopic": true, "TopicCount": true,
 	"RecentSince": true, "Freshest": true, "All": true,
-	"TermStats": true,
+	"TermStats": true, "Terms": true,
 }
 
 // lockfreeAnalyzer enforces the epoch-snapshot contract: every read

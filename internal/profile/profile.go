@@ -95,6 +95,10 @@ func (p *Profile) Clone() *Profile {
 	}
 	cp.Variants = make(map[string]*Variant, len(p.Variants))
 	for k, v := range p.Variants {
+		if v == nil { // ActiveView reads a nil variant as absent: it stays nil
+			cp.Variants[k] = nil
+			continue
+		}
 		vv := *v
 		vv.Interests = v.Interests.Clone()
 		if v.Weights != nil {
@@ -149,32 +153,35 @@ func (p *Profile) PersonalScore(base float64, docConcept feature.Vector, gamma f
 	return (1-gamma)*base + gamma*interest
 }
 
-// TermBoost returns a multiplicative boost derived from the user's term
-// affinities over a document's tokens, in [0.5, 1.5]. The document comes as
-// its texts (docstore.Document.Texts), tokenized here as they are read: a
-// token is looked up, never kept.
-func (p *Profile) TermBoost(texts []string) float64 {
-	if len(p.TermAffinity) == 0 {
+// TermBoost is the multiplicative boost, in [0.5, 1.5], a profile's term
+// affinities give one document: the mean affinity over the document's tokens
+// that carry one — Σ tf·a(t) / Σ tf over its distinct terms t, in ascending
+// order — squashed by 1 + 0.5·tanh; 1 when no token carries one. It is fed
+// the terms with their counts, one at a time (Add has the shape
+// docstore.Store.Terms calls), so a caller allocates nothing per document.
+type TermBoost struct {
+	affinity map[string]float64
+	sum      float64
+	n        int
+}
+
+// TermBoost starts p's boost of one document.
+func (p *Profile) TermBoost() TermBoost { return TermBoost{affinity: p.TermAffinity} }
+
+// Add feeds the document's next distinct term, which occurs tf times in it.
+func (b *TermBoost) Add(term string, tf int) {
+	if a, ok := b.affinity[term]; ok {
+		b.sum += float64(tf) * a
+		b.n += tf
+	}
+}
+
+// Value is the boost of the terms added so far.
+func (b *TermBoost) Value() float64 {
+	if b.n == 0 {
 		return 1
 	}
-	var sum float64
-	var n int
-	var tz feature.Tokenizer
-	for _, text := range texts {
-		tz.Reset(text)
-		for tok, ok := tz.Next(); ok; tok, ok = tz.Next() {
-			if a, ok := p.TermAffinity[string(tok)]; ok {
-				sum += a
-				n++
-			}
-		}
-	}
-	if n == 0 {
-		return 1
-	}
-	avg := sum / float64(n)
-	// Squash into [-0.5, 0.5] then shift.
-	return 1 + 0.5*math.Tanh(avg)
+	return 1 + 0.5*math.Tanh(b.sum/float64(b.n))
 }
 
 // TopTerms returns the k terms with the highest affinity.
@@ -210,7 +217,8 @@ func Similarity(a, b *Profile) float64 {
 	if ci < 0 {
 		ci = 0
 	}
-	// Term agreement over the union of strongly-held terms.
+	// Term agreement: the share of the terms both profiles hold on which
+	// they agree in sign.
 	var agree, total float64
 	for t, av := range a.TermAffinity {
 		bv, ok := b.TermAffinity[t]

@@ -3,11 +3,14 @@ package profile
 import (
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
+	"repro/internal/docstore"
 	"repro/internal/feature"
 	"repro/internal/qos"
 	"repro/internal/uncertainty"
+	"repro/internal/workload"
 )
 
 func concept(dim, hot int) feature.Vector {
@@ -81,20 +84,144 @@ func TestPersonalScore(t *testing.T) {
 	}
 }
 
+// boost is p's TermBoost of a document given as (term, count) pairs.
+func boost(p *Profile, pairs ...any) float64 {
+	b := p.TermBoost()
+	for i := 0; i < len(pairs); i += 2 {
+		b.Add(pairs[i].(string), pairs[i+1].(int))
+	}
+	return b.Value()
+}
+
 func TestTermBoost(t *testing.T) {
 	p := New("iris", 4)
 	p.TermAffinity["gold"] = 2
 	p.TermAffinity["spam"] = -2
-	up := p.TermBoost([]string{"gold"})
-	down := p.TermBoost([]string{"spam"})
+	up := boost(p, "gold", 1)
+	down := boost(p, "spam", 1)
 	if up <= 1 || down >= 1 {
 		t.Fatalf("boosts: up=%v down=%v", up, down)
 	}
 	if up > 1.5 || down < 0.5 {
 		t.Fatalf("boost out of range: up=%v down=%v", up, down)
 	}
-	if p.TermBoost([]string{"unseen"}) != 1 || p.TermBoost(nil) != 1 {
+	if boost(p, "unseen", 3) != 1 || boost(p) != 1 {
 		t.Fatal("neutral boost expected")
+	}
+	// The mean is over tokens: three golds outweigh one spam, (3·2 - 2)/4.
+	if got, want := boost(p, "gold", 3, "ring", 5, "spam", 1), 1+0.5*math.Tanh(1); got != want {
+		t.Fatalf("boost of gold×3 ring×5 spam×1 = %v, want %v", got, want)
+	}
+}
+
+// TestTermBoostMatchesReference: over a generated corpus, a learned
+// profile's TermBoost of each document, fed from the store that holds it
+// (docstore.Store.Terms), is to the bit a reference computed from the
+// document's tokens — sorted, counted, and summed in ascending term order —
+// and within 1e-12 of the mean taken in token order; and it allocates
+// nothing.
+func TestTermBoostMatchesReference(t *testing.T) {
+	gen := workload.NewGenerator(5, 16, 8)
+	corpus := gen.GenCorpus(400, 1.0, 1e9)
+	p := New("iris", 16)
+	l := NewLearner()
+	types := []EventType{EventSkip, EventClick, EventDwell, EventSave, EventQuery}
+	for i, wd := range corpus[:80] {
+		l.Observe(p, Event{Type: types[i%len(types)], Concept: wd.Doc.Concept, Terms: wd.Doc.Tokens()})
+	}
+	var pos, neg int
+	for _, a := range p.TermAffinity {
+		if a > 0 {
+			pos++
+		} else if a < 0 {
+			neg++
+		}
+	}
+	if pos == 0 || neg == 0 {
+		t.Fatalf("the learned profile holds %d attractions and %d aversions: want both", pos, neg)
+	}
+
+	s, err := docstore.Open(docstore.Options{ConceptDim: 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := make([]*docstore.Document, len(corpus))
+	for i, wd := range corpus {
+		docs[i] = wd.Doc
+	}
+	if err := s.PutBatch(docs); err != nil {
+		t.Fatal(err)
+	}
+
+	reference := func(d *docstore.Document) float64 {
+		toks := d.Tokens()
+		sort.Strings(toks)
+		var sum float64
+		var n int
+		for i := 0; i < len(toks); {
+			j := i + 1
+			for j < len(toks) && toks[j] == toks[i] {
+				j++
+			}
+			if a, ok := p.TermAffinity[toks[i]]; ok {
+				sum += float64(j-i) * a
+				n += j - i
+			}
+			i = j
+		}
+		if n == 0 {
+			return 1
+		}
+		return 1 + 0.5*math.Tanh(sum/float64(n))
+	}
+	tokenOrder := func(d *docstore.Document) float64 {
+		var sum float64
+		var n int
+		for _, tok := range d.Tokens() {
+			if a, ok := p.TermAffinity[tok]; ok {
+				sum += a
+				n++
+			}
+		}
+		if n == 0 {
+			return 1
+		}
+		return 1 + 0.5*math.Tanh(sum/float64(n))
+	}
+
+	seen, moved := map[string]bool{}, 0
+	for _, topic := range gen.Topics {
+		for _, h := range s.SearchText(topic.Name, len(corpus)) {
+			if seen[h.Doc.ID] {
+				continue
+			}
+			seen[h.Doc.ID] = true
+			b := p.TermBoost()
+			s.Terms(h.Doc, b.Add)
+			got := b.Value()
+			if want := reference(h.Doc); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: TermBoost %v, reference %v", h.Doc.ID, got, want)
+			}
+			if want := tokenOrder(h.Doc); math.Abs(got-want) > 1e-12*math.Abs(want) {
+				t.Fatalf("%s: TermBoost %v, token-order mean %v", h.Doc.ID, got, want)
+			}
+			if got != 1 {
+				moved++
+			}
+		}
+	}
+	if len(seen) < len(corpus)*9/10 || moved < len(seen)/2 {
+		t.Fatalf("%d of %d documents boosted, %d of them away from 1", len(seen), len(corpus), moved)
+	}
+
+	d := s.SearchText(gen.Topics[0].Name, 1)[0].Doc
+	var sink float64
+	if n := testing.AllocsPerRun(100, func() {
+		b := p.TermBoost()
+		s.Terms(d, b.Add)
+		sink += b.Value()
+	}); n != 0 {
+		t.Fatalf("boosting a document the store holds makes %v allocations, want 0", n)
 	}
 }
 
@@ -165,6 +292,22 @@ func TestCloneIsolation(t *testing.T) {
 	cp.Variants["v"].Interests[0] = 9
 	if p.TermAffinity["x"] != 1 || p.Interests[0] != 0 || p.Variants["v"].Interests[0] != 1 {
 		t.Fatal("clone not deep")
+	}
+}
+
+// TestCloneKeepsNilVariant: ActiveView reads a nil variant as absent, and
+// Clone — which every session runs on the profile it opens — keeps it nil
+// rather than dereferencing it.
+func TestCloneKeepsNilVariant(t *testing.T) {
+	p := New("iris", 4)
+	p.Interests = concept(4, 1)
+	p.Variants["gone"] = nil
+	cp := p.Clone()
+	if v, ok := cp.Variants["gone"]; !ok || v != nil {
+		t.Fatalf("clone's variant %v (present %v), want a nil entry", v, ok)
+	}
+	if iv, _ := cp.ActiveView("gone"); feature.Cosine(iv, concept(4, 1)) < 0.99 {
+		t.Fatal("a nil variant should yield the base view")
 	}
 }
 
