@@ -25,17 +25,21 @@ race:
 # stresses of the two bookkeeping-before-reply ordering pins — the trace is
 # retrievable, and the server's frame count already holds the reply, the
 # moment a Client.Query returns — of the scatter asks held to the brute-force ranking
-# at the epoch they name while a writer runs, and of the reader that keeps
+# at the epoch they name while a writer runs, of the reader that keeps
 # asking a held snapshot while later windows fold tombstones into its
-# segments' successors and tier merges replace them. All four are scheduling races —
-# where in a merge the reader's walk falls is up to the scheduler — so one
-# pass proves little.
+# segments' successors and tier merges replace them, and of compaction
+# against the committer: it encodes documents from the snapshot it pinned
+# while the committer marshals puts into the log's reused record buffer, and
+# it swaps that log. All five are scheduling races — where in a merge the
+# reader's walk falls, or a window in a compaction, is up to the scheduler —
+# so one pass proves little.
 race-core:
 	$(GO) test -race ./internal/telemetry ./internal/transport ./internal/shard ./internal/docstore ./internal/core
 	$(GO) test -race -count=20 -run TestTraceRetrievableOnceReplyObserved ./internal/transport
 	$(GO) test -race -count=20 -run TestFrameCountedBeforeReplyObserved ./internal/transport
 	$(GO) test -race -count=5 -run TestScatterExactUnderConcurrentWrites ./internal/shard
 	$(GO) test -race -count=5 -run TestHeldSnapshotSurvivesLaterWindows ./internal/docstore
+	$(GO) test -race -count=5 -run 'TestCompactConcurrentWithWrites|TestGroupCommitCrashImage' ./internal/docstore
 
 vet:
 	$(GO) vet ./...

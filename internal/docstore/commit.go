@@ -2,16 +2,19 @@ package docstore
 
 import (
 	"errors"
+	"fmt"
 	"time"
 )
 
-// Group-commit pipeline, the one write path. Writers stage marshalled records
-// into a commit queue and a single committer goroutine drains it in windows,
-// appending every staged record and amortizing ONE fsync across all writers
-// waiting in the window. Each Put/Delete still returns only after its record
-// is durable per Options.SyncEveryPut — the ack is deferred, never the
-// durability. An in-memory store runs the same window code with no queue, no
-// goroutine and no WAL: each writer commits its own request (see submit).
+// Group-commit pipeline, the one write path. Writers stage their ops into a
+// commit queue and a single committer goroutine drains it in windows,
+// marshalling each put into the log's one record buffer as it appends it and
+// amortizing ONE fsync across all writers waiting in the window. Each
+// Put/Delete still returns only after its record is durable per
+// Options.SyncEveryPut — the ack is deferred, never the durability. An
+// in-memory store runs the same window code with no queue, no goroutine and
+// no WAL: each writer commits its own request (see submit), and nothing is
+// ever marshalled.
 //
 // Ordering contract (the repo's determinism contract extended to the write
 // path): WAL record order == the order a window's ops are folded into the
@@ -25,11 +28,11 @@ import (
 // under contention windows grow to the number of waiting writers with no
 // added latency for the uncontended single-writer case.
 
-// stagedOp is one marshalled write, prepared by the writer goroutine so the
-// CPU work (Clone, marshal, count terms) runs in parallel outside the committer.
+// stagedOp is one write, prepared by the writer goroutine: Clone and the term
+// count run there, outside Store.mu. A put is marshalled only as the
+// committer logs it (wal.append), so a batch never holds its records.
 type stagedOp struct {
 	op       uint8
-	payload  []byte // marshalled document (put) or raw id bytes (delete); released once logged
 	batchDoc        // put: the cloned document to install and its docTerms; terms released once staged
 	id       string // delete: target id
 	skip     bool   // set by the committer: delete of a dead id, not logged
@@ -125,12 +128,15 @@ func (s *Store) commitLoop() {
 // the one the window's successor is built from. An
 // in-memory store skips only the WAL steps and their docstore.wal.*
 // instruments. The guard is Options.Dir, not s.log: a durable store that
-// lost its log must keep failing loudly, never start acking unlogged writes.
+// lost its log fails every write with the reason, never acks one unlogged.
 func (s *Store) commitWindow(window []*commitReq) {
 	durable := s.opts.Dir != ""
 	s.mu.Lock()
 	cur := s.snap.Load()
 	var wErr error
+	if durable && s.log == nil {
+		wErr = fmt.Errorf("docstore: wal lost: %w", s.logErr)
+	}
 	var puts, deletes uint64
 	// winLive tracks liveness of ids touched earlier in this same window,
 	// so a Delete sequenced after a Put of the same id in one window
@@ -151,8 +157,7 @@ func (s *Store) commitWindow(window []*commitReq) {
 				}
 			}
 			if durable && wErr == nil {
-				wErr = s.log.append(op.op, op.payload)
-				op.payload = nil // logged: the window's compile does not hold its records
+				wErr = s.log.append(op.op, op.doc, op.id)
 			}
 			if wErr != nil {
 				continue

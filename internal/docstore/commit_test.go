@@ -416,8 +416,8 @@ func testWindowPutThenDeleteSameID(t *testing.T, opts Options) {
 	}
 	d := doc("x", "t", "b", 1, nil)
 	put := mk([]stagedOp{stagePut(d.Clone())})
-	del := mk([]stagedOp{{op: opDelete, payload: []byte("x"), id: "x"}})
-	delMissing := mk([]stagedOp{{op: opDelete, payload: []byte("ghost"), id: "ghost"}})
+	del := mk([]stagedOp{{op: opDelete, id: "x"}})
+	delMissing := mk([]stagedOp{{op: opDelete, id: "ghost"}})
 	s.commitWindow([]*commitReq{put, del, delMissing})
 	if put.err != nil || del.err != nil {
 		t.Fatalf("in-window put/delete errs: %v %v", put.err, del.err)
@@ -608,12 +608,13 @@ func commitOps(s *Store, ops ...stagedOp) error {
 	return req.err
 }
 
-// TestWindowReleasesStagedRecords: a window drops each op's marshalled record
-// once it is logged and its terms once they are staged, small window or bulk
-// — the writer still holds the ops while it waits, and a bulk load's compile
-// must not run with the whole batch's records reachable beside the
-// base it builds (that was a third of the heap there, and the benchmark's peak RSS
-// swung by 90 MB with where the collector met it).
+// TestWindowReleasesStagedRecords: a window drops each op's terms once they
+// are staged, small window or bulk — the writer still holds the ops while it
+// waits, and a bulk load's compile must not run with the whole batch's
+// records reachable beside the base it builds (that was a third of the heap
+// there, and the benchmark's peak RSS swung by 90 MB with where the collector
+// met it). An op holds no marshalled record at all: stagedOp has no field for
+// one, and the log marshals each put into its own reused buffer.
 func TestWindowReleasesStagedRecords(t *testing.T) {
 	s, err := Open(Options{Dir: t.TempDir(), ConceptDim: 4, Seed: 1})
 	if err != nil {
@@ -633,8 +634,8 @@ func TestWindowReleasesStagedRecords(t *testing.T) {
 			t.Fatalf("window of %d: its last document was not published", n)
 		}
 		for i := range ops {
-			if ops[i].payload != nil || ops[i].terms != nil {
-				t.Fatalf("window of %d: op %d still holds its record (%d bytes) or terms (%d)", n, i, len(ops[i].payload), len(ops[i].terms))
+			if ops[i].terms != nil {
+				t.Fatalf("window of %d: op %d still holds its terms (%d)", n, i, len(ops[i].terms))
 			}
 		}
 	}
@@ -731,12 +732,12 @@ func TestWritePathEquivalence(t *testing.T) {
 			d := mkDoc("x", 9)
 			return commitOps(s,
 				stagePut(d),
-				stagedOp{op: opDelete, payload: []byte("x"), id: "x"})
+				stagedOp{op: opDelete, id: "x"})
 		}},
 		{"delete ghost inside a batch", func(s *Store) error {
 			d := mkDoc("g", 10)
 			return commitOps(s,
-				stagedOp{op: opDelete, payload: []byte("ghost"), id: "ghost"},
+				stagedOp{op: opDelete, id: "ghost"},
 				stagePut(d))
 		}},
 	}

@@ -96,9 +96,11 @@ func (d *Document) Clone() *Document {
 	return &cp
 }
 
-// marshal encodes a document with the wire codec (stable on-disk format).
-func (d *Document) marshal() []byte {
-	w := wire.NewWriter(256)
+// encode writes d to w with the wire codec: the stable on-disk form of a WAL
+// put and of a snapshot's document table. Meta goes in key order, so a
+// document has one encoding; a stack array holds the keys of any usual Meta,
+// so encoding into a warm writer allocates nothing.
+func (d *Document) encode(w *wire.Writer) {
 	w.String(d.ID)
 	w.U8(uint8(d.Kind))
 	w.String(d.Title)
@@ -110,9 +112,8 @@ func (d *Document) marshal() []byte {
 	w.String(d.Provenance)
 	w.I64(d.CreatedAt)
 	w.Uvarint(uint64(len(d.Meta)))
-	// Deterministic order is not required for correctness on disk, but it
-	// makes byte-level comparisons in tests stable.
-	keys := make([]string, 0, len(d.Meta))
+	var kb [8]string
+	keys := kb[:0]
 	for k := range d.Meta {
 		keys = append(keys, k)
 	}
@@ -121,7 +122,6 @@ func (d *Document) marshal() []byte {
 		w.String(k)
 		w.String(d.Meta[k])
 	}
-	return w.Bytes()
 }
 
 func unmarshalDocument(b []byte) (*Document, error) {

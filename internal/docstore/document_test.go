@@ -6,7 +6,15 @@ import (
 	"testing/quick"
 
 	"repro/internal/feature"
+	"repro/internal/wire"
 )
+
+// marshalDoc is d's encoding on a fresh writer.
+func marshalDoc(d *Document) []byte {
+	var w wire.Writer
+	d.encode(&w)
+	return w.Bytes()
+}
 
 func TestDocumentMarshalRoundtrip(t *testing.T) {
 	d := &Document{
@@ -18,7 +26,7 @@ func TestDocumentMarshalRoundtrip(t *testing.T) {
 		Provenance: "auction-3", CreatedAt: 12345,
 		Meta: map[string]string{"price": "200", "lot": "17"},
 	}
-	got, err := unmarshalDocument(d.marshal())
+	got, err := unmarshalDocument(marshalDoc(d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +37,7 @@ func TestDocumentMarshalRoundtrip(t *testing.T) {
 
 func TestDocumentMarshalEmptyFields(t *testing.T) {
 	d := &Document{ID: "x"}
-	got, err := unmarshalDocument(d.marshal())
+	got, err := unmarshalDocument(marshalDoc(d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,9 +48,9 @@ func TestDocumentMarshalEmptyFields(t *testing.T) {
 
 func TestDocumentMarshalDeterministic(t *testing.T) {
 	d := &Document{ID: "d", Meta: map[string]string{"a": "1", "b": "2", "c": "3", "z": "4"}}
-	b1 := d.marshal()
+	b1 := marshalDoc(d)
 	for i := 0; i < 10; i++ {
-		if !reflect.DeepEqual(d.marshal(), b1) {
+		if !reflect.DeepEqual(marshalDoc(d), b1) {
 			t.Fatal("marshal not deterministic (meta ordering)")
 		}
 	}
@@ -50,7 +58,7 @@ func TestDocumentMarshalDeterministic(t *testing.T) {
 
 func TestUnmarshalCorrupt(t *testing.T) {
 	d := &Document{ID: "d1", Title: "t"}
-	b := d.marshal()
+	b := marshalDoc(d)
 	if _, err := unmarshalDocument(b[:len(b)-3]); err == nil {
 		t.Fatal("truncated document decoded without error")
 	}
@@ -59,7 +67,7 @@ func TestUnmarshalCorrupt(t *testing.T) {
 func TestDocumentRoundtripProperty(t *testing.T) {
 	f := func(id, title, text, prov string, at int64, topics []string) bool {
 		d := &Document{ID: id, Title: title, Text: text, Provenance: prov, CreatedAt: at, Topics: topics}
-		got, err := unmarshalDocument(d.marshal())
+		got, err := unmarshalDocument(marshalDoc(d))
 		if err != nil {
 			return false
 		}

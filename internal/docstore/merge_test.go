@@ -137,7 +137,7 @@ func TestMergeIndexMatchesFreshBuild(t *testing.T) {
 			for i := 0; i < 10+r.Intn(120); i++ {
 				if r.Intn(3) == 0 {
 					id := fmt.Sprintf("n%03d", r.Intn(300))
-					ops = append(ops, stagedOp{op: opDelete, payload: []byte(id), id: id})
+					ops = append(ops, stagedOp{op: opDelete, id: id})
 					delete(live, id)
 				} else {
 					d := newDoc()
@@ -235,7 +235,7 @@ type rawTerm struct {
 func rawSnapshotV2(ids []string, terms []rawTerm) []byte {
 	buf := binary.AppendUvarint([]byte(snapMagic), uint64(len(ids)))
 	for _, id := range ids {
-		raw := doc(id, "t", "b", 1, nil).marshal()
+		raw := marshalDoc(doc(id, "t", "b", 1, nil))
 		buf = binary.AppendUvarint(buf, uint64(len(raw)))
 		buf = append(buf, raw...)
 	}

@@ -298,7 +298,7 @@ func TestReadsMatchBruteForce(t *testing.T) {
 			for i := 0; i < 5+r.Intn(90); i++ {
 				if r.Intn(3) == 0 {
 					id := randomID()
-					ops = append(ops, stagedOp{op: opDelete, payload: []byte(id), id: id})
+					ops = append(ops, stagedOp{op: opDelete, id: id})
 					delete(live, id)
 				} else {
 					d := newDoc()

@@ -1,11 +1,14 @@
 package docstore
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+
+	"repro/internal/wire"
 )
 
 // Snapshot file, version 2: the compiled form of the store — a compiledIndex
@@ -34,37 +37,53 @@ import (
 
 const snapMagic = "AGORASN2"
 
-// writeSnapshotV2 serializes cx (the compiled live set, including its
-// documents) to w in snapshot-v2 format.
+// writeSnapshotV2 streams cx (the compiled live set, including its
+// documents) to w in snapshot-v2 format, through one 64 KB buffer that keeps
+// the payload's running CRC-32. Each document is encoded into one reused
+// record writer, so the file is never held whole.
 func writeSnapshotV2(w io.Writer, cx *compiledIndex) error {
-	buf := make([]byte, 0, len(cx.data)+len(cx.ids)*64)
-	buf = append(buf, snapMagic...)
-	buf = binary.AppendUvarint(buf, uint64(len(cx.ids)))
+	if _, err := io.WriteString(w, snapMagic); err != nil {
+		return err
+	}
+	crc := crc32.NewIEEE()
+	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 64<<10)
+	// emit writes the head, then body, and starts the next head. bufio's
+	// error is sticky: the Flush below reports the first failed Write.
+	var head, rec wire.Writer
+	emit := func(body []byte) {
+		bw.Write(head.Bytes())
+		bw.Write(body)
+		head.Reset()
+	}
+	head.Uvarint(uint64(len(cx.ids)))
 	for _, d := range cx.docs {
-		raw := d.marshal()
-		buf = binary.AppendUvarint(buf, uint64(len(raw)))
-		buf = append(buf, raw...)
+		rec.Reset()
+		d.encode(&rec)
+		head.Uvarint(uint64(rec.Len()))
+		emit(rec.Bytes())
 	}
 	for _, dl := range cx.docLens {
-		buf = binary.AppendUvarint(buf, uint64(dl))
+		head.Uvarint(uint64(dl))
+		emit(nil)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(cx.termList)))
+	head.Uvarint(uint64(len(cx.termList)))
 	for i, t := range cx.termList {
 		tm := cx.tms[i]
-		buf = binary.AppendUvarint(buf, uint64(len(t)))
-		buf = append(buf, t...)
-		buf = binary.AppendUvarint(buf, uint64(tm.df))
+		head.String(t)
+		head.Uvarint(uint64(tm.df))
 		start := cx.blocks[tm.blockOff].off
 		end := uint32(len(cx.data))
 		if next := tm.blockOff + tm.nBlocks; int(next) < len(cx.blocks) {
 			end = cx.blocks[next].off
 		}
-		buf = append(buf, cx.data[start:end]...)
+		emit(cx.data[start:end])
 	}
-	var tr [4]byte
-	binary.LittleEndian.PutUint32(tr[:], crc32.ChecksumIEEE(buf[len(snapMagic):]))
-	buf = append(buf, tr[:]...)
-	_, err := w.Write(buf)
+	emit(nil)
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	head.U32(crc.Sum32())
+	_, err := w.Write(head.Bytes())
 	return err
 }
 

@@ -1,7 +1,6 @@
 package docstore
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -123,10 +122,11 @@ var (
 // take the store lock (a contract enforced by agoralint's lockfree analyzer
 // — see snapshot.go for the epoch/segments design).
 type Store struct {
-	mu   sync.Mutex // serializes log appends and snapshot publishes; never taken on the read path
-	opts Options
-	log  *wal // guarded by mu
-	tel  storeTel
+	mu     sync.Mutex // serializes log appends and snapshot publishes; never taken on the read path
+	opts   Options
+	log    *wal  // guarded by mu
+	logErr error // guarded by mu: why a failed reopen left log nil, which every later window returns
+	tel    storeTel
 
 	// snap is all the store's state: writers (under mu) read it as readers
 	// do, and replace it.
@@ -299,13 +299,13 @@ func (s *Store) Put(d *Document) error {
 	return s.PutBatch([]*Document{d})
 }
 
-// PutBatch stores a batch of documents durably. Cloning, marshalling and
-// counting terms run here, in the caller's goroutine; the batch is then staged
-// as one commit request, so it rides a single commit window end-to-end: one
-// WAL append run, one fsync (per Options), and in-order publication as one
-// epoch — later documents in the batch supersede earlier ones with the same
-// id, exactly as sequential Puts would. An empty-id document fails the batch
-// up front, before anything is staged.
+// PutBatch stores a batch of documents durably. Cloning and counting terms
+// run here, in the caller's goroutine; the batch is then staged as one commit
+// request, so it rides a single commit window end-to-end: one WAL append run,
+// one fsync (per Options), and in-order publication as one epoch — later
+// documents in the batch supersede earlier ones with the same id, exactly as
+// sequential Puts would. An empty-id document fails the batch up front,
+// before anything is staged.
 func (s *Store) PutBatch(docs []*Document) error {
 	for _, d := range docs {
 		if d.ID == "" {
@@ -320,7 +320,7 @@ func (s *Store) PutBatch(docs []*Document) error {
 	for i, d := range docs {
 		cp := d.Clone()
 		terms, n := docTerms(cp)
-		ops[i] = stagedOp{op: opPut, payload: cp.marshal(), batchDoc: batchDoc{cp, terms, n}}
+		ops[i] = stagedOp{op: opPut, batchDoc: batchDoc{cp, terms, n}}
 	}
 	err := s.submit(ops, start)
 	s.tel.putLat.Observe(time.Since(start))
@@ -332,7 +332,7 @@ func (s *Store) PutBatch(docs []*Document) error {
 // rides the same commit window and is fsynced under Options.SyncEveryPut.
 func (s *Store) Delete(id string) error {
 	start := time.Now()
-	err := s.submit([]stagedOp{{op: opDelete, payload: []byte(id), id: id}}, start)
+	err := s.submit([]stagedOp{{op: opDelete, id: id}}, start)
 	s.tel.deleteLat.Observe(time.Since(start))
 	return err
 }
@@ -667,11 +667,7 @@ func (s *Store) compactOnce() error {
 	if err != nil {
 		return fmt.Errorf("docstore: creating snapshot: %w", err)
 	}
-	bw := bufio.NewWriterSize(f, 64<<10)
-	err = writeSnapshotV2(bw, merged)
-	if err == nil {
-		err = bw.Flush()
-	}
+	err = writeSnapshotV2(f, merged)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -730,11 +726,12 @@ func (s *Store) compactOnce() error {
 	if err := os.Rename(tailTmp, walPath); err != nil {
 		return fmt.Errorf("docstore: installing wal tail: %w", err)
 	}
-	s.log, err = openWAL(walPath)
-	if err == nil {
-		s.walBytes.Store(s.log.size)
+	if s.log, err = openWAL(walPath); err != nil {
+		s.logErr = err
+		return err
 	}
-	return err
+	s.walBytes.Store(s.log.size)
+	return nil
 }
 
 // Close flushes and closes the store: it stops admitting writes, drains

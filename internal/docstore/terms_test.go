@@ -270,7 +270,7 @@ func TestIndexOwnsItsDictionary(t *testing.T) {
 // stagePut stages a put of d as PutBatch does, d being the store's copy.
 func stagePut(d *Document) stagedOp {
 	terms, n := docTerms(d)
-	return stagedOp{op: opPut, payload: d.marshal(), batchDoc: batchDoc{d, terms, n}}
+	return stagedOp{op: opPut, batchDoc: batchDoc{d, terms, n}}
 }
 
 // storeTerms is what s.Terms yields for d, in order.

@@ -9,6 +9,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"repro/internal/wire"
 )
 
 // Write-ahead log. Record layout:
@@ -37,6 +39,7 @@ var ErrCorruptRecord = errors.New("docstore: corrupt wal record")
 type wal struct {
 	f    *os.File
 	w    *bufio.Writer
+	rec  wire.Writer // the record being appended
 	path string
 	size int64
 }
@@ -54,22 +57,29 @@ func openWAL(path string) (*wal, error) {
 	return &wal{f: f, w: bufio.NewWriterSize(f, 64<<10), path: path, size: st.Size()}, nil
 }
 
-func (l *wal) append(op uint8, payload []byte) error {
-	var hdr [9]byte
-	hdr[0] = op
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[:1])
-	crc.Write(payload)
-	binary.LittleEndian.PutUint32(hdr[5:], crc.Sum32())
-	if _, err := l.w.Write(hdr[:]); err != nil {
+// append logs one record, a put of d or a delete of id, built in the log's
+// reused record buffer: a warm append allocates nothing.
+func (l *wal) append(op uint8, d *Document, id string) error {
+	l.rec.Reset()
+	l.rec.U8(op)
+	l.rec.U64(0) // length and checksum, set once the payload is in
+	if op == opPut {
+		d.encode(&l.rec)
+	}
+	rec := append(l.rec.Bytes(), id...) // a put's id is ""
+	binary.LittleEndian.PutUint32(rec[1:], uint32(len(rec)-9))
+	binary.LittleEndian.PutUint32(rec[5:], recordCRC(rec[:1], rec[9:]))
+	if _, err := l.w.Write(rec); err != nil {
 		return fmt.Errorf("docstore: wal write: %w", err)
 	}
-	if _, err := l.w.Write(payload); err != nil {
-		return fmt.Errorf("docstore: wal write: %w", err)
-	}
-	l.size += int64(len(hdr)) + int64(len(payload))
+	l.size += int64(len(rec))
 	return nil
+}
+
+// recordCRC is a record's checksum: CRC-32 (IEEE) over its op byte, then its
+// payload.
+func recordCRC(op, payload []byte) uint32 {
+	return crc32.Update(crc32.Update(0, crc32.IEEETable, op), crc32.IEEETable, payload)
 }
 
 func (l *wal) flush() error {
@@ -160,10 +170,7 @@ func replayWAL(path string, apply func(op uint8, payload []byte) error) (clean i
 		if _, err := io.ReadFull(r, payload); err != nil {
 			return off, true, nil // file ends inside the record: torn payload
 		}
-		crc := crc32.NewIEEE()
-		crc.Write(hdr[:1])
-		crc.Write(payload)
-		if crc.Sum32() != want || (op != opPut && op != opDelete) {
+		if recordCRC(hdr[:1], payload) != want || (op != opPut && op != opDelete) {
 			if atTail() {
 				return off, true, nil // damaged final record: torn tail
 			}
