@@ -2,11 +2,11 @@
 # `go build ./... && go test ./...` (see ROADMAP.md); `make check` runs
 # that plus vet and the race-detector suites the telemetry layer relies on.
 # Performance is measured one way, `go run ./benchmark` (BENCHMARK.json,
-# benchmark/README.md), and has no target here.
+# benchmark/README.md); `make pairs` runs it on two commits side by side.
 
 GO ?= go
 
-.PHONY: build test race race-core vet lint check fuzz determinism clean
+.PHONY: build test race race-core vet lint check fuzz determinism pairs clean
 
 build:
 	$(GO) build ./...
@@ -95,6 +95,35 @@ determinism:
 	$(GO) run ./cmd/agora-bench -seed 1 -scale 0.2 > .determinism/a.txt
 	$(GO) run ./cmd/agora-bench -seed 1 -scale 0.2 > .determinism/b.txt
 	cmp .determinism/a.txt .determinism/b.txt
+
+# A timing claim is alternating pairs of runs of one workload, measured in
+# one session: `make pairs BASE=<ref> W=<workload> [N=10] [SEED=1]` builds the
+# benchmark at BASE (checked out in a git worktree under .bench_build/, removed
+# once built) and from the working tree, runs N pairs of -seconds 15 runs,
+# the side that goes first alternating, each side appending its result lines
+# (-out) to its own file, and compares the two files under BENCHMARK.json's
+# bounds. The files, and each side's reports, stay in .bench_build/pairs/.
+BASE ?= HEAD
+W ?= node_durable
+N ?= 10
+SEED ?= 1
+PAIRS := .bench_build/pairs
+
+pairs:
+	rm -rf $(PAIRS)/src && git worktree prune && mkdir -p $(PAIRS)
+	git worktree add --detach $(PAIRS)/src $(BASE)
+	cd $(PAIRS)/src && $(GO) build -o ../base ./benchmark; \
+		status=$$?; git worktree remove --force $(PAIRS)/src; exit $$status
+	$(GO) build -o $(PAIRS)/head ./benchmark
+	rm -f $(PAIRS)/$(W)-$(SEED)-base.jsonl $(PAIRS)/$(W)-$(SEED)-head.jsonl
+	for i in $$(seq $(N)); do \
+		sides="base head"; [ $$((i % 2)) = 0 ] && sides="head base"; \
+		for side in $$sides; do \
+			$(PAIRS)/$$side -workload $(W) -seed $(SEED) -seconds 15 \
+				-out $(PAIRS)/$(W)-$(SEED)-$$side.jsonl >/dev/null 2>>$(PAIRS)/$(W)-$(SEED)-$$side.log || exit 1; \
+		done; \
+	done
+	$(GO) run ./benchmark -compare $(PAIRS)/$(W)-$(SEED)-base.jsonl $(PAIRS)/$(W)-$(SEED)-head.jsonl
 
 clean:
 	$(GO) clean ./...

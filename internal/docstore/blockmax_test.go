@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -393,4 +395,99 @@ func TestSearchTextAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(512, func() { cached.SearchText(q0, k) }); n != 0 {
 		t.Fatalf("cache-hit SearchText allocates: %v allocs/op", n)
 	}
+}
+
+// TestCutKeepsTies holds the sweep's cut to ties. With k = 1 and every
+// document of one length, so that each norm is its segment's minNorm, "b" in
+// the older segment leaves θ at its score, and "a", the same text in a newer
+// segment, scores exactly θ: the lesser id, it must displace "b", through
+// SearchText and SearchTextGlobal alike. The lengths and term counts tried
+// include ties where θ·norm rounds above the tied mass, so a cut of θ·minNorm
+// without BoundSlack would pass "a" there; the test requires some of each.
+func TestCutKeepsTies(t *testing.T) {
+	sharp := map[bool]int{}
+	for length := 2; length <= 17; length++ {
+		for tf := 1; tf <= 2; tf++ {
+			s, err := Open(Options{ConceptDim: 8, Seed: 7, QueryCacheSize: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			text := strings.Repeat("quartz ", tf) + strings.Repeat("filler ", length-tf)
+			older := []*Document{doc("b", "", text, 0, nil)}
+			for i := 0; i < 8; i++ {
+				older = append(older, doc(fmt.Sprintf("f%d", i), "", strings.Repeat("filler ", length), 0, nil))
+			}
+			if err := s.PutBatch(older); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put(doc("a", "", text, 0, nil)); err != nil {
+				t.Fatal(err)
+			}
+			sn := s.snap.Load()
+			if len(sn.segs) != 2 || sn.segs[1].cx.ids[0] != "a" {
+				t.Fatalf("length %d: want [f*, b] then [a] as two segments, got %d", length, len(sn.segs))
+			}
+			norm := sn.segs[1].cx.norms[0]
+			if sn.segs[0].cx.minNorm != norm || sn.segs[1].cx.minNorm != norm {
+				t.Fatalf("length %d: minNorms %v, %v, want every norm %v", length, sn.segs[0].cx.minNorm, sn.segs[1].cx.minNorm, norm)
+			}
+			views := []*GlobalStats{nil}
+			for df := uint64(3); df < 10; df++ {
+				views = append(views, &GlobalStats{TotalDocs: 1000 + uint64(length), Terms: []string{"quartz"}, DF: []uint64{df}})
+			}
+			for _, gs := range views {
+				total, df := uint64(10), uint64(2)
+				if gs != nil {
+					total, df = gs.TotalDocs, gs.DF[0]
+				}
+				idf := IDF(total, df)
+				acc := QueryWeight(1, idf) * (tfWeight(tf) * idf)
+				theta := acc / norm
+				hits := s.SearchTextGlobal("quartz", 1, gs)
+				if len(hits) != 1 || hits[0].Doc.ID != "a" || hits[0].Score != theta {
+					t.Fatalf("length %d, tf %d, global %v: got %v, want a:%v", length, tf, gs != nil, hitIDs(hits), theta)
+				}
+				if theta*norm > acc {
+					sharp[gs != nil]++
+				}
+			}
+			if got, want := s.SearchText("quartz", 1), s.SearchTextExhaustive("quartz", 1); !hitsEqual(got, want) {
+				t.Fatalf("length %d, tf %d: %v, exhaustive %v", length, tf, hitIDs(got), hitIDs(want))
+			}
+		}
+	}
+	if sharp[false] == 0 || sharp[true] == 0 {
+		t.Fatalf("ties where θ·norm rounds above the mass: %d local, %d global; want some of each", sharp[false], sharp[true])
+	}
+}
+
+// TestCutWithDeadShortest: minNorm counts dead documents, so once a
+// segment's shortest document is deleted its floor lies below every live
+// norm. The walk must still answer as the exhaustive scorer does, bit for
+// bit, the deleted document's terms included.
+func TestCutWithDeadShortest(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	s, err := Open(Options{ConceptDim: 8, Seed: 7, QueryCacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := []*Document{doc("a0000", "gold", "ring", 0, nil)}
+	for i := 1; i < 600; i++ {
+		docs = append(docs, blockmaxDoc(r, fmt.Sprintf("a%04d", i), int64(i)))
+	}
+	if err := s.PutBatch(docs); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete("a0000"); err != nil {
+		t.Fatal(err)
+	}
+	sn := s.snap.Load()
+	if len(sn.segs) != 1 || !slices.Equal(sn.segs[0].dead, []uint32{0}) {
+		t.Fatalf("want one segment with ordinal 0 dead, got %d segments", len(sn.segs))
+	}
+	cx := sn.segs[0].cx
+	if liveMin := slices.Min(cx.norms[1:]); !(cx.minNorm == cx.norms[0] && cx.minNorm < liveMin) {
+		t.Fatalf("minNorm %v: want the dead document's %v, below the live %v", cx.minNorm, cx.norms[0], liveMin)
+	}
+	requireBlockmaxMatches(t, s, append(blockmaxQueries(r, 24), "gold ring", "ring", "gold"), "shortest dead")
 }

@@ -20,6 +20,8 @@ import (
 // reference each other, the search cursor can skip a block without ever
 // decoding it — the per-block metadata (last ordinal, entry count, max
 // score ratio) lives outside the byte stream in blockMeta.
+// The decoder's one-byte path is a shortcut, not a format: it accepts exactly
+// what a plain uvarint loop accepts, and the encoder knows nothing of it.
 
 // blockSize is the maximum number of (ordinal, tf) postings per block.
 const blockSize = 128
@@ -57,7 +59,8 @@ func appendPostingsBlock(dst []byte, entries []postEntry) []byte {
 // consumed. It validates every invariant the encoder guarantees — gaps and
 // tfs nonzero, ordinals strictly increasing and below ordSentinel — so a
 // corrupt or truncated stream yields an error, never a panic or a bogus
-// posting.
+// posting. A first gap (ordinal+1) rarely fits a byte, but the pairs behind it
+// do: when all lie in 1..0x7f, they decode with one check, on the last ordinal.
 func decodePostingsBlock(data []byte, count int, ords, tfs []uint32) (int, error) {
 	if count < 0 || count > len(ords) || count > len(tfs) {
 		return 0, errBlockCorrupt
@@ -65,6 +68,17 @@ func decodePostingsBlock(data []byte, count int, ords, tfs []uint32) (int, error
 	off := 0
 	prev := int64(-1)
 	for i := 0; i < count; i++ {
+		if n := 2 * (count - 1); i == 1 && n >= 8 && n <= len(data)-off && oneBytes(data[off:off+n]) {
+			pairs, o, t := data[off:off+n], ords[1:count], tfs[1:count]
+			for j := range o {
+				prev += int64(pairs[2*j])
+				o[j], t[j] = uint32(prev), uint32(pairs[2*j+1])
+			}
+			if prev >= int64(ordSentinel) {
+				return 0, errBlockCorrupt
+			}
+			return off + len(pairs), nil
+		}
 		var gap, tf uint64
 		if off+1 < len(data) && data[off]|data[off+1] < 0x80 {
 			// Two one-byte uvarints — nearly every pair — are their own
@@ -94,4 +108,17 @@ func decodePostingsBlock(data []byte, count int, ords, tfs []uint32) (int, error
 		prev = ord
 	}
 	return off, nil
+}
+
+// oneBytes reports whether every byte of b, eight or more, lies in 1..0x7f,
+// a word at a time: its high bit clear, and its low seven bits plus 0x7f
+// carrying into it. The last word may overlap the one before.
+func oneBytes(b []byte) bool {
+	const lo7, hi = 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
+	for i := 0; i < len(b); i += 8 {
+		if x := binary.LittleEndian.Uint64(b[min(i, len(b)-8):]); ((x&lo7)+lo7)&^x&hi != hi {
+			return false
+		}
+	}
+	return true
 }

@@ -171,22 +171,106 @@ func TestCodecPairEdges(t *testing.T) {
 	}
 }
 
-// uvarintPairs is the decoder without its shortcut or its checks: count pairs
-// read by binary.Uvarint alone. ok is false when the bytes run out.
-func uvarintPairs(data []byte, count int) (gaps, tfs []uint64, n int, ok bool) {
-	for i := 0; i < 2*count; i++ {
-		v, m := binary.Uvarint(data[n:])
-		if m <= 0 {
-			return nil, nil, 0, false
+// oneByteBlocks are blocks around the decoder's one-byte path: the pairs
+// behind the first, read as bare bytes when every one of them lies in
+// 1..0x7f. The common block has a multi-byte first gap and one-byte pairs
+// after it; the rest alter its last pair (in the check's last word, which
+// overlaps the one before) or a middle one, cut it short, or carry its last
+// ordinal onto and past ordSentinel.
+func oneByteBlocks() []blockCase {
+	common := append(binary.AppendUvarint(nil, 20_001), 3) // first ordinal 20 000
+	head := len(common)
+	for i := 1; i < blockSize; i++ {
+		common = append(common, byte(1+i%0x7f), byte(1+i%5))
+	}
+	last, mid := len(common)-2, head+2*(blockSize/2)
+	with := func(at int, b ...byte) []byte {
+		return append(append(append([]byte(nil), common[:at]...), b...), common[at+2:]...)
+	}
+	runTo := func(lastOrd uint64, gap byte) []byte { // one-byte gaps after the first
+		first := lastOrd - uint64(gap)*(blockSize-1)
+		b := binary.AppendUvarint(nil, first+1)
+		b = append(b, 1)
+		for i := 1; i < blockSize; i++ {
+			b = append(b, gap, 1)
 		}
-		n += m
-		if i%2 == 0 {
-			gaps = append(gaps, v)
-		} else {
-			tfs = append(tfs, v)
+		return b
+	}
+	return []blockCase{
+		{"common block", common, blockSize},
+		{"zero gap in the last pair", with(last, 0, 1), blockSize},
+		{"zero tf in the last pair", with(last, 1, 0), blockSize},
+		{"zero gap in a middle pair", with(mid, 0, 1), blockSize},
+		{"zero tf in a middle pair", with(mid, 1, 0), blockSize},
+		{"0x80 in the last pair", with(last, 1, 0x80, 0x01), blockSize},
+		{"0x80 in a middle pair", with(mid, 0x80, 0x01, 1), blockSize},
+		{"0x80 ends the data", with(last, 1, 0x80), blockSize},
+		{"one byte short", common[:len(common)-1], blockSize},
+		{"bytes to spare", append(append([]byte(nil), common...), 0, 0x80), blockSize},
+		{"fewer postings than the block holds", common, blockSize - 1},
+		{"two postings", common, 2},
+		{"last ordinal one below ordSentinel", runTo(uint64(ordSentinel)-1, 1), blockSize},
+		{"last ordinal on ordSentinel", runTo(uint64(ordSentinel), 1), blockSize},
+		{"last ordinal past 32 bits", runTo(uint64(ordSentinel)+100, 0x7f), blockSize},
+	}
+}
+
+// blockCase is count postings' worth of encoded bytes, named.
+type blockCase struct {
+	name  string
+	data  []byte
+	count int
+}
+
+// referenceDecode is decodePostingsBlock as one plain loop: each pair read by
+// binary.Uvarint and checked before the next is read.
+func referenceDecode(data []byte, count int) (ords, tfs []uint32, n int, err error) {
+	prev := int64(-1)
+	for i := 0; i < count; i++ {
+		var v [2]uint64
+		for j := range v {
+			m := 0
+			if v[j], m = binary.Uvarint(data[n:]); m <= 0 {
+				return nil, nil, 0, errBlockTruncated
+			}
+			n += m
+		}
+		if v[0] == 0 || v[0] > math.MaxUint32 || v[1] == 0 || v[1] > math.MaxUint32 {
+			return nil, nil, 0, errBlockCorrupt
+		}
+		if prev += int64(v[0]); prev >= int64(ordSentinel) {
+			return nil, nil, 0, errBlockCorrupt
+		}
+		ords, tfs = append(ords, uint32(prev)), append(tfs, uint32(v[1]))
+	}
+	return ords, tfs, n, nil
+}
+
+// matchReference decodes count pairs of data and fails t unless the decoder
+// gives what referenceDecode gives: the same postings and byte count, or the
+// same error. It returns them.
+func matchReference(t *testing.T, name string, data []byte, count int) ([]uint32, []uint32, int, error) {
+	t.Helper()
+	var ords, tfs [blockSize]uint32
+	n, err := decodePostingsBlock(data, count, ords[:], tfs[:])
+	wantOrds, wantTfs, wantN, wantErr := referenceDecode(data, count)
+	if err != wantErr || n != wantN {
+		t.Fatalf("%s: (%d bytes, %v), a uvarint loop gives (%d bytes, %v)", name, n, err, wantN, wantErr)
+	}
+	for i := range wantOrds {
+		if ords[i] != wantOrds[i] || tfs[i] != wantTfs[i] {
+			t.Fatalf("%s: posting %d = (%d,%d), a uvarint loop reads (%d,%d)", name, i, ords[i], tfs[i], wantOrds[i], wantTfs[i])
 		}
 	}
-	return gaps, tfs, n, true
+	return wantOrds, wantTfs, n, err
+}
+
+// TestCodecOneBytePath: on every block around the one-byte path the decoder
+// gives what a plain uvarint loop gives.
+func TestCodecOneBytePath(t *testing.T) {
+	for _, c := range oneByteBlocks() {
+		matchReference(t, c.name, c.data, c.count)
+	}
 }
 
 // FuzzPostingsCodec drives the decoder with arbitrary bytes and counts. For
@@ -196,8 +280,8 @@ func uvarintPairs(data []byte, count int) (gaps, tfs []uint64, n int, ok bool) {
 // invent postings the encoder could never have produced). Byte-exact
 // re-encoding is deliberately not required: uvarint tolerates non-minimal
 // encodings, and the encoder only ever emits minimal ones. Whatever it
-// accepts it must also have read exactly as a plain binary.Uvarint loop
-// reads it: the direct read of one-byte pairs is a shortcut, not a format.
+// returns, postings or error, must be what referenceDecode, a plain
+// binary.Uvarint loop, returns: the one-byte reads are a shortcut, not a format.
 func FuzzPostingsCodec(f *testing.F) {
 	f.Add([]byte{}, 1)
 	f.Add(appendPostingsBlock(nil, []postEntry{{0, 1}}), 1)
@@ -218,29 +302,20 @@ func FuzzPostingsCodec(f *testing.F) {
 	for _, c := range pairEdges {
 		f.Add(c.data, c.count)
 	}
+	for _, c := range oneByteBlocks() {
+		f.Add(c.data, c.count)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, count int) {
 		if count < 0 || count > blockSize {
 			count = ((count % blockSize) + blockSize) % blockSize
 		}
-		var ords, tfs [blockSize]uint32
-		n, err := decodePostingsBlock(data, count, ords[:], tfs[:])
+		ords, tfs, n, err := matchReference(t, "input", data, count)
 		if err != nil {
 			return
 		}
 		if n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
-		}
-		gaps, rtfs, rn, ok := uvarintPairs(data, count)
-		if !ok || rn != n {
-			t.Fatalf("accepted %d bytes where a uvarint loop reads %d (ok=%v)", n, rn, ok)
-		}
-		at := int64(-1)
-		for i := 0; i < count; i++ {
-			at += int64(gaps[i])
-			if int64(ords[i]) != at || uint64(tfs[i]) != rtfs[i] {
-				t.Fatalf("posting %d = (%d,%d), a uvarint loop reads (%d,%d)", i, ords[i], tfs[i], at, rtfs[i])
-			}
 		}
 		entries := make([]postEntry, count)
 		prev := int64(-1)

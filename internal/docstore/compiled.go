@@ -24,6 +24,7 @@ type compiledIndex struct {
 	docs    []*Document // ordinal -> document (shared across epochs, never mutated)
 	docLens []uint32    // ordinal -> token count
 	norms   []float64   // ordinal -> sqrt(docLen+1), the score denominator
+	minNorm float64     // the least of norms, dead documents included: the floor of walkBase's cut
 	cnorms  []float64   // ordinal -> docs[ord].Concept.Norm(), the cosine denominator
 	vecs    []float64   // the concept vectors, one column: ordinal ord's is vecs[vecAt[ord]:vecAt[ord+1]]
 	vecAt   []uint32    // len(ids)+1 offsets into vecs; a document without a vector has an empty range
@@ -105,6 +106,9 @@ func (cx *compiledIndex) addDoc(d *Document, docLen uint32, nTerms int, cnorm fl
 	cx.docs = append(cx.docs, d)
 	cx.docLens = append(cx.docLens, docLen)
 	cx.norms = append(cx.norms, math.Sqrt(float64(docLen)+1))
+	if ord == 0 || cx.norms[ord] < cx.minNorm {
+		cx.minNorm = cx.norms[ord]
+	}
 	cx.cnorms = append(cx.cnorms, cnorm)
 	cx.vecs = append(cx.vecs, d.Concept...)
 	cx.vecAt = append(cx.vecAt, uint32(len(cx.vecs)))
@@ -718,7 +722,8 @@ const windowSize = 1024
 // blocks could add cannot reach θ: a document holds a term at most once, so
 // within the window it draws on at most one block per cursor, and its score
 // is at most the sum over cursors of qw·idf·maxRatio of the best block
-// overlapping the window.
+// overlapping the window. The sweep turns a slot away undivided, as the heap
+// would, when its mass is below cut = θ·minNorm/BoundSlack: no norm is less.
 func (sn *snapshot) walkBase(si int, h *topK, sc *searchScratch, exhaustive bool) {
 	cx := sn.segs[si].cx
 	cursors := sc.cursors
@@ -726,6 +731,7 @@ func (sn *snapshot) walkBase(si int, h *topK, sc *searchScratch, exhaustive bool
 	// The segment's tombstones ascend, and so do the ordinals evaluated: a
 	// monotonic pointer replaces per-candidate lookups.
 	dead := sn.segs[si].dead
+	cut := 0.0 // a slot's mass below it cannot reach θ, whatever its norm
 
 	for {
 		lo, lead, ub := ordSentinel, 0, 0.0
@@ -744,6 +750,7 @@ func (sn *snapshot) walkBase(si int, h *topK, sc *searchScratch, exhaustive bool
 
 		if !exhaustive && len(h.items) == h.k {
 			theta := h.items[0].score
+			cut = theta * cx.minNorm / BoundSlack
 			if ub*BoundSlack < theta {
 				return // even all remaining terms together cannot reach θ
 			}
@@ -783,6 +790,9 @@ func (sn *snapshot) walkBase(si int, h *topK, sc *searchScratch, exhaustive bool
 				d := lo + uint32(slot)
 				acc := sc.acc[slot]
 				sc.acc[slot] = 0
+				if acc < cut {
+					continue
+				}
 				for len(dead) > 0 && dead[0] < d {
 					dead = dead[1:]
 				}
@@ -794,6 +804,9 @@ func (sn *snapshot) walkBase(si int, h *topK, sc *searchScratch, exhaustive bool
 					continue // below θ: the heap would turn it away
 				}
 				h.push(scored{id: cx.ids[d], seg: int32(si), ord: d, score: score})
+				if !exhaustive && len(h.items) == h.k {
+					cut = h.items[0].score * cx.minNorm / BoundSlack
+				}
 			}
 		}
 	}
