@@ -65,14 +65,15 @@ check: build lint test race
 # write-ahead log, every wire message decoder in both reader modes and the
 # frame header as DecodeFrame and FrameReader each read a stream — of
 # the quickselect the vector and hybrid pools keep their k best with, held to
-# sort-then-truncate, of the four-wide dot product the vector scan scores
+# sort-then-truncate, of the histogram cut that finds the vector pool's k-th
+# best cosine, held to a sort, of the four-wide dot product the vector scan scores
 # with, held to Dot bit for bit, and of the write path's term counter,
 # docTerms, held to the reference tokenizer sorted and counted (cheap enough
 # for every CI run — the seed corpora in codec_test.go, merge_test.go,
 # badquery_test.go, fault_test.go, wire/fuzz_test.go, topk_test.go,
 # feature/vector_test.go and terms_test.go already pin the tricky edges, so
 # even 0 new execs still exercises them all). `go test -fuzz` takes one
-# target per run, hence nine commands. For a real expedition run
+# target per run, hence ten commands. For a real expedition run
 # e.g. `go test -fuzz FuzzPostingsCodec ./internal/docstore` with a time
 # budget instead.
 fuzz:
@@ -83,6 +84,7 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzWireDecoders -fuzztime 2000x ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzFrames -fuzztime 2000x ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzSelectBest -fuzztime 2000x ./internal/docstore
+	$(GO) test -run XXX -fuzz FuzzKthBest -fuzztime 2000x ./internal/docstore
 	$(GO) test -run XXX -fuzz FuzzDot4 -fuzztime 2000x ./internal/feature
 	$(GO) test -run XXX -fuzz FuzzDocTerms -fuzztime 2000x ./internal/docstore
 

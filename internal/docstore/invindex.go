@@ -10,13 +10,16 @@ type scored struct {
 	score float64
 }
 
-// scoredBetter is the deterministic (score desc, id asc) ranking order; ids
-// are unique so it is a strict total order, which makes topK and selection
-// provably identical to sort-then-truncate — and makes the selected top-k
-// set independent of the order candidates arrive in.
+// scoredBetter is the deterministic (score desc, id asc) ranking order, a
+// strict total order as ids are unique: topK and selection keep what
+// sort-then-truncate would, in any arrival order. A segment's ordinals ascend
+// with its sorted cx.ids, so a tie within one compares ordinals, not ids.
 func scoredBetter(a, b scored) bool {
 	if a.score != b.score {
 		return a.score > b.score
+	}
+	if a.seg == b.seg {
+		return a.ord < b.ord
 	}
 	return a.id < b.id
 }

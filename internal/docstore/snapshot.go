@@ -492,18 +492,26 @@ func (sn *snapshot) assembleHits(kept []scored) []Hit {
 // always for a store of at most 256 — what the exact scan over the ordinals
 // does. A candidate is a live document with a concept vector. The probe reads
 // q's buckets in every segment — together, less the dead, the one bucket of
-// an index over the live set — and collects its distinct candidates before
-// scoring any. Candidates are filed under segment offset + ordinal, so sc.ords
-// ascends from segment to segment, and scored from the segments' vector
-// columns; only those scoring at least the k-th best score θ are offered to a
-// selection, which decides ties at θ by id. Unranked, like searchCompiled's.
+// an index over the live set — and, when their lengths reach k, collects its
+// distinct candidates before scoring any. Candidates are filed under segment
+// offset + ordinal, so sc.ords ascends from segment to segment, and scored
+// from the segments' vector columns; only those scoring at least the k-th
+// best score θ are offered to a selection. Unranked, like searchCompiled's.
 func (sn *snapshot) searchVectorRaw(q feature.Vector, k int, sc *searchScratch) []scored {
 	sc.growSlots(sn.segs)
 	sc.ords = sc.ords[:0]
 	probed := false
 	if sn.docCount() > 256 {
 		var buf [lshTables]uint64
-		sigs := sn.planes.AppendSignatures(buf[:0], q)
+		sigs, found := sn.planes.AppendSignatures(buf[:0], q), 0
+		for _, seg := range sn.segs {
+			for t, sig := range sigs {
+				found += len(seg.bucket(t, sig))
+			}
+		}
+		if found < k { // fewer than k with repeats and the dead: the scan follows
+			sigs = sigs[:0]
+		}
 		for si, seg := range sn.segs {
 			for t, sig := range sigs {
 				for _, ord := range seg.bucket(t, sig) {

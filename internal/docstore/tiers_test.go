@@ -1,9 +1,11 @@
 package docstore
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"slices"
 	"testing"
 
@@ -160,4 +162,70 @@ func TestWriteAmplificationIsLogarithmic(t *testing.T) {
 	if h := snap.Histograms["docstore.merge.latency"]; h.Count == 0 || h.Count > freezes {
 		t.Fatalf("%d merges timed for %d freezes", h.Count, freezes)
 	}
+}
+
+// TestSegmentIDsAscend pins the invariant scoredBetter's tie rule relies on:
+// in every segment a store publishes, cx.ids strictly ascends, so ordinals
+// order as ids do. It is checked after each commit window of tierSchedule
+// (its tier merges among them) and of a batch written out of id order, after
+// a reopen that replays the whole log, after Compact and a reopen from the
+// v2 file, and after a reopen that replays a log written since.
+func TestSegmentIDsAscend(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *Store {
+		s, err := Open(Options{Dir: dir, ConceptDim: 8, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s := open()
+	ascend := func(stage string) {
+		t.Helper()
+		for si, seg := range s.snap.Load().segs {
+			for i, ids := 1, seg.cx.ids; i < len(ids); i++ {
+				if ids[i-1] >= ids[i] {
+					t.Fatalf("%s: segment %d has %q at %d before %q", stage, si, ids[i-1], i-1, ids[i])
+				}
+			}
+		}
+	}
+	must := func(stage string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		ascend(stage)
+	}
+	reopen := func(stage string) {
+		t.Helper()
+		must(stage+": close", s.Close())
+		s = open()
+		ascend(stage)
+	}
+	r := rand.New(rand.NewSource(40))
+	tierSchedule(t, s, r, tierOps{
+		put:    func(stage string, d *Document) { must(stage, s.Put(d)) },
+		del:    func(stage, id string) { must(stage, s.Delete(id)) },
+		batch:  func(stage string, docs []*Document) { must(stage, s.PutBatch(docs)) },
+		shaped: func(stage string, _ *snapshot) { ascend(stage) },
+	})
+	shuffled := make([]*Document, 50)
+	for i, n := range r.Perm(len(shuffled)) {
+		shuffled[i] = shadowDoc(r, fmt.Sprintf("tb%03d", 3*n), int64(r.Intn(30)))
+	}
+	must("a batch out of id order", s.PutBatch(shuffled))
+	snapPath, _ := snapshotPaths(dir)
+	if _, err := os.Stat(snapPath); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a snapshot file before Compact: %v", err)
+	}
+	reopen("a reopen replaying the log")
+	must("compact", s.Compact())
+	reopen("a reopen from the v2 file")
+	for i := 0; i < 20; i++ {
+		must("a put after the compaction", s.Put(shadowDoc(r, fmt.Sprintf("tg%03d", r.Intn(500)), int64(i))))
+	}
+	must("a delete after the compaction", s.Delete("ta100"))
+	reopen("a reopen replaying the log written since")
+	must("close", s.Close())
 }

@@ -131,10 +131,24 @@ func selectBest(items []scored, k int) {
 	}
 }
 
-// kthBest returns the k-th largest of scores, none NaN, 0 < k ≤ len(scores):
-// selectBest over plain floats, on a copy in xs, len(xs) ≥ len(scores).
+// kthBest returns the k-th largest of scores, cosines in [-1, 1], 0 < k ≤
+// len(scores): the monotone map int((s+1)·128) finds its bucket, and
+// selectBest over plain floats runs on that bucket's members, copied to xs.
 func kthBest(xs, scores []float64, k int) float64 {
-	xs, n := xs[:copy(xs, scores)], k-1
+	var count [257]int32
+	for _, s := range scores {
+		count[int((s+1)*128)]++
+	}
+	b := len(count) - 1
+	for ; int(count[b]) < k; b-- {
+		k -= int(count[b])
+	}
+	xs, n := xs[:0], k-1
+	for _, s := range scores {
+		if int((s+1)*128) == b {
+			xs = append(xs, s)
+		}
+	}
 	for lo, hi := 0, len(xs)-1; lo < hi; {
 		p, i, j := xs[lo+(hi-lo)/2], lo, hi
 		for i <= j {

@@ -48,63 +48,16 @@ type Plan struct {
 // (sources run in parallel); price and premium costs add; trust is the
 // coverage-weighted mean; freshness is the worst staleness.
 func (p Plan) Predicted() qos.Vector {
-	if len(p.Sources) == 0 {
-		return qos.Vector{}
-	}
-	missing := 1.0
-	var price, lat float64
-	var trustW, trustSum float64
-	var worstStale time.Duration
-	for _, s := range p.Sources {
-		// Deliverable coverage is the advertised coverage discounted by the
-		// belief the source honors its promises: a shirker's shop window
-		// counts for less (how the greengrocer loop steers future plans).
-		c := s.Coverage.Mean() * s.Trust.Mean()
-		missing *= 1 - c
-		premium := s.Premium
-		if premium < 1 {
-			premium = 1
-		}
-		price += s.Price.Mid() * premium
-		if l := s.Latency.Hi; l > lat {
-			lat = l
-		}
-		trustSum += c * s.Trust.Mean()
-		trustW += c
-		if s.Staleness > worstStale {
-			worstStale = s.Staleness
-		}
-	}
-	trust := 0.5
-	if trustW > 0 {
-		trust = trustSum / trustW
-	}
-	return qos.Vector{
-		Latency:      time.Duration(lat * float64(time.Second)),
-		Completeness: 1 - missing,
-		Freshness:    worstStale,
-		Trust:        trust,
-		Price:        price,
-	}
+	a := sumOf(p.Sources)
+	return a.predicted()
 }
 
 // Variance approximates the variance of the plan's completeness (the main
 // uncertain payoff dimension) by propagating per-source Beta variances
 // through the product form.
 func (p Plan) Variance() float64 {
-	// Var(1-Π(1-C_i)) = Var(Π(1-C_i)); first-order delta method:
-	// Π terms treated independently.
-	prod := 1.0
-	var rel float64 // sum of relative variances
-	for _, s := range p.Sources {
-		m := 1 - s.Coverage.Mean()
-		v := s.Coverage.Variance()
-		prod *= m
-		if m > 1e-9 {
-			rel += v / (m * m)
-		}
-	}
-	return prod * prod * rel
+	a := sumOf(p.Sources)
+	return a.variance()
 }
 
 // ExpectedShortfallCost estimates the expected compensation the plan's
@@ -114,21 +67,101 @@ func (p Plan) Variance() float64 {
 // source its posterior-mean coverage, so breach probability ≈ 0.5 scaled by
 // belief confidence.
 func (p Plan) ExpectedShortfallCost() float64 {
-	var total float64
-	for _, s := range p.Sources {
-		sd := math.Sqrt(s.Coverage.Variance())
-		premium := s.Premium
-		if premium < 1 {
-			premium = 1
-		}
-		paid := s.Price.Mid() * premium
-		// Expected shortfall of a promise at the mean is ~sd/sqrt(2*pi)
-		// (normal approximation, one-sided).
-		expectedShortfall := sd / math.Sqrt(2*math.Pi)
-		total += s.PenaltyRate * paid * expectedShortfall
-	}
-	return total
+	a := sumOf(p.Sources)
+	return a.short
 }
+
+// terms is what one source adds to each of a plan's aggregates: derived once
+// per candidate, so a plan search scores every subset by adding, not by
+// re-deriving its members' Beta moments.
+type terms struct {
+	c     float64 // deliverable coverage: advertised coverage discounted by trust
+	paid  float64 // price with the SLA premium (at least 1×)
+	lat   float64 // latency upper bound, seconds
+	trust float64 // c · trust mean
+	short float64 // expected breach compensation
+	miss  float64 // m = 1 - coverage mean
+	rel   float64 // relative coverage variance v/m², 0 where m ≤ 1e-9
+	stale time.Duration
+}
+
+func termsOf(s SourceEstimate) terms {
+	cover, trust, v := s.Coverage.Mean(), s.Trust.Mean(), s.Coverage.Variance()
+	// Deliverable coverage is the advertised coverage discounted by the
+	// belief the source honors its promises: a shirker's shop window
+	// counts for less (how the greengrocer loop steers future plans).
+	c := cover * trust
+	premium := s.Premium
+	if premium < 1 {
+		premium = 1
+	}
+	paid := s.Price.Mid() * premium
+	// Expected shortfall of a promise at the mean is ~sd/sqrt(2*pi)
+	// (normal approximation, one-sided).
+	short := s.PenaltyRate * paid * (math.Sqrt(v) / math.Sqrt(2*math.Pi))
+	t := terms{c: c, paid: paid, lat: s.Latency.Hi, trust: c * trust, short: short, miss: 1 - cover, stale: s.Staleness}
+	if t.miss > 1e-9 {
+		t.rel = v / (t.miss * t.miss)
+	}
+	return t
+}
+
+// sum is a plan's aggregates, its sources' terms added in plan order.
+type sum struct {
+	n                int
+	missing, prod    float64 // Π(1-c_i) and Π m_i
+	price, lat       float64
+	trustW, trustSum float64
+	short, rel       float64
+	stale            time.Duration
+}
+
+func newSum() sum { return sum{missing: 1, prod: 1} }
+
+func sumOf(sources []SourceEstimate) sum {
+	a := newSum()
+	for _, s := range sources {
+		t := termsOf(s)
+		a.add(&t)
+	}
+	return a
+}
+
+func (a *sum) add(t *terms) {
+	a.n++
+	a.missing *= 1 - t.c
+	a.price += t.paid
+	if t.lat > a.lat {
+		a.lat = t.lat
+	}
+	a.trustSum += t.trust
+	a.trustW += t.c
+	a.stale = max(a.stale, t.stale)
+	a.short += t.short
+	a.prod *= t.miss
+	a.rel += t.rel
+}
+
+func (a *sum) predicted() qos.Vector {
+	if a.n == 0 {
+		return qos.Vector{}
+	}
+	trust := 0.5
+	if a.trustW > 0 {
+		trust = a.trustSum / a.trustW
+	}
+	return qos.Vector{
+		Latency:      time.Duration(a.lat * float64(time.Second)),
+		Completeness: 1 - a.missing,
+		Freshness:    a.stale,
+		Trust:        trust,
+		Price:        a.price,
+	}
+}
+
+// variance is Var(1-Π(1-C_i)) = Var(Π(1-C_i)) by the first-order delta
+// method, the Π terms treated independently.
+func (a *sum) variance() float64 { return a.prod * a.prod * a.rel }
 
 // Optimizer errors.
 var ErrNoSources = errors.New("optimizer: no candidate sources")
@@ -146,10 +179,15 @@ type Objective struct {
 // equivalent, minus normalized expected breach compensation already folded
 // into effective price.
 func (o Objective) Score(p Plan) float64 {
-	pred := p.Predicted()
+	a := sumOf(p.Sources)
+	return o.score(&a)
+}
+
+func (o Objective) score(a *sum) float64 {
+	pred := a.predicted()
 	// Breach compensation flows back to the consumer, lowering the
 	// effective price.
-	pred.Price -= p.ExpectedShortfallCost()
+	pred.Price -= a.short
 	if pred.Price < 0 {
 		pred.Price = 0
 	}
@@ -157,5 +195,5 @@ func (o Objective) Score(p Plan) float64 {
 		return -1
 	}
 	base := o.Weights.Scalarize(pred)
-	return o.Risk.CertaintyEquivalent(base, p.Variance())
+	return o.Risk.CertaintyEquivalent(base, a.variance())
 }

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/qos"
@@ -30,30 +31,33 @@ func Best(cands []SourceEstimate, obj Objective, maxSources int) (Plan, error) {
 
 func bestExhaustive(cands []SourceEstimate, obj Objective, maxSources int) Plan {
 	n := len(cands)
-	// Every subset is scored out of one slice; only one that improves on the
-	// best so far is copied, into the plan returned.
-	trial := Plan{Sources: make([]SourceEstimate, 0, n)}
-	var best Plan
-	bestScore := math.Inf(-1)
+	// Every subset is scored from its members' terms, derived once here and
+	// added in ascending index order; only the winner becomes a plan.
+	var ts [maxExhaustive]terms
+	for i, c := range cands {
+		ts[i] = termsOf(c)
+	}
+	best, bestScore := 0, math.Inf(-1)
 	for mask := 1; mask < 1<<n; mask++ {
 		if maxSources > 0 && popcount(mask) > maxSources {
 			continue
 		}
-		trial.Sources = trial.Sources[:0]
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				trial.Sources = append(trial.Sources, cands[i])
-			}
+		a := newSum()
+		for m := uint(mask); m != 0; m &= m - 1 {
+			a.add(&ts[bits.TrailingZeros(m)])
 		}
-		if s := obj.Score(trial); s > bestScore {
-			bestScore = s
-			if best.Sources == nil {
-				best.Sources = make([]SourceEstimate, 0, n)
-			}
-			best.Sources = append(best.Sources[:0], trial.Sources...)
+		if s := obj.score(&a); s > bestScore {
+			best, bestScore = mask, s
 		}
 	}
-	return best
+	if best == 0 {
+		return Plan{}
+	}
+	plan := Plan{Sources: make([]SourceEstimate, 0, popcount(best))}
+	for m := uint(best); m != 0; m &= m - 1 {
+		plan.Sources = append(plan.Sources, cands[bits.TrailingZeros(m)])
+	}
+	return plan
 }
 
 func popcount(x int) int {
@@ -70,20 +74,21 @@ func bestGreedy(cands []SourceEstimate, obj Objective, maxSources int) Plan {
 	if maxSources > 0 && maxSources < limit {
 		limit = maxSources
 	}
-	// The plan has room for every source it can take, so a trial — the plan
-	// so far and one more — is written into its spare capacity.
+	// A trial — the plan so far and one more — is the plan's sum plus that
+	// source's terms.
 	plan := Plan{Sources: make([]SourceEstimate, 0, limit)}
 	used := make([]bool, len(cands))
-	cur := math.Inf(-1)
+	cur, curSum := math.Inf(-1), newSum()
 	for len(plan.Sources) < limit {
-		bestIdx, bestScore := -1, cur
+		bestIdx, bestScore, bestSum := -1, cur, curSum
 		for i, c := range cands {
 			if used[i] {
 				continue
 			}
-			if s := obj.Score(Plan{Sources: append(plan.Sources, c)}); s > bestScore {
-				bestScore = s
-				bestIdx = i
+			trial, t := curSum, termsOf(c)
+			trial.add(&t)
+			if s := obj.score(&trial); s > bestScore {
+				bestIdx, bestScore, bestSum = i, s, trial
 			}
 		}
 		if bestIdx < 0 {
@@ -91,7 +96,7 @@ func bestGreedy(cands []SourceEstimate, obj Objective, maxSources int) Plan {
 		}
 		used[bestIdx] = true
 		plan.Sources = append(plan.Sources, cands[bestIdx])
-		cur = bestScore
+		cur, curSum = bestScore, bestSum
 	}
 	return plan
 }
