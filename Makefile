@@ -62,8 +62,9 @@ check: build lint test race
 # decoders that read bytes this process did not just write — the postings
 # codec, the v2 snapshot file (checksum re-stamped, so mutations reach the
 # structure checks), the wire Query as the shard server serves it, the
-# write-ahead log, every wire message decoder in both reader modes and the
-# frame header as DecodeFrame and FrameReader each read a stream — of
+# write-ahead log, every wire message decoder in both reader modes, the
+# frame header as DecodeFrame and FrameReader each read a stream, and the AQL
+# lexer agora-query and agora-repl feed typed text, held to its reference — of
 # the quickselect the vector and hybrid pools keep their k best with, held to
 # sort-then-truncate, of the histogram cut that finds the vector pool's k-th
 # best cosine, held to a sort, of the four-wide dot product the vector scan scores
@@ -71,9 +72,9 @@ check: build lint test race
 # docTerms, held to the reference tokenizer sorted and counted (cheap enough
 # for every CI run — the seed corpora in codec_test.go, merge_test.go,
 # badquery_test.go, fault_test.go, wire/fuzz_test.go, topk_test.go,
-# feature/vector_test.go and terms_test.go already pin the tricky edges, so
-# even 0 new execs still exercises them all). `go test -fuzz` takes one
-# target per run, hence ten commands. For a real expedition run
+# feature/vector_test.go, terms_test.go and query/reference_test.go already
+# pin the tricky edges, so even 0 new execs still exercises them all).
+# `go test -fuzz` takes one target per run, hence eleven commands. For a real expedition run
 # e.g. `go test -fuzz FuzzPostingsCodec ./internal/docstore` with a time
 # budget instead.
 fuzz:
@@ -87,6 +88,7 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzKthBest -fuzztime 2000x ./internal/docstore
 	$(GO) test -run XXX -fuzz FuzzDot4 -fuzztime 2000x ./internal/feature
 	$(GO) test -run XXX -fuzz FuzzDocTerms -fuzztime 2000x ./internal/docstore
+	$(GO) test -run XXX -fuzz FuzzParse -fuzztime 2000x ./internal/query
 
 # The experiment suite's tables are a function of -seed and -scale: agora-bench
 # reads no clock, so two runs at one seed and scale print the same bytes.

@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 	"time"
 
@@ -148,7 +149,8 @@ func (a *Agora) advance(d time.Duration) {
 // ConceptDim returns the concept-space dimensionality.
 func (a *Agora) ConceptDim() int { return a.cfg.ConceptDim }
 
-// NodeEconomics are a provider's market parameters.
+// NodeEconomics are a provider's market parameters. CostBase and CostEffort
+// price the seller's utility, which is built once, when the node is added.
 type NodeEconomics struct {
 	CostBase    float64
 	CostEffort  float64
@@ -187,6 +189,7 @@ type Node struct {
 	Econ     NodeEconomics
 	Behavior NodeBehavior
 	agora    *Agora
+	sellerU  negotiate.Utility // Econ's cost model, boxed once
 	// mu guards contentVec: discovery reads it concurrently with ingest
 	// churn.
 	mu         sync.RWMutex
@@ -206,6 +209,7 @@ func (a *Agora) AddNode(name string, econ NodeEconomics, beh NodeBehavior) (*Nod
 	}
 	n := &Node{
 		Name: name, Store: st, Econ: econ, Behavior: beh, agora: a,
+		sellerU:    negotiate.SellerUtility{Cost: negotiate.StandardCost(econ.CostBase, econ.CostEffort), Scale: 8},
 		contentVec: make(feature.Vector, a.cfg.ConceptDim),
 	}
 	a.nodes[name] = n
@@ -228,12 +232,15 @@ func (a *Agora) Nodes() []string {
 	return append([]string(nil), a.order...)
 }
 
-// nextID mints a unique id with the given prefix.
+// nextID mints a unique id with the given prefix: "<prefix>-<seq>".
 func (a *Agora) nextID(prefix string) string {
 	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.seq++
-	return fmt.Sprintf("%s-%d", prefix, a.seq)
+	seq := a.seq
+	a.mu.Unlock()
+	var buf [32]byte
+	b := strconv.AppendUint(append(append(buf[:0], prefix...), '-'), seq, 10)
+	return string(b)
 }
 
 // Ingest stores a document at the node, updates its advertisement, and
@@ -295,14 +302,14 @@ func (n *Node) TotalDocs() int { return n.Store.Len() }
 
 // seller builds the node's negotiator over a package grid derived from the
 // consumer's ask.
-func (n *Node) seller(grid []qos.Vector) *negotiate.Negotiator {
+func (n *Node) seller(grid []qos.Vector) negotiate.Negotiator {
 	tac := n.Econ.Tactic
 	if tac == nil {
 		tac = negotiate.Linear()
 	}
-	return &negotiate.Negotiator{
+	return negotiate.Negotiator{
 		Name:        n.Name,
-		U:           negotiate.SellerUtility{Cost: negotiate.StandardCost(n.Econ.CostBase, n.Econ.CostEffort), Scale: 8},
+		U:           n.sellerU,
 		Reservation: 0.05,
 		Tactic:      tac,
 		Candidates:  grid,

@@ -217,13 +217,17 @@ func (s *Session) runPipeline(tr *telemetry.Trace, q *query.Query, concept featu
 	spPlan.End()
 	tel.planLat.ObserveExemplar(planElapsed(), tr.ID())
 
-	ans := &Answer{ContextLabel: label, PlanScore: obj.Score(plan)}
+	ans := &Answer{ContextLabel: label, PlanScore: obj.Score(plan),
+		Contracts: make([]*qos.Contract, 0, len(plan.Sources)), Outcomes: make([]qos.Outcome, 0, len(plan.Sources))}
+	// Every source is bargained with from a copy of one buyer.
+	buyer := negotiate.Negotiator{Name: s.Profile.UserID, U: negotiate.BuyerUtility{W: weights},
+		Reservation: 0.25, Tactic: s.buyerTactic(), Candidates: s.packageGrid(q)}
 
 	// 4-6. Negotiate, execute, settle per source — one visit per planned
 	// stall. Results come back in plan-order slots; shared state (ledger,
 	// latency beliefs, answer aggregates) is applied here, once every
 	// source has run, in plan order.
-	var lists [][]query.Result
+	lists := make([][]query.Result, 0, len(plan.Sources))
 	var worstLatency time.Duration
 	var totalPaid float64
 	failed := map[string]bool{}
@@ -258,7 +262,7 @@ func (s *Session) runPipeline(tr *telemetry.Trace, q *query.Query, concept featu
 			lists = append(lists, r.results)
 		}
 	}
-	apply(s.visit(tr, q, concept, plan.Sources, weights, nil, onPartial))
+	apply(s.visit(tr, q, concept, plan.Sources, &buyer, nil, onPartial))
 	if len(lists) == 0 {
 		// 6b. Mid-flight re-optimization: everything failed; try once more
 		// with the failures excluded.
@@ -266,7 +270,7 @@ func (s *Session) runPipeline(tr *telemetry.Trace, q *query.Query, concept featu
 		if rerr != nil || len(plan2.Sources) == 0 {
 			return nil, ErrNoProviders
 		}
-		apply(s.visit(tr, q, concept, plan2.Sources, weights, failed, nil))
+		apply(s.visit(tr, q, concept, plan2.Sources, &buyer, failed, nil))
 		if len(lists) == 0 {
 			return nil, ErrNoProviders
 		}
@@ -360,7 +364,7 @@ func (s *Session) estimates(tr *telemetry.Trace, q *query.Query, concept feature
 			}
 		}
 	}
-	var out []optimizer.SourceEstimate
+	out := make([]optimizer.SourceEstimate, 0, len(names))
 	for _, name := range names {
 		n := s.agora.Node(name)
 		if s.Ledger.Blacklisted(name, 0.25, 8) {
@@ -457,7 +461,8 @@ func (f sourceFate) resolve(name string) resolved {
 		end   time.Duration
 		hedge bool
 	}
-	var cands []finisher
+	var buf [2]finisher
+	cands := buf[:0]
 	if f.primary.available {
 		cands = append(cands, finisher{f.primary, f.primary.span(), false})
 	}
@@ -551,8 +556,8 @@ type sourceResult struct {
 // sources that already failed (the re-optimization round). Every fate and
 // contract identifier is drawn before the first source runs; onPartial
 // fires as each source settles.
-func (s *Session) visit(tr *telemetry.Trace, q *query.Query, concept feature.Vector, ests []optimizer.SourceEstimate, weights qos.Weights, skip map[string]bool, onPartial func(Partial)) []sourceResult {
-	var jobs []sourceJob
+func (s *Session) visit(tr *telemetry.Trace, q *query.Query, concept feature.Vector, ests []optimizer.SourceEstimate, buyer *negotiate.Negotiator, skip map[string]bool, onPartial func(Partial)) []sourceResult {
+	jobs := make([]sourceJob, 0, len(ests))
 	for _, est := range ests {
 		if skip != nil && skip[est.Source] {
 			continue
@@ -571,7 +576,7 @@ func (s *Session) visit(tr *telemetry.Trace, q *query.Query, concept feature.Vec
 	now0 := s.agora.now()
 	slots := make([]sourceResult, len(jobs))
 	for i, job := range jobs {
-		slots[i] = s.runSource(tr, q, concept, weights, job, now0)
+		slots[i] = s.runSource(tr, q, concept, buyer, job, now0)
 		if r := &slots[i]; onPartial != nil && r.err == nil {
 			onPartial(Partial{
 				Source:         r.source,
@@ -588,10 +593,10 @@ func (s *Session) visit(tr *telemetry.Trace, q *query.Query, concept feature.Vec
 // runSource is one source's visit: negotiate a contract, play its fate
 // forward (hedging past the p95 trigger, abandoning past the deadline),
 // execute the winning attempt, and settle.
-func (s *Session) runSource(tr *telemetry.Trace, q *query.Query, concept feature.Vector, weights qos.Weights, job sourceJob, now0 sim.Time) sourceResult {
+func (s *Session) runSource(tr *telemetry.Trace, q *query.Query, concept feature.Vector, buyer *negotiate.Negotiator, job sourceJob, now0 sim.Time) sourceResult {
 	tel := &s.agora.tel
 	res := sourceResult{source: job.node.Name}
-	contract, deal, err := s.negotiateTraced(tr, q, job.node, weights, job.slaID, job.queryID, now0)
+	contract, deal, err := s.negotiateTraced(tr, job.node, buyer, job.slaID, job.queryID, now0)
 	if err != nil {
 		res.err = err
 		return res
@@ -629,11 +634,11 @@ func (s *Session) runSource(tr *telemetry.Trace, q *query.Query, concept feature
 // negotiateTraced runs negotiateContract inside a `negotiate(source)` span,
 // feeding the negotiation histogram and failure counter. It touches no
 // session state.
-func (s *Session) negotiateTraced(tr *telemetry.Trace, q *query.Query, node *Node, weights qos.Weights, slaID, queryID string, now sim.Time) (*qos.Contract, negotiate.Deal, error) {
+func (s *Session) negotiateTraced(tr *telemetry.Trace, node *Node, buyer *negotiate.Negotiator, slaID, queryID string, now sim.Time) (*qos.Contract, negotiate.Deal, error) {
 	tel := &s.agora.tel
 	sp := tr.Span("negotiate", node.Name)
 	elapsed := stopwatch()
-	contract, deal, err := s.negotiateContract(q, node, weights, slaID, queryID, now)
+	contract, deal, err := s.negotiateContract(node, buyer, slaID, queryID, now)
 	if err != nil {
 		sp.Fail(err)
 		tel.negotiateFailures.Inc()
@@ -682,17 +687,11 @@ func (s *Session) executeTraced(tr *telemetry.Trace, node *Node, q *query.Query,
 	return results, delivered
 }
 
-// negotiateContract bargains a package with the node and signs an SLA.
-func (s *Session) negotiateContract(q *query.Query, node *Node, weights qos.Weights, slaID, queryID string, now sim.Time) (*qos.Contract, negotiate.Deal, error) {
-	grid := s.packageGrid(q)
-	buyer := &negotiate.Negotiator{
-		Name:        s.Profile.UserID,
-		U:           negotiate.BuyerUtility{W: weights},
-		Reservation: 0.25,
-		Tactic:      s.buyerTactic(),
-		Candidates:  grid,
-	}
-	deal, err := negotiate.Run(buyer, node.seller(grid), s.NegotiationRounds)
+// negotiateContract bargains a package with the node, starting from a copy
+// of the ask's buyer, and signs an SLA.
+func (s *Session) negotiateContract(node *Node, buyer *negotiate.Negotiator, slaID, queryID string, now sim.Time) (*qos.Contract, negotiate.Deal, error) {
+	b, seller := *buyer, node.seller(buyer.Candidates)
+	deal, err := negotiate.Run(&b, &seller, s.NegotiationRounds)
 	if err != nil {
 		return nil, deal, err
 	}

@@ -3,44 +3,61 @@ package feature
 import (
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"unicode"
 	"unicode/utf8"
 )
 
 // Tokenize returns the tokens of texts, read in turn as if joined by spaces:
-// Tokenizer's, each as a string of its own. It is the shared tokenizer for the
-// inverted index and the text vectorizer so their views of a document agree.
+// Tokenizer's, as strings. It is the shared tokenizer for the inverted index
+// and the text vectorizer so their views of a document agree. The tokens
+// alias the text: one whose bytes are its source's is a substring of it, and
+// only a folded one is copied, so a holder that outlives the text clones what
+// it keeps. Up to 64 tokens share one allocation, the result slice.
 func Tokenize(texts ...string) []string {
-	var out []string
+	var stack [64]string
+	out := stack[:0]
 	var tz Tokenizer
 	for _, text := range texts {
 		tz.Reset(text)
 		for tok, ok := tz.Next(); ok; tok, ok = tz.Next() {
-			out = append(out, string(tok))
+			if src := text[tz.start:tz.end]; src == string(tok) {
+				out = append(out, src)
+			} else {
+				out = append(out, string(tok))
+			}
 		}
 	}
-	return out
+	if len(out) == 0 {
+		return nil
+	}
+	return append(make([]string, 0, len(out)), out...)
 }
 
 // Tokenizer is the one scanner of text into tokens, yielding them one at a
 // time for a reader that looks each up or copies it on: a token shorter than
 // the buffer is never allocated. The zero value has nothing to yield.
 type Tokenizer struct {
-	rest string // text not yet read
-	buf  [64]byte
+	rest       string // text not yet read
+	n          int    // length of the text Reset was given
+	start, end int    // the last token's span in that text
+	buf        [64]byte
 }
 
 // Reset starts over on text.
-func (tz *Tokenizer) Reset(text string) { tz.rest = text }
+func (tz *Tokenizer) Reset(text string) { tz.rest, tz.n = text, len(text) }
 
 // Next returns the next token: a maximal run of letters and digits,
 // lowercased, at least two bytes long and not a stopword (anything else
 // delimits, invalid UTF-8 included). The bytes are the tokenizer's own and
-// are overwritten by the following call.
+// are overwritten by the following call; the run they were read from is
+// text[tz.start:tz.end].
 func (tz *Tokenizer) Next() ([]byte, bool) {
 	s, tok := tz.rest, tz.buf[:0]
+	base, start := tz.n-len(s), 0
 	for i := 0; i < len(s); {
+		end := i
 		if c := s[i]; c < utf8.RuneSelf {
 			i++
 			switch {
@@ -61,11 +78,13 @@ func (tz *Tokenizer) Next() ([]byte, bool) {
 		}
 		if isToken(tok) {
 			tz.rest = s[i:]
+			tz.start, tz.end = base+start, base+end
 			return tok, true
 		}
-		tok = tok[:0]
+		tok, start = tok[:0], i
 	}
 	tz.rest = ""
+	tz.start, tz.end = base+start, tz.n
 	return tok, isToken(tok)
 }
 
@@ -152,6 +171,8 @@ func (v *Vocabulary) Observe(tokens []string) {
 	for _, t := range tokens {
 		d, ok := v.dims[t]
 		if !ok {
+			// A token may alias its document's text: keep a copy.
+			t = strings.Clone(t)
 			d = len(v.terms)
 			v.dims[t] = d
 			v.terms = append(v.terms, t)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 	"unicode"
+	"unsafe"
 )
 
 func TestTokenize(t *testing.T) {
@@ -183,39 +184,130 @@ func TestTokenizerMatchesTokenize(t *testing.T) {
 		}
 		return true
 	}
-	long := strings.Repeat("Straße", 30) // 210 bytes: past the tokenizer's own buffer
-	table := [][]string{
-		{"The Folk-Jewelry of Europe, and its 12 styles!"},
-		{"Gold Ring", "byzantine filigree", "jewelry", "7th-century"},
-		{"", "", ""},
-		{"a I . ,", "x", "ab"}, // 1-byte runs and stopwords only, then the shortest token
-		{"THE and Or NOT", "Would you", "may9 can't"}, // stopwords in every case, one inside a longer run
-		{"ÉCOLE Ångström İstanbul ǅungla ẞ", "Ⱥ Ⱦ"},   // folding that changes byte length, both ways
-		{"زيتون ٣٤ 数字 ４２ x²", "naïve café"},           // letters and digits outside Latin; a superscript is neither
-		{long, "tail " + long + "!" + long},
-		{"bad \xff\xfe utf8 \xe2\x82", "ok\xc3"}, // invalid bytes delimit
-		{"tab\tnew\nline nbsp em—dash"},
-	}
-	for _, texts := range table {
+	for _, texts := range tokenizeTable {
 		check(texts)
 	}
-	// Random strings over an alphabet dense in the cases above.
-	alphabet := []rune("aAbZzİıẞßǅÉé09٣² \t-.,' \xff")
 	r := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 2000; trial++ {
-		texts := make([]string, 1+r.Intn(4))
-		for i := range texts {
-			b := make([]rune, r.Intn(90))
-			for j := range b {
-				b[j] = alphabet[r.Intn(len(alphabet))]
-			}
-			texts[i] = string(b)
-			if r.Intn(8) == 0 {
-				texts[i] += "\xf0\x9f" // a truncated sequence at the end of a part
+		if !check(randomTexts(r)) {
+			t.Fatalf("trial %d", trial)
+		}
+	}
+}
+
+// long is 210 bytes: past the tokenizer's own buffer.
+var long = strings.Repeat("Straße", 30)
+
+// tokenizeTable is the tokenizer tests' table of documents, each a list of
+// parts.
+var tokenizeTable = [][]string{
+	{"The Folk-Jewelry of Europe, and its 12 styles!"},
+	{"Gold Ring", "byzantine filigree", "jewelry", "7th-century"},
+	{"", "", ""},
+	{"a I . ,", "x", "ab"}, // 1-byte runs and stopwords only, then the shortest token
+	{"THE and Or NOT", "Would you", "may9 can't"}, // stopwords in every case, one inside a longer run
+	{"ÉCOLE Ångström İstanbul ǅungla ẞ", "Ⱥ Ⱦ"},   // folding that changes byte length, both ways
+	{"زيتون ٣٤ 数字 ４２ x²", "naïve café"},           // letters and digits outside Latin; a superscript is neither
+	{long, "tail " + long + "!" + long},
+	{"bad \xff\xfe utf8 \xe2\x82", "ok\xc3"}, // invalid bytes delimit
+	{"tab\tnew\nline nbsp em—dash"},
+}
+
+// randomTexts draws one to four parts over an alphabet dense in the table's
+// cases.
+func randomTexts(r *rand.Rand) []string {
+	alphabet := []rune("aAbZzİıẞßǅÉé09٣² \t-.,' \xff")
+	texts := make([]string, 1+r.Intn(4))
+	for i := range texts {
+		b := make([]rune, r.Intn(90))
+		for j := range b {
+			b[j] = alphabet[r.Intn(len(alphabet))]
+		}
+		texts[i] = string(b)
+		if r.Intn(8) == 0 {
+			texts[i] += "\xf0\x9f" // a truncated sequence at the end of a part
+		}
+	}
+	return texts
+}
+
+// TestTokenizeAliasesItsText: every token Tokenize returns is the reference's
+// token, the span the Tokenizer reports for it tokenizes, alone, to that
+// token, and a token whose source bytes already equal it is that substring
+// of its part — the zero-copy path runs — while any other is a copy.
+func TestTokenizeAliasesItsText(t *testing.T) {
+	aliased, copied := 0, 0
+	check := func(texts []string) {
+		got := Tokenize(texts...)
+		if want := referenceTokenize(strings.Join(texts, " ")); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Tokenize(%q) = %q, the reference %q", texts, got, want)
+		}
+		var tz Tokenizer
+		k := 0
+		for _, text := range texts {
+			tz.Reset(text)
+			for tok, ok := tz.Next(); ok; tok, ok = tz.Next() {
+				src := text[tz.start:tz.end]
+				if one := referenceTokenize(src); len(one) != 1 || one[0] != string(tok) {
+					t.Fatalf("%q: the span %d:%d of %q tokenizes to %q, not %q", texts, tz.start, tz.end, text, one, tok)
+				}
+				at := unsafe.StringData(got[k])
+				if src == string(tok) {
+					if at != unsafe.StringData(src) {
+						t.Fatalf("%q: token %q does not alias its text", texts, got[k])
+					}
+					aliased++
+				} else {
+					if inside(at, text) {
+						t.Fatalf("%q: folded token %q points into its text", texts, got[k])
+					}
+					copied++
+				}
+				k++
 			}
 		}
-		if !check(texts) {
-			t.Fatalf("trial %d", trial)
+	}
+	for _, texts := range tokenizeTable {
+		check(texts)
+	}
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 2000; trial++ {
+		check(randomTexts(r))
+	}
+	if aliased == 0 || copied == 0 {
+		t.Fatalf("%d aliased and %d copied tokens: both paths must run", aliased, copied)
+	}
+}
+
+// inside reports whether p points into s's bytes.
+func inside(p *byte, s string) bool {
+	if len(s) == 0 {
+		return false
+	}
+	base := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	return uintptr(unsafe.Pointer(p))-base < uintptr(len(s))
+}
+
+// TestTokenizeAllocatesOnce pins Tokenize on lowercase ASCII to the result
+// slice alone: every token is a substring of the text.
+func TestTokenizeAllocatesOnce(t *testing.T) {
+	text := "gold ring of the byzantine court, filigree and 12 carats of jewelry"
+	n := 0
+	got := testing.AllocsPerRun(100, func() { n = len(Tokenize(text, "museum", "ancient greek")) })
+	if got != 1 || n != 11 {
+		t.Fatalf("%v allocations for %d tokens, want 1", got, n)
+	}
+}
+
+// TestVocabularyKeepsNoText: a term the vocabulary learns is its own copy,
+// not the observed document's bytes, which Tokenize's tokens alias.
+func TestVocabularyKeepsNoText(t *testing.T) {
+	v := NewVocabulary()
+	doc := strings.Repeat("filigree ", 3) + "gold"
+	v.Observe(Tokenize(doc))
+	for i := 0; i < v.Size(); i++ {
+		if inside(unsafe.StringData(v.Term(i)), doc) {
+			t.Fatalf("term %q points into the observed text", v.Term(i))
 		}
 	}
 }

@@ -90,14 +90,18 @@ type TimeDependent struct {
 	Label string
 }
 
+// The named tactics are boxed once, so handing one out allocates nothing.
+var boulware, linear, conceder Tactic = TimeDependent{Beta: 0.3, Label: "boulware"},
+	TimeDependent{Beta: 1, Label: "linear"}, TimeDependent{Beta: 3, Label: "conceder"}
+
 // Boulware returns a stubborn time-dependent tactic.
-func Boulware() Tactic { return TimeDependent{Beta: 0.3, Label: "boulware"} }
+func Boulware() Tactic { return boulware }
 
 // Linear returns a linear-concession tactic.
-func Linear() Tactic { return TimeDependent{Beta: 1, Label: "linear"} }
+func Linear() Tactic { return linear }
 
 // Conceder returns an eager-concession tactic.
-func Conceder() Tactic { return TimeDependent{Beta: 3, Label: "conceder"} }
+func Conceder() Tactic { return conceder }
 
 // Target implements Tactic.
 func (td TimeDependent) Target(round, maxRounds int, _ float64) float64 {
@@ -328,11 +332,13 @@ func (d Deal) JointUtility() float64 { return d.BuyerUtility + d.SellerUtility }
 // Run executes an alternating-offers session: buyer proposes on even
 // rounds, seller on odd, up to maxRounds. An agent accepts an incoming
 // offer if it meets what it would demand next round (the AC-next rule).
+// The transcript is the session's one allocation.
 func Run(buyer, seller *Negotiator, maxRounds int) (Deal, error) {
 	if maxRounds <= 0 {
 		maxRounds = 20
 	}
-	var transcript []qos.Vector
+	transcript := make([]qos.Vector, 0, maxRounds)
+	var last qos.Vector
 	var lastOffer *qos.Vector
 	for round := 0; round < maxRounds; round++ {
 		proposer, responder := buyer, seller
@@ -361,8 +367,8 @@ func Run(buyer, seller *Negotiator, maxRounds int) (Deal, error) {
 				Transcript:    transcript,
 			}, nil
 		}
-		o := offer
-		lastOffer = &o
+		last = offer
+		lastOffer = &last
 	}
 	return Deal{Rounds: maxRounds, Transcript: transcript}, ErrNoDeal
 }

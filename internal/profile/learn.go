@@ -1,6 +1,9 @@
 package profile
 
 import (
+	"strings"
+	"sync"
+
 	"repro/internal/feature"
 	"repro/internal/uncertainty"
 )
@@ -64,6 +67,9 @@ type Learner struct {
 	TermRate float64
 	// TermDecay multiplies all affinities per event (forgetting).
 	TermDecay float64
+
+	mu    sync.Mutex
+	terms map[string]string // every term learned, as the learner's own copy
 }
 
 // NewLearner returns a learner with standard rates.
@@ -89,9 +95,22 @@ func (l *Learner) Observe(p *Profile, ev Event) {
 			p.TermAffinity[t] *= l.TermDecay
 		}
 	}
+	// Event terms may alias a document's text (feature.Tokenize's do), and a
+	// map assignment stores the key it is given even over an equal one: the
+	// profile is keyed by the learner's own copy of each term.
+	l.mu.Lock()
 	for _, t := range ev.Terms {
-		p.TermAffinity[t] += l.TermRate * w
+		own, ok := l.terms[t]
+		if !ok {
+			if l.terms == nil {
+				l.terms = make(map[string]string)
+			}
+			own = strings.Clone(t)
+			l.terms[own] = own
+		}
+		p.TermAffinity[own] += l.TermRate * w
 	}
+	l.mu.Unlock()
 	if ev.Source != "" {
 		b, ok := p.SourceTrust[ev.Source]
 		if !ok {

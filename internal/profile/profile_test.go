@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/docstore"
 	"repro/internal/feature"
@@ -475,5 +476,33 @@ func TestUnmarshalCorrupt(t *testing.T) {
 	b := Marshal(New("iris", 4))
 	if _, err := Unmarshal(b[:len(b)-2]); err == nil {
 		t.Fatal("truncated profile decoded")
+	}
+}
+
+// TestLearnerKeepsItsOwnTerms: event terms may alias a document's text (a
+// Tokenize result does), and a map assignment stores the key it is given
+// even over an equal one. No TermAffinity key may point into the event's
+// text after the term is first learned, nor after it is learned again, which
+// allocates nothing.
+func TestLearnerKeepsItsOwnTerms(t *testing.T) {
+	p, l := New("iris", 8), NewLearner()
+	text := "byzantine gold filigree ring"
+	ev := Event{Type: EventClick, Terms: feature.Tokenize(text)}
+	base := uintptr(unsafe.Pointer(unsafe.StringData(text)))
+	check := func(when string) {
+		for k := range p.TermAffinity {
+			if uintptr(unsafe.Pointer(unsafe.StringData(k)))-base < uintptr(len(text)) {
+				t.Fatalf("%s: key %q points into the event's text", when, k)
+			}
+		}
+	}
+	l.Observe(p, ev)
+	check("first seen")
+	if got := testing.AllocsPerRun(100, func() { l.Observe(p, ev) }); got != 0 {
+		t.Fatalf("%v allocations to update known terms", got)
+	}
+	check("seen again")
+	if len(p.TermAffinity) != 4 || p.TermAffinity["filigree"] <= 0 {
+		t.Fatalf("affinities %v", p.TermAffinity)
 	}
 }

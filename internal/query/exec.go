@@ -135,9 +135,15 @@ func matchesFilters(d *docstore.Document, q *Query, concept feature.Vector, now 
 
 // Merge combines per-source result lists into one ranked top-k, normalizing
 // each source's scores into [0,1] (sources use incomparable raw scales) and
-// deduplicating by document ID keeping the best score.
+// deduplicating by document ID keeping the best score — the first seen of
+// equal ones. The lists are copied into the one slice returned, grouped by
+// ID with a stable sort, and each group is cut to its keeper.
 func Merge(lists [][]Result, topK int) []Result {
-	best := make(map[string]Result)
+	n := 0
+	for _, list := range lists {
+		n += len(list)
+	}
+	out := make([]Result, 0, n)
 	for _, list := range lists {
 		var max float64
 		for _, r := range list {
@@ -146,21 +152,24 @@ func Merge(lists [][]Result, topK int) []Result {
 			}
 		}
 		for _, r := range list {
-			score := r.Score
 			if max > 0 {
-				score /= max
+				r.Score /= max
 			}
-			cur, ok := best[r.Doc.ID]
-			if !ok || score > cur.Score {
-				r.Score = score
-				best[r.Doc.ID] = r
-			}
+			out = append(out, r)
 		}
 	}
-	out := make([]Result, 0, len(best))
-	for _, r := range best {
-		out = append(out, r)
+	slices.SortStableFunc(out, func(a, b Result) int { return strings.Compare(a.Doc.ID, b.Doc.ID) })
+	kept := out[:0]
+	for _, r := range out {
+		if k := len(kept) - 1; k >= 0 && kept[k].Doc.ID == r.Doc.ID {
+			if r.Score > kept[k].Score {
+				kept[k] = r
+			}
+			continue
+		}
+		kept = append(kept, r)
 	}
+	out = kept
 	SortResults(out)
 	if topK > 0 && len(out) > topK {
 		out = out[:topK]

@@ -47,8 +47,9 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("query: syntax error at %d: %s", e.Pos, e.Msg)
 }
 
-func lex(input string) ([]token, error) {
-	var toks []token
+// lex appends input's tokens to toks, ending with tokEOF. A token's text is
+// a substring of input or a keyword's constant where it can be.
+func lex(toks []token, input string) ([]token, error) {
 	i := 0
 	n := len(input)
 	for i < n {
@@ -57,31 +58,32 @@ func lex(input string) ([]token, error) {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
 			i++
 		case c == '"':
-			j := i + 1
-			var sb strings.Builder
+			j, escaped := i+1, false
 			for j < n && input[j] != '"' {
 				if input[j] == '\\' && j+1 < n {
-					j++
+					j, escaped = j+1, true
 				}
-				sb.WriteByte(input[j])
 				j++
 			}
 			if j >= n {
 				return nil, &SyntaxError{Pos: i, Msg: "unterminated string"}
 			}
-			toks = append(toks, token{tokString, sb.String(), i})
+			text := input[i+1 : j]
+			if escaped {
+				text = unescape(text)
+			}
+			toks = append(toks, token{tokString, text, i})
 			i = j + 1
 		case c == ',' || c == '~' || c == '=':
-			toks = append(toks, token{tokOp, string(c), i})
+			toks = append(toks, token{tokOp, input[i : i+1], i})
 			i++
 		case c == '<' || c == '>':
-			op := string(c)
-			if i+1 < n && input[i+1] == '=' {
-				op += "="
-				i++
+			j := i + 1
+			if j < n && input[j] == '=' {
+				j++
 			}
-			toks = append(toks, token{tokOp, op, i})
-			i++
+			toks = append(toks, token{tokOp, input[i:j], j - 1})
+			i = j
 		case c >= '0' && c <= '9' || c == '.':
 			j := i
 			for j < n && (input[j] >= '0' && input[j] <= '9' || input[j] == '.') {
@@ -111,7 +113,7 @@ func lex(input string) ([]token, error) {
 			for j < n && (isLetterByte(input[j]) || input[j] >= '0' && input[j] <= '9' || input[j] == '_') {
 				j++
 			}
-			toks = append(toks, token{tokIdent, strings.ToLower(input[i:j]), i})
+			toks = append(toks, token{tokIdent, lowerIdent(input[i:j]), i})
 			i = j
 		default:
 			return nil, &SyntaxError{Pos: i, Msg: fmt.Sprintf("unexpected character %q", rune(c))}
@@ -119,6 +121,37 @@ func lex(input string) ([]token, error) {
 	}
 	toks = append(toks, token{tokEOF, "", n})
 	return toks, nil
+}
+
+// unescape drops each backslash of a quoted string's body, keeping the byte
+// it escapes.
+func unescape(s string) string {
+	b := make([]byte, 0, len(s))
+	for k := 0; k < len(s); k++ {
+		if s[k] == '\\' && k+1 < len(s) {
+			k++
+		}
+		b = append(b, s[k])
+	}
+	return string(b)
+}
+
+// keywords are the identifiers the parser reads.
+var keywords = []string{"find", "documents", "where", "and", "not", "top", "qos",
+	"text", "topic", "source", "similar", "fresh", "latency", "freshness", "completeness", "trust", "price",
+	"articles", "holdings", "catalogs", "magazines", "annotations", "theses"}
+
+// lowerIdent is strings.ToLower of an identifier, but a keyword in capitals
+// is the keyword's constant. Only U+212A and U+017F fold to ASCII letters,
+// and neither can be in an identifier (each holds a byte that is not a
+// letter), so a keyword's fold is as long as the keyword.
+func lowerIdent(s string) string {
+	for _, kw := range keywords {
+		if len(s) == len(kw) && strings.EqualFold(s, kw) {
+			return kw
+		}
+	}
+	return strings.ToLower(s)
 }
 
 func isLetterByte(b byte) bool {

@@ -42,7 +42,10 @@ var kindNames = map[string]docstore.Kind{
 
 // Parse parses an AQL query string.
 func Parse(input string) (*Query, error) {
-	toks, err := lex(input)
+	// The tokens die with the parse: a query of the usual size lexes into
+	// this frame's buffer.
+	var buf [24]token
+	toks, err := lex(buf[:0], input)
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +86,8 @@ func (p *parser) parseQuery() (*Query, error) {
 	// Optional kind.
 	if t := p.cur(); t.kind == tokIdent {
 		if k, ok := kindNames[t.text]; ok {
-			q.Kind = &k
+			kind := k // escapes only when the kind is named
+			q.Kind = &kind
 			p.next()
 		} else if t.text == "documents" {
 			p.next()

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -44,7 +45,7 @@ type Histogram struct {
 	minBits   atomic.Uint64 // float64, CAS-min (seeded +Inf)
 	maxBits   atomic.Uint64 // float64, CAS-max (seeded -Inf)
 	buckets   [histBuckets]atomic.Uint64
-	exemplars [histBuckets]atomic.Pointer[Exemplar]
+	exemplars [histBuckets]exemplarSlot
 }
 
 // Exemplar links one histogram bucket back to the trace that most recently
@@ -52,6 +53,13 @@ type Histogram struct {
 type Exemplar struct {
 	TraceID TraceID `json:"trace_id"`
 	Value   float64 `json:"value"`
+}
+
+// exemplarSlot holds one bucket's exemplar in place; the mutex keeps a
+// reader from seeing an (id, value) pair no observation wrote.
+type exemplarSlot struct {
+	mu sync.Mutex
+	ex Exemplar
 }
 
 func newHistogram() *Histogram {
@@ -119,7 +127,10 @@ func (h *Histogram) ObserveSecondsExemplar(v float64, id TraceID) {
 	}
 	h.ObserveSeconds(v)
 	if id != 0 {
-		h.exemplars[bucketFor(v)].Store(&Exemplar{TraceID: id, Value: v})
+		e := &h.exemplars[bucketFor(v)]
+		e.mu.Lock()
+		e.ex = Exemplar{TraceID: id, Value: v}
+		e.mu.Unlock()
 	}
 }
 
@@ -140,7 +151,13 @@ func (h *Histogram) Buckets() []Bucket {
 	var cum uint64
 	for i := 0; i < histBuckets; i++ {
 		cum += h.buckets[i].Load()
-		out[i] = Bucket{UpperBound: bucketBound(i), Count: cum, Exemplar: h.exemplars[i].Load()}
+		out[i] = Bucket{UpperBound: bucketBound(i), Count: cum}
+		e := &h.exemplars[i]
+		e.mu.Lock()
+		if ex := e.ex; ex.TraceID != 0 {
+			out[i].Exemplar = &ex
+		}
+		e.mu.Unlock()
 	}
 	// The top bucket is the overflow bucket: everything lands at or below
 	// it, which is exactly Prometheus's le="+Inf".

@@ -117,3 +117,55 @@ func sumMillis(n int) float64 {
 	}
 	return total
 }
+
+// TestExemplarNeverTears races observations into one bucket against readers
+// of the exemplars: every sample's value encodes its trace ID, so an
+// (id, value) pair taken from two observations shows. Run under -race it is
+// also the slot's data-race test.
+func TestExemplarNeverTears(t *testing.T) {
+	const writers, perW = 4, 20000
+	h := NewRegistry().Histogram("h")
+	// valueOf keeps every sample within (512µs, 1024µs], one bucket.
+	valueOf := func(id TraceID) float64 { return (600 + float64(id%397)) * 1e-6 }
+	check := func() {
+		for _, b := range h.Buckets() {
+			if e := b.Exemplar; e != nil && e.Value != valueOf(e.TraceID) {
+				t.Errorf("exemplar (%v, %v): value of another observation", e.TraceID, e.Value)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 1; i <= perW; i++ {
+				id := TraceID(w*perW + i)
+				h.ObserveSecondsExemplar(valueOf(id), id)
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					check()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	readers.Wait()
+	check()
+	if h.Count() != writers*perW {
+		t.Fatalf("count %d", h.Count())
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -19,10 +20,17 @@ type TraceID uint64
 type SpanID uint64
 
 // String renders the ID as 16 hex digits (the form /debug/trace accepts).
-func (id TraceID) String() string { return fmt.Sprintf("%016x", uint64(id)) }
+func (id TraceID) String() string { return hex16(uint64(id)) }
 
 // String renders the ID as 16 hex digits.
-func (id SpanID) String() string { return fmt.Sprintf("%016x", uint64(id)) }
+func (id SpanID) String() string { return hex16(uint64(id)) }
+
+// hex16 is v in lowercase hex, zero-padded to 16 digits.
+func hex16(v uint64) string {
+	var buf [32]byte
+	b := strconv.AppendUint(append(buf[:0], "0000000000000000"...), v, 16)
+	return string(b[len(b)-16:])
+}
 
 // ParseTraceID parses the hex form produced by TraceID.String.
 func ParseTraceID(s string) (TraceID, error) {
@@ -87,7 +95,8 @@ func (sp *Span) Child(name, detail string) *Span {
 	if sp == nil {
 		return nil
 	}
-	c := &Span{tr: sp.tr, id: SpanID(sp.tr.reg.nextID()), name: name, detail: detail, start: time.Now()}
+	c := sp.tr.newSpan()
+	c.tr, c.id, c.name, c.detail, c.start = sp.tr, SpanID(sp.tr.reg.nextID()), name, detail, time.Now()
 	sp.mu.Lock()
 	sp.children = append(sp.children, c)
 	sp.mu.Unlock()
@@ -121,6 +130,8 @@ func (sp *Span) Fail(err error) {
 
 // Trace is one end-to-end pipeline execution. Finish() offers it to the
 // registry's tail sampler, which decides whether it is worth retaining.
+// Its first spans, and the root's first child pointers, are inline: a trace
+// the size of an ask is one allocation, and the rest come from the heap.
 type Trace struct {
 	reg    *Registry
 	id     TraceID
@@ -129,6 +140,21 @@ type Trace struct {
 	detail string
 	begin  time.Time
 	root   *Span
+	used   atomic.Int32 // spans taken from slab
+	slab   [slabSpans]Span
+	kids   [slabSpans - 1]*Span // backs root.children
+}
+
+// slabSpans is how many spans a trace holds inline: an ask's root, its plan
+// and merge, and a negotiate and an execute span at each of four sources.
+const slabSpans = 11
+
+// newSpan returns the trace's next inline span, or a new one.
+func (t *Trace) newSpan() *Span {
+	if i := t.used.Add(1) - 1; i < slabSpans {
+		return &t.slab[i]
+	}
+	return new(Span)
 }
 
 // StartTrace opens a locally-rooted trace whose root span is named op;
@@ -156,7 +182,9 @@ func (r *Registry) StartTraceFrom(parent TraceContext, op, detail string) *Trace
 	} else {
 		t.id = TraceID(r.nextID())
 	}
-	t.root = &Span{tr: t, id: SpanID(r.nextID()), name: op, detail: detail, start: now}
+	t.root = t.newSpan()
+	t.root.tr, t.root.id, t.root.name, t.root.detail, t.root.start = t, SpanID(r.nextID()), op, detail, now
+	t.root.children = t.kids[:0]
 	return t
 }
 
