@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-core vet lint check fuzz determinism pairs clean
+.PHONY: build test race race-core vet lint check fuzz determinism pairs loc clean
 
 build:
 	$(GO) build ./...
@@ -128,6 +128,16 @@ pairs:
 		done; \
 	done
 	$(GO) run ./benchmark -compare $(PAIRS)/$(W)-$(SEED)-base.jsonl $(PAIRS)/$(W)-$(SEED)-head.jsonl
+
+# The size of a change: `make loc BASE=<ref>` prints, per package, the net
+# non-test Go lines (added less deleted) between BASE and the working tree,
+# then their total. Only tracked files count: `git add` a new file first.
+loc:
+	@git diff --no-renames --numstat $(BASE) -- '*.go' ':!*_test.go' | awk '\
+		{ dir = $$3; sub(/\/[^\/]*$$/, "", dir); if (dir == $$3) dir = "."; \
+		  net[dir] += $$1 - $$2; total += $$1 - $$2 } \
+		END { for (d in net) printf "%+7d  %s\n", net[d], d | "sort -k2"; \
+		      close("sort -k2"); printf "%+7d  total\n", total }'
 
 clean:
 	$(GO) clean ./...

@@ -77,7 +77,7 @@ func main() {
 	reg := telemetry.NewRegistry()
 
 	store, err := docstore.Open(docstore.Options{
-		Dir: *dir, ConceptDim: 32, Seed: *seed, SyncEveryPut: *dir != "",
+		Dir: *dir, SyncEveryPut: *dir != "",
 		CompactAfterBytes: 64 << 20, Telemetry: reg,
 	})
 	if err != nil {

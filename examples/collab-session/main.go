@@ -25,7 +25,7 @@ func main() {
 	jewelry, dance := g.Topics[0], g.Topics[1]
 
 	// A shared archive both are searching.
-	store, err := docstore.Open(docstore.Options{ConceptDim: dim, Seed: 3})
+	store, err := docstore.Open(docstore.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

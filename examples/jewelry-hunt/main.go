@@ -42,7 +42,7 @@ func main() {
 	}
 
 	// Iris's personal information base: a durable store of her own.
-	pib, err := agora.OpenStore(agora.StoreOptions{ConceptDim: a.ConceptDim(), Seed: 1})
+	pib, err := agora.OpenStore(agora.StoreOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -213,9 +213,9 @@ func E16ReputationLearning(seed int64, scale float64) *Result {
 	}}
 }
 
-// E17LSHAblation sweeps the vector index's (tables, bits) parameters:
-// recall@10 against exact scan — the design-choice ablation DESIGN.md
-// calls out for the docstore substrate.
+// E17LSHAblation sweeps feature.LSH's (tables, bits) parameters — the index
+// feedsys's concept matcher files subscriptions in: recall@10 against an
+// exact scan.
 func E17LSHAblation(seed int64, scale float64) *Result {
 	r := rand.New(rand.NewSource(seed + 8))
 	nVecs := scaleInt(3000, scale, 800)

@@ -23,7 +23,7 @@ func E9CollabSharing(seed int64, scale float64) *Result {
 	r := rand.New(rand.NewSource(seed + 3))
 	nDocs := scaleInt(600, scale, 200)
 	docs := g.GenCorpus(nDocs, 1.2, 0)
-	store, err := docstore.Open(docstore.Options{ConceptDim: 32, Seed: seed})
+	store, err := docstore.Open(docstore.Options{})
 	if err != nil {
 		panic(err)
 	}

@@ -20,7 +20,7 @@ func E6Personalization(seed int64, scale float64) *Result {
 	nDocs := scaleInt(800, scale, 200)
 	nUsers := scaleInt(40, scale, 10)
 	docs := g.GenCorpus(nDocs, 1.2, 0)
-	store, err := docstore.Open(docstore.Options{ConceptDim: 32, Seed: seed})
+	store, err := docstore.Open(docstore.Options{})
 	if err != nil {
 		panic(err)
 	}

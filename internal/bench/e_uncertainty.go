@@ -25,7 +25,7 @@ func E1FeatureMatching(seed int64, scale float64) *Result {
 	// the feature sets genuinely differ in quality.
 	ve := feature.NewVisualExtractor(seed+50, 32, 12, 8, 0.35)
 	docs := g.GenCorpusNoisy(nDocs, 1.2, 0, 0.8, ve)
-	store, err := docstore.Open(docstore.Options{ConceptDim: 32, Seed: seed})
+	store, err := docstore.Open(docstore.Options{})
 	if err != nil {
 		panic(err)
 	}

@@ -203,7 +203,7 @@ func (a *Agora) AddNode(name string, econ NodeEconomics, beh NodeBehavior) (*Nod
 	if _, ok := a.nodes[name]; ok {
 		return nil, fmt.Errorf("core: node %q already exists", name)
 	}
-	st, err := docstore.Open(docstore.Options{ConceptDim: a.cfg.ConceptDim, Seed: a.cfg.Seed + int64(len(a.nodes))})
+	st, err := docstore.Open(docstore.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -653,7 +653,7 @@ func TestWindowPublishAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
-	const want = 19
+	const want = 17
 	s := memStore(t)
 	r := rand.New(rand.NewSource(3))
 	bulk := make([]*Document, 1024)

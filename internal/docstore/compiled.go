@@ -281,13 +281,12 @@ func leastTerm(srcs []*compiledIndex, next []int) (term string, found bool) {
 // — by a commit window (no segments: its batch compiled alone), a tier merge
 // (the run, with the batch of the window that completes it), the compactor
 // and Open (everything) — so an index is a function of immutable published
-// state and one window's writes, never a second mutable truth beside it. Beside the index it returns, per segment,
-// where each ordinal went (ordSentinel: nowhere). Every surviving posting is
-// decoded, renumbered and re-encoded: the cost is that of what is given,
-// whatever else the store holds.
-func mergeIndex(segs []*segment, b *batch) (*compiledIndex, [][]uint32) {
+// state and one window's writes, never a second mutable truth beside it.
+// Every surviving posting is decoded, renumbered and re-encoded: the cost is
+// that of what is given, whatever else the store holds.
+func mergeIndex(segs []*segment, b *batch) *compiledIndex {
 	if len(segs) == 0 && b != nil {
-		return compileDocs(b.byID), nil // a commit window: its batch alone
+		return compileDocs(b.byID) // a commit window: its batch alone
 	}
 	bs := buildPool.Get().(*buildScratch)
 	defer buildPool.Put(bs)
@@ -318,10 +317,7 @@ func mergeIndex(segs []*segment, b *batch) (*compiledIndex, [][]uint32) {
 	}
 	bs.srcs = srcs
 	if len(srcs) == 1 && nDocs == len(srcs[0].ids) {
-		for ord := range remap[0] {
-			remap[0][ord] = uint32(ord)
-		}
-		return srcs[0], remap[:len(segs)] // immutable, so an unchanged index is shared
+		return srcs[0] // immutable, so an unchanged index is shared
 	}
 	cx := newCompiledIndex(nDocs, nPost, nVec, nTerms, nBlocks, nData)
 
@@ -372,7 +368,7 @@ func mergeIndex(segs []*segment, b *batch) (*compiledIndex, [][]uint32) {
 		term, found := leastTerm(srcs, next)
 		if !found {
 			bs.post = buf // its capacity, for the next build
-			return cx, remap[:len(segs)]
+			return cx
 		}
 		buf = buf[:0]
 		runs := 0
@@ -559,15 +555,15 @@ type searchScratch struct {
 	terms   []queryTerm
 	tms     []termPostings // segment-major, one per (segment, query term): the zero value where the term is absent
 	cursors []cursor       // one segment's, reused from segment to segment
-	ords    []uint32       // segment offset + ordinal: a probe's candidates
+	ords    []uint32       // segment offset + ordinal: the vector scan's candidates
 	heap    []scored       // the text top-k
 	vecPool []scored       // the vector selection
 	vecCut  []float64      // a vector search's scores, aligned with ords, then the copy its cut reorders
 	outPool []scored       // the hybrid's blended selection
 	stats   searchStats
 	// slot, by segment offset + ordinal (segOff[si] is segment si's offset),
-	// files a number per document — a probe marks what it has collected, a
-	// blend notes each text hit's place in its pool — and is zero between uses.
+	// files a number per document — a blend notes each text hit's place in
+	// its pool — and is zero between uses.
 	slot   []int32
 	segOff []uint32
 	// A segment walk's window: acc[i] is the score mass gathered for ordinal

@@ -58,39 +58,11 @@ func referenceHybrid(text, vec []Hit, alpha float64, k int) []Hit {
 }
 
 // vectorOracle computes the vector pool by brute force over the test's own
-// live map: every vector scored by feature.Cosine, and — for a store past
-// 256 documents — the probe's candidates found by comparing each document's
-// signatures with the query's, table by table. It counts which branch each
-// pool came from.
-type vectorOracle struct {
-	s           *Store
-	live        map[string]*Document
-	probe, scan int
-}
+// live map: every vector scored by feature.Cosine, ranked, the first k kept.
+type vectorOracle map[string]*Document
 
-func (o *vectorOracle) pool(q feature.Vector, k int) []Hit {
-	score := func(d *Document) (float64, bool) { return feature.Cosine(q, d.Concept), len(d.Concept) > 0 }
-	if len(o.live) > 256 {
-		lsh := o.s.snap.Load().planes
-		qs := lsh.Signatures(q)
-		found := bruteHits(o.live, k, func(d *Document) (float64, bool) {
-			if len(d.Concept) == 0 {
-				return 0, false
-			}
-			for t, sig := range lsh.Signatures(d.Concept) {
-				if sig == qs[t] {
-					return score(d)
-				}
-			}
-			return 0, false
-		})
-		if len(found) >= k {
-			o.probe++
-			return found
-		}
-	}
-	o.scan++
-	return bruteHits(o.live, k, score)
+func (o vectorOracle) pool(q feature.Vector, k int) []Hit {
+	return bruteHits(o, k, func(d *Document) (float64, bool) { return feature.Cosine(q, d.Concept), len(d.Concept) > 0 })
 }
 
 func requireSameBits(t *testing.T, what string, got, want []Hit) {
@@ -110,24 +82,23 @@ func requireSameBits(t *testing.T, what string, got, want []Hit) {
 // shares its kernels) to the map-based reference over an exhaustive text pool
 // and the brute-force vector pool, in every state a store passes through —
 // freshly loaded, under single-write segments that re-put and delete base
-// ids, after a forced merge, after deletes — at a size the exact scan serves
-// (at most 256 documents) and one where the LSH probe answers when it finds
-// the pool and the scan when it does not. A quarter of the vectors sit close
-// to the query so that the probe does fill the small pools; one is all zeros.
-// Then clones that put equal scores on every pool's boundary and the blend's,
-// so that ids decide them, and — at the larger size — the segment lists of
-// tierSchedule.
+// ids, after a forced merge, after deletes — at two sizes. A quarter of the
+// vectors sit close to the query, so the pools' cuts fall among near scores;
+// one is all zeros. Then clones that put equal scores on every pool's
+// boundary and the blend's, so that ids decide them, and — at the larger
+// size — the segment lists of tierSchedule.
 func TestHybridMatchesReference(t *testing.T) {
 	concepts := []feature.Vector{oracleVec, make(feature.Vector, 8)}
 	queries := []string{"gold ring", "amber jade mosaic amber", "nosuchterm"}
-	for _, size := range []int{120, 600} {
+	sizes := []int{120, 600}
+	for _, size := range sizes {
 		r := rand.New(rand.NewSource(int64(size)))
-		s, err := Open(Options{ConceptDim: 8, Seed: 5, QueryCacheSize: -1})
+		s, err := Open(Options{QueryCacheSize: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		live := map[string]*Document{}
-		oracle := &vectorOracle{s: s, live: live}
+		oracle := vectorOracle(live)
 		near := func(d *Document) *Document {
 			if r.Intn(4) == 0 {
 				d.Concept = oracleVec.Clone()
@@ -244,14 +215,13 @@ func TestHybridMatchesReference(t *testing.T) {
 
 		// The tiers: three segments and then four and five, tombstones in
 		// each but the newest, a dead-share merge and a tier merge — both
-		// pools collect across the list. On a store of its own, past the
-		// probe's 256 documents.
-		if size > 256 {
-			if s, err = Open(Options{ConceptDim: 8, Seed: 5, QueryCacheSize: -1}); err != nil {
+		// pools collect across the list. On a store of its own, at the
+		// larger size only.
+		if size == sizes[len(sizes)-1] {
+			if s, err = Open(Options{QueryCacheSize: -1}); err != nil {
 				t.Fatal(err)
 			}
 			clear(live)
-			oracle.s = s
 			tierSchedule(t, s, r, tierOps{
 				put: func(_ string, d *Document) {
 					t.Helper()
@@ -279,13 +249,6 @@ func TestHybridMatchesReference(t *testing.T) {
 				shaped: func(stage string, _ *snapshot) { check("tiers, " + stage) },
 			})
 		}
-
-		switch {
-		case size <= 256 && oracle.probe != 0:
-			t.Fatalf("%d documents: %d pools came from a probe; the exact scan serves a store this small", size, oracle.probe)
-		case size > 256 && (oracle.probe == 0 || oracle.scan == 0):
-			t.Fatalf("%d documents: %d pools from the probe, %d from the scan: both branches must run", size, oracle.probe, oracle.scan)
-		}
 	}
 	scanEdges(t)
 }
@@ -295,8 +258,9 @@ func TestHybridMatchesReference(t *testing.T) {
 // a time before it cuts on the k-th best score: documents without a vector
 // between ones with, vectors shorter and longer than the query, tombstones
 // inside a group of four, segments whose live vectors are not a multiple of
-// four, clones that tie at the cut so that ids decide it — and a store just
-// past 256 documents, where the probe runs and finds fewer than the pool.
+// four, clones that tie at the cut so that ids decide it — and a thousand
+// vectors spread at random, not gathered at the query, asked from fifty
+// random directions.
 func scanEdges(t *testing.T) {
 	r := rand.New(rand.NewSource(30))
 	long := append(oracleVec.Clone(), 0.5, -0.25, 1) // longer than every stored vector but one kind
@@ -307,15 +271,15 @@ func scanEdges(t *testing.T) {
 		}
 		return v
 	}
-	open := func() (*Store, map[string]*Document, *vectorOracle) {
-		s, err := Open(Options{ConceptDim: 8, Seed: 5, QueryCacheSize: -1})
+	open := func() (*Store, map[string]*Document, vectorOracle) {
+		s, err := Open(Options{QueryCacheSize: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		live := map[string]*Document{}
-		return s, live, &vectorOracle{s: s, live: live}
+		return s, live, vectorOracle(live)
 	}
-	check := func(stage string, s *Store, live map[string]*Document, oracle *vectorOracle) {
+	check := func(stage string, s *Store, live map[string]*Document, oracle vectorOracle) {
 		t.Helper()
 		for _, k := range []int{1, 3, 5, 40, len(live) + 5} {
 			pool := max(4*k, 32)
@@ -404,25 +368,30 @@ func scanEdges(t *testing.T) {
 	}
 	check("tombstones inside groups of four", s, live, oracle)
 
-	// Just past 256 documents, the probe runs, and with vectors spread over
-	// every bucket it finds fewer candidates than the pool: the scan answers.
+	// A thousand vectors spread at random over every direction, and fifty
+	// queries as spread: no pool is gathered at its query, so every k-th best
+	// score lies among many near ones.
 	s, live, oracle = open()
-	past := make([]*Document, 260)
-	for i := range past {
-		past[i] = shadowDoc(r, fmt.Sprintf("p%04d", i), int64(r.Intn(30)))
-		past[i].Concept = vec(8)
+	spread := make([]*Document, 1000)
+	for i := range spread {
+		spread[i] = shadowDoc(r, fmt.Sprintf("s%04d", i), int64(r.Intn(30)))
+		spread[i].Concept = vec(8)
 	}
-	put(s, live, past...)
-	check("just past 256, the probe short", s, live, oracle)
-	if oracle.scan == 0 || oracle.probe == 0 {
-		t.Fatalf("%d pools from the probe, %d from the scan: both branches must run past 256", oracle.probe, oracle.scan)
+	put(s, live, spread...)
+	check("a thousand spread vectors", s, live, oracle)
+	text := s.SearchTextExhaustive("gold ring", 32)
+	for qi := 0; qi < 50; qi++ {
+		q := vec(8)
+		for _, k := range []int{1, 3, 10} {
+			requireSameBits(t, fmt.Sprintf("spread: query %d: SearchVector(%d)", qi, k), s.SearchVector(q, k), oracle.pool(q, k))
+		}
+		requireSameBits(t, fmt.Sprintf("spread: query %d: SearchHybrid(3)", qi), s.SearchHybrid("gold ring", q, 0.5, 3), referenceHybrid(text, oracle.pool(q, 32), 0.5, 3))
 	}
 }
 
 // TestHybridAllocatesOnlyItsResult pins what DESIGN.md states: with its
 // scratch warm, a hybrid search over a snapshot of several segments and a
-// thousand documents allocates once, the []Hit it returns — whether its
-// vector pool came from the probe or from the exact scan.
+// thousand documents allocates once, the []Hit it returns, whatever its pool.
 func TestHybridAllocatesOnlyItsResult(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
@@ -433,7 +402,7 @@ func TestHybridAllocatesOnlyItsResult(t *testing.T) {
 	for i := range docs {
 		docs[i] = shadowDoc(r, fmt.Sprintf("a%04d", i), int64(i))
 		if i%3 == 0 {
-			docs[i].Concept = oracleVec.Clone() // enough near the query for the probe to fill a small pool
+			docs[i].Concept = oracleVec.Clone() // ties at the query: ids decide the pools
 		}
 	}
 	if err := s.PutBatch(docs[:900]); err != nil {
@@ -451,7 +420,7 @@ func TestHybridAllocatesOnlyItsResult(t *testing.T) {
 	tokens := s.tokens.tokenize("gold ring amber")
 	sc := getScratch()
 	defer putScratch(sc)
-	for _, k := range []int{3, 100} { // a 32-pool the probe fills, a 400-pool it cannot
+	for _, k := range []int{3, 100} { // a 32-pool and a 400-pool
 		sn.searchHybridRaw(tokens, oracleVec, 0.5, k, sc)
 		if got := testing.AllocsPerRun(20, func() { sn.searchHybridRaw(tokens, oracleVec, 0.5, k, sc) }); got != 1 {
 			t.Fatalf("k = %d: a warm hybrid search makes %v allocations, want 1 (its result)", k, got)

@@ -49,7 +49,7 @@ func freshIndex(live map[string]*Document) *compiledIndex {
 		terms, n := docTerms(d)
 		b.put(d, terms, n, nil)
 	}
-	cx, _ := mergeIndex(nil, b)
+	cx := mergeIndex(nil, b)
 	return cx
 }
 
@@ -158,7 +158,7 @@ func TestMergeIndexMatchesFreshBuild(t *testing.T) {
 			t.Fatalf("%s: Len %d, want %d", stageName, s.Len(), len(live))
 		}
 		fresh := freshIndex(live)
-		merged, _ := mergeIndex(sn.segs, nil)
+		merged := mergeIndex(sn.segs, nil)
 		requireSameIndex(t, stageName+": merge vs fresh", merged, fresh)
 		raw := snapshotBytes(t, merged)
 		loaded, err := loadSnapshotBytes(t, raw)
@@ -213,7 +213,7 @@ func TestMergeIndexMatchesFreshBuild(t *testing.T) {
 				}
 			}
 			most = max(most, tombstoned)
-			merged, _ := mergeIndex(sn.segs, nil)
+			merged := mergeIndex(sn.segs, nil)
 			requireSameIndex(t, stage+": k-way merge vs fresh", merged, freshIndex(live))
 		},
 	})

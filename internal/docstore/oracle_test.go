@@ -178,8 +178,8 @@ var (
 
 // requireReadsMatch checks Len, TopicCount, ByTopic, Freshest, RecentSince,
 // SearchVector, SearchVisual and the three text searches against the oracle.
-// SearchVector asks for more hits than there are documents, so the LSH falls
-// back to its exact scan and the answer is every live vector, ranked.
+// SearchVector asks for more hits than there are documents, so the answer is
+// every live vector, ranked.
 func requireReadsMatch(t *testing.T, stage string, s *Store, live map[string]*Document) {
 	t.Helper()
 	if s.Len() != len(live) {

@@ -21,7 +21,7 @@ import (
 // a reader holding an old snapshot keeps seeing the old epoch, segments merged
 // away since included: nothing it points at is ever written again.
 //
-//	snapshot = { planes: the hyperplanes every segment signs with; segs: immutable segments, oldest first }
+//	snapshot = { epoch; segs: immutable segments, oldest first }
 //
 // A segment is the compiled form of a fixed document set plus what later
 // writes superseded in it: its dead ordinals and, per term, how many dead
@@ -45,21 +45,15 @@ import (
 // same read against one index over the live documents. Text: one heap and one
 // θ over a walkBase per segment, df = Σ segment df − dead, float order fixed
 // by searchCompiled's canonical term order, ties (score desc, id asc).
-// Vectors: segments share hyperplanes, so the union of their buckets less the
-// dead is the monolith's bucket. Time scans are k-way merges, counts are
-// sums. TestSnapshotMatchesMonolithic and TestReadsMatchBruteForce pin it
-// across windows and both kinds of merge.
+// Vectors: the scan over every segment's live vectors is the monolith's scan.
+// Time scans are k-way merges, counts are sums. TestSnapshotMatchesMonolithic
+// and TestReadsMatchBruteForce pin it across windows and both kinds of merge.
 
-// segment is one immutable entry of the snapshot's list. cx, sigs, vec and
-// byTime are fixed when buildSegment returns; dead, deadDF, topics and
-// visuals are replaced, never written, by withDead.
+// segment is one immutable entry of the snapshot's list. cx and byTime are
+// fixed when buildSegment returns; dead, deadDF, topics and visuals are
+// replaced, never written, by withDead.
 type segment struct {
-	cx   *compiledIndex // text index and document table
-	sigs []uint64       // ordinal-major, lshTables a document: its vector's signatures, carried through merges
-	// vec is the vector index. Table t's part, vec[t*n:(t+1)*n] for n =
-	// len(vec)/lshTables, lists the ordinals that have a vector by (signature
-	// there, ordinal): a bucket is a binary search, and a probe yields ordinals.
-	vec []uint32
+	cx *compiledIndex // text index, vector column and document table
 	// byTime ascends by (CreatedAt, id) and names ordinals, so a scan tests
 	// liveness without an id lookup.
 	byTime []timeEntry
@@ -71,9 +65,6 @@ type segment struct {
 	// return before building any scratch state when there are none.
 	visuals int
 }
-
-// The vector index's shape: hash tables, and hyperplane bits per table.
-const lshTables, lshBits = 6, 10
 
 // The segment list's constants; DESIGN.md §4c has the measurements behind them.
 const (
@@ -114,16 +105,6 @@ func holder(segs []*segment, id string) (si int, ord uint32) {
 	return -1, 0
 }
 
-// bucket returns the ordinals seg files under sig in table t.
-func (seg *segment) bucket(t int, sig uint64) []uint32 {
-	n := len(seg.vec) / lshTables
-	tbl := seg.vec[t*n : (t+1)*n]
-	bySig := func(ord uint32, sig uint64) int { return cmp.Compare(seg.sigs[lshTables*int(ord)+t], sig) }
-	lo, _ := slices.BinarySearchFunc(tbl, sig, bySig)
-	size, _ := slices.BinarySearchFunc(tbl[lo:], sig+1, bySig)
-	return tbl[lo : lo+size]
-}
-
 // tally counts d into (by = 1) or out of (-1) seg's topic and visual counts.
 func (seg *segment) tally(d *Document, by int) {
 	for i, t := range d.Topics {
@@ -143,79 +124,18 @@ func (seg *segment) tally(d *Document, by int) {
 // the documents b puts, compiled together, less what b supersedes in segs. A
 // commit window calls it over no segments, a tier merge over its run (with
 // the batch of the window that completes it), Open and the tests' monolith
-// over everything. A carried document
-// brings its signatures along; the others are signed against planes.
-// Documents are shared, never copied: nothing mutates a stored *Document.
-func buildSegment(planes *feature.LSH, segs []*segment, b *batch) *segment {
-	cx, remap := mergeIndex(segs, b)
-	n := len(cx.ids)
-	seg := &segment{cx: cx, sigs: make([]uint64, lshTables*n), byTime: make([]timeEntry, n), topics: map[string]int{}}
-	signed := func(ord uint32) []uint64 { return seg.sigs[lshTables*ord : lshTables*(ord+1)] }
-	for si, src := range segs {
-		for old, ord := range remap[si] {
-			switch d := src.cx.docs[old]; {
-			case ord == ordSentinel || len(d.Concept) == 0:
-			case src.sigs != nil: // nil: an index read from a snapshot file
-				copy(signed(ord), src.sigs[lshTables*old:])
-			default:
-				planes.AppendSignatures(signed(ord)[:0], d.Concept) // in place
-			}
-		}
-	}
-	if b != nil {
-		for id, e := range b.byID {
-			if ord, _ := cx.ord(id); len(e.doc.Concept) > 0 {
-				planes.AppendSignatures(signed(ord)[:0], e.doc.Concept)
-			}
-		}
-	}
-	nVec := 0
+// over everything. Documents are shared, never copied: nothing mutates a
+// stored *Document.
+func buildSegment(segs []*segment, b *batch) *segment {
+	cx := mergeIndex(segs, b)
+	seg := &segment{cx: cx, byTime: make([]timeEntry, len(cx.ids)), topics: map[string]int{}}
 	for ord, d := range cx.docs {
 		seg.tally(d, 1)
 		seg.byTime[ord] = timeEntry{key: d.CreatedAt, ord: uint32(ord)}
-		if len(d.Concept) > 0 {
-			nVec++
-		}
-	}
-	seg.vec = make([]uint32, lshTables*nVec)
-	for t := 0; t < lshTables; t++ {
-		seg.fileTable(t, seg.vec[t*nVec:(t+1)*nVec])
 	}
 	// Ordinals ascend with ids, so (CreatedAt, ordinal) is (CreatedAt, id).
 	slices.SortFunc(seg.byTime, func(a, b timeEntry) int { return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.ord, b.ord)) })
 	return seg
-}
-
-// fileTable lists in tbl the ordinals that have a vector, by (signature in
-// table t, ordinal): a counting sort over the 2^lshBits signatures, or, for
-// fewer than 64 vectors, where passing the counts costs more than the sort, a
-// comparison sort (DESIGN.md §4c has the crossover).
-func (seg *segment) fileTable(t int, tbl []uint32) {
-	sig := func(ord int) uint64 { return seg.sigs[lshTables*ord+t] }
-	if len(tbl) < 64 {
-		i := 0
-		for ord, d := range seg.cx.docs {
-			if len(d.Concept) > 0 {
-				tbl[i], i = uint32(ord), i+1
-			}
-		}
-		slices.SortFunc(tbl, func(a, b uint32) int { return cmp.Or(cmp.Compare(sig(int(a)), sig(int(b))), cmp.Compare(a, b)) })
-		return
-	}
-	var at [1<<lshBits + 1]int // at[s+1] counts signature s, then at[s] is where s starts
-	for ord, d := range seg.cx.docs {
-		if len(d.Concept) > 0 {
-			at[sig(ord)+1]++
-		}
-	}
-	for s := 1; s < len(at); s++ {
-		at[s] += at[s-1]
-	}
-	for ord, d := range seg.cx.docs {
-		if s := sig(ord); len(d.Concept) > 0 {
-			tbl[at[s]], at[s] = uint32(ord), at[s]+1
-		}
-	}
 }
 
 // withDead returns seg's successor entry: the same indexes, the ordinals in
@@ -426,9 +346,8 @@ var termPool = sync.Pool{New: func() any { return new(termScratch) }}
 // snapshot is one published epoch: an immutable view of the store, and all
 // the state the store has. Its counts are sums over a handful of segments.
 type snapshot struct {
-	epoch  uint64
-	planes *feature.LSH // empty: the hyperplanes every segment's index shares
-	segs   []*segment   // oldest first
+	epoch uint64
+	segs  []*segment // oldest first
 }
 
 func (sn *snapshot) docCount() int {
@@ -487,54 +406,20 @@ func (sn *snapshot) assembleHits(kept []scored) []Hit {
 	return hits
 }
 
-// searchVectorRaw selects the k live documents most cosine-similar to q:
-// what an LSH probe finds when that is at least k of them, otherwise — and
-// always for a store of at most 256 — what the exact scan over the ordinals
-// does. A candidate is a live document with a concept vector. The probe reads
-// q's buckets in every segment — together, less the dead, the one bucket of
-// an index over the live set — and, when their lengths reach k, collects its
-// distinct candidates before scoring any. Candidates are filed under segment
-// offset + ordinal, so sc.ords ascends from segment to segment, and scored
-// from the segments' vector columns; only those scoring at least the k-th
-// best score θ are offered to a selection. Unranked, like searchCompiled's.
+// searchVectorRaw selects the k live documents most cosine-similar to q by
+// an exact scan: every live document with a concept vector is a candidate.
+// Candidates are filed under segment offset + ordinal, so sc.ords ascends from
+// segment to segment, and scored from the segments' vector columns; only
+// those scoring at least the k-th best score θ are offered to a selection.
+// Unranked, like searchCompiled's.
 func (sn *snapshot) searchVectorRaw(q feature.Vector, k int, sc *searchScratch) []scored {
 	sc.growSlots(sn.segs)
 	sc.ords = sc.ords[:0]
-	probed := false
-	if sn.docCount() > 256 {
-		var buf [lshTables]uint64
-		sigs, found := sn.planes.AppendSignatures(buf[:0], q), 0
-		for _, seg := range sn.segs {
-			for t, sig := range sigs {
-				found += len(seg.bucket(t, sig))
-			}
-		}
-		if found < k { // fewer than k with repeats and the dead: the scan follows
-			sigs = sigs[:0]
-		}
-		for si, seg := range sn.segs {
-			for t, sig := range sigs {
-				for _, ord := range seg.bucket(t, sig) {
-					if at := sc.segOff[si] + ord; sc.slot[at] == 0 && !seg.isDead(ord) {
-						sc.slot[at] = 1
-						sc.ords = append(sc.ords, at)
-					}
-				}
-			}
-		}
-		for _, at := range sc.ords {
-			sc.slot[at] = 0
-		}
-		probed = k <= len(sc.ords)
-	}
-	if !probed {
-		sc.ords = sc.ords[:0]
-		for si, seg := range sn.segs {
-			clean := len(seg.dead) == 0 // no tombstone to look for
-			for ord := range uint32(len(seg.cx.ids)) {
-				if seg.cx.vecAt[ord] < seg.cx.vecAt[ord+1] && (clean || !seg.isDead(ord)) {
-					sc.ords = append(sc.ords, sc.segOff[si]+ord)
-				}
+	for si, seg := range sn.segs {
+		clean := len(seg.dead) == 0 // no tombstone to look for
+		for ord := range uint32(len(seg.cx.ids)) {
+			if seg.cx.vecAt[ord] < seg.cx.vecAt[ord+1] && (clean || !seg.isDead(ord)) {
+				sc.ords = append(sc.ords, sc.segOff[si]+ord)
 			}
 		}
 	}

@@ -279,7 +279,7 @@ func forceMerge(s *Store) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sn := s.snap.Load()
-	s.installLocked(&snapshot{epoch: sn.epoch + 1, planes: sn.planes, segs: merged(sn.planes, sn.segs, nil)})
+	s.installLocked(&snapshot{epoch: sn.epoch + 1, segs: merged(sn.segs, nil)})
 }
 
 func hitsEqual(a, b []Hit) bool {
@@ -428,7 +428,7 @@ func TestSearchDeterminismUnderChurn(t *testing.T) {
 // TestUncachedSearchDeterminismUnderChurn is the same contract with the
 // query cache off, so every read runs the search against whatever epoch it
 // pins, on documents that carry topics and, every fourth, a concept vector
-// for the LSH index.
+// for the vector scan.
 func TestUncachedSearchDeterminismUnderChurn(t *testing.T) {
 	const seed = 22
 	s, err := Open(Options{ConceptDim: 8, Seed: seed, QueryCacheSize: -1})

@@ -19,10 +19,15 @@ type Options struct {
 	// Dir is the durability directory. Empty means a purely in-memory
 	// store (used by simulations, which create hundreds of them).
 	Dir string
-	// ConceptDim is the dimensionality of document concept vectors; the
-	// LSH index requires it up front.
+	// ConceptDim once sized the vector index's hyperplanes.
+	//
+	// Deprecated: ignored since vector search is exact; removed at the next
+	// benchmark revision.
 	ConceptDim int
-	// Seed drives index randomness (the LSH hyperplanes).
+	// Seed once drew the vector index's hyperplanes.
+	//
+	// Deprecated: ignored since vector search is exact; removed at the next
+	// benchmark revision.
 	Seed int64
 	// SyncEveryPut makes every Put/Delete/PutBatch durable before it
 	// returns: the commit pipeline fsyncs each window, so N writers
@@ -157,18 +162,14 @@ type Store struct {
 // Open creates or recovers a store. With a Dir, it replays the snapshot and
 // WAL, truncating any torn tail left by a crash.
 func Open(opts Options) (*Store, error) {
-	if opts.ConceptDim <= 0 {
-		opts.ConceptDim = 64
-	}
 	s := &Store{
 		opts:   opts,
 		tel:    newStoreTel(opts.Telemetry),
 		cache:  newQueryCache(opts.QueryCacheSize, opts.Telemetry),
 		tokens: newTokenMemo(opts.Telemetry),
 	}
-	planes := feature.NewLSH(opts.Seed, opts.ConceptDim, lshTables, lshBits)
 	if opts.Dir == "" {
-		s.installLocked(&snapshot{epoch: 1, planes: planes})
+		s.installLocked(&snapshot{epoch: 1})
 		return s, nil
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
@@ -227,7 +228,7 @@ func Open(opts Options) (*Store, error) {
 	s.walBytes.Store(s.log.size)
 	// One publish for the whole replay: per-record publishing would make
 	// recovery O(n) snapshot churn for nothing.
-	s.installLocked(&snapshot{epoch: 1, planes: planes, segs: merged(planes, segs, delta)})
+	s.installLocked(&snapshot{epoch: 1, segs: merged(segs, delta)})
 	s.startCommitter()
 	return s, nil
 }
@@ -235,8 +236,8 @@ func Open(opts Options) (*Store, error) {
 // merged returns the live set of segs, less what b supersedes, and the
 // documents b puts as one segment — the monolith every read must agree with —
 // or no segment when nothing is live.
-func merged(planes *feature.LSH, segs []*segment, b *batch) []*segment {
-	if all := buildSegment(planes, segs, b); len(all.cx.ids) > 0 {
+func merged(segs []*segment, b *batch) []*segment {
+	if all := buildSegment(segs, b); len(all.cx.ids) > 0 {
 		return []*segment{all}
 	}
 	return nil
@@ -281,17 +282,17 @@ func (s *Store) publishWindowLocked(cur *snapshot, window []*commitReq, n int) {
 	}
 	keep, run := mergeRun(segs, len(b.byID))
 	if run == nil && len(b.byID) > 0 {
-		keep = append(keep, buildSegment(cur.planes, nil, b))
+		keep = append(keep, buildSegment(nil, b))
 	}
 	s.tel.freezeLat.Observe(time.Since(start))
 	if run != nil {
 		start = time.Now()
-		seg := buildSegment(cur.planes, run, &batch{byID: b.byID}) // the tombstones are folded already
+		seg := buildSegment(run, &batch{byID: b.byID}) // the tombstones are folded already
 		keep = append(keep, seg)
 		s.tel.mergeDocs.Add(uint64(len(seg.cx.ids)))
 		s.tel.mergeLat.Observe(time.Since(start))
 	}
-	s.installLocked(&snapshot{epoch: cur.epoch + 1, planes: cur.planes, segs: keep})
+	s.installLocked(&snapshot{epoch: cur.epoch + 1, segs: keep})
 }
 
 // Put stores (or replaces) a document durably: a PutBatch of one.
@@ -446,9 +447,9 @@ func (s *Store) SearchTextExhaustive(query string, k int) []Hit {
 	return hits
 }
 
-// SearchVector ranks documents by cosine similarity of concept vectors,
-// using the LSH index with exact fallback for small stores. Returned hits
-// are read-only (see Hit).
+// SearchVector ranks documents by cosine similarity of concept vectors: an
+// exact scan over every live vector, so its answer is the brute-force
+// ranking. Returned hits are read-only (see Hit).
 func (s *Store) SearchVector(concept feature.Vector, k int) []Hit {
 	if concept.Norm() == 0 {
 		return nil // a zero vector matches nothing, not everything
@@ -662,7 +663,7 @@ func (s *Store) compactOnce() error {
 	// write the live set as a v2 snapshot into a temp file.
 	snapPath, walPath := snapshotPaths(s.opts.Dir)
 	tmp := snapPath + ".tmp"
-	merged, _ := mergeIndex(sn.segs, nil)
+	merged := mergeIndex(sn.segs, nil)
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("docstore: creating snapshot: %w", err)

@@ -218,3 +218,49 @@ func BenchmarkSearchTextCold(b *testing.B) {
 		s.SearchText(benchQueries[i%len(benchQueries)], 10)
 	}
 }
+
+// BenchmarkSearchVector is the price of exact vector search: SearchVector
+// scores every live vector, so a search costs O(live vectors). k = 400 is a
+// market ask's vector pool (max(4k, 32) at k = 100); every document carries a
+// 32-dimensional concept, the market sources' dimension, and the store is
+// one bulk-loaded segment.
+func BenchmarkSearchVector(b *testing.B) {
+	for _, n := range []int{32768, 131072} {
+		b.Run(fmt.Sprintf("docs=%d", n), func(b *testing.B) {
+			s, err := Open(Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			r := rand.New(rand.NewSource(int64(n)))
+			vec := func() feature.Vector {
+				v := make(feature.Vector, 32)
+				for j := range v {
+					v[j] = r.NormFloat64()
+				}
+				return v
+			}
+			docs := make([]*Document, n)
+			for i := range docs {
+				docs[i] = &Document{
+					ID: fmt.Sprintf("v%06d", i), Kind: KindArticle, CreatedAt: int64(i),
+					Title: benchVocab[r.Intn(len(benchVocab))], Concept: vec(),
+				}
+			}
+			if err := s.PutBatch(docs); err != nil {
+				b.Fatal(err)
+			}
+			queries := make([]feature.Vector, 16)
+			for i := range queries {
+				queries[i] = vec()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if hits := s.SearchVector(queries[i%len(queries)], 400); len(hits) != 400 {
+					b.Fatalf("%d hits, want 400", len(hits))
+				}
+			}
+		})
+	}
+}

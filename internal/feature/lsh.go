@@ -9,9 +9,9 @@ import (
 )
 
 // LSH is a random-hyperplane locality-sensitive hash index for cosine
-// similarity over dense vectors. It backs the docstore's vector index: an
-// Agora node must answer "find objects similar to this image" without a full
-// scan.
+// similarity over dense vectors. feedsys's concept matcher files standing
+// subscriptions' concept predicates in one, and experiment E17 sweeps its
+// shape for recall against an exact scan.
 //
 // Design: L independent tables, each hashing a vector to a b-bit signature
 // from b random hyperplanes. Candidates are the union of same-bucket entries
@@ -73,7 +73,7 @@ func (l *LSH) signature(t int, v Vector) uint64 {
 // Put indexes a copy of v under id, replacing any previous vector for id.
 func (l *LSH) Put(id string, v Vector) {
 	cp := v.Clone()
-	sigs := l.Signatures(cp)
+	sigs := l.signatures(cp)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if _, ok := l.items[id]; ok {
@@ -115,20 +115,14 @@ func (l *LSH) removeLocked(id string) {
 	}
 }
 
-// Signatures returns v's per-table bucket signatures. Hyperplanes are
-// immutable after construction, so this takes no lock; callers use it to
-// sign vectors held outside the index against the same hyperplanes — the
-// docstore files each segment's vectors by them.
-func (l *LSH) Signatures(v Vector) []uint64 {
-	return l.AppendSignatures(make([]uint64, 0, len(l.planes)), v)
-}
-
-// AppendSignatures appends v's per-table signatures to dst.
-func (l *LSH) AppendSignatures(dst []uint64, v Vector) []uint64 {
+// signatures returns v's per-table bucket signatures. Hyperplanes are
+// immutable after construction, so this takes no lock.
+func (l *LSH) signatures(v Vector) []uint64 {
+	sigs := make([]uint64, len(l.planes))
 	for t := range l.planes {
-		dst = append(dst, l.signature(t, v))
+		sigs[t] = l.signature(t, v)
 	}
-	return dst
+	return sigs
 }
 
 // Candidate is a scored index hit.

@@ -21,18 +21,12 @@ import (
 //     copy-on-write fold of tombstones, which assigns only the fields of the
 //     copy it returns;
 //   - compiledIndex is filled only by addDoc and appendTerm (the k-way
-//     mergeIndex and the snapshot loader both build through them);
-//   - feature.LSH holds the hyperplanes every segment signs its vectors
-//     with. It is a mutable index for its other callers, so the list is
-//     simply its writers, and nothing else may reach into its tables.
+//     mergeIndex and the snapshot loader both build through them).
 var snapfreezeFrozen = map[string]map[string][]string{
 	"internal/docstore": {
 		"snapshot":      {},
 		"segment":       {"buildSegment", "tally", "withDead"},
 		"compiledIndex": {"addDoc", "appendTerm"},
-	},
-	"internal/feature": {
-		"LSH": {"NewLSH", "Put", "removeLocked"},
 	},
 }
 
