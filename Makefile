@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-core vet lint check fuzz determinism pairs loc clean
+.PHONY: build test race race-core vet lint check fuzz determinism pairs answers loc clean
 
 build:
 	$(GO) build ./...
@@ -113,11 +113,17 @@ N ?= 10
 SEED ?= 1
 PAIRS := .bench_build/pairs
 
+# $(call build-base,<dir>,<package>) builds <package> at BASE into <dir>/base
+# from a git worktree at <dir>/src, which it removes also when the build fails.
+define build-base
+rm -rf $(1)/src && git worktree prune && mkdir -p $(1)
+git worktree add --detach $(1)/src $(BASE)
+cd $(1)/src && $(GO) build -o ../base $(2); \
+	status=$$?; git worktree remove --force $(1)/src; exit $$status
+endef
+
 pairs:
-	rm -rf $(PAIRS)/src && git worktree prune && mkdir -p $(PAIRS)
-	git worktree add --detach $(PAIRS)/src $(BASE)
-	cd $(PAIRS)/src && $(GO) build -o ../base ./benchmark; \
-		status=$$?; git worktree remove --force $(PAIRS)/src; exit $$status
+	$(call build-base,$(PAIRS),./benchmark)
 	$(GO) build -o $(PAIRS)/head ./benchmark
 	rm -f $(PAIRS)/$(W)-$(SEED)-base.jsonl $(PAIRS)/$(W)-$(SEED)-head.jsonl
 	for i in $$(seq $(N)); do \
@@ -128,6 +134,25 @@ pairs:
 		done; \
 	done
 	$(GO) run ./benchmark -compare $(PAIRS)/$(W)-$(SEED)-base.jsonl $(PAIRS)/$(W)-$(SEED)-head.jsonl
+
+# The answers of a change: `make answers BASE=<ref>` builds agora-bench at BASE
+# (checked out in a git worktree under .bench_build/, removed once built) and
+# from the working tree, runs both at -scale 1 and seeds 1, 7 and 42, and
+# compares each seed's two outputs with cmp. A difference fails, naming the
+# output files that differ; they stay in .bench_build/answers/.
+ANSWERS := .bench_build/answers
+ANSWER_SEEDS := 1 7 42
+
+answers:
+	$(call build-base,$(ANSWERS),./cmd/agora-bench)
+	$(GO) build -o $(ANSWERS)/head ./cmd/agora-bench
+	status=0; for seed in $(ANSWER_SEEDS); do \
+		for side in base head; do \
+			$(ANSWERS)/$$side -seed $$seed -scale 1 > $(ANSWERS)/seed$$seed-$$side.txt || exit 1; \
+		done; \
+		cmp $(ANSWERS)/seed$$seed-base.txt $(ANSWERS)/seed$$seed-head.txt || { \
+			echo "answers differ at seed $$seed: $(ANSWERS)/seed$$seed-head.txt"; status=1; }; \
+	done; exit $$status
 
 # The size of a change: `make loc BASE=<ref>` prints, per package, the net
 # non-test Go lines (added less deleted) between BASE and the working tree,

@@ -23,12 +23,20 @@ type Result struct {
 // Execute evaluates q against a store. concept is the query's concept
 // vector (may be nil when the query has no similarity predicate and text
 // scoring suffices). now anchors freshness.
+//
+// It asks the store for exactly TopK hits unless the query has a filter
+// that could drop one (see filtered); a filtered query asks for
+// max(5·TopK, 50), so that enough survive. A text or vector top-TopK is the
+// first TopK of any longer top-k, so the slack changes no such answer. It
+// does change a hybrid answer, because the store ranks pools of max(4k, 32)
+// for the k it is asked for: a filtered hybrid ask ranks wider pools than
+// an unfiltered one. An unfiltered freshness scan keeps the TopK newest.
 func Execute(s *docstore.Store, q *Query, concept feature.Vector, now int64) []Result {
 	// Candidate generation: text search if present, vector search if a
 	// concept is given, else freshest documents.
-	pool := q.TopK * 5
-	if pool < 50 {
-		pool = 50
+	pool := q.TopK
+	if q.filtered() {
+		pool = max(q.TopK*5, 50)
 	}
 	// A search returns its hits ranked (score descending, then id), and a
 	// filter only drops hits: what passes is ranked already. The topic and
@@ -77,6 +85,13 @@ func Execute(s *docstore.Store, q *Query, concept feature.Vector, now int64) []R
 		out = out[:q.TopK]
 	}
 	return out
+}
+
+// filtered reports whether q has a filter that could drop a hit: every
+// field matchesFilters reads.
+func (q *Query) filtered() bool {
+	return q.Kind != nil || len(q.Topics) > 0 || len(q.NotTopics) > 0 ||
+		len(q.Sources) > 0 || len(q.NotSources) > 0 || q.SimThreshold > 0 || q.MaxAge > 0
 }
 
 func matchesFilters(d *docstore.Document, q *Query, concept feature.Vector, now int64) bool {

@@ -324,8 +324,8 @@ func (s *Server) serveQuery(cs *connState, payload []byte) {
 			}
 		}
 		sp := tr.Span("search", wq.ID)
-		// Execute makes several store calls, each loading its own snapshot;
-		// all of them are at least as new as the epoch read before the first.
+		// Execute makes one store call, which loads its own snapshot: the
+		// epoch read before it can be older than the state searched.
 		resp.Epoch = s.Store.Epoch()
 		results := query.Execute(s.Store, q, feature.Vector(wq.Concept), time.Now().UnixNano())
 		sp.End()
