@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-core vet lint check fuzz determinism pairs answers loc clean
+.PHONY: build test race race-core vet lint check fuzz determinism pairs answers loc profile clean
 
 build:
 	$(GO) build ./...
@@ -163,6 +163,21 @@ loc:
 		  net[dir] += $$1 - $$2; total += $$1 - $$2 } \
 		END { for (d in net) printf "%+7d  %s\n", net[d], d | "sort -k2"; \
 		      close("sort -k2"); printf "%+7d  total\n", total }'
+
+# Where an in-package Go benchmark spends its CPU: `make profile
+# B=BenchmarkMarketAsk P=./internal/core` runs that benchmark alone (no tests)
+# for 5 s, writes its CPU profile to .bench_build/profile/<B>.prof (the test
+# binary beside it) and prints the head of `go tool pprof -top -cum`; read the
+# rest with `go tool pprof .bench_build/profile/<B>.prof`.
+B ?= BenchmarkMarketAsk
+P ?= ./internal/core
+PROFILE := .bench_build/profile
+
+profile:
+	mkdir -p $(PROFILE)
+	$(GO) test -run '^$$' -bench '^$(B)$$' -benchtime 5s -benchmem \
+		-cpuprofile $(PROFILE)/$(B).prof -o $(PROFILE)/$(B).test $(P)
+	$(GO) tool pprof -top -cum $(PROFILE)/$(B).test $(PROFILE)/$(B).prof | head -40
 
 clean:
 	$(GO) clean ./...

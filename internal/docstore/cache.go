@@ -15,8 +15,9 @@ import (
 // zero.
 const defaultQueryCacheSize = 128
 
-// queryCache is a generation-tagged LRU fronting SearchText,
-// SearchTextGlobal and SearchHybrid.
+// queryCache is a generation-tagged LRU fronting SearchText and
+// SearchTextGlobal. A hybrid ask is not cached: it blends its concept with
+// a profile, so no two asks repeat a key.
 // Entries are tagged with the epoch they were computed against; any write
 // bumps the store epoch, so a stale entry is detected (and evicted) on its
 // next lookup rather than by scanning the cache on every write. Cached hits
@@ -166,19 +167,6 @@ func appendTextKey(dst []byte, query string, k int, gs *GlobalStats) []byte {
 		for _, r := range a.MaxRatio {
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r))
 		}
-	}
-	return dst
-}
-
-func appendHybridKey(dst []byte, query string, concept feature.Vector, alpha float64, k int) []byte {
-	dst = append(dst, 'h', 0)
-	dst = append(dst, query...)
-	dst = append(dst, 0)
-	dst = strconv.AppendInt(dst, int64(k), 10)
-	dst = append(dst, 0)
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(alpha))
-	for _, f := range concept {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 	}
 	return dst
 }

@@ -81,8 +81,10 @@ func TestCacheInvalidationOnWrite(t *testing.T) {
 	}
 }
 
-// TestCacheHybridAndOwnership: SearchHybrid is fronted by the same cache,
-// and mutating a cache-served result must not corrupt the cache or store.
+// TestCacheHybridAndOwnership: SearchHybrid is not cached — a repeat is one
+// more search, with bit-identical hits sharing the same snapshot-owned
+// documents — while a text ask next to it is still served from the cache,
+// and mutating a Get copy must not corrupt the cache or the store.
 func TestCacheHybridAndOwnership(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s, err := Open(Options{ConceptDim: 8, Seed: 1, Telemetry: reg})
@@ -95,40 +97,41 @@ func TestCacheHybridAndOwnership(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	hits, misses := reg.Counter("docstore.cache.hits"), reg.Counter("docstore.cache.misses")
 	first := s.SearchHybrid("gold ring", cv, 0.5, 3)
-	if got := s.Stats().Searches; got != 1 {
-		t.Fatalf("searches = %d, want 1", got)
-	}
 	second := s.SearchHybrid("gold ring", cv, 0.5, 3)
-	if got := s.Stats().Searches; got != 1 {
-		t.Fatalf("hybrid cache hit re-executed: searches = %d", got)
-	}
-	if reg.Counter("docstore.cache.hits").Value() != 1 {
-		t.Fatalf("hybrid cache hits = %d, want 1", reg.Counter("docstore.cache.hits").Value())
-	}
-	if !hitsEqual(first, second) {
-		t.Fatal("cached hybrid result differs")
-	}
-	// A different alpha is a different cache key, not a stale hit.
-	s.SearchHybrid("gold ring", cv, 0.25, 3)
 	if got := s.Stats().Searches; got != 2 {
-		t.Fatalf("distinct alpha served from cache: searches = %d, want 2", got)
+		t.Fatalf("searches after two hybrid asks = %d, want 2", got)
+	}
+	if hits.Value() != 0 || misses.Value() != 0 {
+		t.Fatalf("hybrid asks reached the cache: hits=%d misses=%d", hits.Value(), misses.Value())
+	}
+	requireSameBits(t, "repeated hybrid ask", second, first)
+	for i := range first {
+		if second[i].Doc != first[i].Doc {
+			t.Fatalf("hit %d: a repeated hybrid ask did not share the snapshot-owned document", i)
+		}
 	}
 
-	// Results are shared and read-only (see Hit): a cache hit returns the
-	// same snapshot-owned documents without cloning, and a caller who
-	// wants to mutate must clone — Get hands out an independent copy.
-	again := s.SearchHybrid("gold ring", cv, 0.5, 3)
-	if again[0].Doc != second[0].Doc {
-		t.Fatal("cache hit did not share the snapshot-owned document")
+	// Text asks are still fronted by the cache.
+	s.SearchText("gold ring", 3)
+	s.SearchText("gold ring", 3)
+	if got := s.Stats().Searches; got != 3 || hits.Value() != 1 {
+		t.Fatalf("repeated text ask: searches = %d, cache hits = %d, want 3 and 1", got, hits.Value())
 	}
-	back, err := s.Get(again[0].Doc.ID)
+
+	// Results are shared and read-only (see Hit): a caller who wants to
+	// mutate must clone — Get hands out an independent copy.
+	back, err := s.Get(second[0].Doc.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	back.Title = "mutated"
-	if fresh := s.SearchHybrid("gold ring", cv, 0.5, 3); fresh[0].Doc.Title == "mutated" {
+	if fresh := s.SearchText("gold ring", 3); fresh[0].Doc.Title == "mutated" {
 		t.Fatal("mutating a Get copy leaked into cached results")
+	}
+	if fresh := s.SearchHybrid("gold ring", cv, 0.5, 3); fresh[0].Doc.Title == "mutated" {
+		t.Fatal("mutating a Get copy leaked into the store")
 	}
 }
 

@@ -555,10 +555,9 @@ type searchScratch struct {
 	terms   []queryTerm
 	tms     []termPostings // segment-major, one per (segment, query term): the zero value where the term is absent
 	cursors []cursor       // one segment's, reused from segment to segment
-	ords    []uint32       // segment offset + ordinal: the vector scan's candidates
 	heap    []scored       // the text top-k
 	vecPool []scored       // the vector selection
-	vecCut  []float64      // a vector search's scores, aligned with ords, then the copy its cut reorders
+	vecCut  []float64      // a vector search's scores by segment offset + ordinal, then the copy its cut reorders
 	outPool []scored       // the hybrid's blended selection
 	stats   searchStats
 	// slot, by segment offset + ordinal (segOff[si] is segment si's offset),
@@ -574,9 +573,9 @@ type searchScratch struct {
 	touched [windowSize / 64]uint64
 }
 
-// growSlots numbers the documents of segs — segOff[si] + ordinal — and makes
-// slot cover them.
-func (sc *searchScratch) growSlots(segs []*segment) {
+// growSlots numbers the documents of segs — segOff[si] + ordinal — makes
+// slot cover them and returns how many there are.
+func (sc *searchScratch) growSlots(segs []*segment) int {
 	sc.segOff = sc.segOff[:0]
 	n := 0
 	for _, seg := range segs {
@@ -586,6 +585,7 @@ func (sc *searchScratch) growSlots(segs []*segment) {
 	for len(sc.slot) < n {
 		sc.slot = append(sc.slot, 0)
 	}
+	return n
 }
 
 // slotOf is where r's document is filed in slot; takeSlot returns what is

@@ -389,6 +389,80 @@ func scanEdges(t *testing.T) {
 	}
 }
 
+// TestVectorScanSkipsNonCandidates asks for at least as many hits as there
+// are live vectors, so that θ is −∞ and only the scan's marks keep a document
+// out, from a snapshot holding more documents than candidates: a segment of
+// groups of four whose only live member is the last — the others dead or
+// without a vector — then a segment whose every document is dead, then one
+// with a vector and a document without. A store drops a segment with nothing
+// live from its list, so the test marks the middle one dead itself, in a
+// snapshot of its own.
+func TestVectorScanSkipsNonCandidates(t *testing.T) {
+	s, err := Open(Options{QueryCacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := map[string]*Document{}
+	oracle := vectorOracle(live)
+	var dead []string
+	put := func(docs ...*Document) {
+		t.Helper()
+		if err := s.PutBatch(docs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := make([]*Document, 12)
+	for i := range first {
+		first[i] = doc(fmt.Sprintf("g%02d", i), "gold ring", "gold ring", int64(i), nil)
+		switch i % 4 {
+		case 3: // the group's only live member
+			first[i].Concept = feature.Vector{0, 1, 0, 0, 0, 0, 0, float64(i)}
+			live[first[i].ID] = first[i]
+		case 0, 1:
+			first[i].Concept = oracleVec.Clone() // the query's own vector, dead
+			dead = append(dead, first[i].ID)
+		}
+	}
+	put(first...)
+	middle := make([]*Document, 5)
+	for i := range middle {
+		middle[i] = doc(fmt.Sprintf("m%02d", i), "gold ring", "gold ring", 20, oracleVec.Clone())
+	}
+	put(middle...)
+	last := doc("z00", "gold ring", "gold ring", 30, feature.Vector{-1, 0, 0, 1})
+	live[last.ID] = last
+	put(last, doc("z01", "gold ring", "gold ring", 31, nil))
+	for _, id := range dead {
+		if err := s.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	sn := s.snap.Load()
+	if len(sn.segs) != 3 || len(sn.segs[1].cx.ids) != len(middle) {
+		t.Fatalf("%d segments, want the three batches'", len(sn.segs))
+	}
+	held := &snapshot{epoch: sn.epoch, segs: slices.Clone(sn.segs)}
+	held.segs[1] = held.segs[1].withDead([]uint32{0, 1, 2, 3, 4})
+	slots := 0
+	for _, seg := range held.segs {
+		slots += len(seg.cx.ids)
+	}
+	sc := getScratch()
+	defer putScratch(sc)
+	tokens := s.tokens.tokenize("gold ring")
+	for _, k := range []int{len(live), len(live) + 1, slots, slots + 5} {
+		got := held.assembleHits(held.searchVectorRaw(oracleVec, k, sc))
+		requireSameBits(t, fmt.Sprintf("vector scan, k = %d", k), got, oracle.pool(oracleVec, k))
+		if len(got) != len(live) {
+			t.Fatalf("vector scan, k = %d: %d hits %v, want the %d live vectors", k, len(got), hitIDs(got), len(live))
+		}
+		text := held.searchTextExhaustive(tokens, max(4*k, 32), sc)
+		requireSameBits(t, fmt.Sprintf("hybrid, k = %d", k), held.searchHybridRaw(tokens, oracleVec, 0.5, k, sc),
+			referenceHybrid(text, oracle.pool(oracleVec, max(4*k, 32)), 0.5, k))
+	}
+}
+
 // TestHybridAllocatesOnlyItsResult pins what DESIGN.md states: with its
 // scratch warm, a hybrid search over a snapshot of several segments and a
 // thousand documents allocates once, the []Hit it returns, whatever its pool.

@@ -408,41 +408,25 @@ func (sn *snapshot) assembleHits(kept []scored) []Hit {
 
 // searchVectorRaw selects the k live documents most cosine-similar to q by
 // an exact scan: every live document with a concept vector is a candidate.
-// Candidates are filed under segment offset + ordinal, so sc.ords ascends from
-// segment to segment, and scored from the segments' vector columns; only
-// those scoring at least the k-th best score θ are offered to a selection.
-// Unranked, like searchCompiled's.
+// One pass over each segment's vector column scores every document into
+// scores filed by segment offset + ordinal, NaN for a document without a
+// vector or dead; only those scoring at least the k-th best score θ — which
+// no NaN does — are offered to a selection. Unranked, like searchCompiled's.
 func (sn *snapshot) searchVectorRaw(q feature.Vector, k int, sc *searchScratch) []scored {
-	sc.growSlots(sn.segs)
-	sc.ords = sc.ords[:0]
-	for si, seg := range sn.segs {
-		clean := len(seg.dead) == 0 // no tombstone to look for
-		for ord := range uint32(len(seg.cx.ids)) {
-			if seg.cx.vecAt[ord] < seg.cx.vecAt[ord+1] && (clean || !seg.isDead(ord)) {
-				sc.ords = append(sc.ords, sc.segOff[si]+ord)
-			}
-		}
-	}
-	n, qn := len(sc.ords), q.Norm()
+	n, qn := sc.growSlots(sn.segs), q.Norm()
 	sc.vecCut = slices.Grow(sc.vecCut[:0], 2*n)[:2*n]
-	scores, theta := sc.vecCut[:n], math.Inf(-1)
-	for si, i := 0, 0; i < n; si++ {
-		cx, off, j := sn.segs[si].cx, sc.segOff[si], i
-		for j < n && sc.ords[j] < off+uint32(len(cx.ids)) {
-			j++
-		}
-		cx.cosines(q, qn, sc.ords[i:j], off, scores[i:j])
-		i = j
+	scores, live, theta := sc.vecCut[:n], 0, math.Inf(-1)
+	for si, seg := range sn.segs {
+		live += seg.cosines(q, qn, scores[sc.segOff[si]:][:len(seg.cx.ids)])
 	}
-	if k > 0 && n > k {
+	if k > 0 && live > k {
 		theta = kthBest(sc.vecCut[n:], scores, k)
 	}
 	sel := selection{k: k, items: sc.vecPool[:0]}
-	for si, i := 0, 0; i < n; si++ {
-		cx, off := sn.segs[si].cx, sc.segOff[si]
-		for ; i < n && sc.ords[i] < off+uint32(len(cx.ids)); i++ {
-			if ord := sc.ords[i] - off; scores[i] >= theta {
-				sel.offer(scored{id: cx.ids[ord], seg: int32(si), ord: ord, score: scores[i]})
+	for si, seg := range sn.segs {
+		for ord, s := range scores[sc.segOff[si]:][:len(seg.cx.ids)] {
+			if s >= theta {
+				sel.offer(scored{id: seg.cx.ids[ord], seg: int32(si), ord: uint32(ord), score: s})
 			}
 		}
 	}
@@ -450,21 +434,33 @@ func (sn *snapshot) searchVectorRaw(q feature.Vector, k int, sc *searchScratch) 
 	return sc.vecPool
 }
 
-// cosines scores q, whose norm is qn, against the vectors of ords (each off
-// plus an ordinal of cx) into out, each with feature.Cosine's bits: four at a
-// time, a last group short of four repeating its last vector.
-func (cx *compiledIndex) cosines(q feature.Vector, qn float64, ords []uint32, off uint32, out []float64) {
-	vec := func(i int) feature.Vector {
-		o := ords[min(i, len(ords)-1)] - off
+// cosines scores q, whose norm is qn, against the vector of each of seg's
+// ordinals into out, each with feature.Cosine's bits: four at a time, a last
+// group short of four repeating its last vector. An ordinal without a vector
+// or dead scores NaN; it returns how many scored a number.
+func (seg *segment) cosines(q feature.Vector, qn float64, out []float64) int {
+	cx, n, live := seg.cx, len(out), 0
+	vec := func(o int) feature.Vector {
+		o = min(o, n-1)
 		return cx.vecs[cx.vecAt[o]:cx.vecAt[o+1]]
 	}
-	for i := 0; i < len(ords); i += 4 {
+	for i := 0; i < n; i += 4 {
 		var d [4]float64
 		d[0], d[1], d[2], d[3] = feature.Dot4(q, vec(i), vec(i+1), vec(i+2), vec(i+3))
-		for l, dot := range d[:min(4, len(ords)-i)] {
-			out[i+l] = feature.CosineDot(dot, qn, cx.cnorms[ords[i+l]-off])
+		for l, dot := range d[:min(4, n-i)] {
+			if o := i + l; cx.vecAt[o] == cx.vecAt[o+1] {
+				out[o] = math.NaN()
+			} else {
+				out[o], live = feature.CosineDot(dot, qn, cx.cnorms[o]), live+1
+			}
 		}
 	}
+	for _, o := range seg.dead {
+		if !math.IsNaN(out[o]) {
+			out[o], live = math.NaN(), live-1
+		}
+	}
+	return live
 }
 
 // searchHybridRaw ranks by (1-alpha)*text + alpha*vector over the union of

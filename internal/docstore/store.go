@@ -39,7 +39,7 @@ type Options struct {
 	// exceeds this size. Zero disables auto-compaction.
 	CompactAfterBytes int64
 	// QueryCacheSize bounds the generation-tagged query-result cache
-	// fronting SearchText/SearchHybrid. Zero picks the default (128
+	// fronting SearchText/SearchTextGlobal. Zero picks the default (128
 	// entries); negative disables caching entirely.
 	QueryCacheSize int
 	// Telemetry receives per-operation latency histograms and counters
@@ -502,8 +502,8 @@ func (s *Store) SearchVisual(query feature.VisualFeatures, colorWeight float64, 
 // alpha*vector, where each component is normalized to [0,1] over its own
 // candidate pool. This is the compound "feature set" knob experiment E1
 // sweeps. Both components read one snapshot, so a hybrid result is
-// consistent at a single epoch; like SearchText it is fronted by the
-// generation-tagged cache.
+// consistent at a single epoch. Unlike SearchText it is not cached: every
+// call is one search.
 func (s *Store) SearchHybrid(query string, concept feature.Vector, alpha float64, k int) []Hit {
 	if alpha <= 0 {
 		return s.SearchText(query, k)
@@ -513,17 +513,11 @@ func (s *Store) SearchHybrid(query string, concept feature.Vector, alpha float64
 	}
 	start := time.Now()
 	defer func() { s.tel.hybridLat.Observe(time.Since(start)) }()
-	sn := s.snap.Load()
-	sc := getScratch()
-	sc.keyBuf = appendHybridKey(sc.keyBuf[:0], query, concept, alpha, k)
-	if hits, ok := s.cache.get(sc.keyBuf, sn.epoch); ok {
-		putScratch(sc)
-		return hits
-	}
 	// One hybrid query is one search, even though it consults two indexes.
 	s.countSearch()
+	sn := s.snap.Load()
+	sc := getScratch()
 	hits := sn.searchHybridRaw(s.tokens.tokenize(query), concept, alpha, k, sc)
-	s.cache.put(sc.keyBuf, sn.epoch, hits)
 	s.noteSearchStats(&sc.stats)
 	putScratch(sc)
 	return hits

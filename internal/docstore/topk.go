@@ -1,5 +1,7 @@
 package docstore
 
+import "math"
+
 // topK and selection keep the best k under scoredBetter, a strict total
 // order, so either keeps the set sort-then-truncate would in any arrival
 // order. topK is a min-heap, root the worst kept: for an exact k-th best while
@@ -131,13 +133,16 @@ func selectBest(items []scored, k int) {
 	}
 }
 
-// kthBest returns the k-th largest of scores, cosines in [-1, 1], 0 < k ≤
-// len(scores): the monotone map int((s+1)·128) finds its bucket, and
-// selectBest over plain floats runs on that bucket's members, copied to xs.
+// kthBest returns the k-th largest of scores, cosines in [-1, 1] or NaN — a
+// document that is no candidate, which it skips — with 0 < k ≤ the number of
+// cosines: the monotone map int((s+1)·128) finds its bucket, and selectBest
+// over plain floats runs on that bucket's members, copied to xs.
 func kthBest(xs, scores []float64, k int) float64 {
 	var count [257]int32
 	for _, s := range scores {
-		count[int((s+1)*128)]++
+		if !math.IsNaN(s) {
+			count[int((s+1)*128)]++
+		}
 	}
 	b := len(count) - 1
 	for ; int(count[b]) < k; b-- {
@@ -145,7 +150,7 @@ func kthBest(xs, scores []float64, k int) float64 {
 	}
 	xs, n := xs[:0], k-1
 	for _, s := range scores {
-		if int((s+1)*128) == b {
+		if !math.IsNaN(s) && int((s+1)*128) == b {
 			xs = append(xs, s)
 		}
 	}

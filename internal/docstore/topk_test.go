@@ -241,20 +241,21 @@ func BenchmarkTopKSorted(b *testing.B) {
 	})
 }
 
-// requireKthBest holds kthBest to a sort for every k, and to leaving its
-// scores as it found them.
+// requireKthBest holds kthBest to a sort of the cosines among xs — a NaN is
+// a document that is no candidate — for every k, and to leaving its scores as
+// it found them.
 func requireKthBest(t *testing.T, what string, xs []float64) {
 	t.Helper()
-	want := slices.Clone(xs)
+	want := slices.DeleteFunc(slices.Clone(xs), math.IsNaN)
 	slices.Sort(want)
 	slices.Reverse(want)
 	before := slices.Clone(xs)
-	for k := 1; k <= len(xs); k++ {
+	for k := 1; k <= len(want); k++ {
 		if got := kthBest(make([]float64, len(xs)), xs, k); got != want[k-1] {
-			t.Fatalf("%s: kthBest(k = %d of %d) = %v, want %v", what, k, len(xs), got, want[k-1])
+			t.Fatalf("%s: kthBest(k = %d of %d) = %v, want %v", what, k, len(want), got, want[k-1])
 		}
 	}
-	if !slices.Equal(xs, before) {
+	if !slices.EqualFunc(xs, before, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
 		t.Fatalf("%s: kthBest reordered its scores", what)
 	}
 }
@@ -309,7 +310,8 @@ func TestKthBestMatchesSort(t *testing.T) {
 
 // fuzzScore maps two bytes to a cosine: a multiple of 1/256 in [-1, 1] —
 // ±1, 0 and every bucket edge b/128 − 1 among them, and the middles between
-// edges — negated (−0 too) or moved one step toward zero by the top bits.
+// edges — negated (−0 too) or moved one step toward zero by the top bits; both
+// top bits set make it NaN, the vector scan's mark for no candidate.
 func fuzzScore(u uint16) float64 {
 	s := float64(int(u%513)-256) / 256
 	switch u >> 14 {
@@ -317,17 +319,22 @@ func fuzzScore(u uint16) float64 {
 		s = -s
 	case 2:
 		s = math.Nextafter(s, 0)
+	case 3:
+		s = math.NaN()
 	}
 	return s
 }
 
-// FuzzKthBest decodes bytes into cosines, two bytes each, and holds kthBest
-// to a sort for every k.
+// FuzzKthBest decodes bytes into cosines and NaN, two bytes each, and holds
+// kthBest to a sort of the cosines for every k.
 func FuzzKthBest(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 2, 0, 1, 0, 0x40, 0x01, 0x01})
 	f.Add([]byte{0x80, 0, 0x80, 2, 0x80, 0x01, 0x80, 0xff, 0x40, 0xfe})
 	f.Add(bytes.Repeat([]byte{0x12, 0x34}, 40))
+	f.Add([]byte{0, 0xc0, 0, 2, 0, 0xc0, 0x40, 0x01, 0x01, 0xff}) // NaN among cosines, first and inside
+	f.Add([]byte{0, 0xc0, 0, 0xc0, 0, 0xc0})                      // nothing but NaN: no k to ask
+	f.Add(append(bytes.Repeat([]byte{0, 0xc0}, 30), 0, 1, 0, 1))  // NaN filling, two tied cosines after it
 	f.Fuzz(func(t *testing.T, data []byte) {
 		xs := make([]float64, len(data)/2)
 		for i := range xs {

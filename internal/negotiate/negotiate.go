@@ -264,28 +264,43 @@ func (n *Negotiator) observe(offer qos.Vector) {
 	}
 }
 
+// pricing is one party's utility of each of its candidates, computed once per
+// negotiation, and the index of the first of its best.
+type pricing struct {
+	u    []float64
+	best int
+}
+
+// price scores n's candidates into buf's backing array (a larger set
+// allocates its own).
+func (n *Negotiator) price(buf []float64) pricing {
+	p := pricing{u: buf[:0]}
+	for i, c := range n.Candidates {
+		p.u = append(p.u, n.U.Of(c))
+		if p.u[i] > p.u[p.best] {
+			p.best = i
+		}
+	}
+	return p
+}
+
 // propose picks the candidate with own utility >= demand that is most
 // attractive so far to the opponent, approximated by similarity to the
 // opponent's last offer (the classic trade-off heuristic). With no
-// qualifying candidate it proposes its own best package.
-func (n *Negotiator) propose(demand float64, oppLast *qos.Vector) (qos.Vector, error) {
+// qualifying candidate it proposes its own best package. p is n's pricing.
+func (n *Negotiator) propose(demand float64, oppLast *qos.Vector, p pricing) (qos.Vector, error) {
 	if len(n.Candidates) == 0 {
 		return qos.Vector{}, ErrNoCandidates
 	}
 	bestIdx := -1
 	bestKey := math.Inf(-1)
-	ownBest := 0
-	for i, c := range n.Candidates {
-		u := n.U.Of(c)
-		if u > n.U.Of(n.Candidates[ownBest]) {
-			ownBest = i
-		}
+	for i, u := range p.u {
 		if u < demand {
 			continue
 		}
 		var key float64
 		if oppLast != nil {
-			key = -packageDistance(c, *oppLast)
+			key = -packageDistance(n.Candidates[i], *oppLast)
 		} else {
 			key = -u // first round: least excess over demand (leave room)
 		}
@@ -295,7 +310,7 @@ func (n *Negotiator) propose(demand float64, oppLast *qos.Vector) (qos.Vector, e
 		}
 	}
 	if bestIdx < 0 {
-		bestIdx = ownBest
+		bestIdx = p.best
 	}
 	return n.Candidates[bestIdx], nil
 }
@@ -329,23 +344,31 @@ type Deal struct {
 // measure experiment E4 reports.
 func (d Deal) JointUtility() float64 { return d.BuyerUtility + d.SellerUtility }
 
+// pricedInline is how many candidates a side Run prices on its stack: the
+// market's 42-package grid fits.
+const pricedInline = 64
+
 // Run executes an alternating-offers session: buyer proposes on even
 // rounds, seller on odd, up to maxRounds. An agent accepts an incoming
 // offer if it meets what it would demand next round (the AC-next rule).
-// The transcript is the session's one allocation.
+// Each party prices its candidates once, before the first round. The
+// transcript is the session's one allocation (with at most pricedInline
+// candidates a side).
 func Run(buyer, seller *Negotiator, maxRounds int) (Deal, error) {
 	if maxRounds <= 0 {
 		maxRounds = 20
 	}
+	var buyerBuf, sellerBuf [pricedInline]float64
+	buyerP, sellerP := buyer.price(buyerBuf[:]), seller.price(sellerBuf[:])
 	transcript := make([]qos.Vector, 0, maxRounds)
 	var last qos.Vector
 	var lastOffer *qos.Vector
 	for round := 0; round < maxRounds; round++ {
-		proposer, responder := buyer, seller
+		proposer, responder, p := buyer, seller, buyerP
 		if round%2 == 1 {
-			proposer, responder = seller, buyer
+			proposer, responder, p = seller, buyer, sellerP
 		}
-		offer, err := proposer.propose(proposer.demanded(round, maxRounds), lastOffer)
+		offer, err := proposer.propose(proposer.demanded(round, maxRounds), lastOffer, p)
 		if err != nil {
 			return Deal{}, err
 		}
@@ -376,7 +399,7 @@ func Run(buyer, seller *Negotiator, maxRounds int) (Deal, error) {
 // TakeFirst is the no-negotiation baseline: the consumer accepts the
 // provider's opening offer if it clears the consumer's reservation.
 func TakeFirst(buyer, seller *Negotiator) (Deal, error) {
-	offer, err := seller.propose(seller.demanded(0, 2), nil)
+	offer, err := seller.propose(seller.demanded(0, 2), nil, seller.price(nil))
 	if err != nil {
 		return Deal{}, err
 	}
