@@ -106,7 +106,8 @@ determinism:
 # once built) and from the working tree, runs N pairs of -seconds 15 runs,
 # the side that goes first alternating, each side appending its result lines
 # (-out) to its own file, and compares the two files under BENCHMARK.json's
-# bounds. The files, and each side's reports, stay in .bench_build/pairs/.
+# bounds. The files, and each side's reports, stay in .bench_build/pairs/;
+# each invocation starts both afresh.
 BASE ?= HEAD
 W ?= node_durable
 N ?= 10
@@ -125,7 +126,8 @@ endef
 pairs:
 	$(call build-base,$(PAIRS),./benchmark)
 	$(GO) build -o $(PAIRS)/head ./benchmark
-	rm -f $(PAIRS)/$(W)-$(SEED)-base.jsonl $(PAIRS)/$(W)-$(SEED)-head.jsonl
+	rm -f $(PAIRS)/$(W)-$(SEED)-base.jsonl $(PAIRS)/$(W)-$(SEED)-head.jsonl \
+		$(PAIRS)/$(W)-$(SEED)-base.log $(PAIRS)/$(W)-$(SEED)-head.log
 	for i in $$(seq $(N)); do \
 		sides="base head"; [ $$((i % 2)) = 0 ] && sides="head base"; \
 		for side in $$sides; do \

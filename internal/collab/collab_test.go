@@ -124,7 +124,7 @@ func res(id string, score float64, hot int) query.Result {
 	if hot >= 0 {
 		v[hot] = 1
 	}
-	return query.Result{Doc: &docstore.Document{ID: id, Concept: v}, Score: score, Source: "s"}
+	return query.Result{Hit: docstore.Hit{Doc: &docstore.Document{ID: id, Concept: v}, Score: score}, Source: "s"}
 }
 
 func TestSessionWorkspaceFusion(t *testing.T) {

@@ -25,8 +25,7 @@ func raceProfile(user string) *profile.Profile {
 
 func raceResult(id string, score float64) query.Result {
 	return query.Result{
-		Doc:    &docstore.Document{ID: id, Concept: feature.Vector{0, 1, 0}},
-		Score:  score,
+		Hit:    docstore.Hit{Doc: &docstore.Document{ID: id, Concept: feature.Vector{0, 1, 0}}, Score: score},
 		Source: "race-src",
 	}
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/docstore"
 	"repro/internal/feature"
 	"repro/internal/profile"
+	"repro/internal/query"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -152,5 +155,95 @@ func TestFeedbackPinsNoDocument(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAskUnmovedByWritesAfterItsSearch: the personalize step reads a
+// result's term counts from the index its search found it in, so writes that
+// land between a source's search and that step change nothing. An ask whose
+// onPartial replaces with new text, or deletes, every document the first
+// source served answers with the IDs and score bits of the same seed's ask
+// without those writes and, the writes' own allocations left out, allocates
+// no more.
+func TestAskUnmovedByWritesAfterItsSearch(t *testing.T) {
+	// ask runs the market world's second ask with write applied, inside
+	// onPartial, to the first source's store and results. The pools start
+	// empty and are refilled by a warm-up ask; from there on one processor
+	// runs with the collector off, so pooled scratch is neither dropped nor
+	// left in another processor's cache, and both measurements start from
+	// the same state. It returns the answer, the allocations the ask made
+	// outside write, and the first source's served IDs.
+	ask := func(write func(st *docstore.Store, served []query.Result)) (*Answer, uint64, map[string]bool) {
+		s, aqls, concepts := marketWorld(t, 3)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		runtime.GC()
+		runtime.GC() // a pool's entries outlive one collection, not two
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		if _, err := s.Ask(aqls[2], concepts[2]); err != nil {
+			t.Fatal(err)
+		}
+		served := map[string]bool{}
+		var before, after, w0, w1 runtime.MemStats
+		var writes uint64
+		runtime.ReadMemStats(&before)
+		ans, err := s.AskProgressive(aqls[1], concepts[1], func(p Partial) {
+			if p.SourcesDone != 1 {
+				return
+			}
+			runtime.ReadMemStats(&w0)
+			for _, r := range p.Results {
+				served[r.Doc.ID] = true
+			}
+			write(s.agora.Node(p.Source).Store, p.Results)
+			runtime.ReadMemStats(&w1)
+			writes = w1.Mallocs - w0.Mallocs
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil || len(served) == 0 {
+			t.Fatalf("ask: %v, %d results from the first source", err, len(served))
+		}
+		return ans, after.Mallocs - before.Mallocs - writes, served
+	}
+	want, wantAllocs, _ := ask(func(*docstore.Store, []query.Result) {})
+	for name, write := range map[string]func(*docstore.Store, []query.Result){
+		"replaced": func(st *docstore.Store, served []query.Result) {
+			docs := make([]*docstore.Document, len(served))
+			for i, r := range served {
+				docs[i] = r.Doc.Clone()
+				docs[i].Title, docs[i].Text = "rewritten", "nothing it said before"
+			}
+			if err := st.PutBatch(docs); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"deleted": func(st *docstore.Store, served []query.Result) {
+			for _, r := range served {
+				if err := st.Delete(r.Doc.ID); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+	} {
+		got, allocs, served := ask(write)
+		if len(got.Results) != len(want.Results) {
+			t.Fatalf("%s: %d results, want %d", name, len(got.Results), len(want.Results))
+		}
+		written := 0
+		for i, r := range got.Results {
+			w := want.Results[i]
+			if r.Doc.ID != w.Doc.ID || math.Float64bits(r.Score) != math.Float64bits(w.Score) {
+				t.Fatalf("%s: result %d is %s %v, want %s %v", name, i, r.Doc.ID, r.Score, w.Doc.ID, w.Score)
+			}
+			if served[r.Doc.ID] {
+				written++
+			}
+		}
+		if written == 0 {
+			t.Fatalf("%s: no result came from the first source", name)
+		}
+		if !raceEnabled && allocs > wantAllocs {
+			t.Fatalf("%s: the ask made %d allocations besides its writes, %d without them", name, allocs, wantAllocs)
+		}
+		t.Logf("%s: %d of %d results written away; %d allocations besides the writes, %d without them", name, written, len(got.Results), allocs, wantAllocs)
 	}
 }

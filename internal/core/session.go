@@ -285,15 +285,9 @@ func (s *Session) runPipeline(tr *telemetry.Trace, q *query.Query, concept featu
 	merged := query.Merge(lists, q.TopK*3)
 	for i := range merged {
 		r := &merged[i]
-		// The term counts come from the index of the store that served the
-		// result; Terms counts them itself if that store no longer holds
-		// this document (or r.Source names no node).
-		var served *docstore.Store
-		if n := s.agora.Node(r.Source); n != nil {
-			served = n.Store
-		}
+		// The term counts come from the index the result was found in.
 		boost := s.Profile.TermBoost()
-		served.Terms(r.Doc, boost.Add)
+		r.Terms(boost.Add)
 		r.Score = s.Profile.PersonalScore(r.Score, r.Doc.Concept, s.Gamma) * boost.Value()
 	}
 	query.SortResults(merged)

@@ -18,17 +18,20 @@ const defaultQueryCacheSize = 128
 // queryCache is a generation-tagged LRU fronting SearchText and
 // SearchTextGlobal. A hybrid ask is not cached: it blends its concept with
 // a profile, so no two asks repeat a key.
-// Entries are tagged with the epoch they were computed against; any write
-// bumps the store epoch, so a stale entry is detected (and evicted) on its
-// next lookup rather than by scanning the cache on every write. Cached hits
-// hold snapshot-owned documents — immutable by the snapshot contract — and
-// are returned shared: search results are read-only (see Hit), so a cache
-// hit costs a lookup and an LRU splice, never a deep copy or an
-// allocation. Lookup keys arrive as scratch byte slices and are only
+// Every entry was computed against one epoch, the cache's; any write bumps
+// the store epoch, so a lookup at a later one misses, and the first entry
+// put at a later one drops them all, with no scan on the write path. A
+// stale entry is not kept until the LRU evicts it: a cached hit keeps alive
+// the index it was found in (see Hit), which a merge may since have
+// retired. Cached hits hold snapshot-owned documents — immutable by the
+// snapshot contract — and are returned shared: search results are
+// read-only, so a cache hit costs a lookup and an LRU splice, never a deep
+// copy or an allocation. Lookup keys arrive as scratch byte slices and are only
 // materialized into strings when an entry is first inserted.
 type queryCache struct {
 	mu      sync.Mutex
 	cap     int
+	epoch   uint64     // what every entry was computed against
 	ll      *list.List // front = most recently used
 	entries map[string]*list.Element
 
@@ -37,9 +40,8 @@ type queryCache struct {
 }
 
 type cacheEntry struct {
-	key   string
-	epoch uint64
-	raw   []Hit // snapshot-owned documents; returned shared, read-only
+	key string
+	raw []Hit // snapshot-owned documents; returned shared, read-only
 }
 
 // newQueryCache returns nil (fully disabled) for cap < 0.
@@ -59,55 +61,49 @@ func newQueryCache(cap int, reg *telemetry.Registry) *queryCache {
 	return c
 }
 
-// get returns the cached (shared, read-only) result for key at epoch.
-// Entries from older epochs count as misses and are dropped. The key is a
-// scratch buffer: the map lookup converts it without allocating.
+// get returns the cached (shared, read-only) result for key at epoch. The
+// key is a scratch buffer: the map lookup converts it without allocating.
 func (c *queryCache) get(key []byte, epoch uint64) ([]Hit, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
 	el, ok := c.entries[string(key)]
-	if !ok {
-		c.mu.Unlock()
-		c.misses.Inc()
-		return nil, false
-	}
-	ent := el.Value.(*cacheEntry)
-	if ent.epoch != epoch {
-		c.ll.Remove(el)
-		delete(c.entries, string(key))
-		c.size.Set(float64(len(c.entries)))
+	if !ok || epoch != c.epoch {
 		c.mu.Unlock()
 		c.misses.Inc()
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	raw := ent.raw
+	raw := el.Value.(*cacheEntry).raw
 	c.mu.Unlock()
 	c.hits.Inc()
 	return raw, true
 }
 
 // put stores raw (snapshot-owned hits) for key at epoch, evicting from the
-// LRU tail past capacity. The key buffer is copied into a string here — the
-// miss path is the only place a key allocates.
+// LRU tail past capacity; an epoch later than the cache's drops every entry
+// first. An earlier epoch stores nothing, and neither does a key a
+// concurrent miss at the same epoch stored first, with the same answer. The
+// key buffer is copied into a string here — the miss path is the only place
+// a key allocates.
 func (c *queryCache) put(key []byte, epoch uint64, raw []Hit) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	if el, ok := c.entries[string(key)]; ok {
-		ent := el.Value.(*cacheEntry)
-		ent.epoch = epoch
-		ent.raw = raw
-		c.ll.MoveToFront(el)
+	if epoch > c.epoch {
+		c.ll.Init()
+		clear(c.entries)
+		c.epoch = epoch
+	}
+	if _, ok := c.entries[string(key)]; ok || epoch < c.epoch {
 		c.mu.Unlock()
 		return
 	}
 	k := string(key) //lint:allow hotalloc miss path only: the key must outlive the caller's scratch buffer
 	//lint:allow hotalloc miss path only: the entry is retained by the LRU list
-	c.entries[k] = c.ll.PushFront(&cacheEntry{key: k, epoch: epoch, raw: raw})
+	c.entries[k] = c.ll.PushFront(&cacheEntry{key: k, raw: raw})
 	for c.ll.Len() > c.cap {
 		el := c.ll.Back()
 		c.ll.Remove(el)

@@ -206,3 +206,32 @@ func TestTokenMemo(t *testing.T) {
 		t.Fatalf("distinct query hit the memo: %d", got)
 	}
 }
+
+// TestCacheKeepsOneEpoch: the first entry put at a later epoch drops every
+// entry of the earlier one, which no lookup can hit again and whose hits
+// would keep alive the indexes they were found in, instead of leaving them
+// to the LRU; an answer computed on a replaced snapshot is not stored.
+func TestCacheKeepsOneEpoch(t *testing.T) {
+	s := memStore(t)
+	put := func(id string) {
+		if err := s.Put(doc(id, "Gold Ring", "byzantine gold ring", 1, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put("d1")
+	for i := 0; i < 3; i++ {
+		s.SearchText(fmt.Sprintf("gold query %d", i), 3)
+	}
+	if got := s.cache.len(); got != 3 {
+		t.Fatalf("%d entries after three misses, want 3", got)
+	}
+	put("d2")
+	s.SearchText("gold query 0", 3)
+	if got := s.cache.len(); got != 1 {
+		t.Fatalf("%d entries after a write and one miss, want 1", got)
+	}
+	s.cache.put([]byte("late"), s.Epoch()-1, nil)
+	if got := s.cache.len(); got != 1 {
+		t.Fatalf("an answer from a replaced snapshot was stored: %d entries", got)
+	}
+}

@@ -40,7 +40,7 @@ type compiledIndex struct {
 	// as pairs — the term's ID (into termList), then its count there: 8 bytes
 	// a posting. withDead charges a killed document's terms to the dead
 	// counts from the IDs in O(|doc terms|), so the query path never
-	// intersects tombstones with postings; Store.Terms reads the pairs.
+	// intersects tombstones with postings; Hit.Terms reads the pairs.
 	fwd     [][]uint32
 	fwdFree []uint32 // the forward lists' one arena, less what addDoc has handed out
 	nPost   int      // postings appended: what the next index's arena is sized from

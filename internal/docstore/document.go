@@ -62,7 +62,7 @@ type Document struct {
 // Texts appends the document's searchable texts to dst: title, body, then
 // each topic. Tokens is the tokens of these in turn; the write path's counter
 // (docTerms) streams them (feature.Tokenizer) instead of building the list,
-// and readers take its counts from the store (Store.Terms).
+// and readers take its counts from the index a search found it in (Hit.Terms).
 func (d *Document) Texts(dst []string) []string {
 	return append(append(dst, d.Title, d.Text), d.Topics...)
 }

@@ -176,7 +176,7 @@ var (
 	oracleVis = feature.VisualFeatures{ColorHist: []float64{0.3, 0.4, 0.3}, Texture: []float64{0.6, 0.4}}
 )
 
-// requireReadsMatch checks Len, TopicCount, ByTopic, Freshest, RecentSince,
+// requireReadsMatch checks Len, TopicCount, Newest, Freshest, RecentSince,
 // SearchVector, SearchVisual and the three text searches against the oracle.
 // SearchVector asks for more hits than there are documents, so the answer is
 // every live vector, ranked.
@@ -191,6 +191,11 @@ func requireReadsMatch(t *testing.T, stage string, s *Store, live map[string]*Do
 			t.Fatalf("%s: Freshest(%d) %v, oracle %v", stage, k, got, want)
 		}
 	}
+	for _, k := range []int{0, 5} {
+		if got, want := scanIDs(s.Newest("", k)), newestFirst(all, k); !strsEqual(got, want) {
+			t.Fatalf("%s: Newest(\"\", %d) %v, oracle %v", stage, k, got, want)
+		}
+	}
 	for _, span := range [][2]int64{{-1 << 62, 1 << 62}, {7, 19}, {12, 12}, {30, 5}} {
 		want := byTimeAsc(live, func(d *Document) bool { return d.CreatedAt >= span[0] && d.CreatedAt <= span[1] })
 		if got := docIDs(s.RecentSince(span[0], span[1])); !strsEqual(got, want) {
@@ -203,8 +208,8 @@ func requireReadsMatch(t *testing.T, stage string, s *Store, live map[string]*Do
 			t.Fatalf("%s: TopicCount(%q) %d, oracle %d", stage, topic, got, len(carriers))
 		}
 		for _, k := range []int{0, 4} {
-			if got, want := docIDs(s.ByTopic(topic, k)), newestFirst(carriers, k); !strsEqual(got, want) {
-				t.Fatalf("%s: ByTopic(%q, %d) %v, oracle %v", stage, topic, k, got, want)
+			if got, want := scanIDs(s.Newest(topic, k)), newestFirst(carriers, k); !strsEqual(got, want) {
+				t.Fatalf("%s: Newest(%q, %d) %v, oracle %v", stage, topic, k, got, want)
 			}
 		}
 	}

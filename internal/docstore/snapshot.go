@@ -392,7 +392,7 @@ func (sn *snapshot) searchTextExhaustive(tokens []string, k int, sc *searchScrat
 }
 
 // assembleHits ranks a search's kept set, in place, and resolves its
-// (segment, ordinal) pairs into hit documents. The scored slice is
+// (segment, ordinal) pairs into hits that keep them. The scored slice is
 // scratch-backed, so hits must be built before the scratch is reused.
 func (sn *snapshot) assembleHits(kept []scored) []Hit {
 	if len(kept) == 0 {
@@ -401,7 +401,8 @@ func (sn *snapshot) assembleHits(kept []scored) []Hit {
 	h := topK{items: kept}
 	hits := make([]Hit, 0, len(kept)) //lint:allow hotalloc the one documented cold-query allocation: the returned []Hit
 	for _, r := range h.sorted() {
-		hits = append(hits, Hit{Doc: sn.segs[r.seg].cx.docs[r.ord], Score: r.score}) //lint:allow hotalloc appends into the sized cold-query allocation above; never grows
+		cx := sn.segs[r.seg].cx
+		hits = append(hits, Hit{Doc: cx.docs[r.ord], Score: r.score, cx: cx, ord: r.ord}) //lint:allow hotalloc appends into the sized cold-query allocation above; never grows
 	}
 	return hits
 }
@@ -524,13 +525,14 @@ func (r *timeRun) at(i int) (int64, string) {
 	return e.key, r.seg.cx.ids[e.ord]
 }
 
-// scanTime visits live (key, id) pairs with key in [from, to], ascending or
-// (desc) descending — a k-way merge of the segments' time indexes (a dead
+// scanTime visits the live documents with CreatedAt in [from, to], by
+// (CreatedAt, id) ascending or (desc) descending, each as the segment and
+// ordinal that hold it — a k-way merge of the segments' time indexes (a dead
 // ordinal is passed after one binary search, no id lookup), from the heads or
 // from the tails, yielding exactly the sequence one index over the live set
 // would; a bounded scan costs what it visits. limit < 0 means unbounded; it
 // counts visits.
-func (sn *snapshot) scanTime(from, to int64, desc bool, limit int, visit func(key int64, id string) bool) {
+func (sn *snapshot) scanTime(from, to int64, desc bool, limit int, visit func(seg *segment, ord uint32) bool) {
 	runs := make([]timeRun, len(sn.segs))
 	for i, seg := range sn.segs {
 		ents := seg.byTime
@@ -565,21 +567,22 @@ func (sn *snapshot) scanTime(from, to int64, desc bool, limit int, visit func(ke
 		} else {
 			next.lo++
 		}
-		if next.seg.isDead(next.seg.byTime[at].ord) {
+		ord := next.seg.byTime[at].ord
+		if next.seg.isDead(ord) {
 			continue
 		}
-		if !visit(next.at(at)) {
+		if !visit(next.seg, ord) {
 			return
 		}
 		limit--
 	}
 }
 
-func (sn *snapshot) scanAsc(from, to int64, visit func(key int64, id string) bool) {
+func (sn *snapshot) scanAsc(from, to int64, visit func(seg *segment, ord uint32) bool) {
 	sn.scanTime(from, to, false, -1, visit)
 }
 
-func (sn *snapshot) scanDesc(to int64, limit int, visit func(key int64, id string) bool) {
+func (sn *snapshot) scanDesc(to int64, limit int, visit func(seg *segment, ord uint32) bool) {
 	sn.scanTime(math.MinInt64, to, true, limit, visit)
 }
 

@@ -177,8 +177,8 @@ func TestSnapshotMatchesMonolithic(t *testing.T) {
 			if ac, bc := a.TopicCount(topic), b.TopicCount(topic); ac != bc {
 				t.Fatalf("step %d: TopicCount(%q) %d != %d", step, topic, ac, bc)
 			}
-			if av, bv := docIDs(a.ByTopic(topic, 6)), docIDs(b.ByTopic(topic, 6)); !strsEqual(av, bv) {
-				t.Fatalf("step %d: ByTopic(%q) %v != %v", step, topic, av, bv)
+			if av, bv := hitIDs(a.Newest(topic, 6)), hitIDs(b.Newest(topic, 6)); !strsEqual(av, bv) {
+				t.Fatalf("step %d: Newest(%q) %v != %v", step, topic, av, bv)
 			}
 		}
 		if av, bv := docIDs(a.Freshest(7)), docIDs(b.Freshest(7)); !strsEqual(av, bv) {
@@ -302,6 +302,18 @@ func hitIDs(hits []Hit) []string {
 	return out
 }
 
+// scanIDs is the ids of a time scan's hits, each of which must score 1.
+func scanIDs(hits []Hit) []string {
+	out := make([]string, len(hits))
+	for i, h := range hits {
+		out[i] = h.Doc.ID
+		if h.Score != 1 {
+			out[i] += fmt.Sprintf(" scoring %v", h.Score)
+		}
+	}
+	return out
+}
+
 func docIDs(docs []*Document) []string {
 	out := make([]string, len(docs))
 	for i, d := range docs {
@@ -392,7 +404,7 @@ func TestSnapshotReadersUnderChurn(t *testing.T) {
 				s.SearchHybrid(q, qvec, 0.5, 3)
 				s.SearchVector(qvec, 3)
 				s.Freshest(5)
-				s.ByTopic("alpha", 4)
+				s.Newest("alpha", 4)
 				s.RecentSince(0, 1<<60)
 				s.Stats()
 				s.Len()

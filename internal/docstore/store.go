@@ -350,29 +350,6 @@ func (s *Store) Get(id string) (*Document, error) {
 	return d.Clone(), nil
 }
 
-// Terms calls fn with each of d's distinct terms, ascending, and its count
-// there — what docTerms(d) returns. When the published snapshot holds d
-// itself, live — a Hit's document is the store's own — the pairs are read
-// from the forward index its put was compiled into, which allocates nothing;
-// any other d (replaced or deleted since, held by another store, or given to
-// a nil store) is counted. The term strings are immutable and may be kept.
-func (s *Store) Terms(d *Document, fn func(term string, tf int)) {
-	if s != nil {
-		segs := s.snap.Load().segs
-		if si, ord := holder(segs, d.ID); si >= 0 && segs[si].cx.docs[ord] == d && !segs[si].isDead(ord) {
-			cx := segs[si].cx
-			for f := cx.fwd[ord]; len(f) > 0; f = f[2:] {
-				fn(cx.termList[f[0]], int(f[1]))
-			}
-			return
-		}
-	}
-	terms, _ := docTerms(d)
-	for _, t := range terms {
-		fn(t.term, t.tf)
-	}
-}
-
 // Len returns the number of stored documents.
 func (s *Store) Len() int {
 	return s.snap.Load().docCount()
@@ -391,10 +368,25 @@ func (s *Store) Epoch() uint64 {
 // documents: they are immutable and stay valid indefinitely (the snapshot
 // they came from is never mutated), but callers must treat them as
 // read-only — mutate a copy (Doc.Clone) instead. This is what makes the
-// steady-state query path allocation-free.
+// steady-state query path allocation-free. A hit also keeps its place: the
+// index its document was found in and its ordinal there, which Terms reads.
 type Hit struct {
 	Doc   *Document
 	Score float64
+	cx    *compiledIndex
+	ord   uint32
+}
+
+// Terms calls fn with each of the hit's document's distinct terms,
+// ascending, and its count there — what the write path counted when it
+// stored the document — read from the forward index of the segment the hit
+// came from: no lookup, no allocation, and the same pairs however the store
+// has changed since. The term strings are immutable and may be kept. Only a
+// hit the store returned has a place: h must be one.
+func (h Hit) Terms(fn func(term string, tf int)) {
+	for f := h.cx.fwd[h.ord]; len(f) > 0; f = f[2:] {
+		fn(h.cx.termList[f[0]], int(f[1]))
+	}
 }
 
 // SearchText ranks documents against a free-text query. Results are served
@@ -523,20 +515,30 @@ func (s *Store) SearchHybrid(query string, concept feature.Vector, alpha float64
 	return hits
 }
 
-// ByTopic returns up to k documents carrying the topic, newest first. It
-// walks the time index so old topical documents are found regardless of how
-// much newer off-topic content exists.
-func (s *Store) ByTopic(topic string, k int) []*Document {
+// Newest returns up to k live documents carrying topic — any document when
+// topic is "" — newest first, as hits that keep their place (see Hit) and
+// share snapshot-owned documents; k <= 0 means all of them. Each scores 1:
+// a time scan orders, it does not score. It walks the time index, so old
+// topical documents are found regardless of how much newer off-topic
+// content exists.
+func (s *Store) Newest(topic string, k int) []Hit {
 	sn := s.snap.Load()
-	if sn.topicCount(topic) == 0 {
+	n := sn.docCount()
+	if topic != "" {
+		n = sn.topicCount(topic)
+	}
+	if k > 0 {
+		n = min(n, k)
+	}
+	if n == 0 {
 		return nil
 	}
-	var out []*Document
-	sn.scanDesc(1<<62, -1, func(_ int64, id string) bool {
-		if d := sn.getDoc(id); slices.Contains(d.Topics, topic) {
-			out = append(out, d.Clone())
+	out := make([]Hit, 0, n)
+	sn.scanDesc(1<<62, -1, func(seg *segment, ord uint32) bool {
+		if d := seg.cx.docs[ord]; topic == "" || slices.Contains(d.Topics, topic) {
+			out = append(out, Hit{Doc: d, Score: 1, cx: seg.cx, ord: ord})
 		}
-		return k <= 0 || len(out) < k
+		return len(out) < n
 	})
 	return out
 }
@@ -548,12 +550,9 @@ func (s *Store) TopicCount(topic string) int {
 
 // RecentSince returns documents with CreatedAt in [since, until], ascending.
 func (s *Store) RecentSince(since, until int64) []*Document {
-	sn := s.snap.Load()
 	var out []*Document
-	sn.scanAsc(since, until, func(_ int64, id string) bool {
-		if d := sn.getDoc(id); d != nil {
-			out = append(out, d.Clone())
-		}
+	s.snap.Load().scanAsc(since, until, func(seg *segment, ord uint32) bool {
+		out = append(out, seg.cx.docs[ord].Clone())
 		return true
 	})
 	return out
@@ -561,12 +560,9 @@ func (s *Store) RecentSince(since, until int64) []*Document {
 
 // Freshest returns up to k newest documents, newest first.
 func (s *Store) Freshest(k int) []*Document {
-	sn := s.snap.Load()
 	var out []*Document
-	sn.scanDesc(1<<62, k, func(_ int64, id string) bool {
-		if d := sn.getDoc(id); d != nil {
-			out = append(out, d.Clone())
-		}
+	s.snap.Load().scanDesc(1<<62, k, func(seg *segment, ord uint32) bool {
+		out = append(out, seg.cx.docs[ord].Clone())
 		return true
 	})
 	return out

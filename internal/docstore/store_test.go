@@ -434,7 +434,7 @@ func TestSearchVisual(t *testing.T) {
 	}
 }
 
-func TestByTopicFindsOldDocuments(t *testing.T) {
+func TestNewestFindsOldTopicDocuments(t *testing.T) {
 	s := memStore(t)
 	// One old topical doc buried under many fresh off-topic docs.
 	old := doc("old-jewel", "ancient brooch", "very old", 1, nil)
@@ -449,17 +449,17 @@ func TestByTopicFindsOldDocuments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := s.ByTopic("jewelry", 10)
-	if len(got) != 1 || got[0].ID != "old-jewel" {
-		t.Fatalf("ByTopic = %v", got)
+	got := s.Newest("jewelry", 10)
+	if len(got) != 1 || got[0].Doc.ID != "old-jewel" || got[0].Score != 1 {
+		t.Fatalf("Newest = %v", hitIDs(got))
 	}
 	if s.TopicCount("jewelry") != 1 || s.TopicCount("news") != 200 {
 		t.Fatalf("counts: %d %d", s.TopicCount("jewelry"), s.TopicCount("news"))
 	}
 	// Newest-first ordering and k bound.
-	newsDocs := s.ByTopic("news", 3)
-	if len(newsDocs) != 3 || newsDocs[0].ID != "fresh199" {
-		t.Fatalf("news order: %v", newsDocs)
+	newsDocs := s.Newest("news", 3)
+	if len(newsDocs) != 3 || newsDocs[0].Doc.ID != "fresh199" {
+		t.Fatalf("news order: %v", hitIDs(newsDocs))
 	}
 	// Replace moves topics; delete clears them.
 	repl := doc("old-jewel", "recataloged", "now ceramics", 2, nil)
@@ -476,12 +476,12 @@ func TestByTopicFindsOldDocuments(t *testing.T) {
 	if s.TopicCount("ceramics") != 0 {
 		t.Fatal("topic index not cleared on delete")
 	}
-	if got := s.ByTopic("nonexistent", 5); got != nil {
+	if got := s.Newest("nonexistent", 5); got != nil {
 		t.Fatal("unknown topic should be nil")
 	}
 }
 
-func TestByTopicSurvivesRecovery(t *testing.T) {
+func TestNewestSurvivesRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Options{Dir: dir, ConceptDim: 8, Seed: 1})
 	if err != nil {
@@ -498,7 +498,7 @@ func TestByTopicSurvivesRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if got := s2.ByTopic("jewelry", 5); len(got) != 1 {
+	if got := s2.Newest("jewelry", 5); len(got) != 1 {
 		t.Fatal("topic index not rebuilt on recovery")
 	}
 }

@@ -273,20 +273,22 @@ func stagePut(d *Document) stagedOp {
 	return stagedOp{op: opPut, batchDoc: batchDoc{d, terms, n}}
 }
 
-// storeTerms is what s.Terms yields for d, in order.
-func storeTerms(s *Store, d *Document) []termTF {
+// hitTerms is what h.Terms yields, in order.
+func hitTerms(h Hit) []termTF {
 	var out []termTF
-	s.Terms(d, func(term string, tf int) { out = append(out, termTF{term: term, tf: tf}) })
+	h.Terms(func(term string, tf int) { out = append(out, termTF{term: term, tf: tf}) })
 	return out
 }
 
-// TestStoreTermsMatchDocTerms: for every document a store holds, Terms
-// yields docTerms — term for term, count for count — read from the forward
-// index without an allocation, however the index was built: a commit window,
-// a tier merge, Compact, Open from the v2 file and Open through the legacy
-// reader. A document the store no longer holds — replaced, deleted, never
-// put, or asked of a nil store — is counted, to the same sequence.
-func TestStoreTermsMatchDocTerms(t *testing.T) {
+// TestHitTermsMatchDocTerms: every document a store holds, reached as a hit
+// — of the time scan and of a text search — yields docTerms through
+// Hit.Terms, term for term, count for count, read from the forward index
+// without an allocation, however the index was built: a commit window, a
+// tier merge, Compact, Open from the v2 file and Open through the legacy
+// reader. A hit keeps its place: taken before a tier merge, a replace, a
+// delete or a Compact, it still yields its own document's terms, without an
+// allocation.
+func TestHitTermsMatchDocTerms(t *testing.T) {
 	r := rand.New(rand.NewSource(37))
 	newDoc := func(id string) *Document {
 		d := shadowDoc(r, id, int64(r.Intn(1000)))
@@ -296,41 +298,34 @@ func TestStoreTermsMatchDocTerms(t *testing.T) {
 		d.Text += fmt.Sprintf(" rare%d", r.Intn(40))
 		return d
 	}
-	check := func(stage string, s *Store, wantHeld int) {
+	requireTerms := func(stage string, hits []Hit) {
 		t.Helper()
-		held := 0
-		for _, seg := range s.snap.Load().segs {
-			for ord, d := range seg.cx.docs {
-				if seg.isDead(uint32(ord)) {
-					continue
-				}
-				held++
-				want, _ := docTerms(d)
-				if got := storeTerms(s, d); !slices.Equal(got, want) {
-					t.Fatalf("%s: Terms(%s) %v, docTerms %v", stage, d.ID, got, want)
-				}
-				if !raceEnabled {
-					if n := testing.AllocsPerRun(5, func() { s.Terms(d, func(string, int) {}) }); n != 0 {
-						t.Fatalf("%s: Terms(%s) of a held document makes %v allocations, want 0: it was counted", stage, d.ID, n)
-					}
+		for _, h := range hits {
+			want, _ := docTerms(h.Doc)
+			if got := hitTerms(h); !slices.Equal(got, want) {
+				t.Fatalf("%s: %s's Terms %v, docTerms %v", stage, h.Doc.ID, got, want)
+			}
+			if !raceEnabled {
+				if n := testing.AllocsPerRun(5, func() { h.Terms(func(string, int) {}) }); n != 0 {
+					t.Fatalf("%s: %s's Terms makes %v allocations, want 0", stage, h.Doc.ID, n)
 				}
 			}
-		}
-		if held != wantHeld || s.Len() != wantHeld {
-			t.Fatalf("%s: %d documents held, Len %d, want %d", stage, held, s.Len(), wantHeld)
 		}
 	}
-	counted := func(stage string, s *Store, d *Document) {
+	everyTerm := strings.Join(shadowVocab, " ") // every document's title carries two
+	held := func(stage string, s *Store, wantHeld int) []Hit {
 		t.Helper()
-		want, _ := docTerms(d)
-		if got := storeTerms(s, d); !slices.Equal(got, want) {
-			t.Fatalf("%s: Terms(%s) %v, docTerms %v", stage, d.ID, got, want)
+		hits := s.Newest("", 0)
+		if len(hits) != wantHeld || s.Len() != wantHeld {
+			t.Fatalf("%s: %d documents reached, Len %d, want %d", stage, len(hits), s.Len(), wantHeld)
 		}
-		if !raceEnabled {
-			if n := testing.AllocsPerRun(5, func() { s.Terms(d, func(string, int) {}) }); n == 0 {
-				t.Fatalf("%s: Terms(%s) made no allocation: read from an index that does not hold it", stage, d.ID)
-			}
+		requireTerms(stage+", time scan", hits)
+		found := s.SearchText(everyTerm, wantHeld)
+		if len(found) != wantHeld {
+			t.Fatalf("%s: the text search reached %d documents, want %d", stage, len(found), wantHeld)
 		}
+		requireTerms(stage+", text search", found)
+		return hits
 	}
 
 	dir := t.TempDir()
@@ -346,7 +341,7 @@ func TestStoreTermsMatchDocTerms(t *testing.T) {
 	if err := s.PutBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	check("window", s, 8)
+	window := held("window", s, 8)
 
 	prev := s.snap.Load()
 	for i := 8; i < 80; i++ {
@@ -357,22 +352,17 @@ func TestStoreTermsMatchDocTerms(t *testing.T) {
 	if !mergedSince(prev, s.snap.Load()) {
 		t.Fatal("no tier merge in 72 single-document windows")
 	}
-	check("tier merge", s, 80)
+	requireTerms("window hits after a tier merge", window)
+	merged := held("tier merge", s, 80)
 
-	old := s.snap.Load().getDoc("d005")
 	if err := s.Put(newDoc("d005")); err != nil {
 		t.Fatal(err)
 	}
-	counted("replaced", s, old)
-	gone := s.snap.Load().getDoc("d006")
 	if err := s.Delete("d006"); err != nil {
 		t.Fatal(err)
 	}
-	counted("deleted", s, gone)
-	stranger := newDoc("d007") // an id the store holds, another document
-	counted("never put", s, stranger)
-	counted("nil store", nil, stranger)
-	check("after replace and delete", s, 79)
+	requireTerms("hits after a replace and a delete", merged) // d005's old version and d006 among them
+	written := held("after replace and delete", s, 79)
 
 	// The log so far becomes a legacy snapshot, as stores wrote it before
 	// v2: a record stream with no magic, which Open replays.
@@ -384,7 +374,8 @@ func TestStoreTermsMatchDocTerms(t *testing.T) {
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	check("compact", s, 79)
+	requireTerms("hits after Compact", written)
+	held("compact", s, 79)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -395,8 +386,7 @@ func TestStoreTermsMatchDocTerms(t *testing.T) {
 	if s, err = Open(opts); err != nil {
 		t.Fatal(err)
 	}
-	check("open v2", s, 79)
-	counted("open v2, a document of the closed store", s, old)
+	held("open v2", s, 79)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +394,7 @@ func TestStoreTermsMatchDocTerms(t *testing.T) {
 	if s, err = Open(Options{Dir: legacy, ConceptDim: 8, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
-	check("open legacy", s, 79)
+	held("open legacy", s, 79)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,9 @@ func (a timePair) compare(b timePair) int {
 }
 
 // timeSnap builds the parts of a snapshot a time scan reads: two segments,
-// each its ids (ordinals ascend by id, as a compiled index numbers them) and
-// its time index, and the ordinals of the first segment's ids that are dead.
+// each its ids and documents (ordinals ascend by id, as a compiled index
+// numbers them) and its time index, and the ordinals of the first segment's
+// ids that are dead.
 func timeSnap(base, newer []timePair, dead ...string) *snapshot {
 	seg := func(pairs []timePair, dead []string) *segment {
 		byID := slices.Clone(pairs)
@@ -30,6 +31,7 @@ func timeSnap(base, newer []timePair, dead ...string) *snapshot {
 		seg := &segment{cx: &compiledIndex{}}
 		for i, p := range byID {
 			seg.cx.ids = append(seg.cx.ids, p.id)
+			seg.cx.docs = append(seg.cx.docs, &Document{ID: p.id, CreatedAt: p.key})
 			seg.byTime = append(seg.byTime, timeEntry{key: p.key, ord: uint32(i)})
 		}
 		slices.SortFunc(seg.byTime, func(a, b timeEntry) int { return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.ord, b.ord)) })
@@ -43,10 +45,11 @@ func timeSnap(base, newer []timePair, dead ...string) *snapshot {
 	return &snapshot{segs: []*segment{seg(base, dead), seg(newer, nil)}}
 }
 
-func scanned(scan func(visit func(int64, string) bool)) []string {
+func scanned(scan func(visit func(*segment, uint32) bool)) []string {
 	var out []string
-	scan(func(k int64, id string) bool {
-		out = append(out, fmt.Sprintf("%d/%s", k, id))
+	scan(func(seg *segment, ord uint32) bool {
+		d := seg.cx.docs[ord]
+		out = append(out, fmt.Sprintf("%d/%s", d.CreatedAt, d.ID))
 		return true
 	})
 	return out
@@ -56,11 +59,11 @@ func TestTimeScanRange(t *testing.T) {
 	sn := timeSnap(
 		[]timePair{{50, "e"}, {10, "a"}, {30, "c"}},
 		[]timePair{{20, "b"}, {40, "d"}})
-	got := scanned(func(v func(int64, string) bool) { sn.scanAsc(15, 45, v) })
+	got := scanned(func(v func(*segment, uint32) bool) { sn.scanAsc(15, 45, v) })
 	if want := []string{"20/b", "30/c", "40/d"}; !strsEqual(got, want) {
 		t.Fatalf("scanAsc(15, 45) = %v, want %v", got, want)
 	}
-	if got := scanned(func(v func(int64, string) bool) { sn.scanAsc(45, 15, v) }); len(got) != 0 {
+	if got := scanned(func(v func(*segment, uint32) bool) { sn.scanAsc(45, 15, v) }); len(got) != 0 {
 		t.Fatalf("an empty range visited %v", got)
 	}
 }
@@ -71,10 +74,10 @@ func TestTimeScanTieOrder(t *testing.T) {
 	sn := timeSnap(
 		[]timePair{{10, "a"}, {10, "c"}, {10, "d"}},
 		[]timePair{{10, "b"}, {10, "e"}}, "c")
-	if got, want := scanned(func(v func(int64, string) bool) { sn.scanAsc(10, 10, v) }), []string{"10/a", "10/b", "10/d", "10/e"}; !strsEqual(got, want) {
+	if got, want := scanned(func(v func(*segment, uint32) bool) { sn.scanAsc(10, 10, v) }), []string{"10/a", "10/b", "10/d", "10/e"}; !strsEqual(got, want) {
 		t.Fatalf("ascending = %v, want %v", got, want)
 	}
-	if got, want := scanned(func(v func(int64, string) bool) { sn.scanDesc(10, -1, v) }), []string{"10/e", "10/d", "10/b", "10/a"}; !strsEqual(got, want) {
+	if got, want := scanned(func(v func(*segment, uint32) bool) { sn.scanDesc(10, -1, v) }), []string{"10/e", "10/d", "10/b", "10/a"}; !strsEqual(got, want) {
 		t.Fatalf("descending = %v, want %v", got, want)
 	}
 }
@@ -90,12 +93,12 @@ func TestTimeScanEarlyStop(t *testing.T) {
 		}
 	}
 	sn := timeSnap(base, ov)
-	for name, scan := range map[string]func(func(int64, string) bool){
-		"scanAsc":  func(v func(int64, string) bool) { sn.scanAsc(0, 99, v) },
-		"scanDesc": func(v func(int64, string) bool) { sn.scanDesc(99, -1, v) },
+	for name, scan := range map[string]func(func(*segment, uint32) bool){
+		"scanAsc":  func(v func(*segment, uint32) bool) { sn.scanAsc(0, 99, v) },
+		"scanDesc": func(v func(*segment, uint32) bool) { sn.scanDesc(99, -1, v) },
 	} {
 		n := 0
-		scan(func(int64, string) bool { n++; return n < 5 })
+		scan(func(*segment, uint32) bool { n++; return n < 5 })
 		if n != 5 {
 			t.Fatalf("%s: early stop visited %d", name, n)
 		}
@@ -109,11 +112,11 @@ func TestTimeScanDescending(t *testing.T) {
 		base = append(base, timePair{int64(i), fmt.Sprintf("d%d", i)})
 	}
 	sn := timeSnap(base, []timePair{{6, "x"}}, "d6")
-	got := scanned(func(v func(int64, string) bool) { sn.scanDesc(7, 3, v) })
+	got := scanned(func(v func(*segment, uint32) bool) { sn.scanDesc(7, 3, v) })
 	if want := []string{"7/d7", "6/x", "5/d5"}; !strsEqual(got, want) {
 		t.Fatalf("scanDesc(7, 3) = %v, want %v", got, want)
 	}
-	if got := scanned(func(v func(int64, string) bool) { sn.scanDesc(7, 0, v) }); len(got) != 0 {
+	if got := scanned(func(v func(*segment, uint32) bool) { sn.scanDesc(7, 0, v) }); len(got) != 0 {
 		t.Fatalf("limit 0 visited %v", got)
 	}
 }
@@ -149,8 +152,8 @@ func TestTimeScanMatchesSortedSliceProperty(t *testing.T) {
 		}
 		slices.Reverse(desc)
 		desc = desc[:min(len(desc), int(limit))]
-		return strsEqual(scanned(func(v func(int64, string) bool) { sn.scanAsc(int64(from), int64(to), v) }), asc) &&
-			strsEqual(scanned(func(v func(int64, string) bool) { sn.scanDesc(int64(to), int(limit), v) }), desc)
+		return strsEqual(scanned(func(v func(*segment, uint32) bool) { sn.scanAsc(int64(from), int64(to), v) }), asc) &&
+			strsEqual(scanned(func(v func(*segment, uint32) bool) { sn.scanDesc(int64(to), int(limit), v) }), desc)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/docstore"
 )
 
 // wantRe extracts `// want "substring"` expectations from fixture source.
@@ -169,6 +172,23 @@ func TestLockfreeFixture(t *testing.T) {
 // under any other path must produce nothing.
 func TestLockfreeOutsideDocstoreIsSilent(t *testing.T) {
 	assertFixtureSilent(t, "lockfree", "internal/core", lockfreeAnalyzer)
+}
+
+// TestGovernedNamesAreStoreMethods: the lockfree and hotalloc analyzers pick
+// their roots by method name, so a name that is no longer a method of
+// docstore.Store — renamed or deleted — would silently guard nothing.
+func TestGovernedNamesAreStoreMethods(t *testing.T) {
+	store := reflect.TypeFor[*docstore.Store]()
+	for list, names := range map[string]map[string]bool{
+		"lockfreeReadMethods": lockfreeReadMethods,
+		"hotallocRoots":       hotallocRoots,
+	} {
+		for name := range names {
+			if _, ok := store.MethodByName(name); !ok {
+				t.Errorf("%s names %s, which is not a method of docstore.Store", list, name)
+			}
+		}
+	}
 }
 
 // TestPoolPutNotConflated pins the regression the typed call graph exists

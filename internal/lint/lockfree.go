@@ -14,9 +14,9 @@ var lockfreeReceiver = "Store"
 // so.
 var lockfreeReadMethods = map[string]bool{
 	"Get": true, "Len": true, "Epoch": true, "Stats": true,
-	"ByTopic": true, "TopicCount": true,
+	"Newest": true, "TopicCount": true,
 	"RecentSince": true, "Freshest": true, "All": true,
-	"TermStats": true, "Terms": true,
+	"TermStats": true,
 }
 
 // lockfreeAnalyzer enforces the epoch-snapshot contract: every read

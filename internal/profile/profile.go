@@ -158,7 +158,7 @@ func (p *Profile) PersonalScore(base float64, docConcept feature.Vector, gamma f
 // that carry one — Σ tf·a(t) / Σ tf over its distinct terms t, in ascending
 // order — squashed by 1 + 0.5·tanh; 1 when no token carries one. It is fed
 // the terms with their counts, one at a time (Add has the shape
-// docstore.Store.Terms calls), so a caller allocates nothing per document.
+// docstore.Hit.Terms calls), so a caller allocates nothing per document.
 type TermBoost struct {
 	affinity map[string]float64
 	sum      float64

@@ -116,8 +116,8 @@ func TestTermBoost(t *testing.T) {
 }
 
 // TestTermBoostMatchesReference: over a generated corpus, a learned
-// profile's TermBoost of each document, fed from the store that holds it
-// (docstore.Store.Terms), is to the bit a reference computed from the
+// profile's TermBoost of each document, fed from the index its search hit
+// was found in (docstore.Hit.Terms), is to the bit a reference computed from the
 // document's tokens — sorted, counted, and summed in ascending term order —
 // and within 1e-12 of the mean taken in token order; and it allocates
 // nothing.
@@ -198,7 +198,7 @@ func TestTermBoostMatchesReference(t *testing.T) {
 			}
 			seen[h.Doc.ID] = true
 			b := p.TermBoost()
-			s.Terms(h.Doc, b.Add)
+			h.Terms(b.Add)
 			got := b.Value()
 			if want := reference(h.Doc); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%s: TermBoost %v, reference %v", h.Doc.ID, got, want)
@@ -215,11 +215,11 @@ func TestTermBoostMatchesReference(t *testing.T) {
 		t.Fatalf("%d of %d documents boosted, %d of them away from 1", len(seen), len(corpus), moved)
 	}
 
-	d := s.SearchText(gen.Topics[0].Name, 1)[0].Doc
+	h := s.SearchText(gen.Topics[0].Name, 1)[0]
 	var sink float64
 	if n := testing.AllocsPerRun(100, func() {
 		b := p.TermBoost()
-		s.Terms(d, b.Add)
+		h.Terms(b.Add)
 		sink += b.Value()
 	}); n != 0 {
 		t.Fatalf("boosting a document the store holds makes %v allocations, want 0", n)

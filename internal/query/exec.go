@@ -13,10 +13,13 @@ import (
 // Local execution of a query against one docstore, plus decomposition and
 // merging across sources.
 
-// Result is a scored document from some source.
+// Result is a scored document from some source: the store's hit, which
+// keeps its place in the index that holds it (see docstore.Hit.Terms), and
+// where the document says it came from.
 type Result struct {
-	Doc    *docstore.Document
-	Score  float64
+	docstore.Hit
+	// Source is the document's Provenance — the source it names as its
+	// origin — not the store that served the result.
 	Source string
 }
 
@@ -33,15 +36,14 @@ type Result struct {
 // an unfiltered one. An unfiltered freshness scan keeps the TopK newest.
 func Execute(s *docstore.Store, q *Query, concept feature.Vector, now int64) []Result {
 	// Candidate generation: text search if present, vector search if a
-	// concept is given, else freshest documents.
+	// concept is given, else the newest documents (of the first topic).
 	pool := q.TopK
 	if q.filtered() {
 		pool = max(q.TopK*5, 50)
 	}
 	// A search returns its hits ranked (score descending, then id), and a
-	// filter only drops hits: what passes is ranked already. The topic and
-	// freshness scans come newest first with every score 1, so theirs are
-	// ranked here.
+	// filter only drops hits: what passes is ranked already. The time scan
+	// comes newest first with every score 1, so its hits are ranked here.
 	ranked := true
 	var hits []docstore.Hit
 	switch {
@@ -51,18 +53,15 @@ func Execute(s *docstore.Store, q *Query, concept feature.Vector, now int64) []R
 		hits = s.SearchText(q.Text, pool)
 	case len(concept) > 0:
 		hits = s.SearchVector(concept, pool)
-	case len(q.Topics) > 0:
-		// Topic-only query: the topic index finds every carrier, not just
+	default:
+		// A topic-only query scans for the topic's carriers, not just
 		// whatever happens to be freshest.
 		ranked = false
-		for _, d := range s.ByTopic(q.Topics[0], pool) {
-			hits = append(hits, docstore.Hit{Doc: d, Score: 1})
+		topic := ""
+		if len(q.Topics) > 0 {
+			topic = q.Topics[0]
 		}
-	default:
-		ranked = false
-		for _, d := range s.Freshest(pool) {
-			hits = append(hits, docstore.Hit{Doc: d, Score: 1})
-		}
+		hits = s.Newest(topic, pool)
 	}
 	room := len(hits)
 	if ranked {
@@ -73,7 +72,7 @@ func Execute(s *docstore.Store, q *Query, concept feature.Vector, now int64) []R
 		if !matchesFilters(h.Doc, q, concept, now) {
 			continue
 		}
-		out = append(out, Result{Doc: h.Doc, Score: h.Score, Source: h.Doc.Provenance})
+		out = append(out, Result{Hit: h, Source: h.Doc.Provenance})
 		if ranked && len(out) >= q.TopK {
 			break
 		}

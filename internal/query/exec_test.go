@@ -28,19 +28,15 @@ func overFetch(s *docstore.Store, q *Query, concept feature.Vector, now int64) [
 		hits = s.SearchVector(concept, pool)
 	case len(q.Topics) > 0:
 		scan = true
-		for _, d := range s.ByTopic(q.Topics[0], pool) {
-			hits = append(hits, docstore.Hit{Doc: d, Score: 1})
-		}
+		hits = s.Newest(q.Topics[0], pool)
 	default:
 		scan = true
-		for _, d := range s.Freshest(pool) {
-			hits = append(hits, docstore.Hit{Doc: d, Score: 1})
-		}
+		hits = s.Newest("", pool)
 	}
 	var out []Result
 	for _, h := range hits {
 		if matchesFilters(h.Doc, q, concept, now) {
-			out = append(out, Result{Doc: h.Doc, Score: h.Score, Source: h.Doc.Provenance})
+			out = append(out, Result{Hit: h, Source: h.Doc.Provenance})
 		}
 	}
 	if scan {
@@ -53,7 +49,7 @@ func overFetch(s *docstore.Store, q *Query, concept feature.Vector, now int64) [
 func resultsOf(hits []docstore.Hit, k int) []Result {
 	out := make([]Result, 0, k)
 	for _, h := range hits[:min(len(hits), k)] {
-		out = append(out, Result{Doc: h.Doc, Score: h.Score, Source: h.Doc.Provenance})
+		out = append(out, Result{Hit: h, Source: h.Doc.Provenance})
 	}
 	return out
 }

@@ -203,9 +203,11 @@ func TestExecuteTopK(t *testing.T) {
 }
 
 func TestMergeDedupAndNormalize(t *testing.T) {
-	d := func(id string) *docstore.Document { return &docstore.Document{ID: id} }
-	listA := []Result{{Doc: d("x"), Score: 10, Source: "a"}, {Doc: d("y"), Score: 5, Source: "a"}}
-	listB := []Result{{Doc: d("x"), Score: 0.2, Source: "b"}, {Doc: d("z"), Score: 0.1, Source: "b"}}
+	r := func(id string, score float64, source string) Result {
+		return Result{Hit: docstore.Hit{Doc: &docstore.Document{ID: id}, Score: score}, Source: source}
+	}
+	listA := []Result{r("x", 10, "a"), r("y", 5, "a")}
+	listB := []Result{r("x", 0.2, "b"), r("z", 0.1, "b")}
 	merged := Merge([][]Result{listA, listB}, 10)
 	if len(merged) != 3 {
 		t.Fatalf("merged = %d", len(merged))
@@ -244,7 +246,7 @@ func TestSplitByTopics(t *testing.T) {
 
 func TestCompletenessAndStaleness(t *testing.T) {
 	d := func(id string, at int64) Result {
-		return Result{Doc: &docstore.Document{ID: id, CreatedAt: at}}
+		return Result{Hit: docstore.Hit{Doc: &docstore.Document{ID: id, CreatedAt: at}}}
 	}
 	rel := map[string]bool{"a": true, "b": true, "c": true, "d": true}
 	res := []Result{d("a", 100), d("b", 50), d("x", 10)}

@@ -67,7 +67,7 @@ func mergeLists(r *rand.Rand) [][]Result {
 			if zero {
 				score = 0
 			}
-			list[j] = Result{Doc: docs[id], Score: score, Source: fmt.Sprintf("src%d", i)}
+			list[j] = Result{Hit: docstore.Hit{Doc: docs[id], Score: score}, Source: fmt.Sprintf("src%d", i)}
 		}
 		lists[i] = list
 	}
